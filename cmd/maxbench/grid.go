@@ -136,13 +136,11 @@ func runGrid(gc gridConfig, out *output) error {
 					cell := benchgrid.Cell{
 						OT: ot.String(), Rows: size[0], Cols: size[1], Width: width,
 						Precompute: warm, Requests: gc.requests,
-						P50Ms:       ms(percentile(ps.samples, 50)),
-						P95Ms:       ms(percentile(ps.samples, 95)),
-						P99Ms:       ms(percentile(ps.samples, 99)),
 						MeanMs:      ms(ps.mean()),
 						BytesPerOp:  ps.bytesPerOp,
 						AllocsPerOp: ps.allocsPerOp,
 					}
+					cell.P50Ms, cell.P95Ms, cell.P99Ms = ps.percentilesMs()
 					if secs := ps.onlineSeconds(); secs > 0 {
 						cell.TablesPerSec = float64(ps.tables) / secs
 					}

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"maxelerator/internal/maxsim"
+	"maxelerator/internal/obs"
 	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/wire"
@@ -161,10 +162,8 @@ func runRemoteLatency(lc latencyConfig, out *output) error {
 
 	rep := latencyReport{Rows: lc.rows, Cols: lc.cols, Width: lc.width}
 	res := latencyResult{Mode: "remote", Requests: lc.requests}
-	res.P50Ms = ms(percentile(samples, 50))
-	res.P95Ms = ms(percentile(samples, 95))
-	res.P99Ms = ms(percentile(samples, 99))
 	ps := passStats{samples: samples}
+	res.P50Ms, res.P95Ms, res.P99Ms = ps.percentilesMs()
 	res.MeanMs = ms(ps.mean())
 	rep.Results = append(rep.Results, res)
 	if out.json {
@@ -194,9 +193,7 @@ func measureLatency(lc latencyConfig, warm bool) (latencyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	res.P50Ms = ms(percentile(ps.samples, 50))
-	res.P95Ms = ms(percentile(ps.samples, 95))
-	res.P99Ms = ms(percentile(ps.samples, 99))
+	res.P50Ms, res.P95Ms, res.P99Ms = ps.percentilesMs()
 	res.MeanMs = ms(ps.mean())
 	return res, nil
 }
@@ -386,19 +383,14 @@ func measurePass(pc passConfig) (passStats, error) {
 	return ps, nil
 }
 
-// percentile reads the nearest-rank percentile from sorted samples.
-func percentile(sorted []time.Duration, p int) time.Duration {
-	if len(sorted) == 0 {
-		return 0
+// percentilesMs cuts the nearest-rank p50/p95/p99, in milliseconds, from
+// the pass's sorted samples.
+func (ps passStats) percentilesMs() (p50, p95, p99 float64) {
+	v := make([]float64, len(ps.samples))
+	for i, d := range ps.samples {
+		v[i] = ms(d)
 	}
-	idx := (p*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
+	return obs.NearestRank(v, 50), obs.NearestRank(v, 95), obs.NearestRank(v, 99)
 }
 
 func ms(d time.Duration) float64 {

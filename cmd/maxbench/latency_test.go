@@ -86,53 +86,6 @@ func TestRunLatencyValidates(t *testing.T) {
 	}
 }
 
-// TestPercentileNearestRank pins the nearest-rank percentile math with
-// a table over known samples, including the n=1 and rank-equals-n
-// edge cases the -latency and -grid artifacts depend on.
-func TestPercentileNearestRank(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		sorted []time.Duration
-		p      int
-		want   time.Duration
-	}{
-		{"empty", nil, 50, 0},
-		// n=1: every percentile is the single sample.
-		{"n=1 p1", []time.Duration{7}, 1, 7},
-		{"n=1 p50", []time.Duration{7}, 50, 7},
-		{"n=1 p99", []time.Duration{7}, 99, 7},
-		{"n=1 p100", []time.Duration{7}, 100, 7},
-		// n=4: ceil(p*n/100) ranks.
-		{"n=4 p1", []time.Duration{10, 20, 30, 40}, 1, 10},
-		{"n=4 p25", []time.Duration{10, 20, 30, 40}, 25, 10},
-		{"n=4 p50", []time.Duration{10, 20, 30, 40}, 50, 20},
-		{"n=4 p51", []time.Duration{10, 20, 30, 40}, 51, 30},
-		{"n=4 p75", []time.Duration{10, 20, 30, 40}, 75, 30},
-		{"n=4 p95", []time.Duration{10, 20, 30, 40}, 95, 40},
-		{"n=4 p99", []time.Duration{10, 20, 30, 40}, 99, 40},
-		// rank equals n exactly (p*n/100 integral at the top).
-		{"n=4 p100", []time.Duration{10, 20, 30, 40}, 100, 40},
-		{"n=100 p50", mkSamples(100), 50, 50},
-		{"n=100 p99", mkSamples(100), 99, 99},
-		{"n=100 p100", mkSamples(100), 100, 100},
-		// p=0 clamps to the first sample rather than indexing below it.
-		{"p0 clamps", []time.Duration{10, 20}, 0, 10},
-	} {
-		if got := percentile(tc.sorted, tc.p); got != tc.want {
-			t.Errorf("%s: percentile(p=%d) = %v, want %v", tc.name, tc.p, got, tc.want)
-		}
-	}
-}
-
-// mkSamples builds 1..n as durations.
-func mkSamples(n int) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = time.Duration(i + 1)
-	}
-	return out
-}
-
 func TestPassStatsMeanAndOnlineSeconds(t *testing.T) {
 	ps := passStats{samples: []time.Duration{time.Millisecond, 3 * time.Millisecond}}
 	if got := ps.mean(); got != 2*time.Millisecond {

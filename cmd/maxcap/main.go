@@ -17,8 +17,9 @@
 //
 //	maxcap -validate -rate 4 -duration 5s [-addr HOST:PORT]
 //	    Close the loop: run the open-loop generator against a real
-//	    backend (an in-process lab backend by default, or -addr for an
-//	    external daemon with -metrics), calibrate the simulator from
+//	    backend (an in-process internal/backend — the code maxd runs —
+//	    by default, or -addr for an external daemon with -metrics),
+//	    calibrate the simulator from
 //	    that very run's histograms, replay the identical arrival
 //	    schedule, and exit non-zero if prediction misses measurement
 //	    by more than the tolerance band.
@@ -36,11 +37,12 @@ import (
 	"os"
 	"time"
 
+	"maxelerator/internal/backend"
 	"maxelerator/internal/benchgrid"
 	"maxelerator/internal/capmodel"
-	"maxelerator/internal/fleetlab"
 	"maxelerator/internal/load"
 	"maxelerator/internal/obs"
+	"maxelerator/internal/protocol"
 )
 
 type cliConfig struct {
@@ -90,7 +92,7 @@ func main() {
 
 	flag.IntVar(&c.backends, "backends", 1, "simulated backend count")
 	flag.IntVar(&c.maxSessions, "max-sessions", 8, "per-backend session limit; 0 = unlimited")
-	flag.DurationVar(&c.admissionWait, "admission-wait", 2*time.Second, "per-backend queue wait before BUSY")
+	flag.DurationVar(&c.admissionWait, "admission-wait", 2*time.Second, "per-backend queue wait before BUSY (0 = queue forever, as maxd)")
 	flag.IntVar(&c.cpus, "cpus", 0, "per-backend compute parallelism (default: max-inflight, see DESIGN.md §15)")
 	flag.IntVar(&c.pool, "pool", 4, "precompute pool depth per shape; 0 = no pool")
 	flag.IntVar(&c.refill, "refill-workers", 1, "background refill parallelism")
@@ -104,7 +106,7 @@ func main() {
 	flag.StringVar(&c.poolSweep, "pool-sweep", "0,4", "capacity sweep: pool depths")
 	flag.StringVar(&c.sessionsSweep, "sessions-sweep", "8", "capacity sweep: max-sessions values")
 
-	flag.StringVar(&c.addr, "addr", "", "validate: external daemon address (default: boot an in-process lab backend)")
+	flag.StringVar(&c.addr, "addr", "", "validate: external daemon address (default: boot an in-process backend)")
 	flag.StringVar(&c.metricsURL, "metrics", "", "validate: external daemon observability base URL (required with -addr)")
 	flag.Float64Var(&c.tolFactor, "tol-factor", capmodel.DefaultTolerance.LatencyFactor, "validate: latency tolerance factor")
 	flag.Float64Var(&c.tolSlackMs, "tol-slack-ms", capmodel.DefaultTolerance.LatencySlackMs, "validate: absolute latency slack, ms")
@@ -269,21 +271,32 @@ func runValidate(c cliConfig, sc load.Scenario, fl capmodel.Fleet) error {
 		}
 		lcfg.Target, lcfg.MetricsURL = c.addr, c.metricsURL
 	} else {
-		b, err := fleetlab.Start(fleetlab.Config{
-			Width: ref.Width, Rows: ref.Rows, Cols: ref.Cols, Seed: sc.Seed,
+		// The real backend one simulated backend of fl stands for, serving
+		// a small fixed model of the reference shape (garbling cost does
+		// not depend on the values).
+		lcfg.Matrix = make([][]int64, ref.Rows)
+		for i := range lcfg.Matrix {
+			lcfg.Matrix[i] = make([]int64, ref.Cols)
+			for j := range lcfg.Matrix[i] {
+				lcfg.Matrix[i][j] = int64((i+j)%7 - 3)
+			}
+		}
+		b, err := backend.Start(backend.Config{
+			Listen: "127.0.0.1:0", Matrix: lcfg.Matrix, Width: ref.Width,
 			MaxSessions: fl.MaxSessions, AdmissionWait: c.admissionWait,
-			PoolSize: fl.PoolDepth,
+			Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
+			Precompute: fl.PoolDepth > 0, PrecomputePool: fl.PoolDepth,
 		})
 		if err != nil {
 			return err
 		}
-		defer b.Stop()
+		defer b.Close()
 		if fl.WarmStart {
 			if err := b.Prefill(fl.PoolDepth); err != nil {
 				return err
 			}
 		}
-		lcfg.Target, lcfg.Registry = b.Addr, b.Registry()
+		lcfg.Target, lcfg.Registry = b.Addr(), b.Registry()
 	}
 
 	measured, err := load.Run(lcfg)
@@ -293,6 +306,9 @@ func runValidate(c cliConfig, sc load.Scenario, fl capmodel.Fleet) error {
 	if measured.Succeeded == 0 {
 		return fmt.Errorf("live run produced no successful sessions (offered %d, shed %d, failed %d)",
 			measured.Offered, measured.Shed, measured.Failed)
+	}
+	if measured.Miscomputed > 0 {
+		return fmt.Errorf("live run returned %d wrong results", measured.Miscomputed)
 	}
 
 	var snap *obs.Snapshot

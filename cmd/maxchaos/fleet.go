@@ -1,19 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"maxelerator/internal/backend"
 	"maxelerator/internal/gateway"
-	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
-	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/wire"
 	"maxelerator/internal/wire/faultconn"
@@ -24,206 +20,111 @@ import (
 // in the matching faultconn script; sessions already in flight are left
 // alone (a real degradation hits new work first).
 const (
-	faultNone int32 = iota
-	faultStall      // accepted-but-mute: first read blocks forever
-	faultFlaky      // lossy link: every op fails with probability flakyP
+	faultNone  int32 = iota
+	faultStall       // accepted-but-mute: first read blocks forever
+	faultFlaky       // lossy link: every op fails with probability flakyP
 )
 
-// chaosBackend is one in-process maxd-equivalent the harness can kill,
-// restart and degrade: a real protocol server with a precompute engine
-// behind a TCP listener, plus the /healthz + /shapez surface the
-// gateway probes. Kill closes both listeners and every live session
-// connection (a process crash, not a graceful drain); restart re-binds
-// the same addresses so the gateway's static backend list stays valid.
+// chaosMatrix is the 1×2 model every backend serves.
+var chaosMatrix = [][]int64{{2, 3}}
+
+// chaosBackend is one real backend (internal/backend, the code maxd
+// runs) the harness can kill, restart and degrade. Kill is a process
+// crash, not a graceful drain: Close cuts both listeners and every live
+// session connection. Restart starts a fresh backend — new engine, cold
+// pools, new registry — on the recorded addresses, so the gateway's
+// static backend list stays valid. Faults go in through the backend's
+// WrapConn seam.
 type chaosBackend struct {
 	id     int
-	cfg    *chaosConfig
-	logf   func(string, ...any)
-	o      *obs.Obs
-	srv    *protocol.Server
-	eng    *precompute.Engine
-	matrix [][]int64
-	mux    *http.ServeMux
-
-	protoAddr  string // fixed for the run; restart re-binds it
-	healthAddr string
+	flakyP float64
+	// cfg restarts the backend; Listen and MetricsAddr are pinned to the
+	// first incarnation's ports.
+	cfg backend.Config
 
 	fault    atomic.Int32
 	flakySeq atomic.Int64 // per-conn seed so flaky runs differ but stay reproducible
+	served   atomic.Int64 // sessions ended cleanly after a served request, all incarnations
+	arena    atomic.Int64 // frame buffers killed incarnations never returned
 
-	mu    sync.Mutex
-	down  bool
-	ln    net.Listener
-	hsrv  *http.Server
-	conns map[io.Closer]struct{} // wrapped conns of live sessions; kill closes them
-
-	served atomic.Int64 // sessions Serve completed cleanly (end marker seen)
-	wg     sync.WaitGroup
+	mu   sync.Mutex
+	live *backend.Backend // nil while down
 }
 
-func startChaosBackend(cfg *chaosConfig, id int, logf func(string, ...any)) (*chaosBackend, error) {
-	b := &chaosBackend{
-		id:     id,
-		cfg:    cfg,
-		logf:   logf,
-		o:      obs.New(0),
-		matrix: [][]int64{{2, 3}},
-		conns:  map[io.Closer]struct{}{},
+func startChaosBackend(cfg *chaosConfig, id int) (*chaosBackend, error) {
+	cb := &chaosBackend{id: id, flakyP: cfg.flakyP}
+	cb.cfg = backend.Config{
+		Listen: "127.0.0.1:0", MetricsAddr: "127.0.0.1:0", Advertise: true,
+		Matrix: chaosMatrix, Width: 8,
+		// I/O budgets bound every session goroutine. They are loose
+		// because the OT base phase is real 2048-bit crypto — on a loaded
+		// single-core runner a healthy peer can legitimately take seconds
+		// between frames.
+		Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
+		Precompute: true, PrecomputePool: 2, PrecomputeShapes: 8,
+		WrapConn: cb.wrap,
+		// A completion is a served request followed by the client's clean
+		// end of session; a session a kill cuts short ends with an error
+		// and does not count.
+		OnSessionEnd: func(s backend.Session, err error) {
+			if err == nil && s.Requests > 0 {
+				cb.served.Add(1)
+			}
+		},
 	}
-	simCfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
-	srv, err := protocol.NewServer(simCfg)
+	b, err := backend.Start(cb.cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := precompute.New(precompute.Config{Sim: simCfg, PoolSize: 2, MaxShapes: 8, Metrics: b.o.Metrics()})
-	if err != nil {
-		return nil, err
-	}
-	// I/O budgets bound every session goroutine: a connection cut by a
-	// kill or muted by a stall can hold a serve goroutine for at most
-	// one timeout, so teardown's wg.Wait always terminates. The budgets
-	// are loose because the OT base phase is real 2048-bit crypto — on a
-	// loaded single-core runner a healthy peer can legitimately take
-	// seconds between frames.
-	srv.WithObs(b.o).WithPrecompute(eng).
-		WithTimeouts(protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second})
-	eng.Start()
-	b.srv, b.eng = srv, eng
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		eng.Stop()
-		return nil, err
-	}
-	hln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		ln.Close()
-		eng.Stop()
-		return nil, err
-	}
-	b.protoAddr = ln.Addr().String()
-	b.healthAddr = hln.Addr().String()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/shapez", func(w http.ResponseWriter, r *http.Request) {
-		var shapes []string
-		for s := range b.eng.Shapes() {
-			shapes = append(shapes, s.String())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"shapes": shapes})
-	})
-	mux.Handle("/", b.o.Handler())
-	b.mux = mux
-
-	hsrv := &http.Server{Handler: mux}
-	b.ln, b.hsrv = ln, hsrv
-	go b.acceptLoop(ln)
-	go hsrv.Serve(hln)
-	return b, nil
+	cb.cfg.Listen, cb.cfg.MetricsAddr = b.Addr(), b.MetricsAddr()
+	cb.live = b
+	return cb, nil
 }
 
-func (b *chaosBackend) acceptLoop(ln net.Listener) {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		b.wg.Add(1)
-		go b.handle(nc)
-	}
-}
-
-func (b *chaosBackend) handle(nc net.Conn) {
-	defer b.wg.Done()
-	var conn wire.Conn = wire.NewStreamConn(nc)
-	switch b.fault.Load() {
+// wrap applies the active fault mode to a newly accepted connection.
+func (cb *chaosBackend) wrap(conn wire.Conn) wire.Conn {
+	switch cb.fault.Load() {
 	case faultStall:
-		conn = faultconn.New(conn, faultconn.Options{StallFirstRead: true})
+		return faultconn.New(conn, faultconn.Options{StallFirstRead: true})
 	case faultFlaky:
-		conn = faultconn.New(conn, faultconn.Flaky(b.flakySeq.Add(1), b.cfg.flakyP))
+		return faultconn.New(conn, faultconn.Flaky(cb.flakySeq.Add(1), cb.flakyP))
 	}
-	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
-		conn.Close()
-		return
-	}
-	b.conns[conn] = struct{}{}
-	b.mu.Unlock()
-	defer func() {
-		b.mu.Lock()
-		delete(b.conns, conn)
-		b.mu.Unlock()
-		conn.Close()
-	}()
-	if _, err := b.srv.Serve(conn, protocol.Request{Matrix: b.matrix}); err == nil {
-		b.served.Add(1)
-	}
+	return conn
 }
 
-// kill models a process crash: both listeners close, every live
-// session connection is cut mid-stream. Idempotent.
-func (b *chaosBackend) kill() {
-	b.mu.Lock()
-	if b.down {
-		b.mu.Unlock()
+// kill crashes the live incarnation and books what it leaked. It
+// returns once the incarnation's session goroutines have unwound, so
+// served and arena are final for it. Idempotent.
+func (cb *chaosBackend) kill() {
+	cb.mu.Lock()
+	b := cb.live
+	cb.live = nil
+	cb.mu.Unlock()
+	if b == nil {
 		return
 	}
-	b.down = true
-	ln, hsrv := b.ln, b.hsrv
-	conns := make([]io.Closer, 0, len(b.conns))
-	for c := range b.conns {
-		conns = append(conns, c)
-	}
-	b.mu.Unlock()
-	ln.Close()
-	hsrv.Close()
-	for _, c := range conns {
-		c.Close()
-	}
+	b.Close()
+	cb.arena.Add(b.ArenaOutstanding())
 }
 
-// restart re-binds the crashed backend's original addresses. The
-// kernel can hold the freed port briefly, so binding retries for up to
+// restart brings the backend back on its original addresses. The
+// kernel can hold a freed port briefly, so binding retries for up to
 // two seconds before giving up.
-func (b *chaosBackend) restart() error {
-	var ln, hln net.Listener
+func (cb *chaosBackend) restart() error {
 	var err error
-	for i := 0; i < 40 && (ln == nil || hln == nil); i++ {
+	for i := 0; i < 40; i++ {
 		if i > 0 {
 			time.Sleep(50 * time.Millisecond)
 		}
-		if ln == nil {
-			ln, err = net.Listen("tcp", b.protoAddr)
-		}
-		if ln != nil && hln == nil {
-			hln, err = net.Listen("tcp", b.healthAddr)
+		var b *backend.Backend
+		if b, err = backend.Start(cb.cfg); err == nil {
+			cb.mu.Lock()
+			cb.live = b
+			cb.mu.Unlock()
+			return nil
 		}
 	}
-	if ln == nil || hln == nil {
-		if ln != nil {
-			ln.Close()
-		}
-		return fmt.Errorf("backend %d: re-bind after restart: %w", b.id, err)
-	}
-	hsrv := &http.Server{Handler: b.mux}
-	b.mu.Lock()
-	b.down = false
-	b.ln, b.hsrv = ln, hsrv
-	b.mu.Unlock()
-	go b.acceptLoop(ln)
-	go hsrv.Serve(hln)
-	return nil
-}
-
-// stop is the end-of-run teardown: crash the backend, wait for every
-// session goroutine (bounded by the server's I/O budgets), stop the
-// precompute engine. After stop, served and ArenaOutstanding are final.
-func (b *chaosBackend) stop() {
-	b.kill()
-	b.wg.Wait()
-	b.eng.Stop()
+	return fmt.Errorf("backend %d: re-bind after restart: %w", cb.id, err)
 }
 
 // chaosFleet is the system under test: one live gateway routing over
@@ -243,13 +144,13 @@ func startFleet(cfg *chaosConfig, logf func(string, ...any)) (*chaosFleet, error
 	f := &chaosFleet{cfg: cfg, o: obs.New(0), logf: logf}
 	var gwBackends []gateway.Backend
 	for i := 0; i < cfg.backends; i++ {
-		b, err := startChaosBackend(cfg, i, logf)
+		b, err := startChaosBackend(cfg, i)
 		if err != nil {
 			f.teardownBackends()
 			return nil, err
 		}
 		f.backends = append(f.backends, b)
-		gwBackends = append(gwBackends, gateway.Backend{Addr: b.protoAddr, HealthURL: "http://" + b.healthAddr})
+		gwBackends = append(gwBackends, gateway.Backend{Addr: b.cfg.Listen, HealthURL: "http://" + b.cfg.MetricsAddr})
 	}
 	gw, err := gateway.New(gateway.Config{
 		Backends:        gwBackends,
@@ -284,7 +185,7 @@ func startFleet(cfg *chaosConfig, logf func(string, ...any)) (*chaosFleet, error
 
 func (f *chaosFleet) teardownBackends() {
 	for _, b := range f.backends {
-		b.stop()
+		b.kill()
 	}
 }
 
@@ -330,7 +231,7 @@ func (f *chaosFleet) chaosLoop(done <-chan struct{}, c *chaosCounters) {
 				defer wg.Done()
 				v.kill()
 				c.kills.Add(1)
-				f.logf("chaos: killed backend %d (%s)", v.id, v.protoAddr)
+				f.logf("chaos: killed backend %d (%s)", v.id, v.cfg.Listen)
 				select {
 				case <-time.After(f.cfg.downFor):
 				case <-done:
@@ -341,7 +242,7 @@ func (f *chaosFleet) chaosLoop(done <-chan struct{}, c *chaosCounters) {
 					return
 				}
 				c.restarts.Add(1)
-				f.logf("chaos: restarted backend %d (%s)", v.id, v.protoAddr)
+				f.logf("chaos: restarted backend %d (%s)", v.id, v.cfg.Listen)
 			}()
 			if n < 2 {
 				continue

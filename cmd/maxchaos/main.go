@@ -1,6 +1,7 @@
 // Command maxchaos is the fleet resilience harness: it boots a live
-// gateway in front of N in-process maxd-equivalent backends over real
-// TCP, drives open-loop client load at the gateway, and injects fleet
+// gateway in front of N in-process backends — internal/backend, the
+// very code maxd serves with — over real TCP, drives open-loop client
+// load (internal/load) at the gateway, and injects fleet
 // chaos — killing and restarting a backend every -kill-every, muting a
 // second one's new sessions (StallFirstRead) and making a third one's
 // link lossy (Flaky) — then asserts the fleet-wide invariants the
@@ -40,7 +41,9 @@ import (
 	"sync"
 	"time"
 
+	"maxelerator/internal/load"
 	"maxelerator/internal/obs"
+	"maxelerator/internal/protocol"
 )
 
 // chaosConfig gathers every knob of one chaos run.
@@ -124,6 +127,29 @@ func main() {
 	}
 }
 
+// chaosScenario is the open-loop load: one session per -load-interval on
+// a metronome, whatever previous sessions are doing — a retry storm or a
+// stalled fleet must not slow the arrival clock, it must surface as
+// errors — capped at -max-inflight with arrivals past the cap skipped,
+// never blocked on. Sessions draw from three shape hints that hash to
+// different ring positions. Hints are routing metadata only — every
+// backend serves the same 1×2 model at b=8 — so the lying widths are
+// safe and exercise hint-miss accounting.
+func chaosScenario(cfg *chaosConfig) load.Scenario {
+	return load.Scenario{
+		Rate:        1 / cfg.loadInterval.Seconds(),
+		Process:     load.Uniform,
+		DurationSec: cfg.duration.Seconds(),
+		Seed:        1,
+		MaxInflight: cfg.maxInflight,
+		Shapes: []load.ShapeWeight{
+			{Rows: 1, Cols: 2, Width: 8, Weight: 1},
+			{Rows: 1, Cols: 2, Width: 16, Weight: 1},
+			{Rows: 1, Cols: 2, Width: 32, Weight: 1},
+		},
+	}
+}
+
 // runChaos executes one full chaos run: fleet up, chaos + load,
 // drain, measure, tear down, judge. It is the whole harness behind a
 // single call so the CI smoke test and main() share every code path.
@@ -151,7 +177,17 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 		fleet.chaosLoop(chaosDone, counters)
 	}()
 
-	stats := fleet.runLoad(cfg.duration)
+	stats, loadErr := load.Run(load.Config{
+		Target:   fleet.gwAddr,
+		Scenario: chaosScenario(&cfg),
+		// Generous budgets: a session's OT base phase is real public-key
+		// crypto, and concurrent sessions contend for the same cores. The
+		// deadline exists to bound sessions wedged on a muted or killed
+		// backend, not to police healthy-but-slow crypto.
+		Timeouts: protocol.Timeouts{Handshake: 8 * time.Second, IO: 8 * time.Second},
+		Matrix:   chaosMatrix,
+		Logf:     logf,
+	})
 
 	// Stop the chaos first (restoring every backend), then the intake,
 	// then let in-flight relays drain on their own connections.
@@ -159,17 +195,21 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 	chaosWG.Wait()
 	fleet.stopIntake()
 	drained := fleet.gw.Drain(10 * time.Second)
+	if loadErr != nil { // a scenario the flags made invalid; nothing ran
+		fleet.close()
+		return nil, loadErr
+	}
 
 	rep := &Report{
 		Backends:             cfg.backends,
 		Duration:             cfg.duration.String(),
 		KillEvery:            cfg.killEvery.String(),
-		Sessions:             stats.sessions.Load(),
-		Skipped:              stats.skipped.Load(),
-		Succeeded:            stats.succeeded.Load(),
-		Shed:                 stats.shed.Load(),
-		Failed:               stats.failed.Load(),
-		Miscomputed:          stats.miscomputed.Load(),
+		Sessions:             int64(stats.Started),
+		Skipped:              int64(stats.Skipped),
+		Succeeded:            int64(stats.Succeeded),
+		Shed:                 int64(stats.Shed),
+		Failed:               int64(stats.Failed),
+		Miscomputed:          int64(stats.Miscomputed),
 		Kills:                counters.kills.Load(),
 		Restarts:             counters.restarts.Load(),
 		RestartFailures:      counters.restartFails.Load(),
@@ -189,14 +229,14 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 	rep.GaugeSessionsActive = reg.Gauge("gw_sessions_active", "").Value()
 	rep.GaugeDraining = reg.Gauge("gw_draining", "").Value()
 	for _, b := range fleet.backends {
-		rep.GaugeBackendSessions[b.protoAddr] = reg.Gauge("gw_backend_sessions", "", obs.L("backend", b.protoAddr)).Value()
+		rep.GaugeBackendSessions[b.cfg.Listen] = reg.Gauge("gw_backend_sessions", "", obs.L("backend", b.cfg.Listen)).Value()
 	}
 
 	fleet.close()
 	for _, b := range fleet.backends {
-		rep.ServedByBackend[b.protoAddr] = b.served.Load()
+		rep.ServedByBackend[b.cfg.Listen] = b.served.Load()
 		rep.ServedTotal += b.served.Load()
-		rep.ArenaOutstanding[b.protoAddr] = b.srv.ArenaOutstanding()
+		rep.ArenaOutstanding[b.cfg.Listen] = b.arena.Load()
 	}
 	rep.GoroutinesAfter = settleGoroutines(goroutinesBefore, 5*time.Second)
 	rep.evaluate(&cfg)

@@ -88,9 +88,10 @@ func (r *Report) evaluate(cfg *chaosConfig) {
 		add("correctness: %d sessions completed with a wrong result", r.Miscomputed)
 	}
 	// Single-serve: a session the client saw succeed corresponds to at
-	// most one backend-side completion (the end marker reaches exactly
-	// the backend the gateway committed to). More completions than
-	// client successes means a session was served twice.
+	// most one backend-side completion — a served request followed by
+	// the session's clean end, which only the backend the gateway
+	// committed to can see. More completions than client successes
+	// means a session was served twice.
 	if r.ServedTotal > r.Succeeded {
 		add("single-serve violated: backends completed %d sessions, clients saw only %d successes",
 			r.ServedTotal, r.Succeeded)

@@ -65,101 +65,72 @@
 // On SIGINT/SIGTERM the daemon stops accepting, drains in-flight
 // sessions up to -drain-timeout, and flushes a final metrics snapshot
 // to the log.
+//
+// Everything that serves — listener, admission, session loop, precompute
+// engine, HTTP surface, drain — is internal/backend, the one
+// implementation maxchaos and maxcap -validate run too. This command
+// adds the flags, model loading, per-request and per-session log lines,
+// the memory-system trace, -once and signal handling.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
-	"net/http"
-	netpprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
+	"maxelerator/internal/backend"
 	"maxelerator/internal/fixed"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
-	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/report"
-	"maxelerator/internal/wire"
 )
 
-// daemonConfig gathers every knob of one maxd instance.
+// daemonConfig gathers every knob of one maxd instance: the serving
+// knobs are backend.Config's fields, bound to flags directly; the rest
+// say where the model comes from and when to exit.
 type daemonConfig struct {
-	listen        string
-	modelPath     string
-	metricsAddr   string
-	width, frac   int
-	demoRows      int
-	demoCols      int
-	seed          int64
-	once          bool
-	drainTimeout  time.Duration
-	garbleWorkers int
-	maxSessions   int
-	// admissionWait bounds how long a connection may queue behind the
-	// -max-sessions limit before being shed with a BUSY frame; <= 0
-	// queues without bound (the pre-admission-control behaviour).
-	admissionWait time.Duration
-	// handshakeTimeout and ioTimeout are the per-phase wire-operation
-	// deadlines (see the package comment); zero disables.
-	handshakeTimeout time.Duration
-	ioTimeout        time.Duration
-	// precompute enables the offline/online split: background workers
-	// pre-garble MAC circuits for the model's shape so requests hit a
-	// warm pool and only pay OT + streaming + decode online.
-	precompute       bool
-	precomputePool   int
-	precomputeShapes int
-	// pprof mounts net/http/pprof under /debug/pprof/ on the metrics
-	// address, so CPU/heap/block profiles can be pulled from a live
-	// daemon. Off by default: profiling endpoints can stall the world
-	// and belong behind an explicit operator decision.
-	pprof bool
-	// advertise mounts /shapez on the metrics address: a JSON list of
-	// the request shapes this daemon can serve warm (the precompute
-	// pools when -precompute is on, the static model shape otherwise).
-	// A shape-aware gateway (cmd/maxgw) polls it to prefer warm
-	// backends.
-	advertise bool
+	backend.Config
+	modelPath string
+	frac      int
+	demoRows  int
+	demoCols  int
+	seed      int64
+	once      bool
 }
 
 func main() {
 	var dc daemonConfig
-	flag.StringVar(&dc.listen, "listen", "127.0.0.1:7700", "TCP listen address")
+	flag.StringVar(&dc.Listen, "listen", "127.0.0.1:7700", "TCP listen address")
 	flag.StringVar(&dc.modelPath, "model", "", "JSON model matrix file (rows of floats)")
-	flag.StringVar(&dc.metricsAddr, "metrics-addr", "", "HTTP address for /metrics, /debug/sessions and /healthz (empty disables)")
-	flag.IntVar(&dc.width, "b", 16, "operand bit-width (power of two)")
+	flag.StringVar(&dc.MetricsAddr, "metrics-addr", "", "HTTP address for /metrics, /debug/sessions and /healthz (empty disables)")
+	flag.IntVar(&dc.Width, "b", 16, "operand bit-width (power of two)")
 	flag.IntVar(&dc.frac, "frac", 6, "fixed-point fraction bits")
 	flag.IntVar(&dc.demoRows, "demo-rows", 0, "serve a random demo model with this many rows")
 	flag.IntVar(&dc.demoCols, "demo-cols", 4, "columns of the random demo model")
 	flag.Int64Var(&dc.seed, "seed", 1, "random seed for the demo model")
 	flag.BoolVar(&dc.once, "once", false, "serve a single session and exit")
-	flag.DurationVar(&dc.drainTimeout, "drain-timeout", 10*time.Second, "in-flight session drain deadline on shutdown")
-	flag.IntVar(&dc.garbleWorkers, "garble-workers", runtime.NumCPU(), "row-garbling worker pool size per request (1 = sequential)")
-	flag.IntVar(&dc.maxSessions, "max-sessions", 0, "concurrent session limit; extra connections queue (0 = unlimited)")
-	flag.DurationVar(&dc.admissionWait, "admission-wait", 5*time.Second, "max queue wait behind -max-sessions before a BUSY rejection (0 = queue forever)")
-	flag.DurationVar(&dc.handshakeTimeout, "handshake-timeout", 30*time.Second, "per-operation deadline for handshake and OT setup (0 = none)")
-	flag.DurationVar(&dc.ioTimeout, "io-timeout", 2*time.Minute, "per-operation deadline for steady-state request I/O (0 = none)")
-	flag.BoolVar(&dc.precompute, "precompute", false, "pre-garble MAC circuits in the background so requests serve from a warm pool")
-	flag.IntVar(&dc.precomputePool, "precompute-pool", 4, "precomputed entries kept per shape")
-	flag.IntVar(&dc.precomputeShapes, "precompute-shapes", 8, "distinct shapes pooled before LRU eviction")
-	flag.BoolVar(&dc.pprof, "pprof", false, "mount /debug/pprof/ on the metrics address (requires -metrics-addr)")
-	flag.BoolVar(&dc.advertise, "advertise", false, "mount /shapez shape hints on the metrics address (requires -metrics-addr)")
+	flag.DurationVar(&dc.DrainTimeout, "drain-timeout", 10*time.Second, "in-flight session drain deadline on shutdown")
+	flag.IntVar(&dc.GarbleWorkers, "garble-workers", runtime.NumCPU(), "row-garbling worker pool size per request (1 = sequential)")
+	flag.IntVar(&dc.MaxSessions, "max-sessions", 0, "concurrent session limit; extra connections queue (0 = unlimited)")
+	flag.DurationVar(&dc.AdmissionWait, "admission-wait", 5*time.Second, "max queue wait behind -max-sessions before a BUSY rejection (0 = queue forever)")
+	flag.DurationVar(&dc.Timeouts.Handshake, "handshake-timeout", 30*time.Second, "per-operation deadline for handshake and OT setup (0 = none)")
+	flag.DurationVar(&dc.Timeouts.IO, "io-timeout", 2*time.Minute, "per-operation deadline for steady-state request I/O (0 = none)")
+	flag.BoolVar(&dc.Precompute, "precompute", false, "pre-garble MAC circuits in the background so requests serve from a warm pool")
+	flag.IntVar(&dc.PrecomputePool, "precompute-pool", 4, "precomputed entries kept per shape")
+	flag.IntVar(&dc.PrecomputeShapes, "precompute-shapes", 8, "distinct shapes pooled before LRU eviction")
+	flag.BoolVar(&dc.Pprof, "pprof", false, "mount /debug/pprof/ on the metrics address (requires -metrics-addr)")
+	flag.BoolVar(&dc.Advertise, "advertise", false, "mount /shapez shape hints on the metrics address (requires -metrics-addr)")
 	flag.Parse()
 
 	if err := run(dc); err != nil {
@@ -225,7 +196,7 @@ func demoModel(rows, cols int, seed int64, f fixed.Format) [][]float64 {
 const traceMACLimit = 4096
 
 func run(dc daemonConfig) error {
-	f := fixed.Format{Width: dc.width, Frac: dc.frac}
+	f := fixed.Format{Width: dc.Width, Frac: dc.frac}
 	if err := f.Validate(); err != nil {
 		return err
 	}
@@ -243,6 +214,14 @@ func run(dc daemonConfig) error {
 	default:
 		return fmt.Errorf("either -model or -demo-rows is required")
 	}
+	if dc.MetricsAddr == "" {
+		switch {
+		case dc.Pprof:
+			return fmt.Errorf("-pprof requires -metrics-addr")
+		case dc.Advertise:
+			return fmt.Errorf("-advertise requires -metrics-addr")
+		}
+	}
 
 	raw := make([][]int64, len(model))
 	for i, row := range model {
@@ -253,387 +232,109 @@ func run(dc daemonConfig) error {
 		raw[i] = r
 	}
 
-	o := obs.New(0)
-	simCfg := maxsim.Config{Width: dc.width, AccWidth: 2 * dc.width, Signed: true}
-	srv, err := protocol.NewServer(simCfg)
-	if err != nil {
-		return err
-	}
-	srv.WithObs(o).WithTimeouts(protocol.Timeouts{
-		Handshake: dc.handshakeTimeout, IO: dc.ioTimeout,
-	})
-	// A daemon-owned simulator drives the post-session memory-system
+	// A daemon-owned simulator drives the post-request memory-system
 	// trace (stall cycles, peak occupancy). Its registry is shared with
-	// the protocol sessions; Trace is read-only on the simulator, so
+	// the backend's sessions; Trace is read-only on the simulator, so
 	// concurrent sessions may model through it safely.
-	simCfg.Metrics = o.Metrics()
-	sim, err := maxsim.New(simCfg)
-	if err != nil {
-		return err
-	}
-
-	// -precompute: pre-garble the model's shape in the background. Both
-	// poolable OT modes are admitted up front (the client picks the
-	// mode, the daemon cannot know which); any other shape the traffic
-	// teaches is admitted on first miss. eng stays nil when disabled —
-	// the protocol layer treats a nil engine as always-miss.
-	var eng *precompute.Engine
-	if dc.precompute {
-		eng, err = precompute.New(precompute.Config{
-			Sim:       simCfg,
-			PoolSize:  dc.precomputePool,
-			MaxShapes: dc.precomputeShapes,
-			Metrics:   o.Metrics(),
-		})
-		if err != nil {
-			return fmt.Errorf("precompute engine: %w", err)
-		}
-		srv.WithPrecompute(eng)
-		for _, ot := range []string{"per-round", "batched"} {
-			eng.Admit(precompute.Shape{
-				Rows: len(raw), Cols: len(raw[0]),
-				Width: dc.width, Signed: true, Mode: "matvec", OT: ot,
-			})
-		}
-		eng.Start()
-		log.Printf("maxd: precompute engine on (pool=%d per shape, max shapes=%d)",
-			dc.precomputePool, dc.precomputeShapes)
-	}
-
-	ln, err := net.Listen("tcp", dc.listen)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	log.Printf("maxd: serving %d×%d model on %s (b=%d, Q%d.%d fixed point)",
-		len(raw), len(raw[0]), ln.Addr(), dc.width, dc.width-dc.frac-1, dc.frac)
-
-	// Register the daemon-level counters before the metrics endpoint
-	// goes live so the very first scrape already lists them (at zero).
-	reg := o.Metrics()
-	bytesIn := reg.Counter("wire_bytes_in_total", "framed bytes received from clients")
-	bytesOut := reg.Counter("wire_bytes_out_total", "framed bytes sent to clients")
-	connsTotal := reg.Counter("connections_total", "TCP connections accepted")
-
-	var httpSrv *http.Server
-	if dc.metricsAddr != "" {
-		mln, err := net.Listen("tcp", dc.metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		// Runtime observability rides along with the metrics surface:
-		// every scrape samples goroutines, heap occupancy and GC
-		// pause/cycle deltas, so a perf regression caught by the
-		// benchgrid gate is explainable from /metrics alone.
-		o.EnableRuntimeMetrics()
-		handler := metricsHandler(o, dc.pprof)
-		if dc.advertise {
-			handler = advertiseHandler(handler, func() []string {
-				return advertisedShapes(eng, len(raw), len(raw[0]), dc.width)
-			})
-		}
-		httpSrv = &http.Server{Handler: handler}
-		go httpSrv.Serve(mln)
-		defer httpSrv.Close()
-		surface := "/metrics /debug/sessions /healthz"
-		if dc.pprof {
-			surface += " /debug/pprof/"
-		}
-		if dc.advertise {
-			surface += " /shapez"
-		}
-		log.Printf("maxd: observability on http://%s (%s)", mln.Addr(), surface)
-	} else if dc.pprof {
-		return fmt.Errorf("-pprof requires -metrics-addr")
-	} else if dc.advertise {
-		return fmt.Errorf("-advertise requires -metrics-addr")
-	}
-
-	// Graceful shutdown: a signal stops the accept loop; in-flight
-	// sessions get dc.drainTimeout to finish before the daemon exits.
-	// serveCtx is cancelled only after the drain deadline expires — it
-	// interrupts sessions wherever they are, including wire operations
-	// already blocked on a silent peer.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveCtx, killSessions := context.WithCancel(context.Background())
-	defer killSessions()
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-
-	// -max-sessions admission control: a counting semaphore bounds the
-	// sessions in flight; connections beyond the limit queue (visible
-	// on the sessions_waiting gauge) up to -admission-wait and are then
-	// shed with a BUSY frame, so overload degrades into bounded latency
-	// and honest rejections, not silent unbounded queueing. busy=true
-	// from acquire means "rejected for load" (the peer deserves a BUSY
-	// frame); admitted=false with busy=false means "shutting down".
-	var sem chan struct{}
-	if dc.maxSessions > 0 {
-		sem = make(chan struct{}, dc.maxSessions)
-	}
-	waiting := reg.Gauge("sessions_waiting", "connections queued behind the -max-sessions limit")
-	busyRejects := reg.Counter("busy_rejects_total", "connections shed with a BUSY frame after the -admission-wait queue deadline")
-	var lastReject atomic.Int64 // unix nanos of the most recent BUSY rejection
-	acquire := func() (admitted, busy bool) {
-		if sem == nil {
-			return true, false
-		}
-		select {
-		case sem <- struct{}{}:
-			return true, false
-		default:
-		}
-		waiting.Add(1)
-		defer waiting.Add(-1)
-		var deadline <-chan time.Time
-		if dc.admissionWait > 0 {
-			t := time.NewTimer(dc.admissionWait)
-			defer t.Stop()
-			deadline = t.C
-		}
-		select {
-		case sem <- struct{}{}:
-			return true, false
-		case <-deadline:
-			return false, true
-		case <-ctx.Done():
-			return false, false
-		}
-	}
-	release := func() {
-		if sem != nil {
-			<-sem
-		}
-	}
-
-	// /healthz load signal: overloaded while a BUSY rejection is recent
-	// (a load balancer should route away), degraded while connections
-	// are merely queueing, ok otherwise. The overload window matches the
-	// admission wait so the state outlives the instant of rejection.
-	rejectWindow := dc.admissionWait
-	if rejectWindow < time.Second {
-		rejectWindow = time.Second
-	}
-	o.SetHealth(func() string {
-		if t := lastReject.Load(); t != 0 && time.Since(time.Unix(0, t)) < rejectWindow {
-			return obs.HealthOverloaded
-		}
-		if waiting.Value() > 0 {
-			return obs.HealthDegraded
-		}
-		return obs.HealthOK
+	o := obs.New(0)
+	sim, err := maxsim.New(maxsim.Config{
+		Width: dc.Width, AccWidth: 2 * dc.Width, Signed: true, Metrics: o.Metrics(),
 	})
-
-	handle := func(c net.Conn) {
-		peer := c.RemoteAddr().String()
-		// A panic anywhere in this connection's serving must cost only
-		// this connection: the session layer already recovers inside
-		// request handling, so this is the outermost backstop keeping
-		// the daemon up (the accept loop never dies with a handler).
-		defer func() {
-			if r := recover(); r != nil {
-				reg.Counter("panics_recovered_total", "panics recovered and converted to per-request errors").Inc()
-				log.Printf("maxd: peer=%s recovered panic in connection handler: %v\n%s", peer, r, debug.Stack())
-			}
-		}()
-		connsTotal.Inc()
-		// Per-connection byte accounting; callbacks run on the session
-		// goroutine only.
-		var connIn, connOut uint64
-		conn := wire.Observed(wire.NewStreamConn(c),
-			func(n int) { bytesOut.Add(uint64(n)); connOut += uint64(n) },
-			func(n int) { bytesIn.Add(uint64(n)); connIn += uint64(n) })
-		defer conn.Close()
-
-		admitted, busy := acquire()
-		if busy {
-			busyRejects.Inc()
-			lastReject.Store(time.Now().UnixNano())
-			// Best-effort BUSY frame under a short deadline: a peer too
-			// broken to read two dozen bytes just gets the close.
-			c.SetDeadline(time.Now().Add(2 * time.Second))
-			if err := protocol.SendBusy(conn, dc.admissionWait); err != nil {
-				log.Printf("maxd: peer=%s busy frame not delivered: %v", peer, err)
-			}
-			log.Printf("maxd: peer=%s rejected: busy (max-sessions=%d full past admission-wait=%s)",
-				peer, dc.maxSessions, dc.admissionWait)
-			return
-		}
-		if !admitted {
-			log.Printf("maxd: peer=%s rejected: shutting down", peer)
-			return
-		}
-		defer release()
-
-		tr := o.Traces().StartSession("mux", peer)
-		sess, err := srv.NewSessionContext(serveCtx, conn, protocol.SessionConfig{
-			GarbleWorkers: dc.garbleWorkers, Trace: tr,
-		})
-		if err != nil {
-			log.Printf("maxd: session=%s peer=%s status=error phase=setup bytes_in=%d bytes_out=%d err=%q",
-				tr.ID(), peer, connIn, connOut, err)
-			return
-		}
-		defer sess.Close()
-
-		// Multiplexed request loop: the client issues any number of
-		// matvec requests over the one OT setup; each garbles under
-		// fresh labels.
-		for {
-			resp, err := sess.ServeContext(serveCtx, protocol.Request{Matrix: raw})
-			if errors.Is(err, protocol.ErrSessionEnded) {
-				break
-			}
-			if err != nil {
-				log.Printf("maxd: session=%s peer=%s status=error req=%d bytes_in=%d bytes_out=%d err=%q",
-					tr.ID(), peer, sess.Requests(), connIn, connOut, err)
-				return
-			}
-			st := resp.Stats
-
-			// Model the §5.1 memory system for this request's MAC
-			// stream: how long would the FSM have stalled on the shared
-			// output port, and how full did the core memory blocks get.
-			stall := "skipped"
-			if st.MACs <= traceMACLimit {
-				if tres, terr := sim.Trace(maxsim.TraceConfig{MACs: int(st.MACs)}); terr == nil {
-					stall = fmt.Sprintf("%.3f", tres.StallFraction())
-				}
-			} else {
-				log.Printf("maxd: session=%s trace skipped: %d MACs exceed limit %d", tr.ID(), st.MACs, traceMACLimit)
-			}
-
-			dec := make([]float64, len(resp.Values))
-			for i, v := range resp.Values {
-				dec[i] = f.DecodeProduct(v)
-			}
-			log.Printf("maxd: session=%s peer=%s status=ok req=%d rows=%d macs=%d cycles=%d fpga_time=%s tables=%d table_bytes=%s pcie_time=%s stall_frac=%s",
-				tr.ID(), peer, sess.Requests()-1, len(raw), st.MACs, st.Cycles, report.Dur(st.ModeledTime),
-				st.TablesGarbled, report.Bytes(st.TableBytes), report.Dur(st.PCIeTime), stall)
-			log.Printf("maxd: session=%s req=%d result=%v", tr.ID(), sess.Requests()-1, dec)
-		}
-		tr.SetAttr("requests", fmt.Sprint(sess.Requests()))
-		tr.SetAttr("bytes_in", fmt.Sprint(connIn))
-		tr.SetAttr("bytes_out", fmt.Sprint(connOut))
-		log.Printf("maxd: session=%s peer=%s status=closed requests=%d bytes_in=%s bytes_out=%s",
-			tr.ID(), peer, sess.Requests(), report.Bytes(connIn), report.Bytes(connOut))
+	if err != nil {
+		return err
 	}
 
-	var wg sync.WaitGroup
-	var acceptErr error
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil {
-				log.Printf("maxd: signal received, draining in-flight sessions (deadline %s)", dc.drainTimeout)
-			} else {
-				acceptErr = err
+	// -once: the first session to end, cleanly or not, ends the daemon.
+	firstSessionOver := make(chan struct{})
+	var once sync.Once
+
+	cfg := dc.Config
+	cfg.Matrix, cfg.Obs = raw, o
+	cfg.Logf = func(format string, args ...any) { log.Printf("maxd: "+format, args...) }
+	cfg.OnRequest = func(s backend.Session, resp *protocol.Response) {
+		st, req := resp.Stats, s.Requests-1
+
+		// Model the §5.1 memory system for this request's MAC stream:
+		// how long would the FSM have stalled on the shared output port,
+		// and how full did the core memory blocks get.
+		stall := "skipped"
+		if st.MACs <= traceMACLimit {
+			if tres, terr := sim.Trace(maxsim.TraceConfig{MACs: int(st.MACs)}); terr == nil {
+				stall = fmt.Sprintf("%.3f", tres.StallFraction())
 			}
-			break
+		} else {
+			log.Printf("maxd: session=%s trace skipped: %d MACs exceed limit %d", s.ID, st.MACs, traceMACLimit)
+		}
+
+		dec := make([]float64, len(resp.Values))
+		for i, v := range resp.Values {
+			dec[i] = f.DecodeProduct(v)
+		}
+		log.Printf("maxd: session=%s peer=%s status=ok req=%d rows=%d macs=%d cycles=%d fpga_time=%s tables=%d table_bytes=%s pcie_time=%s stall_frac=%s",
+			s.ID, s.Peer, req, len(raw), st.MACs, st.Cycles, report.Dur(st.ModeledTime),
+			st.TablesGarbled, report.Bytes(st.TableBytes), report.Dur(st.PCIeTime), stall)
+		log.Printf("maxd: session=%s req=%d result=%v", s.ID, req, dec)
+	}
+	cfg.OnSessionEnd = func(s backend.Session, err error) {
+		switch {
+		case err == nil:
+			log.Printf("maxd: session=%s peer=%s status=closed requests=%d bytes_in=%s bytes_out=%s",
+				s.ID, s.Peer, s.Requests, report.Bytes(s.BytesIn), report.Bytes(s.BytesOut))
+		case !s.Established:
+			log.Printf("maxd: session=%s peer=%s status=error phase=setup bytes_in=%d bytes_out=%d err=%q",
+				s.ID, s.Peer, s.BytesIn, s.BytesOut, err)
+		default:
+			log.Printf("maxd: session=%s peer=%s status=error req=%d bytes_in=%d bytes_out=%d err=%q",
+				s.ID, s.Peer, s.Requests, s.BytesIn, s.BytesOut, err)
 		}
 		if dc.once {
-			handle(c)
-			break
+			once.Do(func() { close(firstSessionOver) })
 		}
-		// Fig. 1: "a cloud server architecture with multiple channels
-		// to communicate with the clients" — one goroutine per client;
-		// every session garbles under its own fresh labels.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			handle(c)
-		}()
 	}
 
-	drained := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(drained)
-	}()
+	// Signals are caught before the first port is bound: from the moment
+	// a peer can reach the daemon, SIGINT/SIGTERM mean a graceful drain.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	b, err := backend.Start(cfg)
+	if err != nil {
+		return err
+	}
+	log.Printf("maxd: serving %d×%d model on %s (b=%d, Q%d.%d fixed point)",
+		len(raw), len(raw[0]), b.Addr(), dc.Width, dc.Width-dc.frac-1, dc.frac)
+	if dc.Precompute {
+		log.Printf("maxd: precompute engine on (pool=%d per shape, max shapes=%d)",
+			dc.PrecomputePool, dc.PrecomputeShapes)
+	}
+	if dc.MetricsAddr != "" {
+		surface := "/metrics /debug/sessions /healthz"
+		if dc.Pprof {
+			surface += " /debug/pprof/"
+		}
+		if dc.Advertise {
+			surface += " /shapez"
+		}
+		log.Printf("maxd: observability on http://%s (%s)", b.MetricsAddr(), surface)
+	}
+
+	// Graceful shutdown: a signal (or -once's first session, or a dead
+	// accept loop) stops intake; in-flight sessions get -drain-timeout to
+	// finish before Close cancels them.
 	select {
-	case <-drained:
-	case <-time.After(dc.drainTimeout):
-		// The polite drain expired: cancel the serve context, which
-		// slams the deadline on every session's connection and fails
-		// their in-flight wire operations immediately. Escalation is
-		// the moment metrics are most likely to be lost, so flush the
-		// snapshot (and the load-shedding total) before the kill.
-		log.Printf("maxd: drain deadline %s expired, cancelling in-flight sessions shutdown_busy_rejects=%d",
-			dc.drainTimeout, busyRejects.Value())
-		eng.Stop() // escalating anyway: remaining requests fall back inline
+	case <-ctx.Done():
+		log.Printf("maxd: signal received, draining in-flight sessions (deadline %s)", dc.DrainTimeout)
+	case <-firstSessionOver:
+	case <-b.Done():
+	}
+	if !b.Drain() {
+		// Escalation is the moment metrics are most likely to be lost,
+		// so flush the snapshot before the kill.
 		logFinalSnapshot(o)
-		killSessions()
-		select {
-		case <-drained:
-		case <-time.After(5 * time.Second):
-			log.Printf("maxd: sessions still in flight after cancellation, exiting anyway")
-		}
 	}
-
-	// Stop the refill workers and drain the pools before the final
-	// snapshot: a shut-down daemon must report zero pooled capacity, not
-	// its last warm depths.
-	eng.Stop()
+	err = b.Close()
 	logFinalSnapshot(o)
-	return acceptErr
-}
-
-// metricsHandler assembles the daemon's HTTP observability surface:
-// the obs handler (/metrics, /debug/sessions, /healthz) plus, when
-// pprofOn, the net/http/pprof endpoints under /debug/pprof/ — CPU,
-// heap, goroutine, block and mutex profiles pulled from the live
-// daemon with the standard `go tool pprof` flow. The pprof routes are
-// mounted explicitly rather than via the package's DefaultServeMux
-// side effect, so disabling the flag really removes the surface.
-func metricsHandler(o *obs.Obs, pprofOn bool) http.Handler {
-	h := o.Handler()
-	if !pprofOn {
-		return h
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", netpprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
-
-// advertisedShapes renders the shape hints /shapez serves: the live
-// precompute pools when the engine runs (traffic-learned shapes
-// included), otherwise the static model shape in both poolable OT
-// modes.
-func advertisedShapes(eng *precompute.Engine, rows, cols, width int) []string {
-	var out []string
-	if eng != nil {
-		for s := range eng.Shapes() {
-			out = append(out, s.String())
-		}
-	} else {
-		for _, ot := range []string{"per-round", "batched"} {
-			out = append(out, precompute.Shape{
-				Rows: rows, Cols: cols, Width: width, Signed: true,
-				Mode: "matvec", OT: ot,
-			}.String())
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// advertiseHandler mounts /shapez over the base observability surface.
-func advertiseHandler(base http.Handler, shapes func() []string) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/shapez", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"shapes": shapes()})
-	})
-	mux.Handle("/", base)
-	return mux
+	return err
 }
 
 // logFinalSnapshot flushes the complete metrics state to the log so a

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/json"
-	"errors"
 	"io"
 	"log"
 	"math"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"maxelerator/internal/backend"
 	"maxelerator/internal/fixed"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/protocol"
@@ -125,17 +124,32 @@ func TestDemoModelShapeAndRange(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run(daemonConfig{listen: "127.0.0.1:0", width: 16, frac: 40, demoRows: 2, demoCols: 2, seed: 1, once: true}); err == nil {
-		t.Fatal("bad fixed-point format accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*daemonConfig)
+	}{
+		{"bad fixed-point format", func(dc *daemonConfig) { dc.frac = 40 }},
+		{"missing model", func(dc *daemonConfig) { dc.demoRows = 0 }},
+		{"bad listen address", func(dc *daemonConfig) { dc.Listen = "256.0.0.1:99999" }},
+		{"bad metrics address", func(dc *daemonConfig) { dc.MetricsAddr = "256.0.0.1:99999" }},
+	} {
+		dc := testConfig("127.0.0.1:0", "")
+		tc.edit(&dc)
+		if err := run(dc); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if err := run(daemonConfig{listen: "127.0.0.1:0", width: 16, frac: 6, seed: 1, once: true}); err == nil {
-		t.Fatal("missing model accepted")
-	}
-	if err := run(daemonConfig{listen: "256.0.0.1:99999", width: 16, frac: 6, demoRows: 2, demoCols: 2, seed: 1, once: true}); err == nil {
-		t.Fatal("bad listen address accepted")
-	}
-	if err := run(daemonConfig{listen: "127.0.0.1:0", metricsAddr: "256.0.0.1:99999", width: 16, frac: 6, demoRows: 2, demoCols: 2, seed: 1, once: true}); err == nil {
-		t.Fatal("bad metrics address accepted")
+}
+
+// testConfig is the daemon every e2e test boots: a 2×2 demo model at
+// b=8 in -once mode; tests edit the fields they are about.
+func testConfig(listen, metricsAddr string) daemonConfig {
+	return daemonConfig{
+		Config: backend.Config{
+			Listen: listen, MetricsAddr: metricsAddr, Width: 8,
+			DrainTimeout: 5 * time.Second,
+		},
+		frac: 3, demoRows: 2, demoCols: 2, seed: 7, once: true,
 	}
 }
 
@@ -193,7 +207,7 @@ func TestServeOneSessionEndToEnd(t *testing.T) {
 	addr := freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(daemonConfig{listen: addr, width: 8, frac: 3, demoRows: 2, demoCols: 2, seed: 7, once: true, drainTimeout: 5 * time.Second})
+		done <- run(testConfig(addr, ""))
 	}()
 
 	f := fixed.Format{Width: 8, Frac: 3}
@@ -226,7 +240,7 @@ func TestMetricsSurfaceUpBeforeSessions(t *testing.T) {
 	addr, maddr := freePort(t), freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(daemonConfig{listen: addr, metricsAddr: maddr, width: 8, frac: 3, demoRows: 2, demoCols: 2, seed: 7, once: true, drainTimeout: 5 * time.Second})
+		done <- run(testConfig(addr, maddr))
 	}()
 
 	if body := httpGet(t, "http://"+maddr+"/healthz"); body != "ok\n" {
@@ -264,12 +278,10 @@ func TestMetricsSurfaceUpBeforeSessions(t *testing.T) {
 func TestMetricsCountersMoveAndSpansRecorded(t *testing.T) {
 	addr, maddr := freePort(t), freePort(t)
 	done := make(chan error, 1)
-	proc, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() {
-		done <- run(daemonConfig{listen: addr, metricsAddr: maddr, width: 8, frac: 3, demoRows: 2, demoCols: 2, seed: 7, drainTimeout: 5 * time.Second})
+		dc := testConfig(addr, maddr)
+		dc.once = false
+		done <- run(dc)
 	}()
 
 	f := fixed.Format{Width: 8, Frac: 3}
@@ -368,220 +380,7 @@ func TestMetricsCountersMoveAndSpansRecorded(t *testing.T) {
 	}
 
 	// Graceful shutdown: SIGTERM drains and exits cleanly.
-	if err := proc.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not shut down on SIGTERM")
-	}
-}
-
-// TestHandshakeTimeoutFreesSessionSlot is the peer-stall regression at
-// the daemon level: with -max-sessions 1, a client that connects and
-// then goes silent must not pin the only slot forever. The handshake
-// deadline fires, the session errors out, the slot is released, and a
-// real client queued behind it completes. On the pre-deadline code the
-// silent connection held the slot indefinitely and this test hung.
-func TestHandshakeTimeoutFreesSessionSlot(t *testing.T) {
-	addr := freePort(t)
-	done := make(chan error, 1)
-	proc, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		done <- run(daemonConfig{
-			listen: addr, width: 8, frac: 3, demoRows: 2, demoCols: 2,
-			seed: 7, drainTimeout: 5 * time.Second, maxSessions: 1,
-			// The budget must sit comfortably above the genuine base-OT
-			// compute gap (~0.5s on a 1-CPU runner) so only the silent
-			// peer times out, never the legitimate queued client.
-			handshakeTimeout: 3 * time.Second, ioTimeout: 20 * time.Second,
-		})
-	}()
-
-	// The stalled peer: connect, say nothing, keep the conn open so the
-	// server cannot learn of the stall from a disconnect.
-	silent := dialWire(t, addr)
-	defer silent.Close()
-
-	f := fixed.Format{Width: 8, Frac: 3}
-	raw, err := f.EncodeVector([]float64{1.0, -1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn := dialWire(t, addr)
-	defer conn.Close()
-	cli, err := protocol.NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli.WithTimeouts(protocol.Timeouts{Handshake: 20 * time.Second, IO: 20 * time.Second})
-	type res struct {
-		out []int64
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		out, err := clientRun(cli, conn, raw)
-		ch <- res{out, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			t.Fatalf("queued client failed: %v", r.err)
-		}
-		if len(r.out) != 2 {
-			t.Fatalf("got %d outputs", len(r.out))
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("queued client never ran: stalled peer still holds the -max-sessions slot")
-	}
-
-	if err := proc.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not shut down on SIGTERM")
-	}
-}
-
-// httpGetStatus is httpGet without the 200 assertion — overload probes
-// expect a 503.
-func httpGetStatus(t *testing.T, url string) (int, string) {
-	t.Helper()
-	var lastErr error
-	for i := 0; i < 50; i++ {
-		resp, err := http.Get(url)
-		if err == nil {
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp.StatusCode, string(body)
-		}
-		lastErr = err
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("GET %s never succeeded: %v", url, lastErr)
-	return 0, ""
-}
-
-// TestAdmissionWaitShedsLoadWithBusy: with -max-sessions full past
-// -admission-wait, an overflow connection receives a BUSY frame with
-// the retry hint in bounded time — never an indefinite queue — while
-// /healthz walks degraded (queueing) → overloaded (rejecting, 503) and
-// busy_rejects_total counts the shed.
-func TestAdmissionWaitShedsLoadWithBusy(t *testing.T) {
-	addr, maddr := freePort(t), freePort(t)
-	const wait = time.Second
-	done := make(chan error, 1)
-	proc, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		done <- run(daemonConfig{
-			listen: addr, metricsAddr: maddr, width: 8, frac: 3,
-			demoRows: 2, demoCols: 2, seed: 7, drainTimeout: 5 * time.Second,
-			maxSessions: 1, admissionWait: wait,
-			handshakeTimeout: 20 * time.Second, ioTimeout: 20 * time.Second,
-		})
-	}()
-
-	// The slot holder: a silent connection occupying the only session
-	// slot for the duration (its handshake budget outlives the test).
-	silent := dialWire(t, addr)
-	defer silent.Close()
-	// Wait until the holder actually owns the slot (the server's hello
-	// arrives once its session starts), so the next dial queues.
-	if _, err := silent.RecvMsg(); err != nil {
-		t.Fatalf("slot holder never saw the server hello: %v", err)
-	}
-
-	conn := dialWire(t, addr)
-	defer conn.Close()
-	cli, err := protocol.NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type res struct {
-		err     error
-		elapsed time.Duration
-	}
-	ch := make(chan res, 1)
-	go func() {
-		start := time.Now()
-		_, derr := cli.Dial(conn)
-		ch <- res{derr, time.Since(start)}
-	}()
-
-	// While the overflow connection queues, /healthz reports degraded.
-	sawDegraded := false
-	for deadline := time.Now().Add(wait); time.Now().Before(deadline); {
-		if _, body := httpGetStatus(t, "http://"+maddr+"/healthz"); strings.TrimSpace(body) == obs.HealthDegraded {
-			sawDegraded = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	r := <-ch
-	if r.err == nil {
-		t.Fatal("overflow dial succeeded with the only slot held")
-	}
-	if !errors.Is(r.err, protocol.ErrServerBusy) {
-		t.Fatalf("overflow dial error = %v, want ErrServerBusy", r.err)
-	}
-	var be *protocol.BusyError
-	if !errors.As(r.err, &be) {
-		t.Fatalf("overflow dial error = %T, want *BusyError", r.err)
-	}
-	if be.RetryAfter != wait {
-		t.Errorf("RetryAfter = %v, want the admission wait %v", be.RetryAfter, wait)
-	}
-	// "Never a hang": the rejection arrives around the admission wait,
-	// with generous CI slack, not after an unbounded queue.
-	if r.elapsed > wait+10*time.Second {
-		t.Errorf("BUSY rejection took %v (admission wait %v)", r.elapsed, wait)
-	}
-	if !sawDegraded {
-		t.Error("healthz never reported degraded while the connection queued")
-	}
-
-	// Immediately after the rejection the daemon is overloaded: 503.
-	code, body := httpGetStatus(t, "http://"+maddr+"/healthz")
-	if code != http.StatusServiceUnavailable || strings.TrimSpace(body) != obs.HealthOverloaded {
-		t.Errorf("healthz after rejection = %d %q, want 503 %q", code, body, obs.HealthOverloaded)
-	}
-	if metrics := httpGet(t, "http://"+maddr+"/metrics"); !strings.Contains(metrics, "busy_rejects_total 1") {
-		t.Errorf("/metrics missing busy_rejects_total 1:\n%s", metrics)
-	}
-
-	// Free the slot so shutdown drains promptly, then stop the daemon.
-	silent.Close()
-	if err := proc.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown returned %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not shut down on SIGTERM")
-	}
+	terminate(t, done)
 }
 
 // counterMoved reports whether the exposition shows a non-zero value
@@ -613,12 +412,9 @@ func TestPrecomputeWarmPoolServesAndDrainsOnShutdown(t *testing.T) {
 	addr, maddr := freePort(t), freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(daemonConfig{
-			listen: addr, metricsAddr: maddr, width: 8, frac: 3,
-			demoRows: 2, demoCols: 2, seed: 7, once: true,
-			drainTimeout: 5 * time.Second,
-			precompute:   true, precomputePool: 1, precomputeShapes: 4,
-		})
+		dc := testConfig(addr, maddr)
+		dc.Precompute, dc.PrecomputePool, dc.PrecomputeShapes = true, 1, 4
+		done <- run(dc)
 	}()
 
 	// Wait for the refill workers to warm the admitted shape.
@@ -686,8 +482,6 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestMetricsHandlerPprofGating: the pprof surface exists only behind
-// the flag — a daemon without -pprof must 404 every /debug/pprof path.
 // TestAdvertiseShapezEndpoint: -advertise mounts /shapez on the
 // metrics address with the shapes the daemon serves warm — with
 // -precompute, the model shape pre-admitted in both poolable OT modes
@@ -696,9 +490,9 @@ func TestAdvertiseShapezEndpoint(t *testing.T) {
 	addr, maddr := freePort(t), freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(daemonConfig{listen: addr, metricsAddr: maddr, width: 8, frac: 3,
-			demoRows: 2, demoCols: 2, seed: 7, once: true, drainTimeout: 5 * time.Second,
-			precompute: true, precomputePool: 1, precomputeShapes: 4, advertise: true})
+		dc := testConfig(addr, maddr)
+		dc.Precompute, dc.PrecomputePool, dc.PrecomputeShapes, dc.Advertise = true, 1, 4, true
+		done <- run(dc)
 	}()
 
 	body := httpGet(t, "http://"+maddr+"/shapez")
@@ -753,42 +547,66 @@ func TestAdvertiseShapezEndpoint(t *testing.T) {
 // so -advertise without -metrics-addr is a config error, not a silent
 // no-op a gateway would probe forever.
 func TestAdvertiseRequiresMetricsAddr(t *testing.T) {
-	err := run(daemonConfig{listen: freePort(t), width: 8, frac: 3, demoRows: 2,
-		demoCols: 2, once: true, advertise: true})
+	dc := testConfig(freePort(t), "")
+	dc.Advertise = true
+	err := run(dc)
 	if err == nil || !strings.Contains(err.Error(), "-metrics-addr") {
 		t.Fatalf("err = %v, want a -metrics-addr requirement", err)
 	}
 }
 
+// TestMetricsHandlerPprofGating: the pprof surface exists only behind
+// the flag — a daemon without -pprof must 404 every /debug/pprof path
+// while the rest of the surface answers; with -pprof the index, cmdline
+// and heap routes answer alongside /metrics and /healthz.
 func TestMetricsHandlerPprofGating(t *testing.T) {
-	o := obs.New(0)
-	o.Metrics().Counter("gating_probe_total", "registered so /metrics has a body").Inc()
-	plain := httptest.NewServer(metricsHandler(o, false))
-	defer plain.Close()
-	resp, err := http.Get(plain.URL + "/debug/pprof/")
-	if err != nil {
+	pprofPaths := []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap"}
+	for _, pprofOn := range []bool{false, true} {
+		addr, maddr := freePort(t), freePort(t)
+		done := make(chan error, 1)
+		go func() {
+			dc := testConfig(addr, maddr)
+			dc.once = false
+			dc.Pprof = pprofOn
+			done <- run(dc)
+		}()
+		for _, path := range []string{"/metrics", "/healthz"} {
+			if body := httpGet(t, "http://"+maddr+path); body == "" {
+				t.Errorf("GET %s (pprof=%v) returned an empty body", path, pprofOn)
+			}
+		}
+		for _, path := range pprofPaths {
+			resp, err := http.Get("http://" + maddr + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch {
+			case !pprofOn && resp.StatusCode != http.StatusNotFound:
+				t.Errorf("GET %s without -pprof = %s, want 404", path, resp.Status)
+			case pprofOn && (resp.StatusCode != http.StatusOK || len(body) == 0):
+				t.Errorf("GET %s with -pprof = %s, %d-byte body, want 200 and a body", path, resp.Status, len(body))
+			}
+		}
+		terminate(t, done)
+	}
+}
+
+// terminate sends the test process SIGTERM — which run's signal handler
+// owns while it is up — and waits for the daemon to shut down cleanly.
+func terminate(t *testing.T, done <-chan error) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/debug/pprof/ without -pprof = %s, want 404", resp.Status)
-	}
-
-	profiled := httptest.NewServer(metricsHandler(o, true))
-	defer profiled.Close()
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap", "/metrics", "/healthz"} {
-		resp, err := http.Get(profiled.URL + path)
+	select {
+	case err := <-done:
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("shutdown returned %v", err)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s with -pprof = %s", path, resp.Status)
-		}
-		if len(body) == 0 {
-			t.Fatalf("GET %s returned an empty body", path)
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down on SIGTERM")
 	}
 }
 
@@ -796,7 +614,9 @@ func TestMetricsHandlerPprofGating(t *testing.T) {
 // sidecar, so the daemon refuses the combination instead of silently
 // profiling nothing.
 func TestPprofRequiresMetricsAddr(t *testing.T) {
-	err := run(daemonConfig{listen: "127.0.0.1:0", width: 8, frac: 3, demoRows: 2, demoCols: 2, seed: 1, once: true, pprof: true})
+	dc := testConfig("127.0.0.1:0", "")
+	dc.Pprof = true
+	err := run(dc)
 	if err == nil || !strings.Contains(err.Error(), "-metrics-addr") {
 		t.Fatalf("err = %v, want -pprof requires -metrics-addr", err)
 	}
@@ -810,8 +630,9 @@ func TestRuntimeMetricsAndPprofEndToEnd(t *testing.T) {
 	addr, maddr := freePort(t), freePort(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(daemonConfig{listen: addr, metricsAddr: maddr, pprof: true,
-			width: 8, frac: 3, demoRows: 2, demoCols: 2, seed: 7, once: true, drainTimeout: 5 * time.Second})
+		dc := testConfig(addr, maddr)
+		dc.Pprof = true
+		done <- run(dc)
 	}()
 
 	metrics := httpGet(t, "http://"+maddr+"/metrics")

@@ -18,6 +18,7 @@ type Fleet struct {
 	MaxSessions int `json:"max_sessions"`
 	// AdmissionWaitSec is each backend's -admission-wait in seconds;
 	// with MaxSessions > 0, a session queuing longer is shed BUSY.
+	// <= 0 queues without bound, as the backend does.
 	AdmissionWaitSec float64 `json:"admission_wait_sec"`
 	// CPUs is the compute parallelism per backend: concurrent OT
 	// setups plus request services in flight (default 1).
@@ -170,22 +171,21 @@ func newBackend(s *sim, fl Fleet) *backend {
 	}
 }
 
-// admit runs maxd's admission semantics: a free slot admits
-// immediately; otherwise the session queues up to AdmissionWaitSec and
-// is then shed.
+// admit runs the backend's admission semantics (internal/backend): a
+// free slot admits immediately; otherwise the session queues — up to
+// AdmissionWaitSec and then shed, or without bound when
+// AdmissionWaitSec <= 0.
 func (b *backend) admit(t float64, admitted func(t float64), shedFn func(t float64)) {
 	if b.fl.MaxSessions <= 0 || b.active < b.fl.MaxSessions {
 		b.active++
 		admitted(t)
 		return
 	}
-	if b.fl.AdmissionWaitSec <= 0 {
-		// Immediate shed when the queue is not allowed to wait.
-		shedFn(t)
-		return
-	}
 	w := &admWaiter{since: t, admit: admitted}
 	b.admQ = append(b.admQ, w)
+	if b.fl.AdmissionWaitSec <= 0 {
+		return
+	}
 	b.sim.schedule(t+b.fl.AdmissionWaitSec, func(at float64) {
 		if w.shed || w.admit == nil {
 			return

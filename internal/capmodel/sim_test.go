@@ -3,6 +3,7 @@ package capmodel
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"maxelerator/internal/load"
@@ -102,6 +103,39 @@ func TestSimulateOverloadSheds(t *testing.T) {
 	if open.Latency.P99Ms < r.Latency.P99Ms {
 		t.Errorf("uncapped overload p99 %v ms below capped %v ms — queueing not modelled",
 			open.Latency.P99Ms, r.Latency.P99Ms)
+	}
+}
+
+// One simulated backend's admission against the real one's semantics
+// (internal/backend): a full MaxSessions queues arrivals in order; the
+// queue wait sheds them only when AdmissionWaitSec is positive — at 0 a
+// session waits as long as it takes.
+func TestAdmitQueueWait(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		waitSec   float64
+		wantOrder []int // sessions admitted, in admission order
+		wantShed  int
+	}{
+		{"bounded wait sheds the queue", 0.5, []int{0}, 3},
+		{"wait 0 queues without bound", 0, []int{0, 1, 2, 3}, 0},
+	} {
+		s := &sim{}
+		b := newBackend(s, Fleet{MaxSessions: 1, AdmissionWaitSec: tc.waitSec, CPUs: 1})
+		var order []int
+		shed := 0
+		for i := 0; i < 4; i++ {
+			b.admit(float64(i)/100, func(float64) { order = append(order, i) }, func(float64) { shed++ })
+		}
+		// Session 0 holds the only slot past every shed deadline, then
+		// each admitted session releases in turn.
+		s.drain()
+		for range tc.wantOrder {
+			b.release(10)
+		}
+		if !reflect.DeepEqual(order, tc.wantOrder) || shed != tc.wantShed {
+			t.Errorf("%s: admitted %v shed %d, want %v shed %d", tc.name, order, shed, tc.wantOrder, tc.wantShed)
+		}
 	}
 }
 

@@ -31,9 +31,16 @@ type Config struct {
 	// Registry, when set, reads pool counters in-process instead of
 	// scraping — the validation harness's path. Overrides MetricsURL.
 	Registry *obs.Registry
+	// Matrix, when set, is the model the target serves: every result is
+	// checked against Matrix·y and a wrong one counts as Miscomputed,
+	// not as a success.
+	Matrix [][]int64
 	// Logf receives per-session diagnostics; nil discards them.
 	Logf func(string, ...any)
 }
+
+// errMiscomputed marks a session that completed with a wrong result.
+var errMiscomputed = errors.New("load: result differs from Matrix·y")
 
 // Run executes the scenario against the live target and reports what
 // happened. Open-loop: the arrival schedule is precomputed
@@ -61,11 +68,11 @@ func Run(cfg Config) (*Report, error) {
 	before := readPoolCounters(cfg)
 
 	var (
-		skipped, succeeded, shed, failed atomic.Int64
-		started                          int
-		mu                               sync.Mutex
-		latencies                        []float64
-		wg                               sync.WaitGroup
+		skipped, succeeded, shed, failed, miscomputed atomic.Int64
+		started                                       int
+		mu                                            sync.Mutex
+		latencies                                     []float64
+		wg                                            sync.WaitGroup
 	)
 	var sem chan struct{}
 	if cfg.Scenario.MaxInflight > 0 {
@@ -104,6 +111,9 @@ func Run(cfg Config) (*Report, error) {
 				mu.Unlock()
 			case isBusy(err):
 				shed.Add(1)
+			case errors.Is(err, errMiscomputed):
+				logf("load: session %d (%s): %v", i, shape.Key(), err)
+				miscomputed.Add(1)
 			default:
 				logf("load: session %d (%s): %v", i, shape.Key(), err)
 				failed.Add(1)
@@ -121,6 +131,8 @@ func Run(cfg Config) (*Report, error) {
 		Succeeded: int(succeeded.Load()),
 		Shed:      int(shed.Load()),
 		Failed:    int(failed.Load()),
+
+		Miscomputed: int(miscomputed.Load()),
 	}
 	r.Finalize(latencies)
 	if after := readPoolCounters(cfg); after != nil && before != nil {
@@ -160,10 +172,23 @@ func oneSession(cfg Config, shape ShapeWeight) error {
 	for j := range y {
 		y[j] = int64(j%16 - 8)
 	}
-	if _, err := cs.Do(y); err != nil {
+	out, err := cs.Do(y)
+	if err != nil {
 		return err
 	}
-	return cs.Close()
+	if err := cs.Close(); err != nil {
+		return err
+	}
+	for i, row := range cfg.Matrix {
+		want := int64(0)
+		for j, a := range row {
+			want += a * y[j]
+		}
+		if i >= len(out) || out[i] != want {
+			return fmt.Errorf("%w: row %d of %v", errMiscomputed, i, out)
+		}
+	}
+	return nil
 }
 
 func isBusy(err error) bool {

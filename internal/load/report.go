@@ -1,6 +1,10 @@
 package load
 
-import "sort"
+import (
+	"sort"
+
+	"maxelerator/internal/obs"
+)
 
 // Percentiles summarizes a latency sample set in milliseconds, using
 // the same nearest-rank convention as cmd/maxbench so numbers are
@@ -30,27 +34,14 @@ func Summarize(seconds []float64) Percentiles {
 	}
 	ms := func(v float64) float64 { return v * 1000 }
 	return Percentiles{
-		P50Ms:   ms(nearestRank(s, 50)),
-		P90Ms:   ms(nearestRank(s, 90)),
-		P95Ms:   ms(nearestRank(s, 95)),
-		P99Ms:   ms(nearestRank(s, 99)),
+		P50Ms:   ms(obs.NearestRank(s, 50)),
+		P90Ms:   ms(obs.NearestRank(s, 90)),
+		P95Ms:   ms(obs.NearestRank(s, 95)),
+		P99Ms:   ms(obs.NearestRank(s, 99)),
 		MeanMs:  ms(sum / float64(len(s))),
 		MaxMs:   ms(s[len(s)-1]),
 		Samples: len(s),
 	}
-}
-
-// nearestRank picks the p-th percentile from sorted samples with
-// maxbench's rounding: idx = (p·n + 99) / 100, clamped into [1, n].
-func nearestRank(sorted []float64, p int) float64 {
-	idx := (p*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
 }
 
 // PoolStats is the precompute warm-pool outcome of a run.
@@ -90,11 +81,14 @@ type Report struct {
 	// Skipped counts arrivals dropped at the client-side MaxInflight
 	// cap — open-loop pressure the fleet never saw.
 	Skipped int `json:"skipped"`
-	// Succeeded, Shed, Failed partition the started sessions: clean
-	// result, BUSY rejection, hard error.
-	Succeeded int `json:"succeeded"`
-	Shed      int `json:"shed"`
-	Failed    int `json:"failed"`
+	// Succeeded, Shed, Failed and Miscomputed partition the started
+	// sessions: clean result, BUSY rejection, hard error, and — only
+	// when Config.Matrix gave the run an oracle — a completed session
+	// whose result was wrong.
+	Succeeded   int `json:"succeeded"`
+	Shed        int `json:"shed"`
+	Failed      int `json:"failed"`
+	Miscomputed int `json:"miscomputed,omitempty"`
 	// AchievedRate is Succeeded/DurationSec — the rate the fleet
 	// actually sustained against the offered load.
 	AchievedRate float64 `json:"achieved_rate"`

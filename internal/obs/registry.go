@@ -432,3 +432,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
+
+// NearestRank picks the p-th percentile from ascending samples by the
+// nearest-rank rule every latency report in the toolchain shares
+// (maxbench grids, load reports): rank = ceil(p·n/100) clamped into
+// [1, n]; 0 on empty input.
+func NearestRank(sorted []float64, p int) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := (p*len(sorted) + 99) / 100
+	if idx < 1 {
+		idx = 1
+	}
+	if idx > len(sorted) {
+		idx = len(sorted)
+	}
+	return sorted[idx-1]
+}

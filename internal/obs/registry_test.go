@@ -209,3 +209,48 @@ func TestConcurrentIncrements(t *testing.T) {
 		t.Fatalf("histogram sum = %v", got)
 	}
 }
+
+// TestNearestRank pins the nearest-rank percentile math with a table
+// over known samples, including the n=1 and rank-equals-n edge cases
+// the maxbench -latency/-grid artifacts and the load reports depend on.
+func TestNearestRank(t *testing.T) {
+	upTo := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i + 1)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		sorted []float64
+		p      int
+		want   float64
+	}{
+		{"empty", nil, 50, 0},
+		// n=1: every percentile is the single sample.
+		{"n=1 p1", []float64{7}, 1, 7},
+		{"n=1 p50", []float64{7}, 50, 7},
+		{"n=1 p99", []float64{7}, 99, 7},
+		{"n=1 p100", []float64{7}, 100, 7},
+		// n=4: ceil(p*n/100) ranks.
+		{"n=4 p1", []float64{10, 20, 30, 40}, 1, 10},
+		{"n=4 p25", []float64{10, 20, 30, 40}, 25, 10},
+		{"n=4 p50", []float64{10, 20, 30, 40}, 50, 20},
+		{"n=4 p51", []float64{10, 20, 30, 40}, 51, 30},
+		{"n=4 p75", []float64{10, 20, 30, 40}, 75, 30},
+		{"n=4 p95", []float64{10, 20, 30, 40}, 95, 40},
+		{"n=4 p99", []float64{10, 20, 30, 40}, 99, 40},
+		// rank equals n exactly (p*n/100 integral at the top).
+		{"n=4 p100", []float64{10, 20, 30, 40}, 100, 40},
+		{"n=100 p50", upTo(100), 50, 50},
+		{"n=100 p99", upTo(100), 99, 99},
+		{"n=100 p100", upTo(100), 100, 100},
+		// p=0 clamps to the first sample rather than indexing below it.
+		{"p0 clamps", []float64{10, 20}, 0, 10},
+	} {
+		if got := NearestRank(tc.sorted, tc.p); got != tc.want {
+			t.Errorf("%s: NearestRank(p=%d) = %v, want %v", tc.name, tc.p, got, tc.want)
+		}
+	}
+}
