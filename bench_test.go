@@ -473,8 +473,8 @@ func BenchmarkPCIeBottleneck(b *testing.B) {
 	}
 }
 
-// BenchmarkOTModes compares label-transfer traffic of plain IKNP,
-// batched and correlated OT over a full protocol session.
+// BenchmarkOTModes compares label-transfer traffic of per-round and
+// batched OT over a full protocol session.
 func BenchmarkOTModes(b *testing.B) {
 	for _, mode := range []struct {
 		name string
@@ -482,7 +482,6 @@ func BenchmarkOTModes(b *testing.B) {
 	}{
 		{"per-round", protocol.OTPerRound},
 		{"batched", protocol.OTBatched},
-		{"correlated", protocol.OTCorrelated},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var traffic int64

@@ -40,11 +40,9 @@ func parseOTModes(csv string) ([]protocol.OTMode, error) {
 			out = append(out, protocol.OTPerRound)
 		case "batched":
 			out = append(out, protocol.OTBatched)
-		case "correlated":
-			out = append(out, protocol.OTCorrelated)
 		case "":
 		default:
-			return nil, fmt.Errorf("grid: unknown OT mode %q (want per-round, batched or correlated)", name)
+			return nil, fmt.Errorf("grid: unknown OT mode %q (want per-round or batched)", name)
 		}
 	}
 	if len(out) == 0 {
@@ -106,22 +104,12 @@ func runGrid(gc gridConfig, out *output) error {
 		return fmt.Errorf("grid: requests must be positive (got %d)", gc.requests)
 	}
 	grid := benchgrid.New("maxbench -grid")
-	total := 0
-	for _, ot := range gc.ots {
-		warmModes := 2
-		if ot == protocol.OTCorrelated {
-			warmModes = 1 // correlated OT fixes labels interactively; not poolable
-		}
-		total += warmModes * len(gc.sizes) * len(gc.widths)
-	}
+	total := 2 * len(gc.ots) * len(gc.sizes) * len(gc.widths) // cold and warm
 	done := 0
 	for _, ot := range gc.ots {
 		for _, size := range gc.sizes {
 			for _, width := range gc.widths {
 				for _, warm := range []bool{false, true} {
-					if warm && ot == protocol.OTCorrelated {
-						continue
-					}
 					done++
 					out.progressf("grid: cell %d/%d ot=%s %dx%d b=%d precompute=%t (%d requests)...",
 						done, total, ot, size[0], size[1], width, warm, gc.requests)

@@ -12,12 +12,14 @@ import (
 )
 
 func TestParseGridFlagHelpers(t *testing.T) {
-	ots, err := parseOTModes("per-round, batched,correlated")
-	if err != nil || len(ots) != 3 || ots[1] != protocol.OTBatched {
+	ots, err := parseOTModes("per-round, batched")
+	if err != nil || len(ots) != 2 || ots[1] != protocol.OTBatched {
 		t.Fatalf("ots = %v, %v", ots, err)
 	}
-	if _, err := parseOTModes("warp-speed"); err == nil {
-		t.Fatal("unknown OT mode accepted")
+	for _, bad := range []string{"warp-speed", "correlated"} {
+		if _, err := parseOTModes(bad); err == nil {
+			t.Fatalf("OT mode %q accepted", bad)
+		}
 	}
 	if _, err := parseOTModes(""); err == nil {
 		t.Fatal("empty OT list accepted")
@@ -83,28 +85,6 @@ func TestRunGridEmitsSchemaValidJSON(t *testing.T) {
 	}
 	if !strings.Contains(msg.String(), "cell 1/4") || !strings.Contains(msg.String(), "cell 4/4") {
 		t.Fatalf("progress missing cell counters:\n%s", msg.String())
-	}
-}
-
-// TestRunGridCorrelatedSkipsWarmCells: correlated OT fixes labels
-// interactively, so the grid must only produce its inline cell.
-func TestRunGridCorrelatedSkipsWarmCells(t *testing.T) {
-	out, data, _ := testOutput(true)
-	gc := gridConfig{
-		ots:      []protocol.OTMode{protocol.OTCorrelated},
-		sizes:    [][2]int{{2, 2}},
-		widths:   []int{8},
-		requests: 1,
-	}
-	if err := runGrid(gc, out); err != nil {
-		t.Fatal(err)
-	}
-	g, err := benchgrid.Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Cells) != 1 || g.Cells[0].Precompute {
-		t.Fatalf("cells = %+v, want one inline correlated cell", g.Cells)
 	}
 }
 

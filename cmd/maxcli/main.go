@@ -29,8 +29,9 @@
 //
 // When -addr points at a maxgw fleet router rather than a single maxd,
 // -hint-rows opens the session with a shape-hint preface (rows ×
-// vector-length at -b bits, -hint-ot mode) so the router pins the
-// session to the backend whose precompute pool is warm for that shape.
+// vector-length at -b bits, per-round OT — the one mode a backend
+// serves and advertises) so the router pins the session to the backend
+// whose precompute pool is warm for that shape.
 // The hint is advisory routing metadata only — a directly-dialed maxd
 // skips it — and it is re-sent on every retry reconnect, so affinity
 // survives failover.
@@ -62,7 +63,6 @@ type cliConfig struct {
 	retries      int
 	retryBackoff time.Duration
 	hintRows     int
-	hintOT       string
 }
 
 func main() {
@@ -77,7 +77,6 @@ func main() {
 	flag.IntVar(&cc.retries, "retries", 2, "extra attempts per request after a transient failure (0 = fail fast)")
 	flag.DurationVar(&cc.retryBackoff, "retry-backoff", 100*time.Millisecond, "base backoff before the first retry (doubles per retry, full jitter)")
 	flag.IntVar(&cc.hintRows, "hint-rows", 0, "open with a shape hint for a matrix of this many rows, so a maxgw router pins the session to its warm backend (0 = no hint)")
-	flag.StringVar(&cc.hintOT, "hint-ot", "per-round", "OT mode named in the shape hint (per-round or batched)")
 	flag.Parse()
 
 	if err := run(cc); err != nil {
@@ -157,7 +156,7 @@ func run(cc cliConfig) error {
 	if cc.hintRows > 0 {
 		cli.WithShapeHint(protocol.ShapeHint{
 			Rows: cc.hintRows, Cols: len(raws[0]), Width: cc.width,
-			Signed: true, Mode: "matvec", OT: cc.hintOT,
+			Signed: true, Mode: "matvec", OT: protocol.OTPerRound.String(),
 		})
 	}
 	// One session for the whole batch: handshake and OT setup are paid

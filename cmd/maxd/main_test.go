@@ -484,8 +484,9 @@ func (b *syncBuffer) String() string {
 
 // TestAdvertiseShapezEndpoint: -advertise mounts /shapez on the
 // metrics address with the shapes the daemon serves warm — with
-// -precompute, the model shape pre-admitted in both poolable OT modes
-// at boot. This is the surface maxgw's prober folds into routing.
+// -precompute, exactly the one shape the daemon issues (the model over
+// per-round OT), pre-admitted at boot. This is the surface maxgw's
+// prober folds into routing.
 func TestAdvertiseShapezEndpoint(t *testing.T) {
 	addr, maddr := freePort(t), freePort(t)
 	done := make(chan error, 1)
@@ -502,14 +503,8 @@ func TestAdvertiseShapezEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &payload); err != nil {
 		t.Fatalf("parsing /shapez %q: %v", body, err)
 	}
-	for _, want := range []string{"2x2/b8s/matvec/per-round", "2x2/b8s/matvec/batched"} {
-		found := false
-		for _, s := range payload.Shapes {
-			found = found || s == want
-		}
-		if !found {
-			t.Fatalf("/shapez = %v, missing %q", payload.Shapes, want)
-		}
+	if want := "2x2/b8s/matvec/per-round"; len(payload.Shapes) != 1 || payload.Shapes[0] != want {
+		t.Fatalf("/shapez = %v, want exactly [%s]", payload.Shapes, want)
 	}
 	// /metrics still answers on the same address next to /shapez.
 	if !strings.Contains(httpGet(t, "http://"+maddr+"/metrics"), "precompute_pool_depth") {

@@ -17,11 +17,12 @@
 // percentiles instead of a silently throttled offered rate.
 //
 // The -shapes mix is a comma-separated list of ROWSxCOLS/b=WIDTH
-// entries with an optional *WEIGHT suffix (default weight 1). The same
-// scenario fed to `maxcap -simulate` replays the identical arrival
-// schedule through the capacity simulator — same seed, same instants,
-// same shape draws — so measurement and prediction are directly
-// comparable.
+// entries with an optional *WEIGHT suffix (default weight 1); there is
+// no OT segment, every session hints and gets per-round OT, the one
+// mode a backend serves. The same scenario fed to `maxcap -simulate`
+// replays the identical arrival schedule through the capacity simulator
+// — same seed, same instants, same shape draws — so measurement and
+// prediction are directly comparable.
 package main
 
 import (

@@ -17,7 +17,7 @@ const exposition = `# HELP macs_total MAC rounds garbled
 macs_total 1200
 # TYPE sessions_total counter
 sessions_total{kind="matvec"} 3
-sessions_total{kind="serial"} 1
+sessions_total{kind="mux"} 1
 # TYPE session_errors_total counter
 session_errors_total{kind="matvec"} 1
 # TYPE sessions_active gauge
@@ -70,8 +70,8 @@ func TestParseMetrics(t *testing.T) {
 	if v := snap.val("macs_total"); v != 1200 {
 		t.Fatalf("macs_total = %v", v)
 	}
-	if v := snap.val("sessions_total", "kind", "serial"); v != 1 {
-		t.Fatalf("serial sessions = %v", v)
+	if v := snap.val("sessions_total", "kind", "mux"); v != 1 {
+		t.Fatalf("mux sessions = %v", v)
 	}
 	if v := snap.val("ot_setup_seconds_bucket", "le", "+Inf"); v != 4 {
 		t.Fatalf("+Inf bucket = %v", v)

@@ -65,9 +65,8 @@ type Config struct {
 	// DrainTimeout bounds Drain's wait for in-flight sessions.
 	DrainTimeout time.Duration
 	// Precompute runs the offline/online split: background workers
-	// pre-garble the model's shape (both poolable OT modes, admitted at
-	// boot) and any shape the traffic teaches. PrecomputePool is the
-	// refill target per shape, PrecomputeShapes the LRU bound on
+	// pre-garble the model's shape (admitted at boot). PrecomputePool
+	// is the refill target per shape, PrecomputeShapes the LRU bound on
 	// distinct shapes.
 	Precompute       bool
 	PrecomputePool   int
@@ -195,11 +194,9 @@ func Start(cfg Config) (*Backend, error) {
 	b.cfg.Obs.SetHealth(b.health)
 
 	// eng stays nil when disabled — the protocol layer treats a nil
-	// engine as always-miss. Both poolable OT modes are admitted up front
-	// (the client picks the mode, the backend cannot know which); any
-	// other shape the traffic teaches is admitted on first miss. The
-	// engine runs nothing until Start, so the listen errors below need
-	// not stop it.
+	// engine as always-miss. The one shape serve issues is admitted up
+	// front. The engine runs nothing until Start, so the listen errors
+	// below need not stop it.
 	if cfg.Precompute {
 		b.eng, err = precompute.New(precompute.Config{
 			Sim: simCfg, PoolSize: cfg.PrecomputePool, MaxShapes: cfg.PrecomputeShapes,
@@ -209,9 +206,7 @@ func Start(cfg Config) (*Backend, error) {
 			return nil, fmt.Errorf("precompute engine: %w", err)
 		}
 		srv.WithPrecompute(b.eng)
-		for _, s := range b.modelShapes() {
-			b.eng.Admit(s)
-		}
+		b.eng.Admit(b.modelShape())
 	}
 
 	if b.ln, err = net.Listen("tcp", cfg.Listen); err != nil {
@@ -251,36 +246,27 @@ func (b *Backend) Registry() *obs.Registry { return b.cfg.Obs.Metrics() }
 // zero once every session has ended.
 func (b *Backend) ArenaOutstanding() int64 { return b.srv.ArenaOutstanding() }
 
-// Prefill synchronously fills the model shape's pools to depth n in
-// both poolable OT modes, so a measurement starts against a warm
-// backend instead of racing the background refill. A no-op without
-// Config.Precompute.
+// Prefill synchronously fills the model shape's pool to depth n, so a
+// measurement starts against a warm backend instead of racing the
+// background refill. A no-op without Config.Precompute.
 func (b *Backend) Prefill(n int) error {
 	if b.eng == nil {
 		return nil
 	}
-	for _, s := range b.modelShapes() {
-		if err := b.eng.Prefill(s, n); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.eng.Prefill(b.modelShape(), n)
 }
 
 // Done is closed when the accept loop has exited — by Drain or Close,
 // or on its own after an accept error (which Close then returns).
 func (b *Backend) Done() <-chan struct{} { return b.accepted }
 
-// modelShapes is the model's shape in both poolable OT modes.
-func (b *Backend) modelShapes() []precompute.Shape {
-	var out []precompute.Shape
-	for _, ot := range []string{"per-round", "batched"} {
-		out = append(out, precompute.Shape{
-			Rows: len(b.cfg.Matrix), Cols: len(b.cfg.Matrix[0]),
-			Width: b.cfg.Width, Signed: true, Mode: "matvec", OT: ot,
-		})
+// modelShape is the pool key of the one request serve issues: the
+// model matrix over per-round OT (protocol.Request's default).
+func (b *Backend) modelShape() precompute.Shape {
+	return precompute.Shape{
+		Rows: len(b.cfg.Matrix), Cols: len(b.cfg.Matrix[0]),
+		Width: b.cfg.Width, Signed: true, Mode: "matvec", OT: protocol.OTPerRound.String(),
 	}
-	return out
 }
 
 // health is the /healthz load signal: overloaded while a BUSY rejection
@@ -326,18 +312,14 @@ func (b *Backend) handler() http.Handler {
 }
 
 // advertisedShapes renders the /shapez hints: the live precompute pools
-// when the engine runs (traffic-learned shapes included), otherwise the
-// static model shape in both poolable OT modes.
+// when the engine runs, otherwise the static model shape.
 func (b *Backend) advertisedShapes() []string {
+	if b.eng == nil {
+		return []string{b.modelShape().String()}
+	}
 	var out []string
-	if b.eng != nil {
-		for s := range b.eng.Shapes() {
-			out = append(out, s.String())
-		}
-	} else {
-		for _, s := range b.modelShapes() {
-			out = append(out, s.String())
-		}
+	for s := range b.eng.Shapes() {
+		out = append(out, s.String())
 	}
 	sort.Strings(out)
 	return out

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -414,6 +415,29 @@ func TestServeAndShutDownClean(t *testing.T) {
 	if err := b.Prefill(2); err != nil {
 		t.Fatal(err)
 	}
+	snapshot := func() string {
+		var sb strings.Builder
+		if err := b.Registry().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	// The backend pre-garbles the one shape serve issues and nothing
+	// else: a single pool, holding the 2 prefilled entries plus whatever
+	// the background refill (target PrecomputePool = 2) got in first.
+	var pools []string
+	for _, line := range strings.Split(snapshot(), "\n") {
+		if strings.HasPrefix(line, "precompute_pool_depth{") {
+			pools = append(pools, line)
+		}
+	}
+	const series = `precompute_pool_depth{shape="2x2/b8s/matvec/per-round"} `
+	if len(pools) != 1 || !strings.HasPrefix(pools[0], series) {
+		t.Fatalf("pool depth series after Prefill(2) = %q, want only %q", pools, series)
+	}
+	if depth, err := strconv.Atoi(strings.TrimPrefix(pools[0], series)); err != nil || depth < 2 || depth > 4 {
+		t.Fatalf("pool depth after Prefill(2) = %q, want 2..4", pools[0])
+	}
 
 	cli, err := protocol.NewClient(rand.Reader)
 	if err != nil {
@@ -460,12 +484,9 @@ func TestServeAndShutDownClean(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := b.Registry().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
+	final := snapshot()
 	checked := 0
-	for _, line := range strings.Split(sb.String(), "\n") {
+	for _, line := range strings.Split(final, "\n") {
 		for _, gauge := range []string{"sessions_active", "sessions_waiting", "precompute_pool_depth", "precompute_shapes", "precompute_refill_busy"} {
 			if strings.HasPrefix(line, gauge) {
 				checked++
@@ -476,7 +497,7 @@ func TestServeAndShutDownClean(t *testing.T) {
 		}
 	}
 	if checked < 5 {
-		t.Errorf("only %d gauge lines found in the final snapshot:\n%s", checked, sb.String())
+		t.Errorf("only %d gauge lines found in the final snapshot:\n%s", checked, final)
 	}
 	if n := b.ArenaOutstanding(); n != 0 {
 		t.Errorf("ArenaOutstanding = %d after shutdown", n)

@@ -52,8 +52,8 @@ func CurrentEnv() Env {
 // Cell is one measured grid point: a fixed workload shape and serving
 // mode, with its latency distribution and per-request cost.
 type Cell struct {
-	// OT is the label-transfer mode wire name ("per-round", "batched",
-	// "correlated").
+	// OT is the label-transfer mode wire name ("per-round" or
+	// "batched").
 	OT string `json:"ot"`
 	// Rows, Cols and Width fix the matvec workload shape.
 	Rows  int `json:"rows"`

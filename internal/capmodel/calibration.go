@@ -273,7 +273,7 @@ func FromGrid(g *benchgrid.Grid, rows, cols, width int) (*Calibration, error) {
 		RequestWarm: an.RequestWarm, RequestCold: an.RequestCold, Refill: an.Refill}
 	found := false
 	pick := func(precompute bool) (benchgrid.Cell, bool) {
-		for _, ot := range []string{"per-round", "batched", "correlated"} {
+		for _, ot := range []string{"per-round", "batched"} {
 			key := fmt.Sprintf("ot=%s/%dx%d/b=%d/precompute=%t", ot, rows, cols, width, precompute)
 			if c, ok := g.Cell(key); ok && !c.Degraded {
 				return c, true

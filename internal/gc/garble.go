@@ -119,11 +119,6 @@ func NewGarbler(params Params, rnd io.Reader) (*Garbler, error) {
 	return &Garbler{params: params, delta: d, rand: rnd}, nil
 }
 
-// Delta exposes the global offset for components (like the OT sender
-// performing correlated transfers) that need it. It must never be
-// revealed to the evaluator.
-func (g *Garbler) Delta() label.Delta { return g.delta }
-
 // GarbleOptions refines a Garble call.
 type GarbleOptions struct {
 	// GarblerInputs are the garbler's plaintext input bits; required
@@ -138,11 +133,6 @@ type GarbleOptions struct {
 	// rounds must use strictly increasing, non-overlapping tweak
 	// ranges; pass the previous round's NextTweak.
 	TweakBase uint64
-	// EvalWire0 optionally supplies the FALSE labels of the evaluator
-	// input wires instead of drawing them, as when correlated OT picks
-	// the labels (the TRUE labels are EvalWire0 ⊕ Δ as always). Length
-	// must equal circuit.NEvaluator when non-nil.
-	EvalWire0 []label.Label
 }
 
 // Garble garbles the circuit and returns both the evaluator-bound
@@ -153,9 +143,6 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 	}
 	if opts.State0 != nil && len(opts.State0) != c.NState {
 		return nil, fmt.Errorf("gc: got %d state labels, want %d", len(opts.State0), c.NState)
-	}
-	if opts.EvalWire0 != nil && len(opts.EvalWire0) != c.NEvaluator {
-		return nil, fmt.Errorf("gc: got %d evaluator labels, want %d", len(opts.EvalWire0), c.NEvaluator)
 	}
 
 	wire0 := make([]label.Label, c.NWires)
@@ -170,9 +157,6 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 	stateBase := circuit.FirstInput + c.NGarbler + c.NEvaluator
 	if opts.State0 != nil {
 		copy(wire0[stateBase:], opts.State0)
-	}
-	if opts.EvalWire0 != nil {
-		copy(wire0[circuit.FirstInput+c.NGarbler:], opts.EvalWire0)
 	}
 
 	tables := make([][]label.Label, 0, len(c.Gates))

@@ -337,7 +337,7 @@ func TestDifferentDeltasProduceDifferentMaterial(t *testing.T) {
 	p := DefaultParams()
 	g1, _ := NewGarbler(p, rand.Reader)
 	g2, _ := NewGarbler(p, rand.Reader)
-	if g1.Delta().Label() == g2.Delta().Label() {
+	if g1.delta.Label() == g2.delta.Label() {
 		t.Fatal("two garblers drew the same delta")
 	}
 	gb1, _ := g1.Garble(c, GarbleOptions{GarblerInputs: []bool{true}})

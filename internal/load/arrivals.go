@@ -11,6 +11,8 @@ package load
 import (
 	"fmt"
 	"math/rand"
+
+	"maxelerator/internal/protocol"
 )
 
 // ShapeWeight is one entry of the scenario's shape mix: a request
@@ -21,21 +23,16 @@ type ShapeWeight struct {
 	Rows  int `json:"rows"`
 	Cols  int `json:"cols"`
 	Width int `json:"width"`
-	// OT is the per-request OT mode: "per-round" (default) or "batched".
-	OT string `json:"ot,omitempty"`
 	// Weight is the relative share of arrivals drawing this shape;
 	// weights need not sum to 1.
 	Weight float64 `json:"weight"`
 }
 
 // Key renders the shape as the pool key used across reports and the
-// simulator: "4x4/b=8/ot=per-round".
+// simulator: "4x4/b=8/ot=per-round" (per-round OT is the only mode a
+// backend serves).
 func (s ShapeWeight) Key() string {
-	ot := s.OT
-	if ot == "" {
-		ot = "per-round"
-	}
-	return fmt.Sprintf("%dx%d/b=%d/ot=%s", s.Rows, s.Cols, s.Width, ot)
+	return fmt.Sprintf("%dx%d/b=%d/ot=%s", s.Rows, s.Cols, s.Width, protocol.OTPerRound)
 }
 
 // Arrival processes.

@@ -150,13 +150,9 @@ func oneSession(cfg Config, shape ShapeWeight) error {
 		return err
 	}
 	cli.WithTimeouts(cfg.Timeouts)
-	ot := shape.OT
-	if ot == "" {
-		ot = "per-round"
-	}
 	cli.WithShapeHint(protocol.ShapeHint{
 		Rows: shape.Rows, Cols: shape.Cols, Width: shape.Width,
-		Signed: true, Mode: "matvec", OT: ot,
+		Signed: true, Mode: "matvec", OT: protocol.OTPerRound.String(),
 	})
 	nc, err := net.DialTimeout("tcp", cfg.Target, cfg.DialTimeout)
 	if err != nil {

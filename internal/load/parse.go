@@ -8,8 +8,7 @@ import (
 
 // ParseShapes parses the CLI shape-mix syntax shared by maxload and
 // maxcap: comma-separated ROWSxCOLS/b=WIDTH entries, each with an
-// optional *WEIGHT suffix (default 1) and an optional /ot=MODE
-// segment, e.g. "4x4/b=8*3,2x8/b=8/ot=batched*1".
+// optional *WEIGHT suffix (default 1), e.g. "4x4/b=8*3,2x8/b=8*1".
 func ParseShapes(s string) ([]ShapeWeight, error) {
 	var out []ShapeWeight
 	for _, entry := range strings.Split(s, ",") {
@@ -17,7 +16,7 @@ func ParseShapes(s string) ([]ShapeWeight, error) {
 		if entry == "" {
 			continue
 		}
-		sw := ShapeWeight{Weight: 1, OT: "per-round"}
+		sw := ShapeWeight{Weight: 1}
 		if star := strings.LastIndex(entry, "*"); star >= 0 {
 			w, err := strconv.ParseFloat(entry[star+1:], 64)
 			if err != nil {
@@ -38,8 +37,6 @@ func ParseShapes(s string) ([]ShapeWeight, error) {
 					return nil, fmt.Errorf("load: shape %q: bad width %q", entry, part)
 				}
 				sw.Width = w
-			case strings.HasPrefix(part, "ot="):
-				sw.OT = part[3:]
 			default:
 				return nil, fmt.Errorf("load: shape %q: unknown segment %q", entry, part)
 			}

@@ -327,19 +327,6 @@ func (s *Simulator) fillStats(st *Stats, macs uint64) {
 	st.RNGBitsDrawn = (inputWires*macs + uint64(s.macCkt.NState)) * label.Bits
 	st.ModeledTime = s.cfg.Device.CyclesToDuration(st.Cycles)
 	st.PCIeTime = s.cfg.PCIe.TransferTime(int(st.TableBytes))
-	s.RecordStats(st)
-	// Per-core idle attribution follows the FSM grid: a core's idle
-	// slots per stage are fixed by its slot pattern.
-	for i, c := range s.met.coreIdle {
-		c.Add(s.idlePerStage[i] * st.Stages)
-	}
-}
-
-// RecordStats adds a run's aggregate accounting to the configured
-// metrics registry (no-op without one). Garbling paths that assemble
-// Stats themselves — the correlated-OT and serial protocol sessions —
-// call this once per session; GarbleDotProduct records automatically.
-func (s *Simulator) RecordStats(st *Stats) {
 	s.met.macs.Add(st.MACs)
 	s.met.cycles.Add(st.Cycles)
 	s.met.stages.Add(st.Stages)
@@ -348,6 +335,11 @@ func (s *Simulator) RecordStats(st *Stats) {
 	s.met.tableBytes.Add(st.TableBytes)
 	s.met.idleSlots.Add(st.IdleSlots)
 	s.met.rngBits.Add(st.RNGBitsDrawn)
+	// Per-core idle attribution follows the FSM grid: a core's idle
+	// slots per stage are fixed by its slot pattern.
+	for i, c := range s.met.coreIdle {
+		c.Add(s.idlePerStage[i] * st.Stages)
+	}
 }
 
 // MatMulStats models garbling an (n×m)·(m×p) matrix product: n·p

@@ -279,60 +279,6 @@ func TestSchemesInteroperateInSimulator(t *testing.T) {
 	}
 }
 
-func TestSerialModeRoundTrip(t *testing.T) {
-	s := sim(t, Config{Width: 8, AccWidth: 16})
-	x := []int64{13, 7, 200}
-	a := []int64{11, 15, 3}
-	want := int64(13*11 + 7*15 + 200*3)
-	run, err := s.GarbleDotProductSerial(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateDotProductSerial(s.Config().Params, run, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("serial-mode dot product = %d, want %d", got, want)
-	}
-	// Serial mode: scheduled and garbled table counts coincide, at
-	// 2b tables per stage.
-	if run.Stats.TablesScheduled != run.Stats.TablesGarbled {
-		t.Fatalf("serial counts diverge: %d vs %d", run.Stats.TablesScheduled, run.Stats.TablesGarbled)
-	}
-	wantTables := uint64(2*8) * run.Stats.Stages
-	if run.Stats.TablesGarbled != wantTables {
-		t.Fatalf("tables = %d, want %d", run.Stats.TablesGarbled, wantTables)
-	}
-	if run.Stats.Cycles != run.Stats.Stages*3 {
-		t.Fatalf("cycles = %d for %d stages", run.Stats.Cycles, run.Stats.Stages)
-	}
-}
-
-func TestSerialModeValidation(t *testing.T) {
-	signed := sim(t, Config{Width: 8, Signed: true})
-	if _, err := signed.GarbleDotProductSerial([]int64{-200}); err == nil {
-		t.Fatal("out-of-range signed value accepted")
-	}
-	s := sim(t, Config{Width: 8})
-	if _, err := s.GarbleDotProductSerial(nil); err == nil {
-		t.Fatal("empty vector accepted")
-	}
-	if _, err := s.GarbleDotProductSerial([]int64{300}); err == nil {
-		t.Fatal("out-of-range value accepted")
-	}
-	run, err := s.GarbleDotProductSerial([]int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EvaluateDotProductSerial(s.Config().Params, run, []int64{1}); err == nil {
-		t.Fatal("vector length mismatch accepted")
-	}
-	if _, err := EvaluateDotProductSerial(s.Config().Params, run, []int64{1, 300}); err == nil {
-		t.Fatal("out-of-range evaluator value accepted")
-	}
-}
-
 func TestSimulatorWithROEntropySource(t *testing.T) {
 	// The hardware-model entropy source plugs straight in: the
 	// simulated ring-oscillator array is an io.Reader.
@@ -347,31 +293,5 @@ func TestSimulatorWithROEntropySource(t *testing.T) {
 	}
 	if got != 5*7+9*3 {
 		t.Fatalf("RO-entropy run = %d", got)
-	}
-}
-
-func TestSerialModeSignedRoundTrip(t *testing.T) {
-	s := sim(t, Config{Width: 8, AccWidth: 16, Signed: true})
-	x := []int64{-13, 7, 100}
-	a := []int64{11, -15, -3}
-	want := int64(-13*11 + 7*-15 + 100*-3)
-	run, err := s.GarbleDotProductSerial(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !run.Signed {
-		t.Fatal("run not marked signed")
-	}
-	got, err := EvaluateDotProductSerial(s.Config().Params, run, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := int64(1)<<16 - 1
-	if got&mask != want&mask {
-		t.Fatalf("signed serial-mode dot product = %d, want %d (mod 2^16)", got, want)
-	}
-	// Signed serial: 2b+2 tables per stage.
-	if run.Stats.TablesGarbled != uint64(2*8+2)*run.Stats.Stages {
-		t.Fatalf("tables = %d over %d stages", run.Stats.TablesGarbled, run.Stats.Stages)
 	}
 }

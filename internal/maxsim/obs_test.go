@@ -72,8 +72,7 @@ func TestTraceRecordsStallMetrics(t *testing.T) {
 
 func TestMatMulStatsDoesNotRecord(t *testing.T) {
 	// MatMulStats is a what-if query: calling it must not pollute the
-	// live counters (the correlated protocol path publishes explicitly
-	// via RecordStats instead).
+	// live counters.
 	reg := obs.NewRegistry()
 	s := sim(t, Config{Width: 8, Metrics: reg})
 	if _, err := s.MatMulStats(4, 4, 2); err != nil {

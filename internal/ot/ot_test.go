@@ -347,109 +347,3 @@ func TestRowHashDomainSeparation(t *testing.T) {
 		t.Fatal("row hash ignores row")
 	}
 }
-
-func TestCorrelatedTransferConsistency(t *testing.T) {
-	es, er, closeFn := extSession(t)
-	defer closeFn()
-	d := label.MustNewDelta()
-	rng := mrand.New(mrand.NewSource(5))
-	const m = 100
-	choices := randomChoices(rng, m)
-
-	var false0 []label.Label
-	var sendErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		false0, sendErr = es.SendCorrelatedLabels(m, d)
-	}()
-	got, err := er.ReceiveCorrelatedLabels(choices)
-	wg.Wait()
-	if sendErr != nil {
-		t.Fatal(sendErr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range choices {
-		want := false0[i]
-		if c {
-			want = d.Flip(false0[i])
-		}
-		if got[i] != want {
-			t.Fatalf("transfer %d (choice %v): wrong label", i, c)
-		}
-	}
-	// Sender-chosen FALSE labels must be pairwise distinct.
-	seen := make(map[label.Label]bool)
-	for _, l := range false0 {
-		if seen[l] {
-			t.Fatal("correlated OT repeated a FALSE label")
-		}
-		seen[l] = true
-	}
-}
-
-func TestCorrelatedEmptyBatch(t *testing.T) {
-	es, er, closeFn := extSession(t)
-	defer closeFn()
-	d := label.MustNewDelta()
-	if ls, err := es.SendCorrelatedLabels(0, d); err != nil || len(ls) != 0 {
-		t.Fatalf("empty correlated send: %v %v", ls, err)
-	}
-	if ls, err := er.ReceiveCorrelatedLabels(nil); err != nil || len(ls) != 0 {
-		t.Fatalf("empty correlated receive: %v %v", ls, err)
-	}
-}
-
-func TestCorrelatedAndPlainBatchesInterleave(t *testing.T) {
-	// A session must support mixing plain and correlated batches: the
-	// column streams and indices stay in lockstep.
-	es, er, closeFn := extSession(t)
-	defer closeFn()
-	d := label.MustNewDelta()
-	rng := mrand.New(mrand.NewSource(6))
-
-	// Plain batch first.
-	pairs := randomPairs(t, 16)
-	choices := randomChoices(rng, 16)
-	var wg sync.WaitGroup
-	var sendErr error
-	wg.Add(1)
-	go func() { defer wg.Done(); sendErr = es.Send(pairs) }()
-	got, err := er.Receive(choices)
-	wg.Wait()
-	if sendErr != nil || err != nil {
-		t.Fatal(sendErr, err)
-	}
-	for i, c := range choices {
-		want := pairs[i][0]
-		if c {
-			want = pairs[i][1]
-		}
-		if got[i] != want {
-			t.Fatalf("plain batch transfer %d wrong", i)
-		}
-	}
-
-	// Correlated batch second.
-	cChoices := randomChoices(rng, 24)
-	var false0 []label.Label
-	wg.Add(1)
-	go func() { defer wg.Done(); false0, sendErr = es.SendCorrelatedLabels(24, d) }()
-	gotL, err := er.ReceiveCorrelatedLabels(cChoices)
-	wg.Wait()
-	if sendErr != nil || err != nil {
-		t.Fatal(sendErr, err)
-	}
-	for i, c := range cChoices {
-		want := false0[i]
-		if c {
-			want = d.Flip(false0[i])
-		}
-		if gotL[i] != want {
-			t.Fatalf("correlated batch transfer %d wrong", i)
-		}
-	}
-}

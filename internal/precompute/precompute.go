@@ -45,10 +45,8 @@ type Shape struct {
 	// Width is the operand bit-width; Signed the datapath signedness.
 	Width  int
 	Signed bool
-	// Mode is the wire name of the datapath ("matvec" is the only
-	// poolable one: serial mode garbles stage-by-stage against live OT
-	// and correlated OT fixes labels interactively, so neither can be
-	// garbled ahead of the request).
+	// Mode is the wire name of the datapath ("matvec", the only one
+	// there is).
 	Mode string
 	// OT is the label-transfer mode name ("per-round" or "batched").
 	OT string
@@ -275,8 +273,8 @@ func (e *Engine) Stop() {
 
 // Admit registers a shape for background filling, evicting the
 // least-recently-used pool if the shape budget is exceeded. Returns
-// false for shapes that cannot be pre-garbled (serial mode, correlated
-// OT) or after Stop.
+// false for shapes that cannot be pre-garbled (empty, unknown mode or
+// OT name, another accelerator configuration) or after Stop.
 func (e *Engine) Admit(s Shape) bool {
 	if e == nil || !s.poolable() || !e.compatible(s) {
 		return false

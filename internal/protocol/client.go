@@ -2,9 +2,7 @@ package protocol
 
 // The evaluator endpoint. Dial opens a multiplexed session (versioned
 // handshake + one OT setup); Do runs one request; Close ends the
-// request loop. Run and RunSerial are the one-shot conveniences the
-// pre-v2 API exposed — deprecated thin wrappers over a single-request
-// session, slated for removal one PR after their marking.
+// request loop.
 
 import (
 	"fmt"
@@ -13,8 +11,6 @@ import (
 	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
 	"maxelerator/internal/ot"
-	"maxelerator/internal/seqgc"
-	"maxelerator/internal/serial"
 	"maxelerator/internal/wire"
 )
 
@@ -71,12 +67,9 @@ type ClientSession struct {
 	params   gc.Params
 	macCkt   *circuit.Circuit
 	receiver *ot.ExtensionReceiver
-	// Serial-mode circuit and layout, built on first use.
-	serCkt    *circuit.Circuit
-	serLayout serial.Layout
-	seq       int
-	closed    bool
-	broken    error
+	seq      int
+	closed   bool
+	broken   error
 }
 
 // Dial opens a session on conn: receive the server hello, negotiate
@@ -176,16 +169,10 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 		return nil, cs.fail(fmt.Errorf("protocol: server expects a %d-element vector, client holds %d", hdr.Cols, len(y)))
 	}
 	cs.tc.enterPhase(phaseRounds, cs.to.IO)
-	var outs []int64
-	var err error
-	switch hdr.Mode {
-	case wireModeMatVec:
-		outs, err = cs.evalMatVec(hdr, bitsPerRound)
-	case wireModeSerial:
-		outs, err = cs.evalSerial(hdr, y)
-	default:
-		err = fmt.Errorf("protocol: server announced unknown mode %q", hdr.Mode)
+	if hdr.Mode != wireModeMatVec {
+		return nil, cs.fail(fmt.Errorf("protocol: server announced unknown mode %q", hdr.Mode))
 	}
+	outs, err := cs.evalMatVec(hdr, bitsPerRound)
 	if err != nil {
 		return nil, cs.fail(err)
 	}
@@ -260,27 +247,15 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 		var stateAct []label.Label
 		var last *gc.EvalResult
 		for round := 0; round < hdr.Cols; round++ {
-			var active []label.Label
-			var err error
-			if hdr.OT == OTCorrelated {
-				// Correlated mode fixes the labels before the round is
-				// garbled, so the OT precedes the material.
-				active, err = cs.receiver.ReceiveCorrelatedLabels(bitsPerRound[round])
-				if err != nil {
-					return nil, fmt.Errorf("protocol: row %d round %d correlated OT: %w", row, round, err)
-				}
-			}
 			m, err := recvMaterial(cs.conn)
 			if err != nil {
 				return nil, fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
 			}
-			switch hdr.OT {
-			case OTCorrelated:
-				// labels already in hand
-			case OTBatched:
+			var active []label.Label
+			if hdr.OT == OTBatched {
 				off := (row*hdr.Cols + round) * cs.h.Width
 				active = batched[off : off+cs.h.Width]
-			default:
+			} else {
 				active, err = ot.ReceiveLabels(cs.receiver, bitsPerRound[round])
 				if err != nil {
 					return nil, fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
@@ -301,60 +276,3 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	}
 	return outs, nil
 }
-
-// evalSerial evaluates a serial-mode request: one OT'd stage of the
-// bit-serial datapath at a time, a fresh evaluator session per
-// request (matching the garbler's fresh labels).
-func (cs *ClientSession) evalSerial(hdr reqHeader, y []int64) ([]int64, error) {
-	if hdr.Rows != 1 {
-		return nil, fmt.Errorf("protocol: serial request announced %d rows, want 1", hdr.Rows)
-	}
-	if cs.serCkt == nil {
-		var err error
-		if cs.h.Signed {
-			cs.serCkt, cs.serLayout, err = serial.MACSigned(cs.h.Width)
-		} else {
-			cs.serCkt, cs.serLayout, err = serial.MAC(cs.h.Width)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cs.serLayout.StagesPerMAC != hdr.StagesPerMAC {
-		return nil, fmt.Errorf("protocol: stage count mismatch: server %d, local %d", hdr.StagesPerMAC, cs.serLayout.StagesPerMAC)
-	}
-	es, err := seqgc.NewEvaluatorSession(cs.params, cs.serCkt)
-	if err != nil {
-		return nil, err
-	}
-
-	mask := uint64(1)<<uint(cs.h.Width) - 1
-	var accBits []bool
-	for round, yi := range y {
-		accBits = accBits[:0]
-		for stage := 0; stage < cs.serLayout.StagesPerMAC; stage++ {
-			m, err := recvMaterial(cs.conn)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: round %d stage %d material: %w", round, stage, err)
-			}
-			bits := cs.serLayout.StageInputs(uint64(yi)&mask, stage)
-			active, err := ot.ReceiveLabels(cs.receiver, bits)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: round %d stage %d OT: %w", round, stage, err)
-			}
-			res, err := es.NextRound(m, active)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: round %d stage %d evaluate: %w", round, stage, err)
-			}
-			accBits = append(accBits, res.Outputs[0])
-		}
-	}
-	var out int64
-	if cs.h.Signed {
-		out = circuit.BitsToInt64(accBits[:2*cs.h.Width])
-	} else {
-		out = int64(circuit.BitsToUint64(accBits))
-	}
-	return []int64{out}, nil
-}
-

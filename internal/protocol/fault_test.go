@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,7 +105,7 @@ func TestFaultMatrixPeerStall(t *testing.T) {
 	y := []int64{5, -6}
 
 	t.Run("matrix", func(t *testing.T) {
-		for _, mode := range []OTMode{OTPerRound, OTBatched, OTCorrelated} {
+		for _, mode := range []OTMode{OTPerRound, OTBatched} {
 			mode := mode
 			mreq := req
 			mreq.OT = mode
@@ -222,32 +223,6 @@ func TestFaultMatrixPeerStall(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
-// TestFaultSerialModeStall covers the serial datapath: a client that
-// goes silent between garbled stages costs one IO budget.
-func TestFaultSerialModeStall(t *testing.T) {
-	before := runtime.NumGoroutine()
-	srv, o := faultMatrixServer(t, Timeouts{Handshake: faultBudget, IO: faultBudget})
-	a, b := wire.Pipe()
-	// Stall the 20th client send: deep inside the per-stage OT stream.
-	fc := faultconn.New(b, faultconn.Options{StallOnSend: 20})
-	done := make(chan error, 1)
-	go func() { done <- runFaultClient(fc, []int64{7, -8}) }()
-	defer func() {
-		a.Close()
-		fc.Close()
-		<-done
-		checkGoroutines(t, before)
-	}()
-
-	serr, _ := serveMux(srv, a, Request{Matrix: [][]int64{{1, 2}}, Mode: ModeSerial})
-	if !errors.Is(serr, ErrPhaseTimeout) {
-		t.Fatalf("server error = %v, want ErrPhaseTimeout", serr)
-	}
-	if got := o.Metrics().Gauge("sessions_active", "").Value(); got != 0 {
-		t.Errorf("sessions_active = %d after timeout", got)
-	}
-}
-
 // TestClientTimeoutAgainstStalledServer mirrors the matrix from the
 // evaluator's side: a garbler that stalls mid-setup costs the client
 // one phase budget, not a hung Dial.
@@ -351,46 +326,88 @@ func TestServeContextCancellationInterruptsStalledSession(t *testing.T) {
 	}
 }
 
-// TestClientAbortClosesConnPromptly: a client that bails on a header
-// mismatch closes the connection, so the server fails fast instead of
-// stalling until its deadline (or, without one, forever). The server
-// here has NO timeouts — only the abort-by-close can unblock it.
+// TestClientAbortClosesConnPromptly: a client that bails on a request
+// header it cannot serve — a vector-length mismatch, or a shape this
+// generation retired (the serial datapath, correlated OT = OTMode 2) —
+// names the problem and closes the connection, so the server fails fast
+// instead of stalling until its deadline (or, without one, forever).
+// The server here has NO timeouts — only the abort-by-close can unblock
+// it.
 func TestClientAbortClosesConnPromptly(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	srvDone := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(a, Request{Matrix: [][]int64{{1, 2, 3}}})
-		srvDone <- err
-	}()
-	cs, err := cli.Dial(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Vector length disagrees with the server's three columns: the
-	// client aborts; the abort must reach the server.
-	if _, err := cs.Do([]int64{1}); err == nil {
-		t.Fatal("mismatched vector accepted")
-	}
-	select {
-	case serr := <-srvDone:
-		if serr == nil {
-			t.Fatal("server reported success after client abort")
+	// announce plays a server that opens the request with a hand-built
+	// header (one Request.validate would never let out) and then waits
+	// for the peer.
+	announce := func(hdr reqHeader) func(*ServerSession) error {
+		return func(sess *ServerSession) error {
+			var open reqOpen
+			if err := recvGob(sess.conn, &open); err != nil {
+				return err
+			}
+			if err := sendGob(sess.conn, hdr); err != nil {
+				return err
+			}
+			_, err := sess.conn.RecvMsg()
+			return err
 		}
-		if !wire.IsDisconnect(serr) {
-			t.Fatalf("server error = %v, want a disconnect from the abort", serr)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("client abort never reached the server")
+	}
+	cases := []struct {
+		name    string
+		serve   func(*ServerSession) error
+		wantErr string
+	}{
+		{"vector length mismatch", func(sess *ServerSession) error {
+			_, err := sess.Serve(Request{Matrix: [][]int64{{1, 2, 3}}})
+			return err
+		}, "3-element vector"},
+		{"retired serial mode", announce(reqHeader{Mode: "serial", Rows: 1, Cols: 1}), `unknown mode "serial"`},
+		{"retired correlated OT", announce(reqHeader{Mode: wireModeMatVec, Rows: 1, Cols: 1, OT: 2}), "unknown OT mode 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, err := NewClient(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := wire.Pipe()
+			defer a.Close()
+			defer b.Close()
+			srvDone := make(chan error, 1)
+			go func() {
+				sess, err := srv.NewSession(a, SessionConfig{})
+				if err != nil {
+					srvDone <- err
+					return
+				}
+				defer sess.Close()
+				srvDone <- tc.serve(sess)
+			}()
+			cs, err := cli.Dial(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The client aborts by name; the abort must reach the server.
+			if _, err := cs.Do([]int64{1}); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("client error = %v, want one naming %q", err, tc.wantErr)
+			}
+			if cs.Err() == nil {
+				t.Fatal("session not broken after the abort")
+			}
+			select {
+			case serr := <-srvDone:
+				if serr == nil {
+					t.Fatal("server reported success after client abort")
+				}
+				if !wire.IsDisconnect(serr) {
+					t.Fatalf("server error = %v, want a disconnect from the abort", serr)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("client abort never reached the server")
+			}
+		})
 	}
 }
 

@@ -30,10 +30,9 @@ type ShapeHint struct {
 	// Width is the operand bit-width; Signed the datapath signedness.
 	Width  int
 	Signed bool
-	// Mode is the wire name of the datapath ("matvec" or "serial").
+	// Mode is the wire name of the datapath ("matvec").
 	Mode string
-	// OT is the label-transfer mode name ("per-round", "batched" or
-	// "correlated").
+	// OT is the label-transfer mode name ("per-round" or "batched").
 	OT string
 }
 

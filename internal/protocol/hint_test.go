@@ -38,7 +38,7 @@ func TestShapeHintKeyMatchesPrecomputeShape(t *testing.T) {
 		t.Fatalf("hint key %q, precompute shape %q", h.Key(), want)
 	}
 	// Unsigned renders with the "u" sign marker.
-	u := ShapeHint{Rows: 1, Cols: 2, Width: 16, Mode: "serial", OT: "per-round"}
+	u := ShapeHint{Rows: 1, Cols: 2, Width: 16, Mode: "matvec", OT: "per-round"}
 	if !strings.Contains(u.Key(), "/b16u/") {
 		t.Fatalf("unsigned key %q missing u marker", u.Key())
 	}

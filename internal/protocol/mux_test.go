@@ -162,9 +162,9 @@ func TestMultiplexedSessionAmortizesOTSetup(t *testing.T) {
 	}
 }
 
-// TestMultiplexedMixedModes drives every datapath over one connection:
-// the OT sender/receiver stay in lockstep across per-round, batched,
-// correlated and serial requests.
+// TestMultiplexedMixedModes drives both OT modes over one connection:
+// the OT sender/receiver stay in lockstep across per-round and batched
+// requests, in either order.
 func TestMultiplexedMixedModes(t *testing.T) {
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
 	if err != nil {
@@ -181,14 +181,11 @@ func TestMultiplexedMixedModes(t *testing.T) {
 	A := [][]int64{{2, -3}, {4, 5}}
 	y := []int64{6, 7}
 	wantMat := []int64{12 - 21, 24 + 35}
-	x := []int64{-13, 7}
-	wantSerial := -13*6 + 7*7
 
 	reqs := []Request{
 		{Matrix: A},
 		{Matrix: A, OT: OTBatched, GarbleWorkers: 2},
-		{Matrix: A, OT: OTCorrelated},
-		{Matrix: [][]int64{x}, Mode: ModeSerial},
+		{Matrix: A},
 	}
 
 	var wg sync.WaitGroup
@@ -204,7 +201,7 @@ func TestMultiplexedMixedModes(t *testing.T) {
 		defer sess.Close()
 		for _, req := range reqs {
 			if _, err := sess.Serve(req); err != nil {
-				srvErr = fmt.Errorf("serving %v/%v: %w", req.Mode, req.OT, err)
+				srvErr = fmt.Errorf("serving %v: %w", req.OT, err)
 				return
 			}
 		}
@@ -217,7 +214,7 @@ func TestMultiplexedMixedModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := range reqs {
 		out, err := cs.Do(y)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
@@ -227,13 +224,6 @@ func TestMultiplexedMixedModes(t *testing.T) {
 				t.Fatalf("request %d row %d = %d, want %d", i, r, out[r], wantMat[r])
 			}
 		}
-	}
-	out, err := cs.Do(y)
-	if err != nil {
-		t.Fatalf("serial request: %v", err)
-	}
-	if len(out) != 1 || out[0] != int64(wantSerial) {
-		t.Fatalf("serial request = %v, want %d", out, wantSerial)
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
@@ -477,16 +467,6 @@ func TestClientDisconnectMidRoundsBatched(t *testing.T) {
 	}
 }
 
-func TestClientDisconnectMidRoundsCorrelated(t *testing.T) {
-	err := disconnectMidRounds(t, OTCorrelated)
-	if err == nil {
-		t.Fatal("server reported success after client disconnect")
-	}
-	if !errors.Is(err, wire.ErrClosed) {
-		t.Fatalf("error does not wrap the wire failure: %v", err)
-	}
-}
-
 func TestClientDisconnectMidRoundsPerRound(t *testing.T) {
 	err := disconnectMidRounds(t, OTPerRound)
 	if err == nil {
@@ -625,15 +605,18 @@ func TestDeprecatedWrappersStillServe(t *testing.T) {
 
 // TestOTModeValidation pins the single-place enum validation.
 func TestOTModeValidation(t *testing.T) {
-	for _, m := range []OTMode{OTPerRound, OTBatched, OTCorrelated} {
+	for _, m := range []OTMode{OTPerRound, OTBatched} {
 		if err := m.validate(); err != nil {
 			t.Fatalf("%s rejected: %v", m, err)
 		}
 	}
-	if err := OTMode(42).validate(); err == nil {
-		t.Fatal("unknown OT mode accepted")
+	// 2 was correlated OT, retired in PR 13.
+	for _, m := range []OTMode{2, 42} {
+		if err := m.validate(); err == nil {
+			t.Fatalf("unknown OT mode %d accepted", int(m))
+		}
 	}
-	if OTPerRound.String() != "per-round" || OTBatched.String() != "batched" || OTCorrelated.String() != "correlated" {
+	if OTPerRound.String() != "per-round" || OTBatched.String() != "batched" {
 		t.Fatal("OTMode names wrong")
 	}
 }

@@ -128,59 +128,6 @@ func TestSessionTraceSpans(t *testing.T) {
 	}
 }
 
-func TestCorrelatedSessionObserved(t *testing.T) {
-	o := runObservedSession(t, OTCorrelated)
-	if got := o.Metrics().Counter("macs_total", "").Value(); got != 6 {
-		t.Fatalf("macs_total = %d (correlated path must publish stats)", got)
-	}
-	s := o.Traces().Recent(1)[0]
-	var haveRounds, haveDecode bool
-	for _, sp := range s.Spans {
-		haveRounds = haveRounds || sp.Name == "rounds"
-		haveDecode = haveDecode || sp.Name == "decode"
-	}
-	if !haveRounds || !haveDecode {
-		t.Fatalf("correlated spans incomplete: %+v", s.Spans)
-	}
-}
-
-func TestSerialSessionObserved(t *testing.T) {
-	o := obs.New(4)
-	cfg := maxsim.Config{Width: 8, AccWidth: 16}
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.WithObs(o)
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, srvErr = srv.Serve(a, Request{Matrix: [][]int64{{3, 5}}, Mode: ModeSerial})
-	}()
-	if _, err := clientRunSerial(cli, b, []int64{2, 4}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if srvErr != nil {
-		t.Fatal(srvErr)
-	}
-	if got := o.Metrics().Counter("sessions_total", "", obs.L("kind", "serial")).Value(); got != 1 {
-		t.Fatalf("serial sessions_total = %d", got)
-	}
-	if got := o.Metrics().Counter("macs_total", "").Value(); got != 2 {
-		t.Fatalf("serial macs_total = %d", got)
-	}
-}
-
 func TestFailedSessionCountsError(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8})

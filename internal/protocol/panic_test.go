@@ -114,7 +114,7 @@ func TestWorkerPanicIsolatedToRequest(t *testing.T) {
 
 // TestInlinePanicIsolated covers the single-worker (inline) garbling
 // path, where the panic unwinds the session goroutine itself and is
-// caught by serveOpened's recover, not a pool worker's.
+// caught by serveRows's recover, not a pool worker's.
 func TestInlinePanicIsolated(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})

@@ -205,32 +205,6 @@ func TestPrecomputeLearnsShapeFromTraffic(t *testing.T) {
 	}
 }
 
-// TestPrecomputeCorrelatedAndSerialBypassPool: the unpoolable datapaths
-// must serve exactly as before, never touching the engine.
-func TestPrecomputeCorrelatedAndSerialBypassPool(t *testing.T) {
-	cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
-	o := obs.New(4)
-	srv, _, _ := precomputeTestServer(t, cfg, o, 1)
-	x := []int64{5, -3, 2}
-	y := []int64{-1, 4, 7}
-	want := []int64{5*-1 + -3*4 + 2*7}
-
-	if out := serveOnce(t, srv, Request{Matrix: [][]int64{x}, OT: OTCorrelated}, y); out[0] != want[0] {
-		t.Fatalf("correlated result %v, want %v", out, want)
-	}
-	if out := serveOnce(t, srv, Request{Matrix: [][]int64{x}, Mode: ModeSerial}, y); out[0] != want[0] {
-		t.Fatalf("serial result %v, want %v", out, want)
-	}
-	// Neither path may have consulted the pool.
-	var sb bytes.Buffer
-	if err := o.Metrics().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(sb.Bytes(), []byte("precompute_hits_total")) || bytes.Contains(sb.Bytes(), []byte("precompute_misses_total")) {
-		t.Fatalf("correlated/serial serving touched the precompute pool:\n%s", sb.String())
-	}
-}
-
 // waitForDepth polls the engine until the shape's pool holds at least n
 // entries.
 func waitForDepth(t *testing.T, eng *precompute.Engine, s precompute.Shape, n int) {

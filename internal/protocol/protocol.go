@@ -21,7 +21,7 @@
 //
 // The server entry point is Serve (one request over a fresh
 // connection) or NewSession (many requests over one connection); the
-// client mirrors them with Run and Dial. The garbler hot path fans
+// client end of both is Dial. The garbler hot path fans
 // matrix rows out to a worker pool (Request.GarbleWorkers) and streams
 // the results strictly in row order, so the wire format is identical
 // whatever the pool size.
@@ -107,10 +107,6 @@ const (
 	// batch before any material: fewer round trips, but the client
 	// holds Rows·Cols·Width labels at once.
 	OTBatched
-	// OTCorrelated uses correlated OT: the OT chooses the FALSE labels
-	// (free-XOR pairs differ by Δ), one correction ciphertext per wire
-	// instead of two, halving label-transfer traffic.
-	OTCorrelated
 )
 
 // String names the mode for logs and errors.
@@ -120,8 +116,6 @@ func (m OTMode) String() string {
 		return "per-round"
 	case OTBatched:
 		return "batched"
-	case OTCorrelated:
-		return "correlated"
 	default:
 		return fmt.Sprintf("OTMode(%d)", int(m))
 	}
@@ -131,26 +125,12 @@ func (m OTMode) String() string {
 // built locally and for modes announced on the wire alike.
 func (m OTMode) validate() error {
 	switch m {
-	case OTPerRound, OTBatched, OTCorrelated:
+	case OTPerRound, OTBatched:
 		return nil
 	default:
 		return fmt.Errorf("protocol: unknown OT mode %d", int(m))
 	}
 }
-
-// Mode selects the served datapath granularity.
-type Mode int
-
-const (
-	// ModeMatVec streams one garbled MAC round per matrix element —
-	// the accelerator's natural round granularity.
-	ModeMatVec Mode = iota
-	// ModeSerial streams one garbled *stage* of the bit-serial
-	// datapath at a time (§3's memory-constrained client taken to the
-	// architecture's natural granularity). Serial requests carry
-	// exactly one matrix row and use per-round OT.
-	ModeSerial
-)
 
 // Wire frames. The server opens the connection with hello, the client
 // answers with helloAck, and from then on the client drives: each
@@ -224,15 +204,11 @@ type reqHeader struct {
 	Rows, Cols int
 	// OT is the label-transfer mode of this request.
 	OT OTMode
-	// StagesPerMAC is set in serial mode only.
-	StagesPerMAC int
 }
 
-// Wire names for reqHeader.Mode.
-const (
-	wireModeMatVec = "matvec"
-	wireModeSerial = "serial"
-)
+// wireModeMatVec is the one reqHeader.Mode value: one garbled MAC round
+// per matrix element.
+const wireModeMatVec = "matvec"
 
 // result is the client's final report back to the server (the paper's
 // output-sharing step: "Alice and Bob share their output maps to
@@ -275,20 +251,6 @@ const (
 	roundTagMaterial byte = 0x00
 	roundTagError    byte = 0x01
 )
-
-// sendMaterial ships garbled material in the explicit binary wire
-// format of gc.MarshalMaterial (language-agnostic, unlike gob), behind
-// the material round tag.
-func sendMaterial(conn wire.Conn, m *gc.Material) error {
-	enc, err := gc.MarshalMaterial(m)
-	if err != nil {
-		return err
-	}
-	framed := make([]byte, 1+len(enc))
-	framed[0] = roundTagMaterial
-	copy(framed[1:], enc)
-	return conn.SendMsg(framed)
-}
 
 func recvMaterial(conn wire.Conn) (*gc.Material, error) {
 	msg, err := conn.RecvMsg()
@@ -446,25 +408,20 @@ func (s *Server) ArenaOutstanding() int64 { return s.arena.Outstanding() }
 // Stats of the last served computation.
 type Stats = maxsim.Stats
 
-// Request describes one computation to serve: the unified entry point
-// for every datapath and OT mode (the v1 per-mode Serve* helpers were
-// removed in the v2 API cleanup; see the README migration note).
+// Request describes one computation to serve: a matrix–vector product
+// under either OT mode.
 type Request struct {
 	// Matrix is the garbler's private input: each row is one
 	// sequential MAC chain over the client's vector. A plain dot
 	// product is a one-row matrix.
 	Matrix [][]int64
-	// Mode selects the datapath granularity (default ModeMatVec).
-	// ModeSerial requires a one-row matrix and per-round OT.
-	Mode Mode
 	// OT selects the label-transfer mode (default OTPerRound).
 	OT OTMode
 	// GarbleWorkers sizes the row-garbling worker pool. 0 or 1 garbles
 	// inline on the session goroutine; N > 1 garbles up to N rows
 	// concurrently (each worker owns a private simulator, so every row
 	// still gets fresh labels) while an in-order streamer keeps the
-	// wire format unchanged. Correlated and serial requests garble
-	// sequentially by construction and ignore this knob.
+	// wire format unchanged.
 	GarbleWorkers int
 	// Trace, when non-nil, is a caller-opened session trace the
 	// protocol annotates with its phase spans instead of opening its
@@ -489,18 +446,6 @@ func (req Request) validate() error {
 	if err := req.OT.validate(); err != nil {
 		return err
 	}
-	switch req.Mode {
-	case ModeMatVec:
-	case ModeSerial:
-		if len(req.Matrix) != 1 {
-			return fmt.Errorf("protocol: serial mode serves exactly one row, got %d", len(req.Matrix))
-		}
-		if req.OT != OTPerRound {
-			return fmt.Errorf("protocol: serial mode requires per-round OT, got %s", req.OT)
-		}
-	default:
-		return fmt.Errorf("protocol: unknown request mode %d", int(req.Mode))
-	}
 	if req.GarbleWorkers < 0 {
 		return fmt.Errorf("protocol: negative garble worker count %d", req.GarbleWorkers)
 	}
@@ -520,11 +465,7 @@ type Response struct {
 // To amortise the handshake and OT setup over many requests, use
 // NewSession instead.
 func (s *Server) Serve(conn wire.Conn, req Request) (resp *Response, err error) {
-	kind := "matvec"
-	if req.Mode == ModeSerial {
-		kind = "serial"
-	}
-	ss := s.beginSession(kind, conn, req.Trace)
+	ss := s.beginSession("matvec", conn, req.Trace)
 	defer func() { ss.finish(err) }()
 	if err = req.validate(); err != nil {
 		return nil, err

@@ -39,19 +39,6 @@ func clientRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 	return out, nil
 }
 
-// clientRunSerial is clientRun specialized to a serial-mode session's
-// one-row result.
-func clientRunSerial(c *Client, conn wire.Conn, y []int64) (int64, error) {
-	out, err := clientRun(c, conn, y)
-	if err != nil {
-		return 0, err
-	}
-	if len(out) != 1 {
-		return 0, fmt.Errorf("protocol: serial session returned %d values, want 1", len(out))
-	}
-	return out[0], nil
-}
-
 // runSession wires a server and client over an in-memory pipe.
 func runSession(t *testing.T, cfg maxsim.Config, A [][]int64, y []int64) (serverOut []int64, clientOut []int64, st Stats) {
 	t.Helper()
@@ -368,80 +355,6 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 	}
 }
 
-func TestCorrelatedOTSession(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A := [][]int64{{2, -3, 4}, {-5, 6, 7}}
-	y := []int64{10, 11, -12}
-	want := []int64{20 - 33 - 48, -50 + 66 - 84}
-
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	var wg sync.WaitGroup
-	var srvOut []int64
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srvOut, _, srvErr = serveValues(srv, a, Request{Matrix: A, OT: OTCorrelated})
-	}()
-	got, err := clientRun(cli, b, y)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srvErr != nil {
-		t.Fatal(srvErr)
-	}
-	for i := range want {
-		if got[i] != want[i] || srvOut[i] != want[i] {
-			t.Fatalf("row %d: client %d server %d, want %d", i, got[i], srvOut[i], want[i])
-		}
-	}
-}
-
-func TestCorrelatedOTHalvesLabelTraffic(t *testing.T) {
-	// One correction ciphertext per wire instead of two OT ciphertexts.
-	run := func(mode OTMode) int64 {
-		srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli, err := NewClient(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, b := wire.Pipe()
-		defer a.Close()
-		defer b.Close()
-		ca := wire.NewCounting(a)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			srv.Serve(ca, Request{Matrix: [][]int64{{1, 2, 3, 4, 5, 6, 7, 8}}, OT: mode})
-		}()
-		if _, err := clientRun(cli, b, []int64{1, 1, 1, 1, 1, 1, 1, 1}); err != nil {
-			t.Fatal(err)
-		}
-		wg.Wait()
-		sent, _, _, _ := ca.Totals()
-		return sent
-	}
-	plain := run(OTPerRound)
-	correlated := run(OTCorrelated)
-	if correlated >= plain {
-		t.Fatalf("correlated OT sent %d bytes, plain %d", correlated, plain)
-	}
-}
-
 func TestUnknownOTModeRejected(t *testing.T) {
 	srv, err := NewServer(maxsim.Config{Width: 8})
 	if err != nil {
@@ -449,8 +362,11 @@ func TestUnknownOTModeRejected(t *testing.T) {
 	}
 	a, _ := wire.Pipe()
 	defer a.Close()
-	if _, err := srv.Serve(a, Request{Matrix: [][]int64{{1}}, OT: OTMode(99)}); err == nil {
-		t.Fatal("unknown OT mode accepted")
+	// 2 was correlated OT, retired in PR 13.
+	for _, m := range []OTMode{2, 99} {
+		if _, err := srv.Serve(a, Request{Matrix: [][]int64{{1}}, OT: m}); err == nil {
+			t.Fatalf("unknown OT mode %d accepted", int(m))
+		}
 	}
 }
 
@@ -501,85 +417,4 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-}
-
-func TestSerialModeSession(t *testing.T) {
-	for _, signed := range []bool{false, true} {
-		srv, err := NewServer(maxsim.Config{Width: 8, Signed: signed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cli, err := NewClient(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var x, y []int64
-		var want int64
-		if signed {
-			x, y = []int64{-13, 7}, []int64{11, -5}
-			want = -13*11 + 7*-5
-		} else {
-			x, y = []int64{13, 7}, []int64{11, 5}
-			want = 13*11 + 7*5
-		}
-		a, b := wire.Pipe()
-		var wg sync.WaitGroup
-		var srvOut int64
-		var srvErr error
-		var st Stats
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var vals []int64
-			vals, st, srvErr = serveValues(srv, a, Request{Matrix: [][]int64{x}, Mode: ModeSerial})
-			if srvErr == nil {
-				srvOut = vals[0]
-			}
-		}()
-		got, err := clientRunSerial(cli, b, y)
-		wg.Wait()
-		a.Close()
-		b.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if srvErr != nil {
-			t.Fatal(srvErr)
-		}
-		if got != want || srvOut != want {
-			t.Fatalf("signed=%v: client %d server %d, want %d", signed, got, srvOut, want)
-		}
-		// Stage accounting: (2b+2) stages per MAC.
-		if st.Stages != uint64(len(x))*18 {
-			t.Fatalf("signed=%v: %d stages", signed, st.Stages)
-		}
-	}
-}
-
-func TestSerialModeValidationErrors(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	if _, err := srv.Serve(a, Request{Matrix: [][]int64{nil}, Mode: ModeSerial}); err == nil {
-		t.Fatal("empty vector accepted")
-	}
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.Serve(a, Request{Matrix: [][]int64{{1, 2}}, Mode: ModeSerial})
-	}()
-	if _, err := clientRunSerial(cli, b, []int64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	a.Close()
-	wg.Wait()
 }

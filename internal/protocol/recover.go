@@ -3,7 +3,7 @@ package protocol
 // Panic containment. The garbler is a long-running daemon serving many
 // tenants: a panic while garbling one poisoned request must fail that
 // request, never the process. recover() sits at the two places a
-// request's code runs — the session goroutine (serveOpened) and each
+// request's code runs — the session goroutine (serveRows) and each
 // garble-pool worker — and converts the panic into an error wrapping
 // ErrInternal. The session is broken (the stream position is unknown)
 // but the daemon, its listener, and every other session stay up, and

@@ -3,10 +3,9 @@ package protocol
 // Multiplexed server sessions: one versioned handshake and one base-OT
 // + IKNP extension setup per connection, then any number of requests.
 // The client drives the request loop (reqOpen → reqHeader → rounds →
-// result); every request garbles under fresh labels — per-request
-// simulators in matvec mode, per-request sequential-GC sessions in the
-// correlated and serial modes — so multiplexing never weakens the
-// paper's fresh-labels-per-garbling requirement.
+// result); every request garbles under fresh labels (per-request
+// simulators), so multiplexing never weakens the paper's
+// fresh-labels-per-garbling requirement.
 
 import (
 	"context"
@@ -14,11 +13,9 @@ import (
 	"fmt"
 	"time"
 
-	"maxelerator/internal/circuit"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/ot"
-	"maxelerator/internal/seqgc"
 	"maxelerator/internal/wire"
 )
 
@@ -194,7 +191,7 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 		sess.broken = fmt.Errorf("protocol: unknown request op %q", open.Op)
 		return nil, sess.broken
 	}
-	resp, err := sess.serveOpened(ctx, req)
+	resp, err := sess.serveRows(ctx, req)
 	if err != nil {
 		if errors.Is(err, ErrInternal) {
 			// A recovered panic: tell the evaluator explicitly so it
@@ -221,60 +218,20 @@ func (sess *ServerSession) Close() error {
 // Requests returns how many requests the session has served.
 func (sess *ServerSession) Requests() int { return sess.seq }
 
-// serveOpened dispatches an opened request to its datapath. Each path
-// sends its own reqHeader (serial mode must build the stage layout
-// first to announce StagesPerMAC). A panic anywhere in the serving
-// path is contained here: it becomes a per-request ErrInternal, never
-// a daemon crash (pool workers carry their own recover — a goroutine
-// panic cannot be caught across goroutines).
-func (sess *ServerSession) serveOpened(ctx context.Context, req Request) (resp *Response, err error) {
+// serveRows serves an opened request — the one datapath, under
+// per-round or batched OT. Rows are garbled by the worker pool (fresh
+// labels per row and per request) and streamed strictly in row order,
+// so the wire format is identical whatever the pool size. A panic
+// anywhere on the session goroutine is contained here: it becomes a
+// per-request ErrInternal, never a daemon crash (pool workers carry
+// their own recover — a goroutine panic cannot be caught across
+// goroutines).
+func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, recoveredPanic(sess.ss.reg, r)
 		}
 	}()
-	switch {
-	case req.Mode == ModeSerial:
-		return sess.serveSerial(ctx, req)
-	case req.OT == OTCorrelated:
-		return sess.serveCorrelated(ctx, req)
-	default:
-		return sess.serveRows(ctx, req)
-	}
-}
-
-// header fills the request-invariant frame fields.
-func (sess *ServerSession) header(req Request, cols int) reqHeader {
-	mode := wireModeMatVec
-	if req.Mode == ModeSerial {
-		mode = wireModeSerial
-	}
-	return reqHeader{
-		Seq: sess.seq, Mode: mode,
-		Rows: len(req.Matrix), Cols: cols, OT: req.OT,
-	}
-}
-
-// readResult runs the decode phase: the client's reported values.
-func (sess *ServerSession) readResult(rows int) ([]int64, error) {
-	sess.tc.enterPhase(phaseDecode, sess.to.IO)
-	decode := sess.ss.tr.StartSpan("decode")
-	defer decode.End()
-	var res result
-	if err := recvGob(sess.conn, &res); err != nil {
-		return nil, fmt.Errorf("protocol: reading client result: %w", err)
-	}
-	if len(res.Values) != rows {
-		return nil, fmt.Errorf("protocol: client reported %d values, want %d", len(res.Values), rows)
-	}
-	return res.Values, nil
-}
-
-// serveRows is the per-round and batched matvec datapath. Rows are
-// garbled by the worker pool (fresh labels per row and per request)
-// and streamed strictly in row order, so the wire format is identical
-// whatever the pool size.
-func (sess *ServerSession) serveRows(ctx context.Context, req Request) (*Response, error) {
 	A := req.Matrix
 	cols := len(A[0])
 	ss := sess.ss
@@ -282,7 +239,8 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (*Respons
 	sess.tc.enterPhase(phaseRounds, sess.to.IO)
 	ss.tr.SetAttr("rows", fmt.Sprint(len(A)))
 	ss.tr.SetAttr("cols", fmt.Sprint(cols))
-	if err := sendGob(sess.conn, sess.header(req, cols)); err != nil {
+	hdr := reqHeader{Seq: sess.seq, Mode: wireModeMatVec, Rows: len(A), Cols: cols, OT: req.OT}
+	if err := sendGob(sess.conn, hdr); err != nil {
 		return nil, err
 	}
 
@@ -329,108 +287,20 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (*Respons
 	ss.tr.SetAttr("macs", fmt.Sprint(agg.MACs))
 	ss.tr.SetAttr("table_bytes", fmt.Sprint(agg.TableBytes))
 
-	vals, err := sess.readResult(len(A))
+	sess.tc.enterPhase(phaseDecode, sess.to.IO)
+	decode := ss.tr.StartSpan("decode")
+	var res result
+	err = recvGob(sess.conn, &res)
+	decode.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("protocol: reading client result: %w", err)
+	}
+	if len(res.Values) != len(A) {
+		return nil, fmt.Errorf("protocol: client reported %d values, want %d", len(res.Values), len(A))
 	}
 	// Completed requests only: the calibrator (internal/capmodel) turns
 	// this distribution into simulator service times, and an aborted
 	// request's partial duration would poison it.
 	ss.observeRequest(pcOutcome, time.Since(reqStart))
-	return &Response{Values: vals, Stats: agg}, nil
-}
-
-// serveCorrelated is the correlated-OT datapath: each round, the OT
-// fixes the evaluator-input FALSE labels first, then the round is
-// garbled around them and the material streamed. A dedicated
-// sequential-GC session (fresh Δ per request) drives the garbling so
-// the OT corrections and the circuit share one offset — which also
-// means rows are inherently sequential here; the worker pool does not
-// apply.
-func (sess *ServerSession) serveCorrelated(ctx context.Context, req Request) (*Response, error) {
-	A := req.Matrix
-	cfg := sess.srv.cfg
-	ss := sess.ss
-	sess.tc.enterPhase(phaseRounds, sess.to.IO)
-	sim, err := maxsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ss.tr.SetAttr("rows", fmt.Sprint(len(A)))
-	ss.tr.SetAttr("cols", fmt.Sprint(len(A[0])))
-	if err := sendGob(sess.conn, sess.header(req, len(A[0]))); err != nil {
-		return nil, err
-	}
-	gs, err := seqgc.NewGarblerSession(cfg.Params, cfg.Rand, sim.Circuit())
-	if err != nil {
-		return nil, err
-	}
-
-	rounds := ss.tr.StartSpan("rounds")
-	defer rounds.End()
-	var agg Stats
-	for i, row := range A {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("protocol: rounds phase interrupted at row %d: %w", i, err)
-		}
-		if err := sess.correlatedRow(gs, i, row, &agg); err != nil {
-			return nil, err
-		}
-	}
-	rounds.End()
-	// Timing follows the same schedule model as the plain path.
-	mm, err := sim.MatMulStats(len(A), len(A[0]), 1)
-	if err != nil {
-		return nil, err
-	}
-	agg.Cycles = mm.Cycles
-	agg.Stages = mm.Stages
-	agg.TablesScheduled = mm.TablesScheduled
-	agg.IdleSlots = mm.IdleSlots
-	agg.CoreUtilization = mm.CoreUtilization
-	agg.ModeledTime = mm.ModeledTime
-	agg.PCIeTime = cfg.PCIe.TransferTime(int(agg.TableBytes))
-	// This path assembles its Stats by hand, so it publishes them to
-	// the registry explicitly (GarbleDotProduct is never called).
-	sim.RecordStats(&agg)
-	ss.tr.SetAttr("macs", fmt.Sprint(agg.MACs))
-
-	vals, err := sess.readResult(len(A))
-	if err != nil {
-		return nil, err
-	}
-	return &Response{Values: vals, Stats: agg}, nil
-}
-
-// correlatedRow garbles and streams one correlated-OT row; the row
-// span ends on every path out, fixing the leak the error returns in
-// the pre-v2 flow had.
-func (sess *ServerSession) correlatedRow(gs *seqgc.GarblerSession, i int, row []int64, agg *Stats) error {
-	cfg := sess.srv.cfg
-	var rowSpan *obs.Span
-	if i < maxRowSpans {
-		rowSpan = sess.ss.tr.StartSpan(fmt.Sprintf("round_garble[%d]", i))
-	}
-	defer rowSpan.End()
-	gs.Reset()
-	for _, xi := range row {
-		if err := checkRange(xi, cfg.Width, cfg.Signed); err != nil {
-			return fmt.Errorf("protocol: %w", err)
-		}
-		labels, err := sess.sender.SendCorrelatedLabels(cfg.Width, gs.Delta())
-		if err != nil {
-			return err
-		}
-		gb, err := gs.NextRoundWithEvalLabels(circuit.Int64ToBits(xi, cfg.Width), labels)
-		if err != nil {
-			return err
-		}
-		if err := sendMaterial(sess.conn, &gb.Material); err != nil {
-			return err
-		}
-		agg.MACs++
-		agg.TablesGarbled += uint64(len(gb.Material.Tables))
-		agg.TableBytes += uint64(gb.Material.CiphertextBytes())
-	}
-	return nil
+	return &Response{Values: res.Values, Stats: agg}, nil
 }

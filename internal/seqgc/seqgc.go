@@ -49,25 +49,13 @@ func (s *GarblerSession) Circuit() *circuit.Circuit { return s.ckt }
 // Round returns the number of completed rounds.
 func (s *GarblerSession) Round() int { return s.round }
 
-// Delta exposes the session's free-XOR offset for correlated-OT
-// integration; it must never reach the evaluator.
-func (s *GarblerSession) Delta() label.Delta { return s.garbler.Delta() }
-
 // NextRound garbles one round with the given garbler inputs and
 // advances the state and tweak bookkeeping.
 func (s *GarblerSession) NextRound(garblerInputs []bool) (*gc.Garbled, error) {
-	return s.NextRoundWithEvalLabels(garblerInputs, nil)
-}
-
-// NextRoundWithEvalLabels garbles one round using externally chosen
-// FALSE labels for the evaluator input wires (from correlated OT);
-// nil draws fresh labels as usual.
-func (s *GarblerSession) NextRoundWithEvalLabels(garblerInputs []bool, evalWire0 []label.Label) (*gc.Garbled, error) {
 	gb, err := s.garbler.Garble(s.ckt, gc.GarbleOptions{
 		GarblerInputs: garblerInputs,
 		State0:        s.state0,
 		TweakBase:     s.tweak,
-		EvalWire0:     evalWire0,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("seqgc: round %d: %w", s.round, err)
