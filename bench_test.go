@@ -148,7 +148,7 @@ func BenchmarkTable3RidgeRegression(b *testing.B) {
 }
 
 // BenchmarkFig1EndToEnd runs the full Fig. 1 system — handshake, IKNP
-// OT (including the DH base phase), garbled-table streaming and
+// OT (including the P-256 base phase), garbled-table streaming and
 // evaluation — over an in-memory pipe.
 func BenchmarkFig1EndToEnd(b *testing.B) {
 	x := []int64{3, -5, 7, 11}

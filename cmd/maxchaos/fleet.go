@@ -56,10 +56,11 @@ func startChaosBackend(cfg *chaosConfig, id int) (*chaosBackend, error) {
 	cb.cfg = backend.Config{
 		Listen: "127.0.0.1:0", MetricsAddr: "127.0.0.1:0", Advertise: true,
 		Matrix: chaosMatrix, Width: 8,
-		// I/O budgets bound every session goroutine. They are loose
-		// because the OT base phase is real 2048-bit crypto — on a loaded
-		// single-core runner a healthy peer can legitimately take seconds
-		// between frames.
+		// I/O budgets bound every session goroutine. A healthy session
+		// is tens of milliseconds end to end; the budgets are seconds
+		// because they exist to reclaim sessions wedged on a muted or
+		// killed peer, and must not fire on a runner that is merely
+		// starved of CPU.
 		Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
 		Precompute: true, PrecomputePool: 2, PrecomputeShapes: 8,
 		WrapConn: cb.wrap,

@@ -68,24 +68,27 @@ type chaosConfig struct {
 
 func defaultConfig() chaosConfig {
 	return chaosConfig{
-		backends:        3,
-		duration:        20 * time.Second,
-		killEvery:       5 * time.Second,
-		downFor:         2 * time.Second,
-		stallFor:        time.Second,
-		flakyP:          0.1,
-		flakyFor:        time.Second,
-		// A session's handshake runs a real OT-extension base phase
-		// (~128 exponentiations in a 2048-bit group), so one session
-		// costs on the order of a second of CPU; the arrival rate and
-		// concurrency cap are sized for a small CI runner. The error
-		// bound is generous for the same reason: failover is
-		// pre-handshake only, so every session caught mid-handshake by
-		// a kill is honest collateral — with second-long handshakes and
-		// a kill every 5s that is a sizeable fraction of a sparse load.
+		backends:  3,
+		duration:  20 * time.Second,
+		killEvery: 5 * time.Second,
+		downFor:   2 * time.Second,
+		stallFor:  time.Second,
+		flakyP:    0.1,
+		flakyFor:  time.Second,
+		// A session is ~20 ms of CPU (the P-256 base OT is most of it),
+		// so the sparse arrival rate and low concurrency cap are not
+		// about cost: they keep the run's session count fixed (31 in
+		// 16s) so error rates compare across runs and runners. Failover
+		// is pre-handshake only, so what fails is what chaos touches
+		// after a backend is committed: a session in flight on a killed
+		// backend, or one that meets a mute or lossy window. Measured
+		// over 18 runs of -duration 16s on a 2-vCPU box (three of them
+		// with the protocol test suite competing for the cores): 1–5
+		// failures of 31 sessions, error rate 0.03–0.16, median 0.10.
+		// The bound is twice the observed maximum, rounded up: 10 of 31.
 		loadInterval:    500 * time.Millisecond,
 		maxInflight:     3,
-		maxErrorRate:    0.6,
+		maxErrorRate:    0.35,
 		probeInterval:   250 * time.Millisecond,
 		ejectAfter:      2,
 		breakerCooldown: time.Second,
@@ -180,10 +183,9 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 	stats, loadErr := load.Run(load.Config{
 		Target:   fleet.gwAddr,
 		Scenario: chaosScenario(&cfg),
-		// Generous budgets: a session's OT base phase is real public-key
-		// crypto, and concurrent sessions contend for the same cores. The
-		// deadline exists to bound sessions wedged on a muted or killed
-		// backend, not to police healthy-but-slow crypto.
+		// Generous budgets: the deadline exists to bound sessions wedged
+		// on a muted or killed backend, not to police a healthy session
+		// on a starved runner.
 		Timeouts: protocol.Timeouts{Handshake: 8 * time.Second, IO: 8 * time.Second},
 		Matrix:   chaosMatrix,
 		Logf:     logf,

@@ -299,13 +299,15 @@ func TestMetricsCountersMoveAndSpansRecorded(t *testing.T) {
 	}
 	conn.Close()
 
-	// Poll /metrics until the session lands (the server goroutine may
-	// still be finishing when the client returns).
+	// Poll /metrics until the session has ended on the server, which
+	// may still be finishing when the client returns: session_seconds
+	// is the last thing a finishing session records (sessions_total is
+	// counted when it begins, so it says nothing about the end).
 	var body string
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		body = httpGet(t, "http://"+maddr+"/metrics")
-		if strings.Contains(body, `sessions_total{kind="mux"} 1`) {
+		if strings.Contains(body, `session_seconds_count{kind="mux"} 1`) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)

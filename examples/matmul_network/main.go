@@ -5,8 +5,8 @@
 // client's input labels and round-by-round streaming of garbled
 // tables.
 //
-// The connection is a v2 multiplexed session: the version handshake
-// and the OT-extension setup (the expensive base-OT exponentiations)
+// The connection is a multiplexed session: the version handshake
+// and the OT-extension setup (the public-key base-OT phase)
 // are paid once, then three feature vectors are evaluated as three
 // requests over the same connection — each with fresh wire labels —
 // while the server garbles matrix rows on a parallel worker pool.

@@ -76,7 +76,7 @@ func dial(t *testing.T, addr string) wire.Conn {
 }
 
 // firstFrame classifies what the backend says first on a raw
-// connection. The server speaks first in v2, and its hello goes out the
+// connection. The server speaks first, and its hello goes out the
 // moment a session starts, so "hello" means the connection was admitted
 // — without paying for an OT setup.
 type firstFrame struct {

@@ -306,10 +306,15 @@ func cellDist(c benchgrid.Cell) Dist {
 // 128-bit rows per AND table under the half-gates row reduction.
 const tableBytes = 32
 
-// analyticOTSetup approximates the IKNP setup — base OTs are real
-// 2048-bit public-key crypto, far off the FPGA cost model, so this is
-// a documented software constant, not derived.
-const analyticOTSetup = 0.2
+// analyticOTSetup is the per-session OT setup in seconds: κ = 128
+// P-256 base transfers plus the IKNP seed expansion. It is host
+// public-key work, nothing the FPGA cost model covers, so it is a
+// measured software constant, not derived: maxperf's cold_session
+// ot.ext_setup_ms reads 11.7 ms on an otherwise idle 2-vCPU 2.1 GHz
+// Xeon. A loaded server reads higher (ot_setup_seconds averaged 23 ms
+// under `maxcap -validate` at 8 sessions in flight); that contention
+// is the CPU station's to model, not this constant's.
+const analyticOTSetup = 0.012
 
 // Analytic is the measurement-free floor: garbling time from the
 // paper's cycle counts at the device clock, transfer time from the

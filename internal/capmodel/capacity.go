@@ -39,14 +39,16 @@ func (s SLO) meets(r *Result) bool {
 // SustainableQPS binary-searches the highest offered rate the fleet
 // sustains within the SLO, probing with the scenario's process, shape
 // mix and seed at each candidate rate. The search runs over
-// [minRate, maxRate] to a 2% relative resolution.
+// [minRate, maxRate] to a 2% relative resolution; the defaults are
+// 0.5 and 2048 QPS, a ceiling a 12 ms session setup leaves room under
+// (a pooled backend sustains hundreds of sessions a second).
 func SustainableQPS(sc load.Scenario, fl Fleet, cal *Calibration, slo SLO, minRate, maxRate float64) (float64, error) {
 	slo = slo.withDefaults()
 	if minRate <= 0 {
 		minRate = 0.5
 	}
 	if maxRate <= minRate {
-		maxRate = minRate * 256
+		maxRate = minRate * 4096
 	}
 	probe := func(rate float64) (bool, error) {
 		s := sc

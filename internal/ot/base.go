@@ -1,9 +1,9 @@
 package ot
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"math/big"
 
 	"maxelerator/internal/wire"
 )
@@ -21,23 +21,28 @@ func xorMsg(a, b Message) Message {
 }
 
 // BaseSend runs the sender side of a batch of 1-out-of-2 base OTs over
-// conn: for each pair, the receiver learns exactly one message. The
-// construction follows the simplest-OT pattern: the sender publishes
-// A = g^a; the receiver answers B = g^b (choice 0) or A·g^b (choice 1);
-// the per-transfer keys are k0 = H(B^a) and k1 = H((B/A)^a), of which
-// the receiver can compute only k_choice = H(A^b).
+// conn: for each pair, the receiver learns exactly one message. This is
+// Chou–Orlandi's simplest OT: the sender publishes A = a·G; the
+// receiver answers B = b·G (choice 0) or A + b·G (choice 1); the
+// per-transfer keys are k0 = H(a·B) and k1 = H(a·(B − A)), of which the
+// receiver can compute only k_choice = H(b·A).
+//
+// Three messages cross the wire: A (elementLen bytes), the B batch
+// (elementLen per pair) and the ciphertexts (two Messages per pair).
 func BaseSend(conn wire.Conn, rnd io.Reader, pairs [][2]Message) error {
-	gr := modpGroup
-	a, err := gr.randExponent(rnd)
-	if err != nil {
+	var a [scalarLen]byte
+	if err := randScalar(rnd, a[:]); err != nil {
 		return err
 	}
-	bigA := new(big.Int).Exp(gr.g, a, gr.p)
-	if err := conn.SendMsg(marshalElement(bigA)); err != nil {
+	bigA := baseMult(a[:])
+	var aEnc [elementLen]byte
+	marshalElement(aEnc[:], bigA)
+	if err := conn.SendMsg(aEnc[:]); err != nil {
 		return fmt.Errorf("ot: base sender announcing A: %w", err)
 	}
-	// A^{-a} mod p, used to derive k1 without a per-transfer inversion.
-	invAa := new(big.Int).ModInverse(new(big.Int).Exp(bigA, a, gr.p), gr.p)
+	// −a·A, so that a·(B − A) = a·B + (−a·A) costs one addition per
+	// transfer instead of a second scalar multiplication.
+	negAa := bigA.mult(a[:]).neg()
 
 	resp, err := conn.RecvMsg()
 	if err != nil {
@@ -49,15 +54,21 @@ func BaseSend(conn wire.Conn, rnd io.Reader, pairs [][2]Message) error {
 
 	out := make([]byte, 0, len(pairs)*32)
 	for i := range pairs {
-		bigB, err := unmarshalElement(resp[i*elementLen : (i+1)*elementLen])
+		bEnc := resp[i*elementLen : (i+1)*elementLen]
+		bigB, err := unmarshalElement(bEnc)
 		if err != nil {
 			return fmt.Errorf("ot: base sender transfer %d: %w", i, err)
 		}
-		ba := new(big.Int).Exp(bigB, a, gr.p)
-		k0 := keyFromElement(uint64(i), ba)
-		k1 := keyFromElement(uint64(i), new(big.Int).Mod(new(big.Int).Mul(ba, invAa), gr.p))
-		e0 := xorMsg(pairs[i][0], Message(k0))
-		e1 := xorMsg(pairs[i][1], Message(k1))
+		// B = A makes B − A the identity, which has no encoding to hash.
+		// An honest receiver lands there only by drawing b = a.
+		if bytes.Equal(bEnc, aEnc[:]) {
+			return fmt.Errorf("ot: base sender transfer %d: B equals A", i)
+		}
+		aB := bigB.mult(a[:])
+		k0 := transferKey(i, aEnc[:], bEnc, aB)
+		k1 := transferKey(i, aEnc[:], bEnc, aB.add(negAa))
+		e0 := xorMsg(pairs[i][0], k0)
+		e1 := xorMsg(pairs[i][1], k1)
 		out = append(out, e0[:]...)
 		out = append(out, e1[:]...)
 	}
@@ -70,32 +81,41 @@ func BaseSend(conn wire.Conn, rnd io.Reader, pairs [][2]Message) error {
 // BaseReceive runs the receiver side of BaseSend, returning the chosen
 // message of each pair.
 func BaseReceive(conn wire.Conn, rnd io.Reader, choices []bool) ([]Message, error) {
-	gr := modpGroup
-	aMsg, err := conn.RecvMsg()
+	aEnc, err := conn.RecvMsg()
 	if err != nil {
 		return nil, fmt.Errorf("ot: base receiver reading A: %w", err)
 	}
-	bigA, err := unmarshalElement(aMsg)
+	bigA, err := unmarshalElement(aEnc)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ot: base receiver: %w", err)
 	}
 
-	bs := make([]*big.Int, len(choices))
-	resp := make([]byte, 0, elementLen*len(choices))
+	bs := make([]byte, scalarLen*len(choices))
+	resp := make([]byte, elementLen*len(choices))
 	for i, c := range choices {
-		b, err := gr.randExponent(rnd)
-		if err != nil {
+		b := bs[i*scalarLen : (i+1)*scalarLen]
+		if err := randScalar(rnd, b); err != nil {
 			return nil, err
 		}
-		bs[i] = b
-		bigB := new(big.Int).Exp(gr.g, b, gr.p)
+		bigB := baseMult(b)
 		if c {
-			bigB.Mod(bigB.Mul(bigB, bigA), gr.p)
+			// A + b·G is the identity only for b = n − a; its (0, 0)
+			// would marshal to a non-point the sender rejects.
+			bigB = bigB.add(bigA)
 		}
-		resp = append(resp, marshalElement(bigB)...)
+		marshalElement(resp[i*elementLen:], bigB)
 	}
 	if err := conn.SendMsg(resp); err != nil {
 		return nil, fmt.Errorf("ot: base receiver answering B batch: %w", err)
+	}
+
+	// Derive the keys before blocking on the ciphertexts: the sender is
+	// busy with its own scalar multiplications for exactly this long, so
+	// the two sides' public-key work overlaps.
+	keys := make([]Message, len(choices))
+	for i := range choices {
+		shared := bigA.mult(bs[i*scalarLen : (i+1)*scalarLen])
+		keys[i] = transferKey(i, aEnc, resp[i*elementLen:(i+1)*elementLen], shared)
 	}
 
 	cts, err := conn.RecvMsg()
@@ -105,16 +125,14 @@ func BaseReceive(conn wire.Conn, rnd io.Reader, choices []bool) ([]Message, erro
 	if len(cts) != 32*len(choices) {
 		return nil, fmt.Errorf("ot: base receiver got %d ciphertext bytes, want %d", len(cts), 32*len(choices))
 	}
-	out := make([]Message, len(choices))
 	for i, c := range choices {
-		k := keyFromElement(uint64(i), new(big.Int).Exp(bigA, bs[i], gr.p))
 		var e Message
 		off := i * 32
 		if c {
 			off += 16
 		}
 		copy(e[:], cts[off:off+16])
-		out[i] = xorMsg(e, Message(k))
+		keys[i] = xorMsg(e, keys[i])
 	}
-	return out, nil
+	return keys, nil
 }

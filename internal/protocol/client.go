@@ -82,7 +82,7 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 	tc := newTimedConn(conn, nil)
 	tc.enterPhase(phaseHandshake, c.timeouts.Handshake)
 	// The routing preface goes out before anything is read: the server
-	// speaks first in v2, so this frame is the only thing a gateway can
+	// speaks first, so this frame is the only thing a gateway can
 	// classify before committing the session to a backend.
 	if c.hint != nil {
 		if err := SendShapeHint(tc, *c.hint); err != nil {

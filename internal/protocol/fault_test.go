@@ -12,6 +12,7 @@ package protocol
 // injected at sampled indices across that range.
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -517,5 +518,99 @@ func checkGoroutines(t *testing.T, before int) {
 			return
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// rewriteSend is the hostile-peer fault: the Nth message sent through
+// it is replaced by mutate's result; everything else passes untouched.
+type rewriteSend struct {
+	wire.Conn
+	n      int
+	mutate func([]byte) []byte
+	sends  int
+}
+
+func (c *rewriteSend) SendMsg(msg []byte) error {
+	if c.sends++; c.sends == c.n {
+		msg = c.mutate(append([]byte(nil), msg...))
+	}
+	return c.Conn.SendMsg(msg)
+}
+
+// Unwrap keeps wire.AsDeadline transparent, so phase budgets still bind.
+func (c *rewriteSend) Unwrap() wire.Conn { return c.Conn }
+
+// TestHostileBaseOTPoints: a peer that sends garbage where the base OT
+// expects curve points costs the other side an error, promptly — not a
+// panic out of the curve arithmetic, not a phase timeout, not a leaked
+// session slot or arena buffer. In the handshake each side's second
+// message is its base-OT share: the client's is A, the server's is the
+// B batch (the garbler is the extension sender, hence base receiver).
+func TestHostileBaseOTPoints(t *testing.T) {
+	mutations := map[string]func([]byte) []byte{
+		"all-zero (identity) encoding": func(m []byte) []byte { return make([]byte, len(m)) },
+		"uncompressed prefix":          func(m []byte) []byte { m[0] = 4; return m },
+		// x = 1: 1 − 3 + b is not a square mod p, so no point has it.
+		"x not on the curve":      func(m []byte) []byte { copy(m[1:33], make([]byte, 32)); m[32] = 1; return m },
+		"x above the field prime": func(m []byte) []byte { copy(m[1:33], bytes.Repeat([]byte{0xff}, 32)); return m },
+		"truncated":               func(m []byte) []byte { return m[:len(m)-1] },
+	}
+	to := Timeouts{Handshake: faultBudget, IO: faultBudget}
+	for name, mut := range mutations {
+		for _, hostile := range []string{"client", "server"} {
+			t.Run(hostile+"/"+name, func(t *testing.T) {
+				srv, o := faultMatrixServer(t, to)
+				cli, err := NewClient(rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cli.WithTimeouts(to)
+				a, b := wire.Pipe()
+				var srvConn, cliConn wire.Conn = a, b
+				if hostile == "client" {
+					cliConn = &rewriteSend{Conn: b, n: 2, mutate: mut}
+				} else {
+					srvConn = &rewriteSend{Conn: a, n: 2, mutate: mut}
+				}
+				srvDone := make(chan error, 1)
+				cliDone := make(chan error, 1)
+				start := time.Now()
+				go func() {
+					_, err := srv.NewSession(srvConn, SessionConfig{})
+					srvDone <- err
+				}()
+				go func() {
+					_, err := cli.Dial(cliConn)
+					cliDone <- err
+				}()
+				// The honest side is the one that sees the bad point.
+				victim, other := srvDone, cliDone
+				if hostile == "server" {
+					victim, other = cliDone, srvDone
+				}
+				verr := <-victim
+				elapsed := time.Since(start)
+				// The victim has returned; hang up so the hostile side,
+				// still waiting for the next OT message, returns too.
+				a.Close()
+				b.Close()
+				<-other
+				if verr == nil {
+					t.Fatal("handshake succeeded on a corrupt base-OT point")
+				}
+				if errors.Is(verr, ErrPhaseTimeout) || elapsed >= faultBudget {
+					t.Fatalf("rejected only after %v (%v): want an immediate validation error", elapsed, verr)
+				}
+				if !strings.Contains(verr.Error(), "ot:") {
+					t.Fatalf("error does not come from the OT layer's validation: %v", verr)
+				}
+				if got := o.Metrics().Gauge("sessions_active", "").Value(); got != 0 {
+					t.Errorf("sessions_active = %d after the rejected handshake", got)
+				}
+				if got := srv.ArenaOutstanding(); got != 0 {
+					t.Errorf("ArenaOutstanding = %d after the rejected handshake", got)
+				}
+			})
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -538,7 +539,20 @@ func TestServerRejectsUnversionedClient(t *testing.T) {
 	}
 }
 
-func TestServerRejectsFutureVersionAck(t *testing.T) {
+// wantMismatch fails unless err is a version mismatch that names both
+// generations, so an operator can tell which side to upgrade.
+func wantMismatch(t *testing.T, err error, peer int) {
+	t.Helper()
+	if !errors.Is(err, ErrVersionMismatch) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("v%d", peer)) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("v%d", ProtoVersion)) {
+		t.Fatalf("error = %v, want ErrVersionMismatch naming v%d and v%d", err, peer, ProtoVersion)
+	}
+}
+
+// serverRejectsAck answers the server's hello with a helloAck of
+// another generation.
+func serverRejectsAck(t *testing.T, peer int) {
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
 	if err != nil {
 		t.Fatal(err)
@@ -554,17 +568,39 @@ func TestServerRejectsFutureVersionAck(t *testing.T) {
 	if _, err := b.RecvMsg(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sendGob(b, helloAck{ProtoVersion: 99}); err != nil {
+	if err := sendGob(b, helloAck{ProtoVersion: peer}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-srvDone:
-		if !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("server error = %v, want ErrVersionMismatch", err)
-		}
+		wantMismatch(t, err, peer)
 	case <-time.After(30 * time.Second):
-		t.Fatal("server hung on future-version ack")
+		t.Fatalf("server hung on a v%d ack", peer)
 	}
+}
+
+func TestServerRejectsFutureVersionAck(t *testing.T) { serverRejectsAck(t, 99) }
+
+// v2 is the mismatch that exists in the field: its base OT moves
+// 256-byte group elements where v3 reads 33-byte points, so without
+// the version check the session would die mid-OT with a length error.
+func TestServerRejectsV2Ack(t *testing.T) { serverRejectsAck(t, 2) }
+
+// The mirror image: a v2 server opens with its own version in the
+// hello, and the client stops there.
+func TestClientRejectsV2Hello(t *testing.T) {
+	cli, err := NewClient(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := wire.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if err := sendGob(a, hello{ProtoVersion: 2, Width: 8, AccWidth: 24, Signed: true, Scheme: "half-gates"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = clientRun(cli, b, []int64{1, 2})
+	wantMismatch(t, err, 2)
 }
 
 // TestDeprecatedWrappersStillServe pins the migration contract: the

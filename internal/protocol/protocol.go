@@ -8,7 +8,7 @@
 // sequential-GC flow that lets memory-constrained clients hold only
 // one round of labels at a time.
 //
-// # Protocol v2: multiplexed sessions
+// # Multiplexed sessions (since protocol v2)
 //
 // A connection carries one versioned handshake and one base-OT + IKNP
 // extension setup, then any number of requests. The client drives the
@@ -47,9 +47,12 @@ import (
 
 // ProtoVersion is the wire protocol generation spoken by this package.
 // Version 2 introduced the versioned handshake, per-connection OT
-// setup and multiplexed request framing; pre-versioned (v1) endpoints
-// are detected and rejected with ErrVersionMismatch.
-const ProtoVersion = 2
+// setup and multiplexed request framing; version 3 moved the base OT
+// onto P-256 (33-byte compressed points where v2 carried 256-byte
+// group elements) and changed nothing else. Any other generation —
+// v2, or a pre-versioned v1 endpoint — is detected in the handshake
+// and rejected with ErrVersionMismatch, before a single OT byte moves.
+const ProtoVersion = 3
 
 // ErrVersionMismatch is returned (wrapped, with both versions named)
 // when the two endpoints speak different protocol generations, instead
