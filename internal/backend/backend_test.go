@@ -267,6 +267,48 @@ type sessionEnd struct {
 	err error
 }
 
+// TestOversizedFirstFrameFreesSessionSlot: before the OT set-up is done
+// a peer has proven nothing, so a first frame announcing 64 MiB is
+// refused from its length prefix alone — the error names the set-up
+// cap, nothing near the announced size is allocated, and the slot, the
+// gauge and the arena are all released.
+func TestOversizedFirstFrameFreesSessionSlot(t *testing.T) {
+	cfg := testConfig(&logSink{})
+	cfg.MaxSessions, cfg.AdmissionWait = 1, 20*time.Second
+	ends := make(chan sessionEnd, 2) // the slot check at the end is a session too
+	cfg.OnSessionEnd = func(s Session, err error) { ends <- sessionEnd{s, err} }
+	b := start(t, cfg)
+
+	nc, err := net.DialTimeout("tcp", b.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if f := readFirst(wire.NewStreamConn(nc)); !f.admitted() {
+		t.Fatalf("hostile peer not admitted: %+v", f)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := nc.Write([]byte{0x04, 0x00, 0x00, 0x00}); err != nil { // "a 64 MiB frame follows"
+		t.Fatal(err)
+	}
+	first := <-ends
+	runtime.ReadMemStats(&after)
+	if first.err == nil || !strings.Contains(first.err.Error(), "exceeds limit 8192") || first.s.Established {
+		t.Errorf("session ended with %v (established=%v), want a refusal naming the 8192-byte set-up cap", first.err, first.s.Established)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("refusing a 64 MiB length prefix allocated %d bytes", grew)
+	}
+	waitFor(t, "sessions_active to return to 0", func() bool {
+		return b.Registry().Gauge("sessions_active", "").Value() == 0
+	})
+	if got := b.ArenaOutstanding(); got != 0 {
+		t.Errorf("arena buffers outstanding: %d", got)
+	}
+	holdSlot(t, b) // the only slot is free again: the next peer is admitted at once
+}
+
 // TestDrain: a drain that in-flight sessions finish inside reports
 // true; one they outlast logs the escalation, reports false, and Close
 // then cancels the stragglers and still returns.

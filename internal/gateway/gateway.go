@@ -417,7 +417,7 @@ func (g *Gateway) peek(conn wire.Conn) (pending []byte, hint protocol.ShapeHint,
 		return nil, protocol.ShapeHint{}, false, nil
 	}
 	dc.SetDeadline(time.Now().Add(g.cfg.PeekTimeout))
-	frame, rerr := conn.RecvMsg()
+	frame, rerr := recvFirstFrame(conn)
 	dc.SetDeadline(time.Time{})
 	switch {
 	case rerr == nil:
@@ -428,6 +428,16 @@ func (g *Gateway) peek(conn wire.Conn) (pending []byte, hint protocol.ShapeHint,
 	default:
 		return nil, protocol.ShapeHint{}, false, rerr
 	}
+}
+
+// recvFirstFrame reads a connection's first frame — a hint, ack, hello
+// or busy frame from a peer that has proven nothing yet — under the
+// set-up receive cap, and lifts the cap for the relayed session after
+// it (the endpoints enforce their own phase caps).
+func recvFirstFrame(conn wire.Conn) ([]byte, error) {
+	wire.LimitRecv(conn, wire.SetupFrameLimit)
+	defer wire.LimitRecv(conn, wire.MaxMessageSize)
+	return conn.RecvMsg()
 }
 
 // route orders the routable backends for one session. Hinted sessions
@@ -542,7 +552,7 @@ func (g *Gateway) connect(b *backendState, pending []byte) (wire.Conn, []byte, *
 		dc.SetDeadline(time.Now().Add(g.cfg.HelloTimeout))
 		defer dc.SetDeadline(time.Time{})
 	}
-	first, err := conn.RecvMsg()
+	first, err := recvFirstFrame(conn)
 	if err != nil {
 		conn.Close()
 		return nil, nil, nil, err

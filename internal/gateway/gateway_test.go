@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -472,6 +473,25 @@ func TestClientGoneDuringPeek(t *testing.T) {
 	f.drain()
 	if got := f.totalServed(); got != 0 {
 		t.Fatalf("fleet served %d sessions for a vanished client", got)
+	}
+	if got := f.obs.Metrics().Counter("gw_peek_errors_total", "").Value(); got != 1 {
+		t.Fatalf("gw_peek_errors_total = %d", got)
+	}
+}
+
+// TestOversizedPrefaceRefusedAtPeek: the routing peek reads under the
+// set-up receive cap, so a client whose first length prefix announces
+// 64 MiB is dropped at the peek — no buffer of that size, no backend
+// consumed.
+func TestOversizedPrefaceRefusedAtPeek(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	p1, p2 := net.Pipe()
+	defer p2.Close()
+	go p2.Write([]byte{0x04, 0x00, 0x00, 0x00})
+	f.gw.HandleConn(wire.NewStreamConn(p1)) // synchronous: returns once the peek fails
+	f.drain()
+	if got := f.totalServed(); got != 0 {
+		t.Fatalf("fleet served %d sessions for an over-cap preface", got)
 	}
 	if got := f.obs.Metrics().Counter("gw_peek_errors_total", "").Value(); got != 1 {
 		t.Fatalf("gw_peek_errors_total = %d", got)

@@ -7,9 +7,9 @@ import (
 	"maxelerator/internal/label"
 )
 
-// Wire codec for Material: a versioned, explicit binary layout so that
-// non-Go evaluators can speak the protocol (gob is Go-only). Layout,
-// all integers little-endian:
+// Wire codec for Material: a versioned, explicit binary layout, so that
+// an evaluator in any language can speak the protocol. Layout, all
+// integers little-endian:
 //
 //	byte    version (1)
 //	uint64  tweak base

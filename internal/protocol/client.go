@@ -95,31 +95,19 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 	}
 	// Load shedding precedes version negotiation: an overloaded server
 	// answers the connection with a busy frame instead of its hello.
-	// Probe for it first — a genuine hello decoded as msgBusy leaves
-	// Busy false, so the probe never misfires.
-	var busy msgBusy
-	if err := decodeGob(first, &busy); err == nil && busy.Busy {
-		return nil, &BusyError{RetryAfter: busyRetryAfter(busy)}
+	if busy, ok := PeekBusy(first); ok {
+		return nil, busy
 	}
-	var h hello
-	if err := decodeGob(first, &h); err != nil {
-		return nil, fmt.Errorf("protocol: reading handshake: %w", err)
+	h, err := parseHello(first)
+	if err != nil {
+		return nil, errForeignFrame("server", err)
 	}
 	if h.ProtoVersion != ProtoVersion {
-		if h.ProtoVersion == 0 {
-			return nil, fmt.Errorf("%w: server speaks an unversioned pre-v%d protocol, client v%d", ErrVersionMismatch, ProtoVersion, ProtoVersion)
-		}
 		return nil, fmt.Errorf("%w: server speaks v%d, client v%d", ErrVersionMismatch, h.ProtoVersion, ProtoVersion)
 	}
-	if err := sendGob(tc, helloAck{ProtoVersion: ProtoVersion}); err != nil {
+	if err := tc.SendMsg(appendHelloAck(nil, ProtoVersion)); err != nil {
 		return nil, err
 	}
-	scheme, err := schemeByName(h.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	params := gc.DefaultParams()
-	params.Scheme = scheme
 	ckt, err := circuit.MAC(circuit.MACConfig{Width: h.Width, AccWidth: h.AccWidth, Signed: h.Signed})
 	if err != nil {
 		return nil, fmt.Errorf("protocol: rebuilding MAC netlist: %w", err)
@@ -130,13 +118,13 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 		return nil, err
 	}
 	tc.enterPhase(phaseRequestOpen, c.timeouts.IO)
-	return &ClientSession{c: c, conn: tc, tc: tc, to: c.timeouts, h: h, params: params, macCkt: ckt, receiver: receiver}, nil
+	return &ClientSession{c: c, conn: tc, tc: tc, to: c.timeouts, h: h, params: gc.DefaultParams(), macCkt: ckt, receiver: receiver}, nil
 }
 
 // Do runs one request with the client vector y and returns the decoded
 // outputs (one per server matrix row). The server decides the request
-// shape — mode, matrix dimensions, OT mode — and announces it in the
-// request header; Do validates that y fits.
+// shape — matrix dimensions, OT mode — and announces it in the request
+// header; Do validates that y fits.
 func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 	if cs.broken != nil {
 		return nil, fmt.Errorf("%w: session unusable after earlier error: %w", ErrSessionClosed, cs.broken)
@@ -154,11 +142,13 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 		bitsPerRound[i] = circuit.Int64ToBits(v, cs.h.Width)
 	}
 	cs.tc.enterPhase(phaseRequestOpen, cs.to.IO)
-	if err := sendGob(cs.conn, reqOpen{Op: opRequest}); err != nil {
+	if err := cs.conn.SendMsg([]byte{tagReqOpen}); err != nil {
 		return nil, cs.fail(err)
 	}
-	var hdr reqHeader
-	if err := recvGob(cs.conn, &hdr); err != nil {
+	// The parse also rejects an OT mode this generation does not know,
+	// before any label is asked for.
+	hdr, err := recvFrame(cs.conn, parseReqHeader)
+	if err != nil {
 		return nil, cs.fail(fmt.Errorf("protocol: reading request header: %w", err))
 	}
 	if hdr.Cols != len(y) {
@@ -169,15 +159,12 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 		return nil, cs.fail(fmt.Errorf("protocol: server expects a %d-element vector, client holds %d", hdr.Cols, len(y)))
 	}
 	cs.tc.enterPhase(phaseRounds, cs.to.IO)
-	if hdr.Mode != wireModeMatVec {
-		return nil, cs.fail(fmt.Errorf("protocol: server announced unknown mode %q", hdr.Mode))
-	}
 	outs, err := cs.evalMatVec(hdr, bitsPerRound)
 	if err != nil {
 		return nil, cs.fail(err)
 	}
 	cs.tc.enterPhase(phaseDecode, cs.to.IO)
-	if err := sendGob(cs.conn, result{Values: outs}); err != nil {
+	if err := cs.conn.SendMsg(appendResult(nil, outs)); err != nil {
 		return nil, cs.fail(err)
 	}
 	cs.seq++
@@ -206,7 +193,7 @@ func (cs *ClientSession) Close() error {
 		return nil
 	}
 	cs.closed = true
-	return sendGob(cs.conn, reqOpen{Op: opEnd})
+	return cs.conn.SendMsg([]byte{tagSessionEnd})
 }
 
 // Requests returns how many requests the session has completed.
@@ -220,10 +207,6 @@ func (cs *ClientSession) Err() error { return cs.broken }
 // evalMatVec evaluates a matvec request round by round, obtaining
 // input labels per the server-announced OT mode.
 func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int64, error) {
-	if err := hdr.OT.validate(); err != nil {
-		return nil, err
-	}
-
 	// Batched mode: obtain every round's labels in one OT batch before
 	// any material arrives — faster, but the client holds
 	// Rows·Cols·Width labels at once (§3's memory tradeoff).

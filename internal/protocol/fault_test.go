@@ -17,6 +17,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -297,13 +298,7 @@ func TestServeContextCancellationInterruptsStalledSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sendGob(cs.conn, reqOpen{Op: opRequest}); err != nil {
-		t.Fatal(err)
-	}
-	var hdr reqHeader
-	if err := recvGob(cs.conn, &hdr); err != nil {
-		t.Fatal(err)
-	}
+	openRequestByHand(t, cs)
 
 	time.Sleep(100 * time.Millisecond)
 	cancel()
@@ -329,8 +324,7 @@ func TestServeContextCancellationInterruptsStalledSession(t *testing.T) {
 
 // TestClientAbortClosesConnPromptly: a client that bails on a request
 // header it cannot serve — a vector-length mismatch, or a shape this
-// generation retired (the serial datapath, correlated OT = OTMode 2) —
-// names the problem and closes the connection, so the server fails fast
+// generation retired (correlated OT = OTMode 2) — names the problem and closes the connection, so the server fails fast
 // instead of stalling until its deadline (or, without one, forever).
 // The server here has NO timeouts — only the abort-by-close can unblock
 // it.
@@ -340,11 +334,10 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 	// for the peer.
 	announce := func(hdr reqHeader) func(*ServerSession) error {
 		return func(sess *ServerSession) error {
-			var open reqOpen
-			if err := recvGob(sess.conn, &open); err != nil {
+			if _, err := sess.conn.RecvMsg(); err != nil {
 				return err
 			}
-			if err := sendGob(sess.conn, hdr); err != nil {
+			if err := sess.conn.SendMsg(appendReqHeader(nil, hdr)); err != nil {
 				return err
 			}
 			_, err := sess.conn.RecvMsg()
@@ -360,8 +353,7 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 			_, err := sess.Serve(Request{Matrix: [][]int64{{1, 2, 3}}})
 			return err
 		}, "3-element vector"},
-		{"retired serial mode", announce(reqHeader{Mode: "serial", Rows: 1, Cols: 1}), `unknown mode "serial"`},
-		{"retired correlated OT", announce(reqHeader{Mode: wireModeMatVec, Rows: 1, Cols: 1, OT: 2}), "unknown OT mode 2"},
+		{"retired correlated OT", announce(reqHeader{Rows: 1, Cols: 1, OT: 2}), "unknown OT mode 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -519,6 +511,103 @@ func checkGoroutines(t *testing.T, before int) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// largestRecv records the largest frame received through it.
+type largestRecv struct {
+	wire.Conn
+	max int
+}
+
+func (c *largestRecv) RecvMsg() ([]byte, error) {
+	msg, err := c.Conn.RecvMsg()
+	c.max = max(c.max, len(msg))
+	return msg, err
+}
+
+func (c *largestRecv) Unwrap() wire.Conn { return c.Conn }
+
+// TestSetupReceiveCap: until the OT set-up is done each endpoint reads
+// under wire.SetupFrameLimit, so a length prefix announcing 64 MiB is
+// refused by name instead of allocated (the server side of this, slot
+// and gauges included, is backend.TestOversizedFirstFrameFreesSessionSlot);
+// once a request is open the cap is wire.MaxMessageSize again, and a
+// 16x16 b=16 batched request — whose one OT frame alone is far above
+// the set-up cap — is served as before.
+func TestSetupReceiveCap(t *testing.T) {
+	t.Run("client refuses an over-cap first frame", func(t *testing.T) {
+		cli, err := NewClient(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, p2 := net.Pipe()
+		defer p1.Close()
+		defer p2.Close()
+		go p1.Write([]byte{0x04, 0x00, 0x00, 0x00}) // "a 64 MiB frame follows"
+		_, err = cli.Dial(wire.NewStreamConn(p2))
+		if err == nil || !strings.Contains(err.Error(), "exceeds limit 8192") {
+			t.Fatalf("Dial error = %v, want a refusal naming the 8192-byte set-up cap", err)
+		}
+	})
+	t.Run("large frames pass once a request is open", func(t *testing.T) {
+		const n = 16
+		srv, err := NewServer(maxsim.Config{Width: 16, AccWidth: 40, Signed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := NewClient(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		A, y, want := make([][]int64, n), make([]int64, n), make([]int64, n)
+		for i := range A {
+			A[i] = make([]int64, n)
+			y[i] = int64(3*i - 20)
+		}
+		for i := range A {
+			for j := range A[i] {
+				A[i][j] = int64(i*j - 100)
+				want[i] += A[i][j] * y[j]
+			}
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		srvDone := make(chan error, 1)
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				srvDone <- err
+				return
+			}
+			defer c.Close()
+			_, err = srv.Serve(wire.NewStreamConn(c), Request{Matrix: A, OT: OTBatched})
+			srvDone <- err
+		}()
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		conn := &largestRecv{Conn: wire.NewStreamConn(nc)}
+		got, err := clientRun(cli, conn, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serr := <-srvDone; serr != nil {
+			t.Fatal(serr)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("row %d = %d, want %d", i, got[i], want[i])
+			}
+		}
+		if conn.max <= wire.SetupFrameLimit {
+			t.Fatalf("largest frame received was %d bytes: the request never exceeded the set-up cap", conn.max)
+		}
+	})
 }
 
 // rewriteSend is the hostile-peer fault: the Nth message sent through

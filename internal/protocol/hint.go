@@ -30,7 +30,7 @@ type ShapeHint struct {
 	// Width is the operand bit-width; Signed the datapath signedness.
 	Width  int
 	Signed bool
-	// Mode is the wire name of the datapath ("matvec").
+	// Mode is the name of the datapath ("matvec").
 	Mode string
 	// OT is the label-transfer mode name ("per-round" or "batched").
 	OT string
@@ -47,54 +47,41 @@ func (h ShapeHint) Key() string {
 	return fmt.Sprintf("%dx%d/b%d%s/%s/%s", h.Rows, h.Cols, h.Width, sign, h.Mode, h.OT)
 }
 
-// msgShapeHint is the wire form of the preface. Hint is always true on
-// the wire; it is the field that distinguishes a hint from the other
-// first-frame shapes when probed (gob matches fields by name, so a
-// helloAck or busy frame decoded into msgShapeHint leaves Hint false —
-// the same trick msgBusy uses).
-type msgShapeHint struct {
-	Hint       bool
-	Rows, Cols int
-	Width      int
-	Signed     bool
-	Mode       string
-	OT         string
-}
+// shapeModeMatVec is the one datapath name, as it appears in hints and
+// precompute pool keys: one garbled MAC round per matrix element.
+const shapeModeMatVec = "matvec"
 
 // SendShapeHint writes the hint preface on conn. Clients call it (via
 // Client.WithShapeHint) before reading the server hello; a gateway
-// consumes the frame, a directly-dialed server skips it.
+// consumes the frame, a directly-dialed server skips it. A Mode or OT
+// outside the protocol's vocabulary is refused here, before anything is
+// sent.
 func SendShapeHint(conn wire.Conn, h ShapeHint) error {
-	return sendGob(conn, msgShapeHint{
-		Hint: true,
-		Rows: h.Rows, Cols: h.Cols, Width: h.Width, Signed: h.Signed,
-		Mode: h.Mode, OT: h.OT,
-	})
-}
-
-// PeekShapeHint probes an already-received frame as a shape-hint
-// preface. It reports false for every other frame shape (helloAck,
-// busy, hello), so a router can peek its client's first frame without
-// consuming anything it cannot classify.
-func PeekShapeHint(frame []byte) (ShapeHint, bool) {
-	var m msgShapeHint
-	if err := decodeGob(frame, &m); err != nil || !m.Hint {
-		return ShapeHint{}, false
+	frame, err := appendShapeHint(nil, h)
+	if err != nil {
+		return err
 	}
-	return ShapeHint{
-		Rows: m.Rows, Cols: m.Cols, Width: m.Width, Signed: m.Signed,
-		Mode: m.Mode, OT: m.OT,
-	}, true
+	return conn.SendMsg(frame)
 }
 
-// PeekBusy probes an already-received frame as a load-shedding BUSY
-// frame, the way Client.Dial does before version negotiation. A
-// gateway uses it on the first backend frame to trigger failover to
-// the next ring replica instead of surfacing the rejection.
+// PeekShapeHint reports whether an already-received frame is a
+// shape-hint preface, and the hint it carries. Every other frame (hello
+// ack, busy, hello, a malformed hint) reports false, so a router can
+// peek its client's first frame without consuming anything it cannot
+// classify.
+func PeekShapeHint(frame []byte) (ShapeHint, bool) {
+	h, err := parseShapeHint(frame)
+	return h, err == nil
+}
+
+// PeekBusy reports whether an already-received frame is a load-shedding
+// busy frame, as the BusyError Client.Dial would return for it. A
+// gateway uses it on the first backend frame to trigger failover to the
+// next ring replica instead of surfacing the rejection.
 func PeekBusy(frame []byte) (*BusyError, bool) {
-	var busy msgBusy
-	if err := decodeGob(frame, &busy); err != nil || !busy.Busy {
+	retryAfter, err := parseBusy(frame)
+	if err != nil {
 		return nil, false
 	}
-	return &BusyError{RetryAfter: busyRetryAfter(busy)}, true
+	return &BusyError{RetryAfter: retryAfter}, true
 }

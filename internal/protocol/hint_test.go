@@ -12,25 +12,6 @@ import (
 	"maxelerator/internal/wire"
 )
 
-// captureFrame sends v as a gob frame over a pipe and returns the raw
-// bytes, the way a gateway sees a peeked first frame.
-func captureFrame(t *testing.T, v any) []byte {
-	t.Helper()
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- sendGob(a, v) }()
-	frame, err := b.RecvMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	return frame
-}
-
 func TestShapeHintKeyMatchesPrecomputeShape(t *testing.T) {
 	h := ShapeHint{Rows: 4, Cols: 3, Width: 8, Signed: true, Mode: "matvec", OT: "batched"}
 	want := precompute.Shape{Rows: 4, Cols: 3, Width: 8, Signed: true, Mode: "matvec", OT: "batched"}.String()
@@ -44,9 +25,26 @@ func TestShapeHintKeyMatchesPrecomputeShape(t *testing.T) {
 	}
 }
 
+// sentFrame returns the one frame send puts on a connection, the way a
+// gateway sees a peeked first frame.
+func sentFrame(t *testing.T, send func(wire.Conn) error) []byte {
+	t.Helper()
+	a, b := wire.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if err := send(a); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := b.RecvMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 func TestPeekShapeHintClassifiesFrames(t *testing.T) {
 	h := ShapeHint{Rows: 2, Cols: 5, Width: 8, Mode: "matvec", OT: "per-round"}
-	frame := captureFrame(t, msgShapeHint{Hint: true, Rows: 2, Cols: 5, Width: 8, Mode: "matvec", OT: "per-round"})
+	frame := sentFrame(t, func(c wire.Conn) error { return SendShapeHint(c, h) })
 	got, ok := PeekShapeHint(frame)
 	if !ok {
 		t.Fatal("genuine hint not recognized")
@@ -54,35 +52,22 @@ func TestPeekShapeHintClassifiesFrames(t *testing.T) {
 	if got != h {
 		t.Fatalf("hint round-trip: got %+v, want %+v", got, h)
 	}
-	// Every other first-frame shape must probe false: the gateway peeks
-	// frames it cannot classify and forwards them untouched.
-	for name, v := range map[string]any{
-		"helloAck": helloAck{ProtoVersion: ProtoVersion},
-		"hello":    hello{ProtoVersion: ProtoVersion, Width: 8, Scheme: "half-gates"},
-		"busy":     msgBusy{Busy: true, RetryAfterMillis: 50},
-	} {
-		if _, ok := PeekShapeHint(captureFrame(t, v)); ok {
+	// Every other first frame must peek false: the gateway forwards
+	// frames it cannot classify untouched.
+	others := oneOfEach(t)
+	delete(others, "shape hint")
+	others["v3 gob hint"] = v3GobHint
+	others["garbage"] = []byte{0xff, 0x01}
+	others["hint with a trailing byte"] = append(frame[:len(frame):len(frame)], 0)
+	for name, f := range others {
+		if _, ok := PeekShapeHint(f); ok {
 			t.Fatalf("%s frame misclassified as shape hint", name)
 		}
-	}
-	if _, ok := PeekShapeHint([]byte{0xff, 0x01}); ok {
-		t.Fatal("garbage classified as shape hint")
 	}
 }
 
 func TestPeekBusyClassifiesFrames(t *testing.T) {
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	done := make(chan error, 1)
-	go func() { done <- SendBusy(a, 75*time.Millisecond) }()
-	frame, err := b.RecvMsg()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
+	frame := sentFrame(t, func(c wire.Conn) error { return SendBusy(c, 75*time.Millisecond) })
 	be, ok := PeekBusy(frame)
 	if !ok {
 		t.Fatal("busy frame not recognized")
@@ -90,8 +75,13 @@ func TestPeekBusyClassifiesFrames(t *testing.T) {
 	if be.RetryAfter != 75*time.Millisecond {
 		t.Fatalf("RetryAfter = %v", be.RetryAfter)
 	}
-	if _, ok := PeekBusy(captureFrame(t, hello{ProtoVersion: ProtoVersion})); ok {
-		t.Fatal("hello frame misclassified as busy")
+	others := oneOfEach(t)
+	delete(others, "busy")
+	others["v3 gob busy"] = v3GobBusy
+	for name, f := range others {
+		if _, ok := PeekBusy(f); ok {
+			t.Fatalf("%s frame misclassified as busy", name)
+		}
 	}
 }
 

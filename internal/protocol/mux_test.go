@@ -437,16 +437,10 @@ func disconnectMidRounds(t *testing.T, mode OTMode) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Open the request by hand: reqOpen out, reqHeader in — then
-	// vanish. The server is now mid-rounds, waiting on OT traffic that
-	// will never come.
-	if err := sendGob(cs.conn, reqOpen{Op: opRequest}); err != nil {
-		t.Fatal(err)
-	}
-	var hdr reqHeader
-	if err := recvGob(cs.conn, &hdr); err != nil {
-		t.Fatal(err)
-	}
+	// Open the request by hand — request open out, request header in —
+	// then vanish. The server is now mid-rounds, waiting on OT traffic
+	// that will never come.
+	openRequestByHand(t, cs)
 	b.Close()
 
 	select {
@@ -478,117 +472,22 @@ func TestClientDisconnectMidRoundsPerRound(t *testing.T) {
 	}
 }
 
-// v1Hello mirrors the pre-versioned handshake frame: same field names,
-// no ProtoVersion.
-type v1Hello struct {
-	Width, AccWidth int
-	Signed          bool
-	Scheme          string
-	Rows, Cols      int
-	BatchedOT       bool
-	CorrelatedOT    bool
-}
-
-func TestClientRejectsUnversionedServer(t *testing.T) {
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	// A v1 server opens with a hello that has no ProtoVersion field.
-	if err := sendGob(a, v1Hello{Width: 8, AccWidth: 24, Scheme: "half-gates", Rows: 1, Cols: 2}); err != nil {
-		t.Fatal(err)
-	}
-	_, err = clientRun(cli, b, []int64{1, 2})
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("client error = %v, want ErrVersionMismatch", err)
-	}
-}
-
-func TestServerRejectsUnversionedClient(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	srvDone := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(a, Request{Matrix: [][]int64{{1, 2}}})
-		srvDone <- err
-	}()
-	// A v1 client never acks: it reads the hello and immediately opens
-	// its base-OT phase. The server must name the version mismatch
-	// instead of failing with a bare decode error.
-	if _, err := b.RecvMsg(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SendMsg([]byte{0x01, 0x02, 0x03, 0x04}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-srvDone:
-		if !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("server error = %v, want ErrVersionMismatch", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("server hung on unversioned client")
-	}
-}
-
-// wantMismatch fails unless err is a version mismatch that names both
-// generations, so an operator can tell which side to upgrade.
+// wantMismatch fails unless err is a version mismatch naming this
+// generation and, when the peer's is knowable (peer > 0: it framed a v4
+// hello or ack around another number), the peer's too — so an operator
+// can tell which side to upgrade.
 func wantMismatch(t *testing.T, err error, peer int) {
 	t.Helper()
-	if !errors.Is(err, ErrVersionMismatch) ||
-		!strings.Contains(err.Error(), fmt.Sprintf("v%d", peer)) ||
-		!strings.Contains(err.Error(), fmt.Sprintf("v%d", ProtoVersion)) {
-		t.Fatalf("error = %v, want ErrVersionMismatch naming v%d and v%d", err, peer, ProtoVersion)
+	if !errors.Is(err, ErrVersionMismatch) || !strings.Contains(err.Error(), fmt.Sprintf("v%d", ProtoVersion)) ||
+		(peer > 0 && !strings.Contains(err.Error(), fmt.Sprintf("v%d", peer))) {
+		t.Fatalf("error = %v, want ErrVersionMismatch naming v%d (peer v%d)", err, ProtoVersion, peer)
 	}
 }
 
-// serverRejectsAck answers the server's hello with a helloAck of
-// another generation.
-func serverRejectsAck(t *testing.T, peer int) {
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	srvDone := make(chan error, 1)
-	go func() {
-		_, err := srv.Serve(a, Request{Matrix: [][]int64{{1, 2}}})
-		srvDone <- err
-	}()
-	if _, err := b.RecvMsg(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sendGob(b, helloAck{ProtoVersion: peer}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-srvDone:
-		wantMismatch(t, err, peer)
-	case <-time.After(30 * time.Second):
-		t.Fatalf("server hung on a v%d ack", peer)
-	}
-}
-
-func TestServerRejectsFutureVersionAck(t *testing.T) { serverRejectsAck(t, 99) }
-
-// v2 is the mismatch that exists in the field: its base OT moves
-// 256-byte group elements where v3 reads 33-byte points, so without
-// the version check the session would die mid-OT with a length error.
-func TestServerRejectsV2Ack(t *testing.T) { serverRejectsAck(t, 2) }
-
-// The mirror image: a v2 server opens with its own version in the
-// hello, and the client stops there.
-func TestClientRejectsV2Hello(t *testing.T) {
+// clientRejectsFirstFrame plays a server whose first frame is frame and
+// returns what Dial makes of it.
+func clientRejectsFirstFrame(t *testing.T, frame []byte) error {
+	t.Helper()
 	cli, err := NewClient(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -596,11 +495,94 @@ func TestClientRejectsV2Hello(t *testing.T) {
 	a, b := wire.Pipe()
 	defer a.Close()
 	defer b.Close()
-	if err := sendGob(a, hello{ProtoVersion: 2, Width: 8, AccWidth: 24, Signed: true, Scheme: "half-gates"}); err != nil {
+	if err := a.SendMsg(frame); err != nil {
 		t.Fatal(err)
 	}
-	_, err = clientRun(cli, b, []int64{1, 2})
-	wantMismatch(t, err, 2)
+	cb := wire.NewCounting(b)
+	_, err = cli.Dial(cb)
+	if _, _, sent, _ := cb.Totals(); sent != 0 {
+		t.Fatalf("client sent %d frames after a first frame it had to refuse", sent)
+	}
+	return err
+}
+
+// serverRejectsFirstFrames answers the server's hello with the given
+// client frames and returns the server's error.
+func serverRejectsFirstFrames(t *testing.T, frames ...[]byte) error {
+	t.Helper()
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := wire.Pipe()
+	defer a.Close()
+	defer b.Close()
+	ca := wire.NewCounting(a)
+	srvDone := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(ca, Request{Matrix: [][]int64{{1, 2}}})
+		srvDone <- err
+	}()
+	if _, err := b.RecvMsg(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if err := b.SendMsg(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case err := <-srvDone:
+		if _, _, sent, _ := ca.Totals(); sent != 1 {
+			t.Fatalf("server sent %d frames, want its hello and nothing after", sent)
+		}
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("server hung on a foreign handshake frame")
+		return nil
+	}
+}
+
+// A v1 server opened with a gob hello that had no ProtoVersion field.
+func TestClientRejectsUnversionedServer(t *testing.T) {
+	wantMismatch(t, clientRejectsFirstFrame(t, v1GobHello), 0)
+}
+
+// A v1 client never acked: it read the hello and immediately opened its
+// base-OT phase. The server must name the version mismatch instead of
+// failing with a bare parse error.
+func TestServerRejectsUnversionedClient(t *testing.T) {
+	wantMismatch(t, serverRejectsFirstFrames(t, []byte{0x01, 0x02, 0x03, 0x04}), 0)
+}
+
+func TestServerRejectsFutureVersionAck(t *testing.T) {
+	wantMismatch(t, serverRejectsFirstFrames(t, appendHelloAck(nil, 99)), 99)
+}
+
+// An ack that names another generation inside this generation's
+// framing.
+func TestServerRejectsV2Ack(t *testing.T) {
+	wantMismatch(t, serverRejectsFirstFrames(t, appendHelloAck(nil, 2)), 2)
+}
+
+// The mirror image: the hello carries the server's version first, and
+// the client stops there.
+func TestClientRejectsV2Hello(t *testing.T) {
+	frame := appendHello(nil, hello{ProtoVersion: 2, Width: 8, AccWidth: 24, Signed: true})
+	wantMismatch(t, clientRejectsFirstFrame(t, frame), 2)
+}
+
+// TestV3GobFramesRejected: v3 is the mismatch that exists in the field.
+// It framed its control messages with gob, so none of its first frames
+// carries a v4 tag; each (captured bytes, see frames_test.go) must be
+// refused by name before any OT byte moves — including the busy frame,
+// whose retry hint a v4 client cannot trust itself to read, and the
+// hint, which a directly-dialed v4 server would otherwise skip.
+func TestV3GobFramesRejected(t *testing.T) {
+	t.Run("hello", func(t *testing.T) { wantMismatch(t, clientRejectsFirstFrame(t, v3GobHello), 0) })
+	t.Run("busy", func(t *testing.T) { wantMismatch(t, clientRejectsFirstFrame(t, v3GobBusy), 0) })
+	t.Run("ack", func(t *testing.T) { wantMismatch(t, serverRejectsFirstFrames(t, v3GobAck), 0) })
+	t.Run("hint", func(t *testing.T) { wantMismatch(t, serverRejectsFirstFrames(t, v3GobHint, v3GobAck), 0) })
 }
 
 // TestDeprecatedWrappersStillServe pins the migration contract: the

@@ -16,7 +16,7 @@
 // server header (rows, columns, OT mode), served with fresh labels,
 // and closed by the client's result report. Paying the expensive OT
 // setup once per connection instead of once per request is what makes
-// the "millions of users" target reachable; see DESIGN.md §9 for the
+// the "millions of users" target reachable; see DESIGN.md §8 for the
 // wire format.
 //
 // The server entry point is Serve (one request over a fresh
@@ -30,9 +30,7 @@
 package protocol
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -49,14 +47,18 @@ import (
 // Version 2 introduced the versioned handshake, per-connection OT
 // setup and multiplexed request framing; version 3 moved the base OT
 // onto P-256 (33-byte compressed points where v2 carried 256-byte
-// group elements) and changed nothing else. Any other generation —
-// v2, or a pre-versioned v1 endpoint — is detected in the handshake
-// and rejected with ErrVersionMismatch, before a single OT byte moves.
-const ProtoVersion = 3
+// group elements); version 4 replaced the gob-encoded control frames
+// with the tagged binary ones of frames.go, and fixes the garbling
+// parameters (half gates over fixed-key AES) instead of naming the
+// scheme in the hello. Any other generation is detected in the
+// handshake — by its version field, or, for the gob generations, by the
+// first byte of its first frame — and rejected with ErrVersionMismatch
+// before a single OT byte moves.
+const ProtoVersion = 4
 
-// ErrVersionMismatch is returned (wrapped, with both versions named)
-// when the two endpoints speak different protocol generations, instead
-// of the gob decode error a raw mismatch would produce.
+// ErrVersionMismatch is returned (wrapped, naming the local version and
+// what is known of the peer's) when the two endpoints speak different
+// protocol generations.
 var ErrVersionMismatch = errors.New("protocol: version mismatch")
 
 // ErrSessionEnded is returned by ServerSession.Serve when the client
@@ -65,8 +67,7 @@ var ErrVersionMismatch = errors.New("protocol: version mismatch")
 var ErrSessionEnded = errors.New("protocol: session ended by client")
 
 // ErrSessionClosed is returned by ClientSession.Do on a session that
-// was Closed or broken by an earlier error — a named sentinel instead
-// of the opaque gob/transport error a dead session used to produce.
+// was Closed or broken by an earlier error (then wrapping that error).
 var ErrSessionClosed = errors.New("protocol: client session closed")
 
 // ErrServerBusy marks a connection the server shed at admission: the
@@ -135,171 +136,40 @@ func (m OTMode) validate() error {
 	}
 }
 
-// Wire frames. The server opens the connection with hello, the client
-// answers with helloAck, and from then on the client drives: each
-// reqOpen is answered by a reqHeader, the round stream, and the
-// client's result.
-type hello struct {
-	// ProtoVersion is negotiated first: endpoints with different
-	// generations must fail by name, not by gob decode error.
-	ProtoVersion int
-	// Width, AccWidth and Signed mirror the accelerator configuration.
-	Width, AccWidth int
-	Signed          bool
-	// Scheme names the AND-garbling scheme.
-	Scheme string
-}
-
-// helloAck is the client's half of the version negotiation.
-type helloAck struct {
-	ProtoVersion int
-}
-
-// msgBusy is the load-shedding frame: an overloaded server sends it in
-// place of its hello and closes the connection. Busy is always true on
-// the wire; it is the field that distinguishes a busy frame from a
-// hello when the client probes the first frame (a hello decoded into
-// msgBusy leaves Busy false, since gob matches fields by name).
-type msgBusy struct {
-	Busy             bool
-	RetryAfterMillis int64
-}
-
 // SendBusy sheds one connection: it sends the busy frame carrying the
 // retry hint. The caller closes the connection afterwards; the client
 // surfaces the frame as a BusyError from Dial.
 func SendBusy(conn wire.Conn, retryAfter time.Duration) error {
-	return sendGob(conn, msgBusy{Busy: true, RetryAfterMillis: retryAfter.Milliseconds()})
+	return conn.SendMsg(appendBusy(nil, retryAfter))
 }
 
-// busyRetryAfter converts the wire hint back to a duration.
-func busyRetryAfter(m msgBusy) time.Duration {
-	return time.Duration(m.RetryAfterMillis) * time.Millisecond
-}
-
-// errFrame rides the round stream (tagged roundTagError) to tell the
-// evaluator the garbler aborted the request. The message is a generic
-// description: internal details (panic values, operand ranges) stay in
-// the server log, never on the wire.
-type errFrame struct {
-	Msg string
-}
-
-// Request-loop operations.
-const (
-	opRequest = "request"
-	opEnd     = "end"
-)
-
-// reqOpen is the client's frame opening (or ending) one request.
-type reqOpen struct {
-	Op string
-}
-
-// reqHeader is the server's per-request shape announcement.
-type reqHeader struct {
-	// Seq numbers requests within the session, starting at 0.
-	Seq int
-	// Mode is the wire name of the served datapath.
-	Mode string
-	// Rows and Cols describe the server matrix: Rows dot products of
-	// length Cols. A plain dot product has Rows == 1.
-	Rows, Cols int
-	// OT is the label-transfer mode of this request.
-	OT OTMode
-}
-
-// wireModeMatVec is the one reqHeader.Mode value: one garbled MAC round
-// per matrix element.
-const wireModeMatVec = "matvec"
-
-// result is the client's final report back to the server (the paper's
-// output-sharing step: "Alice and Bob share their output maps to
-// learn the output z").
-type result struct {
-	Values []int64
-}
-
-func sendGob(conn wire.Conn, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("protocol: encoding %T: %w", v, err)
-	}
-	return conn.SendMsg(buf.Bytes())
-}
-
-// decodeGob decodes one already-received frame, so a single frame can
-// be probed as more than one shape (busy frame vs hello).
-func decodeGob(msg []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(msg)).Decode(v); err != nil {
-		return fmt.Errorf("protocol: decoding %T: %w", v, err)
-	}
-	return nil
-}
-
-func recvGob(conn wire.Conn, v any) error {
-	msg, err := conn.RecvMsg()
-	if err != nil {
-		return err
-	}
-	return decodeGob(msg, v)
-}
-
-// Round-stream frame tags. Every frame the garbler sends at a round
-// boundary carries a one-byte tag, so the stream can deliver either
-// garbled material or a terminal error frame — the mechanism that lets
-// a recovered server-side panic fail one request explicitly instead of
-// leaving the evaluator blocked until its deadline.
-const (
-	roundTagMaterial byte = 0x00
-	roundTagError    byte = 0x01
-)
-
+// recvMaterial reads the next round-stream frame. At a round boundary
+// the garbler sends either garbled material or a terminal error frame —
+// the mechanism that lets a recovered server-side panic fail one
+// request explicitly instead of leaving the evaluator blocked until its
+// deadline.
 func recvMaterial(conn wire.Conn) (*gc.Material, error) {
 	msg, err := conn.RecvMsg()
 	if err != nil {
 		return nil, err
 	}
-	if len(msg) == 0 {
-		return nil, fmt.Errorf("protocol: empty round frame")
-	}
-	switch msg[0] {
-	case roundTagMaterial:
+	switch tagOf(msg) {
+	case tagMaterial:
 		return gc.UnmarshalMaterial(msg[1:])
-	case roundTagError:
-		var ef errFrame
-		if err := decodeGob(msg[1:], &ef); err != nil {
-			return nil, fmt.Errorf("%w: peer aborted the request (undecodable error frame: %v)", ErrInternal, err)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrInternal, ef.Msg)
+	case tagError:
+		return nil, fmt.Errorf("%w: %s", ErrInternal, msg[1:])
 	default:
-		return nil, fmt.Errorf("protocol: unknown round frame tag %#02x", msg[0])
+		return nil, fmt.Errorf("protocol: unknown round frame tag %#02x in a %d-byte frame", tagOf(msg), len(msg))
 	}
 }
 
 // sendErrFrame is the garbler's best-effort abort notification on the
 // round stream; failures to deliver it are ignored (the peer may
-// already be gone, and the session is broken either way).
-func sendErrFrame(conn wire.Conn, msg string) error {
-	var buf bytes.Buffer
-	buf.WriteByte(roundTagError)
-	if err := gob.NewEncoder(&buf).Encode(errFrame{Msg: msg}); err != nil {
-		return err
-	}
-	return conn.SendMsg(buf.Bytes())
-}
-
-func schemeByName(name string) (gc.Scheme, error) {
-	switch name {
-	case "half-gates":
-		return gc.HalfGates{}, nil
-	case "grr3":
-		return gc.GRR3{}, nil
-	case "four-row":
-		return gc.FourRow{}, nil
-	default:
-		return nil, fmt.Errorf("protocol: unknown garbling scheme %q", name)
-	}
+// already be gone, and the session is broken either way). The text is a
+// generic description: internal details (panic values, operand ranges)
+// stay in the server log, never on the wire.
+func sendErrFrame(conn wire.Conn, text string) error {
+	return conn.SendMsg(append([]byte{tagError}, text...))
 }
 
 // Server is the garbler endpoint: it owns the accelerator
@@ -348,7 +218,16 @@ func NewServer(cfg maxsim.Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{cfg: sim.Config(), arena: wire.NewArena()}, nil
+	// The hello names no garbling parameters: every v4 client evaluates
+	// under gc.DefaultParams, and a garbler on anything else would
+	// handshake cleanly and then compute garbage.
+	cfg = sim.Config()
+	got, want := cfg.Params, gc.DefaultParams()
+	if got.Scheme.Name() != want.Scheme.Name() || got.Hash.Name() != want.Hash.Name() {
+		return nil, fmt.Errorf("protocol: protocol v%d fixes %s/%s, got %s/%s", ProtoVersion,
+			want.Scheme.Name(), want.Hash.Name(), got.Scheme.Name(), got.Hash.Name())
+	}
+	return &Server{cfg: cfg, arena: wire.NewArena()}, nil
 }
 
 // WithObs attaches an observability hub: every session is counted,
@@ -384,7 +263,7 @@ func (s *Server) shapeOf(req Request) precompute.Shape {
 		Cols:   len(req.Matrix[0]),
 		Width:  s.cfg.Width,
 		Signed: s.cfg.Signed,
-		Mode:   wireModeMatVec,
+		Mode:   shapeModeMatVec,
 		OT:     req.OT.String(),
 	}
 }
@@ -485,9 +364,8 @@ func (s *Server) Serve(conn wire.Conn, req Request) (resp *Response, err error) 
 	// a known state (through the session's timed connection, so a peer
 	// that never sends it costs one budget, not forever); a disconnect
 	// here is fine, the work is done.
-	var open reqOpen
-	if derr := recvGob(sess.conn, &open); derr == nil && open.Op != opEnd {
-		return nil, fmt.Errorf("protocol: client opened a %q request on a single-request session", open.Op)
+	if frame, derr := sess.conn.RecvMsg(); derr == nil && tagOf(frame) != tagSessionEnd {
+		return nil, fmt.Errorf("protocol: client sent a frame tagged %#02x on a finished single-request session, want the session end", tagOf(frame))
 	}
 	return resp, nil
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
+	"maxelerator/internal/gc"
+	"maxelerator/internal/gchash"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/wire"
 )
@@ -268,15 +271,27 @@ func TestNewClientValidation(t *testing.T) {
 	}
 }
 
-func TestSchemeByName(t *testing.T) {
-	for _, name := range []string{"half-gates", "grr3", "four-row"} {
-		s, err := schemeByName(name)
-		if err != nil || s.Name() != name {
-			t.Fatalf("schemeByName(%q) = %v, %v", name, s, err)
+// TestGarblingParamsFixedByVersion: the v4 hello names no scheme and no
+// hash, and every client evaluates half gates over fixed-key AES — so a
+// server configured with anything else is refused at construction. It
+// used to handshake cleanly and report [7362817] for this dot product.
+func TestGarblingParamsFixedByVersion(t *testing.T) {
+	base := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
+	for name, p := range map[string]gc.Params{
+		"half-gates/sha256":      {Hash: gchash.NewSHA256(), Scheme: gc.HalfGates{}},
+		"grr3/fixed-key-aes":     {Hash: gchash.MustAES(), Scheme: gc.GRR3{}},
+		"four-row/fixed-key-aes": {Hash: gchash.MustAES(), Scheme: gc.FourRow{}},
+	} {
+		cfg := base
+		cfg.Params = p
+		_, err := NewServer(cfg)
+		if err == nil || !strings.Contains(err.Error(), "fixes half-gates/fixed-key-aes, got "+name) {
+			t.Errorf("%s: NewServer error = %v, want one naming both parameter sets", name, err)
 		}
 	}
-	if _, err := schemeByName("enigma"); err == nil {
-		t.Fatal("unknown scheme accepted")
+	_, out, _ := runSession(t, base, [][]int64{{1, 2, 3}}, []int64{3, 3, 3})
+	if len(out) != 1 || out[0] != 18 {
+		t.Fatalf("default parameters: got %v, want [18]", out)
 	}
 }
 

@@ -48,8 +48,7 @@ func TestDialBusyFrame(t *testing.T) {
 }
 
 // TestDialBusyProbeDoesNotMisfire: a genuine hello must never be
-// mistaken for a busy frame — Busy is the discriminator gob leaves
-// false when the frame is a hello.
+// mistaken for a busy frame.
 func TestDialBusyProbeDoesNotMisfire(t *testing.T) {
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
 	if err != nil {

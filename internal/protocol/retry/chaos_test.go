@@ -11,7 +11,6 @@ package retry
 import (
 	"bytes"
 	"crypto/rand"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -100,20 +99,9 @@ func (h *chaosServer) connect() (wire.Conn, error) {
 		h.wg.Add(1)
 		go func() {
 			defer h.wg.Done()
-			// A hand-built hello: gob matches struct fields by name, so
-			// this local shape decodes into the protocol's hello.
-			frame := struct {
-				ProtoVersion    int
-				Width, AccWidth int
-				Signed          bool
-				Scheme          string
-			}{ProtoVersion: s.helloVersion, Width: 8, AccWidth: 24, Signed: true, Scheme: "half-gates"}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(frame); err != nil {
-				h.t.Error(err)
-				return
-			}
-			_ = a.SendMsg(buf.Bytes())
+			// A hand-built hello, byte for byte (DESIGN.md §8): tag 0x80,
+			// u32 version, u16 width 8, u16 accumulator width 24, signed.
+			_ = a.SendMsg([]byte{0x80, byte(s.helloVersion), 0, 0, 0, 8, 0, 24, 0, 1})
 		}()
 		return b, nil
 	case s.cutHello:

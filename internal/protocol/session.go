@@ -2,8 +2,8 @@ package protocol
 
 // Multiplexed server sessions: one versioned handshake and one base-OT
 // + IKNP extension setup per connection, then any number of requests.
-// The client drives the request loop (reqOpen → reqHeader → rounds →
-// result); every request garbles under fresh labels (per-request
+// The client drives the request loop (request open → request header →
+// rounds → result); every request garbles under fresh labels (per-request
 // simulators), so multiplexing never weakens the paper's
 // fresh-labels-per-garbling requirement.
 
@@ -87,48 +87,38 @@ func (s *Server) startSession(ctx context.Context, conn wire.Conn, ss *session, 
 	ss.tr.SetAttr("proto_version", fmt.Sprint(ProtoVersion))
 	ss.tr.SetAttr("scheme", cfg.Params.Scheme.Name())
 	hs := ss.tr.StartSpan("handshake")
-	err := sendGob(tc, hello{
+	err := tc.SendMsg(appendHello(nil, hello{
 		ProtoVersion: ProtoVersion,
 		Width:        cfg.Width, AccWidth: cfg.AccWidth, Signed: cfg.Signed,
-		Scheme: cfg.Params.Scheme.Name(),
-	})
+	}))
 	if err != nil {
 		hs.End()
 		return nil, err
 	}
-	var ack helloAck
-	err = func() error {
-		frame, err := tc.RecvMsg()
-		if err != nil {
-			return err
-		}
-		// A hinted client's first frame is its routing preface, sent for
-		// the benefit of a gateway that may or may not be in the path.
-		// Dialed directly, the server just skips it: probe the frame as a
-		// hint (the Hint discriminator stays false on a genuine helloAck)
-		// and read the ack from the next frame.
-		if _, isHint := PeekShapeHint(frame); isHint {
-			if frame, err = tc.RecvMsg(); err != nil {
-				return err
-			}
-		}
-		return decodeGob(frame, &ack)
-	}()
+	frame, err := tc.RecvMsg()
+	// A hinted client's first frame is its routing preface, sent for the
+	// benefit of a gateway that may or may not be in the path. Dialed
+	// directly, the server just skips it and reads the ack from the next
+	// frame.
+	if err == nil && tagOf(frame) == tagShapeHint {
+		frame, err = tc.RecvMsg()
+	}
 	hs.End()
 	switch {
-	case err != nil && (errors.Is(err, ErrPhaseTimeout) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-		// Timeouts and cancellations already name the phase; pass them
-		// through untouched so errors.Is classification survives.
-		return nil, err
 	case err != nil && wire.IsDisconnect(err):
-		return nil, fmt.Errorf("protocol: peer hung up during handshake (it may speak an unversioned pre-v%d protocol): %w", ProtoVersion, err)
+		return nil, fmt.Errorf("protocol: peer hung up during handshake (it may speak another generation than v%d): %w", ProtoVersion, err)
 	case err != nil:
-		// A frame arrived but is not a helloAck: almost certainly a
-		// pre-versioned client that skipped the ack and started its
-		// base-OT phase.
-		return nil, fmt.Errorf("%w: expected a v%d handshake ack, got an unrecognized frame (%v)", ErrVersionMismatch, ProtoVersion, err)
-	case ack.ProtoVersion != ProtoVersion:
-		return nil, fmt.Errorf("%w: client speaks v%d, server v%d", ErrVersionMismatch, ack.ProtoVersion, ProtoVersion)
+		// Timeouts, cancellations and over-cap frames already say what
+		// happened; pass them through untouched so errors.Is
+		// classification survives.
+		return nil, err
+	}
+	peer, err := parseHelloAck(frame)
+	switch {
+	case err != nil:
+		return nil, errForeignFrame("client", err)
+	case peer != ProtoVersion:
+		return nil, fmt.Errorf("%w: client speaks v%d, server v%d", ErrVersionMismatch, peer, ProtoVersion)
 	}
 
 	// OT session setup: the garbler is the extension sender. This is
@@ -173,8 +163,8 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 	release := sess.tc.bind(ctx)
 	defer release()
 	sess.tc.enterPhase(phaseRequestOpen, sess.to.IO)
-	var open reqOpen
-	if err := recvGob(sess.conn, &open); err != nil {
+	open, err := sess.conn.RecvMsg()
+	if err != nil {
 		sess.ended = true
 		if wire.IsDisconnect(err) {
 			return nil, ErrSessionEnded
@@ -182,13 +172,13 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 		sess.broken = err
 		return nil, fmt.Errorf("protocol: reading request open: %w", err)
 	}
-	switch open.Op {
-	case opEnd:
+	switch {
+	case len(open) == 1 && open[0] == tagSessionEnd:
 		sess.ended = true
 		return nil, ErrSessionEnded
-	case opRequest:
+	case len(open) == 1 && open[0] == tagReqOpen:
 	default:
-		sess.broken = fmt.Errorf("protocol: unknown request op %q", open.Op)
+		sess.broken = fmt.Errorf("protocol: expected a request open or session end, got tag %#02x in a %d-byte frame", tagOf(open), len(open))
 		return nil, sess.broken
 	}
 	resp, err := sess.serveRows(ctx, req)
@@ -239,8 +229,8 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 	sess.tc.enterPhase(phaseRounds, sess.to.IO)
 	ss.tr.SetAttr("rows", fmt.Sprint(len(A)))
 	ss.tr.SetAttr("cols", fmt.Sprint(cols))
-	hdr := reqHeader{Seq: sess.seq, Mode: wireModeMatVec, Rows: len(A), Cols: cols, OT: req.OT}
-	if err := sendGob(sess.conn, hdr); err != nil {
+	hdr := reqHeader{Seq: sess.seq, Rows: len(A), Cols: cols, OT: req.OT}
+	if err := sess.conn.SendMsg(appendReqHeader(nil, hdr)); err != nil {
 		return nil, err
 	}
 
@@ -289,18 +279,17 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 
 	sess.tc.enterPhase(phaseDecode, sess.to.IO)
 	decode := ss.tr.StartSpan("decode")
-	var res result
-	err = recvGob(sess.conn, &res)
+	values, err := recvFrame(sess.conn, parseResult)
 	decode.End()
 	if err != nil {
 		return nil, fmt.Errorf("protocol: reading client result: %w", err)
 	}
-	if len(res.Values) != len(A) {
-		return nil, fmt.Errorf("protocol: client reported %d values, want %d", len(res.Values), len(A))
+	if len(values) != len(A) {
+		return nil, fmt.Errorf("protocol: client reported %d values, want %d", len(values), len(A))
 	}
 	// Completed requests only: the calibrator (internal/capmodel) turns
 	// this distribution into simulator service times, and an aborted
 	// request's partial duration would poison it.
 	ss.observeRequest(pcOutcome, time.Since(reqStart))
-	return &Response{Values: res.Values, Stats: agg}, nil
+	return &Response{Values: values, Stats: agg}, nil
 }

@@ -7,8 +7,8 @@ package protocol
 // a producer (the garble pool's in-order reorder stage, or the
 // precompute pool replay) yields garbled-row chunks through a bounded
 // pipeline.Stream into a consumer that frames material zero-copy
-// (gc.AppendMaterial into a wire.Arena buffer, one vectored write per
-// frame) and runs the per-round OT. The bytes on the wire are
+// (gc.AppendMaterial into a wire.Arena buffer, one SendMsg per frame)
+// and runs the per-round OT. The bytes on the wire are
 // byte-identical to the buffered path at any pool size or pipeline
 // depth — only the timing and the buffering change, which is what the
 // bytes_buffered_peak gauge exists to prove.
@@ -64,17 +64,16 @@ func (w *byteWatermark) add(n int64) {
 	}
 }
 
-// sendMaterialFramed ships garbled material behind the material round
-// tag like sendMaterial, but assembles the frame in a pooled arena
-// buffer (no per-table []byte) and transmits it with one vectored
-// write. The bytes on the wire are identical to sendMaterial's.
+// sendMaterialFramed ships one round's garbled material behind the
+// material tag, assembling the frame in a pooled arena buffer so no
+// per-table []byte is allocated.
 func sendMaterialFramed(fw *wire.FrameWriter, m *gc.Material) error {
 	size, err := gc.MaterialSize(m)
 	if err != nil {
 		return err
 	}
 	buf := fw.Begin(1 + size)
-	buf.B = append(buf.B, roundTagMaterial)
+	buf.B = append(buf.B, tagMaterial)
 	if buf.B, err = gc.AppendMaterial(buf.B, m); err != nil {
 		buf.Free()
 		return err

@@ -243,13 +243,7 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sendGob(cs.conn, reqOpen{Op: opRequest}); err != nil {
-		t.Fatal(err)
-	}
-	var hdr reqHeader
-	if err := recvGob(cs.conn, &hdr); err != nil {
-		t.Fatal(err)
-	}
+	openRequestByHand(t, cs)
 
 	// Wait until the arena proves a buffer is held by the blocked
 	// write — the precise state the cancellation must clean up.

@@ -106,11 +106,20 @@ func newTimedConn(conn wire.Conn, reg *obs.Registry) *timedConn {
 	return tc
 }
 
-// enterPhase switches the budget applied to subsequent operations.
+// enterPhase switches the budget applied to subsequent operations, and
+// the receive cap with it: until the OT set-up is done the peer has
+// proven nothing and every frame due has a known small size, so a
+// length prefix announcing more than wire.SetupFrameLimit is refused
+// unread; from request_open on the cap is wire.MaxMessageSize.
 func (tc *timedConn) enterPhase(phase string, budget time.Duration) {
 	tc.mu.Lock()
 	tc.phase, tc.budget = phase, budget
 	tc.mu.Unlock()
+	limit := wire.MaxMessageSize
+	if phase == phaseHandshake || phase == phaseOTSetup {
+		limit = wire.SetupFrameLimit
+	}
+	wire.LimitRecv(tc.inner, limit)
 }
 
 // bind makes ctx cancellation interrupt this connection's in-flight
@@ -210,17 +219,6 @@ func (tc *timedConn) SendMsg(msg []byte) error {
 		return err
 	}
 	return tc.classify(phase, budget, tc.inner.SendMsg(msg))
-}
-
-// SendVec runs the vectored send path under the current phase budget,
-// so zero-copy framing keeps the same deadline, cancellation and error
-// classification as SendMsg.
-func (tc *timedConn) SendVec(segs [][]byte) error {
-	phase, budget, err := tc.arm()
-	if err != nil {
-		return err
-	}
-	return tc.classify(phase, budget, wire.SendVec(tc.inner, segs))
 }
 
 // RecvMsg implements wire.Conn under the current phase budget.

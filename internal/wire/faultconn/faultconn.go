@@ -225,9 +225,9 @@ type Stream struct {
 	// CutAfterWrite forwards the Nth (1-based) Write in full and then
 	// closes the underlying stream, so the cut lands exactly on a
 	// write boundary: the Nth write succeeds, the next one fails.
-	// Aimed at the vectored framing path — cutting after a header
-	// write (odd index) leaves the peer holding a complete length
-	// prefix whose payload never arrives. Zero disables.
+	// Cutting after a header write (odd index) leaves the peer holding
+	// a complete length prefix whose payload never arrives. Zero
+	// disables.
 	CutAfterWrite int
 
 	mu     sync.Mutex

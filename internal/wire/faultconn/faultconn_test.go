@@ -143,8 +143,7 @@ func TestStreamCutAfterWrite(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	// Cut after write 1: the first frame's length prefix lands intact,
-	// the payload never follows — the boundary cut the vectored framing
-	// path can hit between header and payload.
+	// the payload never follows.
 	fs := NewStream(client)
 	fs.CutAfterWrite = 1
 	faulty := wire.NewStreamConn(fs)

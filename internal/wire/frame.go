@@ -1,121 +1,14 @@
 package wire
 
 import (
-	"encoding/binary"
-	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 )
 
-// Vectored framing and pooled frame assembly for the streaming serve
-// path: a garbled-row chunk is appended into an arena buffer and
-// transmitted as one length-prefixed frame with a single vectored
-// write, so the hot path neither allocates a per-table []byte nor
-// copies the payload to glue the header on.
-
-// vecSender is implemented by Conns that can transmit one message
-// assembled from multiple segments without concatenating them first.
-// SendVec (the package helper) checks for it on the Conn it is given —
-// never on what that Conn wraps, so byte accounting and fault
-// injection in wrapper layers keep seeing every frame.
-type vecSender interface {
-	SendVec(segs [][]byte) error
-}
-
-// SendVec transmits the concatenation of segs as one framed message on
-// c. Conns that support vectored transmission (stream conns issue a
-// single writev of header plus segments) avoid the concatenation copy;
-// for any other Conn the segments are joined and sent with SendMsg, so
-// the bytes on the wire are identical either way.
-func SendVec(c Conn, segs [][]byte) error {
-	if vs, ok := c.(vecSender); ok {
-		return vs.SendVec(segs)
-	}
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	buf := make([]byte, 0, n)
-	for _, s := range segs {
-		buf = append(buf, s...)
-	}
-	return c.SendMsg(buf)
-}
-
-// SendVec implements vectored framing on a byte stream: the 4-byte
-// length prefix and every segment go out in one net.Buffers write —
-// a single writev on a TCP transport — producing exactly the byte
-// stream SendMsg would.
-func (c *streamConn) SendVec(segs [][]byte) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
-	if total > MaxMessageSize {
-		return fmt.Errorf("wire: message of %d bytes exceeds limit %d", total, MaxMessageSize)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(total))
-	bufs := make(net.Buffers, 0, len(segs)+1)
-	bufs = append(bufs, hdr[:])
-	for _, s := range segs {
-		if len(s) > 0 {
-			bufs = append(bufs, s)
-		}
-	}
-	if _, err := bufs.WriteTo(c.rw); err != nil {
-		return fmt.Errorf("wire: writing vectored frame: %w", err)
-	}
-	return nil
-}
-
-// SendVec on a pipe joins the segments into the one copy SendMsg would
-// have made anyway; receivers see a single message.
-func (p *pipeConn) SendVec(segs [][]byte) error {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	cp := make([]byte, 0, n)
-	for _, s := range segs {
-		cp = append(cp, s...)
-	}
-	return p.sendOwned(cp)
-}
-
-// SendVec passes vectored sends through with the same byte and message
-// accounting as SendMsg.
-func (c *Counting) SendVec(segs [][]byte) error {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	err := SendVec(c.Conn, segs)
-	if err == nil {
-		c.mu.Lock()
-		c.sent += int64(n)
-		c.sentMsgs++
-		c.mu.Unlock()
-	}
-	return err
-}
-
-// SendVec passes vectored sends through with the same framed-byte
-// reporting as SendMsg.
-func (c *observedConn) SendVec(segs [][]byte) error {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	err := SendVec(c.Conn, segs)
-	if err == nil && c.onSend != nil {
-		c.onSend(n + frameHeaderSize)
-	}
-	return err
-}
+// Pooled frame assembly for the streaming serve path: a garbled-row
+// chunk is appended into an arena buffer and handed to SendMsg as it
+// is, so the hot path neither allocates a per-table []byte nor copies
+// the payload to glue the length prefix on.
 
 // Arena is a sync.Pool-backed pool of frame-assembly buffers with
 // checkout accounting: InUseBytes/Outstanding report what is currently
@@ -194,14 +87,14 @@ func (a *Arena) PeakBytes() int64 { return a.peak.Load() }
 func (a *Arena) Outstanding() int64 { return a.outstanding.Load() }
 
 // FrameWriter assembles outgoing frames in arena buffers and transmits
-// them with vectored writes. It is not safe for concurrent use; the
-// serve pipeline owns one per session.
+// them with SendMsg. It is not safe for concurrent use; the serve
+// pipeline owns one per session.
 //
 // Usage per frame:
 //
 //	buf := w.Begin(sizeHint)          // pooled, empty
 //	buf.B = append(buf.B, ...)        // assemble the payload in place
-//	err := w.Send(buf)                // one vectored frame; buffer freed
+//	err := w.Send(buf)                // one frame; buffer freed
 //
 // Send frees the buffer whether or not the write succeeds; abandoning
 // a frame without sending requires only buf.Free().
@@ -220,11 +113,10 @@ func NewFrameWriter(conn Conn, arena *Arena) *FrameWriter {
 // capacity out of the arena.
 func (w *FrameWriter) Begin(sizeHint int) *Buf { return w.arena.Get(sizeHint) }
 
-// Send transmits buf.B as one length-prefixed frame — header and
-// payload in a single vectored write where the conn supports it — and
-// returns the buffer to the arena in all cases.
+// Send transmits buf.B as one frame and returns the buffer to the arena
+// in all cases.
 func (w *FrameWriter) Send(buf *Buf) error {
-	err := SendVec(w.conn, [][]byte{buf.B})
+	err := w.conn.SendMsg(buf.B)
 	buf.Free()
 	return err
 }

@@ -2,97 +2,116 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 )
 
-// TestSendVecStreamByteIdentical proves the vectored stream path puts
-// exactly the bytes on the wire that SendMsg would: same length prefix,
-// same payload, regardless of how the payload is split into segments.
-func TestSendVecStreamByteIdentical(t *testing.T) {
-	payload := []byte("the quick brown fox jumps over the lazy dog")
-	splits := [][][]byte{
-		{payload},
-		{payload[:1], payload[1:]},
-		{payload[:10], payload[10:20], payload[20:]},
-		{nil, payload, {}},
-	}
+// writeLog records each Write it is handed, the way a byte-level fault
+// injector (faultconn.Stream) counts them.
+type writeLog struct{ writes [][]byte }
 
-	var want bytes.Buffer
-	if err := NewStreamConn(&want).SendMsg(payload); err != nil {
-		t.Fatalf("SendMsg: %v", err)
-	}
-	for i, segs := range splits {
-		var got bytes.Buffer
-		if err := SendVec(NewStreamConn(&got), segs); err != nil {
-			t.Fatalf("split %d: SendVec: %v", i, err)
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+func (w *writeLog) Read([]byte) (int, error) { return 0, io.EOF }
+
+// TestSendMsgStreamByteIdentical pins the stream framing: a 4-byte
+// big-endian length, then the payload, for empty, small and large
+// messages alike — and a transport that is not a TCP socket sees them
+// as exactly two Writes, header then body, which is what the fault
+// matrix's write indices count on.
+func TestSendMsgStreamByteIdentical(t *testing.T) {
+	for _, payload := range [][]byte{nil, []byte("the quick brown fox"), bytes.Repeat([]byte{0xA5}, 1<<20)} {
+		var hdr [frameHeaderSize]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+		var log writeLog
+		c := NewStreamConn(&log)
+		for i := 0; i < 2; i++ { // twice: the send scratch is reused
+			if err := c.SendMsg(payload); err != nil {
+				t.Fatalf("SendMsg(%d bytes): %v", len(payload), err)
+			}
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("split %d: vectored stream bytes differ from SendMsg", i)
+		if len(log.writes) != 4 {
+			t.Fatalf("%d-byte payload sent twice: %d writes, want 4", len(payload), len(log.writes))
+		}
+		for i, w := range log.writes {
+			want := hdr[:]
+			if i%2 == 1 {
+				want = payload
+			}
+			if !bytes.Equal(w, want) {
+				t.Fatalf("%d-byte payload: write %d differs from the expected header/body", len(payload), i+1)
+			}
 		}
 	}
 }
 
-// TestSendVecStreamOverSocket exercises the writev path a real TCP
-// transport takes and checks the peer reassembles one message.
-func TestSendVecStreamOverSocket(t *testing.T) {
+// TestSendMsgStreamOverSocket exercises the writev path a real TCP
+// transport takes and checks the peer reassembles whole messages.
+func TestSendMsgStreamOverSocket(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	done := make(chan []byte, 1)
+	sent := [][]byte{[]byte("abcdefg"), nil, bytes.Repeat([]byte("x"), 300<<10)}
+	done := make(chan [][]byte, 1)
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer c.Close()
-		msg, err := NewStreamConn(c).RecvMsg()
-		if err != nil {
-			return
+		var got [][]byte
+		for range sent {
+			msg, err := NewStreamConn(c).RecvMsg()
+			if err != nil {
+				break
+			}
+			got = append(got, msg)
 		}
-		done <- msg
+		done <- got
 	}()
 	c, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if err := SendVec(NewStreamConn(c), [][]byte{[]byte("abc"), []byte("defg")}); err != nil {
-		t.Fatalf("SendVec: %v", err)
+	conn := NewStreamConn(c)
+	for _, msg := range sent {
+		if err := conn.SendMsg(msg); err != nil {
+			t.Fatalf("SendMsg(%d bytes): %v", len(msg), err)
+		}
 	}
-	if got := <-done; string(got) != "abcdefg" {
-		t.Fatalf("peer received %q, want %q", got, "abcdefg")
+	got := <-done
+	if len(got) != len(sent) {
+		t.Fatalf("peer received %d messages, want %d", len(got), len(sent))
 	}
-}
-
-// TestSendVecPipe checks the pipe path joins segments into a single
-// received message.
-func TestSendVecPipe(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	if err := SendVec(a, [][]byte{[]byte("one"), []byte("two")}); err != nil {
-		t.Fatalf("SendVec: %v", err)
-	}
-	got, err := b.RecvMsg()
-	if err != nil {
-		t.Fatalf("RecvMsg: %v", err)
-	}
-	if string(got) != "onetwo" {
-		t.Fatalf("got %q, want %q", got, "onetwo")
+	for i := range sent {
+		if !bytes.Equal(got[i], sent[i]) {
+			t.Fatalf("message %d arrived as %d bytes, want %d", i, len(got[i]), len(sent[i]))
+		}
 	}
 }
 
-// TestSendVecCountingAccounting proves the Counting wrapper tallies a
-// vectored send like the equivalent SendMsg — the wrapper must not be
-// bypassed by the vectored fast path.
-func TestSendVecCountingAccounting(t *testing.T) {
+// TestFrameWriterCountingAccounting proves a frame sent through a
+// FrameWriter is tallied by the Counting wrapper as one message of its
+// payload size — the wrapper sees every frame the serve path sends.
+func TestFrameWriterCountingAccounting(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	cc := NewCounting(a)
-	if err := SendVec(cc, [][]byte{[]byte("abc"), []byte("de")}); err != nil {
-		t.Fatalf("SendVec: %v", err)
+	w := NewFrameWriter(cc, NewArena())
+	buf := w.Begin(5)
+	buf.B = append(buf.B, "abcde"...)
+	if err := w.Send(buf); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	if _, err := b.RecvMsg(); err != nil {
 		t.Fatalf("RecvMsg: %v", err)
@@ -103,22 +122,69 @@ func TestSendVecCountingAccounting(t *testing.T) {
 	}
 }
 
-// TestSendVecObservedAccounting proves the Observed wrapper charges the
-// frame header on vectored sends like it does on SendMsg.
-func TestSendVecObservedAccounting(t *testing.T) {
+// TestFrameWriterObservedAccounting proves the Observed wrapper charges
+// the frame header on a FrameWriter frame like on any other message.
+func TestFrameWriterObservedAccounting(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
-	var reported int
-	oc := Observed(a, func(n int) { reported += n }, nil)
-	if err := SendVec(oc, [][]byte{[]byte("abc"), []byte("de")}); err != nil {
-		t.Fatalf("SendVec: %v", err)
+	var reported, calls int
+	oc := Observed(a, func(n int) { reported += n; calls++ }, nil)
+	w := NewFrameWriter(oc, NewArena())
+	buf := w.Begin(5)
+	buf.B = append(buf.B, "abcde"...)
+	if err := w.Send(buf); err != nil {
+		t.Fatalf("Send: %v", err)
 	}
 	if _, err := b.RecvMsg(); err != nil {
 		t.Fatalf("RecvMsg: %v", err)
 	}
-	if want := 5 + frameHeaderSize; reported != want {
-		t.Fatalf("observed reported %d bytes, want %d", reported, want)
+	if want := 5 + frameHeaderSize; reported != want || calls != 1 {
+		t.Fatalf("observed reported %d bytes in %d calls, want %d in 1", reported, calls, want)
 	}
+}
+
+// TestRecvLimit: LimitRecv reaches the stream connection through a
+// chain of wrappers, an over-limit length prefix is refused by name
+// without allocating the announced size, and lifting the cap restores
+// MaxMessageSize.
+func TestRecvLimit(t *testing.T) {
+	var stream bytes.Buffer
+	inner := NewStreamConn(&stream)
+	conn := Observed(NewCounting(inner), nil, nil)
+
+	LimitRecv(conn, SetupFrameLimit)
+	if err := inner.SendMsg(make([]byte, SetupFrameLimit)); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := conn.RecvMsg(); err != nil || len(msg) != SetupFrameLimit {
+		t.Fatalf("frame at the cap: %d bytes, %v", len(msg), err)
+	}
+
+	// A hostile prefix: 64 MiB announced, nothing behind it.
+	stream.Reset()
+	stream.Write([]byte{0x04, 0x00, 0x00, 0x00})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := conn.RecvMsg()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit 8192") {
+		t.Fatalf("over-cap frame: error = %v, want one naming the 8192-byte cap", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("refusing a 64 MiB prefix allocated %d bytes", grew)
+	}
+
+	LimitRecv(conn, MaxMessageSize)
+	stream.Reset()
+	if err := inner.SendMsg(make([]byte, SetupFrameLimit+1)); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := conn.RecvMsg(); err != nil || len(msg) != SetupFrameLimit+1 {
+		t.Fatalf("frame above the lifted cap: %d bytes, %v", len(msg), err)
+	}
+
+	a, _ := Pipe()
+	LimitRecv(a, SetupFrameLimit) // no stream underneath: a no-op, not a panic
 }
 
 // TestArenaAccounting covers checkout accounting: in-use and
@@ -150,22 +216,25 @@ func TestArenaAccounting(t *testing.T) {
 }
 
 // TestArenaReuse checks a freed buffer's capacity is reused rather than
-// reallocated.
+// reallocated. sync.Pool may drop any one Put (under the race detector
+// it drops a quarter of them on purpose), so one reuse in several
+// attempts is the property.
 func TestArenaReuse(t *testing.T) {
 	a := NewArena()
-	b1 := a.Get(64)
-	b1.B = append(b1.B, make([]byte, 64)...)
-	p1 := &b1.B[:1][0]
-	b1.Free()
-	b2 := a.Get(32)
-	defer b2.Free()
-	if cap(b2.B) < 64 {
-		t.Fatalf("pooled capacity lost: cap=%d, want >= 64", cap(b2.B))
+	for attempt := 0; attempt < 32; attempt++ {
+		b1 := a.Get(64)
+		b1.B = append(b1.B, make([]byte, 64)...)
+		p1 := &b1.B[:1][0]
+		b1.Free()
+		b2 := a.Get(32)
+		b2.B = append(b2.B, 0)
+		reused := cap(b2.B) >= 64 && &b2.B[0] == p1
+		b2.Free()
+		if reused {
+			return
+		}
 	}
-	b2.B = append(b2.B, 0)
-	if &b2.B[0] != p1 {
-		t.Fatalf("expected the pooled backing array to be reused")
-	}
+	t.Fatal("a freed buffer's backing array was never reused in 32 attempts")
 }
 
 // TestFrameWriterSendsAndFrees checks a FrameWriter frame round-trips

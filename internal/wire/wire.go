@@ -13,6 +13,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 )
@@ -20,6 +21,14 @@ import (
 // MaxMessageSize bounds a single framed message (64 MiB). It protects
 // against corrupt or hostile length prefixes.
 const MaxMessageSize = 64 << 20
+
+// SetupFrameLimit is the receive cap for frames that arrive before the
+// peer has proven anything: the handshake, the routing preface and the
+// OT set-up. Every frame of those phases has a known size — the largest
+// is the 4 224-byte base-OT point batch — so a hostile length prefix
+// there costs the receiver at most this much memory, not
+// MaxMessageSize.
+const SetupFrameLimit = 8 << 10
 
 // frameHeaderSize is the length prefix each framed message carries.
 const frameHeaderSize = 4
@@ -80,6 +89,17 @@ type streamConn struct {
 	rw  io.ReadWriter
 	wmu sync.Mutex // serialises writers: header and body must stay adjacent
 	rmu sync.Mutex // serialises readers: header and body must be read by one caller
+
+	// Send scratch, guarded by wmu: the header bytes and the
+	// header-then-body buffer list of the frame being written live here
+	// so SendMsg allocates nothing per message.
+	whdr  [frameHeaderSize]byte
+	wvec  [2][]byte
+	wbufs net.Buffers
+
+	// rlimit is the largest frame RecvMsg accepts; zero means
+	// MaxMessageSize. See LimitRecv.
+	rlimit atomic.Int64
 }
 
 // NewStreamConn wraps a byte stream (e.g. a *net.TCPConn) as a Conn.
@@ -87,19 +107,23 @@ type streamConn struct {
 // io.Closer.
 func NewStreamConn(rw io.ReadWriter) Conn { return &streamConn{rw: rw} }
 
+// SendMsg writes the length prefix and the payload with one
+// net.Buffers write: a single writev — one syscall, one TCP segment for
+// a small frame — when the transport is a *net.TCPConn, and the header
+// Write followed by the body Write on any other io.Writer.
 func (c *streamConn) SendMsg(msg []byte) error {
 	if len(msg) > MaxMessageSize {
 		return fmt.Errorf("wire: message of %d bytes exceeds limit %d", len(msg), MaxMessageSize)
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
-	if _, err := c.rw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := c.rw.Write(msg); err != nil {
-		return fmt.Errorf("wire: writing frame body: %w", err)
+	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(msg)))
+	c.wvec[0], c.wvec[1] = c.whdr[:], msg
+	c.wbufs = c.wvec[:]
+	_, err := c.wbufs.WriteTo(c.rw)
+	c.wvec[1] = nil // do not pin the caller's buffer until the next send
+	if err != nil {
+		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
@@ -112,8 +136,12 @@ func (c *streamConn) RecvMsg() ([]byte, error) {
 		return nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxMessageSize {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, MaxMessageSize)
+	limit := c.rlimit.Load()
+	if limit <= 0 || limit > MaxMessageSize {
+		limit = MaxMessageSize
+	}
+	if int64(n) > limit {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
 	}
 	msg := make([]byte, n)
 	if _, err := io.ReadFull(c.rw, msg); err != nil {
@@ -242,13 +270,6 @@ func Pipe() (Conn, Conn) {
 }
 
 func (p *pipeConn) SendMsg(msg []byte) error {
-	return p.sendOwned(append([]byte(nil), msg...))
-}
-
-// sendOwned transmits cp, which the caller must not retain: the
-// receiver takes ownership. SendMsg and SendVec both funnel here after
-// making their single defensive copy.
-func (p *pipeConn) sendOwned(cp []byte) error {
 	select {
 	case <-p.closer.done:
 		return ErrClosed
@@ -258,7 +279,7 @@ func (p *pipeConn) sendOwned(cp []byte) error {
 		return errPipeTimeout
 	}
 	select {
-	case p.send <- cp:
+	case p.send <- append([]byte(nil), msg...): // the receiver owns the copy
 		return nil
 	case <-p.closer.done:
 		return ErrClosed
@@ -389,24 +410,43 @@ func (c *observedConn) Unwrap() Conn { return c.Conn }
 // remoteAddrer is satisfied by net.Conn transports.
 type remoteAddrer interface{ RemoteAddr() net.Addr }
 
-// PeerAddr reports the remote address of the transport underlying c,
-// unwrapping any chain of wrappers that expose Unwrap. It returns ""
-// for in-memory pipes and other address-less transports.
-func PeerAddr(c Conn) string {
+// streamUnder finds the stream connection underneath c, unwrapping any
+// chain of wrappers that expose Unwrap; nil when there is none (an
+// in-memory pipe, a foreign Conn).
+func streamUnder(c Conn) *streamConn {
 	for c != nil {
 		if sc, ok := c.(*streamConn); ok {
-			if ra, ok := sc.rw.(remoteAddrer); ok {
-				return ra.RemoteAddr().String()
-			}
-			return ""
+			return sc
 		}
 		u, ok := c.(connUnwrapper)
 		if !ok {
-			return ""
+			return nil
 		}
 		c = u.Unwrap()
 	}
+	return nil
+}
+
+// PeerAddr reports the remote address of the transport underlying c.
+// It returns "" for in-memory pipes and other address-less transports.
+func PeerAddr(c Conn) string {
+	if sc := streamUnder(c); sc != nil {
+		if ra, ok := sc.rw.(remoteAddrer); ok {
+			return ra.RemoteAddr().String()
+		}
+	}
 	return ""
+}
+
+// LimitRecv caps the frames the stream connection underneath c accepts
+// at n bytes: SetupFrameLimit while the peer is still unauthenticated,
+// MaxMessageSize once it is not. A length prefix announcing more fails
+// RecvMsg before any buffer is allocated. The cap holds until the next
+// LimitRecv; in-memory pipes carry no length prefix and ignore it.
+func LimitRecv(c Conn, n int) {
+	if sc := streamUnder(c); sc != nil {
+		sc.rlimit.Store(int64(n))
+	}
 }
 
 // IsDisconnect reports whether err is one of the transport-level
