@@ -72,7 +72,7 @@ func main() {
 				marker = "flush"
 			}
 			fmt.Printf("  stage %2d: %-7s  %d AND tables garbled, acc bit %2d = %d\n",
-				stage, marker, len(gb.Material.Tables), stage, boolBit(res.Outputs[0]))
+				stage, marker, gb.Material.NumTables, stage, boolBit(res.Outputs[0]))
 		}
 		fmt.Printf("  accumulator after round %d: %d\n\n", r, circuit.BitsToUint64(accBits))
 	}

@@ -82,6 +82,10 @@ type Circuit struct {
 	// NWires is the total wire count (constants + inputs + state +
 	// gates).
 	NWires int
+
+	// lowered is the slot-renamed program the gc walkers run, compiled
+	// once on first use (see Program).
+	lowered compiled
 }
 
 // GarblerInputWire returns the wire index of garbler input bit i.

@@ -1,0 +1,132 @@
+package circuit
+
+import (
+	mrand "math/rand"
+	"slices"
+	"testing"
+)
+
+// runProgram evaluates a lowered program in plaintext the way the gc
+// walkers run it over labels: inputs into the leading slots, one pass
+// over the instructions, results read from the pinned slots.
+func runProgram(p *Program, garbler, evaluator, state []bool) (outputs, next []bool) {
+	w := make([]bool, p.NSlots)
+	w[Const1] = true
+	copy(w[FirstInput:], garbler)
+	copy(w[FirstInput+p.NGarbler:], evaluator)
+	copy(w[FirstInput+p.NGarbler+p.NEvaluator:], state)
+	for _, in := range p.Instrs {
+		if in.Op == AND {
+			w[in.Out] = w[in.A] && w[in.B]
+		} else {
+			w[in.Out] = w[in.A] != w[in.B]
+		}
+	}
+	for _, s := range p.Outputs {
+		outputs = append(outputs, w[s])
+	}
+	for _, s := range p.StateOuts {
+		next = append(next, w[s])
+	}
+	return outputs, next
+}
+
+func randomBits(rng *mrand.Rand, n int) []bool {
+	b := make([]bool, n)
+	for i := range b {
+		b[i] = rng.Intn(2) == 1
+	}
+	return b
+}
+
+// TestProgramMatchesNetlist: slot renaming must not change what the
+// circuit computes — over the MAC at every width and sign, chained
+// through its state, and over netlists with unread inputs, dead gates,
+// repeated operands and inputs wired straight to outputs.
+func TestProgramMatchesNetlist(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(16))
+	var circuits []*Circuit
+	for _, width := range []int{4, 8, 16, 32} {
+		for _, signed := range []bool{false, true} {
+			circuits = append(circuits, MustMAC(MACConfig{Width: width, AccWidth: 2 * width, Signed: signed}))
+		}
+	}
+	b := NewBuilder()
+	x := b.GarblerInputs(3) // x[2] is never read
+	y := b.EvaluatorInputs(2)
+	st := b.StateInputs(2)
+	sq := b.AND(x[0], x[0])            // repeated operand
+	b.AND(y[0], y[1])                  // dead gate
+	b.Outputs(x[1], b.XOR(sq, st[0]))  // an input wired straight out
+	b.StateOuts(st[1], b.OR(y[0], sq)) // a state wire carried over unchanged
+	circuits = append(circuits, b.MustBuild())
+
+	for ci, c := range circuits {
+		p, err := c.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := c.Program(); again != p {
+			t.Fatalf("circuit %d: Program compiled twice", ci)
+		}
+		if p.NAND != c.Stats().ANDs || len(p.Instrs) != len(c.Gates) {
+			t.Fatalf("circuit %d: program has %d ANDs in %d instructions, netlist %d in %d",
+				ci, p.NAND, len(p.Instrs), c.Stats().ANDs, len(c.Gates))
+		}
+		if p.NSlots > c.NWires {
+			t.Fatalf("circuit %d: %d slots for %d wires", ci, p.NSlots, c.NWires)
+		}
+		for i, in := range p.Instrs {
+			if int(in.A) >= p.NSlots || int(in.B) >= p.NSlots || int(in.Out) >= p.NSlots {
+				t.Fatalf("circuit %d instr %d: slot out of range", ci, i)
+			}
+			if in.Out == in.A || in.Out == in.B {
+				t.Fatalf("circuit %d instr %d: output slot aliases an input", ci, i)
+			}
+		}
+		var state []bool
+		for round := 0; round < 3; round++ {
+			g, e := randomBits(rng, c.NGarbler), randomBits(rng, c.NEvaluator)
+			wantOut, wantNext, err := c.EvalRound(g, e, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotOut, gotNext := runProgram(p, g, e, state)
+			if !slices.Equal(gotOut, wantOut) || !slices.Equal(gotNext, wantNext) {
+				t.Fatalf("circuit %d round %d: program and netlist disagree", ci, round)
+			}
+			state = wantNext
+		}
+	}
+}
+
+// TestProgramWorkingSet pins what slot renaming buys on the MAC: the
+// walker's array is the peak live-wire count, an eighth of the wire
+// count at the serve path's widths (DESIGN.md's live-slot table).
+func TestProgramWorkingSet(t *testing.T) {
+	for _, tc := range []struct{ width, wires, maxSlots int }{
+		{8, 673, 103}, {16, 2341, 327}, {32, 8653, 1159},
+	} {
+		c := MustMAC(MACConfig{Width: tc.width, AccWidth: 2 * tc.width, Signed: true})
+		p, err := c.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NWires != tc.wires {
+			t.Fatalf("b=%d: netlist has %d wires, table says %d", tc.width, c.NWires, tc.wires)
+		}
+		if p.NSlots > tc.maxSlots {
+			t.Fatalf("b=%d: %d slots, want at most %d", tc.width, p.NSlots, tc.maxSlots)
+		}
+	}
+}
+
+func TestProgramRejectsInvalidNetlist(t *testing.T) {
+	c := &Circuit{NGarbler: 1, NWires: 4, Gates: []Gate{{Op: AND, A: 2, B: 3, Out: 3}}, Outputs: []int{3}}
+	if _, err := c.Program(); err == nil {
+		t.Fatal("netlist reading an undefined wire was lowered")
+	}
+	if _, err := c.Program(); err == nil {
+		t.Fatal("second call lost the error")
+	}
+}

@@ -19,26 +19,23 @@ import (
 //	uint32  output perm bits   then packed bits (LSB first)
 //	uint32  state-in labels    then 16 B each (0 when absent)
 //
+// The table region is also the tables' in-memory layout
+// (Material.TableBlock): encoding copies it with one append, decoding
+// checks its structure and aliases it.
+//
 // The format is self-delimiting and rejects truncated or oversized
 // input.
 
 // codecVersion is the current material wire-format version.
 const codecVersion = 1
 
-// maxCodecItems bounds per-field counts against corrupt headers.
-const maxCodecItems = 1 << 24
-
-// MaterialSize reports the exact encoded length of m, or an error if a
-// table is not representable. Callers sizing reusable buffers (the wire
-// arena) use it to append without reallocation.
+// MaterialSize reports the exact encoded length of m. Callers sizing
+// reusable buffers (the wire arena) use it to append without
+// reallocation. The error is always nil — the table block is already in
+// wire layout, so nothing is left that could be unrepresentable — and
+// stays in the signature for the callers that check it.
 func MaterialSize(m *Material) (int, error) {
-	size := 1 + 8 + 4
-	for _, t := range m.Tables {
-		if len(t) > 255 {
-			return 0, fmt.Errorf("gc: table with %d rows not representable", len(t))
-		}
-		size += 1 + len(t)*label.Size
-	}
+	size := 1 + 8 + 4 + len(m.TableBlock)
 	size += 4 + len(m.GarblerActive)*label.Size
 	size += 2 * label.Size
 	size += 4 + (len(m.OutputPerm)+7)/8
@@ -57,25 +54,16 @@ func MarshalMaterial(m *Material) ([]byte, error) {
 
 // AppendMaterial appends m's versioned binary encoding to dst and
 // returns the extended slice. The bytes produced are identical to
-// MarshalMaterial's; the split lets the serve path scatter-gather
-// material into a pooled wire buffer without a per-table allocation.
+// MarshalMaterial's; the split lets the serve path assemble a frame in
+// a pooled wire buffer, the table block going in as one bulk copy.
 func AppendMaterial(dst []byte, m *Material) ([]byte, error) {
-	for _, t := range m.Tables {
-		if len(t) > 255 {
-			return nil, fmt.Errorf("gc: table with %d rows not representable", len(t))
-		}
-	}
 	out := dst
 	out = append(out, codecVersion)
 	out = binary.LittleEndian.AppendUint64(out, m.TweakBase)
 
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.Tables)))
-	for _, t := range m.Tables {
-		out = append(out, byte(len(t)))
-		for _, row := range t {
-			out = append(out, row[:]...)
-		}
-	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(m.NumTables))
+	out = append(out, m.TableBlock...)
+
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.GarblerActive)))
 	for _, l := range m.GarblerActive {
 		out = append(out, l[:]...)
@@ -112,7 +100,7 @@ type decoder struct {
 }
 
 func (d *decoder) bytes(n int) ([]byte, error) {
-	if n < 0 || d.off+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.off {
 		return nil, fmt.Errorf("gc: truncated material (need %d bytes at offset %d of %d)", n, d.off, len(d.buf))
 	}
 	b := d.buf[d.off : d.off+n]
@@ -120,29 +108,43 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (d *decoder) u32() (int, error) {
+// count reads a uint32 item count and rejects it unless that many items
+// of at least minBits bits each fit in the bytes that remain — so a
+// hostile header is refused before anything is sized by it.
+func (d *decoder) count(minBits uint64) (int, error) {
 	b, err := d.bytes(4)
 	if err != nil {
 		return 0, err
 	}
-	v := binary.LittleEndian.Uint32(b)
-	if v > maxCodecItems {
-		return 0, fmt.Errorf("gc: implausible count %d in material", v)
+	n := uint64(binary.LittleEndian.Uint32(b))
+	if remaining := uint64(len(d.buf) - d.off); n*minBits > remaining*8 {
+		return 0, fmt.Errorf("gc: material count %d at offset %d exceeds what the remaining %d bytes can hold", n, d.off-4, remaining)
 	}
-	return int(v), nil
+	return int(n), nil
 }
 
-func (d *decoder) label() (label.Label, error) {
-	b, err := d.bytes(label.Size)
-	if err != nil {
-		return label.Zero, err
+// labels reads a counted run of labels; nil when the count is zero.
+func (d *decoder) labels() ([]label.Label, error) {
+	n, err := d.count(label.Bits)
+	if err != nil || n == 0 {
+		return nil, err
 	}
-	var l label.Label
-	copy(l[:], b)
-	return l, nil
+	out := make([]label.Label, n)
+	for i := range out {
+		out[i] = label.Label(d.buf[d.off : d.off+label.Size])
+		d.off += label.Size
+	}
+	return out, nil
 }
 
-// UnmarshalMaterial parses the versioned binary layout.
+// UnmarshalMaterial parses the versioned binary layout. The returned
+// Material aliases data: its TableBlock is the table region of data
+// itself, checked (every row count, the table count, no overrun) but not
+// copied. The caller must own data and leave it untouched for as long as
+// the Material is in use — both transports hand each received frame to
+// the receiver as its own buffer (wire.streamConn.RecvMsg allocates one
+// per frame; wire.Pipe's SendMsg copies, "the receiver owns the copy"),
+// so the protocol's evaluator parses and evaluates a round in place.
 func UnmarshalMaterial(data []byte) (*Material, error) {
 	d := &decoder{buf: data}
 	ver, err := d.bytes(1)
@@ -158,43 +160,34 @@ func UnmarshalMaterial(data []byte) (*Material, error) {
 	}
 	m := &Material{TweakBase: binary.LittleEndian.Uint64(tw)}
 
-	nTables, err := d.u32()
+	// A table is at least its row-count byte. The table region is
+	// walked, not copied: 16 B per row after each count byte.
+	if m.NumTables, err = d.count(8); err != nil {
+		return nil, err
+	}
+	start := d.off
+	for i := 0; i < m.NumTables; i++ {
+		if d.off >= len(data) {
+			return nil, fmt.Errorf("gc: truncated material (table %d of %d starts at offset %d of %d)", i, m.NumTables, d.off, len(data))
+		}
+		d.off += 1 + int(data[d.off])*label.Size
+	}
+	if d.off > len(data) {
+		return nil, fmt.Errorf("gc: truncated material (%d tables end at offset %d of %d)", m.NumTables, d.off, len(data))
+	}
+	m.TableBlock = data[start:d.off:d.off]
+
+	if m.GarblerActive, err = d.labels(); err != nil {
+		return nil, err
+	}
+	consts, err := d.bytes(2 * label.Size)
 	if err != nil {
 		return nil, err
 	}
-	m.Tables = make([][]label.Label, nTables)
-	for i := range m.Tables {
-		rows, err := d.bytes(1)
-		if err != nil {
-			return nil, err
-		}
-		t := make([]label.Label, rows[0])
-		for j := range t {
-			if t[j], err = d.label(); err != nil {
-				return nil, err
-			}
-		}
-		m.Tables[i] = t
-	}
+	m.ConstActive[0] = label.Label(consts[:label.Size])
+	m.ConstActive[1] = label.Label(consts[label.Size:])
 
-	nGarbler, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	m.GarblerActive = make([]label.Label, nGarbler)
-	for i := range m.GarblerActive {
-		if m.GarblerActive[i], err = d.label(); err != nil {
-			return nil, err
-		}
-	}
-	if m.ConstActive[0], err = d.label(); err != nil {
-		return nil, err
-	}
-	if m.ConstActive[1], err = d.label(); err != nil {
-		return nil, err
-	}
-
-	nPerm, err := d.u32()
+	nPerm, err := d.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -207,17 +200,8 @@ func UnmarshalMaterial(data []byte) (*Material, error) {
 		m.OutputPerm[i] = permBytes[i/8]>>(uint(i)%8)&1 == 1
 	}
 
-	nState, err := d.u32()
-	if err != nil {
+	if m.StateInActive, err = d.labels(); err != nil {
 		return nil, err
-	}
-	if nState > 0 {
-		m.StateInActive = make([]label.Label, nState)
-		for i := range m.StateInActive {
-			if m.StateInActive[i], err = d.label(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if d.off != len(data) {
 		return nil, fmt.Errorf("gc: %d trailing bytes after material", len(data)-d.off)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"maxelerator/internal/circuit"
+	"maxelerator/internal/gchash"
 	"maxelerator/internal/label"
 )
 
@@ -32,65 +33,98 @@ func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateA
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	if len(evalActive) != c.NEvaluator {
-		return nil, fmt.Errorf("gc: got %d evaluator labels, want %d", len(evalActive), c.NEvaluator)
+	prog, err := c.Program()
+	if err != nil {
+		return nil, err
+	}
+	if len(evalActive) != prog.NEvaluator {
+		return nil, fmt.Errorf("gc: got %d evaluator labels, want %d", len(evalActive), prog.NEvaluator)
 	}
 	if stateActive == nil && m.StateInActive != nil {
 		stateActive = m.StateInActive // round 0 of a sequential run
 	}
-	if len(stateActive) != c.NState {
-		return nil, fmt.Errorf("gc: got %d state labels, want %d", len(stateActive), c.NState)
+	if len(stateActive) != prog.NState {
+		return nil, fmt.Errorf("gc: got %d state labels, want %d", len(stateActive), prog.NState)
 	}
-	if len(m.GarblerActive) != c.NGarbler {
-		return nil, fmt.Errorf("gc: material has %d garbler labels, want %d", len(m.GarblerActive), c.NGarbler)
+	if len(m.GarblerActive) != prog.NGarbler {
+		return nil, fmt.Errorf("gc: material has %d garbler labels, want %d", len(m.GarblerActive), prog.NGarbler)
 	}
-	if len(m.OutputPerm) != len(c.Outputs) {
-		return nil, fmt.Errorf("gc: material has %d output permute bits, want %d", len(m.OutputPerm), len(c.Outputs))
+	if len(m.OutputPerm) != len(prog.Outputs) {
+		return nil, fmt.Errorf("gc: material has %d output permute bits, want %d", len(m.OutputPerm), len(prog.Outputs))
+	}
+	if m.NumTables != prog.NAND {
+		return nil, fmt.Errorf("gc: material has %d garbled tables, circuit has %d AND gates", m.NumTables, prog.NAND)
 	}
 
-	active := make([]label.Label, c.NWires)
-	active[circuit.Const0] = m.ConstActive[0]
-	active[circuit.Const1] = m.ConstActive[1]
-	copy(active[circuit.FirstInput:], m.GarblerActive)
-	copy(active[circuit.FirstInput+c.NGarbler:], evalActive)
-	copy(active[circuit.FirstInput+c.NGarbler+c.NEvaluator:], stateActive)
+	// The slot array and the kernel's hash scratch live for this call
+	// only: concurrent evaluations share params and the circuit, never
+	// working memory.
+	w := make([]label.Label, prog.NSlots)
+	w[circuit.Const0] = m.ConstActive[0]
+	w[circuit.Const1] = m.ConstActive[1]
+	copy(w[circuit.FirstInput:], m.GarblerActive)
+	copy(w[circuit.FirstInput+prog.NGarbler:], evalActive)
+	copy(w[circuit.FirstInput+prog.NGarbler+prog.NEvaluator:], stateActive)
 
+	aes := params.halfGatesAES()
+	scratch := new(gchash.ANDBlocks)
+	var rows []label.Label // interface path only: one table's rows, copied out
+	blk := m.TableBlock
 	tweak := m.TweakBase
-	tableIdx := 0
-	for gi, gate := range c.Gates {
-		switch gate.Op {
-		case circuit.XOR:
-			active[gate.Out] = active[gate.A].Xor(active[gate.B])
-		case circuit.AND:
-			if tableIdx >= len(m.Tables) {
-				return nil, fmt.Errorf("gc: gate %d: ran out of garbled tables after %d", gi, tableIdx)
-			}
-			out, err := params.Scheme.EvalAND(params.Hash, active[gate.A], active[gate.B], m.Tables[tableIdx], tweak)
-			if err != nil {
-				return nil, fmt.Errorf("gc: gate %d: %w", gi, err)
-			}
-			active[gate.Out] = out
-			tableIdx++
-			tweak += params.Scheme.TweaksPerGate()
-		default:
-			return nil, fmt.Errorf("gc: unsupported op %v", gate.Op)
+	tweaksPerGate := params.Scheme.TweaksPerGate()
+	off := 0
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		if in.Op == circuit.XOR {
+			w[in.A].XorInto(&w[in.B], &w[in.Out])
+			continue
 		}
+		// The block is outside input: its length and every row count are
+		// checked here, whoever built it.
+		if off >= len(blk) {
+			return nil, fmt.Errorf("gc: gate %d: table block ends after %d bytes, before this gate's table", i, len(blk))
+		}
+		n := int(blk[off])
+		end := off + 1 + n*label.Size
+		if end > len(blk) {
+			return nil, fmt.Errorf("gc: gate %d: %d-row table at offset %d overruns the %d-byte table block", i, n, off, len(blk))
+		}
+		if aes != nil {
+			if n != halfGateRows {
+				return nil, fmt.Errorf("gc: gate %d: half-gates table has %d rows, want %d", i, n, halfGateRows)
+			}
+			tg := (*label.Label)(blk[off+1 : off+1+label.Size])
+			te := (*label.Label)(blk[off+1+label.Size : end])
+			evalHalfGate(aes, scratch, &w[in.A], &w[in.B], &w[in.Out], tg, te, tweak)
+		} else {
+			rows = rows[:0]
+			for r := off + 1; r < end; r += label.Size {
+				rows = append(rows, label.Label(blk[r:r+label.Size]))
+			}
+			out, err := params.Scheme.EvalAND(params.Hash, w[in.A], w[in.B], rows, tweak)
+			if err != nil {
+				return nil, fmt.Errorf("gc: gate %d: %w", i, err)
+			}
+			w[in.Out] = out
+		}
+		off = end
+		tweak += tweaksPerGate
 	}
-	if tableIdx != len(m.Tables) {
-		return nil, fmt.Errorf("gc: %d garbled tables unused", len(m.Tables)-tableIdx)
+	if off != len(blk) {
+		return nil, fmt.Errorf("gc: %d bytes of garbled tables unused", len(blk)-off)
 	}
 
 	res := &EvalResult{
-		Outputs:      make([]bool, len(c.Outputs)),
-		OutputLabels: make([]label.Label, len(c.Outputs)),
-		StateActive:  make([]label.Label, c.NState),
+		Outputs:      make([]bool, len(prog.Outputs)),
+		OutputLabels: make([]label.Label, len(prog.Outputs)),
+		StateActive:  make([]label.Label, prog.NState),
 	}
-	for i, ow := range c.Outputs {
-		res.OutputLabels[i] = active[ow]
-		res.Outputs[i] = active[ow].LSB() != m.OutputPerm[i]
+	for i, slot := range prog.Outputs {
+		res.OutputLabels[i] = w[slot]
+		res.Outputs[i] = w[slot].LSB() != m.OutputPerm[i]
 	}
-	for i, sw := range c.StateOuts {
-		res.StateActive[i] = active[sw]
+	for i, slot := range prog.StateOuts {
+		res.StateActive[i] = w[slot]
 	}
 	return res, nil
 }

@@ -43,7 +43,7 @@ func Example() {
 		log.Fatal(err)
 	}
 	fmt.Println("170 >= 90:", res.Outputs[0])
-	fmt.Println("garbled tables:", len(garbled.Material.Tables))
+	fmt.Println("garbled tables:", garbled.Material.NumTables)
 	// Output:
 	// 170 >= 90: true
 	// garbled tables: 8

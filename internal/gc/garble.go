@@ -33,13 +33,37 @@ func (p Params) validate() error {
 	return nil
 }
 
+// halfGatesAES reports whether p is the paper's configuration — half
+// gates over the fixed-key AES hash, the only one the protocol serves —
+// by returning the concrete hash, or nil for any other combination. It
+// is the AND step's one branch: the concrete kernel (kernel.go) when
+// non-nil, the Scheme/Hasher interfaces otherwise.
+func (p Params) halfGatesAES() *gchash.AES {
+	if _, ok := p.Scheme.(HalfGates); !ok {
+		return nil
+	}
+	h, _ := p.Hash.(*gchash.AES)
+	return h
+}
+
 // Material is everything the evaluator receives for one garbled
 // execution, besides its own OT-transferred input labels: garbled
 // tables, the garbler's active input labels, the constant-wire labels
 // and the output decoding permutation.
+//
+// A Material returned by UnmarshalMaterial aliases the frame it was
+// parsed from (TableBlock points into it): it is valid until the caller
+// drops or reuses that buffer. Evaluate copies everything it returns, so
+// an EvalResult never extends the frame's life.
 type Material struct {
-	// Tables holds one garbled table per AND gate, in gate order.
-	Tables [][]label.Label
+	// TableBlock holds the garbled tables of every AND gate, in gate
+	// order, in the wire layout of codec.go, which is also their
+	// in-memory layout: per table a row-count byte, then rows × 16 B.
+	// Garble writes rows into it in place and Evaluate reads them where
+	// they lie.
+	TableBlock []byte
+	// NumTables is the number of tables in TableBlock.
+	NumTables int
 	// GarblerActive are the active labels of the garbler's input wires.
 	GarblerActive []label.Label
 	// ConstActive are the active labels of the constant-0 and
@@ -62,11 +86,7 @@ type Material struct {
 // traffic the accelerator must push over PCIe and the host over the
 // network.
 func (m *Material) CiphertextBytes() int {
-	n := 0
-	for _, t := range m.Tables {
-		n += len(t) * label.Size
-	}
-	return n
+	return len(m.TableBlock) - m.NumTables // everything but the row-count bytes
 }
 
 // Garbled is the garbler-side result of garbling one circuit (or one
@@ -96,11 +116,23 @@ type Garbled struct {
 }
 
 // Garbler garbles circuits under a fixed global Δ drawn at
-// construction. A Garbler is not safe for concurrent use.
+// construction. A Garbler is not safe for concurrent use: besides Δ and
+// the label stream it owns the walker's working memory — the slot array
+// and the AND kernel's hash scratch — which is reused from round to
+// round. Params (the hash included) and the circuit are only read, so
+// any number of garblers may share them.
 type Garbler struct {
 	params Params
 	delta  label.Delta
 	rand   io.Reader
+	// aes is params' concrete hash when the kernel applies, else nil.
+	aes *gchash.AES
+	// deltaLabel is Δ as a label, addressable for XorInto.
+	deltaLabel label.Label
+	// slots is the walker's working array, grown to the largest program
+	// seen; and is the AND kernel's hash scratch.
+	slots []label.Label
+	and   gchash.ANDBlocks
 }
 
 // NewGarbler creates a garbler with a fresh free-XOR offset drawn from
@@ -116,7 +148,7 @@ func NewGarbler(params Params, rnd io.Reader) (*Garbler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Garbler{params: params, delta: d, rand: rnd}, nil
+	return &Garbler{params: params, delta: d, rand: rnd, aes: params.halfGatesAES(), deltaLabel: d.Label()}, nil
 }
 
 // GarbleOptions refines a Garble call.
@@ -136,82 +168,115 @@ type GarbleOptions struct {
 }
 
 // Garble garbles the circuit and returns both the evaluator-bound
-// material and the garbler-side secrets.
+// material and the garbler-side secrets. It draws one fresh 16-byte
+// label per constant, input and state wire, in wire order, then walks
+// the circuit's lowered program once; the returned values are freshly
+// allocated and stay valid across later Garble calls.
 func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, error) {
-	if len(opts.GarblerInputs) != c.NGarbler {
-		return nil, fmt.Errorf("gc: got %d garbler input bits, want %d", len(opts.GarblerInputs), c.NGarbler)
+	prog, err := c.Program()
+	if err != nil {
+		return nil, err
 	}
-	if opts.State0 != nil && len(opts.State0) != c.NState {
-		return nil, fmt.Errorf("gc: got %d state labels, want %d", len(opts.State0), c.NState)
+	if len(opts.GarblerInputs) != prog.NGarbler {
+		return nil, fmt.Errorf("gc: got %d garbler input bits, want %d", len(opts.GarblerInputs), prog.NGarbler)
+	}
+	if opts.State0 != nil && len(opts.State0) != prog.NState {
+		return nil, fmt.Errorf("gc: got %d state labels, want %d", len(opts.State0), prog.NState)
+	}
+	scheme := g.params.Scheme
+	rows := scheme.TableSize()
+	if rows > 255 {
+		return nil, fmt.Errorf("gc: table with %d rows not representable", rows)
 	}
 
-	wire0 := make([]label.Label, c.NWires)
-	inputSpan := circuit.FirstInput + c.NGarbler + c.NEvaluator + c.NState
-	for i := 0; i < inputSpan; i++ {
-		l, err := label.Random(g.rand)
-		if err != nil {
+	// Every slot is written before it is read (the netlist is
+	// topological), so the array is reused without clearing.
+	if len(g.slots) < prog.NSlots {
+		g.slots = make([]label.Label, prog.NSlots)
+	}
+	w := g.slots
+	span := prog.InputSpan()
+	for i := 0; i < span; i++ {
+		if err := label.ReadRandom(g.rand, &w[i]); err != nil {
 			return nil, err
 		}
-		wire0[i] = l
 	}
-	stateBase := circuit.FirstInput + c.NGarbler + c.NEvaluator
+	garblerBase := circuit.FirstInput
+	evalBase := garblerBase + prog.NGarbler
+	stateBase := evalBase + prog.NEvaluator
 	if opts.State0 != nil {
-		copy(wire0[stateBase:], opts.State0)
+		copy(w[stateBase:span], opts.State0)
 	}
 
-	tables := make([][]label.Label, 0, len(c.Gates))
-	tweak := opts.TweakBase
-	for _, gate := range c.Gates {
-		switch gate.Op {
-		case circuit.XOR:
-			wire0[gate.Out] = wire0[gate.A].Xor(wire0[gate.B])
-		case circuit.AND:
-			out0, table := g.params.Scheme.GarbleAND(g.params.Hash, g.delta, wire0[gate.A], wire0[gate.B], tweak)
-			wire0[gate.Out] = out0
-			tables = append(tables, table)
-			tweak += g.params.Scheme.TweaksPerGate()
-		default:
-			return nil, fmt.Errorf("gc: unsupported op %v", gate.Op)
-		}
-	}
-
+	stride := 1 + rows*label.Size
 	res := &Garbled{
 		Material: Material{
-			Tables:     tables,
-			OutputPerm: make([]bool, len(c.Outputs)),
-			TweakBase:  opts.TweakBase,
+			TableBlock:    make([]byte, prog.NAND*stride),
+			NumTables:     prog.NAND,
+			GarblerActive: make([]label.Label, prog.NGarbler),
+			OutputPerm:    make([]bool, len(prog.Outputs)),
+			TweakBase:     opts.TweakBase,
 		},
-		EvalPairs:   make([]label.Pair, c.NEvaluator),
-		OutputPairs: make([]label.Pair, len(c.Outputs)),
-		StateOut0:   make([]label.Label, c.NState),
-		NextTweak:   tweak,
+		EvalPairs:    make([]label.Pair, prog.NEvaluator),
+		GarblerPairs: make([]label.Pair, prog.NGarbler),
+		OutputPairs:  make([]label.Pair, len(prog.Outputs)),
+		StateOut0:    make([]label.Label, prog.NState),
 	}
-	// Constant wires: the active label of const-0 is its FALSE label,
-	// of const-1 its TRUE label.
-	res.Material.ConstActive[0] = wire0[circuit.Const0]
-	res.Material.ConstActive[1] = g.delta.Flip(wire0[circuit.Const1])
+	// The input slots are recycled during the walk, so everything
+	// derived from input labels is taken now. Constant wires: the active
+	// label of const-0 is its FALSE label, of const-1 its TRUE label.
+	res.Material.ConstActive[0] = w[circuit.Const0]
+	res.Material.ConstActive[1] = g.delta.Flip(w[circuit.Const1])
 	// Garbler inputs: active labels for the garbler's values, selected
 	// from the retained pairs.
-	res.Material.GarblerActive = make([]label.Label, c.NGarbler)
-	res.GarblerPairs = make([]label.Pair, c.NGarbler)
 	for i, v := range opts.GarblerInputs {
-		res.GarblerPairs[i] = label.NewPair(wire0[c.GarblerInputWire(i)], g.delta)
+		res.GarblerPairs[i] = label.NewPair(w[garblerBase+i], g.delta)
 		res.Material.GarblerActive[i] = res.GarblerPairs[i].Get(v)
 	}
 	for i := range res.EvalPairs {
-		res.EvalPairs[i] = label.NewPair(wire0[c.EvaluatorInputWire(i)], g.delta)
+		res.EvalPairs[i] = label.NewPair(w[evalBase+i], g.delta)
 	}
-	for i, ow := range c.Outputs {
-		res.Material.OutputPerm[i] = wire0[ow].LSB()
-		res.OutputPairs[i] = label.NewPair(wire0[ow], g.delta)
-	}
-	for i, sw := range c.StateOuts {
-		res.StateOut0[i] = wire0[sw]
-	}
-	if opts.State0 == nil && c.NState > 0 {
+	if opts.State0 == nil && prog.NState > 0 {
 		// Round 0: state is logical 0, so the FALSE labels are active
 		// and must travel to the evaluator.
-		res.Material.StateInActive = append([]label.Label(nil), wire0[stateBase:stateBase+c.NState]...)
+		res.Material.StateInActive = append([]label.Label(nil), w[stateBase:span]...)
+	}
+
+	blk := res.Material.TableBlock
+	tweak := opts.TweakBase
+	tweaksPerGate := scheme.TweaksPerGate()
+	off := 0
+	for i := range prog.Instrs {
+		in := &prog.Instrs[i]
+		if in.Op == circuit.XOR {
+			w[in.A].XorInto(&w[in.B], &w[in.Out])
+			continue
+		}
+		table := blk[off : off+stride]
+		if g.aes != nil {
+			g.garbleHalfGate(&w[in.A], &w[in.B], &w[in.Out], table, tweak)
+		} else {
+			out0, t := scheme.GarbleAND(g.params.Hash, g.delta, w[in.A], w[in.B], tweak)
+			if len(t) != rows {
+				return nil, fmt.Errorf("gc: %s produced a %d-row table, TableSize says %d", scheme.Name(), len(t), rows)
+			}
+			w[in.Out] = out0
+			table[0] = byte(rows)
+			for r := range t {
+				copy(table[1+r*label.Size:], t[r][:])
+			}
+		}
+		off += stride
+		tweak += tweaksPerGate
+	}
+	res.NextTweak = tweak
+
+	for i, slot := range prog.Outputs {
+		res.Material.OutputPerm[i] = w[slot].LSB()
+		res.OutputPairs[i] = label.NewPair(w[slot], g.delta)
+	}
+	for i, slot := range prog.StateOuts {
+		res.StateOut0[i] = w[slot]
 	}
 	return res, nil
 }

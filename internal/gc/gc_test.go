@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"bytes"
 	"crypto/rand"
 	mrand "math/rand"
 	"testing"
@@ -13,6 +14,27 @@ import (
 func allSchemes() []Scheme { return []Scheme{HalfGates{}, GRR3{}, FourRow{}} }
 
 func params(s Scheme) Params { return Params{Hash: gchash.MustAES(), Scheme: s} }
+
+// tableRows returns the rows of table k as slices into m.TableBlock, by
+// walking the block's wire layout.
+func tableRows(t *testing.T, m *Material, k int) [][]byte {
+	t.Helper()
+	off := 0
+	for i := 0; ; i++ {
+		if off >= len(m.TableBlock) {
+			t.Fatalf("table %d not in a block of %d tables", k, i)
+		}
+		n := int(m.TableBlock[off])
+		if i == k {
+			rows := make([][]byte, n)
+			for r := range rows {
+				rows[r] = m.TableBlock[off+1+r*label.Size : off+1+(r+1)*label.Size]
+			}
+			return rows
+		}
+		off += 1 + n*label.Size
+	}
+}
 
 // runGarbled garbles c and evaluates it, returning decoded outputs.
 func runGarbled(t *testing.T, s Scheme, c *circuit.Circuit, gIn, eIn []bool) []bool {
@@ -80,8 +102,8 @@ func TestXORIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gb.Material.Tables) != 0 {
-		t.Fatalf("XOR-only circuit produced %d garbled tables, want 0", len(gb.Material.Tables))
+	if gb.Material.NumTables != 0 || len(gb.Material.TableBlock) != 0 {
+		t.Fatalf("XOR-only circuit produced %d garbled tables (%d bytes), want 0", gb.Material.NumTables, len(gb.Material.TableBlock))
 	}
 	if gb.Material.CiphertextBytes() != 0 {
 		t.Fatal("XOR-only circuit has nonzero ciphertext volume")
@@ -104,7 +126,7 @@ func TestTableSizesPerScheme(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(gb.Material.Tables[0]); got != want[s.Name()] {
+		if got := len(tableRows(t, &gb.Material, 0)); got != want[s.Name()] {
 			t.Fatalf("%s: table has %d rows, want %d", s.Name(), got, want[s.Name()])
 		}
 		if got := gb.Material.CiphertextBytes(); got != want[s.Name()]*label.Size {
@@ -261,15 +283,32 @@ func TestEvaluateInputValidation(t *testing.T) {
 	if _, err := Evaluate(p, c, &gb.Material, nil, nil); err == nil {
 		t.Fatal("missing evaluator labels accepted")
 	}
-	bad := gb.Material
-	bad.Tables = nil
-	if _, err := Evaluate(p, c, &bad, []label.Label{gb.EvalPairs[0].False}, nil); err == nil {
-		t.Fatal("missing tables accepted")
+	active := []label.Label{gb.EvalPairs[0].False}
+	// Every way a table block can disagree with the circuit, whether or
+	// not the declared count goes along with it.
+	block := gb.Material.TableBlock
+	threeRows := append([]byte{3}, make([]byte, 3*label.Size)...)
+	for name, tamper := range map[string]func(m *Material){
+		"missing tables":             func(m *Material) { m.TableBlock, m.NumTables = nil, 0 },
+		"missing tables, count kept": func(m *Material) { m.TableBlock = nil },
+		"surplus table":              func(m *Material) { m.TableBlock, m.NumTables = append(append([]byte{}, block...), block...), 2 },
+		"surplus table, count kept":  func(m *Material) { m.TableBlock = append(append([]byte{}, block...), block...) },
+		"truncated table":            func(m *Material) { m.TableBlock = block[:len(block)-1] },
+		"wrong row count":            func(m *Material) { m.TableBlock = threeRows },
+		"row count overruns block":   func(m *Material) { m.TableBlock = append([]byte{200}, block[1:]...) },
+		"trailing byte after tables": func(m *Material) { m.TableBlock = append(append([]byte{}, block...), 0) },
+		"missing garbler label":      func(m *Material) { m.GarblerActive = nil },
+		"surplus output permute bit": func(m *Material) { m.OutputPerm = append([]bool{true}, m.OutputPerm...) },
+		"state labels for no state":  func(m *Material) { m.StateInActive = []label.Label{{}} },
+	} {
+		bad := gb.Material
+		tamper(&bad)
+		if _, err := Evaluate(p, c, &bad, active, nil); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	extra := gb.Material
-	extra.Tables = append(append([][]label.Label{}, extra.Tables...), extra.Tables[0])
-	if _, err := Evaluate(p, c, &extra, []label.Label{gb.EvalPairs[0].False}, nil); err == nil {
-		t.Fatal("surplus tables accepted")
+	if _, err := Evaluate(p, c, &gb.Material, active, nil); err != nil {
+		t.Fatalf("untampered material rejected: %v", err)
 	}
 }
 
@@ -310,7 +349,7 @@ func TestTamperedTableChangesOutputLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb.Material.Tables[0][0][3] ^= 0x40 // corrupt the generator-half row
+	tableRows(t, &gb.Material, 0)[0][3] ^= 0x40 // corrupt the generator-half row
 	res, err := Evaluate(p, c, &gb.Material, []label.Label{gb.EvalPairs[0].True}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +381,7 @@ func TestDifferentDeltasProduceDifferentMaterial(t *testing.T) {
 	}
 	gb1, _ := g1.Garble(c, GarbleOptions{GarblerInputs: []bool{true}})
 	gb2, _ := g2.Garble(c, GarbleOptions{GarblerInputs: []bool{true}})
-	if gb1.Material.Tables[0][0] == gb2.Material.Tables[0][0] {
+	if bytes.Equal(tableRows(t, &gb1.Material, 0)[0], tableRows(t, &gb2.Material, 0)[0]) {
 		t.Fatal("independent garblings produced identical ciphertexts")
 	}
 }

@@ -93,7 +93,7 @@ func TestCiphertextBytesLookUniform(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r < 2; r++ {
-			for j, by := range gb.Material.Tables[0][r] {
+			for j, by := range tableRows(t, &gb.Material, 0)[r] {
 				seen[r][j][by] = true
 			}
 		}

@@ -31,7 +31,12 @@ import (
 type Hasher interface {
 	// Hash returns H(x, T).
 	Hash(x label.Label, tweak uint64) label.Label
-	// HashInto computes H(x, T) into dst without allocating.
+	// HashInto computes H(x, T) into dst. It spares the caller the
+	// label copies of Hash, but it is not allocation-free on every
+	// implementation: on *AES the cipher input and output escape through
+	// the cipher.Block interface, two 16-byte heap objects per call. The
+	// garbling kernel does not come through here — it hashes a whole AND
+	// gate at a time with (*AES).HashAND over scratch it owns.
 	HashInto(x *label.Label, tweak uint64, dst *label.Label)
 	// Name identifies the hash construction for reports.
 	Name() string
@@ -89,6 +94,41 @@ func (h *AES) HashInto(x *label.Label, tweak uint64, dst *label.Label) {
 	var ct label.Label
 	h.block.Encrypt(ct[:], k[:])
 	ct.XorInto(&k, dst)
+}
+
+// ANDBlocks is the caller-owned working memory of HashAND: the labels
+// one AND gate hashes, their hashes, and the cipher inputs in between.
+// It belongs to whoever walks the circuit — one per Garbler, one per
+// Evaluate call — and never to the *AES, which per-worker garblers share.
+// Handing its arrays to the cipher makes the whole struct escape, so a
+// walker allocates it once (or embeds it in an object already on the
+// heap) and reuses it for every gate.
+type ANDBlocks struct {
+	// X holds the labels to hash: a⁰, a¹, b⁰, b¹ when garbling (n = 4),
+	// the two active labels a, b when evaluating (n = 2).
+	X [4]label.Label
+	// H receives H(X[i], Tᵢ).
+	H [4]label.Label
+	k [4]label.Label
+}
+
+// HashAND hashes the first n labels of s.X into s.H with the tweak
+// schedule of a half-gate AND: the first n/2 labels (wire a's) under
+// tweak, the rest (wire b's) under tweak+1. n is 4 for the garbler and 2
+// for the evaluator. It allocates nothing; H(x, T) is bit-for-bit what
+// Hash and HashInto return.
+func (h *AES) HashAND(s *ANDBlocks, n int, tweak uint64) {
+	for i := 0; i < n; i++ {
+		t := tweak
+		if i >= n/2 {
+			t++
+		}
+		k := &s.k[i]
+		s.X[i].DoubleInto(k)
+		binary.LittleEndian.PutUint64(k[0:8], binary.LittleEndian.Uint64(k[0:8])^t)
+		h.block.Encrypt(s.H[i][:], k[:])
+		s.H[i].XorInto(k, &s.H[i])
+	}
 }
 
 // SHA256 is a hash with the same interface built from SHA-256. It

@@ -67,18 +67,21 @@ func (l Label) IsZero() bool { return l == Zero }
 // used by the fixed-key garbling hash of Bellare et al. to separate the
 // two hash inputs of a half gate.
 func (l Label) Double() Label {
+	var out Label
+	l.DoubleInto(&out)
+	return out
+}
+
+// DoubleInto stores 2·l into dst (dst may be l). It is the copy-free
+// form of Double used on the garbling hot path.
+func (l *Label) DoubleInto(dst *Label) {
 	hi := binary.BigEndian.Uint64(l[0:8])
 	lo := binary.BigEndian.Uint64(l[8:16])
 	carry := hi >> 63
 	hi = hi<<1 | lo>>63
-	lo <<= 1
-	if carry == 1 {
-		lo ^= 0x87
-	}
-	var out Label
-	binary.BigEndian.PutUint64(out[0:8], hi)
-	binary.BigEndian.PutUint64(out[8:16], lo)
-	return out
+	lo = lo<<1 ^ carry*0x87
+	binary.BigEndian.PutUint64(dst[0:8], hi)
+	binary.BigEndian.PutUint64(dst[8:16], lo)
 }
 
 // Quadruple returns 4·l in GF(2^128).
@@ -90,10 +93,21 @@ func (l Label) String() string { return hex.EncodeToString(l[:]) }
 // Random draws a uniformly random label from r.
 func Random(r io.Reader) (Label, error) {
 	var l Label
-	if _, err := io.ReadFull(r, l[:]); err != nil {
-		return Zero, fmt.Errorf("label: drawing random label: %w", err)
+	if err := ReadRandom(r, &l); err != nil {
+		return Zero, err
 	}
 	return l, nil
+}
+
+// ReadRandom draws a uniformly random label from r into dst with one
+// 16-byte read. Unlike Random it allocates nothing when dst already
+// lives on the heap (a label handed to an io.Reader escapes), which is
+// what the garbler's per-wire label draws need.
+func ReadRandom(r io.Reader, dst *Label) error {
+	if _, err := io.ReadFull(r, dst[:]); err != nil {
+		return fmt.Errorf("label: drawing random label: %w", err)
+	}
+	return nil
 }
 
 // MustRandom draws a uniformly random label from crypto/rand and panics

@@ -76,6 +76,19 @@ func TestDoubleIsLinear(t *testing.T) {
 	}
 }
 
+func TestDoubleIntoMatchesDouble(t *testing.T) {
+	f := func(a Label) bool {
+		var dst Label
+		a.DoubleInto(&dst)
+		want := a.Double()
+		a.DoubleInto(&a) // dst aliases receiver
+		return dst == want && a == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDoubleKnownVector(t *testing.T) {
 	// 2·x where x has only the top bit set must fold in the reduction
 	// polynomial 0x87.

@@ -92,16 +92,21 @@ func (c Config) withDefaults() Config {
 
 // Simulator is a configured MAXelerator instance.
 //
-// Concurrent-use contract: a Simulator owns one garbler (one free-XOR
-// offset and label stream), so GarbleDotProduct and Trace must not be
-// called concurrently on the same instance — callers that garble in
-// parallel (the protocol layer's row-garbling worker pool) must build
-// one Simulator per worker, which also gives each worker fresh labels
-// as the paper requires. The read-only accessors (Config, Circuit,
-// Schedule, Resources, throughput queries) and the metrics registry
-// the stats feed into are safe to share; Config.Rand is read by
-// whichever goroutine garbles, so a source shared across simulators
-// must itself be safe for concurrent reads.
+// Concurrent-use contract: a Simulator is two things. Its compiled state
+// — the resolved Config, the FSM schedule, the MAC netlist with its
+// lowered program, the metric handles — is read-only after New and
+// shared freely: Fork hands it to another simulator without rebuilding
+// it, and the accessors (Config, Circuit, Schedule, Resources, the
+// throughput queries) are safe from any goroutine. Its garbler — one
+// free-XOR offset, one label stream, and the walker's working memory —
+// is private: GarbleDotProduct, PreGarbleDotProduct and Trace must not
+// run concurrently on the same instance. Callers that garble in parallel
+// (the protocol layer's row-garbling pool, the precompute engine's
+// refill workers) hold one compiled template per process role and Fork
+// it once per worker, request or pool entry, which also gives each its
+// own fresh labels, as the paper requires. The randomness source is read
+// by whichever goroutine garbles, so one shared across forks must itself
+// be safe for concurrent reads.
 type Simulator struct {
 	cfg      Config
 	schedule *sched.Schedule
@@ -194,6 +199,31 @@ func New(cfg Config) (*Simulator, error) {
 		}
 	}
 	return sim, nil
+}
+
+// Fork returns a simulator that shares s's compiled state and owns a new
+// garbler: a fresh free-XOR offset drawn from rnd now, and every later
+// label from rnd too. It costs one 16-byte read and one small
+// allocation, against New's netlist construction.
+func (s *Simulator) Fork(rnd io.Reader) (*Simulator, error) {
+	g, err := gc.NewGarbler(s.cfg.Params, rnd)
+	if err != nil {
+		return nil, err
+	}
+	f := *s
+	f.cfg.Rand = rnd
+	f.garbler = g
+	return &f, nil
+}
+
+// WithMetrics returns s recording its hardware accounting into reg (nil
+// disables recording). The result replaces s — they share one garbler —
+// so this is for configuring a template before anything garbles on it.
+func (s *Simulator) WithMetrics(reg *obs.Registry) *Simulator {
+	f := *s
+	f.cfg.Metrics = reg
+	f.met = newSimMetrics(reg, s.schedule.NumCores())
+	return &f
 }
 
 // Schedule exposes the FSM schedule driving the timing model.
@@ -301,7 +331,7 @@ func (s *Simulator) GarbleDotProduct(x []int64) (*DotProductRun, error) {
 		run.Rounds = append(run.Rounds, gb)
 		state0 = gb.StateOut0
 		tweak = gb.NextTweak
-		run.Stats.TablesGarbled += uint64(len(gb.Material.Tables))
+		run.Stats.TablesGarbled += uint64(gb.Material.NumTables)
 		run.Stats.TableBytes += uint64(gb.Material.CiphertextBytes())
 	}
 	run.OutputPairs = run.Rounds[m-1].OutputPairs

@@ -64,7 +64,7 @@ func (s *Simulator) PreGarbleDotProduct(m int) (*PreRun, error) {
 		pairs = append(pairs, gb.GarblerPairs)
 		state0 = gb.StateOut0
 		tweak = gb.NextTweak
-		run.Stats.TablesGarbled += uint64(len(gb.Material.Tables))
+		run.Stats.TablesGarbled += uint64(gb.Material.NumTables)
 		run.Stats.TableBytes += uint64(gb.Material.CiphertextBytes())
 	}
 	run.OutputPairs = run.Rounds[m-1].OutputPairs

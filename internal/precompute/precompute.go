@@ -169,7 +169,10 @@ type pool struct {
 // All methods are safe for concurrent use; a nil *Engine is a no-op
 // that always misses, so callers thread it without guards.
 type Engine struct {
-	cfg    Config
+	cfg Config
+	// sim is the compiled accelerator for cfg.Sim, built once at New;
+	// every entry is garbled on its own fork.
+	sim    *maxsim.Simulator
 	reg    *obs.Registry
 	refill *obs.Histogram
 	busy   *obs.Gauge
@@ -220,6 +223,7 @@ func New(cfg Config) (*Engine, error) {
 	cfg.Sim = sim.Config()
 	e := &Engine{
 		cfg:   cfg,
+		sim:   sim,
 		reg:   cfg.Metrics,
 		pools: make(map[Shape]*pool),
 		wake:  make(chan struct{}, 1),
@@ -555,17 +559,15 @@ func (e *Engine) buildEntry(s Shape) (*Entry, error) {
 }
 
 // buildFromSeed is the deterministic core of entry construction: one
-// seeded simulator pre-garbles every row, exactly as the inline path
-// garbles them (same simulator reuse, same draw order), so the same
-// seed yields byte-identical material either way.
+// seeded fork of the engine's simulator pre-garbles every row, exactly
+// as the inline path garbles them (same simulator reuse, same draw
+// order), so the same seed yields byte-identical material either way.
 func (e *Engine) buildFromSeed(s Shape, seed [16]byte) (*Entry, error) {
 	drbg, err := label.NewDRBG(seed)
 	if err != nil {
 		return nil, err
 	}
-	simCfg := e.cfg.Sim
-	simCfg.Rand = drbg
-	sim, err := maxsim.New(simCfg)
+	sim, err := e.sim.Fork(drbg)
 	if err != nil {
 		return nil, err
 	}
@@ -585,6 +587,10 @@ func (e *Engine) buildFromSeed(s Shape, seed [16]byte) (*Entry, error) {
 // property tests and for reproducing an entry offline; production
 // filling goes through the engine's own seed source.
 func BuildEntryFromSeed(cfg maxsim.Config, s Shape, seed [16]byte) (*Entry, error) {
-	e := &Engine{cfg: Config{Sim: cfg}}
+	sim, err := maxsim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{sim: sim}
 	return e.buildFromSeed(s, seed)
 }

@@ -3,9 +3,10 @@ package protocol
 // Parallel row garbling. Matrix rows are independent MAC chains, so
 // they can be garbled concurrently — the paper's parallel-GC-core
 // argument lifted to the host: table *generation* is the compute-bound
-// phase, streaming is not. A pool of workers each owns a private
-// simulator (fresh free-XOR offset and labels per worker, fresh run
-// per row, exactly as the sequential path), and a reorder stage emits
+// phase, streaming is not. A pool of workers each owns a private fork
+// of the server's simulator (fresh free-XOR offset and labels per
+// worker, fresh run per row, exactly as the sequential path; the
+// compiled netlist is shared read-only), and a reorder stage emits
 // completed rows strictly in row order, so the bytes on the wire — and
 // the client's round-by-round evaluation — are identical whatever the
 // pool size.
@@ -47,10 +48,10 @@ type garbleResult struct {
 
 // garbleRows garbles every row of A and hands each run to emit in
 // strict row order. workers <= 1 garbles inline on the calling
-// goroutine (one simulator per request, the pre-v2 behaviour); larger
-// pools garble up to `workers` rows concurrently. Context cancellation
-// stops the pool between rows — in-flight rows finish (a garbling is
-// CPU work with no wire waits) but no new row starts.
+// goroutine (one simulator fork per request); larger pools garble up to
+// `workers` rows concurrently. Context cancellation stops the pool
+// between rows — in-flight rows finish (a garbling is CPU work with no
+// wire waits) but no new row starts.
 func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers int, emit func(int, *maxsim.DotProductRun) error) error {
 	n := len(A)
 	if workers > n {
@@ -62,7 +63,7 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 		// request — including the inline (size 1) path, so it no longer
 		// reads as whatever the last pooled request used.
 		ss.reg.Gauge("garble_workers", "row-garbling worker pool size").Set(1)
-		sim, err := maxsim.New(sess.srv.cfg)
+		sim, err := sess.srv.sim.Fork(sess.srv.sim.Config().Rand)
 		if err != nil {
 			return err
 		}
@@ -88,14 +89,13 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 	rowSeconds := reg.Histogram("garble_row_seconds", "wall time to garble one matrix row", nil)
 	rowsTotal := reg.Counter("garble_rows_total", "matrix rows garbled by the worker pool")
 
-	// One simulator per worker: every worker garbles under its own
-	// fresh free-XOR offset, and nothing mutable is shared except the
-	// randomness source, which gets a lock.
-	cfgw := sess.srv.cfg
-	cfgw.Rand = &lockedReader{r: cfgw.Rand}
+	// One fork per worker: every worker garbles under its own fresh
+	// free-XOR offset and working memory, and nothing mutable is shared
+	// except the randomness source, which gets a lock.
+	rnd := &lockedReader{r: sess.srv.sim.Config().Rand}
 	sims := make([]*maxsim.Simulator, workers)
 	for w := range sims {
-		sim, err := maxsim.New(cfgw)
+		sim, err := sess.srv.sim.Fork(rnd)
 		if err != nil {
 			return err
 		}

@@ -147,7 +147,9 @@ func SendBusy(conn wire.Conn, retryAfter time.Duration) error {
 // the garbler sends either garbled material or a terminal error frame —
 // the mechanism that lets a recovered server-side panic fail one
 // request explicitly instead of leaving the evaluator blocked until its
-// deadline.
+// deadline. The returned Material aliases the received frame (RecvMsg
+// hands the receiver its own buffer), so it lives as long as the caller
+// holds it — one round's evaluation — and no table is copied.
 func recvMaterial(conn wire.Conn) (*gc.Material, error) {
 	msg, err := conn.RecvMsg()
 	if err != nil {
@@ -174,14 +176,16 @@ func sendErrFrame(conn wire.Conn, text string) error {
 
 // Server is the garbler endpoint: it owns the accelerator
 // configuration and the model data. Serve and NewSession may be called
-// from concurrent goroutines — each session (and each garbling worker
-// within one) instantiates its own simulator with a fresh free-XOR
-// offset, as the paper requires ("new labels are required for every
-// garbling operation to ensure security").
+// from concurrent goroutines — each request (and each garbling worker
+// within one) forks its own simulator off the server's compiled one,
+// with a fresh free-XOR offset, as the paper requires ("new labels are
+// required for every garbling operation to ensure security").
 type Server struct {
-	// cfg is the resolved simulator configuration (defaults applied at
-	// NewServer), shared read-only by every session and worker.
-	cfg maxsim.Config
+	// sim is the compiled accelerator — resolved configuration (defaults
+	// applied), MAC netlist, lowered program, schedule, metric handles —
+	// built once at NewServer and shared read-only by every session and
+	// worker. Nothing garbles on it; requests and workers Fork it.
+	sim *maxsim.Simulator
 	obs *obs.Obs
 	// timeouts are the default per-operation I/O budgets applied to
 	// every session (overridable per session via SessionConfig).
@@ -221,13 +225,12 @@ func NewServer(cfg maxsim.Config) (*Server, error) {
 	// The hello names no garbling parameters: every v4 client evaluates
 	// under gc.DefaultParams, and a garbler on anything else would
 	// handshake cleanly and then compute garbage.
-	cfg = sim.Config()
-	got, want := cfg.Params, gc.DefaultParams()
+	got, want := sim.Config().Params, gc.DefaultParams()
 	if got.Scheme.Name() != want.Scheme.Name() || got.Hash.Name() != want.Hash.Name() {
 		return nil, fmt.Errorf("protocol: protocol v%d fixes %s/%s, got %s/%s", ProtoVersion,
 			want.Scheme.Name(), want.Hash.Name(), got.Scheme.Name(), got.Hash.Name())
 	}
-	return &Server{cfg: cfg, arena: wire.NewArena()}, nil
+	return &Server{sim: sim, arena: wire.NewArena()}, nil
 }
 
 // WithObs attaches an observability hub: every session is counted,
@@ -238,7 +241,7 @@ func NewServer(cfg maxsim.Config) (*Server, error) {
 func (s *Server) WithObs(o *obs.Obs) *Server {
 	s.mustNotHaveServed("WithObs")
 	s.obs = o
-	s.cfg.Metrics = o.Metrics()
+	s.sim = s.sim.WithMetrics(o.Metrics())
 	return s
 }
 
@@ -261,8 +264,8 @@ func (s *Server) shapeOf(req Request) precompute.Shape {
 	return precompute.Shape{
 		Rows:   len(req.Matrix),
 		Cols:   len(req.Matrix[0]),
-		Width:  s.cfg.Width,
-		Signed: s.cfg.Signed,
+		Width:  s.sim.Config().Width,
+		Signed: s.sim.Config().Signed,
 		Mode:   shapeModeMatVec,
 		OT:     req.OT.String(),
 	}

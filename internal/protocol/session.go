@@ -79,7 +79,7 @@ func (s *Server) NewSessionContext(ctx context.Context, conn wire.Conn, cfg Sess
 // NewSession: version negotiation and OT setup, each wire operation
 // under the handshake budget.
 func (s *Server) startSession(ctx context.Context, conn wire.Conn, ss *session, workers int, to Timeouts) (*ServerSession, error) {
-	cfg := s.cfg
+	cfg := s.sim.Config()
 	tc := newTimedConn(conn, ss.reg)
 	release := tc.bind(ctx)
 	defer release()

@@ -6,8 +6,9 @@ package protocol
 // memory scaled with the request. Here production and transfer overlap:
 // a producer (the garble pool's in-order reorder stage, or the
 // precompute pool replay) yields garbled-row chunks through a bounded
-// pipeline.Stream into a consumer that frames material zero-copy
-// (gc.AppendMaterial into a wire.Arena buffer, one SendMsg per frame)
+// pipeline.Stream into a consumer that frames material with one bulk
+// copy per round (gc.AppendMaterial appends the round's table block,
+// already in wire layout, to a wire.Arena buffer; one SendMsg per frame)
 // and runs the per-round OT. The bytes on the wire are
 // byte-identical to the buffered path at any pool size or pipeline
 // depth — only the timing and the buffering change, which is what the
@@ -22,6 +23,7 @@ import (
 	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
+	"maxelerator/internal/obs"
 	"maxelerator/internal/ot"
 	"maxelerator/internal/pipeline"
 	"maxelerator/internal/wire"
@@ -65,8 +67,8 @@ func (w *byteWatermark) add(n int64) {
 }
 
 // sendMaterialFramed ships one round's garbled material behind the
-// material tag, assembling the frame in a pooled arena buffer so no
-// per-table []byte is allocated.
+// material tag, assembling the frame in a pooled arena buffer: the
+// round's table block is copied in whole, nothing is allocated.
 func sendMaterialFramed(fw *wire.FrameWriter, m *gc.Material) error {
 	size, err := gc.MaterialSize(m)
 	if err != nil {
@@ -87,6 +89,8 @@ type rowStreamer struct {
 	ot   OTMode
 	fw   *wire.FrameWriter
 	wm   byteWatermark
+	// chunks counts garbled-row chunks through the serve pipeline.
+	chunks *obs.Counter
 
 	agg      Stats
 	allPairs []label.Pair            // batched mode: every round's pairs, in order
@@ -98,6 +102,8 @@ func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
 		sess: sess,
 		ot:   mode,
 		fw:   wire.NewFrameWriter(sess.conn, sess.srv.arena),
+		chunks: sess.ss.reg.Counter("pipeline_chunks_total",
+			"garbled-row chunks streamed through the serve pipeline"),
 	}
 }
 
@@ -112,8 +118,7 @@ func (st *rowStreamer) offer(yield func(rowChunk) bool, i int, run *maxsim.DotPr
 // accumulates (its one OT must precede any material, so transfer waits
 // for the tail — the honest O(request) case the watermark exposes).
 func (st *rowStreamer) consume(c rowChunk) error {
-	st.sess.ss.reg.Counter("pipeline_chunks_total",
-		"garbled-row chunks streamed through the serve pipeline").Inc()
+	st.chunks.Inc()
 	addStats(&st.agg, &c.run.Stats)
 	if st.ot == OTBatched {
 		st.runs = append(st.runs, c.run)

@@ -233,7 +233,7 @@ func TestGarbledTableCountMatchesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(gb.Material.Tables); got != l.ANDsPerStage || got != 16 {
+	if got := gb.Material.NumTables; got != l.ANDsPerStage || got != 16 {
 		t.Fatalf("stage produced %d tables, want %d", got, l.ANDsPerStage)
 	}
 }

@@ -121,7 +121,7 @@ func (f *Framework) GarbleMACRounds(n int) (Stats, error) {
 		}
 		state0 = gb.StateOut0
 		tweak = gb.NextTweak
-		st.Tables += uint64(len(gb.Material.Tables))
+		st.Tables += uint64(gb.Material.NumTables)
 		st.TableBytes += uint64(gb.Material.CiphertextBytes())
 	}
 	st.Elapsed = time.Since(start)
