@@ -11,32 +11,6 @@
 //	maxbench -figure 3 -b 16  # one figure at a chosen bit-width
 //	maxbench -case portfolio  # one case study
 //	maxbench -fast            # skip the live software measurement
-//
-// Latency mode measures online request latency (p50/p95/p99) over a
-// multiplexed in-memory session; with -precompute it contrasts inline
-// garbling with a warm precompute pool in one run (see latency.go):
-//
-//	maxbench -latency -rows 16 -cols 16 -b 16 -requests 30 -precompute
-//	maxbench -latency -precompute -json
-//
-// With -addr the latency pass runs against a live TCP endpoint — a
-// single maxd, or a maxgw fleet router — opening the session with a
-// shape-hint preface so the gateway pins it to the warm backend.
-// -rows/-cols must match the served model:
-//
-//	maxbench -latency -addr 127.0.0.1:7000 -rows 4 -cols 4 -b 16
-//
-// Grid mode runs the canonical benchmark sweep (OT mode × shape ×
-// bit-width × precompute on/off) and emits the versioned
-// internal/benchgrid JSON schema; compare mode diffs two grid files
-// under tolerances and exits non-zero on regression (see grid.go):
-//
-//	maxbench -grid -json > BENCH_PR6.json
-//	maxbench -compare BENCH_PR6.json new.json
-//
-// -json is global: the machine-readable artifact goes to stdout and
-// human progress to stderr, so redirecting stdout always captures a
-// clean artifact.
 package main
 
 import (
@@ -44,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"maxelerator/internal/benchgrid"
 	"maxelerator/internal/report"
 )
 
@@ -55,77 +28,11 @@ func main() {
 	width := flag.Int("b", 8, "bit-width for figure renderings")
 	fast := flag.Bool("fast", false, "skip live software measurement in Table 2")
 	rounds := flag.Int("rounds", 200, "MAC rounds per width for the live software measurement")
-	latency := flag.Bool("latency", false, "measure online request latency over a multiplexed session")
-	rows := flag.Int("rows", 16, "matrix rows for -latency")
-	cols := flag.Int("cols", 16, "matrix columns for -latency")
-	requests := flag.Int("requests", 20, "requests per measured pass (-latency, -grid)")
-	precompute := flag.Bool("precompute", false, "also measure against a warm precompute pool (-latency)")
-	addr := flag.String("addr", "", "measure -latency against a live maxd or maxgw endpoint instead of in-memory")
-	pool := flag.Int("precompute-pool", 1, "precompute pool size per shape (-latency -precompute)")
-	jsonOut := flag.Bool("json", false, "emit the artifact as JSON on stdout (progress goes to stderr)")
-	grid := flag.Bool("grid", false, "run the canonical benchmark grid (OT × size × width × precompute)")
-	gridOTs := flag.String("grid-ots", "per-round,batched", "comma-separated OT modes for -grid")
-	gridSizes := flag.String("grid-sizes", "4x4,16x16", "comma-separated RxC shapes for -grid")
-	gridWidths := flag.String("grid-widths", "8,16", "comma-separated bit-widths for -grid")
-	compare := flag.Bool("compare", false, "compare two grid files: maxbench -compare base.json new.json")
-	tolLatency := flag.Float64("tol-latency", 0.25, "allowed fractional latency increase in -compare (negative disables)")
-	tolSlackMs := flag.Float64("tol-latency-slack-ms", 0.5, "absolute latency grace in ms added to the fractional bound")
-	tolThroughput := flag.Float64("tol-throughput", 0.25, "allowed fractional tables/sec decrease in -compare (negative disables)")
-	tolBytes := flag.Float64("tol-bytes", 0.10, "allowed fractional bytes/op increase in -compare (negative disables)")
-	tolAllocs := flag.Float64("tol-allocs", 0.10, "allowed fractional allocs/op increase in -compare (negative disables)")
-	requireAll := flag.Bool("require-all", false, "in -compare, a baseline cell missing from the new grid is a regression")
 	flag.Parse()
 
-	out := &output{json: *jsonOut, data: os.Stdout, msg: os.Stderr}
-	fail := func(err error) {
+	if err := run(*table, *figure, *study, *width, *fast, *rounds); err != nil {
 		fmt.Fprintln(os.Stderr, "maxbench:", err)
 		os.Exit(1)
-	}
-
-	switch {
-	case *compare:
-		if flag.NArg() != 2 {
-			fail(fmt.Errorf("compare: want two grid files (maxbench -compare base.json new.json), got %d args", flag.NArg()))
-		}
-		tol := benchgrid.Tolerances{
-			Latency: *tolLatency, LatencySlackMs: *tolSlackMs,
-			Throughput: *tolThroughput, Bytes: *tolBytes, Allocs: *tolAllocs,
-			RequireAll: *requireAll,
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), tol, out); err != nil {
-			fail(err)
-		}
-	case *grid:
-		if *addr != "" {
-			fail(fmt.Errorf("-addr is a -latency mode; the grid measures the in-process stack"))
-		}
-		gc := gridConfig{requests: *requests}
-		var err error
-		if gc.ots, err = parseOTModes(*gridOTs); err != nil {
-			fail(err)
-		}
-		if gc.sizes, err = parseSizes(*gridSizes); err != nil {
-			fail(err)
-		}
-		if gc.widths, err = parseWidths(*gridWidths); err != nil {
-			fail(err)
-		}
-		if err := runGrid(gc, out); err != nil {
-			fail(err)
-		}
-	case *latency:
-		lc := latencyConfig{rows: *rows, cols: *cols, width: *width, requests: *requests,
-			precompute: *precompute, pool: *pool, addr: *addr}
-		if err := runLatency(lc, out); err != nil {
-			fail(err)
-		}
-	default:
-		if *addr != "" {
-			fail(fmt.Errorf("-addr requires -latency"))
-		}
-		if err := run(*table, *figure, *study, *width, *fast, *rounds); err != nil {
-			fail(err)
-		}
 	}
 }
 

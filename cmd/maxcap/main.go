@@ -5,10 +5,9 @@
 // Three modes:
 //
 //	maxcap -simulate -rate 50 -duration 30s -backends 2 -pool 4
-//	    Predict one scenario's report. Calibration precedence:
-//	    -calib snapshot.json (a daemon's /histz export) beats
-//	    -grid BENCH_PR5.json (a committed maxbench grid) beats
-//	    the analytic fallback (paper cycle counts + PCIe drain).
+//	    Predict one scenario's report, calibrated from
+//	    -calib snapshot.json (a daemon's /histz export) or, without
+//	    it, the analytic model (paper cycle counts + PCIe drain).
 //
 //	maxcap -capacity -slo-p99 250 -backends-sweep 1,2,4 \
 //	       -pool-sweep 0,4,16 -sessions-sweep 4,16
@@ -35,10 +34,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"maxelerator/internal/backend"
-	"maxelerator/internal/benchgrid"
 	"maxelerator/internal/capmodel"
 	"maxelerator/internal/load"
 	"maxelerator/internal/obs"
@@ -63,7 +63,7 @@ type cliConfig struct {
 	coldStart                                 bool
 
 	// calibration
-	calibPath, gridPath string
+	calibPath string
 
 	// capacity sweep
 	sloP99                                  float64
@@ -77,51 +77,65 @@ type cliConfig struct {
 }
 
 func main() {
-	var c cliConfig
-	flag.BoolVar(&c.simulate, "simulate", false, "predict one scenario's report")
-	flag.BoolVar(&c.capacity, "capacity", false, "sweep fleet configs for sustainable QPS")
-	flag.BoolVar(&c.validate, "validate", false, "measure a real backend, then check the prediction against it")
-
-	flag.Float64Var(&c.rate, "rate", 10, "offered arrival rate, sessions/second")
-	flag.StringVar(&c.process, "process", "poisson", "arrival process: poisson, uniform or burst")
-	flag.IntVar(&c.burst, "burst", 8, "arrivals per clump under -process burst")
-	flag.DurationVar(&c.duration, "duration", 30*time.Second, "arrival window")
-	flag.Int64Var(&c.seed, "seed", 1, "schedule seed")
-	flag.IntVar(&c.maxInflight, "max-inflight", 64, "client-side concurrent session cap; 0 = unlimited")
-	flag.StringVar(&c.shapes, "shapes", "4x4/b=8", "weighted shape mix (maxload syntax)")
-
-	flag.IntVar(&c.backends, "backends", 1, "simulated backend count")
-	flag.IntVar(&c.maxSessions, "max-sessions", 8, "per-backend session limit; 0 = unlimited")
-	flag.DurationVar(&c.admissionWait, "admission-wait", 2*time.Second, "per-backend queue wait before BUSY (0 = queue forever, as maxd)")
-	flag.IntVar(&c.cpus, "cpus", 0, "per-backend compute parallelism (default: max-inflight, see DESIGN.md §15)")
-	flag.IntVar(&c.pool, "pool", 4, "precompute pool depth per shape; 0 = no pool")
-	flag.IntVar(&c.refill, "refill-workers", 1, "background refill parallelism")
-	flag.BoolVar(&c.coldStart, "cold-start", false, "start pools empty instead of warm")
-
-	flag.StringVar(&c.calibPath, "calib", "", "calibrate from a /histz snapshot JSON file")
-	flag.StringVar(&c.gridPath, "grid", "", "calibrate from a committed maxbench grid (BENCH_PR*.json)")
-
-	flag.Float64Var(&c.sloP99, "slo-p99", 250, "capacity sweep: p99 latency SLO in ms")
-	flag.StringVar(&c.backendsSweep, "backends-sweep", "1,2,4", "capacity sweep: backend counts")
-	flag.StringVar(&c.poolSweep, "pool-sweep", "0,4", "capacity sweep: pool depths")
-	flag.StringVar(&c.sessionsSweep, "sessions-sweep", "8", "capacity sweep: max-sessions values")
-
-	flag.StringVar(&c.addr, "addr", "", "validate: external daemon address (default: boot an in-process backend)")
-	flag.StringVar(&c.metricsURL, "metrics", "", "validate: external daemon observability base URL (required with -addr)")
-	flag.Float64Var(&c.tolFactor, "tol-factor", capmodel.DefaultTolerance.LatencyFactor, "validate: latency tolerance factor")
-	flag.Float64Var(&c.tolSlackMs, "tol-slack-ms", capmodel.DefaultTolerance.LatencySlackMs, "validate: absolute latency slack, ms")
-	flag.Float64Var(&c.tolHit, "tol-hit", capmodel.DefaultTolerance.HitRateAbs, "validate: absolute pool hit-rate tolerance")
-
-	flag.BoolVar(&c.jsonOut, "json", false, "emit JSON on stdout")
-	flag.Parse()
-
-	if err := run(c); err != nil {
+	if err := run(parseFlags(os.Args[1:])); err != nil {
 		fmt.Fprintln(os.Stderr, "maxcap:", err)
 		os.Exit(1)
 	}
 }
 
+func parseFlags(args []string) cliConfig {
+	var c cliConfig
+	fs := flag.NewFlagSet("maxcap", flag.ExitOnError)
+	fs.BoolVar(&c.simulate, "simulate", false, "predict one scenario's report")
+	fs.BoolVar(&c.capacity, "capacity", false, "sweep fleet configs for sustainable QPS")
+	fs.BoolVar(&c.validate, "validate", false, "measure a real backend, then check the prediction against it")
+
+	fs.Float64Var(&c.rate, "rate", 10, "offered arrival rate, sessions/second")
+	fs.StringVar(&c.process, "process", "poisson", "arrival process: poisson, uniform or burst")
+	fs.IntVar(&c.burst, "burst", 8, "arrivals per clump under -process burst")
+	fs.DurationVar(&c.duration, "duration", 30*time.Second, "arrival window")
+	fs.Int64Var(&c.seed, "seed", 1, "schedule seed")
+	fs.IntVar(&c.maxInflight, "max-inflight", 64, "client-side concurrent session cap; 0 = unlimited")
+	fs.StringVar(&c.shapes, "shapes", "4x4/b=8", "weighted shape mix (maxload syntax)")
+
+	fs.IntVar(&c.backends, "backends", 1, "simulated backend count")
+	fs.IntVar(&c.maxSessions, "max-sessions", 8, "per-backend session limit; 0 = unlimited")
+	fs.DurationVar(&c.admissionWait, "admission-wait", 2*time.Second, "per-backend queue wait before BUSY (0 = queue forever, as maxd)")
+	fs.IntVar(&c.cpus, "cpus", 0, "per-backend compute parallelism (default: max-inflight, see DESIGN.md §15)")
+	fs.IntVar(&c.pool, "pool", 4, "precompute pool depth per shape; 0 = no pool")
+	fs.IntVar(&c.refill, "refill-workers", 1, "background refill parallelism")
+	fs.BoolVar(&c.coldStart, "cold-start", false, "start pools empty instead of warm")
+
+	fs.StringVar(&c.calibPath, "calib", "", "calibrate from a /histz snapshot JSON file")
+
+	fs.Float64Var(&c.sloP99, "slo-p99", 250, "capacity sweep: p99 latency SLO in ms")
+	fs.StringVar(&c.backendsSweep, "backends-sweep", "1,2,4", "capacity sweep: backend counts")
+	fs.StringVar(&c.poolSweep, "pool-sweep", "0,4", "capacity sweep: pool depths")
+	fs.StringVar(&c.sessionsSweep, "sessions-sweep", "8", "capacity sweep: max-sessions values")
+
+	fs.StringVar(&c.addr, "addr", "", "validate: external daemon address (default: boot an in-process backend)")
+	fs.StringVar(&c.metricsURL, "metrics", "", "validate: external daemon observability base URL (required with -addr)")
+	fs.Float64Var(&c.tolFactor, "tol-factor", capmodel.DefaultTolerance.LatencyFactor, "validate: latency tolerance factor")
+	fs.Float64Var(&c.tolSlackMs, "tol-slack-ms", capmodel.DefaultTolerance.LatencySlackMs, "validate: absolute latency slack, ms")
+	fs.Float64Var(&c.tolHit, "tol-hit", capmodel.DefaultTolerance.HitRateAbs, "validate: absolute pool hit-rate tolerance")
+
+	fs.BoolVar(&c.jsonOut, "json", false, "emit JSON on stdout")
+	fs.Parse(args) // ExitOnError: a bad flag never returns
+	return c
+}
+
 func run(c cliConfig) error {
+	// The simulator fills a missing backend count in with 1 and reads a
+	// negative depth or limit as "none"; an operator who typed one gets
+	// told, not a table row that was never simulated.
+	switch {
+	case c.backends < 1:
+		return fmt.Errorf("-backends %d: a fleet has at least one backend", c.backends)
+	case c.maxSessions < 0:
+		return fmt.Errorf("-max-sessions %d: a session limit is positive, or 0 for unlimited", c.maxSessions)
+	case c.pool < 0:
+		return fmt.Errorf("-pool %d: a pool depth is positive, or 0 for no pool", c.pool)
+	}
 	mix, err := load.ParseShapes(c.shapes)
 	if err != nil {
 		return err
@@ -156,9 +170,9 @@ func run(c cliConfig) error {
 	}
 }
 
-// calibrate resolves the calibration with the documented precedence:
-// snapshot file, then grid file, then analytic. The reference shape is
-// the mix's heaviest entry.
+// calibrate resolves the calibration: the -calib snapshot file when
+// given, the analytic model otherwise. The reference shape is the mix's
+// heaviest entry.
 func calibrate(c cliConfig, mix []load.ShapeWeight) (*capmodel.Calibration, error) {
 	ref := mix[0]
 	for _, sw := range mix {
@@ -177,13 +191,6 @@ func calibrate(c cliConfig, mix []load.ShapeWeight) (*capmodel.Calibration, erro
 			return nil, fmt.Errorf("%s: %w", c.calibPath, err)
 		}
 		return capmodel.FromSnapshot(snap, ref.Rows, ref.Cols, ref.Width)
-	}
-	if c.gridPath != "" {
-		g, err := benchgrid.Load(c.gridPath)
-		if err != nil {
-			return nil, err
-		}
-		return capmodel.FromGrid(g, ref.Rows, ref.Cols, ref.Width)
 	}
 	return capmodel.Analytic(ref.Rows, ref.Cols, ref.Width)
 }
@@ -220,15 +227,15 @@ func runCapacity(c cliConfig, sc load.Scenario, fl capmodel.Fleet, mix []load.Sh
 	if err != nil {
 		return err
 	}
-	backends, err := parseInts(c.backendsSweep)
+	backends, err := parseInts("-backends-sweep", c.backendsSweep, 1)
 	if err != nil {
 		return err
 	}
-	pools, err := parseInts(c.poolSweep)
+	pools, err := parseInts("-pool-sweep", c.poolSweep, 0)
 	if err != nil {
 		return err
 	}
-	sessions, err := parseInts(c.sessionsSweep)
+	sessions, err := parseInts("-sessions-sweep", c.sessionsSweep, 0)
 	if err != nil {
 		return err
 	}
@@ -364,35 +371,19 @@ func emit(v any) error {
 	return enc.Encode(v)
 }
 
-func parseInts(s string) ([]int, error) {
+// parseInts reads a sweep flag's comma-separated list; every entry is
+// an integer of at least atLeast.
+func parseInts(name, list string, atLeast int) ([]int, error) {
 	var out []int
-	for _, p := range splitComma(s) {
-		var n int
-		if _, err := fmt.Sscanf(p, "%d", &n); err != nil {
-			return nil, fmt.Errorf("bad integer list entry %q", p)
+	for _, p := range strings.Split(list, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("%s %q: entry %q is not an integer", name, list, p)
+		}
+		if n < atLeast {
+			return nil, fmt.Errorf("%s %q: entry %d is below %d", name, list, n, atLeast)
 		}
 		out = append(out, n)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty integer list")
-	}
 	return out, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	cur := ""
-	for _, r := range s + "," {
-		if r == ',' {
-			if cur != "" {
-				out = append(out, cur)
-			}
-			cur = ""
-			continue
-		}
-		if r != ' ' {
-			cur += string(r)
-		}
-	}
-	return out
 }

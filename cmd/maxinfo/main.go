@@ -8,7 +8,6 @@
 //	maxinfo -b 32              # schedule + performance + resources
 //	maxinfo -b 16 -units 4     # multi-unit fit on the VCU108
 //	maxinfo -rng               # run the NIST-style battery
-//	maxinfo -trend             # perf trajectory across BENCH_PR*.json
 package main
 
 import (
@@ -30,17 +29,8 @@ func main() {
 	trace := flag.Int("trace", 0, "run the cycle-level memory/PCIe trace for this many MACs")
 	drain := flag.Int("drain", 4, "output-port drain rate in bytes/cycle for -trace")
 	timeline := flag.Int("timeline", 0, "render the pipeline timeline for this many MACs")
-	trend := flag.Bool("trend", false, "render the perf trajectory across committed BENCH_PR*.json grids")
-	trendDir := flag.String("trend-dir", ".", "directory holding the BENCH_PR*.json grids")
 	flag.Parse()
 
-	if *trend {
-		if err := trendReport(*trendDir); err != nil {
-			fmt.Fprintln(os.Stderr, "maxinfo:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *timeline > 0 {
 		out, err := report.Timeline(*width, *timeline, 100)
 		if err != nil {

@@ -220,8 +220,8 @@ func Start(cfg Config) (*Backend, error) {
 		}
 		// Runtime observability rides along with the metrics surface:
 		// every scrape samples goroutines, heap occupancy and GC
-		// pause/cycle deltas, so a perf regression caught by the
-		// benchgrid gate is explainable from /metrics alone.
+		// pause/cycle deltas, so a perf regression seen from outside
+		// is explainable from /metrics alone.
 		b.cfg.Obs.EnableRuntimeMetrics()
 		b.maddr = mln.Addr().String()
 		b.hsrv = &http.Server{Handler: b.handler()}

@@ -2,16 +2,13 @@
 // simulator of a maxd fleet — admission, OT setup, request service,
 // precompute warm pools with background refill — whose per-stage
 // service times are drawn from a Calibration built out of *measured*
-// execution times rather than guesses. Three calibration sources, in
+// execution times rather than guesses. Two calibration sources, in
 // decreasing order of fidelity:
 //
 //  1. FromSnapshot: live obs histogram snapshots (/histz) from a real
 //     daemon under the very traffic being modelled — empirical
 //     inverse-CDF sampling, no distributional assumption.
-//  2. FromGrid: a committed maxbench BENCH_PR*.json grid — percentile
-//     points (p50/p95/p99) interpolated into a piecewise-linear
-//     quantile function.
-//  3. Analytic: the paper's cost model (internal/sched cycle counts at
+//  2. Analytic: the paper's cost model (internal/sched cycle counts at
 //     the device clock, internal/fpga PCIe drain) — a deterministic
 //     floor for shapes nothing has measured yet.
 //
@@ -27,7 +24,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"maxelerator/internal/benchgrid"
 	"maxelerator/internal/fpga"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/sched"
@@ -123,40 +119,10 @@ func (e *Empirical) Sample(rng *rand.Rand) float64 {
 // Mean returns the snapshot's exact sum/count mean.
 func (e *Empirical) Mean() float64 { return e.mean }
 
-// PercentileDist reconstructs a sampling distribution from the three
-// percentile points a benchgrid cell publishes. The quantile function
-// is deliberately conservative: flat at p50 through the lower half
-// (the grid says nothing about the left tail), linear p50→p95 and
-// p95→p99, clamped at p99.
-type PercentileDist struct {
-	// P50, P95, P99 are the percentile points in seconds.
-	P50, P95, P99 float64
-	// MeanVal is the published mean in seconds.
-	MeanVal float64
-}
-
-// Sample draws from the piecewise-linear quantile function.
-func (p PercentileDist) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	switch {
-	case u <= 0.5:
-		return p.P50
-	case u <= 0.95:
-		return p.P50 + (u-0.5)/0.45*(p.P95-p.P50)
-	case u <= 0.99:
-		return p.P95 + (u-0.95)/0.04*(p.P99-p.P95)
-	default:
-		return p.P99
-	}
-}
-
-// Mean returns the published mean.
-func (p PercentileDist) Mean() float64 { return p.MeanVal }
-
 // Calibration is the full set of per-stage service-time distributions
 // the simulator draws from.
 type Calibration struct {
-	// Source names where the numbers came from: "snapshot", "grid" or
+	// Source names where the numbers came from: "snapshot" or
 	// "analytic" — reports carry it so a prediction is auditable.
 	Source string
 	// OTSetup is the per-session IKNP OT setup time.
@@ -257,49 +223,6 @@ func mergeCold(a obs.HistogramSnapshot, aOK bool, b obs.HistogramSnapshot, bOK b
 		m.Counts[i] = a.Counts[i] + b.Counts[i]
 	}
 	return m, true
-}
-
-// FromGrid calibrates from a committed benchmark grid: the cell
-// matching (rows, cols, width) with Precompute=true feeds the warm
-// distribution, Precompute=false the cold one. OT preference order is
-// per-round then batched. OT setup and refill stay analytic — the grid
-// clocks request service, not session setup.
-func FromGrid(g *benchgrid.Grid, rows, cols, width int) (*Calibration, error) {
-	an, err := Analytic(rows, cols, width)
-	if err != nil {
-		return nil, err
-	}
-	cal := &Calibration{Source: "grid", OTSetup: an.OTSetup,
-		RequestWarm: an.RequestWarm, RequestCold: an.RequestCold, Refill: an.Refill}
-	found := false
-	pick := func(precompute bool) (benchgrid.Cell, bool) {
-		for _, ot := range []string{"per-round", "batched"} {
-			key := fmt.Sprintf("ot=%s/%dx%d/b=%d/precompute=%t", ot, rows, cols, width, precompute)
-			if c, ok := g.Cell(key); ok && !c.Degraded {
-				return c, true
-			}
-		}
-		return benchgrid.Cell{}, false
-	}
-	if c, ok := pick(false); ok {
-		cal.RequestCold = cellDist(c)
-		found = true
-	}
-	if c, ok := pick(true); ok {
-		cal.RequestWarm = cellDist(c)
-		found = true
-	} else {
-		cal.RequestWarm = cal.RequestCold
-	}
-	if !found {
-		return nil, fmt.Errorf("capmodel: grid has no usable cell for %dx%d b=%d", rows, cols, width)
-	}
-	return cal, nil
-}
-
-func cellDist(c benchgrid.Cell) Dist {
-	ms := 1e-3
-	return PercentileDist{P50: c.P50Ms * ms, P95: c.P95Ms * ms, P99: c.P99Ms * ms, MeanVal: c.MeanMs * ms}
 }
 
 // tableBytes is the modelled wire size of one garbled table: two

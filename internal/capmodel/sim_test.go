@@ -284,20 +284,6 @@ func TestEmpiricalMomentMatch(t *testing.T) {
 	}
 }
 
-func TestPercentileDist(t *testing.T) {
-	d := PercentileDist{P50: 0.010, P95: 0.030, P99: 0.100, MeanVal: 0.015}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 10000; i++ {
-		v := d.Sample(rng)
-		if v < 0.010-1e-12 || v > 0.100+1e-12 {
-			t.Fatalf("sample %v outside [p50, p99]", v)
-		}
-	}
-	if d.Mean() != 0.015 {
-		t.Errorf("mean = %v", d.Mean())
-	}
-}
-
 func TestAnalyticCalibration(t *testing.T) {
 	cal, err := Analytic(4, 4, 8)
 	if err != nil {

@@ -65,6 +65,11 @@ func (fb *fakeBackend) dial() (wire.Conn, error) {
 		defer beSide.Close()
 		if busy {
 			protocol.SendBusy(beSide, 5*time.Millisecond)
+			// A pipe has no socket buffer: closing it before the gateway
+			// has forwarded the client's preface fails that send, and the
+			// rejection is counted as a dial error. Wait for the preface
+			// or for the gateway to hang up.
+			beSide.RecvMsg()
 			return
 		}
 		if _, err := fb.srv.Serve(beSide, protocol.Request{Matrix: testMatrix}); err == nil {

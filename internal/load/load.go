@@ -142,8 +142,8 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // oneSession runs a single client session: dial, hint, one matvec of
-// the shape's width, clean close. The client vector is the maxbench
-// pattern (j%16 − 8) so every run offers identical work.
+// the shape's width, clean close. The client vector is the fixed
+// pattern j%16 − 8, so every run offers identical work.
 func oneSession(cfg Config, shape ShapeWeight) error {
 	cli, err := protocol.NewClient(rand.Reader)
 	if err != nil {

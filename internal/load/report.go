@@ -6,9 +6,8 @@ import (
 	"maxelerator/internal/obs"
 )
 
-// Percentiles summarizes a latency sample set in milliseconds, using
-// the same nearest-rank convention as cmd/maxbench so numbers are
-// comparable across the toolchain.
+// Percentiles summarizes a latency sample set in milliseconds by the
+// nearest-rank rule (obs.NearestRank).
 type Percentiles struct {
 	P50Ms  float64 `json:"p50_ms"`
 	P90Ms  float64 `json:"p90_ms"`

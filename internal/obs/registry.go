@@ -434,9 +434,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // NearestRank picks the p-th percentile from ascending samples by the
-// nearest-rank rule every latency report in the toolchain shares
-// (maxbench grids, load reports): rank = ceil(p·n/100) clamped into
-// [1, n]; 0 on empty input.
+// nearest-rank rule the load reports use: rank = ceil(p·n/100) clamped
+// into [1, n]; 0 on empty input.
 func NearestRank(sorted []float64, p int) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -212,7 +212,7 @@ func TestConcurrentIncrements(t *testing.T) {
 
 // TestNearestRank pins the nearest-rank percentile math with a table
 // over known samples, including the n=1 and rank-equals-n edge cases
-// the maxbench -latency/-grid artifacts and the load reports depend on.
+// the load reports depend on.
 func TestNearestRank(t *testing.T) {
 	upTo := func(n int) []float64 {
 		out := make([]float64, n)

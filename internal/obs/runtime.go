@@ -23,8 +23,8 @@ var SchedLatencyBuckets = []float64{
 
 // RuntimeCollector samples the Go runtime into a Registry: goroutine
 // count, heap occupancy, GC cycle and pause accounting, and a
-// scheduler-latency proxy. It exists so a perf regression flagged by
-// the benchgrid gate is explainable from the daemon's own /metrics —
+// scheduler-latency proxy. It exists so a perf regression maxperf or a
+// load run shows is explainable from the daemon's own /metrics —
 // "p99 moved because GC pauses doubled" is a diff, not a guess.
 //
 // Collect is cheap (one runtime.ReadMemStats plus one goroutine

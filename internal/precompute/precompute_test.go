@@ -301,8 +301,8 @@ func TestShapeString(t *testing.T) {
 }
 
 // TestPoolStatsCountsTakeOutcomes: the engine-local hit/miss snapshot
-// works without any Metrics attached — the property maxbench's grid
-// degradation check depends on.
+// works without any Metrics attached — what lets a benchmark or a test
+// assert that every warm request hit.
 func TestPoolStatsCountsTakeOutcomes(t *testing.T) {
 	e := testEngine(t, Config{}) // no Metrics: obs counters are no-ops
 	s := testShape(1, 2)
