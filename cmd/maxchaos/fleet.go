@@ -62,7 +62,7 @@ func startChaosBackend(cfg *chaosConfig, id int) (*chaosBackend, error) {
 		// killed peer, and must not fire on a runner that is merely
 		// starved of CPU.
 		Timeouts:   protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second},
-		Precompute: true, PrecomputePool: 2, PrecomputeShapes: 8,
+		Precompute: true, PrecomputePool: 2,
 		WrapConn: cb.wrap,
 		// A completion is a served request followed by the client's clean
 		// end of session; a session a kill cuts short ends with an error
@@ -162,7 +162,6 @@ func startFleet(cfg *chaosConfig, logf func(string, ...any)) (*chaosFleet, error
 		RetryBudget:     cfg.retryBudget,
 		RetryBudgetMin:  cfg.retryBudgetMin,
 		MaxFailovers:    2,
-		LoadFactor:      1.25,
 		Obs:             f.o,
 		Logf:            logf,
 	})

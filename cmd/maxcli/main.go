@@ -30,11 +30,11 @@
 // When -addr points at a maxgw fleet router rather than a single maxd,
 // -hint-rows opens the session with a shape-hint preface (rows ×
 // vector-length at -b bits, per-round OT — the one mode a backend
-// serves and advertises) so the router pins the session to the backend
-// whose precompute pool is warm for that shape.
+// serves and advertises) so the router sends the session to a backend
+// whose precompute pool is pre-garbled for that shape.
 // The hint is advisory routing metadata only — a directly-dialed maxd
-// skips it — and it is re-sent on every retry reconnect, so affinity
-// survives failover.
+// skips it — and it is re-sent on every retry reconnect, so a retried
+// session is routed the same way.
 package main
 
 import (
@@ -76,7 +76,7 @@ func main() {
 	flag.DurationVar(&cc.timeouts.IO, "io-timeout", 2*time.Minute, "per-operation deadline for steady-state request I/O (0 = none)")
 	flag.IntVar(&cc.retries, "retries", 2, "extra attempts per request after a transient failure (0 = fail fast)")
 	flag.DurationVar(&cc.retryBackoff, "retry-backoff", 100*time.Millisecond, "base backoff before the first retry (doubles per retry, full jitter)")
-	flag.IntVar(&cc.hintRows, "hint-rows", 0, "open with a shape hint for a matrix of this many rows, so a maxgw router pins the session to its warm backend (0 = no hint)")
+	flag.IntVar(&cc.hintRows, "hint-rows", 0, "open with a shape hint for a matrix of this many rows, so a maxgw router sends the session to a backend advertising that shape (0 = no hint)")
 	flag.Parse()
 
 	if err := run(cc); err != nil {

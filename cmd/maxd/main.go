@@ -22,13 +22,12 @@
 // -admission-wait 0 restores the old queue-forever behaviour.
 //
 // With -precompute the daemon runs an offline/online split: background
-// workers pre-garble MAC circuits for the model's shape (and for any
-// shape the traffic teaches) into bounded per-shape pools of
+// workers pre-garble MAC circuits for the model's shape — the one
+// shape the daemon serves, admitted at boot — into a bounded pool of
 // single-use entries, so a request that hits the pool pays only OT,
-// table streaming and decode online. -precompute-pool sizes each
-// shape's pool; -precompute-shapes bounds the distinct shapes held
-// before the coldest is evicted. The wire format is identical on hits
-// and misses — a cold pool just garbles inline as before.
+// table streaming and decode online. -precompute-pool sizes the pool.
+// The wire format is identical on hits and misses — an empty pool just
+// garbles inline as before.
 //
 // Every wire operation runs under a per-phase deadline so a stalled or
 // vanished client costs one timeout, never a pinned session (and with
@@ -128,7 +127,6 @@ func main() {
 	flag.DurationVar(&dc.Timeouts.IO, "io-timeout", 2*time.Minute, "per-operation deadline for steady-state request I/O (0 = none)")
 	flag.BoolVar(&dc.Precompute, "precompute", false, "pre-garble MAC circuits in the background so requests serve from a warm pool")
 	flag.IntVar(&dc.PrecomputePool, "precompute-pool", 4, "precomputed entries kept per shape")
-	flag.IntVar(&dc.PrecomputeShapes, "precompute-shapes", 8, "distinct shapes pooled before LRU eviction")
 	flag.BoolVar(&dc.Pprof, "pprof", false, "mount /debug/pprof/ on the metrics address (requires -metrics-addr)")
 	flag.BoolVar(&dc.Advertise, "advertise", false, "mount /shapez shape hints on the metrics address (requires -metrics-addr)")
 	flag.Parse()
@@ -304,8 +302,7 @@ func run(dc daemonConfig) error {
 	log.Printf("maxd: serving %d×%d model on %s (b=%d, Q%d.%d fixed point)",
 		len(raw), len(raw[0]), b.Addr(), dc.Width, dc.Width-dc.frac-1, dc.frac)
 	if dc.Precompute {
-		log.Printf("maxd: precompute engine on (pool=%d per shape, max shapes=%d)",
-			dc.PrecomputePool, dc.PrecomputeShapes)
+		log.Printf("maxd: precompute engine on (pool=%d)", dc.PrecomputePool)
 	}
 	if dc.MetricsAddr != "" {
 		surface := "/metrics /debug/sessions /healthz"

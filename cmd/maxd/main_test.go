@@ -415,7 +415,7 @@ func TestPrecomputeWarmPoolServesAndDrainsOnShutdown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		dc := testConfig(addr, maddr)
-		dc.Precompute, dc.PrecomputePool, dc.PrecomputeShapes = true, 1, 4
+		dc.Precompute, dc.PrecomputePool = true, 1
 		done <- run(dc)
 	}()
 
@@ -494,7 +494,7 @@ func TestAdvertiseShapezEndpoint(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		dc := testConfig(addr, maddr)
-		dc.Precompute, dc.PrecomputePool, dc.PrecomputeShapes, dc.Advertise = true, 1, 4, true
+		dc.Precompute, dc.PrecomputePool, dc.Advertise = true, 1, true
 		done <- run(dc)
 	}()
 

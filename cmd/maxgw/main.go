@@ -1,6 +1,7 @@
 // Command maxgw is the garbler fleet's front door: a session-granular
-// L4 router that pins each client session to the maxd backend whose
-// precompute pool is warm for the session's request shape.
+// L4 router that sends each client session to a maxd backend
+// advertising a pre-garbled pool for the session's request shape — the
+// least loaded one.
 //
 // Usage:
 //
@@ -11,49 +12,48 @@
 //
 // Each -backends entry is ADDR or ADDR=HEALTHURL; with a health URL
 // the gateway polls HEALTHURL/healthz every -probe-interval, and polls
-// HEALTHURL/shapez (maxd -advertise) to prefer backends already
-// holding a warm pool for a session's exact shape.
+// HEALTHURL/shapez (maxd -advertise) for the shape that backend's
+// pool is pre-garbled for.
 //
 // Membership is breaker-driven: -eject-after consecutive failures
 // (probe verdicts and routing-time handshake results feed the same
 // per-backend circuit breaker) trip the breaker open and the backend
-// leaves the ring. Readmission is hysteretic — after -breaker-cooldown
-// (doubling on every re-trip) a single successful probe readmits, and
-// never sooner, so a flapping backend cannot oscillate the ring. A
-// backend whose handshake-latency EWMA exceeds -outlier-k times the
-// fleet median is demoted to last-resort candidate for
-// -outlier-cooldown (slow-but-alive detection). Failover attempts
-// beyond each session's first candidate draw from a token-bucket
-// retry budget (-retry-budget of arriving sessions plus a
-// -retry-budget-min burst); an exhausted budget sheds the session
-// with BUSY immediately, turning fleet-wide outages into fast
-// rejections instead of retry storms.
+// stops being routed to. Readmission is hysteretic — after
+// -breaker-cooldown (doubling on every re-trip) a single successful
+// probe readmits, and never sooner, so a flapping backend cannot
+// oscillate in and out of the fleet. A backend whose handshake-latency
+// EWMA exceeds -outlier-k times the fleet median is demoted to
+// last-resort candidate for -outlier-cooldown (slow-but-alive
+// detection). Failover attempts beyond each session's first candidate
+// draw from a token-bucket retry budget (-retry-budget of arriving
+// sessions plus a -retry-budget-min burst); an exhausted budget sheds
+// the session with BUSY immediately, turning fleet-wide outages into
+// fast rejections instead of retry storms.
 //
-// Routing is shape-affine: clients that open with a shape-hint preface
-// (protocol.Client.WithShapeHint; maxcli -hint) are consistently
-// hashed by their precompute shape key onto the backend ring, so
-// same-shape sessions always land together and precompute pools stay
-// warm. A backend above -load-factor times the fleet's mean in-flight
-// load yields to the next ring replica (bounded loads). Clients that
-// send no hint — every pre-gateway client — route to the least-loaded
-// healthy backend after a -peek-timeout wait.
+// Routing is one rule: among routable backends, those advertising the
+// session's shape first, then the least loaded (fewest sessions in
+// flight, then fewest served so far, so an idle fleet rotates through
+// every backend's pool). Clients name their shape with a shape-hint
+// preface (protocol.Client.WithShapeHint; maxcli -hint-rows). Clients
+// that send no hint — every pre-gateway client — get the same order
+// without the advertiser term after a -peek-timeout wait.
 //
 // Failover is pre-handshake only: a backend that refuses the dial or
 // answers BUSY is abandoned before the client has seen a byte from it,
-// and the session transparently moves to the next ring replica (at
-// most -max-failovers moves). When every candidate fails, the gateway
-// sheds the session with its own BUSY frame, so clients' existing
-// retry taxonomy applies unchanged.
+// and the session transparently moves to the next candidate (at most
+// -max-failovers moves). When every candidate fails, the gateway sheds
+// the session with its own BUSY frame, so clients' existing retry
+// taxonomy applies unchanged.
 //
 // With -metrics-addr the gateway exposes its own observability
 // surface: /metrics (gw_sessions_total{backend}, gw_failovers_total
-// {reason}, ring membership gauges, gw_breaker_state{backend},
+// {reason}, fleet membership gauges, gw_breaker_state{backend},
 // gw_ejections_total{reason}, gw_retry_budget_tokens_milli,
-// gw_hint_misses_total{shape}), /healthz (ok with a full ring,
-// degraded with a partial one, overloaded with an empty one — answers
-// 503) and /fleetz (per-backend JSON: health, breaker state,
-// in-flight sessions, handshake-latency EWMA, advertised shapes) for
-// maxtop's fleet panel.
+// gw_hint_misses_total{shape}), /healthz (ok with every backend
+// routable, degraded with some, overloaded with none — answers 503)
+// and /fleetz (per-backend JSON: health, breaker state, in-flight
+// sessions, handshake-latency EWMA, advertised shapes) for maxtop's
+// fleet panel.
 package main
 
 import (
@@ -89,8 +89,6 @@ type gwConfig struct {
 	retryBudget     float64
 	retryBudgetMin  float64
 	maxFailovers    int
-	loadFactor      float64
-	vnodes          int
 	drainTimeout    time.Duration
 }
 
@@ -107,9 +105,7 @@ func main() {
 	flag.DurationVar(&gc.outlierCooldown, "outlier-cooldown", 10*time.Second, "how long a latency-outlier demotion lasts")
 	flag.Float64Var(&gc.retryBudget, "retry-budget", 0.2, "sustained fraction of sessions allowed a failover attempt")
 	flag.Float64Var(&gc.retryBudgetMin, "retry-budget-min", 10, "failover burst allowance before the ratio governs (negative disables)")
-	flag.IntVar(&gc.maxFailovers, "max-failovers", 2, "extra backends tried after the primary fails pre-handshake")
-	flag.Float64Var(&gc.loadFactor, "load-factor", 1.25, "bounded-load factor; a backend above this times the mean load yields (<=1 disables)")
-	flag.IntVar(&gc.vnodes, "vnodes", 0, "virtual nodes per backend on the hash ring (0 = default)")
+	flag.IntVar(&gc.maxFailovers, "max-failovers", 2, "extra backends tried after the first candidate fails pre-handshake")
 	flag.DurationVar(&gc.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for relayed sessions before closing them")
 	flag.Parse()
 
@@ -147,10 +143,27 @@ func run(gc gwConfig) error {
 	if err != nil {
 		return err
 	}
+	// gateway.Config reads zero as "unset, use the default"; the flags
+	// already carry the defaults, so a zero here is the operator's and
+	// must not silently turn into something else.
+	for _, f := range []struct {
+		name     string
+		positive bool
+		value    any
+	}{
+		{"max-failovers", gc.maxFailovers > 0, gc.maxFailovers},
+		{"eject-after", gc.ejectAfter > 0, gc.ejectAfter},
+		{"retry-budget", gc.retryBudget > 0, gc.retryBudget},
+		{"probe-interval", gc.probeInterval > 0, gc.probeInterval},
+		{"peek-timeout", gc.peekTimeout > 0, gc.peekTimeout},
+	} {
+		if !f.positive {
+			return fmt.Errorf("-%s must be positive, have %v", f.name, f.value)
+		}
+	}
 	o := obs.New(0)
 	gw, err := gateway.New(gateway.Config{
 		Backends:        backends,
-		Vnodes:          gc.vnodes,
 		PeekTimeout:     gc.peekTimeout,
 		ProbeInterval:   gc.probeInterval,
 		EjectAfter:      gc.ejectAfter,
@@ -160,7 +173,6 @@ func run(gc gwConfig) error {
 		RetryBudget:     gc.retryBudget,
 		RetryBudgetMin:  gc.retryBudgetMin,
 		MaxFailovers:    gc.maxFailovers,
-		LoadFactor:      gc.loadFactor,
 		Obs:             o,
 		Logf:            log.Printf,
 	})

@@ -6,19 +6,16 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"maxelerator/internal/backend"
 	"maxelerator/internal/gateway"
-	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
-	"maxelerator/internal/precompute"
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/wire"
 )
@@ -49,98 +46,51 @@ func TestParseBackends(t *testing.T) {
 	}
 }
 
-// testBackend is one in-process maxd-equivalent: a real protocol
-// server with a precompute engine behind a TCP listener, plus the
-// /healthz + /shapez surface the gateway probes.
+// testBackend is one real backend (internal/backend, the code maxd
+// runs) serving a 1×2 model at b=8, with the count of sessions it
+// completed.
 type testBackend struct {
-	matrix [][]int64
-	shape  precompute.Shape
-	o      *obs.Obs
-	srv    *protocol.Server
-	eng    *precompute.Engine
-	ln     net.Listener
-	hs     *httptest.Server
-	served atomic.Int64
-	busy   atomic.Bool
-	wg     sync.WaitGroup
+	*backend.Backend
+	served atomic.Int64 // sessions ended cleanly after a served request
 }
 
-func startBackend(t *testing.T) *testBackend {
+func startBackend(t *testing.T, mutate func(*backend.Config)) *testBackend {
 	t.Helper()
-	b := &testBackend{
-		matrix: [][]int64{{2, 3}},
-		shape:  precompute.Shape{Rows: 1, Cols: 2, Width: 8, Signed: true, Mode: "matvec", OT: "per-round"},
-		o:      obs.New(4),
+	b := &testBackend{}
+	cfg := backend.Config{
+		Listen: "127.0.0.1:0", MetricsAddr: "127.0.0.1:0",
+		Matrix: [][]int64{{2, 3}}, Width: 8,
+		OnSessionEnd: func(s backend.Session, err error) {
+			if err == nil && s.Requests > 0 {
+				b.served.Add(1)
+			}
+		},
 	}
-	simCfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
-	srv, err := protocol.NewServer(simCfg)
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	live, err := backend.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := precompute.New(precompute.Config{Sim: simCfg, PoolSize: 2, MaxShapes: 4, Metrics: b.o.Metrics()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.WithObs(b.o).WithPrecompute(eng)
-	eng.Start()
-	b.srv, b.eng = srv, eng
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.ln = ln
-	go b.acceptLoop()
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/shapez", func(w http.ResponseWriter, r *http.Request) {
-		var shapes []string
-		for s := range b.eng.Shapes() {
-			shapes = append(shapes, s.String())
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"shapes": shapes})
-	})
-	mux.Handle("/", b.o.Handler())
-	b.hs = httptest.NewServer(mux)
-	t.Cleanup(func() {
-		b.ln.Close()
-		b.hs.Close()
-		b.wg.Wait()
-		b.eng.Stop()
-	})
+	b.Backend = live
+	t.Cleanup(func() { live.Close() })
 	return b
 }
 
-func (b *testBackend) acceptLoop() {
-	for {
-		c, err := b.ln.Accept()
-		if err != nil {
-			return
+// wantServed waits for the backend's completed-session count to reach
+// want (the count moves when the backend has seen the client's end
+// marker, a moment after the client returns).
+func (b *testBackend) wantServed(t *testing.T, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.served.Load() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("backend %s completed %d sessions, want %d", b.Addr(), b.served.Load(), want)
 		}
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			conn := wire.NewStreamConn(c)
-			defer conn.Close()
-			if b.busy.Load() {
-				protocol.SendBusy(conn, 20*time.Millisecond)
-				return
-			}
-			if _, err := b.srv.Serve(conn, protocol.Request{Matrix: b.matrix}); err == nil {
-				b.served.Add(1)
-			}
-		}()
+		time.Sleep(5 * time.Millisecond)
 	}
 }
-
-// addr is the backend's protocol address.
-func (b *testBackend) addr() string { return b.ln.Addr().String() }
-
-// kill closes the protocol listener (the health surface stays up, so
-// this models a crashed daemon the prober has not noticed yet — the
-// dial-failure failover path).
-func (b *testBackend) kill() { b.ln.Close() }
 
 func freePort(t *testing.T) string {
 	t.Helper()
@@ -153,27 +103,70 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// startGateway boots maxgw's run() against the given backends and
-// returns its listen (and metrics) addresses. SIGTERM stops it.
-func startGateway(t *testing.T, metrics bool, backends ...*testBackend) (addr, maddr string, done chan error) {
-	t.Helper()
-	addr = freePort(t)
-	if metrics {
-		maddr = freePort(t)
+// testGatewayConfig is a valid maxgw configuration over the given
+// -backends spec, with test-sized timings.
+func testGatewayConfig(spec string) gwConfig {
+	return gwConfig{
+		listen: "127.0.0.1:0", backends: spec,
+		peekTimeout: 100 * time.Millisecond, probeInterval: 150 * time.Millisecond,
+		ejectAfter: 2, maxFailovers: 2, retryBudget: 0.2, retryBudgetMin: 10,
 	}
+}
+
+// startGateway boots maxgw's run() against the given backends (in the
+// given order) and returns its listen and metrics addresses. SIGTERM
+// stops it.
+func startGateway(t *testing.T, probeInterval time.Duration, backends ...*testBackend) (addr, maddr string, done chan error) {
+	t.Helper()
 	var spec []string
 	for _, b := range backends {
-		spec = append(spec, b.addr()+"="+b.hs.URL)
+		spec = append(spec, b.Addr()+"="+b.MetricsAddr())
 	}
+	gc := testGatewayConfig(strings.Join(spec, ","))
+	gc.listen, gc.metricsAddr, gc.probeInterval = freePort(t), freePort(t), probeInterval
 	done = make(chan error, 1)
-	go func() {
-		done <- run(gwConfig{
-			listen: addr, backends: strings.Join(spec, ","), metricsAddr: maddr,
-			peekTimeout: 100 * time.Millisecond, probeInterval: 150 * time.Millisecond,
-			ejectAfter: 2, maxFailovers: 2, loadFactor: 1.25,
-		})
-	}()
-	return addr, maddr, done
+	go func() { done <- run(gc) }()
+	return gc.listen, gc.metricsAddr, done
+}
+
+// fleetz polls the gateway's /fleetz until ok accepts the named
+// backend's row, failing the test after five seconds.
+func fleetz(t *testing.T, maddr, backendAddr, what string, ok func(gateway.BackendStatus) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var fleet struct {
+			Backends []gateway.BackendStatus `json:"backends"`
+		}
+		resp, err := http.Get("http://" + maddr + "/fleetz")
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&fleet)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range fleet.Backends {
+				if st.Addr == backendAddr && ok(st) {
+					return
+				}
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/fleetz never showed %s %s (last: %+v, err %v)", backendAddr, what, fleet.Backends, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// advertises is the fleetz condition "lists the e2e shape".
+func advertises(st gateway.BackendStatus) bool {
+	return len(st.Shapes) == 1 && st.Shapes[0] == e2eHint.Key()
+}
+
+// pooled makes a backend pre-garble and advertise its model's shape,
+// the way maxd -precompute -advertise does.
+func pooled(cfg *backend.Config) {
+	cfg.Precompute, cfg.PrecomputePool, cfg.Advertise = true, 2, true
 }
 
 func dialWire(t *testing.T, addr string) wire.Conn {
@@ -242,196 +235,110 @@ func stopGateway(t *testing.T, done chan error) {
 	}
 }
 
-// drainBackends waits until every in-flight backend session goroutine
-// finished, so served counters are final.
-func drainBackends(bs ...*testBackend) {
-	for _, b := range bs {
-		b.wg.Wait()
-	}
-}
-
 // TestE2ESameShapePinsAndHitsPool is the headline acceptance path:
-// maxgw in front of two live backends routes same-shape sessions to
-// the same backend, whose precompute pool — having learned the shape
-// from the first session — serves the second one warm.
+// maxgw in front of two live backends, one of which (listed second)
+// pre-garbles and advertises the model's shape. A session hinting that
+// shape sticks to the advertiser and is a pool hit on its first request;
+// an unhinted one goes by load, to the backend that has served nothing
+// yet.
 func TestE2ESameShapePinsAndHitsPool(t *testing.T) {
-	b0, b1 := startBackend(t), startBackend(t)
-	gwAddr, maddr, done := startGateway(t, true, b0, b1)
+	plain, warm := startBackend(t, nil), startBackend(t, pooled)
+	if err := warm.Prefill(2); err != nil {
+		t.Fatal(err)
+	}
+	const probeInterval = 150 * time.Millisecond
+	began := time.Now()
+	gwAddr, maddr, done := startGateway(t, probeInterval, plain, warm)
 	defer stopGateway(t, done)
 
-	if err := runSession(t, gwAddr, &e2eHint); err != nil {
-		t.Fatalf("session 1: %v", err)
-	}
-	drainBackends(b0, b1)
-	var owner, other *testBackend
-	switch {
-	case b0.served.Load() == 1 && b1.served.Load() == 0:
-		owner, other = b0, b1
-	case b1.served.Load() == 1 && b0.served.Load() == 0:
-		owner, other = b1, b0
-	default:
-		t.Fatalf("session 1 served %d/%d times across the fleet", b0.served.Load(), b1.served.Load())
-	}
-
-	// The first session taught the owner's engine the shape; wait for
-	// the background refill so session 2 is a guaranteed pool hit.
-	deadline := time.Now().Add(10 * time.Second)
-	for owner.eng.Depth(owner.shape) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("owner pool never warmed after learning the shape")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// The gateway's first probe pass runs at start, so the shape is on
+	// /fleetz well within the poll's deadline; the elapsed time is logged
+	// because it includes the gateway's own boot.
+	fleetz(t, maddr, warm.Addr(), "advertising "+e2eHint.Key(), advertises)
+	t.Logf("advertised shape on /fleetz %s after gateway start (probe interval %s)", time.Since(began), probeInterval)
 
 	if err := runSession(t, gwAddr, &e2eHint); err != nil {
-		t.Fatalf("session 2: %v", err)
+		t.Fatalf("hinted session: %v", err)
 	}
-	drainBackends(b0, b1)
-	if got := owner.served.Load(); got != 2 {
-		t.Fatalf("owner served %d sessions, want 2 (affinity broke)", got)
+	warm.wantServed(t, 1)
+	key := obs.L("shape", e2eHint.Key())
+	if hits := warm.Registry().Counter("precompute_hits_total", "", key).Value(); hits != 1 {
+		t.Fatalf("advertiser's pool hits = %d, want 1 (the first hinted request must serve pre-garbled)", hits)
 	}
-	if got := other.served.Load(); got != 0 {
-		t.Fatalf("non-owner served %d sessions, want 0", got)
-	}
-	key := obs.L("shape", owner.shape.String())
-	if hits := owner.o.Metrics().Counter("precompute_hits_total", "", key).Value(); hits != 1 {
-		t.Fatalf("owner pool hits = %d, want 1 (second session must serve warm)", hits)
+	if got := plain.served.Load(); got != 0 {
+		t.Fatalf("non-advertiser served %d hinted sessions, want 0", got)
 	}
 
-	// The fleet surface reflects both backends, and within a probe
-	// interval the owner advertises the learned shape.
-	fleetDeadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get("http://" + maddr + "/fleetz")
-		if err != nil {
-			if time.Now().After(fleetDeadline) {
-				t.Fatalf("/fleetz never answered: %v", err)
-			}
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		var fleet struct {
-			Backends []gateway.BackendStatus `json:"backends"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&fleet)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fleet.Backends) != 2 {
-			t.Fatalf("/fleetz lists %d backends", len(fleet.Backends))
-		}
-		advertised := false
-		for _, st := range fleet.Backends {
-			if st.Addr == owner.addr() {
-				for _, s := range st.Shapes {
-					advertised = advertised || s == owner.shape.String()
-				}
-			}
-		}
-		if advertised {
-			break
-		}
-		if time.Now().After(fleetDeadline) {
-			t.Fatal("owner's learned shape never surfaced on /fleetz")
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := runSession(t, gwAddr, nil); err != nil {
+		t.Fatalf("unhinted session: %v", err)
 	}
+	plain.wantServed(t, 1)
+	warm.wantServed(t, 1)
 }
 
-// TestE2EFailoverOnBusyAndKilledBackend: the session's pinned backend
-// first sheds with BUSY, then is killed outright; both times the
-// gateway transparently lands the session on the surviving replica —
-// the client never sees either fault.
+// TestE2EFailoverOnBusyAndKilledBackend: the backend a hinted session
+// goes to first — the only advertiser — first sheds with BUSY (its one
+// session slot is held, the way an overloaded maxd sheds), then is
+// killed outright; both times the gateway transparently lands the
+// session on the other backend and the client never sees either fault.
+// Probing is effectively off after the first pass, so the breaker is fed
+// by handshakes only and the advertiser stays first in line throughout.
 func TestE2EFailoverOnBusyAndKilledBackend(t *testing.T) {
-	b0, b1 := startBackend(t), startBackend(t)
-	gwAddr, _, done := startGateway(t, false, b0, b1)
+	owner := startBackend(t, func(cfg *backend.Config) {
+		pooled(cfg)
+		cfg.MaxSessions, cfg.AdmissionWait = 1, 50*time.Millisecond
+	})
+	other := startBackend(t, nil)
+	gwAddr, maddr, done := startGateway(t, time.Hour, owner, other)
 	defer stopGateway(t, done)
+	fleetz(t, maddr, owner.Addr(), "advertising "+e2eHint.Key(), advertises)
 
 	if err := runSession(t, gwAddr, &e2eHint); err != nil {
 		t.Fatalf("session 1: %v", err)
 	}
-	drainBackends(b0, b1)
-	owner, other := b0, b1
-	if b1.served.Load() == 1 {
-		owner, other = b1, b0
-	}
-	if owner.served.Load() != 1 || other.served.Load() != 0 {
-		t.Fatalf("session 1 split %d/%d", b0.served.Load(), b1.served.Load())
-	}
+	owner.wantServed(t, 1)
 
-	// BUSY failover: the pinned backend rejects, the replica serves.
-	owner.busy.Store(true)
+	// BUSY failover: a direct connection that never answers the hello
+	// holds the owner's only slot, so the gateway's dial queues for
+	// AdmissionWait and is shed; the other backend serves.
+	parked := dialWire(t, owner.Addr())
+	if _, err := parked.RecvMsg(); err != nil { // the hello: the slot is ours
+		t.Fatal(err)
+	}
 	if err := runSession(t, gwAddr, &e2eHint); err != nil {
 		t.Fatalf("session during BUSY: %v", err)
 	}
-	drainBackends(b0, b1)
-	if got := other.served.Load(); got != 1 {
-		t.Fatalf("replica served %d during BUSY, want 1", got)
+	other.wantServed(t, 1)
+	if got := owner.Registry().Counter("busy_rejects_total", "").Value(); got != 1 {
+		t.Fatalf("owner shed %d connections, want 1", got)
 	}
-	if got := owner.served.Load(); got != 1 {
-		t.Fatalf("busy owner served %d more sessions", got-1)
-	}
+	parked.Close()
 
-	// Kill failover: the pinned backend's listener is gone (dial
-	// refused); the replica still serves, within the same dial.
-	owner.busy.Store(false)
-	owner.kill()
+	// Kill failover: the owner is gone (dial refused); the other backend
+	// still serves, within the same client dial.
+	owner.Close()
 	if err := runSession(t, gwAddr, &e2eHint); err != nil {
 		t.Fatalf("session after kill: %v", err)
 	}
-	drainBackends(b0, b1)
-	if got := other.served.Load(); got != 2 {
-		t.Fatalf("replica served %d after kill, want 2", got)
-	}
+	other.wantServed(t, 2)
+	owner.wantServed(t, 1)
 }
 
 // TestE2EBreakerOpensOnDeadBackend: a backend that dies entirely
 // (protocol listener and health surface both gone) trips its breaker
 // within ejectAfter probe ticks, and the breaker's position surfaces
 // on both /fleetz (breaker: "open", healthy: false) and /metrics
-// (gw_breaker_state 1) — while the surviving replica keeps serving.
+// (gw_breaker_state 1) — while the surviving backend keeps serving.
 func TestE2EBreakerOpensOnDeadBackend(t *testing.T) {
-	b0, b1 := startBackend(t), startBackend(t)
-	gwAddr, maddr, done := startGateway(t, true, b0, b1)
+	b0, b1 := startBackend(t, nil), startBackend(t, nil)
+	gwAddr, maddr, done := startGateway(t, 150*time.Millisecond, b0, b1)
 	defer stopGateway(t, done)
 
-	dead := b0.addr()
-	b0.kill()
-	b0.hs.Close()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get("http://" + maddr + "/fleetz")
-		if err != nil {
-			if time.Now().After(deadline) {
-				t.Fatalf("/fleetz never answered: %v", err)
-			}
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		var fleet struct {
-			Backends []gateway.BackendStatus `json:"backends"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&fleet)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		opened := false
-		for _, st := range fleet.Backends {
-			if st.Addr == dead {
-				opened = st.Breaker == "open" && !st.Healthy
-			}
-		}
-		if opened {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("dead backend never showed an open breaker: %+v", fleet.Backends)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	dead := b0.Addr()
+	b0.Close()
+	fleetz(t, maddr, dead, "with an open breaker", func(st gateway.BackendStatus) bool {
+		return st.Breaker == "open" && !st.Healthy
+	})
 
 	resp, err := http.Get("http://" + maddr + "/metrics")
 	if err != nil {
@@ -448,26 +355,52 @@ func TestE2EBreakerOpensOnDeadBackend(t *testing.T) {
 	}
 
 	if err := runSession(t, gwAddr, &e2eHint); err != nil {
-		t.Fatalf("session with a dead replica: %v", err)
+		t.Fatalf("session with a dead backend: %v", err)
 	}
-	drainBackends(b1)
-	if got := b1.served.Load(); got != 1 {
-		t.Fatalf("survivor served %d sessions, want 1", got)
-	}
+	b1.wantServed(t, 1)
 }
 
 // TestE2EUnhintedClientServed pins gateway back-compat on the wire: a
 // client that never sends the preface still completes through maxgw.
 func TestE2EUnhintedClientServed(t *testing.T) {
-	b0, b1 := startBackend(t), startBackend(t)
-	gwAddr, _, done := startGateway(t, false, b0, b1)
+	b0, b1 := startBackend(t, nil), startBackend(t, nil)
+	gwAddr, _, done := startGateway(t, 150*time.Millisecond, b0, b1)
 	defer stopGateway(t, done)
 
 	if err := runSession(t, gwAddr, nil); err != nil {
 		t.Fatal(err)
 	}
-	drainBackends(b0, b1)
-	if got := b0.served.Load() + b1.served.Load(); got != 1 {
-		t.Fatalf("fleet served %d sessions, want 1", got)
+	deadline := time.Now().Add(5 * time.Second)
+	for b0.served.Load()+b1.served.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("fleet completed %d sessions, want 1", b0.served.Load()+b1.served.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRunRejectsNonPositiveFlags: gateway.Config reads a zero as "use
+// the default", so maxgw refuses a non-positive value for the flags
+// whose zero would otherwise silently become 2 / 3 / 0.2 / 2s / 75ms —
+// naming the flag and the value, before anything listens.
+func TestRunRejectsNonPositiveFlags(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		zero func(*gwConfig)
+		want string
+	}{
+		{"max-failovers", func(gc *gwConfig) { gc.maxFailovers = 0 }, "-max-failovers must be positive, have 0"},
+		{"eject-after", func(gc *gwConfig) { gc.ejectAfter = -1 }, "-eject-after must be positive, have -1"},
+		{"retry-budget", func(gc *gwConfig) { gc.retryBudget = 0 }, "-retry-budget must be positive, have 0"},
+		{"probe-interval", func(gc *gwConfig) { gc.probeInterval = 0 }, "-probe-interval must be positive, have 0s"},
+		{"peek-timeout", func(gc *gwConfig) { gc.peekTimeout = 0 }, "-peek-timeout must be positive, have 0s"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			gc := testGatewayConfig("127.0.0.1:1")
+			tc.zero(&gc)
+			if err := run(gc); err == nil || err.Error() != tc.want {
+				t.Fatalf("run = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

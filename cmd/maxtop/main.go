@@ -14,7 +14,7 @@
 // consecutive scrapes, so the first frame of a watch shows totals only.
 //
 // Pointed at a maxgw metrics address instead of a maxd one, maxtop
-// renders the fleet panel: ring membership, session routing, failover
+// renders the fleet panel: routable backends, session routing, failover
 // and retry-budget counts from the gw_* metric families, plus a
 // per-backend table (health, breaker state, in-flight sessions,
 // handshake latency, advertised shapes) scraped from the gateway's
@@ -278,7 +278,7 @@ func fetchFleet(url string) []gateway.BackendStatus {
 	return fleet.Backends
 }
 
-// renderFleet draws the maxgw panel: ring membership, routing and
+// renderFleet draws the maxgw panel: routable backends, routing and
 // resilience counters from the gw_* families, and the per-backend
 // /fleetz table — closed by an aggregated fleet row (summed counters,
 // load-weighted latency) — when the snapshot came back.

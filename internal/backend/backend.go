@@ -65,12 +65,10 @@ type Config struct {
 	// DrainTimeout bounds Drain's wait for in-flight sessions.
 	DrainTimeout time.Duration
 	// Precompute runs the offline/online split: background workers
-	// pre-garble the model's shape (admitted at boot). PrecomputePool
-	// is the refill target per shape, PrecomputeShapes the LRU bound on
-	// distinct shapes.
-	Precompute       bool
-	PrecomputePool   int
-	PrecomputeShapes int
+	// pre-garble the model's shape (admitted at boot, the only shape the
+	// engine ever holds). PrecomputePool is its refill target.
+	Precompute     bool
+	PrecomputePool int
 	// Pprof mounts net/http/pprof under /debug/pprof/ on MetricsAddr.
 	Pprof bool
 	// Advertise mounts /shapez on MetricsAddr: the request shapes this
@@ -199,8 +197,7 @@ func Start(cfg Config) (*Backend, error) {
 	// below need not stop it.
 	if cfg.Precompute {
 		b.eng, err = precompute.New(precompute.Config{
-			Sim: simCfg, PoolSize: cfg.PrecomputePool, MaxShapes: cfg.PrecomputeShapes,
-			Metrics: reg,
+			Sim: simCfg, PoolSize: cfg.PrecomputePool, Metrics: reg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("precompute engine: %w", err)

@@ -443,7 +443,7 @@ func TestServeAndShutDownClean(t *testing.T) {
 	sink := &logSink{}
 	cfg := testConfig(sink)
 	cfg.MaxSessions, cfg.AdmissionWait = 1, 50*time.Millisecond
-	cfg.Precompute, cfg.PrecomputePool, cfg.PrecomputeShapes = true, 2, 4
+	cfg.Precompute, cfg.PrecomputePool = true, 2
 	var wraps, requests atomic.Int64
 	cfg.WrapConn = func(c wire.Conn) wire.Conn { wraps.Add(1); return c }
 	cfg.OnRequest = func(s Session, resp *protocol.Response) {

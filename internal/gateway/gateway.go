@@ -1,22 +1,25 @@
 // Package gateway is the garbler fleet's front door: a session-granular
-// router that pins each client session to the backend whose precompute
-// pool is warm for the session's request shape.
+// router whose rule is one sentence — among the backends whose breaker
+// is routable, those advertising the session's shape first, then the
+// least loaded.
 //
-// The protocol is server-first (the garbler speaks hello before the
-// client sends anything), so a passive proxy cannot learn the shape
-// from traffic it forwards. Instead, hinted clients open with a
-// shape-hint preface frame (protocol.ShapeHint); the gateway peeks it
-// under a short deadline, hashes the shape key onto a consistent-hash
-// ring of healthy backends, and relays frames for the rest of the
-// session. Unhinted (and legacy) clients send nothing first — the peek
-// times out and the session routes to the least-loaded healthy
-// backend instead.
+// Every maxd serves one model and advertises its one pool shape from
+// boot, so there is nothing to learn from traffic and nothing to pin:
+// spreading same-shape sessions over every advertiser is what keeps all
+// the pre-garbled pools in use. The protocol is server-first (the
+// garbler speaks hello before the client sends anything), so a passive
+// proxy cannot read the shape from traffic it forwards. Instead, hinted
+// clients open with a shape-hint preface frame (protocol.ShapeHint);
+// the gateway peeks it under a short deadline, orders the routable
+// backends (see route) and relays frames for the rest of the session.
+// Unhinted (and legacy) clients send nothing first — the peek times out
+// and the session gets the same ordering without the advertiser term.
 //
 // Failover is pre-handshake only, which makes it provably
 // single-serve: a backend is abandoned only when dialing it fails or
 // its first frame is a BUSY rejection — in both cases the client has
 // not yet seen one byte from that backend and no request state exists
-// anywhere, so trying the next ring replica can never double-serve a
+// anywhere, so trying the next candidate can never double-serve a
 // request. Once a backend's hello is forwarded the session is
 // committed and any later fault surfaces to the client's own retry
 // layer (internal/protocol/retry), which replays safely by the
@@ -41,9 +44,6 @@ import (
 type Config struct {
 	// Backends is the fleet (at least one).
 	Backends []Backend
-	// Vnodes is the ring's virtual-node count per backend
-	// (DefaultVnodes if 0).
-	Vnodes int
 	// PeekTimeout bounds the wait for a client's optional shape-hint
 	// preface; on expiry the session routes unhinted. Default 75ms.
 	PeekTimeout time.Duration
@@ -53,18 +53,13 @@ type Config struct {
 	// DialTimeout bounds each backend dial. Default 2s.
 	DialTimeout time.Duration
 	// MaxFailovers caps how many additional backends a session tries
-	// after its primary fails pre-handshake. Default 2.
+	// after its first candidate fails pre-handshake. Default 2.
 	MaxFailovers int
-	// LoadFactor is the bounded-load factor c: a backend already
-	// carrying more than c times the fleet's mean in-flight load is
-	// skipped on the first routing pass (consistent hashing with
-	// bounded loads). Default 1.25; values <= 1 disable the bound.
-	LoadFactor float64
 	// ProbeInterval is the health-poll period. Default 2s.
 	ProbeInterval time.Duration
 	// EjectAfter is how many consecutive failures — probe verdicts and
 	// routing-time handshake results feed the same counter — trip a
-	// backend's circuit breaker open, removing it from the ring.
+	// backend's circuit breaker open, which takes it out of routing.
 	// Default 3.
 	EjectAfter int
 	// BreakerCooldown is the base open-state dwell before the breaker's
@@ -137,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxFailovers <= 0 {
 		c.MaxFailovers = 2
 	}
-	if c.LoadFactor == 0 {
-		c.LoadFactor = 1.25
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -176,9 +168,7 @@ func (c Config) withDefaults() Config {
 // Serve or HandleConn, and Close to stop.
 type Gateway struct {
 	cfg     Config
-	ring    *Ring
-	states  []*backendState // config order; membership lives on the ring
-	byAddr  map[string]*backendState
+	states  []*backendState // config order; membership is breaker.Routable()
 	reg     *obs.Registry
 	ejector *resilience.Ejector
 	budget  *resilience.Budget
@@ -199,20 +189,18 @@ type Gateway struct {
 }
 
 // New builds a gateway over the configured fleet. Every backend starts
-// healthy and on the ring (optimistic: the prober corrects within one
-// interval, and a dead backend fails fast at dial time anyway).
+// routable (optimistic: the prober corrects within one interval, and a
+// dead backend fails fast at dial time anyway).
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
 	cfg = cfg.withDefaults()
 	g := &Gateway{
-		cfg:    cfg,
-		ring:   NewRing(cfg.Vnodes),
-		byAddr: make(map[string]*backendState, len(cfg.Backends)),
-		reg:    cfg.Obs.Metrics(),
-		stop:   make(chan struct{}),
-		conns:  make(map[wire.Conn]struct{}),
+		cfg:   cfg,
+		reg:   cfg.Obs.Metrics(),
+		stop:  make(chan struct{}),
+		conns: make(map[wire.Conn]struct{}),
 		ejector: resilience.NewEjector(resilience.EjectorConfig{
 			K:          cfg.OutlierK,
 			MinSamples: cfg.OutlierMinSamples,
@@ -224,14 +212,16 @@ func New(cfg Config) (*Gateway, error) {
 			MinTokens: cfg.RetryBudgetMin,
 		}),
 	}
+	seen := make(map[string]bool, len(cfg.Backends))
 	for _, b := range cfg.Backends {
 		if b.Addr == "" {
 			return nil, fmt.Errorf("gateway: backend with empty address")
 		}
-		if _, dup := g.byAddr[b.Addr]; dup {
+		if seen[b.Addr] {
 			return nil, fmt.Errorf("gateway: duplicate backend %q", b.Addr)
 		}
-		st := &backendState{Backend: b, healthy: true, status: obs.HealthOK}
+		seen[b.Addr] = true
+		st := &backendState{Backend: b, status: obs.HealthOK}
 		st.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 			Threshold:   cfg.EjectAfter,
 			Cooldown:    cfg.BreakerCooldown,
@@ -242,12 +232,10 @@ func New(cfg Config) (*Gateway, error) {
 			},
 		})
 		g.states = append(g.states, st)
-		g.byAddr[b.Addr] = st
-		g.ring.Add(b.Addr)
 		g.reg.BreakerState(b.Addr).Set(obs.BreakerStateClosed)
 	}
 	cfg.Obs.SetHealth(g.healthVerdict)
-	g.publishRingState()
+	g.publishMembership()
 	g.publishBudget()
 	return g, nil
 }
@@ -440,97 +428,66 @@ func recvFirstFrame(conn wire.Conn) ([]byte, error) {
 	return conn.RecvMsg()
 }
 
-// route orders the routable backends for one session. Hinted sessions
-// get ring order for their shape key, advertised exact-shape matches
-// first and over-bound backends last (consistent hashing with bounded
-// loads: a backend above LoadFactor times the mean in-flight load
-// yields to the next replica, trading a cold pool for tail latency).
-// Unhinted sessions get least-loaded order. Two resilience demotions
-// apply to both: latency-ejected backends sort behind everything
-// routable, and breaker-open backends whose cooldown has expired are
-// appended dead last — they are offered only so a handshake can serve
-// as the half-open trial (the readmission path for backends with no
-// health prober).
+// route orders the backends for one session, hinted or not, with one
+// comparison over those whose breaker is routable: latency-ejected
+// backends last (an ejected backend is a worse bet than a hot one, but
+// still better than shedding); for a hinted session, backends
+// advertising the hint's key first (their pool is pre-garbled for it);
+// then fewest sessions in flight; then fewest sessions committed so far,
+// so an idle fleet rotates through every advertiser's pool instead of
+// parking on one backend; then address. Breaker-open backends whose
+// cooldown has expired are appended dead last — they are offered only
+// so a handshake can serve as the half-open trial (the readmission path
+// for backends with no health prober).
 func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
-	routable := make([]*backendState, 0, len(g.states))
+	type candidate struct {
+		b                *backendState
+		ejected, cold    bool
+		active, sessions int64
+	}
+	var key string
+	if hinted {
+		key = hint.Key()
+	}
+	advertised := false
+	ordered := make([]candidate, 0, len(g.states))
 	var trial []*backendState
 	for _, b := range g.states {
 		switch {
 		case b.breaker.Routable():
-			routable = append(routable, b)
+			c := candidate{b: b, ejected: g.ejector.Ejected(b.Addr),
+				active: b.active.Load(), sessions: b.sessions.Load()}
+			if hinted {
+				c.cold = !b.advertises(key)
+				advertised = advertised || !c.cold
+			}
+			ordered = append(ordered, c)
 		case b.breaker.TrialReady():
 			trial = append(trial, b)
 		}
 	}
-	if len(routable)+len(trial) == 0 {
-		return nil
+	if hinted && !advertised && len(ordered) > 0 {
+		g.noteHintMiss(key)
 	}
-	var ordered []*backendState
-	if !hinted {
-		ordered = routable
-		sort.SliceStable(ordered, func(i, j int) bool {
-			li, lj := ordered[i].active.Load(), ordered[j].active.Load()
-			if li != lj {
-				return li < lj
-			}
-			return ordered[i].Addr < ordered[j].Addr
-		})
-	} else {
-		key := hint.Key()
-		if !g.fleetAdvertises(key) {
-			g.noteHintMiss(key)
+	sort.Slice(ordered, func(i, j int) bool {
+		ci, cj := ordered[i], ordered[j]
+		switch {
+		case ci.ejected != cj.ejected:
+			return cj.ejected
+		case ci.cold != cj.cold:
+			return cj.cold
+		case ci.active != cj.active:
+			return ci.active < cj.active
+		case ci.sessions != cj.sessions:
+			return ci.sessions < cj.sessions
 		}
-		ordered = make([]*backendState, 0, len(routable))
-		for _, addr := range g.ring.Lookup(key, 0) {
-			if b, ok := g.byAddr[addr]; ok {
-				ordered = append(ordered, b)
-			}
-		}
-		// Warm pools first: a backend advertising the exact shape beats
-		// ring position (ring order breaks ties, so steady state stays
-		// consistent — the ring primary is the one that learned the shape).
-		sort.SliceStable(ordered, func(i, j int) bool {
-			return ordered[i].advertises(key) && !ordered[j].advertises(key)
-		})
-		// Bounded load: push over-bound backends to the back rather than
-		// dropping them — a hot backend is still better than shedding.
-		if bound := g.loadBound(len(ordered)); bound > 0 {
-			sort.SliceStable(ordered, func(i, j int) bool {
-				return ordered[i].active.Load() <= bound && ordered[j].active.Load() > bound
-			})
-		}
+		return ci.b.Addr < cj.b.Addr
+	})
+	out := make([]*backendState, 0, len(ordered)+len(trial))
+	for _, c := range ordered {
+		out = append(out, c.b)
 	}
-	// Latency demotion last so it dominates: an ejected backend is a
-	// worse bet than a hot one, but still better than shedding.
-	ejected := make(map[*backendState]bool, len(ordered))
-	demoted := false
-	for _, b := range ordered {
-		if g.ejector.Ejected(b.Addr) {
-			ejected[b] = true
-			demoted = true
-		}
-	}
-	if demoted {
-		sort.SliceStable(ordered, func(i, j int) bool {
-			return !ejected[ordered[i]] && ejected[ordered[j]]
-		})
-	}
-	return append(ordered, trial...)
-}
-
-// loadBound computes the bounded-load ceiling: LoadFactor times the
-// mean in-flight load over n healthy backends, rounded up. Zero means
-// the bound is disabled.
-func (g *Gateway) loadBound(n int) int64 {
-	if g.cfg.LoadFactor <= 1 || n == 0 {
-		return 0
-	}
-	var total int64
-	for _, b := range g.states {
-		total += b.active.Load()
-	}
-	mean := float64(total+1) / float64(n)
-	return int64(g.cfg.LoadFactor * mean)
+	return append(out, trial...)
 }
 
 // connect dials one backend, forwards the client's pending preface
@@ -645,23 +602,19 @@ type BackendStatus struct {
 func (g *Gateway) Snapshot() []BackendStatus {
 	out := make([]BackendStatus, 0, len(g.states))
 	for _, b := range g.states {
-		// Breaker and ejector reads happen outside b.mu: the transition
-		// hook takes b.mu while holding the breaker's lock, so the
-		// reverse order would invert it.
-		breakerState := b.breaker.State().String()
 		ewma, _ := g.ejector.EWMA(b.Addr)
-		ejected := g.ejector.Ejected(b.Addr)
+		st := BackendStatus{
+			Addr: b.Addr, Healthy: b.breaker.Routable(),
+			Breaker: b.breaker.State().String(),
+			Active:  b.active.Load(), Sessions: b.sessions.Load(),
+			LatencyEWMAMs: float64(ewma) / float64(time.Millisecond),
+			Ejected:       g.ejector.Ejected(b.Addr),
+		}
 		b.mu.Lock()
+		st.Status = b.status
 		shapes := make([]string, 0, len(b.shapes))
 		for s := range b.shapes {
 			shapes = append(shapes, s)
-		}
-		st := BackendStatus{
-			Addr: b.Addr, Healthy: b.healthy, Status: b.status,
-			Breaker: breakerState,
-			Active:  b.active.Load(), Sessions: b.sessions.Load(),
-			LatencyEWMAMs: float64(ewma) / float64(time.Millisecond),
-			Ejected:       ejected,
 		}
 		b.mu.Unlock()
 		sort.Strings(shapes)

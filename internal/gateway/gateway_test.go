@@ -152,6 +152,44 @@ func (f *fleet) drain() {
 	}
 }
 
+// advertise makes the named backends (all of them when none is named)
+// announce a pool for key, and runs the probe pass that tells the
+// gateway.
+func (f *fleet) advertise(key string, names ...string) {
+	if len(names) == 0 {
+		for name := range f.backends {
+			names = append(names, name)
+		}
+	}
+	for _, name := range names {
+		fb := f.backends[name]
+		fb.mu.Lock()
+		fb.shapes = []string{key}
+		fb.mu.Unlock()
+	}
+	f.gw.ProbeNow()
+}
+
+// state is the gateway's live view of the named backend.
+func (f *fleet) state(addr string) *backendState {
+	for _, b := range f.gw.states {
+		if b.Addr == addr {
+			return b
+		}
+	}
+	return nil
+}
+
+// routeOrder is the candidate order route gives a session right now, by
+// address.
+func (f *fleet) routeOrder(hinted bool) []string {
+	var out []string
+	for _, b := range f.gw.route(testHint, hinted) {
+		out = append(out, b.Addr)
+	}
+	return out
+}
+
 // totalServed sums completed serves across the fleet.
 func (f *fleet) totalServed() int {
 	total := 0
@@ -199,13 +237,14 @@ func wantResult(t *testing.T, out []int64) {
 	}
 }
 
-// TestSameShapeSessionsPinToOneBackend is the affinity contract: every
-// session hinting the same shape lands on the same backend — across
-// reconnects — so that backend's precompute pool is the only one that
-// has to learn the shape.
-func TestSameShapeSessionsPinToOneBackend(t *testing.T) {
+// TestHintedSessionsSpreadOverAdvertisers is the routing contract for
+// the fleet the daemon makes: every backend advertises the model's
+// shape from boot, so sequential same-shape sessions rotate through all
+// of them — each pre-garbled pool is used, none is parked on.
+func TestHintedSessionsSpreadOverAdvertisers(t *testing.T) {
 	f := newFleet(t, 3, nil)
-	const sessions = 3
+	f.advertise(testHint.Key())
+	const sessions = 9
 	for i := 0; i < sessions; i++ {
 		out, err := runSession(t, f.gw, &testHint)
 		if err != nil {
@@ -214,18 +253,48 @@ func TestSameShapeSessionsPinToOneBackend(t *testing.T) {
 		wantResult(t, out)
 	}
 	f.drain()
-	owner := f.gw.ring.Lookup(testHint.Key(), 1)[0]
 	for name, fb := range f.backends {
-		want := 0
-		if name == owner {
-			want = sessions
+		if got := fb.servedCount(); got != sessions/3 {
+			t.Fatalf("%s served %d of %d sessions, want %d", name, got, sessions, sessions/3)
 		}
-		if got := fb.servedCount(); got != want {
-			t.Fatalf("%s served %d sessions, want %d (ring owner %s)", name, got, want, owner)
+		if got := f.obs.Metrics().Counter("gw_sessions_total", "", obs.L("backend", name)).Value(); got != sessions/3 {
+			t.Fatalf("gw_sessions_total{%s} = %d", name, got)
 		}
 	}
-	if got := f.obs.Metrics().Counter("gw_sessions_total", "", obs.L("backend", owner)).Value(); got != sessions {
-		t.Fatalf("gw_sessions_total{%s} = %d", owner, got)
+	if got := f.obs.Metrics().Counter(obs.MetricHintMisses, "", obs.L("shape", testHint.Key())).Value(); got != 0 {
+		t.Fatalf("%s = %d on a fleet that advertises the shape", obs.MetricHintMisses, got)
+	}
+}
+
+// TestConcurrentHintedSessionsUseTwoBackends: two same-shape sessions
+// held open at once sit on two different advertisers — in-flight load
+// decides before anything else does.
+func TestConcurrentHintedSessionsUseTwoBackends(t *testing.T) {
+	f := newFleet(t, 3, nil)
+	f.advertise(testHint.Key())
+	for i := 0; i < 2; i++ {
+		cli, err := protocol.NewClient(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli.WithShapeHint(testHint)
+		gwSide, cliSide := wire.Pipe()
+		defer cliSide.Close()
+		go f.gw.HandleConn(gwSide)
+		// A completed Dial proves the session is committed and counted.
+		if _, err := cli.Dial(cliSide); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	busy := 0
+	for _, st := range f.gw.Snapshot() {
+		if st.Active > 1 {
+			t.Fatalf("%s carries %d sessions while other advertisers idle", st.Addr, st.Active)
+		}
+		busy += int(st.Active)
+	}
+	if busy != 2 {
+		t.Fatalf("%d sessions in flight, want 2: %+v", busy, f.gw.Snapshot())
 	}
 }
 
@@ -249,13 +318,13 @@ func TestUnhintedSessionRoutesAndServes(t *testing.T) {
 }
 
 // TestBusyFailoverNeverDoubleServes is the chaos test for the
-// single-serve guarantee: the ring primary rejects with BUSY and the
-// second replica's connection dies on its first frame (faultconn), yet
-// the session lands exactly once — on the third replica — and the
-// client sees one clean result.
+// single-serve guarantee: the first candidate rejects with BUSY and the
+// second one's connection dies on its first frame (faultconn), yet the
+// session lands exactly once — on the third candidate — and the client
+// sees one clean result.
 func TestBusyFailoverNeverDoubleServes(t *testing.T) {
 	f := newFleet(t, 3, nil)
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
+	order := f.routeOrder(true)
 	f.backends[order[0]].busy = 1
 	f.backends[order[1]].fault = &faultconn.Options{ErrOnRecv: 1}
 
@@ -269,7 +338,7 @@ func TestBusyFailoverNeverDoubleServes(t *testing.T) {
 		t.Fatalf("fleet served %d sessions, want exactly 1", got)
 	}
 	if got := f.backends[order[2]].servedCount(); got != 1 {
-		t.Fatalf("third replica served %d, want 1", got)
+		t.Fatalf("third candidate served %d, want 1", got)
 	}
 	reg := f.obs.Metrics()
 	if got := reg.Counter("gw_failovers_total", "", obs.L("reason", "busy")).Value(); got != 1 {
@@ -280,12 +349,12 @@ func TestBusyFailoverNeverDoubleServes(t *testing.T) {
 	}
 }
 
-// TestDeadBackendFailsOver covers the kill case: the primary's dial
-// refuses outright and the session transparently lands on the next
-// replica.
+// TestDeadBackendFailsOver covers the kill case: the first candidate's
+// dial refuses outright and the session transparently lands on the next
+// one.
 func TestDeadBackendFailsOver(t *testing.T) {
 	f := newFleet(t, 2, nil)
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
+	order := f.routeOrder(true)
 	f.backends[order[0]].down = true
 
 	out, err := runSession(t, f.gw, &testHint)
@@ -295,7 +364,7 @@ func TestDeadBackendFailsOver(t *testing.T) {
 	wantResult(t, out)
 	f.drain()
 	if got := f.backends[order[1]].servedCount(); got != 1 {
-		t.Fatalf("replica served %d, want 1", got)
+		t.Fatalf("second candidate served %d, want 1", got)
 	}
 }
 
@@ -346,10 +415,10 @@ func (c *testClock) Advance(d time.Duration) {
 }
 
 // TestProbeEjectsAndReadmits drives the breaker-driven membership
-// machine: consecutive failed probes trip the breaker and remove a
-// backend from the ring (sessions reroute); a healthy probe readmits
+// machine: consecutive failed probes trip the breaker and take a
+// backend out of routing (sessions reroute); a healthy probe readmits
 // it only after the breaker's cooldown — a lucky probe mid-cooldown
-// must not flap the ring.
+// must not flap the membership.
 func TestProbeEjectsAndReadmits(t *testing.T) {
 	clock := newTestClock()
 	const cooldown = 5 * time.Second
@@ -357,18 +426,19 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 		cfg.Now = clock.Now
 		cfg.BreakerCooldown = cooldown
 	})
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
-	primary := f.backends[order[0]]
+	first := f.routeOrder(true)[0]
+	primary := f.backends[first]
+	routable := f.state(first).breaker.Routable
 
 	primary.mu.Lock()
 	primary.status = obs.HealthOverloaded
 	primary.mu.Unlock()
 	f.gw.ProbeNow()
-	if !f.gw.ring.Has(order[0]) {
+	if !routable() {
 		t.Fatal("one failed probe ejected the backend (EjectAfter is 2)")
 	}
 	f.gw.ProbeNow()
-	if f.gw.ring.Has(order[0]) {
+	if routable() {
 		t.Fatal("backend not ejected after EjectAfter consecutive failures")
 	}
 	if got := f.gw.healthVerdict(); got != obs.HealthDegraded {
@@ -390,7 +460,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 	primary.status = obs.HealthOK
 	primary.mu.Unlock()
 	f.gw.ProbeNow()
-	if f.gw.ring.Has(order[0]) {
+	if routable() {
 		t.Fatal("healthy probe mid-cooldown readmitted the backend")
 	}
 
@@ -398,7 +468,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 	// and readmits.
 	clock.Advance(cooldown + time.Second)
 	f.gw.ProbeNow()
-	if !f.gw.ring.Has(order[0]) {
+	if !routable() {
 		t.Fatal("healthy probe after the cooldown did not readmit the backend")
 	}
 	if got := f.gw.healthVerdict(); got != obs.HealthOK {
@@ -406,17 +476,13 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 	}
 }
 
-// TestAdvertisedShapePreferred: a backend that announces a warm pool
-// for the exact shape outranks ring position, so a fleet whose pools
-// already learned the traffic keeps serving it warm.
+// TestAdvertisedShapePreferred: a backend that announces a pool for
+// the exact shape outranks everything but a latency ejection, and the
+// snapshot shows what it announced.
 func TestAdvertisedShapePreferred(t *testing.T) {
 	f := newFleet(t, 3, nil)
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
-	warm := f.backends[order[2]] // last in ring order
-	warm.mu.Lock()
-	warm.shapes = []string{testHint.Key()}
-	warm.mu.Unlock()
-	f.gw.ProbeNow()
+	order := f.routeOrder(true)
+	f.advertise(testHint.Key(), order[2]) // last candidate while nobody advertises
 
 	candidates := f.gw.route(testHint, true)
 	if len(candidates) != 3 {
@@ -437,34 +503,117 @@ func TestAdvertisedShapePreferred(t *testing.T) {
 	}
 }
 
-// TestUnhintedRouteIsLeastLoaded unit-tests the load ordering the
-// unhinted path uses.
-func TestUnhintedRouteIsLeastLoaded(t *testing.T) {
-	f := newFleet(t, 3, nil)
-	f.gw.byAddr["backend-0"].active.Store(5)
-	f.gw.byAddr["backend-1"].active.Store(1)
-	f.gw.byAddr["backend-2"].active.Store(3)
-	got := f.gw.route(protocol.ShapeHint{}, false)
-	want := []string{"backend-1", "backend-2", "backend-0"}
-	for i := range want {
-		if got[i].Addr != want[i] {
-			t.Fatalf("position %d: %s, want %s", i, got[i].Addr, want[i])
-		}
+// TestRouteOrder is the routing rule, row by row: among routable
+// backends, latency-ejected last, then (hinted only) advertisers of the
+// hint's key first, then fewest in flight, then fewest committed, then
+// address; breaker-open backends appear only as a trailing trial.
+func TestRouteOrder(t *testing.T) {
+	const cooldown = 5 * time.Second
+	key := testHint.Key()
+	load := func(f *fleet, name string, active, sessions int64) {
+		f.state(name).active.Store(active)
+		f.state(name).sessions.Store(sessions)
 	}
-}
-
-// TestBoundedLoadYieldsHotPrimary: a primary far above the bounded-load
-// ceiling yields to the next replica even for its own shapes.
-func TestBoundedLoadYieldsHotPrimary(t *testing.T) {
-	f := newFleet(t, 3, nil)
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
-	f.gw.byAddr[order[0]].active.Store(100)
-	got := f.gw.route(testHint, true)
-	if got[0].Addr == order[0] {
-		t.Fatalf("overloaded primary %s still first", order[0])
+	// openBreaker fails backend-0's probes until its breaker trips.
+	openBreaker := func(f *fleet) {
+		fb := f.backends["backend-0"]
+		fb.mu.Lock()
+		fb.status = obs.HealthOverloaded
+		fb.mu.Unlock()
+		f.gw.ProbeNow()
+		f.gw.ProbeNow()
 	}
-	if got[len(got)-1].Addr != order[0] {
-		t.Fatalf("overloaded primary not demoted to last: %s", got[len(got)-1].Addr)
+	for _, tc := range []struct {
+		name   string
+		hinted bool
+		setup  func(f *fleet, clock *testClock)
+		want   []string
+		misses uint64
+	}{
+		// Least loaded; advertisement plays no part without a hint.
+		{name: "unhinted",
+			setup: func(f *fleet, _ *testClock) {
+				f.advertise(key, "backend-0")
+				load(f, "backend-0", 5, 0)
+				load(f, "backend-1", 1, 0)
+				load(f, "backend-2", 3, 0)
+			},
+			want: []string{"backend-1", "backend-2", "backend-0"}},
+		{name: "hinted-all-advertise", hinted: true,
+			setup: func(f *fleet, _ *testClock) {
+				f.advertise(key)
+				load(f, "backend-0", 2, 0)
+				load(f, "backend-1", 0, 9)
+				load(f, "backend-2", 1, 0)
+			},
+			want: []string{"backend-1", "backend-2", "backend-0"}},
+		// Equal in-flight: fewest committed, then address.
+		{name: "hinted-idle-tie", hinted: true,
+			setup: func(f *fleet, _ *testClock) {
+				f.advertise(key)
+				load(f, "backend-0", 0, 2)
+				load(f, "backend-1", 0, 1)
+				load(f, "backend-2", 0, 1)
+			},
+			want: []string{"backend-1", "backend-2", "backend-0"}},
+		// The advertiser beats idle non-advertisers.
+		{name: "hinted-one-advertises", hinted: true,
+			setup: func(f *fleet, _ *testClock) {
+				f.advertise(key, "backend-2")
+				load(f, "backend-2", 4, 7)
+			},
+			want: []string{"backend-2", "backend-0", "backend-1"}},
+		{name: "hinted-nobody-advertises", hinted: true,
+			setup: func(f *fleet, _ *testClock) {
+				load(f, "backend-0", 1, 0)
+				load(f, "backend-1", 0, 3)
+				load(f, "backend-2", 0, 1)
+			},
+			want: []string{"backend-2", "backend-1", "backend-0"}, misses: 1},
+		// Last, not removed.
+		{name: "advertiser-latency-ejected", hinted: true,
+			setup: func(f *fleet, _ *testClock) {
+				f.advertise(key, "backend-0")
+				for i := 0; i < 3; i++ {
+					f.gw.ejector.Observe("backend-0", 500*time.Millisecond)
+					f.gw.ejector.Observe("backend-1", 10*time.Millisecond)
+					f.gw.ejector.Observe("backend-2", 12*time.Millisecond)
+				}
+				f.gw.ProbeNow() // runs the sweep
+			},
+			want: []string{"backend-1", "backend-2", "backend-0"}},
+		// Mid-cooldown: absent.
+		{name: "advertiser-breaker-open", hinted: true,
+			setup: func(f *fleet, _ *testClock) {
+				f.advertise(key, "backend-0")
+				openBreaker(f)
+			},
+			want: []string{"backend-1", "backend-2"}, misses: 1},
+		// Past the cooldown: the trailing trial.
+		{name: "advertiser-breaker-open-trial-ready", hinted: true,
+			setup: func(f *fleet, clock *testClock) {
+				f.advertise(key, "backend-0")
+				openBreaker(f)
+				clock.Advance(cooldown + time.Second)
+			},
+			want: []string{"backend-1", "backend-2", "backend-0"}, misses: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newTestClock()
+			f := newFleet(t, 3, func(cfg *Config) {
+				cfg.Now = clock.Now
+				cfg.BreakerCooldown = cooldown
+				cfg.OutlierK = 2
+				cfg.OutlierMinSamples = 3
+			})
+			tc.setup(f, clock)
+			if got := f.routeOrder(tc.hinted); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("route order %v, want %v", got, tc.want)
+			}
+			if got := f.obs.Metrics().Counter(obs.MetricHintMisses, "", obs.L("shape", key)).Value(); got != tc.misses {
+				t.Fatalf("%s = %d, want %d", obs.MetricHintMisses, got, tc.misses)
+			}
+		})
 	}
 }
 

@@ -26,35 +26,22 @@ type Backend struct {
 	HealthURL string
 }
 
-// backendState is the gateway's live view of one backend: health
-// (breaker-driven, fed by probes and handshake results), advertised
-// shapes, and in-flight session count (bounded-load input).
+// backendState is the gateway's live view of one backend: its breaker
+// (fed by probes and handshake results), the last probe's verdict and
+// advertised shapes, and the session counts route orders by.
 type backendState struct {
 	Backend
 
-	// breaker owns routability; its transition hook keeps healthy and
-	// ring membership in sync. Never call a breaker method while
-	// holding mu — the hook takes mu under the breaker's own lock.
+	// breaker owns membership: breaker.Routable() is the only record of
+	// whether the backend is in the fleet.
 	breaker *resilience.Breaker
 
-	mu      sync.Mutex
-	healthy bool   // mirror of breaker.Routable(), maintained by the hook
-	status  string // last probe verdict: ok | degraded | overloaded | unreachable
-	shapes  map[string]struct{}
+	mu     sync.Mutex
+	status string // last probe verdict: ok | degraded | overloaded | unreachable
+	shapes map[string]struct{}
 
 	active   atomic.Int64 // sessions currently relayed to this backend
 	sessions atomic.Int64 // sessions ever committed to this backend
-}
-
-// setShapes replaces the advertised-shape set.
-func (b *backendState) setShapes(shapes []string) {
-	set := make(map[string]struct{}, len(shapes))
-	for _, s := range shapes {
-		set[s] = struct{}{}
-	}
-	b.mu.Lock()
-	b.shapes = set
-	b.mu.Unlock()
 }
 
 // advertises reports whether the backend's daemon announced a warm
@@ -64,13 +51,6 @@ func (b *backendState) advertises(key string) bool {
 	defer b.mu.Unlock()
 	_, ok := b.shapes[key]
 	return ok
-}
-
-// snapshotHealth reads the probe-owned fields consistently.
-func (b *backendState) snapshotHealth() (healthy bool, status string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.healthy, b.status
 }
 
 // ProbeFunc asks one backend for its health verdict and advertised
@@ -153,11 +133,10 @@ func (g *Gateway) probeLoop() {
 //     session here);
 //   - overloaded verdicts and unreachable backends count as failures;
 //     EjectAfter consecutive failures trip the breaker open and the
-//     backend leaves the ring. Readmission is the breaker's half-open
-//     trial: after the cooldown (doubling on every re-trip) the next
-//     successful probe readmits — never sooner, however healthy the
-//     probes look mid-cooldown. Ring membership itself moves inside
-//     the breaker's transition hook.
+//     backend stops being routed to. Readmission is the breaker's
+//     half-open trial: after the cooldown (doubling on every re-trip)
+//     the next successful probe readmits — never sooner, however
+//     healthy the probes look mid-cooldown.
 //
 // The pass also sweeps the latency ejector, so outlier demotions are
 // re-evaluated on probe cadence.
@@ -188,7 +167,7 @@ func (g *Gateway) ProbeNow() {
 			obs.L("backend", addr), obs.L("reason", "latency")).Inc()
 		g.logf("gateway: latency outlier %s demoted to last-resort (EWMA beyond k×median)", addr)
 	}
-	g.publishRingState()
+	g.publishMembership()
 }
 
 func toSet(ss []string) map[string]struct{} {
@@ -199,38 +178,41 @@ func toSet(ss []string) map[string]struct{} {
 	return set
 }
 
-// publishRingState refreshes the membership gauges after a probe pass
-// or a routing-time transition.
-func (g *Gateway) publishRingState() {
-	healthy := 0
+// publishMembership refreshes the membership gauges after a probe
+// pass.
+func (g *Gateway) publishMembership() {
 	for _, b := range g.states {
-		up, _ := b.snapshotHealth()
 		var v int64
-		if up {
+		if b.breaker.Routable() {
 			v = 1
-			healthy++
 		}
-		g.reg.Gauge("gw_backend_up", "backend ring membership (1 = routable)",
+		g.reg.Gauge("gw_backend_up", "backend fleet membership (1 = routable)",
 			obs.L("backend", b.Addr)).Set(v)
 	}
-	g.reg.Gauge("gw_backends_healthy", "backends currently on the ring").Set(int64(healthy))
+	g.reg.Gauge("gw_backends_healthy", "backends currently routable").Set(int64(g.routable()))
 	g.reg.Gauge("gw_backends_total", "backends configured").Set(int64(len(g.states)))
 }
 
-// healthVerdict is the gateway's own /healthz: routable fleet → ok,
-// partial fleet → degraded, empty ring → overloaded (the gateway is
-// about to shed every session, which is what overloaded means).
-func (g *Gateway) healthVerdict() string {
-	healthy := 0
+// routable counts the backends whose breaker admits sessions.
+func (g *Gateway) routable() int {
+	n := 0
 	for _, b := range g.states {
-		if up, _ := b.snapshotHealth(); up {
-			healthy++
+		if b.breaker.Routable() {
+			n++
 		}
 	}
-	switch {
-	case healthy == 0:
+	return n
+}
+
+// healthVerdict is the gateway's own /healthz: routable fleet → ok,
+// partial fleet → degraded, no routable backend → overloaded (the
+// gateway is about to shed every session, which is what overloaded
+// means).
+func (g *Gateway) healthVerdict() string {
+	switch n := g.routable(); {
+	case n == 0:
 		return obs.HealthOverloaded
-	case healthy < len(g.states):
+	case n < len(g.states):
 		return obs.HealthDegraded
 	default:
 		return obs.HealthOK

@@ -9,29 +9,24 @@ import (
 // into the gateway's routing machinery:
 //
 //   - every backend gets a circuit breaker fed by both probe verdicts
-//     and routing-time handshake results; its transitions drive ring
-//     membership, so a dead backend leaves the ring at dial speed and
-//     a flapping one stays off it through the breaker's hysteresis;
+//     and routing-time handshake results; its position is the fleet
+//     membership, so a dead backend stops being routed to at dial speed
+//     and a flapping one stays out through the breaker's hysteresis;
 //   - the ejector folds each committed session's dial→first-frame
 //     latency into a per-backend EWMA; backends beyond K× the fleet
 //     median are demoted to last-resort candidates (not removed — a
 //     uniformly slow fleet still serves);
 //   - the retry budget gates every failover attempt beyond a session's
 //     first candidate, so a fleet-wide outage degrades to fast BUSY
-//     rejections instead of each session marching the full replica
+//     rejections instead of each session marching the full candidate
 //     list.
-//
-// Lock discipline: breaker transition hooks run under the breaker's
-// own lock and may take backendState.mu and the ring lock; nothing in
-// the gateway calls a breaker method while holding backendState.mu,
-// so the ordering breaker.mu → backendState.mu is acyclic.
 
-// onBreakerTransition is every backend breaker's OnTransition hook:
-// it mirrors the breaker's position into ring membership, the healthy
-// flag, and the canonical metrics. Transitions are delivered under the
-// breaker's lock in Seq order, which is what makes membership updates
-// race-free — two probes (or a probe and a failed dial) cannot
-// interleave an eject and a readmit for the same backend.
+// onBreakerTransition is every backend breaker's OnTransition hook: it
+// publishes the breaker's position on the canonical metrics. Membership
+// itself is not stored anywhere else — route, the gauges and Snapshot
+// ask breaker.Routable(). Transitions are delivered under the breaker's
+// lock in Seq order, so the eject and readmit counters cannot miscount
+// two probes (or a probe and a failed dial) racing on one backend.
 func (g *Gateway) onBreakerTransition(b *backendState, tr resilience.Transition) {
 	g.reg.BreakerState(b.Addr).Set(obs.BreakerStateValue(tr.To.String()))
 	if g.cfg.onTransition != nil {
@@ -39,27 +34,19 @@ func (g *Gateway) onBreakerTransition(b *backendState, tr resilience.Transition)
 	}
 	switch {
 	case tr.From == resilience.StateClosed && tr.To == resilience.StateOpen:
-		b.mu.Lock()
-		b.healthy = false
-		b.mu.Unlock()
-		g.ring.Remove(b.Addr)
 		g.reg.Counter("gw_membership_changes_total",
-			"backend ring ejections and readmissions",
+			"backend fleet ejections and readmissions",
 			obs.L("backend", b.Addr), obs.L("change", "eject")).Inc()
 		g.reg.Counter(obs.MetricEjections, obs.HelpEjections,
 			obs.L("backend", b.Addr), obs.L("reason", "breaker")).Inc()
 		g.logf("gateway: breaker opened for %s (consecutive failures)", b.Addr)
 	case tr.To == resilience.StateClosed:
-		b.mu.Lock()
-		b.healthy = true
-		b.mu.Unlock()
-		g.ring.Add(b.Addr)
 		g.reg.Counter("gw_membership_changes_total",
-			"backend ring ejections and readmissions",
+			"backend fleet ejections and readmissions",
 			obs.L("backend", b.Addr), obs.L("change", "readmit")).Inc()
 		g.logf("gateway: breaker closed for %s (trial succeeded)", b.Addr)
 	}
-	// open→half-open and half-open→open keep the backend off the ring:
+	// open→half-open and half-open→open keep the backend unroutable:
 	// half-open admits exactly the trial observation, never sessions.
 }
 
@@ -70,11 +57,11 @@ func (g *Gateway) publishBudget() {
 		Set(int64(g.budget.Tokens() * 1000))
 }
 
-// noteHintMiss counts a hinted session whose shape matched no
-// advertised backend pool and emits a rate-limited log line — one per
+// noteHintMiss counts a hinted session whose shape no routable backend
+// advertises and emits a rate-limited log line — one per
 // HintMissLogEvery fleet-wide, because a shape nobody advertises tends
 // to arrive in bursts and each miss says the same thing: the session
-// is riding cold-pool routing.
+// is routed by load alone, to a backend with no pool for it.
 func (g *Gateway) noteHintMiss(key string) {
 	g.reg.Counter(obs.MetricHintMisses, obs.HelpHintMisses, obs.L("shape", key)).Inc()
 	if g.cfg.Logf == nil {
@@ -88,19 +75,8 @@ func (g *Gateway) noteHintMiss(key string) {
 	}
 	g.hintMu.Unlock()
 	if due {
-		g.cfg.Logf("gateway: shape hint %q matches no advertised backend pool; routing by ring position (cold pool)", key)
+		g.cfg.Logf("gateway: shape hint %q matches no advertised backend pool; routing by load (cold pool)", key)
 	}
-}
-
-// fleetAdvertises reports whether any configured backend advertises a
-// warm pool for the shape key.
-func (g *Gateway) fleetAdvertises(key string) bool {
-	for _, b := range g.states {
-		if b.advertises(key) {
-			return true
-		}
-	}
-	return false
 }
 
 // logf forwards to the configured logger, if any.

@@ -15,7 +15,7 @@ import (
 // several goroutines hammer ProbeNow while the primary's verdict and
 // the clock race each other through 40 flap cycles. Whatever the
 // interleaving, every breaker must move strictly monotonically (Seq
-// +1, next.From == prev.To) along legal edges only, and the ring must
+// +1, next.From == prev.To) along legal edges only, and the fleet must
 // never see a double-readmit: readmissions counted on the membership
 // counter must equal the breaker's closed-arrivals exactly. Run under
 // -race and -shuffle=on in CI.
@@ -32,7 +32,7 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
+	order := f.routeOrder(true)
 	primary := f.backends[order[0]]
 
 	var wg sync.WaitGroup
@@ -102,8 +102,12 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 		t.Fatalf("membership counter shows %d readmits, breaker transitioned closed %d times (double-readmit?)",
 			counted, readmits)
 	}
-	if f.gw.ring.Has(order[0]) != f.gw.byAddr[order[0]].breaker.Routable() {
-		t.Fatal("ring membership diverged from breaker state")
+	// The one derived copy of membership left is a gauge; a probe pass
+	// on the now-still clock must leave it agreeing with the breaker.
+	f.gw.ProbeNow()
+	up := f.obs.Metrics().Gauge("gw_backend_up", "", obs.L("backend", order[0])).Value()
+	if (up == 1) != f.state(order[0]).breaker.Routable() {
+		t.Fatalf("gw_backend_up = %d diverged from breaker state", up)
 	}
 }
 
@@ -152,7 +156,7 @@ func TestLatencyOutlierDemoted(t *testing.T) {
 		cfg.OutlierMinSamples = 3
 		cfg.OutlierCooldown = cooldown
 	})
-	order := f.gw.ring.Lookup(testHint.Key(), 0)
+	order := f.routeOrder(true)
 	for i := 0; i < 3; i++ {
 		f.gw.ejector.Observe(order[0], 500*time.Millisecond)
 		f.gw.ejector.Observe(order[1], 10*time.Millisecond)
@@ -165,7 +169,7 @@ func TestLatencyOutlierDemoted(t *testing.T) {
 		t.Fatalf("%d candidates, want 3 (ejection demotes, never removes)", len(got))
 	}
 	if got[len(got)-1].Addr != order[0] {
-		t.Fatalf("slow primary %s not demoted to last (order %v)", order[0], []string{got[0].Addr, got[1].Addr, got[2].Addr})
+		t.Fatalf("slow backend %s not demoted to last (order %v)", order[0], []string{got[0].Addr, got[1].Addr, got[2].Addr})
 	}
 	if n := f.obs.Metrics().Counter(obs.MetricEjections, "",
 		obs.L("backend", order[0]), obs.L("reason", "latency")).Value(); n != 1 {
@@ -211,8 +215,8 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 			t.Fatal("session succeeded against a dead fleet")
 		}
 	}
-	if n := f.gw.ring.Len(); n != 0 {
-		t.Fatalf("ring still has %d members after the fleet died", n)
+	if n := f.gw.routable(); n != 0 {
+		t.Fatalf("%d backends still routable after the fleet died", n)
 	}
 	// Mid-cooldown the fleet is unroutable: sessions shed immediately.
 	if _, err := runSession(t, f.gw, &testHint); err == nil {
@@ -238,9 +242,6 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 	for _, b := range f.gw.states {
 		if b.breaker.Routable() {
 			readmitted++
-			if !f.gw.ring.Has(b.Addr) {
-				t.Fatalf("readmitted backend %s missing from the ring", b.Addr)
-			}
 		}
 	}
 	if readmitted != 1 {

@@ -3,18 +3,16 @@ package gateway
 import (
 	"hash/fnv"
 	"sort"
-	"sync"
+	"strconv"
 )
 
 // Ring is a consistent-hash ring over backend names with virtual
-// nodes. Sessions hash their precompute shape key onto the ring, so a
-// given shape always lands on the same backend while it stays healthy —
-// that backend's pre-garbled pool is the warm one — and membership
-// changes only remap the shapes that hashed near the departed member,
-// not the whole fleet.
+// nodes. The gateway does not route with it (see route): NewRing, Add
+// and Lookup stay only because the frozen benchmark tree compiles
+// against them for its gateway.ring_lookup_ns layer
+// (bench/maxperf/layers.go); the next benchmark PR deletes the layer
+// and this file together. Not safe for concurrent use.
 type Ring struct {
-	mu      sync.RWMutex
-	vnodes  int
 	points  []ringPoint // sorted by hash
 	members map[string]struct{}
 }
@@ -24,25 +22,19 @@ type ringPoint struct {
 	member string
 }
 
-// DefaultVnodes is the virtual-node count per member when NewRing is
-// given zero: enough replicas that an 8-backend fleet balances within
-// a few tens of percent, small enough that rebuilds stay trivial.
-const DefaultVnodes = 128
+// ringVnodes is the virtual-node count per member.
+const ringVnodes = 128
 
-// NewRing builds an empty ring with the given virtual-node count per
-// member (DefaultVnodes if <= 0).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
+// NewRing builds an empty ring. The argument was the virtual-node
+// count and is ignored; the one caller left passes 0, the default.
+func NewRing(_ int) *Ring {
+	return &Ring{members: make(map[string]struct{})}
 }
 
-// ringHash is FNV-1a 64 through a splitmix64 finalizer: stable across
-// processes (routing must agree between gateway restarts) and cheap
-// enough to hash per session. The finalizer matters — raw FNV of short
-// near-identical strings ("backend-3#17") clusters on the ring badly
-// enough to triple one member's share of the keyspace.
+// ringHash is FNV-1a 64 through a splitmix64 finalizer. The finalizer
+// matters — raw FNV of short near-identical strings ("backend-3#17")
+// clusters on the ring badly enough to triple one member's share of the
+// keyspace.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
@@ -57,69 +49,20 @@ func ringHash(s string) uint64 {
 
 // Add inserts a member (idempotent).
 func (r *Ring) Add(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.members[member]; ok {
 		return
 	}
 	r.members[member] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
-		h := ringHash(member + "#" + itoa(i))
+	for i := 0; i < ringVnodes; i++ {
+		h := ringHash(member + "#" + strconv.Itoa(i))
 		r.points = append(r.points, ringPoint{hash: h, member: member})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove ejects a member (idempotent).
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; !ok {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Has reports membership.
-func (r *Ring) Has(member string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.members[member]
-	return ok
-}
-
-// Len reports the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Members returns the members in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns up to n distinct members in ring order starting at
-// key's position: index 0 is the primary, the rest are the failover
-// replicas a session tries in order. n <= 0 means every member.
+// key's position. n <= 0 means every member.
 func (r *Ring) Lookup(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
 		return nil
 	}
@@ -139,21 +82,4 @@ func (r *Ring) Lookup(key string, n int) []string {
 		out = append(out, p.member)
 	}
 	return out
-}
-
-// itoa is strconv.Itoa for the small non-negative vnode indices,
-// inlined to keep the hash input construction allocation-free on the
-// common path.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

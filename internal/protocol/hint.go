@@ -77,7 +77,7 @@ func PeekShapeHint(frame []byte) (ShapeHint, bool) {
 // PeekBusy reports whether an already-received frame is a load-shedding
 // busy frame, as the BusyError Client.Dial would return for it. A
 // gateway uses it on the first backend frame to trigger failover to the
-// next ring replica instead of surfacing the rejection.
+// next candidate backend instead of surfacing the rejection.
 func PeekBusy(frame []byte) (*BusyError, bool) {
 	retryAfter, err := parseBusy(frame)
 	if err != nil {

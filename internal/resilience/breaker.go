@@ -8,7 +8,7 @@
 // binary "healthy until 3 probes fail" model cannot:
 //
 //   - Breaker — a *flapping* backend (crash loops, overload cycling)
-//     must not oscillate back onto the routing ring each probe tick.
+//     must not oscillate back into routing each probe tick.
 //     The breaker trips open after consecutive failures, cools down
 //     for a period that doubles on every re-trip, and readmits only
 //     through a half-open single-probe trial.
@@ -33,7 +33,7 @@ type State int32
 const (
 	// StateClosed: the backend is routable; failures are being counted.
 	StateClosed State = iota
-	// StateOpen: the backend is off the ring, cooling down.
+	// StateOpen: the backend is out of routing, cooling down.
 	StateOpen
 	// StateHalfOpen: the cooldown expired; exactly one trial decides
 	// between readmission and a longer cooldown.
@@ -85,7 +85,7 @@ type BreakerConfig struct {
 	// OnTransition, when set, observes every state change while the
 	// breaker's lock is held — transitions are therefore delivered in
 	// Seq order with no interleaving, which is what lets the gateway
-	// mutate ring membership race-free and lets tests assert
+	// count ejections and readmissions exactly and lets tests assert
 	// monotonicity. The hook must not call back into the breaker.
 	OnTransition func(Transition)
 }
@@ -111,16 +111,16 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // Breaker is a per-backend circuit breaker. Failures come from two
 // sources with one policy: health-probe verdicts and routing-time
-// handshake results both call Observe, so a dead backend leaves the
-// ring at dial speed, not probe speed.
+// handshake results both call Observe, so a dead backend stops being
+// routable at dial speed, not probe speed.
 //
 // Hysteresis is the breaker's reason to exist over a plain
 // consecutive-failure counter: while open, observations do not move
 // the state — a flapping backend that happens to answer one probe
-// mid-cooldown stays off the ring — and every re-trip before a full
+// mid-cooldown stays unroutable — and every re-trip before a full
 // recovery (RecoveryStreak closed successes) doubles the next
 // cooldown, so a backend oscillating at any period settles into
-// long exclusions instead of oscillating the ring.
+// long exclusions instead of oscillating the fleet.
 type Breaker struct {
 	cfg BreakerConfig
 

@@ -98,8 +98,8 @@ func TestBreakerSuccessResetsFailureCount(t *testing.T) {
 }
 
 // TestBreakerIgnoresResultsWhileCooling is the hysteresis core: a
-// flapping backend that answers one probe mid-cooldown must stay off
-// the ring until the half-open trial.
+// flapping backend that answers one probe mid-cooldown must stay
+// unroutable until the half-open trial.
 func TestBreakerIgnoresResultsWhileCooling(t *testing.T) {
 	clk := newFakeClock()
 	rec := &recorder{}
