@@ -21,8 +21,8 @@
 // daemon answers in bounded time instead of stringing clients along);
 // -admission-wait 0 restores the old queue-forever behaviour.
 //
-// With -precompute the daemon runs an offline/online split: background
-// workers pre-garble MAC circuits for the model's shape — the one
+// With -precompute the daemon runs an offline/online split: a background
+// worker pre-garbles MAC circuits for the model's shape — the one
 // shape the daemon serves, admitted at boot — into a bounded pool of
 // single-use entries, so a request that hits the pool pays only OT,
 // table streaming and decode online. -precompute-pool sizes the pool.
@@ -50,10 +50,9 @@
 //	                     overloaded (recently shed load; answers 503)
 //
 // Adding -advertise mounts /shapez on the same address: a JSON list of
-// the request shapes this daemon serves warm (the live precompute
-// pools with -precompute, the static model shape otherwise), which a
-// shape-aware gateway (cmd/maxgw) polls to route sessions toward warm
-// pools.
+// the request shapes this daemon serves — always the one model shape,
+// pooled or not — which a shape-aware gateway (cmd/maxgw) polls to
+// route hinted sessions toward the backends that serve them.
 //
 // Adding -pprof additionally mounts net/http/pprof under
 // /debug/pprof/ on the same address, so CPU, heap and block profiles
@@ -126,7 +125,7 @@ func main() {
 	flag.DurationVar(&dc.Timeouts.Handshake, "handshake-timeout", 30*time.Second, "per-operation deadline for handshake and OT setup (0 = none)")
 	flag.DurationVar(&dc.Timeouts.IO, "io-timeout", 2*time.Minute, "per-operation deadline for steady-state request I/O (0 = none)")
 	flag.BoolVar(&dc.Precompute, "precompute", false, "pre-garble MAC circuits in the background so requests serve from a warm pool")
-	flag.IntVar(&dc.PrecomputePool, "precompute-pool", 4, "precomputed entries kept per shape")
+	flag.IntVar(&dc.PrecomputePool, "precompute-pool", 4, "precomputed entries kept ready")
 	flag.BoolVar(&dc.Pprof, "pprof", false, "mount /debug/pprof/ on the metrics address (requires -metrics-addr)")
 	flag.BoolVar(&dc.Advertise, "advertise", false, "mount /shapez shape hints on the metrics address (requires -metrics-addr)")
 	flag.Parse()

@@ -490,9 +490,8 @@ func render(w io.Writer, url string, prev, cur *snapshot, fleet []gateway.Backen
 			}
 			return fmt.Sprintf("%.0f%%", 100*h/(h+m))
 		}
-		fmt.Fprintf(w, "precompute  hits %.0f   misses %.0f   hit ratio %s   shapes %.0f   evictions %.0f\n",
-			hitTotal, missTotal, ratio(hitTotal, missTotal),
-			cur.val("precompute_shapes"), cur.val("precompute_evictions_total"))
+		fmt.Fprintf(w, "precompute  hits %.0f   misses %.0f   hit ratio %s\n",
+			hitTotal, missTotal, ratio(hitTotal, missTotal))
 		shapes := map[string]bool{}
 		for _, e := range depths {
 			shapes[e.Label] = true

@@ -47,8 +47,6 @@ precompute_hits_total{shape="16x16/b16s/matvec/batched"} 9
 precompute_misses_total{shape="16x16/b16s/matvec/batched"} 1
 precompute_misses_total{shape="4x8/b16s/matvec/per-round"} 2
 precompute_pool_depth{shape="16x16/b16s/matvec/batched"} 3
-precompute_shapes 2
-precompute_evictions_total 1
 # TYPE runtime_goroutines gauge
 runtime_goroutines 12
 runtime_heap_inuse_bytes 3145728
@@ -121,7 +119,7 @@ func TestRenderFrame(t *testing.T) {
 		"in 2.0 KiB   out 1.0 MiB",
 		"ot_setup avg 5.00ms (n=4)",
 		"session avg 500.00ms (n=3)",
-		"precompute  hits 9   misses 3   hit ratio 75%   shapes 2   evictions 1",
+		"precompute  hits 9   misses 3   hit ratio 75%",
 		"runtime     goroutines 12   heap inuse 3.0 MiB   idle 1.0 MiB   gc cycles 4",
 		"gc pause p99",
 		"per-shape",

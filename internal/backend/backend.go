@@ -24,7 +24,6 @@ import (
 	"net/http"
 	netpprof "net/http/pprof"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,15 +63,15 @@ type Config struct {
 	Timeouts protocol.Timeouts
 	// DrainTimeout bounds Drain's wait for in-flight sessions.
 	DrainTimeout time.Duration
-	// Precompute runs the offline/online split: background workers
-	// pre-garble the model's shape (admitted at boot, the only shape the
-	// engine ever holds). PrecomputePool is its refill target.
+	// Precompute runs the offline/online split: a background worker
+	// pre-garbles the model's shape (admitted at boot, the one shape the
+	// engine holds). PrecomputePool is its refill target.
 	Precompute     bool
 	PrecomputePool int
 	// Pprof mounts net/http/pprof under /debug/pprof/ on MetricsAddr.
 	Pprof bool
-	// Advertise mounts /shapez on MetricsAddr: the request shapes this
-	// backend serves warm, polled by a shape-aware gateway.
+	// Advertise mounts /shapez on MetricsAddr: the model shape this
+	// backend serves, polled by a shape-aware gateway.
 	Advertise bool
 
 	// Obs is the observability root the backend records into and serves
@@ -302,24 +301,11 @@ func (b *Backend) handler() http.Handler {
 	if b.cfg.Advertise {
 		mux.HandleFunc("/shapez", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"shapes": b.advertisedShapes()})
+			// One model per backend: the shape serve issues, pooled or not.
+			json.NewEncoder(w).Encode(map[string]any{"shapes": []string{b.modelShape().String()}})
 		})
 	}
 	return mux
-}
-
-// advertisedShapes renders the /shapez hints: the live precompute pools
-// when the engine runs, otherwise the static model shape.
-func (b *Backend) advertisedShapes() []string {
-	if b.eng == nil {
-		return []string{b.modelShape().String()}
-	}
-	var out []string
-	for s := range b.eng.Shapes() {
-		out = append(out, s.String())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // acceptLoop is Fig. 1's "multiple channels to communicate with the

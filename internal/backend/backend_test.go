@@ -529,7 +529,7 @@ func TestServeAndShutDownClean(t *testing.T) {
 	final := snapshot()
 	checked := 0
 	for _, line := range strings.Split(final, "\n") {
-		for _, gauge := range []string{"sessions_active", "sessions_waiting", "precompute_pool_depth", "precompute_shapes", "precompute_refill_busy"} {
+		for _, gauge := range []string{"sessions_active", "sessions_waiting", "precompute_pool_depth", "precompute_refill_busy"} {
 			if strings.HasPrefix(line, gauge) {
 				checked++
 				if !strings.HasSuffix(line, " 0") {
@@ -538,7 +538,7 @@ func TestServeAndShutDownClean(t *testing.T) {
 			}
 		}
 	}
-	if checked < 5 {
+	if checked < 4 {
 		t.Errorf("only %d gauge lines found in the final snapshot:\n%s", checked, final)
 	}
 	if n := b.ArenaOutstanding(); n != 0 {

@@ -1,11 +1,11 @@
 // Package precompute is the garbler's offline/online split: a
-// background engine that pre-garbles MAC circuits per request *shape*
-// into bounded pools of single-use entries, so that when a request
-// arrives the serving path only has to run OT, stream the tables and
-// read the decode — garbling, the compute-bound phase, happened before
-// the request existed. This is the software analogue of MAXelerator
-// keeping its GC cores busy every cycle: idle wall-clock time between
-// requests becomes garbled tables in a pool.
+// background engine that pre-garbles MAC circuits for one request
+// *shape* into a bounded pool of single-use entries, so that when a
+// request arrives the serving path only has to run OT, stream the
+// tables and read the decode — garbling, the compute-bound phase,
+// happened before the request existed. This is the software analogue
+// of MAXelerator keeping its GC cores busy every cycle: idle wall-clock
+// time between requests becomes garbled tables in a pool.
 //
 // Security. Every pool entry is built from a fresh, independently
 // seeded garbling (its own free-XOR offset and label stream) and is
@@ -15,11 +15,10 @@
 // fresh-labels-per-garbling requirement verbatim: the labels are just
 // as fresh, they were merely drawn earlier.
 //
-// Shapes are learned from traffic: a request whose shape has no pool
-// misses (and is served by inline garbling, wire-identical) while the
-// engine admits the shape and starts filling it in the background.
-// Cold shapes are evicted least-recently-used so the pool footprint
-// stays bounded.
+// One engine holds one shape — a backend serves one model — fixed by
+// the first Admit or Prefill. Nothing is learned from traffic: a
+// request of any other shape, or one that finds the pool empty, misses
+// and is served by inline garbling, wire-identical.
 package precompute
 
 import (
@@ -37,7 +36,7 @@ import (
 	"maxelerator/internal/obs"
 )
 
-// Shape keys one pool: every request with the same shape is served by
+// Shape keys the pool: every request with the same shape is served by
 // the same pre-garbled material layout.
 type Shape struct {
 	// Rows and Cols are the request matrix dimensions.
@@ -118,14 +117,9 @@ type Config struct {
 	// Rand is ignored: every entry draws from its own freshly seeded
 	// DRBG so entries are independent and reproducible from their seed.
 	Sim maxsim.Config
-	// PoolSize is the refill target per shape (default 4): background
-	// workers keep each resident pool at this depth.
+	// PoolSize is the refill target (default 4): the background worker
+	// keeps the pool at this depth.
 	PoolSize int
-	// MaxShapes bounds the resident shapes (default 8); admitting one
-	// more evicts the least-recently-used pool.
-	MaxShapes int
-	// Workers is the background refill worker count (default 1).
-	Workers int
 	// Metrics receives the engine's counters and gauges, and the
 	// garbling accounting of entry construction. Nil disables both.
 	Metrics *obs.Registry
@@ -138,36 +132,15 @@ func (c Config) withDefaults() Config {
 	if c.PoolSize == 0 {
 		c.PoolSize = 4
 	}
-	if c.MaxShapes == 0 {
-		c.MaxShapes = 8
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
-	}
 	if c.SeedSource == nil {
 		c.SeedSource = rand.Reader
 	}
 	return c
 }
 
-// pool is the per-shape entry stack plus its refill bookkeeping.
-type pool struct {
-	shape   Shape
-	entries []*Entry
-	// filling counts entries currently being built for this pool, so
-	// concurrent workers never overshoot the target.
-	filling int
-	// lastUse is the engine tick of the most recent Take or Admit —
-	// the LRU eviction order.
-	lastUse uint64
-	depth   *obs.Gauge
-	hits    *obs.Counter
-	misses  *obs.Counter
-}
-
-// Engine owns the shape-keyed pools and the background refill workers.
-// All methods are safe for concurrent use; a nil *Engine is a no-op
-// that always misses, so callers thread it without guards.
+// Engine owns the one pool and its background refill worker. All
+// methods are safe for concurrent use; a nil *Engine is a no-op that
+// always misses, so callers thread it without guards.
 type Engine struct {
 	cfg Config
 	// sim is the compiled accelerator for cfg.Sim, built once at New;
@@ -176,18 +149,21 @@ type Engine struct {
 	reg    *obs.Registry
 	refill *obs.Histogram
 	busy   *obs.Gauge
-	shapes *obs.Gauge
-	evict  *obs.Counter
 
-	mu      sync.Mutex
-	pools   map[Shape]*pool
-	tick    uint64
+	mu sync.Mutex
+	// shape is the one shape the pool holds: the zero Shape (which is
+	// not poolable) until the first Admit or Prefill fixes it, which
+	// also registers the three shape-labelled metrics below.
+	shape   Shape
+	entries []*Entry
+	depth   *obs.Gauge
+	hits    *obs.Counter
+	misses  *obs.Counter
 	stopped bool
 
-	// hitCount and missCount mirror the per-shape obs counters at
-	// engine granularity, independent of whether Metrics is attached —
-	// benchmark harnesses read them to prove a "warm" pass really
-	// served every request from the pool.
+	// hitCount and missCount count every Take outcome, independent of
+	// whether Metrics is attached — benchmark harnesses read them to
+	// prove a "warm" pass really served every request from the pool.
 	hitCount, missCount atomic.Uint64
 
 	seedMu sync.Mutex // SeedSource is not required to be concurrency-safe
@@ -202,14 +178,18 @@ type Engine struct {
 // and cleared only while no engine is running.
 var buildTestHook func(Shape)
 
+// refillRetry is how long the refill worker leaves a build that failed
+// before trying again, unless a wake comes first: a build that fails
+// every time must not spin.
+const refillRetry = time.Second
+
 // New builds an engine. The simulator configuration is validated
 // eagerly so a misconfigured engine fails at startup, not on the first
 // background refill.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	if cfg.PoolSize < 0 || cfg.MaxShapes < 1 || cfg.Workers < 1 {
-		return nil, fmt.Errorf("precompute: invalid config (pool %d, shapes %d, workers %d)",
-			cfg.PoolSize, cfg.MaxShapes, cfg.Workers)
+	if cfg.PoolSize < 0 {
+		return nil, fmt.Errorf("precompute: invalid config (pool %d)", cfg.PoolSize)
 	}
 	simCfg := cfg.Sim
 	simCfg.Metrics = cfg.Metrics
@@ -222,36 +202,31 @@ func New(cfg Config) (*Engine, error) {
 	// garbled under.
 	cfg.Sim = sim.Config()
 	e := &Engine{
-		cfg:   cfg,
-		sim:   sim,
-		reg:   cfg.Metrics,
-		pools: make(map[Shape]*pool),
-		wake:  make(chan struct{}, 1),
-		done:  make(chan struct{}),
+		cfg:  cfg,
+		sim:  sim,
+		reg:  cfg.Metrics,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	e.refill = e.reg.Histogram("precompute_refill_seconds", "wall time to pre-garble one pool entry", nil)
-	e.busy = e.reg.Gauge("precompute_refill_busy", "refill workers currently pre-garbling an entry")
-	e.shapes = e.reg.Gauge("precompute_shapes", "shapes with a resident pool")
-	e.evict = e.reg.Counter("precompute_evictions_total", "cold shape pools evicted (LRU)")
+	e.busy = e.reg.Gauge("precompute_refill_busy", "1 while the refill worker is pre-garbling an entry")
 	return e, nil
 }
 
-// Start launches the background refill workers. Idempotent-per-engine
+// Start launches the background refill worker. Idempotent-per-engine
 // lifecycles are not supported: call Start at most once, before Stop.
 func (e *Engine) Start() {
 	if e == nil {
 		return
 	}
-	for i := 0; i < e.cfg.Workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
+	e.wg.Add(1)
+	go e.worker()
 }
 
-// Stop halts the workers, waits for in-flight builds, and drains every
-// pool: entries are dropped and each shape's depth gauge is set to
-// zero, so a final metrics snapshot never reports phantom capacity.
-// Safe to call more than once and without a prior Start.
+// Stop halts the worker, waits for an in-flight build, and drains the
+// pool: entries are dropped and the depth gauge is set to zero, so a
+// final metrics snapshot never reports phantom capacity. Safe to call
+// more than once and without a prior Start.
 func (e *Engine) Stop() {
 	if e == nil {
 		return
@@ -267,81 +242,50 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for shape, p := range e.pools {
-		p.entries = nil
-		p.depth.Set(0)
-		delete(e.pools, shape)
-	}
-	e.shapes.Set(0)
+	e.entries = nil
+	e.depth.Set(0)
 }
 
-// Admit registers a shape for background filling, evicting the
-// least-recently-used pool if the shape budget is exceeded. Returns
-// false for shapes that cannot be pre-garbled (empty, unknown mode or
-// OT name, another accelerator configuration) or after Stop.
+// Admit fixes s as the engine's shape and starts filling it in the
+// background; admitting the same shape again is a no-op that reports
+// true. Returns false for shapes that cannot be pre-garbled (empty,
+// unknown mode or OT name, another accelerator configuration), for any
+// shape other than the one already admitted, and after Stop.
 func (e *Engine) Admit(s Shape) bool {
-	if e == nil || !s.poolable() || !e.compatible(s) {
-		return false
+	return e != nil && e.admit(s) == nil
+}
+
+// admit is Admit with the refusal spelled out, for Prefill to return.
+func (e *Engine) admit(s Shape) error {
+	if !s.poolable() || !e.compatible(s) {
+		return fmt.Errorf("precompute: shape %s cannot be pre-garbled under this engine", s)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stopped {
-		return false
+	switch {
+	case e.stopped:
+		return fmt.Errorf("precompute: engine stopped")
+	case e.shape == s:
+		return nil
+	case e.shape != (Shape{}):
+		return fmt.Errorf("precompute: engine holds shape %s, cannot admit %s", e.shape, s)
 	}
-	if e.admitLocked(s) {
-		e.kick()
-	}
-	return true
-}
-
-// admitLocked ensures a pool exists for s, reporting whether it was
-// created. Callers hold e.mu.
-func (e *Engine) admitLocked(s Shape) bool {
-	e.tick++
-	if p, ok := e.pools[s]; ok {
-		p.lastUse = e.tick
-		return false
-	}
-	for len(e.pools) >= e.cfg.MaxShapes {
-		e.evictLocked()
-	}
+	e.shape = s
 	lbl := obs.L("shape", s.String())
-	e.pools[s] = &pool{
-		shape:   s,
-		lastUse: e.tick,
-		depth:   e.reg.Gauge("precompute_pool_depth", "pre-garbled entries ready per shape", lbl),
-		hits:    e.reg.Counter("precompute_hits_total", "requests served from the pre-garbled pool", lbl),
-		misses:  e.reg.Counter("precompute_misses_total", "requests that fell back to inline garbling", lbl),
-	}
-	e.shapes.Set(int64(len(e.pools)))
-	return true
+	e.depth = e.reg.Gauge("precompute_pool_depth", "pre-garbled entries ready per shape", lbl)
+	e.hits = e.reg.Counter("precompute_hits_total", "requests served from the pre-garbled pool", lbl)
+	e.misses = e.reg.Counter("precompute_misses_total", "requests that fell back to inline garbling", lbl)
+	e.kick()
+	return nil
 }
 
-// evictLocked drops the least-recently-used pool. Callers hold e.mu.
-func (e *Engine) evictLocked() {
-	var victim *pool
-	for _, p := range e.pools {
-		if victim == nil || p.lastUse < victim.lastUse {
-			victim = p
-		}
-	}
-	if victim == nil {
-		return
-	}
-	victim.entries = nil
-	victim.depth.Set(0)
-	delete(e.pools, victim.shape)
-	e.evict.Inc()
-	e.shapes.Set(int64(len(e.pools)))
-}
-
-// Take pops one ready entry for the shape, or nil on a miss. A miss
-// admits the shape (learning it from traffic) and wakes the refill
-// workers, so repeated traffic of a new shape converges to hits. The
-// caller owns the returned entry; consuming it is Entry.Bind's
-// single-use contract.
+// Take pops one ready entry, or nil on a miss: the pool is empty, or s
+// is not the admitted shape — the argument is the guard that a request
+// of another shape is never handed this pool's material. A miss admits
+// nothing; the caller garbles inline. The caller owns the returned
+// entry; consuming it is Entry.Bind's single-use contract.
 func (e *Engine) Take(s Shape) *Entry {
-	if e == nil || !s.poolable() || !e.compatible(s) {
+	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
@@ -349,27 +293,27 @@ func (e *Engine) Take(s Shape) *Entry {
 	if e.stopped {
 		return nil
 	}
-	e.admitLocked(s)
-	p := e.pools[s]
-	if len(p.entries) == 0 {
-		p.misses.Inc()
+	if s != e.shape || len(e.entries) == 0 {
 		e.missCount.Add(1)
-		e.kick()
+		if s == e.shape {
+			e.misses.Inc()
+		}
 		return nil
 	}
-	ent := p.entries[len(p.entries)-1]
-	p.entries = p.entries[:len(p.entries)-1]
-	p.depth.Set(int64(len(p.entries)))
-	p.hits.Inc()
+	ent := e.entries[len(e.entries)-1]
+	e.entries = e.entries[:len(e.entries)-1]
+	e.depth.Set(int64(len(e.entries)))
+	e.hits.Inc()
 	e.hitCount.Add(1)
 	e.kick()
 	return ent
 }
 
 // PoolStats snapshots the engine-wide Take outcomes: how many requests
-// were served from a pool and how many fell back to inline garbling.
-// Unlike the per-shape obs counters these survive a nil Metrics config,
-// so benchmarks can assert a warm pass hit on every request.
+// were served from the pool and how many fell back to inline garbling.
+// Unlike the shape-labelled obs counters these survive a nil Metrics
+// config and count misses of a foreign shape, so benchmarks can assert
+// a warm pass hit on every request.
 func (e *Engine) PoolStats() (hits, misses uint64) {
 	if e == nil {
 		return 0, 0
@@ -377,72 +321,54 @@ func (e *Engine) PoolStats() (hits, misses uint64) {
 	return e.hitCount.Load(), e.missCount.Load()
 }
 
-// Shapes snapshots the admitted shapes and their ready depths — the
-// advertisement payload a daemon exposes (via /shapez) so a
-// shape-aware gateway can route sessions toward warm pools. Admitted
-// shapes with empty pools are included: admission means the refill
-// workers are already building them.
-func (e *Engine) Shapes() map[Shape]int {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[Shape]int, len(e.pools))
-	for s, p := range e.pools {
-		out[s] = len(p.entries)
-	}
-	return out
-}
-
-// Depth reports the ready entries for a shape (0 for absent shapes).
+// Depth reports the ready entries for a shape (0 for any shape other
+// than the admitted one).
 func (e *Engine) Depth(s Shape) int {
 	if e == nil {
 		return 0
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if p, ok := e.pools[s]; ok {
-		return len(p.entries)
+	if s != e.shape {
+		return 0
 	}
-	return 0
+	return len(e.entries)
 }
 
 // Prefill builds n entries for the shape synchronously on the calling
 // goroutine — the warm-up path benchmarks and tests use to measure the
-// online path without racing the background workers. The shape is
+// online path without racing the background worker. The shape is
 // admitted first; n may exceed the background refill target.
 func (e *Engine) Prefill(s Shape, n int) error {
 	if e == nil {
 		return fmt.Errorf("precompute: nil engine")
 	}
-	if !s.poolable() || !e.compatible(s) {
-		return fmt.Errorf("precompute: shape %s cannot be pre-garbled under this engine", s)
+	if err := e.admit(s); err != nil {
+		return err
 	}
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return fmt.Errorf("precompute: engine stopped")
-	}
-	e.admitLocked(s)
-	e.mu.Unlock()
 	for i := 0; i < n; i++ {
 		ent, err := e.buildEntry(s)
 		if err != nil {
 			return err
 		}
-		e.mu.Lock()
-		if p, ok := e.pools[s]; ok && !e.stopped {
-			p.entries = append(p.entries, ent)
-			p.depth.Set(int64(len(p.entries)))
-		}
-		e.mu.Unlock()
+		e.deposit(ent)
 	}
 	return nil
 }
 
-// kick nudges the refill workers; the buffered channel coalesces
-// bursts. Callers hold e.mu (or are workers themselves).
+// deposit pushes a built entry onto the pool; a stopped engine drops it.
+func (e *Engine) deposit(ent *Entry) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stopped {
+		return
+	}
+	e.entries = append(e.entries, ent)
+	e.depth.Set(int64(len(e.entries)))
+}
+
+// kick nudges the refill worker; the buffered channel coalesces bursts.
+// Callers hold e.mu.
 func (e *Engine) kick() {
 	select {
 	case e.wake <- struct{}{}:
@@ -450,87 +376,61 @@ func (e *Engine) kick() {
 	}
 }
 
-// worker is one background refill loop: claim a pool below target,
-// pre-garble one entry, deposit, repeat; sleep on the wake channel when
-// every pool is full.
+// worker is the background refill loop: while the pool is below target,
+// pre-garble one entry and deposit it; sleep on the wake channel when
+// the pool is full, and after a failed build until the next wake or
+// refillRetry, whichever comes first.
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
-		s, ok := e.claim()
-		if !ok {
-			select {
-			case <-e.done:
-				return
-			case <-e.wake:
+		var retry <-chan time.Time
+		if s, ok := e.wanted(); ok {
+			if e.fillOne(s) {
 				continue
 			}
+			retry = time.After(refillRetry)
 		}
-		e.fillOne(s)
 		select {
 		case <-e.done:
 			return
-		default:
+		case <-e.wake:
+		case <-retry:
 		}
 	}
 }
 
-// claim picks a shape whose pool (including in-flight builds) is below
-// the refill target, reserving one build slot.
-func (e *Engine) claim() (Shape, bool) {
+// wanted reports the admitted shape while its pool is below the refill
+// target and the engine is running.
+func (e *Engine) wanted() (Shape, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stopped {
-		return Shape{}, false
-	}
-	var best *pool
-	for _, p := range e.pools {
-		if len(p.entries)+p.filling >= e.cfg.PoolSize {
-			continue
-		}
-		// Refill the most recently used (hottest) shape first.
-		if best == nil || p.lastUse > best.lastUse {
-			best = p
-		}
-	}
-	if best == nil {
-		return Shape{}, false
-	}
-	best.filling++
-	return best.shape, true
+	return e.shape, !e.stopped && e.shape != (Shape{}) && len(e.entries) < e.cfg.PoolSize
 }
 
-// fillOne builds one entry for the claimed shape and deposits it. A
-// panic during garbling is contained here — counted, logged, and the
-// worker keeps running — reusing the same recover-don't-fail pattern as
-// the protocol layer's garble-pool workers; the deferred release keeps
-// the filling reservation and the busy gauge consistent on every exit.
-func (e *Engine) fillOne(s Shape) {
-	var ent *Entry
-	var err error
+// fillOne builds one entry and deposits it, reporting whether the build
+// succeeded. A panic during garbling is contained here — counted,
+// logged, and the worker keeps running — reusing the same
+// recover-don't-fail pattern as the protocol layer's garble-pool
+// workers; the deferred release keeps the busy gauge consistent on
+// every exit.
+func (e *Engine) fillOne(s Shape) (ok bool) {
 	e.busy.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			e.reg.Counter("panics_recovered_total",
 				"panics recovered and converted to per-request errors").Inc()
 			log.Printf("precompute: recovered panic pre-garbling %s: %v\n%s", s, r, debug.Stack())
-			ent = nil
+			ok = false
 		}
 		e.busy.Add(-1)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if p, ok := e.pools[s]; ok {
-			p.filling--
-			if ent != nil && !e.stopped {
-				p.entries = append(p.entries, ent)
-				p.depth.Set(int64(len(p.entries)))
-			}
-		}
 	}()
-	ent, err = e.buildEntry(s)
+	ent, err := e.buildEntry(s)
 	if err != nil {
 		log.Printf("precompute: pre-garbling %s: %v", s, err)
-		ent = nil
+		return false
 	}
+	e.deposit(ent)
+	return true
 }
 
 // buildEntry pre-garbles one entry: a fresh 16-byte seed expands

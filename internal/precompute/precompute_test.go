@@ -2,7 +2,9 @@ package precompute
 
 import (
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,25 +76,6 @@ func TestPrefillAndTake(t *testing.T) {
 	}
 }
 
-// TestTakeMissLearnsShape: a miss admits the shape so the background
-// workers converge new traffic to hits.
-func TestTakeMissLearnsShape(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := testEngine(t, Config{Metrics: reg, PoolSize: 1})
-	e.Start()
-	s := testShape(1, 2)
-	if ent := e.Take(s); ent != nil {
-		t.Fatal("cold pool returned an entry")
-	}
-	if v := reg.Counter("precompute_misses_total", "", obs.L("shape", s.String())).Value(); v != 1 {
-		t.Fatalf("misses = %d, want 1", v)
-	}
-	waitFor(t, "background refill", func() bool { return e.Depth(s) >= 1 })
-	if ent := e.Take(s); ent == nil {
-		t.Fatal("pool still cold after background refill")
-	}
-}
-
 func TestUnpoolableShapesRejected(t *testing.T) {
 	e := testEngine(t, Config{})
 	for _, s := range []Shape{
@@ -114,28 +97,101 @@ func TestUnpoolableShapesRejected(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := testEngine(t, Config{Metrics: reg, MaxShapes: 2})
-	s1, s2, s3 := testShape(1, 1), testShape(1, 2), testShape(1, 3)
-	if err := e.Prefill(s1, 1); err != nil {
-		t.Fatal(err)
+// TestEngineHoldsOneShape: the first Admit or Prefill fixes the engine's
+// shape; every other shape is refused and misses without touching the
+// pool, and nothing is learned from a Take.
+func TestEngineHoldsOneShape(t *testing.T) {
+	first, second := testShape(2, 3), testShape(1, 2)
+	depthGauge := func(reg *obs.Registry, s Shape) int64 {
+		return reg.Gauge("precompute_pool_depth", "", obs.L("shape", s.String())).Value()
 	}
-	e.Admit(s2)
-	e.Admit(s1) // touch s1: s2 becomes the LRU victim
-	e.Admit(s3) // over budget: evict s2
-	if d := e.Depth(s1); d != 1 {
-		t.Fatalf("hot shape evicted (depth %d)", d)
-	}
-	if v := reg.Counter("precompute_evictions_total", "").Value(); v != 1 {
-		t.Fatalf("evictions = %d, want 1", v)
-	}
-	if v := reg.Gauge("precompute_shapes", "").Value(); v != 2 {
-		t.Fatalf("shapes gauge = %d, want 2", v)
-	}
-	// The evicted pool's gauge must read zero, not its last depth.
-	if v := reg.Gauge("precompute_pool_depth", "", obs.L("shape", s2.String())).Value(); v != 0 {
-		t.Fatalf("evicted depth gauge = %d, want 0", v)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, e *Engine, reg *obs.Registry)
+	}{
+		{"second shape is refused and leaves the pool alone", func(t *testing.T, e *Engine, reg *obs.Registry) {
+			if err := e.Prefill(first, 2); err != nil {
+				t.Fatal(err)
+			}
+			if e.Admit(second) {
+				t.Fatal("second shape admitted")
+			}
+			if err := e.Prefill(second, 1); err == nil {
+				t.Fatal("second shape prefilled")
+			}
+			if ent := e.Take(second); ent != nil {
+				t.Fatalf("Take(%s) served an entry of shape %s", second, ent.Shape())
+			}
+			if hits, misses := e.PoolStats(); hits != 0 || misses != 1 {
+				t.Fatalf("PoolStats = %d hits, %d misses; want 0, 1", hits, misses)
+			}
+			if d := e.Depth(second); d != 0 {
+				t.Fatalf("second shape depth = %d, want 0", d)
+			}
+			if d, g := e.Depth(first), depthGauge(reg, first); d != 2 || g != 2 {
+				t.Fatalf("admitted pool disturbed: depth %d, gauge %d, want 2, 2", d, g)
+			}
+			if v := reg.Counter("precompute_misses_total", "", obs.L("shape", first.String())).Value(); v != 0 {
+				t.Fatalf("admitted shape charged %d misses for foreign traffic", v)
+			}
+			var buf strings.Builder
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(buf.String(), second.String()) {
+				t.Fatalf("refused shape %s has metrics:\n%s", second, buf.String())
+			}
+			for i := 0; i < 2; i++ {
+				if ent := e.Take(first); ent == nil || ent.Shape() != first {
+					t.Fatalf("take %d of the admitted shape: %v", i, ent)
+				}
+			}
+		}},
+		{"Take before any Admit is a miss that admits nothing", func(t *testing.T, e *Engine, reg *obs.Registry) {
+			e.Start()
+			if ent := e.Take(first); ent != nil {
+				t.Fatal("empty engine served an entry")
+			}
+			if _, misses := e.PoolStats(); misses != 1 {
+				t.Fatalf("misses = %d, want 1", misses)
+			}
+			// Were first learned from the miss, second would be refused.
+			if !e.Admit(second) {
+				t.Fatal("shape refused after a miss of another shape: the miss admitted it")
+			}
+			waitFor(t, "background refill", func() bool { return e.Depth(second) >= 1 })
+			if d := e.Depth(first); d != 0 {
+				t.Fatalf("missed shape has depth %d", d)
+			}
+		}},
+		{"re-Admit of the admitted shape is idempotent", func(t *testing.T, e *Engine, reg *obs.Registry) {
+			if !e.Admit(first) {
+				t.Fatal("first Admit refused")
+			}
+			if err := e.Prefill(first, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !e.Admit(first) {
+				t.Fatal("re-Admit refused")
+			}
+			if d, g := e.Depth(first), depthGauge(reg, first); d != 1 || g != 1 {
+				t.Fatalf("re-Admit disturbed the pool: depth %d, gauge %d, want 1, 1", d, g)
+			}
+		}},
+		{"Stop zeroes the depth gauge", func(t *testing.T, e *Engine, reg *obs.Registry) {
+			if err := e.Prefill(first, 2); err != nil {
+				t.Fatal(err)
+			}
+			e.Stop()
+			if d, g := e.Depth(first), depthGauge(reg, first); d != 0 || g != 0 {
+				t.Fatalf("after Stop: depth %d, gauge %d, want 0, 0", d, g)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tc.run(t, testEngine(t, Config{Metrics: reg, PoolSize: 1}), reg)
+		})
 	}
 }
 
@@ -152,9 +208,6 @@ func TestStopDrainsGauges(t *testing.T) {
 	e.Stop()
 	if v := reg.Gauge("precompute_pool_depth", "", obs.L("shape", s.String())).Value(); v != 0 {
 		t.Fatalf("depth gauge after Stop = %d, want 0", v)
-	}
-	if v := reg.Gauge("precompute_shapes", "").Value(); v != 0 {
-		t.Fatalf("shapes gauge after Stop = %d, want 0", v)
 	}
 	if v := reg.Gauge("precompute_refill_busy", "").Value(); v != 0 {
 		t.Fatalf("busy gauge after Stop = %d, want 0", v)
@@ -198,6 +251,34 @@ func TestRefillPanicContained(t *testing.T) {
 	// Stop before the deferred hook reset: workers must not read the
 	// hook concurrently with the write that clears it.
 	e.Stop()
+}
+
+// TestRefillBacksOffAfterFailedBuild: a build that fails every time is
+// retried on the next wake or after refillRetry, not in a tight loop.
+func TestRefillBacksOffAfterFailedBuild(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := testEngine(t, Config{Metrics: reg, PoolSize: 1})
+	var attempts atomic.Int64
+	buildTestHook = func(Shape) {
+		attempts.Add(1)
+		panic("injected refill fault")
+	}
+	defer func() { buildTestHook = nil }()
+	e.Admit(testShape(1, 1))
+	e.Start()
+	time.Sleep(300 * time.Millisecond)
+	// One attempt at Start, one for the wake Admit left pending.
+	if n := attempts.Load(); n < 1 || n > 3 {
+		t.Fatalf("%d build attempts in 300ms, want 1..3", n)
+	}
+	if v := reg.Gauge("precompute_refill_busy", "").Value(); v != 0 {
+		t.Fatalf("busy gauge = %d, want 0 between attempts", v)
+	}
+	t0 := time.Now()
+	e.Stop() // before the deferred hook reset, as above
+	if d := time.Since(t0); d > refillRetry/2 {
+		t.Fatalf("Stop took %v: it waited out the retry delay", d)
+	}
 }
 
 // TestEntrySingleUseRaced: racing consumers on one entry — exactly one

@@ -2,17 +2,16 @@ package protocol
 
 // Shape hints: the optional routing preface a client may send as its
 // very first frame, before the server's hello arrives. A shape-aware
-// gateway (cmd/maxgw) peeks the hint to pin the session to the backend
-// whose precompute pool is warm for that shape; a server dialed
-// directly simply skips the frame during its handshake. The hint is
+// gateway (cmd/maxgw) peeks the hint to prefer the backends that
+// advertise that shape, least loaded first; a server dialed directly
+// simply skips the frame during its handshake. The hint is
 // advisory and unauthenticated — it carries only what the client was
 // going to reveal through its traffic pattern anyway (request
 // dimensions and modes, never input values), so routing on it leaks
 // nothing beyond the existing honest-but-curious model.
 
 import (
-	"fmt"
-
+	"maxelerator/internal/precompute"
 	"maxelerator/internal/wire"
 )
 
@@ -20,8 +19,8 @@ import (
 // same vocabulary as the precompute pool keys (rows×cols, operand
 // width, signedness, datapath mode, OT mode). Zero fields mean
 // "unknown": a client that cannot know the server's row count sends
-// Rows 0 and still routes consistently, because routing hashes the
-// rendered Key, unknowns included.
+// Rows 0; its Key then matches no advertisement and the session is
+// routed by load alone.
 type ShapeHint struct {
 	// Rows and Cols are the expected request matrix dimensions (the
 	// client typically knows Cols — its vector length — and may not
@@ -36,16 +35,11 @@ type ShapeHint struct {
 	OT string
 }
 
-// Key renders the hint as the stable routing key a gateway hashes:
-// same format as the precompute shape labels, so a pool metric and a
-// routing decision read identically in dashboards.
-func (h ShapeHint) Key() string {
-	sign := "u"
-	if h.Signed {
-		sign = "s"
-	}
-	return fmt.Sprintf("%dx%d/b%d%s/%s/%s", h.Rows, h.Cols, h.Width, sign, h.Mode, h.OT)
-}
+// Key renders the hint as the string a gateway matches against the
+// backends' /shapez advertisements: the precompute shape label itself,
+// so a pool metric and a routing decision read identically in
+// dashboards.
+func (h ShapeHint) Key() string { return precompute.Shape(h).String() }
 
 // shapeModeMatVec is the one datapath name, as it appears in hints and
 // precompute pool keys: one garbled MAC round per matrix element.

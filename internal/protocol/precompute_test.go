@@ -2,8 +2,8 @@ package protocol
 
 // Integration tests for the offline/online split: pool hits must serve
 // correct results on the pure online path, pool misses must fall back
-// to inline garbling with bit-identical wire output, and miss traffic
-// must teach the engine its shape.
+// to inline garbling with bit-identical wire output, and the background
+// worker must turn an admitted shape's misses into hits.
 
 import (
 	"bytes"
@@ -103,12 +103,13 @@ func TestPrecomputeHitServesOnlinePath(t *testing.T) {
 
 // TestPrecomputeMissFallsBackBitIdentical is the wire-compatibility
 // guarantee: with identical randomness on both endpoints, a server with
-// a cold precompute pool (miss → inline fallback) emits exactly the
-// same bytes as a server with no engine at all.
+// an admitted but empty precompute pool (miss → inline fallback) emits
+// exactly the same bytes as a server with no engine at all.
 func TestPrecomputeMissFallsBackBitIdentical(t *testing.T) {
 	A := [][]int64{{1, -2, 3}, {4, 5, -6}}
 	y := []int64{7, -8, 9}
 
+	shape := precompute.Shape{Rows: 2, Cols: 3, Width: 8, Signed: true, Mode: "matvec", OT: "per-round"}
 	run := func(withEngine bool) ([][]byte, []int64, *obs.Obs) {
 		cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
 		drbg, err := label.NewDRBG([16]byte{11})
@@ -128,7 +129,10 @@ func TestPrecomputeMissFallsBackBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(eng.Stop)
-			srv.WithPrecompute(eng) // never prefilled, never started: every Take misses
+			if !eng.Admit(shape) {
+				t.Fatalf("shape %s refused", shape)
+			}
+			srv.WithPrecompute(eng) // admitted, never filled, never started: every Take misses
 		}
 		ca, cb := wire.Pipe()
 		defer ca.Close()
@@ -173,7 +177,6 @@ func TestPrecomputeMissFallsBackBitIdentical(t *testing.T) {
 	if outPlain[0] != outMissed[0] || outPlain[1] != outMissed[1] {
 		t.Fatalf("results differ: %v vs %v", outPlain, outMissed)
 	}
-	shape := precompute.Shape{Rows: 2, Cols: 3, Width: 8, Signed: true, Mode: "matvec", OT: "per-round"}
 	if v := o.Metrics().Counter("precompute_misses_total", "", obs.L("shape", shape.String())).Value(); v != 1 {
 		t.Fatalf("misses = %d, want 1", v)
 	}
@@ -182,22 +185,25 @@ func TestPrecomputeMissFallsBackBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPrecomputeLearnsShapeFromTraffic: the first request of an unknown
-// shape misses; the miss admits the shape, the background workers fill
-// it, and a later identical request hits.
-func TestPrecomputeLearnsShapeFromTraffic(t *testing.T) {
+// TestPrecomputeBackgroundFillTurnsMissIntoHit: a request that arrives
+// before the admitted shape's first entry is built misses; the
+// background worker fills the pool, and a later identical request hits.
+func TestPrecomputeBackgroundFillTurnsMissIntoHit(t *testing.T) {
 	cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
 	o := obs.New(4)
 	srv, eng, shape := precomputeTestServer(t, cfg, o, 1)
-	eng.Start()
+	if !eng.Admit(shape) {
+		t.Fatalf("shape %s refused", shape)
+	}
 	A := [][]int64{{1, -2, 3}, {4, 5, -6}}
 	y := []int64{7, -8, 9}
 
-	serveOnce(t, srv, Request{Matrix: A}, y) // miss: teaches the shape
+	serveOnce(t, srv, Request{Matrix: A}, y) // worker not started: miss
 	lbl := obs.L("shape", shape.String())
 	if v := o.Metrics().Counter("precompute_misses_total", "", lbl).Value(); v != 1 {
 		t.Fatalf("misses = %d, want 1", v)
 	}
+	eng.Start()
 	waitForDepth(t, eng, shape, 1)
 	serveOnce(t, srv, Request{Matrix: A}, y) // warm now: hit
 	if v := o.Metrics().Counter("precompute_hits_total", "", lbl).Value(); v != 1 {
