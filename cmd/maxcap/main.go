@@ -24,9 +24,11 @@
 //	    by more than the tolerance band.
 //
 // All three modes share the scenario flags (-rate, -process, -burst,
-// -duration, -seed, -max-inflight, -shapes) with maxload, and the
+// -duration, -seed, -max-inflight, -shape) with maxload, and the
 // arrival schedule is seed-deterministic, so a maxload measurement and
 // a maxcap prediction of the same flags describe the same arrivals.
+// -shape is the one model every backend of the fleet serves: one pool
+// and one refill worker per backend, as precompute.Engine.
 package main
 
 import (
@@ -55,12 +57,12 @@ type cliConfig struct {
 	duration    time.Duration
 	seed        int64
 	maxInflight int
-	shapes      string
+	shape       string
 
 	// fleet
-	backends, maxSessions, cpus, pool, refill int
-	admissionWait                             time.Duration
-	coldStart                                 bool
+	backends, maxSessions, cpus, pool int
+	admissionWait                     time.Duration
+	coldStart                         bool
 
 	// calibration
 	calibPath string
@@ -96,14 +98,13 @@ func parseFlags(args []string) cliConfig {
 	fs.DurationVar(&c.duration, "duration", 30*time.Second, "arrival window")
 	fs.Int64Var(&c.seed, "seed", 1, "schedule seed")
 	fs.IntVar(&c.maxInflight, "max-inflight", 64, "client-side concurrent session cap; 0 = unlimited")
-	fs.StringVar(&c.shapes, "shapes", "4x4/b=8", "weighted shape mix (maxload syntax)")
+	fs.StringVar(&c.shape, "shape", "4x4/b=8", "shape of the model the fleet serves, ROWSxCOLS/b=WIDTH")
 
 	fs.IntVar(&c.backends, "backends", 1, "simulated backend count")
 	fs.IntVar(&c.maxSessions, "max-sessions", 8, "per-backend session limit; 0 = unlimited")
 	fs.DurationVar(&c.admissionWait, "admission-wait", 2*time.Second, "per-backend queue wait before BUSY (0 = queue forever, as maxd)")
 	fs.IntVar(&c.cpus, "cpus", 0, "per-backend compute parallelism (default: max-inflight, see DESIGN.md §15)")
-	fs.IntVar(&c.pool, "pool", 4, "precompute pool depth per shape; 0 = no pool")
-	fs.IntVar(&c.refill, "refill-workers", 1, "background refill parallelism")
+	fs.IntVar(&c.pool, "pool", 4, "precompute pool depth per backend; 0 = no pool")
 	fs.BoolVar(&c.coldStart, "cold-start", false, "start pools empty instead of warm")
 
 	fs.StringVar(&c.calibPath, "calib", "", "calibrate from a /histz snapshot JSON file")
@@ -136,14 +137,14 @@ func run(c cliConfig) error {
 	case c.pool < 0:
 		return fmt.Errorf("-pool %d: a pool depth is positive, or 0 for no pool", c.pool)
 	}
-	mix, err := load.ParseShapes(c.shapes)
+	shape, err := load.ParseShape(c.shape)
 	if err != nil {
-		return err
+		return fmt.Errorf("-shape: %w", err)
 	}
 	sc := load.Scenario{
 		Rate: c.rate, Process: c.process, BurstSize: c.burst,
 		DurationSec: c.duration.Seconds(), Seed: c.seed,
-		MaxInflight: c.maxInflight, Shapes: mix,
+		MaxInflight: c.maxInflight, Shape: shape,
 	}
 	cpus := c.cpus
 	if cpus <= 0 {
@@ -155,31 +156,23 @@ func run(c cliConfig) error {
 	fl := capmodel.Fleet{
 		Backends: c.backends, MaxSessions: c.maxSessions,
 		AdmissionWaitSec: c.admissionWait.Seconds(),
-		CPUs:             cpus, PoolDepth: c.pool, RefillWorkers: c.refill,
-		WarmStart: !c.coldStart,
+		CPUs:             cpus, PoolDepth: c.pool, WarmStart: !c.coldStart,
 	}
 	switch {
 	case c.validate:
 		return runValidate(c, sc, fl)
 	case c.capacity:
-		return runCapacity(c, sc, fl, mix)
+		return runCapacity(c, sc, fl)
 	case c.simulate:
-		return runSimulate(c, sc, fl, mix)
+		return runSimulate(c, sc, fl)
 	default:
 		return fmt.Errorf("pick a mode: -simulate, -capacity or -validate")
 	}
 }
 
-// calibrate resolves the calibration: the -calib snapshot file when
-// given, the analytic model otherwise. The reference shape is the mix's
-// heaviest entry.
-func calibrate(c cliConfig, mix []load.ShapeWeight) (*capmodel.Calibration, error) {
-	ref := mix[0]
-	for _, sw := range mix {
-		if sw.Weight > ref.Weight {
-			ref = sw
-		}
-	}
+// calibrate resolves the calibration for the scenario's shape: the
+// -calib snapshot file when given, the analytic model otherwise.
+func calibrate(c cliConfig, ref load.Shape) (*capmodel.Calibration, error) {
 	if c.calibPath != "" {
 		f, err := os.Open(c.calibPath)
 		if err != nil {
@@ -195,8 +188,8 @@ func calibrate(c cliConfig, mix []load.ShapeWeight) (*capmodel.Calibration, erro
 	return capmodel.Analytic(ref.Rows, ref.Cols, ref.Width)
 }
 
-func runSimulate(c cliConfig, sc load.Scenario, fl capmodel.Fleet, mix []load.ShapeWeight) error {
-	cal, err := calibrate(c, mix)
+func runSimulate(c cliConfig, sc load.Scenario, fl capmodel.Fleet) error {
+	cal, err := calibrate(c, sc.Shape)
 	if err != nil {
 		return err
 	}
@@ -222,8 +215,8 @@ func runSimulate(c cliConfig, sc load.Scenario, fl capmodel.Fleet, mix []load.Sh
 	return nil
 }
 
-func runCapacity(c cliConfig, sc load.Scenario, fl capmodel.Fleet, mix []load.ShapeWeight) error {
-	cal, err := calibrate(c, mix)
+func runCapacity(c cliConfig, sc load.Scenario, fl capmodel.Fleet) error {
+	cal, err := calibrate(c, sc.Shape)
 	if err != nil {
 		return err
 	}
@@ -270,7 +263,7 @@ type validateReport struct {
 }
 
 func runValidate(c cliConfig, sc load.Scenario, fl capmodel.Fleet) error {
-	ref := sc.Shapes[0]
+	ref := sc.Shape
 	lcfg := load.Config{Scenario: sc}
 	if c.addr != "" {
 		if c.metricsURL == "" {

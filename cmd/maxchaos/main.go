@@ -134,11 +134,9 @@ func main() {
 // a metronome, whatever previous sessions are doing — a retry storm or a
 // stalled fleet must not slow the arrival clock, it must surface as
 // errors — capped at -max-inflight with arrivals past the cap skipped,
-// never blocked on. Three sessions in four hint the model's own shape
-// (1×2 at b=8), which every backend advertises, so routing spreads them
-// over the advertisers by load. The fourth hints b=16, a shape nobody
-// serves: hints are routing metadata only, so the lie is safe, and it is
-// kept for one reason — to exercise gw_hint_misses_total under chaos.
+// never blocked on. Every session hints the model's own shape (1×2 at
+// b=8), which every backend advertises, so routing spreads them over
+// the advertisers by load.
 func chaosScenario(cfg *chaosConfig) load.Scenario {
 	return load.Scenario{
 		Rate:        1 / cfg.loadInterval.Seconds(),
@@ -146,10 +144,7 @@ func chaosScenario(cfg *chaosConfig) load.Scenario {
 		DurationSec: cfg.duration.Seconds(),
 		Seed:        1,
 		MaxInflight: cfg.maxInflight,
-		Shapes: []load.ShapeWeight{
-			{Rows: 1, Cols: 2, Width: 8, Weight: 3},
-			{Rows: 1, Cols: 2, Width: 16, Weight: 1},
-		},
+		Shape:       load.Shape{Rows: 1, Cols: 2, Width: 8},
 	}
 }
 

@@ -102,11 +102,7 @@ func main() {
 				done <- serverDone{err: err}
 				return
 			}
-			total.MACs += resp.Stats.MACs
-			total.TablesGarbled += resp.Stats.TablesGarbled
-			total.TableBytes += resp.Stats.TableBytes
-			total.ModeledTime += resp.Stats.ModeledTime
-			total.PCIeTime += resp.Stats.PCIeTime
+			total.Add(resp.Stats)
 		}
 	}()
 

@@ -38,7 +38,7 @@ func (s SLO) meets(r *Result) bool {
 
 // SustainableQPS binary-searches the highest offered rate the fleet
 // sustains within the SLO, probing with the scenario's process, shape
-// mix and seed at each candidate rate. The search runs over
+// and seed at each candidate rate. The search runs over
 // [minRate, maxRate] to a 2% relative resolution; the defaults are
 // 0.5 and 2048 QPS, a ceiling a 12 ms session setup leaves room under
 // (a pooled backend sustains hundreds of sessions a second).

@@ -12,7 +12,7 @@ import (
 type Fleet struct {
 	// Backends is the number of maxd instances behind the gateway;
 	// sessions route round-robin (the gateway's least-loaded choice
-	// converges to round-robin under a uniform mix).
+	// converges to round-robin when every session is the same shape).
 	Backends int `json:"backends"`
 	// MaxSessions is each backend's -max-sessions; 0 = unlimited.
 	MaxSessions int `json:"max_sessions"`
@@ -23,14 +23,13 @@ type Fleet struct {
 	// CPUs is the compute parallelism per backend: concurrent OT
 	// setups plus request services in flight (default 1).
 	CPUs int `json:"cpus"`
-	// PoolDepth is the precompute pool size per shape (-precompute-pool);
-	// 0 disables the pool (every request garbles inline).
+	// PoolDepth is each backend's precompute pool size
+	// (-precompute-pool), refilled by one background worker as in
+	// precompute.Engine; 0 disables the pool (every request garbles
+	// inline).
 	PoolDepth int `json:"pool_depth"`
-	// RefillWorkers is the background pre-garbling parallelism per
-	// backend (default 1, matching the engine's default).
-	RefillWorkers int `json:"refill_workers"`
-	// WarmStart begins the run with every shape's pool at full depth —
-	// a daemon that has been up for a while; false models a cold boot.
+	// WarmStart begins the run with every pool at full depth — a
+	// daemon that has been up for a while; false models a cold boot.
 	WarmStart bool `json:"warm_start"`
 }
 
@@ -40,9 +39,6 @@ func (f Fleet) withDefaults() Fleet {
 	}
 	if f.CPUs <= 0 {
 		f.CPUs = 1
-	}
-	if f.RefillWorkers <= 0 {
-		f.RefillWorkers = 1
 	}
 	return f
 }
@@ -89,7 +85,7 @@ func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // station is a capacity-limited FIFO resource (the CPU pool, the
-// refill worker pool): jobs acquire a slot, hold it for a service
+// refill worker): jobs acquire a slot, hold it for a service
 // time, release it to the next waiter.
 type station struct {
 	cap     int
@@ -152,23 +148,25 @@ type backend struct {
 	fl      Fleet
 	cpu     *station
 	refill  *station
-	pools   map[string]int // shape key → warm entries
-	backlog map[string]int // shape key → refill jobs outstanding
-	active  int            // admitted sessions in flight
+	pool    int // warm entries
+	backlog int // refill jobs outstanding
+	active  int // admitted sessions in flight
 	admQ    []*admWaiter
 	admWait float64
 	admN    int
 }
 
 func newBackend(s *sim, fl Fleet) *backend {
-	return &backend{
-		sim:     s,
-		fl:      fl,
-		cpu:     &station{cap: fl.CPUs, sim: s},
-		refill:  &station{cap: fl.RefillWorkers, sim: s},
-		pools:   map[string]int{},
-		backlog: map[string]int{},
+	b := &backend{
+		sim:    s,
+		fl:     fl,
+		cpu:    &station{cap: fl.CPUs, sim: s},
+		refill: &station{cap: 1, sim: s},
 	}
+	if fl.WarmStart {
+		b.pool = fl.PoolDepth
+	}
+	return b
 }
 
 // admit runs the backend's admission semantics (internal/backend): a
@@ -224,36 +222,29 @@ func (b *backend) release(t float64) {
 	}
 }
 
-// takePool consumes one warm entry for the shape, kicking a refill
-// job, and reports whether the request hit.
-func (b *backend) takePool(t float64, key string, cal *Calibration, rng *rand.Rand) bool {
+// takePool consumes one warm entry and reports whether the request
+// hit. Either way it leaves a refill job outstanding for every missing
+// entry, as the engine's worker fills the pool back to its target.
+func (b *backend) takePool(t float64, cal *Calibration, rng *rand.Rand) bool {
 	if b.fl.PoolDepth <= 0 {
 		return false
 	}
-	if b.pools[key] <= 0 {
-		b.ensureRefill(t, key, cal, rng)
-		return false
+	hit := b.pool > 0
+	if hit {
+		b.pool--
 	}
-	b.pools[key]--
-	b.ensureRefill(t, key, cal, rng)
-	return true
-}
-
-// ensureRefill keeps refill jobs outstanding for every missing entry,
-// mirroring the engine's backlog-driven workers.
-func (b *backend) ensureRefill(t float64, key string, cal *Calibration, rng *rand.Rand) {
-	deficit := b.fl.PoolDepth - b.pools[key] - b.backlog[key]
-	for i := 0; i < deficit; i++ {
-		b.backlog[key]++
+	for deficit := b.fl.PoolDepth - b.pool - b.backlog; deficit > 0; deficit-- {
+		b.backlog++
 		b.refill.run(t,
 			func() float64 { return cal.Refill.Sample(rng) },
-			func(end float64) {
-				b.backlog[key]--
-				if b.pools[key] < b.fl.PoolDepth {
-					b.pools[key]++
+			func(float64) {
+				b.backlog--
+				if b.pool < b.fl.PoolDepth {
+					b.pool++
 				}
 			})
 	}
+	return hit
 }
 
 // sim is one simulation run's mutable state.
@@ -296,11 +287,6 @@ func Simulate(sc load.Scenario, fl Fleet, cal *Calibration) (*Result, error) {
 	backends := make([]*backend, fl.Backends)
 	for i := range backends {
 		backends[i] = newBackend(s, fl)
-		if fl.WarmStart && fl.PoolDepth > 0 {
-			for _, sw := range sc.Shapes {
-				backends[i].pools[sw.Key()] = fl.PoolDepth
-			}
-		}
 	}
 
 	res := &Result{Fleet: fl, CalibrationSource: cal.Source, StageMeans: cal.Describe()}
@@ -310,9 +296,8 @@ func Simulate(sc load.Scenario, fl Fleet, cal *Calibration) (*Result, error) {
 	var latencies []float64
 	var poolHits, poolMisses uint64
 
-	for i, a := range arrivals {
-		i, a := i, a
-		s.schedule(a.At, func(t float64) {
+	for i, arrived := range arrivals {
+		s.schedule(arrived, func(t float64) {
 			if sc.MaxInflight > 0 && inflight >= sc.MaxInflight {
 				res.Skipped++
 				return
@@ -324,7 +309,7 @@ func Simulate(sc load.Scenario, fl Fleet, cal *Calibration) (*Result, error) {
 				inflight--
 				if ok {
 					res.Succeeded++
-					latencies = append(latencies, end-a.At+cal.Overhead)
+					latencies = append(latencies, end-arrived+cal.Overhead)
 				}
 			}
 			b.admit(t,
@@ -333,7 +318,7 @@ func Simulate(sc load.Scenario, fl Fleet, cal *Calibration) (*Result, error) {
 					b.cpu.run(at,
 						func() float64 { return cal.OTSetup.Sample(rng) },
 						func(otEnd float64) {
-							hit := b.takePool(otEnd, a.Shape.Key(), cal, rng)
+							hit := b.takePool(otEnd, cal, rng)
 							if hit {
 								poolHits++
 							} else {

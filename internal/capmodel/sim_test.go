@@ -14,7 +14,7 @@ func testScenario() load.Scenario {
 	return load.Scenario{
 		Rate: 40, Process: load.Poisson, DurationSec: 10, Seed: 11,
 		MaxInflight: 64,
-		Shapes:      []load.ShapeWeight{{Rows: 4, Cols: 4, Width: 8, Weight: 1}},
+		Shape:       load.Shape{Rows: 4, Cols: 4, Width: 8},
 	}
 }
 
@@ -144,7 +144,7 @@ func TestSimulatePoolHitRate(t *testing.T) {
 	sc := testScenario()
 	sc.Rate, sc.Process = 2, load.Uniform // slow: refill keeps up
 	cal := constCal(0.001, 0.200, 0)      // refill = cold = 200 ms
-	warm, err := Simulate(sc, Fleet{CPUs: 4, PoolDepth: 4, RefillWorkers: 2, WarmStart: true}, cal)
+	warm, err := Simulate(sc, Fleet{CPUs: 4, PoolDepth: 4, WarmStart: true}, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSimulatePoolHitRate(t *testing.T) {
 	}
 	// Cold start at high rate: the first requests must miss.
 	sc.Rate = 50
-	cold, err := Simulate(sc, Fleet{CPUs: 4, PoolDepth: 2, RefillWorkers: 1, WarmStart: false}, cal)
+	cold, err := Simulate(sc, Fleet{CPUs: 4, PoolDepth: 2, WarmStart: false}, cal)
 	if err != nil {
 		t.Fatal(err)
 	}

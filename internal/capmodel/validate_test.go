@@ -23,7 +23,7 @@ func TestValidateAgainstLiveBackend(t *testing.T) {
 	sc := load.Scenario{
 		Rate: 4, Process: load.Poisson, DurationSec: 5, Seed: 7,
 		MaxInflight: 8,
-		Shapes:      []load.ShapeWeight{{Rows: 4, Cols: 4, Width: 8, Weight: 1}},
+		Shape:       load.Shape{Rows: 4, Cols: 4, Width: 8},
 	}
 	// CPUs = MaxInflight on purpose: the empirical service times were
 	// measured under this very concurrency, so their contention is

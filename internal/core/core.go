@@ -94,12 +94,7 @@ func (a *Accelerator) SecureMatVec(A [][]int64, y []int64) ([]int64, Stats, erro
 			return nil, Stats{}, fmt.Errorf("core: row %d: %w", i, err)
 		}
 		out[i] = v
-		agg.MACs += st.MACs
-		agg.TablesGarbled += st.TablesGarbled
-		agg.TablesScheduled += st.TablesScheduled
-		agg.TableBytes += st.TableBytes
-		agg.IdleSlots += st.IdleSlots
-		agg.RNGBitsDrawn += st.RNGBitsDrawn
+		agg.Add(st)
 	}
 	// Timing across rows parallelises over MAC units; delegate to the
 	// matrix model for the critical-path cycles.
@@ -147,11 +142,10 @@ func (a *Accelerator) SecureMatVecParallel(A [][]int64, y []int64) ([]int64, Sta
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker accelerator: independent garbler state, as in
-			// a physically separate MAC unit.
+			// Per-worker garbler over the one compiled MAC: independent
+			// state, as in a physically separate MAC unit.
 			cfg := a.sim.Config()
-			cfg.MACUnits = 1
-			unit, err := maxsim.New(cfg)
+			unit, err := a.sim.Fork(cfg.Rand)
 			if err != nil {
 				for i := range rowCh {
 					results[i].err = err
@@ -182,12 +176,7 @@ func (a *Accelerator) SecureMatVecParallel(A [][]int64, y []int64) ([]int64, Sta
 			return nil, Stats{}, fmt.Errorf("core: row %d: %w", i, r.err)
 		}
 		out[i] = r.value
-		agg.MACs += r.stats.MACs
-		agg.TablesGarbled += r.stats.TablesGarbled
-		agg.TablesScheduled += r.stats.TablesScheduled
-		agg.TableBytes += r.stats.TableBytes
-		agg.IdleSlots += r.stats.IdleSlots
-		agg.RNGBitsDrawn += r.stats.RNGBitsDrawn
+		agg.Add(r.stats)
 	}
 	mm, err := a.sim.MatMulStats(len(A), len(y), 1)
 	if err != nil {
@@ -242,12 +231,7 @@ func (a *Accelerator) SecureMatMul(A, B [][]int64) ([][]int64, Stats, error) {
 				return nil, Stats{}, fmt.Errorf("core: element (%d,%d): %w", i, j, err)
 			}
 			out[i][j] = v
-			agg.MACs += st.MACs
-			agg.TablesGarbled += st.TablesGarbled
-			agg.TablesScheduled += st.TablesScheduled
-			agg.TableBytes += st.TableBytes
-			agg.IdleSlots += st.IdleSlots
-			agg.RNGBitsDrawn += st.RNGBitsDrawn
+			agg.Add(st)
 		}
 	}
 	// §4.3 timing: 1 product per 3·M·N·P·b cycles per unit, plus fill.
@@ -287,16 +271,7 @@ func (a *Accelerator) SecureQuadraticForm(M [][]int64, w []int64, f fixed.Format
 		return 0, Stats{}, err
 	}
 	agg := st1
-	agg.MACs += st2.MACs
-	agg.Cycles += st2.Cycles
-	agg.Stages += st2.Stages
-	agg.TablesGarbled += st2.TablesGarbled
-	agg.TablesScheduled += st2.TablesScheduled
-	agg.TableBytes += st2.TableBytes
-	agg.IdleSlots += st2.IdleSlots
-	agg.RNGBitsDrawn += st2.RNGBitsDrawn
-	agg.ModeledTime += st2.ModeledTime
-	agg.PCIeTime += st2.PCIeTime
+	agg.Add(st2)
 	return f.DecodeProduct(q), agg, nil
 }
 

@@ -47,11 +47,6 @@ type Config struct {
 	// PeekTimeout bounds the wait for a client's optional shape-hint
 	// preface; on expiry the session routes unhinted. Default 75ms.
 	PeekTimeout time.Duration
-	// HelloTimeout bounds the wait for a dialed backend's first frame
-	// (its hello or a BUSY rejection). Default 3s.
-	HelloTimeout time.Duration
-	// DialTimeout bounds each backend dial. Default 2s.
-	DialTimeout time.Duration
 	// MaxFailovers caps how many additional backends a session tries
 	// after its first candidate fails pre-handshake. Default 2.
 	MaxFailovers int
@@ -64,11 +59,9 @@ type Config struct {
 	EjectAfter int
 	// BreakerCooldown is the base open-state dwell before the breaker's
 	// half-open readmission trial; it doubles on every re-trip before a
-	// full recovery (hysteresis against flapping). Default 5s.
+	// full recovery (hysteresis against flapping), capped at
+	// 8×BreakerCooldown. Default 5s.
 	BreakerCooldown time.Duration
-	// BreakerMaxCooldown caps the hysteresis doubling. Default
-	// 8×BreakerCooldown.
-	BreakerMaxCooldown time.Duration
 	// OutlierK is the latency-ejection cutoff: a backend whose
 	// handshake-latency EWMA exceeds K times the fleet median is
 	// demoted to last-resort candidate. Default 3.
@@ -88,9 +81,6 @@ type Config struct {
 	// (failover attempts permitted before the ratio governs). Default
 	// 10; negative means no burst.
 	RetryBudgetMin float64
-	// HintMissLogEvery rate-limits the "shape hint matches no
-	// advertised backend" log line. Default 5s.
-	HintMissLogEvery time.Duration
 	// RetryAfter is the backoff hint sent with the gateway's own BUSY
 	// rejection when every candidate failed. Default 200ms.
 	RetryAfter time.Duration
@@ -118,16 +108,21 @@ type Config struct {
 	onTransition func(addr string, tr resilience.Transition)
 }
 
+const (
+	// helloTimeout bounds the wait for a dialed backend's first frame
+	// (its hello or a BUSY rejection), and one health probe.
+	helloTimeout = 3 * time.Second
+	// dialTimeout bounds each backend dial.
+	dialTimeout = 2 * time.Second
+	// hintMissLogEvery rate-limits the "shape hint matches no
+	// advertised backend" log line.
+	hintMissLogEvery = 5 * time.Second
+)
+
 // withDefaults resolves the zero fields.
 func (c Config) withDefaults() Config {
 	if c.PeekTimeout <= 0 {
 		c.PeekTimeout = 75 * time.Millisecond
-	}
-	if c.HelloTimeout <= 0 {
-		c.HelloTimeout = 3 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.MaxFailovers <= 0 {
 		c.MaxFailovers = 2
@@ -141,14 +136,10 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 200 * time.Millisecond
 	}
-	if c.HintMissLogEvery <= 0 {
-		c.HintMissLogEvery = 5 * time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
 	if c.Dial == nil {
-		dialTimeout := c.DialTimeout
 		c.Dial = func(addr string) (wire.Conn, error) {
 			nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
@@ -158,7 +149,7 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if c.Probe == nil {
-		c.Probe = httpProbe(&http.Client{Timeout: c.HelloTimeout})
+		c.Probe = httpProbe(&http.Client{Timeout: helloTimeout})
 	}
 	return c
 }
@@ -223,10 +214,9 @@ func New(cfg Config) (*Gateway, error) {
 		seen[b.Addr] = true
 		st := &backendState{Backend: b, status: obs.HealthOK}
 		st.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold:   cfg.EjectAfter,
-			Cooldown:    cfg.BreakerCooldown,
-			MaxCooldown: cfg.BreakerMaxCooldown,
-			Now:         cfg.Now,
+			Threshold: cfg.EjectAfter,
+			Cooldown:  cfg.BreakerCooldown,
+			Now:       cfg.Now,
 			OnTransition: func(tr resilience.Transition) {
 				g.onBreakerTransition(st, tr)
 			},
@@ -506,7 +496,7 @@ func (g *Gateway) connect(b *backendState, pending []byte) (wire.Conn, []byte, *
 		}
 	}
 	if dc, ok := wire.AsDeadline(conn); ok {
-		dc.SetDeadline(time.Now().Add(g.cfg.HelloTimeout))
+		dc.SetDeadline(time.Now().Add(helloTimeout))
 		defer dc.SetDeadline(time.Time{})
 	}
 	first, err := recvFirstFrame(conn)

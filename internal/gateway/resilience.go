@@ -59,7 +59,7 @@ func (g *Gateway) publishBudget() {
 
 // noteHintMiss counts a hinted session whose shape no routable backend
 // advertises and emits a rate-limited log line — one per
-// HintMissLogEvery fleet-wide, because a shape nobody advertises tends
+// hintMissLogEvery fleet-wide, because a shape nobody advertises tends
 // to arrive in bursts and each miss says the same thing: the session
 // is routed by load alone, to a backend with no pool for it.
 func (g *Gateway) noteHintMiss(key string) {
@@ -69,7 +69,7 @@ func (g *Gateway) noteHintMiss(key string) {
 	}
 	now := g.cfg.Now()
 	g.hintMu.Lock()
-	due := now.Sub(g.lastHintMiss) >= g.cfg.HintMissLogEvery
+	due := now.Sub(g.lastHintMiss) >= hintMissLogEvery
 	if due {
 		g.lastHintMiss = now
 	}

@@ -1,11 +1,13 @@
 // Package load is the open-loop traffic generator of the capacity
-// toolchain: seeded arrival processes (Poisson, uniform, burst) over a
-// weighted shape mix, driven against a real maxd or maxgw fleet by the
-// generator in load.go, and — critically — precomputed as an explicit
-// arrival schedule that the capacity simulator (internal/capmodel)
-// replays verbatim. Generator and simulator seeing the *same* arrival
-// instants and shape choices is what makes their reports comparable:
-// any disagreement is model error, never schedule noise.
+// toolchain: seeded arrival processes (Poisson, uniform, burst) of
+// sessions of one shape — the shape of the model the target serves; the
+// garbler owns the model, so a client cannot pick another — driven
+// against a real maxd or maxgw fleet by the generator in load.go, and —
+// critically — precomputed as an explicit arrival schedule that the
+// capacity simulator (internal/capmodel) replays verbatim. Generator
+// and simulator seeing the *same* arrival instants is what makes their
+// reports comparable: any disagreement is model error, never schedule
+// noise.
 package load
 
 import (
@@ -15,24 +17,29 @@ import (
 	"maxelerator/internal/protocol"
 )
 
-// ShapeWeight is one entry of the scenario's shape mix: a request
-// shape plus its relative weight in the traffic.
-type ShapeWeight struct {
-	// Rows, Cols, Width shape the request (and the hint sent to a
-	// shape-aware gateway).
+// Shape is the request shape every session of a scenario offers: the
+// target's model is Rows×Cols at Width bits.
+type Shape struct {
 	Rows  int `json:"rows"`
 	Cols  int `json:"cols"`
 	Width int `json:"width"`
-	// Weight is the relative share of arrivals drawing this shape;
-	// weights need not sum to 1.
-	Weight float64 `json:"weight"`
 }
 
-// Key renders the shape as the pool key used across reports and the
-// simulator: "4x4/b=8/ot=per-round" (per-round OT is the only mode a
-// backend serves).
-func (s ShapeWeight) Key() string {
-	return fmt.Sprintf("%dx%d/b=%d/ot=%s", s.Rows, s.Cols, s.Width, protocol.OTPerRound)
+// Hint is the shape-hint preface a session opens with; its Key() is the
+// label /shapez and precompute_*{shape} carry (signed operands and
+// per-round OT are the one mode a backend serves).
+func (s Shape) Hint() protocol.ShapeHint {
+	return protocol.ShapeHint{
+		Rows: s.Rows, Cols: s.Cols, Width: s.Width,
+		Signed: true, Mode: "matvec", OT: protocol.OTPerRound.String(),
+	}
+}
+
+func (s Shape) validate() error {
+	if s.Rows <= 0 || s.Cols <= 0 || s.Width <= 0 {
+		return fmt.Errorf("load: shape %dx%d/b=%d has a non-positive dimension", s.Rows, s.Cols, s.Width)
+	}
+	return nil
 }
 
 // Arrival processes.
@@ -63,14 +70,14 @@ type Scenario struct {
 	// inside the window are allowed to finish after it.
 	DurationSec float64 `json:"duration_sec"`
 	// Seed makes the schedule deterministic: same seed, same arrival
-	// instants and shape draws.
+	// instants.
 	Seed int64 `json:"seed"`
 	// MaxInflight caps concurrent sessions on the client side;
 	// arrivals past the cap are counted skipped, never blocked on
 	// (open-loop). 0 = unlimited.
 	MaxInflight int `json:"max_inflight,omitempty"`
-	// Shapes is the weighted shape mix; at least one entry.
-	Shapes []ShapeWeight `json:"shapes"`
+	// Shape is the one request shape offered: the target's model.
+	Shape Shape `json:"shape"`
 }
 
 // Validate rejects scenarios the generator and simulator cannot agree
@@ -89,52 +96,22 @@ func (s Scenario) Validate() error {
 	default:
 		return fmt.Errorf("load: unknown arrival process %q", s.Process)
 	}
-	if len(s.Shapes) == 0 {
-		return fmt.Errorf("load: scenario needs at least one shape")
-	}
-	total := 0.0
-	for i, sw := range s.Shapes {
-		if sw.Rows <= 0 || sw.Cols <= 0 || sw.Width <= 0 {
-			return fmt.Errorf("load: shape %d (%s) has a non-positive dimension", i, sw.Key())
-		}
-		if sw.Weight < 0 {
-			return fmt.Errorf("load: shape %d (%s) has negative weight", i, sw.Key())
-		}
-		total += sw.Weight
-	}
-	if total <= 0 {
-		return fmt.Errorf("load: shape weights sum to zero")
-	}
-	return nil
+	return s.Shape.validate()
 }
 
-// Arrival is one scheduled session start.
-type Arrival struct {
-	// At is the arrival instant in seconds from the run start.
-	At float64
-	// Shape is the drawn request shape.
-	Shape ShapeWeight
-}
-
-// ArrivalTimes expands the scenario into its full arrival schedule.
-// Two independent seeded streams — one for inter-arrival gaps, one for
-// shape draws — keep the shape sequence identical across arrival
-// processes at the same seed.
-func ArrivalTimes(s Scenario) ([]Arrival, error) {
+// ArrivalTimes expands the scenario into its full arrival schedule:
+// the instants, in seconds from the run start, at which sessions start.
+func ArrivalTimes(s Scenario) ([]float64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	gaps := rand.New(rand.NewSource(s.Seed))
-	shapes := rand.New(rand.NewSource(s.Seed ^ 0x5d3c_9d1a_2b77_f0e1))
 	burst := s.BurstSize
 	if burst <= 0 {
 		burst = 8
 	}
-	var out []Arrival
+	var out []float64
 	t := 0.0
-	emit := func(at float64) {
-		out = append(out, Arrival{At: at, Shape: drawShape(shapes, s.Shapes)})
-	}
 	switch s.Process {
 	case Poisson:
 		for {
@@ -142,36 +119,20 @@ func ArrivalTimes(s Scenario) ([]Arrival, error) {
 			if t >= s.DurationSec {
 				break
 			}
-			emit(t)
+			out = append(out, t)
 		}
 	case Uniform:
 		gap := 1 / s.Rate
 		for t = gap; t < s.DurationSec; t += gap {
-			emit(t)
+			out = append(out, t)
 		}
 	case Burst:
 		period := float64(burst) / s.Rate
 		for t = period; t < s.DurationSec; t += period {
 			for k := 0; k < burst; k++ {
-				emit(t)
+				out = append(out, t)
 			}
 		}
 	}
 	return out, nil
-}
-
-// drawShape is a weighted pick over the mix.
-func drawShape(rng *rand.Rand, mix []ShapeWeight) ShapeWeight {
-	total := 0.0
-	for _, sw := range mix {
-		total += sw.Weight
-	}
-	u := rng.Float64() * total
-	for _, sw := range mix {
-		u -= sw.Weight
-		if u < 0 {
-			return sw
-		}
-	}
-	return mix[len(mix)-1]
 }

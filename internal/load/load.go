@@ -33,7 +33,8 @@ type Config struct {
 	Registry *obs.Registry
 	// Matrix, when set, is the model the target serves: every result is
 	// checked against Matrix·y and a wrong one counts as Miscomputed,
-	// not as a success.
+	// not as a success, and Run refuses a Scenario.Shape of other
+	// dimensions before dialing.
 	Matrix [][]int64
 	// Logf receives per-session diagnostics; nil discards them.
 	Logf func(string, ...any)
@@ -54,6 +55,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Target == "" {
 		return nil, fmt.Errorf("load: target address is required")
 	}
+	if sh := cfg.Scenario.Shape; len(cfg.Matrix) > 0 && (sh.Rows != len(cfg.Matrix) || sh.Cols != len(cfg.Matrix[0])) {
+		return nil, fmt.Errorf("load: scenario shape %dx%d contradicts the %dx%d model the target serves",
+			sh.Rows, sh.Cols, len(cfg.Matrix), len(cfg.Matrix[0]))
+	}
 	if cfg.Timeouts == (protocol.Timeouts{}) {
 		cfg.Timeouts = protocol.Timeouts{Handshake: 10 * time.Second, IO: 10 * time.Second}
 	}
@@ -72,6 +77,7 @@ func Run(cfg Config) (*Report, error) {
 		started                                       int
 		mu                                            sync.Mutex
 		latencies                                     []float64
+		firstError                                    string
 		wg                                            sync.WaitGroup
 	)
 	var sem chan struct{}
@@ -80,10 +86,11 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	start := time.Now()
-	for i, a := range arrivals {
+	shape := cfg.Scenario.Shape.Hint()
+	for i, at := range arrivals {
 		// Pace to the schedule. A late wake-up does not slow later
 		// arrivals: each sleeps relative to the shared run start.
-		if d := time.Duration(a.At*float64(time.Second)) - time.Since(start); d > 0 {
+		if d := time.Duration(at*float64(time.Second)) - time.Since(start); d > 0 {
 			time.Sleep(d)
 		}
 		if sem != nil {
@@ -96,7 +103,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		started++
 		wg.Add(1)
-		go func(i int, shape ShapeWeight) {
+		go func(i int) {
 			defer wg.Done()
 			if sem != nil {
 				defer func() { <-sem }()
@@ -117,8 +124,13 @@ func Run(cfg Config) (*Report, error) {
 			default:
 				logf("load: session %d (%s): %v", i, shape.Key(), err)
 				failed.Add(1)
+				mu.Lock()
+				if firstError == "" {
+					firstError = err.Error()
+				}
+				mu.Unlock()
 			}
-		}(i, a.Shape)
+		}(i)
 	}
 	wg.Wait()
 
@@ -133,6 +145,7 @@ func Run(cfg Config) (*Report, error) {
 		Failed:    int(failed.Load()),
 
 		Miscomputed: int(miscomputed.Load()),
+		FirstError:  firstError,
 	}
 	r.Finalize(latencies)
 	if after := readPoolCounters(cfg); after != nil && before != nil {
@@ -142,18 +155,15 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // oneSession runs a single client session: dial, hint, one matvec of
-// the shape's width, clean close. The client vector is the fixed
+// shape.Cols elements, clean close. The client vector is the fixed
 // pattern j%16 − 8, so every run offers identical work.
-func oneSession(cfg Config, shape ShapeWeight) error {
+func oneSession(cfg Config, shape protocol.ShapeHint) error {
 	cli, err := protocol.NewClient(rand.Reader)
 	if err != nil {
 		return err
 	}
 	cli.WithTimeouts(cfg.Timeouts)
-	cli.WithShapeHint(protocol.ShapeHint{
-		Rows: shape.Rows, Cols: shape.Cols, Width: shape.Width,
-		Signed: true, Mode: "matvec", OT: protocol.OTPerRound.String(),
-	})
+	cli.WithShapeHint(shape)
 	nc, err := net.DialTimeout("tcp", cfg.Target, cfg.DialTimeout)
 	if err != nil {
 		return err

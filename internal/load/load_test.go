@@ -3,18 +3,14 @@ package load
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-func mix() []ShapeWeight {
-	return []ShapeWeight{
-		{Rows: 4, Cols: 4, Width: 8, Weight: 3},
-		{Rows: 2, Cols: 8, Width: 8, Weight: 1},
-	}
-}
+var testShape = Shape{Rows: 4, Cols: 4, Width: 8}
 
 func TestArrivalTimesDeterministic(t *testing.T) {
-	sc := Scenario{Rate: 50, Process: Poisson, DurationSec: 5, Seed: 42, Shapes: mix()}
+	sc := Scenario{Rate: 50, Process: Poisson, DurationSec: 5, Seed: 42, Shape: testShape}
 	a, err := ArrivalTimes(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +30,34 @@ func TestArrivalTimesDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical schedules")
 	}
+
+	// The instants themselves are part of the contract — a maxload run and
+	// a maxcap prediction made by different builds describe the same
+	// arrivals — so a change to the gap stream's seeding or draw order
+	// fails here.
+	burst, err := ArrivalTimes(Scenario{Rate: 80, Process: Burst, BurstSize: 8, DurationSec: 2, Seed: 1, Shape: testShape})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		name        string
+		got         []float64
+		n           int
+		first, last float64
+	}{
+		{"poisson seed 42", a, 261, 0.009914768298047957, 4.999474302687036},
+		{"burst seed 1", burst, 152, 0.1, 1.9000000000000006},
+	} {
+		if len(pin.got) != pin.n || pin.got[0] != pin.first || pin.got[pin.n-1] != pin.last {
+			t.Errorf("%s: %d arrivals in [%v, %v], want %d in [%v, %v]", pin.name,
+				len(pin.got), pin.got[0], pin.got[len(pin.got)-1], pin.n, pin.first, pin.last)
+		}
+	}
 }
 
 func TestArrivalTimesRateAndOrdering(t *testing.T) {
 	for _, proc := range []string{Poisson, Uniform, Burst} {
-		sc := Scenario{Rate: 100, Process: proc, DurationSec: 10, Seed: 7, Shapes: mix()}
+		sc := Scenario{Rate: 100, Process: proc, DurationSec: 10, Seed: 7, Shape: testShape}
 		arr, err := ArrivalTimes(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -50,62 +69,20 @@ func TestArrivalTimesRateAndOrdering(t *testing.T) {
 			t.Errorf("%s: %v arrivals, want ≈%v", proc, got, want)
 		}
 		prev := 0.0
-		for i, a := range arr {
-			if a.At < prev {
-				t.Fatalf("%s: arrival %d at %v before %v (not sorted)", proc, i, a.At, prev)
+		for i, at := range arr {
+			if at < prev {
+				t.Fatalf("%s: arrival %d at %v before %v (not sorted)", proc, i, at, prev)
 			}
-			if a.At >= sc.DurationSec {
-				t.Fatalf("%s: arrival %d at %v past the %vs window", proc, i, a.At, sc.DurationSec)
+			if at >= sc.DurationSec {
+				t.Fatalf("%s: arrival %d at %v past the %vs window", proc, i, at, sc.DurationSec)
 			}
-			prev = a.At
+			prev = at
 		}
-	}
-}
-
-// The shape stream is seeded independently of the gap stream, so the
-// two processes draw the same shape sequence at the same seed.
-func TestShapeSequenceSharedAcrossProcesses(t *testing.T) {
-	base := Scenario{Rate: 40, Process: Poisson, DurationSec: 5, Seed: 9, Shapes: mix()}
-	p, err := ArrivalTimes(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Process = Uniform
-	u, err := ArrivalTimes(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(p)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		if p[i].Shape != u[i].Shape {
-			t.Fatalf("shape draw %d differs across processes: %v vs %v", i, p[i].Shape, u[i].Shape)
-		}
-	}
-}
-
-func TestArrivalTimesShapeMixWeights(t *testing.T) {
-	sc := Scenario{Rate: 200, Process: Uniform, DurationSec: 20, Seed: 3, Shapes: mix()}
-	arr, err := ArrivalTimes(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy := 0
-	for _, a := range arr {
-		if a.Shape.Rows == 4 {
-			heavy++
-		}
-	}
-	frac := float64(heavy) / float64(len(arr))
-	if math.Abs(frac-0.75) > 0.05 {
-		t.Errorf("weight-3 shape drew %.3f of arrivals, want ≈0.75", frac)
 	}
 }
 
 func TestBurstClumping(t *testing.T) {
-	sc := Scenario{Rate: 80, Process: Burst, BurstSize: 8, DurationSec: 2, Seed: 1, Shapes: mix()}
+	sc := Scenario{Rate: 80, Process: Burst, BurstSize: 8, DurationSec: 2, Seed: 1, Shape: testShape}
 	arr, err := ArrivalTimes(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -115,15 +92,15 @@ func TestBurstClumping(t *testing.T) {
 	}
 	for i := 0; i < len(arr); i += 8 {
 		for k := 1; k < 8; k++ {
-			if arr[i+k].At != arr[i].At {
-				t.Fatalf("burst at index %d not clumped: %v vs %v", i, arr[i+k].At, arr[i].At)
+			if arr[i+k] != arr[i] {
+				t.Fatalf("burst at index %d not clumped: %v vs %v", i, arr[i+k], arr[i])
 			}
 		}
 	}
 }
 
 func TestScenarioValidate(t *testing.T) {
-	good := Scenario{Rate: 1, Process: Poisson, DurationSec: 1, Shapes: mix()}
+	good := Scenario{Rate: 1, Process: Poisson, DurationSec: 1, Shape: testShape}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
 	}
@@ -134,13 +111,10 @@ func TestScenarioValidate(t *testing.T) {
 		{"zero rate", func(s *Scenario) { s.Rate = 0 }},
 		{"zero duration", func(s *Scenario) { s.DurationSec = 0 }},
 		{"unknown process", func(s *Scenario) { s.Process = "fractal" }},
-		{"no shapes", func(s *Scenario) { s.Shapes = nil }},
-		{"zero weights", func(s *Scenario) { s.Shapes = []ShapeWeight{{Rows: 1, Cols: 1, Width: 8, Weight: 0}} }},
-		{"bad shape", func(s *Scenario) { s.Shapes = []ShapeWeight{{Rows: 0, Cols: 1, Width: 8, Weight: 1}} }},
+		{"bad shape", func(s *Scenario) { s.Shape.Rows = 0 }},
 	}
 	for _, tc := range cases {
 		s := good
-		s.Shapes = mix()
 		tc.mut(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -185,5 +159,46 @@ func TestReportFinalize(t *testing.T) {
 	}
 	if r.Latency.Samples != 3 {
 		t.Errorf("latency samples = %d, want 3", r.Latency.Samples)
+	}
+}
+
+func TestParseShape(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Shape
+		err  string // substring of the refusal; "" = accepted
+	}{
+		{"4x4/b=8", Shape{Rows: 4, Cols: 4, Width: 8}, ""},
+		{" 16x2/b=16 ", Shape{Rows: 16, Cols: 2, Width: 16}, ""},
+		{"4x4", Shape{}, "missing /b=WIDTH"},
+		{"4x4/b=8*3", Shape{}, "*WEIGHT suffix"},
+		{"4x4/b=8,2x8/b=8", Shape{}, "one ROWSxCOLS/b=WIDTH entry"},
+		{"0x4/b=8", Shape{}, "non-positive dimension"},
+		{"4/b=8", Shape{}, "want ROWSxCOLS"},
+		{"4x4/b=wide", Shape{}, "bad width"},
+	} {
+		got, err := ParseShape(tc.in)
+		switch {
+		case tc.err == "" && (err != nil || got != tc.want):
+			t.Errorf("ParseShape(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("ParseShape(%q) = %+v, %v; want an error naming %q", tc.in, got, err, tc.err)
+		}
+	}
+}
+
+// A shape the target's model cannot serve is refused before anything is
+// dialed: the target address here accepts nothing.
+func TestRunRefusesShapeContradictingMatrix(t *testing.T) {
+	model := [][]int64{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	for _, sh := range []Shape{{Rows: 4, Cols: 4, Width: 8}, {Rows: 2, Cols: 8, Width: 8}} {
+		_, err := Run(Config{
+			Target:   "127.0.0.1:1",
+			Scenario: Scenario{Rate: 100, Process: Uniform, DurationSec: 1, Shape: sh},
+			Matrix:   model,
+		})
+		if err == nil || !strings.Contains(err.Error(), "2x4 model") {
+			t.Errorf("shape %+v against a 2x4 model: err = %v, want a refusal naming both", sh, err)
+		}
 	}
 }

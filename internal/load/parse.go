@@ -6,48 +6,29 @@ import (
 	"strings"
 )
 
-// ParseShapes parses the CLI shape-mix syntax shared by maxload and
-// maxcap: comma-separated ROWSxCOLS/b=WIDTH entries, each with an
-// optional *WEIGHT suffix (default 1), e.g. "4x4/b=8*3,2x8/b=8*1".
-func ParseShapes(s string) ([]ShapeWeight, error) {
-	var out []ShapeWeight
-	for _, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		sw := ShapeWeight{Weight: 1}
-		if star := strings.LastIndex(entry, "*"); star >= 0 {
-			w, err := strconv.ParseFloat(entry[star+1:], 64)
-			if err != nil {
-				return nil, fmt.Errorf("load: shape %q: bad weight: %v", entry, err)
-			}
-			sw.Weight = w
-			entry = entry[:star]
-		}
-		for i, part := range strings.Split(entry, "/") {
-			switch {
-			case i == 0:
-				if _, err := fmt.Sscanf(part, "%dx%d", &sw.Rows, &sw.Cols); err != nil {
-					return nil, fmt.Errorf("load: shape %q: want ROWSxCOLS, got %q", entry, part)
-				}
-			case strings.HasPrefix(part, "b="):
-				w, err := strconv.Atoi(part[2:])
-				if err != nil {
-					return nil, fmt.Errorf("load: shape %q: bad width %q", entry, part)
-				}
-				sw.Width = w
-			default:
-				return nil, fmt.Errorf("load: shape %q: unknown segment %q", entry, part)
-			}
-		}
-		if sw.Width == 0 {
-			return nil, fmt.Errorf("load: shape %q: missing /b=WIDTH", entry)
-		}
-		out = append(out, sw)
+// ParseShape parses the CLI shape syntax shared by maxload and maxcap:
+// one ROWSxCOLS/b=WIDTH entry, e.g. "4x4/b=8". A target serves one
+// model, so a comma-separated list or a *WEIGHT suffix is refused by
+// name, not read as a mix.
+func ParseShape(s string) (Shape, error) {
+	if strings.ContainsAny(s, ",*") {
+		return Shape{}, fmt.Errorf("load: shape %q: want one ROWSxCOLS/b=WIDTH entry; a list or a *WEIGHT suffix is not accepted (a target serves one model)", s)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("load: empty shape mix")
+	dims, width, ok := strings.Cut(strings.TrimSpace(s), "/b=")
+	if !ok {
+		return Shape{}, fmt.Errorf("load: shape %q: missing /b=WIDTH", s)
 	}
-	return out, nil
+	rows, cols, _ := strings.Cut(dims, "x")
+	var sh Shape
+	var errR, errC, errW error
+	sh.Rows, errR = strconv.Atoi(rows)
+	sh.Cols, errC = strconv.Atoi(cols)
+	sh.Width, errW = strconv.Atoi(width)
+	if errR != nil || errC != nil {
+		return Shape{}, fmt.Errorf("load: shape %q: want ROWSxCOLS, got %q", s, dims)
+	}
+	if errW != nil {
+		return Shape{}, fmt.Errorf("load: shape %q: bad width %q", s, width)
+	}
+	return sh, sh.validate()
 }

@@ -88,6 +88,9 @@ type Report struct {
 	Shed        int `json:"shed"`
 	Failed      int `json:"failed"`
 	Miscomputed int `json:"miscomputed,omitempty"`
+	// FirstError is the error text of the first hard failure to
+	// complete, so a run that failed says why without per-session logs.
+	FirstError string `json:"first_error,omitempty"`
 	// AchievedRate is Succeeded/DurationSec — the rate the fleet
 	// actually sustained against the offered load.
 	AchievedRate float64 `json:"achieved_rate"`

@@ -274,6 +274,21 @@ type Stats struct {
 	PCIeTime time.Duration
 }
 
+// Add accumulates another run's accounting into s: every count and
+// time sums; CoreUtilization, a ratio of the schedule, is left as it is.
+func (s *Stats) Add(o Stats) {
+	s.MACs += o.MACs
+	s.Cycles += o.Cycles
+	s.Stages += o.Stages
+	s.TablesScheduled += o.TablesScheduled
+	s.TablesGarbled += o.TablesGarbled
+	s.TableBytes += o.TableBytes
+	s.IdleSlots += o.IdleSlots
+	s.RNGBitsDrawn += o.RNGBitsDrawn
+	s.ModeledTime += o.ModeledTime
+	s.PCIeTime += o.PCIeTime
+}
+
 // ThroughputMACsPerSec is the steady-state modelled throughput of the
 // whole accelerator (all MAC units).
 func (s *Simulator) ThroughputMACsPerSec() float64 {

@@ -373,21 +373,6 @@ func (s *Server) Serve(conn wire.Conn, req Request) (resp *Response, err error) 
 	return resp, nil
 }
 
-// addStats accumulates one run's accounting into the request aggregate
-// (the fields the matvec paths sum; utilization stays schedule-derived).
-func addStats(agg *Stats, st *Stats) {
-	agg.MACs += st.MACs
-	agg.Cycles += st.Cycles
-	agg.Stages += st.Stages
-	agg.TablesGarbled += st.TablesGarbled
-	agg.TablesScheduled += st.TablesScheduled
-	agg.TableBytes += st.TableBytes
-	agg.IdleSlots += st.IdleSlots
-	agg.RNGBitsDrawn += st.RNGBitsDrawn
-	agg.ModeledTime += st.ModeledTime
-	agg.PCIeTime += st.PCIeTime
-}
-
 func checkRange(v int64, width int, signed bool) error {
 	if signed {
 		lo, hi := -(int64(1) << (width - 1)), int64(1)<<(width-1)-1

@@ -119,7 +119,7 @@ func (st *rowStreamer) offer(yield func(rowChunk) bool, i int, run *maxsim.DotPr
 // for the tail — the honest O(request) case the watermark exposes).
 func (st *rowStreamer) consume(c rowChunk) error {
 	st.chunks.Inc()
-	addStats(&st.agg, &c.run.Stats)
+	st.agg.Add(c.run.Stats)
 	if st.ot == OTBatched {
 		st.runs = append(st.runs, c.run)
 		for _, gb := range c.run.Rounds {
