@@ -4,26 +4,14 @@ import "maxelerator/internal/label"
 
 // SendLabels transfers one wire-label pair per evaluator input bit
 // through the extension session: the receiver learns exactly the label
-// matching each of its choice bits.
+// matching each of its choice bits. pairs is read in place and not
+// retained.
 func SendLabels(es *ExtensionSender, pairs []label.Pair) error {
-	msgs := make([][2]Message, len(pairs))
-	for i, p := range pairs {
-		msgs[i][0] = Message(p.False)
-		msgs[i][1] = Message(p.True)
-	}
-	return es.Send(msgs)
+	return send(es, len(pairs), func(j int) (label.Label, label.Label) { return pairs[j].False, pairs[j].True })
 }
 
 // ReceiveLabels obtains the active labels for the receiver's input
-// bits.
+// bits. The returned slice is the caller's.
 func ReceiveLabels(er *ExtensionReceiver, choices []bool) ([]label.Label, error) {
-	msgs, err := er.Receive(choices)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]label.Label, len(msgs))
-	for i, m := range msgs {
-		out[i] = label.Label(m)
-	}
-	return out, nil
+	return receive[label.Label](er, choices)
 }

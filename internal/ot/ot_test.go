@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"maxelerator/internal/label"
 	"maxelerator/internal/wire"
 )
 
@@ -478,29 +477,10 @@ func TestExtensionEmptyBatch(t *testing.T) {
 func TestExtensionLabelTransfer(t *testing.T) {
 	es, er, closeFn := extSession(t)
 	defer closeFn()
-	d := label.MustNewDelta()
 	const m = 32
-	pairs := make([]label.Pair, m)
-	for i := range pairs {
-		pairs[i] = label.NewPair(label.MustRandom(), d)
-	}
-	rng := mrand.New(mrand.NewSource(4))
-	choices := randomChoices(rng, m)
-	var sendErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sendErr = SendLabels(es, pairs)
-	}()
-	got, err := ReceiveLabels(er, choices)
-	wg.Wait()
-	if sendErr != nil {
-		t.Fatal(sendErr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := randomLabelPairs(t, m)
+	choices := randomChoices(mrand.New(mrand.NewSource(4)), m)
+	got := labelRound(t, es, er, pairs, choices)
 	for i, c := range choices {
 		if got[i] != pairs[i].Get(c) {
 			t.Fatalf("label transfer %d wrong", i)
@@ -562,15 +542,17 @@ func TestExtensionCommunicationIsSymmetricAfterBase(t *testing.T) {
 func TestPRGStreamsDiverge(t *testing.T) {
 	var s1, s2 Message
 	s2[0] = 1
-	p1, err := prgStream(s1)
-	if err != nil {
+	var p1, p2 colPRG
+	if err := p1.init(s1); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := prgStream(s2)
-	if err != nil {
+	if err := p2.init(s2); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(nextPad(p1, 32), nextPad(p2, 32)) {
+	var pad1, pad2 [32]byte
+	p1.read(pad1[:])
+	p2.read(pad2[:])
+	if pad1 == pad2 {
 		t.Fatal("different seeds produced identical pads")
 	}
 }

@@ -17,11 +17,12 @@ import (
 // request, both endpoints together, over wire.Pipe. The walkers
 // allocate per round, not per gate (the 16×16 b=16 request — 256 MAC
 // rounds, 182 272 AND gates garbled and evaluated — took ≈ 2.59 million
-// objects with per-gate label and table slices), and what is left is
-// mostly OT, so the count is a function of the shape and the cadence
-// and repeats to within a few objects. Each cell's budget is 1.10 × the
-// count this test measured when the cell was written (2 vCPU, go1.24.0;
-// the race detector adds ≈ 1 %): a change that adds a per-gate or
+// objects with per-gate label and table slices), and the OT extension
+// per batch, not per label (17 853 before its kernel, PR 22), so the
+// count is a function of the shape and the cadence and repeats to
+// within a few objects. Each cell's budget is 1.10 × the count this
+// test measured when the cell was written (2 vCPU, go1.24.0; the race
+// detector adds 3–5 %): a change that adds a per-gate, per-label or
 // per-round allocation fails here, and one that removes objects lowers
 // the measured value.
 func TestWarmRequestAllocationBudget(t *testing.T) {
@@ -31,11 +32,11 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 		pooled            bool
 		measured          uint64
 	}{
-		{n: 4, width: 8, ot: OTPerRound, measured: 9067},
-		{n: 4, width: 8, ot: OTPerRound, pooled: true, measured: 8917},
-		{n: 4, width: 8, ot: OTBatched, measured: 1275},
-		{n: 4, width: 8, ot: OTBatched, pooled: true, measured: 1126},
-		{n: 16, width: 16, ot: OTBatched, workers: 2, measured: 17853},
+		{n: 4, width: 8, ot: OTPerRound, measured: 412},
+		{n: 4, width: 8, ot: OTPerRound, pooled: true, measured: 266},
+		{n: 4, width: 8, ot: OTBatched, measured: 369},
+		{n: 4, width: 8, ot: OTBatched, pooled: true, measured: 221},
+		{n: 16, width: 16, ot: OTBatched, workers: 2, measured: 5036},
 	}
 	for _, c := range cells {
 		name := fmt.Sprintf("%dx%d/b=%d/%s/workers=%d/pooled=%t", c.n, c.n, c.width, c.ot, c.workers, c.pooled)

@@ -70,6 +70,10 @@ type ClientSession struct {
 	seq      int
 	closed   bool
 	broken   error
+
+	// choices is a batched-OT request's choice bits, reused across
+	// requests under ot.RetainLabels' rule.
+	choices []bool
 }
 
 // Dial opens a session on conn: receive the server hello, negotiate
@@ -212,11 +216,14 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	// Rows·Cols·Width labels at once (§3's memory tradeoff).
 	var batched []label.Label
 	if hdr.OT == OTBatched {
-		choices := make([]bool, 0, hdr.Rows*hdr.Cols*cs.h.Width)
+		choices := cs.choices[:0]
 		for row := 0; row < hdr.Rows; row++ {
 			for round := 0; round < hdr.Cols; round++ {
 				choices = append(choices, bitsPerRound[round]...)
 			}
+		}
+		if len(choices) <= ot.RetainLabels {
+			cs.choices = choices
 		}
 		var err error
 		batched, err = ot.ReceiveLabels(cs.receiver, choices)

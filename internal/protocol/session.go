@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/ot"
@@ -49,6 +50,20 @@ type ServerSession struct {
 	seq     int
 	ended   bool
 	broken  error
+
+	// pairs is a batched-OT request's label pairs, every round's in
+	// order, gathered for its one OT; see recyclePairs.
+	pairs []label.Pair
+}
+
+// recyclePairs empties pairs for the next request, keeping the backing
+// array unless the request was larger than the OT layer itself keeps
+// buffers for.
+func (sess *ServerSession) recyclePairs() {
+	if len(sess.pairs) > ot.RetainLabels {
+		sess.pairs = nil
+	}
+	sess.pairs = sess.pairs[:0]
 }
 
 // NewSession opens a multiplexed session on conn: versioned handshake,

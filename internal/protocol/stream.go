@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"maxelerator/internal/gc"
-	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/ot"
@@ -92,9 +91,8 @@ type rowStreamer struct {
 	// chunks counts garbled-row chunks through the serve pipeline.
 	chunks *obs.Counter
 
-	agg      Stats
-	allPairs []label.Pair            // batched mode: every round's pairs, in order
-	runs     []*maxsim.DotProductRun // batched mode: material deferred past the OT
+	agg  Stats
+	runs []*maxsim.DotProductRun // batched mode: material deferred past the OT
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
@@ -123,7 +121,7 @@ func (st *rowStreamer) consume(c rowChunk) error {
 	if st.ot == OTBatched {
 		st.runs = append(st.runs, c.run)
 		for _, gb := range c.run.Rounds {
-			st.allPairs = append(st.allPairs, gb.EvalPairs...)
+			st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
 		}
 		return nil
 	}
@@ -185,7 +183,9 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 	}
 
 	if st.ot == OTBatched {
-		if err := ot.SendLabels(st.sess.sender, st.allPairs); err != nil {
+		err := ot.SendLabels(st.sess.sender, st.sess.pairs)
+		st.sess.recyclePairs()
+		if err != nil {
 			return err
 		}
 		for _, run := range st.runs {

@@ -35,7 +35,13 @@ const frameHeaderSize = 4
 
 // Conn is a reliable, ordered message channel between two parties.
 type Conn interface {
-	// SendMsg transmits one message.
+	// SendMsg transmits one message. It must not retain msg: once it
+	// returns the caller may overwrite the buffer, and the peer still
+	// reads the bytes it held during the call. The OT extension kernel
+	// and FrameWriter reuse their send buffers on the strength of this;
+	// every Conn in the tree keeps it (the stream conn has written the
+	// bytes out, the pipe has copied them, the wrappers delegate) and a
+	// new implementation must.
 	SendMsg(msg []byte) error
 	// RecvMsg receives the next message.
 	RecvMsg() ([]byte, error)

@@ -48,21 +48,72 @@ func TestPipePreservesOrder(t *testing.T) {
 	}
 }
 
-func TestPipeIsolatesBuffers(t *testing.T) {
-	a, b := Pipe()
-	defer a.Close()
-	defer b.Close()
-	buf := []byte{1, 2, 3}
-	if err := a.SendMsg(buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 99 // mutating the caller's buffer must not affect delivery
-	got, err := b.RecvMsg()
+// tcpPair returns the two ends of a loopback TCP connection as stream
+// conns.
+func tcpPair(t *testing.T) (Conn, Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 1 {
-		t.Fatalf("message aliased sender buffer: got %v", got)
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-accepted
+	if peer == nil {
+		c.Close()
+		t.Fatal("accept failed")
+	}
+	return NewStreamConn(c), NewStreamConn(peer)
+}
+
+// TestSendMsgDoesNotRetain pins the Conn contract that callers who
+// reuse their send buffers (the OT extension kernel, FrameWriter) rely
+// on: once SendMsg has returned, overwriting the buffer must not change
+// what the peer reads. The message is larger than a socket buffer, so
+// the stream case covers a send that blocked part-way.
+func TestSendMsgDoesNotRetain(t *testing.T) {
+	pairs := map[string]func(*testing.T) (Conn, Conn){
+		"pipe":   func(*testing.T) (Conn, Conn) { return Pipe() },
+		"stream": tcpPair,
+	}
+	for name, pair := range pairs {
+		t.Run(name, func(t *testing.T) {
+			a, b := pair(t)
+			defer a.Close()
+			defer b.Close()
+			want := bytes.Repeat([]byte{1, 2, 3, 4}, 1<<20)
+			buf := bytes.Clone(want)
+			type result struct {
+				msg []byte
+				err error
+			}
+			got := make(chan result, 1)
+			go func() {
+				msg, err := b.RecvMsg()
+				got <- result{msg, err}
+			}()
+			if err := a.SendMsg(buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = 0x99
+			}
+			r := <-got
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if !bytes.Equal(r.msg, want) {
+				t.Fatal("the peer read bytes written to the buffer after SendMsg returned")
+			}
+		})
 	}
 }
 
