@@ -103,8 +103,12 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 			counted, readmits)
 	}
 	// The one derived copy of membership left is a gauge; a probe pass
-	// on the now-still clock must leave it agreeing with the breaker.
+	// on the now-still clock must leave it agreeing with the breaker. It
+	// may still move the breaker (half-open → closed), whose hook takes
+	// mu: holding mu across it deadlocked the test now and then.
+	mu.Unlock()
 	f.gw.ProbeNow()
+	mu.Lock()
 	up := f.obs.Metrics().Gauge("gw_backend_up", "", obs.L("backend", order[0])).Value()
 	if (up == 1) != f.state(order[0]).breaker.Routable() {
 		t.Fatalf("gw_backend_up = %d diverged from breaker state", up)

@@ -156,6 +156,63 @@ func TestKernelMatchesSchemeInterface(t *testing.T) {
 	}
 }
 
+// TestEvaluatorReuseMatchesFreshEvaluate pins the reusable Evaluator to
+// a fresh Evaluate call, bit for bit: one Evaluator per circuit, two
+// circuits interleaved round by round for three chained rounds, the
+// reused result's state labels fed straight back in. Stale slots,
+// scratch or result buffers from an earlier round — or from the other
+// circuit's walk — would show here, on the kernel and on both table
+// schemes' interface path.
+func TestEvaluatorReuseMatchesFreshEvaluate(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(26))
+	ckts := []*circuit.Circuit{
+		circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16, Signed: true}),
+		circuit.MustMAC(circuit.MACConfig{Width: 16, AccWidth: 32}),
+	}
+	for _, s := range allSchemes() {
+		p := params(s)
+		type chain struct {
+			g             *Garbler
+			e             *Evaluator
+			state0        []label.Label
+			reused, fresh []label.Label // state labels carried on each side
+			tweak         uint64
+		}
+		chains := make([]*chain, len(ckts))
+		for i, c := range ckts {
+			e, err := NewEvaluator(p, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chains[i] = &chain{g: seededGarbler(t, p, byte(i)), e: e}
+		}
+		for round := 0; round < 3; round++ {
+			for i, c := range ckts {
+				ch := chains[i]
+				gb, err := ch.g.Garble(c, GarbleOptions{GarblerInputs: randomBits(rng, c.NGarbler), State0: ch.state0, TweakBase: ch.tweak})
+				if err != nil {
+					t.Fatal(err)
+				}
+				active := pickActive(gb.EvalPairs, randomBits(rng, c.NEvaluator))
+				want, err := Evaluate(p, c, &gb.Material, active, ch.fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ch.e.Eval(&gb.Material, active, ch.reused)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Outputs, want.Outputs) || !slices.Equal(got.OutputLabels, want.OutputLabels) ||
+					!slices.Equal(got.StateActive, want.StateActive) {
+					t.Fatalf("%s circuit %d round %d: reused Evaluator differs from a fresh Evaluate", s.Name(), i, round)
+				}
+				ch.state0, ch.tweak = gb.StateOut0, gb.NextTweak
+				ch.reused, ch.fresh = got.StateActive, want.StateActive
+			}
+		}
+	}
+}
+
 // TestTableSchemesMatchPlaintextOnChainedMAC drives the two ablation
 // schemes through the same chains: they share the gate walker with the
 // kernel and must still compute the MAC.

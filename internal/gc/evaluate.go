@@ -21,15 +21,43 @@ type EvalResult struct {
 }
 
 // Evaluate runs the evaluator side of the protocol over one circuit
-// (or one round of a sequential circuit). evalActive are the active
-// labels of the evaluator's input wires, obtained through oblivious
-// transfer; stateActive are the active state labels from the previous
-// round (nil for round 0, where the garbler set the state to 0 and the
-// evaluator receives the corresponding labels out of band — here, the
-// convention is that nil state means the garbler chose State0 = nil in
-// its GarbleOptions too, so the FALSE labels are the active ones and
-// must be provided by the garbler; see seqgc for the wiring).
+// (or one round of a sequential circuit) on a fresh Evaluator, so the
+// result is the caller's. evalActive are the active labels of the
+// evaluator's input wires, obtained through oblivious transfer;
+// stateActive are the active state labels from the previous round (nil
+// for round 0, where the garbler set the state to 0 and the material
+// carries the corresponding FALSE labels as StateInActive; see seqgc
+// for the wiring). A caller evaluating round after round holds one
+// Evaluator instead.
 func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateActive []label.Label) (*EvalResult, error) {
+	e, err := NewEvaluator(params, c)
+	if err != nil {
+		return nil, err
+	}
+	return e.Eval(m, evalActive, stateActive)
+}
+
+// Evaluator evaluates one circuit round after round. It owns the
+// walker's working memory — the slot array, the AND kernel's hash
+// scratch and the result — the way a Garbler does, so a round allocates
+// nothing. Not safe for concurrent use: concurrent evaluations each hold
+// their own Evaluator and share only params and the circuit, which are
+// read.
+type Evaluator struct {
+	params Params
+	prog   *circuit.Program
+	// aes is params' concrete hash when the kernel applies, else nil.
+	aes   *gchash.AES
+	slots []label.Label
+	and   gchash.ANDBlocks
+	// rows is the interface path's copy of one table's rows.
+	rows []label.Label
+	res  EvalResult
+}
+
+// NewEvaluator resolves c's program once and sizes the working memory
+// for it.
+func NewEvaluator(params Params, c *circuit.Circuit) (*Evaluator, error) {
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
@@ -37,6 +65,24 @@ func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateA
 	if err != nil {
 		return nil, err
 	}
+	return &Evaluator{
+		params: params,
+		prog:   prog,
+		aes:    params.halfGatesAES(),
+		slots:  make([]label.Label, prog.NSlots),
+		res: EvalResult{
+			Outputs:      make([]bool, len(prog.Outputs)),
+			OutputLabels: make([]label.Label, len(prog.Outputs)),
+			StateActive:  make([]label.Label, prog.NState),
+		},
+	}, nil
+}
+
+// Eval evaluates one round. The result belongs to the Evaluator until
+// the next Eval; its StateActive may be passed straight back as the
+// next round's stateActive.
+func (e *Evaluator) Eval(m *Material, evalActive, stateActive []label.Label) (*EvalResult, error) {
+	prog := e.prog
 	if len(evalActive) != prog.NEvaluator {
 		return nil, fmt.Errorf("gc: got %d evaluator labels, want %d", len(evalActive), prog.NEvaluator)
 	}
@@ -56,22 +102,19 @@ func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateA
 		return nil, fmt.Errorf("gc: material has %d garbled tables, circuit has %d AND gates", m.NumTables, prog.NAND)
 	}
 
-	// The slot array and the kernel's hash scratch live for this call
-	// only: concurrent evaluations share params and the circuit, never
-	// working memory.
-	w := make([]label.Label, prog.NSlots)
+	// Every slot is written before it is read (the netlist is
+	// topological), so the array is reused without clearing. The state
+	// labels are copied in before the walk, so they may alias e.res.
+	w := e.slots
 	w[circuit.Const0] = m.ConstActive[0]
 	w[circuit.Const1] = m.ConstActive[1]
 	copy(w[circuit.FirstInput:], m.GarblerActive)
 	copy(w[circuit.FirstInput+prog.NGarbler:], evalActive)
 	copy(w[circuit.FirstInput+prog.NGarbler+prog.NEvaluator:], stateActive)
 
-	aes := params.halfGatesAES()
-	scratch := new(gchash.ANDBlocks)
-	var rows []label.Label // interface path only: one table's rows, copied out
 	blk := m.TableBlock
 	tweak := m.TweakBase
-	tweaksPerGate := params.Scheme.TweaksPerGate()
+	tweaksPerGate := e.params.Scheme.TweaksPerGate()
 	off := 0
 	for i := range prog.Instrs {
 		in := &prog.Instrs[i]
@@ -89,19 +132,20 @@ func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateA
 		if end > len(blk) {
 			return nil, fmt.Errorf("gc: gate %d: %d-row table at offset %d overruns the %d-byte table block", i, n, off, len(blk))
 		}
-		if aes != nil {
+		if e.aes != nil {
 			if n != halfGateRows {
 				return nil, fmt.Errorf("gc: gate %d: half-gates table has %d rows, want %d", i, n, halfGateRows)
 			}
 			tg := (*label.Label)(blk[off+1 : off+1+label.Size])
 			te := (*label.Label)(blk[off+1+label.Size : end])
-			evalHalfGate(aes, scratch, &w[in.A], &w[in.B], &w[in.Out], tg, te, tweak)
+			evalHalfGate(e.aes, &e.and, &w[in.A], &w[in.B], &w[in.Out], tg, te, tweak)
 		} else {
-			rows = rows[:0]
+			rows := e.rows[:0]
 			for r := off + 1; r < end; r += label.Size {
 				rows = append(rows, label.Label(blk[r:r+label.Size]))
 			}
-			out, err := params.Scheme.EvalAND(params.Hash, w[in.A], w[in.B], rows, tweak)
+			e.rows = rows
+			out, err := e.params.Scheme.EvalAND(e.params.Hash, w[in.A], w[in.B], rows, tweak)
 			if err != nil {
 				return nil, fmt.Errorf("gc: gate %d: %w", i, err)
 			}
@@ -114,11 +158,7 @@ func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateA
 		return nil, fmt.Errorf("gc: %d bytes of garbled tables unused", len(blk)-off)
 	}
 
-	res := &EvalResult{
-		Outputs:      make([]bool, len(prog.Outputs)),
-		OutputLabels: make([]label.Label, len(prog.Outputs)),
-		StateActive:  make([]label.Label, prog.NState),
-	}
+	res := &e.res
 	for i, slot := range prog.Outputs {
 		res.OutputLabels[i] = w[slot]
 		res.Outputs[i] = w[slot].LSB() != m.OutputPerm[i]

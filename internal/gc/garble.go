@@ -53,13 +53,13 @@ func (p Params) halfGatesAES() *gchash.AES {
 //
 // A Material returned by UnmarshalMaterial aliases the frame it was
 // parsed from (TableBlock points into it): it is valid until the caller
-// drops or reuses that buffer. Evaluate copies everything it returns, so
-// an EvalResult never extends the frame's life.
+// drops or reuses that buffer. Eval copies everything it returns, so an
+// EvalResult never extends the frame's life.
 type Material struct {
 	// TableBlock holds the garbled tables of every AND gate, in gate
 	// order, in the wire layout of codec.go, which is also their
 	// in-memory layout: per table a row-count byte, then rows × 16 B.
-	// Garble writes rows into it in place and Evaluate reads them where
+	// Garble writes rows into it in place and Eval reads them where
 	// they lie.
 	TableBlock []byte
 	// NumTables is the number of tables in TableBlock.

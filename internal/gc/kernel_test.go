@@ -57,11 +57,52 @@ func TestKernelAllocationsDoNotGrowWithGates(t *testing.T) {
 	}
 }
 
+// TestEvaluatorEvalAllocatesNothing is the evaluator's half of the
+// contract above: with the working memory and the result owned by the
+// Evaluator, a round — state chained from the previous one, as the
+// client's row loop does — allocates nothing at all.
+func TestEvaluatorEvalAllocatesNothing(t *testing.T) {
+	for _, width := range []int{8, 16} {
+		c := circuit.MustMAC(circuit.MACConfig{Width: width, AccWidth: 2 * width, Signed: true})
+		p := DefaultParams()
+		g, err := NewGarbler(p, label.MustSystemDRBG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]bool, width)
+		first, err := g.Garble(c, GarbleOptions{GarblerInputs: x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := g.Garble(c, GarbleOptions{GarblerInputs: x, State0: first.StateOut0, TweakBase: first.NextTweak})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEvaluator(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		active0, active1 := pickActive(first.EvalPairs, x), pickActive(second.EvalPairs, x)
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := e.Eval(&first.Material, active0, nil)
+			if err == nil {
+				_, err = e.Eval(&second.Material, active1, res.StateActive)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("b=%d: two chained Eval rounds allocate %.0f objects, want 0", width, allocs)
+		}
+	}
+}
+
 // TestSharedParamsAndCircuitAcrossGoroutines garbles and evaluates on
 // four goroutines that share one Params (one *gchash.AES) and one
 // *circuit.Circuit (one lowered program), as the protocol's garble
 // workers and a process's concurrent client sessions do. Working memory
-// must belong to the Garbler and the Evaluate call: hash or slot scratch
+// must belong to the Garbler and the Evaluator: hash or slot scratch
 // parked in the shared hash or circuit would corrupt results here and
 // trip the race detector (CI runs this package under -race).
 func TestSharedParamsAndCircuitAcrossGoroutines(t *testing.T) {
@@ -78,6 +119,11 @@ func TestSharedParamsAndCircuitAcrossGoroutines(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			e, err := NewEvaluator(p, c)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			var state0, act []label.Label
 			var tweak uint64
 			var plain []bool
@@ -89,7 +135,7 @@ func TestSharedParamsAndCircuitAcrossGoroutines(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := Evaluate(p, c, &gb.Material, pickActive(gb.EvalPairs, a), act)
+				res, err := e.Eval(&gb.Material, pickActive(gb.EvalPairs, a), act)
 				if err != nil {
 					t.Error(err)
 					return

@@ -436,11 +436,17 @@ func checkRange(v int64, width int, signed bool) error {
 // the client vector a, chaining state labels across rounds, and
 // returns the decoded accumulator. It stands in for the full network
 // protocol in tests and single-process examples; package protocol
-// performs the same steps over a wire.Conn with real OT.
+// performs the same steps over a wire.Conn with real OT, on the same
+// one-Evaluator-per-chain walker.
 func EvaluateDotProduct(params gc.Params, ckt *circuit.Circuit, run *DotProductRun, a []int64, width int, signed bool) (int64, error) {
 	if len(a) != len(run.Rounds) {
 		return 0, fmt.Errorf("maxsim: vector length %d != garbled rounds %d", len(a), len(run.Rounds))
 	}
+	ev, err := gc.NewEvaluator(params, ckt)
+	if err != nil {
+		return 0, err
+	}
+	evalActive := make([]label.Label, width)
 	var stateAct []label.Label
 	var out *gc.EvalResult
 	for round, ai := range a {
@@ -448,17 +454,13 @@ func EvaluateDotProduct(params gc.Params, ckt *circuit.Circuit, run *DotProductR
 			return 0, fmt.Errorf("maxsim: round %d: %w", round, err)
 		}
 		gb := run.Rounds[round]
-		aBits := circuit.Int64ToBits(ai, width)
-		evalActive := make([]label.Label, len(aBits))
-		for i, v := range aBits {
-			evalActive[i] = gb.EvalPairs[i].Get(v) // in-process label pickup
+		for i := range evalActive {
+			evalActive[i] = gb.EvalPairs[i].Get(uint64(ai)>>i&1 == 1) // in-process label pickup
 		}
-		res, err := gc.Evaluate(params, ckt, &gb.Material, evalActive, stateAct)
-		if err != nil {
+		if out, err = ev.Eval(&gb.Material, evalActive, stateAct); err != nil {
 			return 0, fmt.Errorf("maxsim: evaluating round %d: %w", round, err)
 		}
-		stateAct = res.StateActive
-		out = res
+		stateAct = out.StateActive
 	}
 	if signed {
 		return circuit.BitsToInt64(out.Outputs), nil

@@ -13,6 +13,9 @@ import (
 	"maxelerator/internal/wire"
 )
 
+// raceDetector reports a -race build (set in race_test.go).
+var raceDetector bool
+
 // TestWarmRequestAllocationBudget bounds the heap objects of one warm
 // request, both endpoints together, over wire.Pipe. The walkers
 // allocate per round, not per gate (the 16×16 b=16 request — 256 MAC
@@ -21,31 +24,48 @@ import (
 // per batch, not per label (17 853 before its kernel, PR 22), so the
 // count is a function of the shape and the cadence and repeats to
 // within a few objects. Each cell's budget is 1.10 × the count this
-// test measured when the cell was written (2 vCPU, go1.24.0; the race
-// detector adds 3–5 %): a change that adds a per-gate, per-label or
-// per-round allocation fails here, and one that removes objects lowers
-// the measured value.
+// test measured when the cell was written (2 vCPU, go1.24.0): a change
+// that adds a per-gate, per-label or per-round allocation fails here,
+// and one that removes objects lowers the measured value. Under -race
+// the budget is 1.20 ×: the detector makes sync.Pool drop a quarter of
+// its Puts on purpose, so the wire arena reallocates frame buffers a
+// plain build reuses (+10 … 17 objects per cell, whatever its size).
+//
+// The client's evaluation is allocation-free per round: each row
+// goroutine holds a gc.Evaluator, reused across requests, where every
+// round used to allocate six objects (slot array, hash scratch, result
+// and its three slices) — 1 536 of the 16×16 cell's 5 036, 96 of a 4×4
+// cell's. What the row goroutines cost instead is per request and per
+// helper: a goroutine, a one-row queue and the runtime objects their
+// hand-off uses (≈ 10 objects at 4×4, ≈ 130 at 16×16). The helper count
+// is min(GOMAXPROCS, Rows) − 1, so the test pins GOMAXPROCS to 2, the
+// value the counts were measured at.
 func TestWarmRequestAllocationBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	slack := uint64(10) // budget = measured × (1 + 1/slack)
+	if raceDetector {
+		slack = 5
+	}
 	cells := []struct {
 		n, width, workers int
 		ot                OTMode
 		pooled            bool
 		measured          uint64
 	}{
-		{n: 4, width: 8, ot: OTPerRound, measured: 412},
-		{n: 4, width: 8, ot: OTPerRound, pooled: true, measured: 266},
-		{n: 4, width: 8, ot: OTBatched, measured: 369},
-		{n: 4, width: 8, ot: OTBatched, pooled: true, measured: 221},
-		{n: 16, width: 16, ot: OTBatched, workers: 2, measured: 5036},
+		{n: 4, width: 8, ot: OTPerRound, measured: 326},
+		{n: 4, width: 8, ot: OTPerRound, pooled: true, measured: 183},
+		{n: 4, width: 8, ot: OTBatched, measured: 288},
+		{n: 4, width: 8, ot: OTBatched, pooled: true, measured: 138},
+		{n: 16, width: 16, ot: OTBatched, workers: 2, measured: 3627},
 	}
 	for _, c := range cells {
 		name := fmt.Sprintf("%dx%d/b=%d/%s/workers=%d/pooled=%t", c.n, c.n, c.width, c.ot, c.workers, c.pooled)
 		t.Run(name, func(t *testing.T) {
 			allocs, kib := warmRequestAllocs(t, c.n, c.width, c.ot, c.workers, c.pooled)
-			budget := c.measured + c.measured/10
-			t.Logf("%d objects, %d KiB (budget %d = 1.10 × %d)", allocs, kib, budget, c.measured)
+			budget := c.measured + c.measured/slack
+			t.Logf("%d objects, %d KiB (budget %d for %d measured)", allocs, kib, budget, c.measured)
 			if allocs > budget {
-				t.Fatalf("warm request allocated %d objects, budget %d (1.10 × %d)", allocs, budget, c.measured)
+				t.Fatalf("warm request allocated %d objects, budget %d for %d measured", allocs, budget, c.measured)
 			}
 		})
 	}

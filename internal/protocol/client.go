@@ -6,6 +6,9 @@ package protocol
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"maxelerator/internal/circuit"
 	"maxelerator/internal/gc"
@@ -74,6 +77,10 @@ type ClientSession struct {
 	// choices is a batched-OT request's choice bits, reused across
 	// requests under ot.RetainLabels' rule.
 	choices []bool
+	// evals are the row evaluators, one per goroutine of a request
+	// (evals[0] is the reader's), grown to the widest request and
+	// reused by the next.
+	evals []*gc.Evaluator
 }
 
 // Dial opens a session on conn: receive the server hello, negotiate
@@ -208,8 +215,14 @@ func (cs *ClientSession) Requests() int { return cs.seq }
 // required) from one that merely rejected a bad input.
 func (cs *ClientSession) Err() error { return cs.broken }
 
-// evalMatVec evaluates a matvec request round by round, obtaining
-// input labels per the server-announced OT mode.
+// evalMatVec evaluates a matvec request, obtaining input labels per the
+// server-announced OT mode. Rows are independent MAC chains, so they
+// run on nw = min(GOMAXPROCS, Rows) goroutines, each on its own
+// gc.Evaluator. Only the caller touches the connection: it receives
+// every frame and runs every OT in wire order, evaluates rows
+// r ≡ 0 (mod nw) in place, and hands every other row's rounds to
+// helper r mod nw. The transcript is the sequential one, byte for byte;
+// with nw = 1 nothing is spawned or handed off.
 func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int64, error) {
 	// Batched mode: obtain every round's labels in one OT batch before
 	// any material arrives — faster, but the client holds
@@ -232,37 +245,163 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 		}
 	}
 
+	nw := min(runtime.GOMAXPROCS(0), hdr.Rows)
+	for len(cs.evals) < nw {
+		ev, err := gc.NewEvaluator(cs.params, cs.macCkt)
+		if err != nil {
+			return nil, err
+		}
+		cs.evals = append(cs.evals, ev)
+	}
 	outs := make([]int64, hdr.Rows)
-	for row := 0; row < hdr.Rows; row++ {
-		var stateAct []label.Label
-		var last *gc.EvalResult
-		for round := 0; round < hdr.Cols; round++ {
-			m, err := recvMaterial(cs.conn)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
-			}
-			var active []label.Label
-			if hdr.OT == OTBatched {
-				off := (row*hdr.Cols + round) * cs.h.Width
-				active = batched[off : off+cs.h.Width]
-			} else {
-				active, err = ot.ReceiveLabels(cs.receiver, bitsPerRound[round])
-				if err != nil {
-					return nil, fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
-				}
-			}
-			res, err := gc.Evaluate(cs.params, cs.macCkt, m, active, stateAct)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: row %d round %d evaluate: %w", row, round, err)
-			}
-			stateAct = res.StateActive
-			last = res
-		}
-		if cs.h.Signed {
-			outs[row] = circuit.BitsToInt64(last.Outputs)
-		} else {
-			outs[row] = int64(circuit.BitsToUint64(last.Outputs))
-		}
+	hp := cs.startHelpers(hdr, nw, outs)
+	err := cs.readRows(hdr, bitsPerRound, batched, hp, outs)
+	if herr := hp.finish(); err == nil {
+		err = herr
+	}
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
+}
+
+// readRows is the reader: every frame and every OT of the request, in
+// wire order. It stops at the next frame boundary once a helper fails.
+func (cs *ClientSession) readRows(hdr reqHeader, bitsPerRound [][]bool, batched []label.Label, hp *rowHelpers, outs []int64) error {
+	nw := 1
+	if hp != nil {
+		nw = len(hp.queues)
+	}
+	var res *gc.EvalResult
+	for row := 0; row < hdr.Rows; row++ {
+		h := row % nw
+		for round := 0; round < hdr.Cols; round++ {
+			if err := hp.failure(); err != nil {
+				return err
+			}
+			m, err := recvMaterial(cs.conn)
+			if err != nil {
+				return fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
+			}
+			in := chainRound{m: m}
+			if hdr.OT == OTBatched {
+				off := (row*hdr.Cols + round) * cs.h.Width
+				in.active = batched[off : off+cs.h.Width]
+			} else {
+				in.active, err = ot.ReceiveLabels(cs.receiver, bitsPerRound[round])
+				if err != nil {
+					return fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
+				}
+			}
+			if h != 0 {
+				hp.queues[h] <- in
+				continue
+			}
+			if res, err = in.eval(cs.evals[0], res, row, round); err != nil {
+				return err
+			}
+		}
+		if h == 0 {
+			outs[row] = cs.decode(res.Outputs)
+		}
+	}
+	return nil
+}
+
+// chainRound is one round of a row's MAC chain: its material frame and
+// active evaluator labels, both owned by whoever holds the round.
+type chainRound struct {
+	m      *gc.Material
+	active []label.Label
+}
+
+// eval evaluates the round on ev, chaining the state labels of prev,
+// the row's previous round (ignored at round 0).
+func (in chainRound) eval(ev *gc.Evaluator, prev *gc.EvalResult, row, round int) (*gc.EvalResult, error) {
+	var state []label.Label
+	if round > 0 {
+		state = prev.StateActive
+	}
+	res, err := ev.Eval(in.m, in.active, state)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: row %d round %d evaluate: %w", row, round, err)
+	}
+	return res, nil
+}
+
+// decode reads a row's final output bits as its accumulator value.
+func (cs *ClientSession) decode(bits []bool) int64 {
+	if cs.h.Signed {
+		return circuit.BitsToInt64(bits)
+	}
+	return int64(circuit.BitsToUint64(bits))
+}
+
+// rowHelpers are the goroutines that evaluate the rows the reader hands
+// off. Helper h (1 ≤ h < nw) owns rows r ≡ h (mod nw) and cs.evals[h],
+// and reads their rounds from a queue that holds one row: a peer that
+// streams faster than the helpers evaluate blocks the reader, so the
+// client holds at most one queued row of material per helper.
+type rowHelpers struct {
+	queues []chan chainRound // queues[0] is unused: those rows are the reader's
+	wg     sync.WaitGroup
+	err    atomic.Pointer[error] // the first evaluation error
+}
+
+// startHelpers starts nw−1 helpers, or none (nil) when nw is 1.
+func (cs *ClientSession) startHelpers(hdr reqHeader, nw int, outs []int64) *rowHelpers {
+	if nw < 2 {
+		return nil
+	}
+	hp := &rowHelpers{queues: make([]chan chainRound, nw)}
+	for h := 1; h < nw; h++ {
+		q := make(chan chainRound, hdr.Cols) // one row: the client's memory bound
+		hp.queues[h] = q
+		hp.wg.Add(1)
+		go func() {
+			defer hp.wg.Done()
+			for row := h; row < hdr.Rows; row += nw {
+				var res *gc.EvalResult
+				for round := 0; round < hdr.Cols; round++ {
+					in, ok := <-q
+					if !ok {
+						return // the reader stopped early
+					}
+					var err error
+					if res, err = in.eval(cs.evals[h], res, row, round); err != nil {
+						hp.err.CompareAndSwap(nil, &err)
+						for range q { // keep the reader unblocked until it sees the error
+						}
+						return
+					}
+				}
+				outs[row] = cs.decode(res.Outputs)
+			}
+		}()
+	}
+	return hp
+}
+
+// failure reports the first helper error, if any; nil-safe.
+func (hp *rowHelpers) failure() error {
+	if hp == nil {
+		return nil
+	}
+	if err := hp.err.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// finish closes the queues, waits for every helper, and reports the
+// first helper error; nil-safe. No helper outlives it.
+func (hp *rowHelpers) finish() error {
+	if hp == nil {
+		return nil
+	}
+	for _, q := range hp.queues[1:] {
+		close(q)
+	}
+	hp.wg.Wait()
+	return hp.failure()
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	mrand "math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,10 +16,12 @@ var propertySeed = flag.Int64("property.seed", 0, "seed of TestServeMatchesPlain
 
 // TestServeMatchesPlaintextProperty is the end-to-end property of the
 // serve path: whatever the shape, operand width, sign, OT mode, pool
-// outcome and garble-pool size, the client decodes exactly A·y. Cases
-// are drawn from one seed, printed on failure; replay with
-// -property.seed.
+// outcome, garble-pool size and client GOMAXPROCS (which sets how many
+// row evaluators the client runs: none besides the reader at 1 or at
+// one row), the client decodes exactly A·y. Cases are drawn from one
+// seed, printed on failure; replay with -property.seed.
 func TestServeMatchesPlaintextProperty(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	seed := *propertySeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -34,9 +37,11 @@ func TestServeMatchesPlaintextProperty(t *testing.T) {
 		mode := []OTMode{OTPerRound, OTBatched}[rng.Intn(2)]
 		hit := rng.Intn(2) == 0
 		workers := 1 + rng.Intn(3)
-		rows, cols := 1+rng.Intn(4), 1+rng.Intn(5)
-		name := fmt.Sprintf("seed=%d case=%d %dx%d b=%d signed=%v %s hit=%v workers=%d",
-			seed, i, rows, cols, width, signed, mode, hit, workers)
+		rows, cols := []int{1, 2, 3, 4, 17}[rng.Intn(5)], 1+rng.Intn(5)
+		procs := []int{1, 2, 4}[rng.Intn(3)]
+		runtime.GOMAXPROCS(procs)
+		name := fmt.Sprintf("seed=%d case=%d %dx%d b=%d signed=%v %s hit=%v workers=%d procs=%d",
+			seed, i, rows, cols, width, signed, mode, hit, workers, procs)
 
 		lo, span := int64(0), int64(1)<<width
 		if signed {

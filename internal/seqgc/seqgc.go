@@ -72,10 +72,10 @@ func (s *GarblerSession) NextRound(garblerInputs []bool) (*gc.Garbled, error) {
 // free-XOR offset.
 func (s *GarblerSession) Reset() { s.state0 = nil }
 
-// EvaluatorSession drives the evaluator side across rounds.
+// EvaluatorSession drives the evaluator side across rounds, on one
+// reusable gc.Evaluator.
 type EvaluatorSession struct {
-	params   gc.Params
-	ckt      *circuit.Circuit
+	ev       *gc.Evaluator
 	stateAct []label.Label
 	round    int
 }
@@ -85,16 +85,21 @@ func NewEvaluatorSession(params gc.Params, ckt *circuit.Circuit) (*EvaluatorSess
 	if ckt == nil {
 		return nil, fmt.Errorf("seqgc: nil circuit")
 	}
-	return &EvaluatorSession{params: params, ckt: ckt}, nil
+	ev, err := gc.NewEvaluator(params, ckt)
+	if err != nil {
+		return nil, err
+	}
+	return &EvaluatorSession{ev: ev}, nil
 }
 
 // Round returns the number of completed rounds.
 func (s *EvaluatorSession) Round() int { return s.round }
 
 // NextRound evaluates one round with the received material and the
-// evaluator's active input labels (from OT).
+// evaluator's active input labels (from OT). The result is valid until
+// the next NextRound.
 func (s *EvaluatorSession) NextRound(m *gc.Material, evalActive []label.Label) (*gc.EvalResult, error) {
-	res, err := gc.Evaluate(s.params, s.ckt, m, evalActive, s.stateAct)
+	res, err := s.ev.Eval(m, evalActive, s.stateAct)
 	if err != nil {
 		return nil, fmt.Errorf("seqgc: round %d: %w", s.round, err)
 	}

@@ -223,10 +223,14 @@ func (f *Framework) EvaluateMACRounds(n int) (EvalStats, error) {
 		rounds = append(rounds, round{material: &gb.Material, active: active})
 	}
 
+	ev, err := gc.NewEvaluator(f.params, f.ckt)
+	if err != nil {
+		return EvalStats{}, err
+	}
 	var stateAct []label.Label
 	start := time.Now()
 	for r := range rounds {
-		res, err := gc.Evaluate(f.params, f.ckt, rounds[r].material, rounds[r].active, stateAct)
+		res, err := ev.Eval(rounds[r].material, rounds[r].active, stateAct)
 		if err != nil {
 			return EvalStats{}, fmt.Errorf("tinygarble: evaluating round %d: %w", r, err)
 		}
