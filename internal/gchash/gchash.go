@@ -31,12 +31,10 @@ import (
 type Hasher interface {
 	// Hash returns H(x, T).
 	Hash(x label.Label, tweak uint64) label.Label
-	// HashInto computes H(x, T) into dst. It spares the caller the
-	// label copies of Hash, but it is not allocation-free on every
-	// implementation: on *AES the cipher input and output escape through
-	// the cipher.Block interface, two 16-byte heap objects per call. The
-	// garbling kernel does not come through here — it hashes a whole AND
-	// gate at a time with (*AES).HashAND over scratch it owns.
+	// HashInto computes H(x, T) into dst, sparing the caller the label
+	// copies of Hash. The garbling kernel does not come through here — it
+	// hashes a whole AND gate at a time with (*AES).HashAND over scratch
+	// it owns.
 	HashInto(x *label.Label, tweak uint64, dst *label.Label)
 	// Name identifies the hash construction for reports.
 	Name() string
@@ -50,7 +48,29 @@ var fixedKey = [16]byte{
 	0x74, 0x6f, 0x72, 0x2d, 0x47, 0x43, 0x48, 0x31, // "tor-GCH1"
 }
 
-// AES is the fixed-key AES-128 garbling hash.
+// roundKeys is fixedKey expanded by the AES-128 key schedule of
+// FIPS-197 §5.2: round key i is w[4i..4i+3] as bytes, round key 0 is the
+// key itself. The amd64 kernel encrypts with it directly;
+// TestRoundKeysMatchCryptoAES pins it to crypto/aes.
+var roundKeys = [11][16]byte{
+	{0x4d, 0x41, 0x58, 0x65, 0x6c, 0x65, 0x72, 0x61, 0x74, 0x6f, 0x72, 0x2d, 0x47, 0x43, 0x48, 0x31},
+	{0x56, 0x13, 0x9f, 0xc5, 0x3a, 0x76, 0xed, 0xa4, 0x4e, 0x19, 0x9f, 0x89, 0x09, 0x5a, 0xd7, 0xb8},
+	{0xea, 0x1d, 0xf3, 0xc4, 0xd0, 0x6b, 0x1e, 0x60, 0x9e, 0x72, 0x81, 0xe9, 0x97, 0x28, 0x56, 0x51},
+	{0xda, 0xac, 0x22, 0x4c, 0x0a, 0xc7, 0x3c, 0x2c, 0x94, 0xb5, 0xbd, 0xc5, 0x03, 0x9d, 0xeb, 0x94},
+	{0x8c, 0x45, 0x00, 0x37, 0x86, 0x82, 0x3c, 0x1b, 0x12, 0x37, 0x81, 0xde, 0x11, 0xaa, 0x6a, 0x4a},
+	{0x30, 0x47, 0xd6, 0xb5, 0xb6, 0xc5, 0xea, 0xae, 0xa4, 0xf2, 0x6b, 0x70, 0xb5, 0x58, 0x01, 0x3a},
+	{0x7a, 0x3b, 0x56, 0x60, 0xcc, 0xfe, 0xbc, 0xce, 0x68, 0x0c, 0xd7, 0xbe, 0xdd, 0x54, 0xd6, 0x84},
+	{0x1a, 0xcd, 0x09, 0xa1, 0xd6, 0x33, 0xb5, 0x6f, 0xbe, 0x3f, 0x62, 0xd1, 0x63, 0x6b, 0xb4, 0x55},
+	{0xe5, 0x40, 0xf5, 0x5a, 0x33, 0x73, 0x40, 0x35, 0x8d, 0x4c, 0x22, 0xe4, 0xee, 0x27, 0x96, 0xb1},
+	{0x32, 0xd0, 0x3d, 0x72, 0x01, 0xa3, 0x7d, 0x47, 0x8c, 0xef, 0x5f, 0xa3, 0x62, 0xc8, 0xc9, 0x12},
+	{0xec, 0x0d, 0xf4, 0xd8, 0xed, 0xae, 0x89, 0x9f, 0x61, 0x41, 0xd6, 0x3c, 0x03, 0x89, 0x1f, 0x2e},
+}
+
+// AES is the fixed-key AES-128 garbling hash. On amd64 with AES-NI it
+// hashes through the kernel of hashand_amd64.s; elsewhere, and under the
+// purego build tag, through the portable loops below, which call
+// crypto/aes one block at a time. The two are bit-for-bit the same
+// function (TestHashANDMatchesGeneric).
 type AES struct {
 	block cipher.Block
 }
@@ -84,8 +104,15 @@ func (h *AES) Hash(x label.Label, tweak uint64) label.Label {
 	return out
 }
 
-// HashInto implements Hasher.
+// HashInto implements Hasher. It allocates nothing on the kernel path.
 func (h *AES) HashInto(x *label.Label, tweak uint64, dst *label.Label) {
+	h.hashInto(x, tweak, dst)
+}
+
+// hashIntoGo is the portable HashInto: the fallback, and the oracle the
+// kernel is tested against. Its cipher input and output escape through
+// cipher.Block, two 16-byte heap objects per call.
+func (h *AES) hashIntoGo(x *label.Label, tweak uint64, dst *label.Label) {
 	k := x.Double()
 	// Fold the tweak into the low 8 bytes of K (little endian), leaving
 	// the high bytes to the doubled label.
@@ -99,10 +126,10 @@ func (h *AES) HashInto(x *label.Label, tweak uint64, dst *label.Label) {
 // ANDBlocks is the caller-owned working memory of HashAND: the labels
 // one AND gate hashes, their hashes, and the cipher inputs in between.
 // It belongs to whoever walks the circuit — one per Garbler, one per
-// Evaluate call — and never to the *AES, which per-worker garblers share.
-// Handing its arrays to the cipher makes the whole struct escape, so a
-// walker allocates it once (or embeds it in an object already on the
-// heap) and reuses it for every gate.
+// Evaluator — and never to the *AES, which per-worker garblers share.
+// The portable path hands its arrays to the cipher, which makes the whole
+// struct escape, so a walker allocates it once (or embeds it in an object
+// already on the heap) and reuses it for every gate.
 type ANDBlocks struct {
 	// X holds the labels to hash: a⁰, a¹, b⁰, b¹ when garbling (n = 4),
 	// the two active labels a, b when evaluating (n = 2).
@@ -114,10 +141,19 @@ type ANDBlocks struct {
 
 // HashAND hashes the first n labels of s.X into s.H with the tweak
 // schedule of a half-gate AND: the first n/2 labels (wire a's) under
-// tweak, the rest (wire b's) under tweak+1. n is 4 for the garbler and 2
-// for the evaluator. It allocates nothing; H(x, T) is bit-for-bit what
-// Hash and HashInto return.
+// tweak, the rest (wire b's) under tweak+1. n is 4 for the garbler or 2
+// for the evaluator; any other n panics. It allocates nothing; H(x, T)
+// is bit-for-bit what Hash and HashInto return.
 func (h *AES) HashAND(s *ANDBlocks, n int, tweak uint64) {
+	if n != 2 && n != 4 {
+		panic(fmt.Sprintf("gchash: HashAND of %d labels; a half-gate AND hashes 2 or 4", n))
+	}
+	h.hashAND(s, n, tweak)
+}
+
+// hashANDGo is the portable HashAND: the fallback, and the oracle the
+// kernel is tested against.
+func (h *AES) hashANDGo(s *ANDBlocks, n int, tweak uint64) {
 	for i := 0; i < n; i++ {
 		t := tweak
 		if i >= n/2 {

@@ -1,6 +1,11 @@
 package gchash
 
 import (
+	"crypto/aes"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -133,6 +138,24 @@ func BenchmarkAESHash(b *testing.B) {
 	}
 }
 
+// BenchmarkHashAND prices one AND gate's hashes: the garbler's four
+// labels and the evaluator's two.
+func BenchmarkHashAND(b *testing.B) {
+	h := MustAES()
+	s := new(ANDBlocks)
+	for i := range s.X {
+		s.X[i] = label.MustRandom()
+	}
+	for _, n := range []int{4, 2} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.HashAND(s, n, uint64(i))
+			}
+		})
+	}
+}
+
 func BenchmarkSHA256Hash(b *testing.B) {
 	h := NewSHA256()
 	x := label.MustRandom()
@@ -175,5 +198,123 @@ func TestHashANDMatchesHash(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { h.HashAND(s, 4, 9) }); n != 0 {
 		t.Fatalf("HashAND allocates %.0f objects per call", n)
+	}
+}
+
+// TestHashANDMatchesGeneric: HashAND and HashInto are the portable loops
+// bit for bit, for both arities, on random labels and tweaks and on the
+// edges the kernel computes differently — a label with bit 127 set
+// (the GF(2^128) reduction), all-zero and all-ones labels, and tweaks 0
+// and 2^64−1 (tweak+1 wraps). Under purego, or on a CPU without AES-NI,
+// both sides are the portable path.
+func TestHashANDMatchesGeneric(t *testing.T) {
+	h := MustAES()
+	got, want := new(ANDBlocks), new(ANDBlocks)
+	check := func(x [4]label.Label, tw uint64) bool {
+		for _, n := range []int{2, 4} {
+			got.X, want.X = x, x
+			h.HashAND(got, n, tw)
+			h.hashANDGo(want, n, tw)
+			if got.X != x || !slices.Equal(got.H[:n], want.H[:n]) {
+				return false
+			}
+		}
+		for i := range x {
+			var a, b label.Label
+			h.HashInto(&x[i], tw, &a)
+			h.hashIntoGo(&x[i], tw, &b)
+			if a != b || h.Hash(x[i], tw) != b {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var top, ones label.Label
+	top[0] = 0x80
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	edges := [][4]label.Label{
+		{top, top, top, top},
+		{label.Zero, ones, top, label.Zero},
+		{ones, ones, ones, ones},
+	}
+	for i := 0; i < 8; i++ {
+		x := [4]label.Label{label.MustRandom(), label.MustRandom(), label.MustRandom(), label.MustRandom()}
+		for j := range x {
+			x[j][0] |= 0x80
+		}
+		edges = append(edges, x)
+	}
+	for _, x := range edges {
+		for _, tw := range []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64} {
+			if !check(x, tw) {
+				t.Fatalf("kernel and portable loop disagree on %x, tweak %#x", x, tw)
+			}
+		}
+	}
+}
+
+// TestRoundKeysMatchCryptoAES: the literal schedule is fixedKey's. Round
+// key 0 is the key, and π(K) recovered from the hash (H ⊕ K, with
+// K = 2x ⊕ T) equals crypto/aes's encryption of K under fixedKey, for
+// random inputs.
+func TestRoundKeysMatchCryptoAES(t *testing.T) {
+	if roundKeys[0] != fixedKey {
+		t.Fatalf("round key 0 is %x, want the key %x", roundKeys[0], fixedKey)
+	}
+	block, err := aes.NewCipher(fixedKey[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := MustAES()
+	f := func(x label.Label, tw uint64) bool {
+		var k, hx, got, want label.Label
+		x.DoubleInto(&k)
+		k[0] ^= byte(tw) // the tweak is little endian in bytes 0..7
+		for i := 1; i < 8; i++ {
+			k[i] ^= byte(tw >> (8 * i))
+		}
+		h.HashInto(&x, tw, &hx)
+		hx.XorInto(&k, &got)
+		block.Encrypt(want[:], k[:])
+		return got == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHashANDRejectsOtherArity: HashAND takes the garbler's 4 labels or
+// the evaluator's 2, and names anything else in its panic.
+func TestHashANDRejectsOtherArity(t *testing.T) {
+	h := MustAES()
+	for _, n := range []int{-1, 0, 1, 3, 5} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "gchash: HashAND of") {
+					t.Errorf("HashAND(n=%d) panicked with %q, want the arity message", n, msg)
+				}
+			}()
+			h.HashAND(new(ANDBlocks), n, 0)
+		}()
+	}
+}
+
+// TestHashIntoAllocatesNothing: on the kernel path a one-label hash
+// keeps its scratch on the stack.
+func TestHashIntoAllocatesNothing(t *testing.T) {
+	if !useKernel {
+		t.Skip("portable path: crypto/aes through cipher.Block allocates")
+	}
+	h := MustAES()
+	x, dst := label.MustRandom(), new(label.Label)
+	if n := testing.AllocsPerRun(100, func() { h.HashInto(&x, 9, dst) }); n != 0 {
+		t.Fatalf("HashInto allocates %.0f objects per call", n)
 	}
 }
