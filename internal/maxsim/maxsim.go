@@ -99,7 +99,7 @@ func (c Config) withDefaults() Config {
 // it, and the accessors (Config, Circuit, Schedule, Resources, the
 // throughput queries) are safe from any goroutine. Its garbler — one
 // free-XOR offset, one label stream, and the walker's working memory —
-// is private: GarbleDotProduct, PreGarbleDotProduct and Trace must not
+// is private: GarbleDotProduct(Rounds), PreGarbleDotProduct and Trace must not
 // run concurrently on the same instance. Callers that garble in parallel
 // (the protocol layer's row-garbling pool, the precompute engine's
 // refill workers) hold one compiled template per process role and Fork
@@ -324,16 +324,35 @@ type DotProductRun struct {
 // single dot product cannot be split across units — rounds are
 // sequentially dependent through the accumulator).
 func (s *Simulator) GarbleDotProduct(x []int64) (*DotProductRun, error) {
-	m := len(x)
-	if m == 0 {
-		return nil, fmt.Errorf("maxsim: empty vector")
+	run := &DotProductRun{Rounds: make([]*gc.Garbled, 0, len(x))}
+	st, err := s.GarbleDotProductRounds(x, func(_ int, gb *gc.Garbled) error {
+		run.Rounds = append(run.Rounds, gb)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	run := &DotProductRun{Rounds: make([]*gc.Garbled, 0, m)}
+	run.Stats = st
+	run.OutputPairs = run.Rounds[len(x)-1].OutputPairs
+	return run, nil
+}
+
+// GarbleDotProductRounds is GarbleDotProduct as a stream: each round is
+// handed to emit as soon as it is garbled, the way the PCIe link drains
+// a table while the FSM garbles the next, and the run's accounting is
+// returned once the last round is out. An emit error stops the run and
+// is returned as is. The rounds and their bytes are exactly
+// GarbleDotProduct's.
+func (s *Simulator) GarbleDotProductRounds(x []int64, emit func(round int, gb *gc.Garbled) error) (Stats, error) {
+	if len(x) == 0 {
+		return Stats{}, fmt.Errorf("maxsim: empty vector")
+	}
+	var st Stats
 	var state0 []label.Label
 	var tweak uint64
 	for round, xi := range x {
 		if err := checkRange(xi, s.cfg.Width, s.cfg.Signed); err != nil {
-			return nil, fmt.Errorf("maxsim: round %d: %w", round, err)
+			return Stats{}, fmt.Errorf("maxsim: round %d: %w", round, err)
 		}
 		gb, err := s.garbler.Garble(s.macCkt, gc.GarbleOptions{
 			GarblerInputs: circuit.Int64ToBits(xi, s.cfg.Width),
@@ -341,17 +360,18 @@ func (s *Simulator) GarbleDotProduct(x []int64) (*DotProductRun, error) {
 			TweakBase:     tweak,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("maxsim: garbling round %d: %w", round, err)
+			return Stats{}, fmt.Errorf("maxsim: garbling round %d: %w", round, err)
 		}
-		run.Rounds = append(run.Rounds, gb)
 		state0 = gb.StateOut0
 		tweak = gb.NextTweak
-		run.Stats.TablesGarbled += uint64(gb.Material.NumTables)
-		run.Stats.TableBytes += uint64(gb.Material.CiphertextBytes())
+		st.TablesGarbled += uint64(gb.Material.NumTables)
+		st.TableBytes += uint64(gb.Material.CiphertextBytes())
+		if err := emit(round, gb); err != nil {
+			return Stats{}, err
+		}
 	}
-	run.OutputPairs = run.Rounds[m-1].OutputPairs
-	s.fillStats(&run.Stats, uint64(m))
-	return run, nil
+	s.fillStats(&st, uint64(len(x)))
+	return st, nil
 }
 
 func (s *Simulator) fillStats(st *Stats, macs uint64) {

@@ -1,6 +1,7 @@
 // Package pipeline provides the bounded producer/consumer stage used
 // by the streaming serve path: a producer goroutine yields items (in
-// this repository, garbled-row chunks) through a depth-bounded channel
+// this repository, chunks of consecutive garbled rounds of one row: a
+// single round or a whole row) through a depth-bounded channel
 // to a consumer running on the caller's goroutine (wire framing), so
 // downstream transfer overlaps upstream production while buffering
 // stays O(depth) instead of O(request).

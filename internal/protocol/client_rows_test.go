@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/wire"
@@ -20,7 +21,9 @@ import (
 // ≥ 0): its first two half-gate tables, two rows each, become a 3-row
 // and a 1-row table. The table region keeps its length and table count,
 // so the frame parses and only the evaluator refuses it. It also
-// records whether the client closed the connection.
+// records whether the client closed the connection. A frame counts as
+// material only if it parses as such: OT frames are random bytes, and
+// one in 256 starts with the material tag.
 type corruptRecv struct {
 	wire.Conn
 	corrupt, seen int
@@ -29,7 +32,10 @@ type corruptRecv struct {
 
 func (c *corruptRecv) RecvMsg() ([]byte, error) {
 	msg, err := c.Conn.RecvMsg()
-	if err == nil && tagOf(msg) == tagMaterial {
+	if err != nil || tagOf(msg) != tagMaterial {
+		return msg, err
+	}
+	if _, perr := gc.UnmarshalMaterial(msg[1:]); perr == nil {
 		if c.seen == c.corrupt {
 			const tables = 1 + 1 + 8 + 4 // tag, codec version, tweak base, table count
 			msg[tables] = 3

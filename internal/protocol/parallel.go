@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"maxelerator/internal/gc"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
 )
@@ -46,19 +47,23 @@ type garbleResult struct {
 	err error
 }
 
-// garbleRows garbles every row of A and hands each run to emit in
-// strict row order. workers <= 1 garbles inline on the calling
-// goroutine (one simulator fork per request); larger pools garble up to
-// `workers` rows concurrently. Context cancellation stops the pool
-// between rows — in-flight rows finish (a garbling is CPU work with no
-// wire waits) but no new row starts.
-func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers int, emit func(int, *maxsim.DotProductRun) error) error {
+// garblesInline reports whether a request of rows rows garbles on the
+// producer goroutine itself, one round at a time, rather than on the
+// worker pool: always for one row, whatever the pool size.
+func garblesInline(workers, rows int) bool { return min(workers, rows) <= 1 }
+
+// garbleRows garbles every row of A and hands the rounds to emit in
+// strict row and round order. Inline garbling (see garblesInline; one
+// simulator fork per request) emits each round as soon as it is
+// garbled; the pool garbles up to `workers` rows concurrently and emits
+// whole rows. Either way the row's Stats ride on its last chunk.
+// Context cancellation stops the inline path between rounds (through
+// emit) and the pool between rows — in-flight rows finish (a garbling
+// is CPU work with no wire waits) but no new row starts.
+func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers int, emit func(rowChunk) error) error {
 	n := len(A)
-	if workers > n {
-		workers = n
-	}
 	ss := sess.ss
-	if workers <= 1 {
+	if garblesInline(workers, n) {
 		// The pool-size gauge reflects the effective pool of the current
 		// request — including the inline (size 1) path, so it no longer
 		// reads as whatever the last pooled request used.
@@ -71,16 +76,13 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("protocol: garbling interrupted at row %d: %w", i, err)
 			}
-			run, err := garbleRow(ss, sim, i, row)
-			if err != nil {
-				return err
-			}
-			if err := emit(i, run); err != nil {
+			if err := streamRow(ss, sim, i, row, emit); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	workers = min(workers, n)
 
 	reg := ss.reg
 	queue := reg.Gauge("garble_queue_depth", "matrix rows waiting for a garbling worker")
@@ -197,7 +199,7 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 				break
 			}
 			delete(pending, next)
-			if err := emit(next, run); err != nil {
+			if err := emit(rowChunk{rounds: run.Rounds, stats: &run.Stats}); err != nil {
 				return err
 			}
 			next++
@@ -229,16 +231,54 @@ func safeGarbleRow(ss *session, sim *maxsim.Simulator, i int, row []int64) (run 
 // cleared only while no session is in flight.
 var garbleTestHook func(row int)
 
-// garbleRow garbles one row under its per-row trace span (capped at
+// garbleRoundTestHook, when non-nil, runs on the inline path after each
+// round but the row's last is handed to the pipeline, before the next
+// round is garbled — the seam the early-frame test blocks on. Set and
+// cleared only while no session is in flight.
+var garbleRoundTestHook func(row, round int)
+
+// startRow runs the test hook and opens row i's trace span (capped at
 // maxRowSpans spans per session).
-func garbleRow(ss *session, sim *maxsim.Simulator, i int, row []int64) (*maxsim.DotProductRun, error) {
-	var rowSpan *obs.Span
-	if i < maxRowSpans {
-		rowSpan = ss.tr.StartSpan(fmt.Sprintf("round_garble[%d]", i))
-	}
-	defer rowSpan.End()
+func startRow(ss *session, i int) *obs.Span {
 	if garbleTestHook != nil {
 		garbleTestHook(i)
 	}
+	if i >= maxRowSpans {
+		return nil
+	}
+	return ss.tr.StartSpan(fmt.Sprintf("round_garble[%d]", i))
+}
+
+// garbleRow garbles one whole row under its trace span.
+func garbleRow(ss *session, sim *maxsim.Simulator, i int, row []int64) (*maxsim.DotProductRun, error) {
+	defer startRow(ss, i).End()
 	return sim.GarbleDotProduct(row)
+}
+
+// streamRow garbles one row under its trace span and hands each round
+// to emit as soon as it is garbled, the last one with the row's Stats.
+// The span therefore also covers the time emit blocked on a full
+// pipeline. The chunks are windows of one per-row slice, so streaming
+// a round allocates nothing.
+func streamRow(ss *session, sim *maxsim.Simulator, i int, row []int64, emit func(rowChunk) error) error {
+	defer startRow(ss, i).End()
+	rounds := make([]*gc.Garbled, 0, len(row))
+	last := len(row) - 1
+	st, err := sim.GarbleDotProductRounds(row, func(r int, gb *gc.Garbled) error {
+		rounds = append(rounds, gb)
+		if r == last {
+			return nil // leaves below, with the row's Stats
+		}
+		if err := emit(rowChunk{rounds: rounds[r : r+1]}); err != nil {
+			return err
+		}
+		if garbleRoundTestHook != nil {
+			garbleRoundTestHook(i, r)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return emit(rowChunk{rounds: rounds[last:], stats: &st})
 }

@@ -250,8 +250,9 @@ func (s *Server) WithObs(o *obs.Obs) *Server {
 // pre-garbled pool entry for its shape — the online path then runs only
 // OT, table streaming and decode, skipping garbling entirely — and
 // falls back to inline garbling on a miss, with identical wire format
-// either way. Misses teach the engine the shape, so steady traffic
-// converges to pool hits. Call before serving (panics after the first
+// either way. The engine's one shape is fixed by its own Admit or
+// Prefill; misses teach it nothing, so a request of another shape
+// always garbles inline. Call before serving (panics after the first
 // session); returns s for chaining.
 func (s *Server) WithPrecompute(eng *precompute.Engine) *Server {
 	s.mustNotHaveServed("WithPrecompute")

@@ -4,12 +4,16 @@ package protocol
 // used to garble every row, buffer each table into its own []byte, and
 // only then stream — the evaluator idled during garbling and peak
 // memory scaled with the request. Here production and transfer overlap:
-// a producer (the garble pool's in-order reorder stage, or the
-// precompute pool replay) yields garbled-row chunks through a bounded
-// pipeline.Stream into a consumer that frames material with one bulk
-// copy per round (gc.AppendMaterial appends the round's table block,
-// already in wire layout, to a wire.Arena buffer; one SendMsg per frame)
-// and runs the per-round OT. The bytes on the wire are
+// a producer yields chunks — runs of consecutive garbled rounds of one
+// row — through a bounded pipeline.Stream into a consumer that frames
+// material with one bulk copy per round (gc.AppendMaterial appends the
+// round's table block, already in wire layout, to a wire.Arena buffer;
+// one SendMsg per frame) and runs the per-round OT. Inline garbling
+// yields every round as soon as it is garbled, so round 0's frame
+// leaves while the rest of the row is still being garbled, the way
+// MAXelerator's PCIe link drains each table while the FSM garbles the
+// next; the garble pool's in-order reorder stage and the precompute
+// pool replay yield whole rows. The bytes on the wire are
 // byte-identical to the buffered path at any pool size or pipeline
 // depth — only the timing and the buffering change, which is what the
 // bytes_buffered_peak gauge exists to prove.
@@ -19,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"maxelerator/internal/gc"
 	"maxelerator/internal/maxsim"
@@ -28,13 +33,15 @@ import (
 	"maxelerator/internal/wire"
 )
 
-// pipeDepth is the serve pipeline's chunk buffer: how many garbled rows
-// may sit between the producer and the wire at once. Together with the
-// garble pool's admission window it bounds per-request buffering to
-// O(workers + pipeDepth) rows instead of O(rows). A variable only so
-// the transcript property test can sweep it (set while no session is
-// in flight, like garbleTestHook); the wire bytes must not depend on
-// it.
+// pipeDepth is the serve pipeline's buffer in rows: how many garbled
+// rows may sit between the producer and the wire at once. The channel
+// holds pipeDepth chunks when chunks are whole rows and pipeDepth·Cols
+// when they are single rounds, so the bound is the same either way.
+// Together with the garble pool's admission window it bounds
+// per-request buffering to O(workers + pipeDepth) rows instead of
+// O(rows). A variable only so the transcript property test can sweep it
+// (set while no session is in flight, like garbleTestHook); the wire
+// bytes must not depend on it.
 var pipeDepth = 2
 
 // errStreamAborted is the producer's return when the consumer bailed
@@ -42,10 +49,22 @@ var pipeDepth = 2
 // consumer's error in that case.
 var errStreamAborted = errors.New("protocol: row stream aborted by consumer")
 
-// rowChunk is one garbled row in flight between garbling and framing.
+// rowChunk is a run of consecutive garbled rounds of one row in flight
+// between garbling and framing: one round from the inline producer, a
+// whole row from the pool or a precompute hit.
 type rowChunk struct {
-	idx int
-	run *maxsim.DotProductRun
+	rounds []*gc.Garbled
+	// stats is the row's accounting, set on the chunk that ends the row.
+	stats *Stats
+}
+
+// tableBytes is the garbled-table volume of the chunk's rounds.
+func (c rowChunk) tableBytes() int64 {
+	var n int
+	for _, gb := range c.rounds {
+		n += gb.Material.CiphertextBytes()
+	}
+	return int64(n)
 }
 
 // byteWatermark tracks bytes currently buffered between production and
@@ -65,34 +84,20 @@ func (w *byteWatermark) add(n int64) {
 	}
 }
 
-// sendMaterialFramed ships one round's garbled material behind the
-// material tag, assembling the frame in a pooled arena buffer: the
-// round's table block is copied in whole, nothing is allocated.
-func sendMaterialFramed(fw *wire.FrameWriter, m *gc.Material) error {
-	size, err := gc.MaterialSize(m)
-	if err != nil {
-		return err
-	}
-	buf := fw.Begin(1 + size)
-	buf.B = append(buf.B, tagMaterial)
-	if buf.B, err = gc.AppendMaterial(buf.B, m); err != nil {
-		buf.Free()
-		return err
-	}
-	return fw.Send(buf)
-}
-
 // rowStreamer is the consumer state of one request's serve pipeline.
 type rowStreamer struct {
 	sess *ServerSession
 	ot   OTMode
 	fw   *wire.FrameWriter
 	wm   byteWatermark
-	// chunks counts garbled-row chunks through the serve pipeline.
+	// chunks counts chunks through the serve pipeline.
 	chunks *obs.Counter
+	// wait is the producer's time blocked on a full pipeline. Written by
+	// the producer goroutine, read after pipeline.Stream has reaped it.
+	wait time.Duration
 
-	agg  Stats
-	runs []*maxsim.DotProductRun // batched mode: material deferred past the OT
+	agg      Stats
+	deferred []rowChunk // batched mode: material deferred past the OT
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
@@ -101,48 +106,77 @@ func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
 		ot:   mode,
 		fw:   wire.NewFrameWriter(sess.conn, sess.srv.arena),
 		chunks: sess.ss.reg.Counter("pipeline_chunks_total",
-			"garbled-row chunks streamed through the serve pipeline"),
+			"chunks (runs of consecutive garbled rounds of one row) streamed through the serve pipeline"),
 	}
 }
 
-// offer accounts a chunk as buffered and hands it to the pipeline.
-func (st *rowStreamer) offer(yield func(rowChunk) bool, i int, run *maxsim.DotProductRun) bool {
-	st.wm.add(int64(run.Stats.TableBytes))
-	return yield(rowChunk{idx: i, run: run})
+// sendMaterialFramed ships one round's garbled material behind the
+// material tag, assembling the frame in a pooled arena buffer: the
+// round's table block is copied in whole, nothing is allocated. The
+// watermark drops by the round's bytes once they are on the wire.
+func (st *rowStreamer) sendMaterialFramed(gb *gc.Garbled) error {
+	m := &gb.Material
+	size, err := gc.MaterialSize(m)
+	if err != nil {
+		return err
+	}
+	buf := st.fw.Begin(1 + size)
+	buf.B = append(buf.B, tagMaterial)
+	if buf.B, err = gc.AppendMaterial(buf.B, m); err != nil {
+		buf.Free()
+		return err
+	}
+	if err := st.fw.Send(buf); err != nil {
+		return err
+	}
+	st.wm.add(-int64(m.CiphertextBytes()))
+	return nil
 }
 
-// consume frames and transfers one garbled row. Per-round mode streams
-// material and runs that row's OT immediately; batched mode only
+// offer accounts a chunk as buffered and hands it to the pipeline,
+// timing how long a full pipeline held the producer back.
+func (st *rowStreamer) offer(yield func(rowChunk) bool, c rowChunk) bool {
+	st.wm.add(c.tableBytes())
+	t0 := time.Now()
+	ok := yield(c)
+	st.wait += time.Since(t0)
+	return ok
+}
+
+// consume frames and transfers one chunk. Per-round mode streams each
+// round's material and runs its OT immediately; batched mode only
 // accumulates (its one OT must precede any material, so transfer waits
 // for the tail — the honest O(request) case the watermark exposes).
 func (st *rowStreamer) consume(c rowChunk) error {
 	st.chunks.Inc()
-	st.agg.Add(c.run.Stats)
+	if c.stats != nil {
+		st.agg.Add(*c.stats)
+	}
 	if st.ot == OTBatched {
-		st.runs = append(st.runs, c.run)
-		for _, gb := range c.run.Rounds {
+		st.deferred = append(st.deferred, c)
+		for _, gb := range c.rounds {
 			st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
 		}
 		return nil
 	}
-	for _, gb := range c.run.Rounds {
-		if err := sendMaterialFramed(st.fw, &gb.Material); err != nil {
+	for _, gb := range c.rounds {
+		if err := st.sendMaterialFramed(gb); err != nil {
 			return err
 		}
 		if err := ot.SendLabels(st.sess.sender, gb.EvalPairs); err != nil {
 			return err
 		}
 	}
-	st.wm.add(-int64(c.run.Stats.TableBytes))
 	return nil
 }
 
 // run drives the pipeline for one request: pre non-nil replays pooled
 // material straight into the stream (a precompute hit never re-garbles);
-// otherwise the garble pool produces. Deadlines and cancellation hold
-// at every stage — the consumer's wire operations run under the rounds
-// phase budget, the producer checks ctx between rows, and a producer
-// panic is contained exactly like a worker panic.
+// otherwise the request garbles, inline round by round or on the pool.
+// Deadlines and cancellation hold at every stage — the consumer's wire
+// operations run under the rounds phase budget, the producer checks ctx
+// at every chunk it yields, and a producer panic is contained exactly
+// like a worker panic.
 func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []*maxsim.DotProductRun) error {
 	ss := st.sess.ss
 	defer func() {
@@ -152,29 +186,38 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 	}()
 
 	produce := func(yield func(rowChunk) bool) error {
-		if pre != nil {
-			for i, run := range pre {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("protocol: streaming interrupted at row %d: %w", i, err)
-				}
-				if !st.offer(yield, i, run) {
-					return ctx.Err() // nil when the consumer failed; Stream reports its error
-				}
+		emit := func(c rowChunk) error {
+			if st.offer(yield, c) {
+				return nil
 			}
-			return nil
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			return errStreamAborted
 		}
-		return st.sess.garbleRows(ctx, A, workers, func(i int, run *maxsim.DotProductRun) error {
-			if !st.offer(yield, i, run) {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				return errStreamAborted
+		if pre == nil {
+			return st.sess.garbleRows(ctx, A, workers, emit)
+		}
+		for i, run := range pre {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("protocol: streaming interrupted at row %d: %w", i, err)
 			}
-			return nil
-		})
+			if err := emit(rowChunk{rounds: run.Rounds, stats: &run.Stats}); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
-	if err := pipeline.Stream(ctx, pipeDepth, produce, st.consume); err != nil {
+	depth := pipeDepth
+	if pre == nil && garblesInline(workers, len(A)) {
+		depth *= len(A[0]) // the inline producer yields single rounds
+	}
+	err := pipeline.Stream(ctx, depth, produce, st.consume)
+	if pre == nil {
+		ss.tr.SetAttr("garble_wait_ms", fmt.Sprintf("%.3f", st.wait.Seconds()*1e3))
+	}
+	if err != nil {
 		var pe *pipeline.PanicError
 		if errors.As(err, &pe) {
 			return recoveredPanicStack(ss.reg, pe.Value, pe.Stack)
@@ -188,13 +231,12 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 		if err != nil {
 			return err
 		}
-		for _, run := range st.runs {
-			for _, gb := range run.Rounds {
-				if err := sendMaterialFramed(st.fw, &gb.Material); err != nil {
+		for _, c := range st.deferred {
+			for _, gb := range c.rounds {
+				if err := st.sendMaterialFramed(gb); err != nil {
 					return err
 				}
 			}
-			st.wm.add(-int64(run.Stats.TableBytes))
 		}
 	}
 	return nil

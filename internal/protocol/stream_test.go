@@ -10,9 +10,15 @@ package protocol
 
 import (
 	"bytes"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
@@ -30,17 +36,23 @@ const (
 	poolHot                   // engine prefilled deterministically: every Take hits
 )
 
-// streamTranscript runs one deterministic request (server DRBG {11},
-// client DRBG {22}, engine seeds {33}) at the given knobs and returns
-// the server's sent frames and the client's outputs.
+// streamTranscript runs the 3×3 fixture request at the given knobs and
+// returns the server's sent frames and the client's outputs.
 func streamTranscript(t *testing.T, mode OTMode, workers, depth int, pool poolState) ([][]byte, []int64) {
+	t.Helper()
+	A := [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}}
+	y := []int64{7, -8, 9}
+	return streamTranscriptOf(t, A, y, mode, workers, depth, pool)
+}
+
+// streamTranscriptOf runs one deterministic request (server DRBG {11},
+// client DRBG {22}, engine seeds {33}) of A against y at the given
+// knobs and returns the server's sent frames and the client's outputs.
+func streamTranscriptOf(t *testing.T, A [][]int64, y []int64, mode OTMode, workers, depth int, pool poolState) ([][]byte, []int64) {
 	t.Helper()
 	oldDepth := pipeDepth
 	pipeDepth = depth
 	defer func() { pipeDepth = oldDepth }()
-
-	A := [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}}
-	y := []int64{7, -8, 9}
 
 	cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
 	drbg, err := label.NewDRBG([16]byte{11})
@@ -69,7 +81,7 @@ func streamTranscript(t *testing.T, mode OTMode, workers, depth int, pool poolSt
 		t.Cleanup(eng.Stop)
 		srv.WithPrecompute(eng)
 		if pool == poolHot {
-			shape := precompute.Shape{Rows: 3, Cols: 3, Width: 8, Signed: true, Mode: "matvec", OT: mode.String()}
+			shape := precompute.Shape{Rows: len(A), Cols: len(A[0]), Width: 8, Signed: true, Mode: "matvec", OT: mode.String()}
 			if err := eng.Prefill(shape, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -150,6 +162,149 @@ func TestStreamTranscriptInvariantUnderDepth(t *testing.T) {
 				sameFrames(t, fmt.Sprintf("depth=%d pool=%d", run.depth, run.pool), got, base)
 			}
 		})
+	}
+}
+
+// chainFixture is a one-row, 64-column per-round request: the shape
+// whose rounds stream individually through the serve pipeline.
+func chainFixture() ([][]int64, []int64) {
+	row := make([]int64, 64)
+	y := make([]int64, 64)
+	for j := range row {
+		row[j] = int64(j*37%256 - 128)
+		y[j] = int64((j*53+7)%256 - 128)
+	}
+	return [][]int64{row}, y
+}
+
+// chainTranscriptDigest is the SHA-256 of the chain fixture's server
+// frames (each behind its 4-byte big-endian length), recorded while the
+// serve pipeline still moved whole rows. Streaming rounds must not move
+// a byte.
+const chainTranscriptDigest = "5b0e571147986c58d7771423e701fe364696aa90a07ba470f14fa9359e0b1d0a"
+
+func framesDigest(frames [][]byte) string {
+	h := sha256.New()
+	var n [4]byte
+	for _, f := range frames {
+		binary.BigEndian.PutUint32(n[:], uint32(len(f)))
+		h.Write(n[:])
+		h.Write(f)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestStreamTranscriptChainDigest pins the 1×64 per-round transcript
+// at every pipeline depth and on the cold-miss fallback.
+func TestStreamTranscriptChainDigest(t *testing.T) {
+	A, y := chainFixture()
+	var want int64
+	for j := range y {
+		want += A[0][j] * y[j]
+	}
+	for _, run := range []struct {
+		depth int
+		pool  poolState
+	}{{1, poolNone}, {2, poolNone}, {8, poolNone}, {2, poolCold}} {
+		got, out := streamTranscriptOf(t, A, y, OTPerRound, 0, run.depth, run.pool)
+		if len(out) != 1 || out[0] != want {
+			t.Fatalf("depth=%d pool=%d: result %v, want [%d]", run.depth, run.pool, out, want)
+		}
+		if d := framesDigest(got); d != chainTranscriptDigest {
+			t.Fatalf("depth=%d pool=%d: transcript digest %s, want %s", run.depth, run.pool, d, chainTranscriptDigest)
+		}
+	}
+}
+
+// materialWatchConn closes first once it has carried a material frame.
+type materialWatchConn struct {
+	wire.Conn
+	once  sync.Once
+	first chan struct{}
+}
+
+func (c *materialWatchConn) SendMsg(m []byte) error {
+	material := tagOf(m) == tagMaterial
+	err := c.Conn.SendMsg(m)
+	if err == nil && material {
+		c.once.Do(func() { close(c.first) })
+	}
+	return err
+}
+
+// TestFirstFrameLeavesEarly: on a 1×512 request the inline producer
+// hands each round to the wire as soon as it is garbled. The round hook
+// holds the garbling of round 511 until the conn has carried round 0's
+// material frame; a pipeline that moved whole rows would only send it
+// after round 511, so the bounded wait would expire and the test fail.
+// Buffering stays within two rows of tables, and the trace records the
+// producer's back-pressure wait.
+func TestFirstFrameLeavesEarly(t *testing.T) {
+	const cols = 512
+	row := make([]int64, cols)
+	y := make([]int64, cols)
+	var want int64
+	for j := range row {
+		row[j] = int64(j%15 - 7)
+		y[j] = int64(j%9 - 4)
+		want += row[j] * y[j]
+	}
+	o := obs.New(2)
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.WithObs(o)
+	cli, err := NewClient(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := wire.Pipe()
+	defer a.Close()
+	defer b.Close()
+	conn := &materialWatchConn{Conn: a, first: make(chan struct{})}
+
+	var early atomic.Bool
+	garbleRoundTestHook = func(_, round int) {
+		if round != cols-2 { // the hook runs after round r, before round r+1
+			return
+		}
+		select {
+		case <-conn.first:
+			early.Store(true)
+		case <-time.After(5 * time.Second):
+		}
+	}
+	defer func() { garbleRoundTestHook = nil }()
+
+	var wg sync.WaitGroup
+	var resp *Response
+	var srvErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, srvErr = srv.Serve(conn, Request{Matrix: [][]int64{row}, GarbleWorkers: 4})
+	}()
+	out, err := clientRun(cli, b, y)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srvErr != nil {
+		t.Fatal(srvErr)
+	}
+	if len(out) != 1 || out[0] != want {
+		t.Fatalf("result %v, want [%d]", out, want)
+	}
+	if !early.Load() {
+		t.Fatalf("round 0's material frame had not left when round %d was about to be garbled", cols-1)
+	}
+	rowBytes := int64(resp.Stats.TableBytes)
+	if peak := o.Metrics().Gauge("bytes_buffered_peak", "").Value(); peak <= 0 || peak > 2*rowBytes {
+		t.Fatalf("bytes_buffered_peak = %d, want within (0, %d] (two rows of tables)", peak, 2*rowBytes)
+	}
+	if attrs := o.Traces().Recent(1)[0].Attrs; attrs["garble_wait_ms"] == "" {
+		t.Fatalf("trace attrs %v lack garble_wait_ms", attrs)
 	}
 }
 

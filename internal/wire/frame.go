@@ -5,16 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// Pooled frame assembly for the streaming serve path: a garbled-row
-// chunk is appended into an arena buffer and handed to SendMsg as it
-// is, so the hot path neither allocates a per-table []byte nor copies
-// the payload to glue the length prefix on.
+// Pooled frame assembly for the streaming serve path: a garbled
+// round's material is appended into an arena buffer and handed to
+// SendMsg as it is, so the hot path neither allocates a per-table
+// []byte nor copies the payload to glue the length prefix on.
 
 // Arena is a sync.Pool-backed pool of frame-assembly buffers with
 // checkout accounting: InUseBytes/Outstanding report what is currently
 // held, PeakBytes the high-water mark. The serve pipeline checks one
-// buffer out per in-flight chunk, so the accounting demonstrates
-// O(chunk) rather than O(request) buffering.
+// buffer out per frame it is assembling, so the accounting demonstrates
+// O(frame) rather than O(request) buffering.
 type Arena struct {
 	pool        sync.Pool
 	inUse       atomic.Int64 // bytes of capacity currently checked out
