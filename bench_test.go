@@ -25,7 +25,6 @@ import (
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/rng"
 	"maxelerator/internal/sched"
-	"maxelerator/internal/seqgc"
 	"maxelerator/internal/serial"
 	"maxelerator/internal/tinygarble"
 	"maxelerator/internal/wire"
@@ -423,17 +422,19 @@ func BenchmarkSerialDatapathStage(b *testing.B) {
 	for _, width := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
 			ckt, layout := serial.MustMAC(width)
-			gs, err := seqgc.NewGarblerSession(gc.DefaultParams(), label.MustSystemDRBG(), ckt)
+			g, err := gc.NewGarbler(gc.DefaultParams(), label.MustSystemDRBG())
 			if err != nil {
 				b.Fatal(err)
 			}
-			xBits := circuit.Uint64ToBits(uint64(width), width)
+			opts := gc.GarbleOptions{GarblerInputs: circuit.Uint64ToBits(uint64(width), width)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gs.NextRound(xBits); err != nil {
+				gb, err := g.Garble(ckt, opts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				opts.State0 = gb.StateOut0
 			}
 			b.ReportMetric(float64(layout.ANDsPerStage), "tables/stage")
 			b.ReportMetric(float64(layout.StagesPerMAC), "stages/MAC")
@@ -576,16 +577,18 @@ func BenchmarkSignedSerialDatapath(b *testing.B) {
 			} else {
 				ckt, layout = serial.MustMAC(8)
 			}
-			gs, err := seqgc.NewGarblerSession(gc.DefaultParams(), label.MustSystemDRBG(), ckt)
+			g, err := gc.NewGarbler(gc.DefaultParams(), label.MustSystemDRBG())
 			if err != nil {
 				b.Fatal(err)
 			}
-			gIn := make([]bool, ckt.NGarbler)
+			opts := gc.GarbleOptions{GarblerInputs: make([]bool, ckt.NGarbler)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := gs.NextRound(gIn); err != nil {
+				gb, err := g.Garble(ckt, opts)
+				if err != nil {
 					b.Fatal(err)
 				}
+				opts.State0 = gb.StateOut0
 			}
 			b.ReportMetric(float64(layout.ANDsPerStage), "tables/stage")
 		})

@@ -16,7 +16,6 @@ import (
 	"maxelerator/internal/circuit"
 	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
-	"maxelerator/internal/seqgc"
 	"maxelerator/internal/serial"
 )
 
@@ -29,15 +28,21 @@ func main() {
 	fmt.Printf("  stages per MAC : %d (b bits of a + pipeline flush)\n", layout.StagesPerMAC)
 	fmt.Printf("  state bits     : %d (carries, delay lines, accumulator)\n\n", layout.StateBits)
 
+	// One garbler and one evaluator for the whole run: each stage is a
+	// sequential-GC round, the carries and the accumulator travel as
+	// state labels (FALSE labels on the garbler's side, active ones on
+	// the evaluator's), and the garbler moves every stage onto fresh
+	// tweaks under its one Δ.
 	params := gc.DefaultParams()
-	gs, err := seqgc.NewGarblerSession(params, rand.Reader, ckt)
+	g, err := gc.NewGarbler(params, rand.Reader)
 	if err != nil {
 		log.Fatal(err)
 	}
-	es, err := seqgc.NewEvaluatorSession(params, ckt)
+	ev, err := gc.NewEvaluator(params, ckt)
 	if err != nil {
 		log.Fatal(err)
 	}
+	var state0, stateAct []label.Label
 
 	// Two MAC rounds: acc = 13·11 + 7·15.
 	xs := []uint64{13, 7}
@@ -50,7 +55,7 @@ func main() {
 		xBits := circuit.Uint64ToBits(xs[r], b)
 		accBits = accBits[:0]
 		for stage := 0; stage < layout.StagesPerMAC; stage++ {
-			gb, err := gs.NextRound(xBits)
+			gb, err := g.Garble(ckt, gc.GarbleOptions{GarblerInputs: xBits, State0: state0})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -59,10 +64,11 @@ func main() {
 			for i, v := range aBits {
 				active[i] = gb.EvalPairs[i].Get(v)
 			}
-			res, err := es.NextRound(&gb.Material, active)
+			res, err := ev.Eval(&gb.Material, active, stateAct)
 			if err != nil {
 				log.Fatal(err)
 			}
+			state0, stateAct = gb.StateOut0, res.StateActive
 			accBits = append(accBits, res.Outputs[0])
 
 			marker := " "

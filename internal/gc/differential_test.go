@@ -81,16 +81,16 @@ func TestKernelMatchesSchemeInterface(t *testing.T) {
 					kernel := seededGarbler(t, kernelP, byte(width))
 					ref := seededGarbler(t, refP, byte(width))
 					var kState0, rState0, kAct, rAct []label.Label
-					var kTweak, rTweak uint64
+					var kTweak uint64 // where the kernel's previous round ended
 					var plainState []bool
 					for round := range chain.xs {
 						xBits := circuit.Int64ToBits(chain.xs[round], width)
 						aBits := circuit.Int64ToBits(chain.as[round], width)
-						kg, err := kernel.Garble(c, GarbleOptions{GarblerInputs: xBits, State0: kState0, TweakBase: kTweak})
+						kg, err := kernel.Garble(c, GarbleOptions{GarblerInputs: xBits, State0: kState0})
 						if err != nil {
 							t.Fatal(err)
 						}
-						rg, err := ref.Garble(c, GarbleOptions{GarblerInputs: xBits, State0: rState0, TweakBase: rTweak})
+						rg, err := ref.Garble(c, GarbleOptions{GarblerInputs: xBits, State0: rState0})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -112,8 +112,9 @@ func TestKernelMatchesSchemeInterface(t *testing.T) {
 						if !slices.Equal(kg.StateOut0, rg.StateOut0) || kg.NextTweak != rg.NextTweak {
 							t.Fatalf("round %d: state labels or next tweak differ (%d vs %d)", round, kg.NextTweak, rg.NextTweak)
 						}
-						if kg.NextTweak <= kTweak {
-							t.Fatalf("round %d: tweak did not advance (%d → %d)", round, kTweak, kg.NextTweak)
+						if kg.Material.TweakBase != kTweak || kg.NextTweak <= kTweak {
+							t.Fatalf("round %d: tweaks %d…%d do not continue the previous round's end %d",
+								round, kg.Material.TweakBase, kg.NextTweak, kTweak)
 						}
 
 						// Evaluate both from their own wire encodings, as
@@ -147,7 +148,7 @@ func TestKernelMatchesSchemeInterface(t *testing.T) {
 						}
 						kState0, rState0 = kg.StateOut0, rg.StateOut0
 						kAct, rAct = kr.StateActive, rr.StateActive
-						kTweak, rTweak = kg.NextTweak, rg.NextTweak
+						kTweak = kg.NextTweak
 						plainState = nextState
 					}
 				})
@@ -176,7 +177,6 @@ func TestEvaluatorReuseMatchesFreshEvaluate(t *testing.T) {
 			e             *Evaluator
 			state0        []label.Label
 			reused, fresh []label.Label // state labels carried on each side
-			tweak         uint64
 		}
 		chains := make([]*chain, len(ckts))
 		for i, c := range ckts {
@@ -189,7 +189,7 @@ func TestEvaluatorReuseMatchesFreshEvaluate(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for i, c := range ckts {
 				ch := chains[i]
-				gb, err := ch.g.Garble(c, GarbleOptions{GarblerInputs: randomBits(rng, c.NGarbler), State0: ch.state0, TweakBase: ch.tweak})
+				gb, err := ch.g.Garble(c, GarbleOptions{GarblerInputs: randomBits(rng, c.NGarbler), State0: ch.state0})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,7 +206,7 @@ func TestEvaluatorReuseMatchesFreshEvaluate(t *testing.T) {
 					!slices.Equal(got.StateActive, want.StateActive) {
 					t.Fatalf("%s circuit %d round %d: reused Evaluator differs from a fresh Evaluate", s.Name(), i, round)
 				}
-				ch.state0, ch.tweak = gb.StateOut0, gb.NextTweak
+				ch.state0 = gb.StateOut0
 				ch.reused, ch.fresh = got.StateActive, want.StateActive
 			}
 		}
@@ -226,12 +226,11 @@ func TestTableSchemesMatchPlaintextOnChainedMAC(t *testing.T) {
 				for ci, chain := range macChains(rng, width, signed) {
 					g := seededGarbler(t, p, byte(width))
 					var state0, act []label.Label
-					var tweak uint64
 					var plainState []bool
 					for round := range chain.xs {
 						xBits := circuit.Int64ToBits(chain.xs[round], width)
 						aBits := circuit.Int64ToBits(chain.as[round], width)
-						gb, err := g.Garble(c, GarbleOptions{GarblerInputs: xBits, State0: state0, TweakBase: tweak})
+						gb, err := g.Garble(c, GarbleOptions{GarblerInputs: xBits, State0: state0})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -247,7 +246,7 @@ func TestTableSchemesMatchPlaintextOnChainedMAC(t *testing.T) {
 							t.Fatalf("%s b=%d signed=%v chain %d round %d: decoded %v, plaintext %v",
 								s.Name(), width, signed, ci, round, res.Outputs, wantOut)
 						}
-						state0, act, tweak, plainState = gb.StateOut0, res.StateActive, gb.NextTweak, nextState
+						state0, act, plainState = gb.StateOut0, res.StateActive, nextState
 					}
 				}
 			}

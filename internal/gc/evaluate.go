@@ -26,9 +26,9 @@ type EvalResult struct {
 // evaluator's input wires, obtained through oblivious transfer;
 // stateActive are the active state labels from the previous round (nil
 // for round 0, where the garbler set the state to 0 and the material
-// carries the corresponding FALSE labels as StateInActive; see seqgc
-// for the wiring). A caller evaluating round after round holds one
-// Evaluator instead.
+// carries the corresponding FALSE labels as StateInActive). A caller
+// evaluating round after round holds one Evaluator instead, and passes
+// each result's StateActive into the next round.
 func Evaluate(params Params, c *circuit.Circuit, m *Material, evalActive, stateActive []label.Label) (*EvalResult, error) {
 	e, err := NewEvaluator(params, c)
 	if err != nil {

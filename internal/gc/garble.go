@@ -111,20 +111,31 @@ type Garbled struct {
 	// StateOut0 holds the FALSE labels of the state-output wires; they
 	// seed the state wires of the next sequential round.
 	StateOut0 []label.Label
-	// NextTweak is the tweak the next round must start from.
+	// NextTweak is one past the last tweak this execution hashed; the
+	// garbler's next execution starts there.
 	NextTweak uint64
 }
 
 // Garbler garbles circuits under a fixed global Δ drawn at
-// construction. A Garbler is not safe for concurrent use: besides Δ and
-// the label stream it owns the walker's working memory — the slot array
-// and the AND kernel's hash scratch — which is reused from round to
-// round. Params (the hash included) and the circuit are only read, so
+// construction. It owns the tweak sequence under that Δ: every Garble
+// continues where the previous one stopped, so no tweak is hashed twice
+// under one Δ, whatever chains or rows the caller garbles on it. Two
+// executions that hashed one label under one tweak would differ by
+// exactly the XOR of their other inputs, and the half-gate evaluator row
+// carries the garbler's FALSE label, so an evaluator holding both
+// garblings' active labels would learn Δ.
+//
+// A Garbler is not safe for concurrent use: besides Δ, the label stream
+// and the tweak cursor it owns the walker's working memory — the slot
+// array and the AND kernel's hash scratch — which is reused from round
+// to round. Params (the hash included) and the circuit are only read, so
 // any number of garblers may share them.
 type Garbler struct {
 	params Params
 	delta  label.Delta
 	rand   io.Reader
+	// next is the first tweak no execution under delta has hashed.
+	next uint64
 	// aes is params' concrete hash when the kernel applies, else nil.
 	aes *gchash.AES
 	// deltaLabel is Δ as a label, addressable for XorInto.
@@ -161,17 +172,22 @@ type GarbleOptions struct {
 	// state to logical 0 by construction (the evaluator's round-0
 	// active state labels equal these FALSE labels).
 	State0 []label.Label
-	// TweakBase is the first hash tweak for this execution. Sequential
-	// rounds must use strictly increasing, non-overlapping tweak
-	// ranges; pass the previous round's NextTweak.
+	// TweakBase is a floor for this execution's first hash tweak: Garble
+	// starts at the larger of it and the garbler's cursor, so a base
+	// below the tweaks already used is raised, never honoured.
+	//
+	// Deprecated: the Garbler's cursor owns the tweak sequence. The field
+	// stays only because the benchmark harness under bench/ sets it, and
+	// goes when that harness is re-based (ROADMAP.md item 1).
 	TweakBase uint64
 }
 
 // Garble garbles the circuit and returns both the evaluator-bound
 // material and the garbler-side secrets. It draws one fresh 16-byte
 // label per constant, input and state wire, in wire order, then walks
-// the circuit's lowered program once; the returned values are freshly
-// allocated and stay valid across later Garble calls.
+// the circuit's lowered program once, hashing under the tweaks that
+// follow the garbler's previous execution; the returned values are
+// freshly allocated and stay valid across later Garble calls.
 func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, error) {
 	prog, err := c.Program()
 	if err != nil {
@@ -209,13 +225,14 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 	}
 
 	stride := 1 + rows*label.Size
+	tweak := max(opts.TweakBase, g.next)
 	res := &Garbled{
 		Material: Material{
 			TableBlock:    make([]byte, prog.NAND*stride),
 			NumTables:     prog.NAND,
 			GarblerActive: make([]label.Label, prog.NGarbler),
 			OutputPerm:    make([]bool, len(prog.Outputs)),
-			TweakBase:     opts.TweakBase,
+			TweakBase:     tweak,
 		},
 		EvalPairs:    make([]label.Pair, prog.NEvaluator),
 		GarblerPairs: make([]label.Pair, prog.NGarbler),
@@ -243,7 +260,6 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 	}
 
 	blk := res.Material.TableBlock
-	tweak := opts.TweakBase
 	tweaksPerGate := scheme.TweaksPerGate()
 	off := 0
 	for i := range prog.Instrs {
@@ -269,7 +285,7 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 		off += stride
 		tweak += tweaksPerGate
 	}
-	res.NextTweak = tweak
+	res.NextTweak, g.next = tweak, tweak
 
 	for i, slot := range prog.Outputs {
 		res.Material.OutputPerm[i] = w[slot].LSB()

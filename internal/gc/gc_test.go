@@ -221,7 +221,6 @@ func TestSequentialRoundsCarryState(t *testing.T) {
 
 	var state0 []label.Label   // garbler side
 	var stateAct []label.Label // evaluator side
-	var tweak uint64           // strictly increasing across rounds
 	var want uint64
 	for round := 0; round < 6; round++ {
 		x := uint64(rng.Intn(256))
@@ -231,7 +230,6 @@ func TestSequentialRoundsCarryState(t *testing.T) {
 		gb, err := g.Garble(c, GarbleOptions{
 			GarblerInputs: circuit.Uint64ToBits(x, 8),
 			State0:        state0,
-			TweakBase:     tweak,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +248,6 @@ func TestSequentialRoundsCarryState(t *testing.T) {
 		}
 		state0 = gb.StateOut0
 		stateAct = res.StateActive
-		tweak = gb.NextTweak
 	}
 }
 

@@ -24,7 +24,7 @@ func roundAllocs(t *testing.T, width int) (garble, evaluate float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := GarbleOptions{GarblerInputs: x, State0: first.StateOut0, TweakBase: first.NextTweak}
+	opts := GarbleOptions{GarblerInputs: x, State0: first.StateOut0}
 	garble = testing.AllocsPerRun(20, func() {
 		if _, err := g.Garble(c, opts); err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestEvaluatorEvalAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := g.Garble(c, GarbleOptions{GarblerInputs: x, State0: first.StateOut0, TweakBase: first.NextTweak})
+		second, err := g.Garble(c, GarbleOptions{GarblerInputs: x, State0: first.StateOut0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +125,11 @@ func TestSharedParamsAndCircuitAcrossGoroutines(t *testing.T) {
 				return
 			}
 			var state0, act []label.Label
-			var tweak uint64
 			var plain []bool
 			for round := 0; round < 24; round++ {
 				x := circuit.Int64ToBits(int64(round*7+w-60), width)
 				a := circuit.Int64ToBits(int64(50-round*3-w), width)
-				gb, err := g.Garble(c, GarbleOptions{GarblerInputs: x, State0: state0, TweakBase: tweak})
+				gb, err := g.Garble(c, GarbleOptions{GarblerInputs: x, State0: state0})
 				if err != nil {
 					t.Error(err)
 					return
@@ -151,7 +150,7 @@ func TestSharedParamsAndCircuitAcrossGoroutines(t *testing.T) {
 						return
 					}
 				}
-				state0, act, tweak, plain = gb.StateOut0, res.StateActive, gb.NextTweak, next
+				state0, act, plain = gb.StateOut0, res.StateActive, next
 			}
 		}(w)
 	}

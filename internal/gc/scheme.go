@@ -3,8 +3,11 @@
 // (Kolesnikov–Schneider), row reduction (Naor–Pinkas–Sumner), half
 // gates (Zahur–Rosulek–Evans) and fixed-key block-cipher garbling
 // (Bellare et al.). The garbler and evaluator operate on the netlists
-// of package circuit; sequential (multi-round) execution in the style
-// of TinyGarble is layered on top by package seqgc.
+// of package circuit. Sequential (multi-round) execution in the style
+// of TinyGarble is built in: state labels carry from round to round
+// through GarbleOptions.State0 and EvalResult.StateActive, and a
+// Garbler's tweak cursor keeps every round of every chain on fresh
+// tweaks under its Δ.
 //
 // Three AND-garbling schemes are provided behind the Scheme interface:
 // the paper's production scheme (half gates, 2 ciphertexts per AND)

@@ -1,7 +1,9 @@
 package gc
 
 import (
+	"bytes"
 	"crypto/rand"
+	"slices"
 	"testing"
 
 	"maxelerator/internal/circuit"
@@ -162,12 +164,154 @@ func TestWrongChoiceLabelYieldsGarbage(t *testing.T) {
 	}
 }
 
+// replayReader is a label stream that serves Δ, then span fresh labels
+// for a first garbling, then span labels for a second in which the
+// evaluator-input range [evalLo, evalHi) repeats the first garbling's:
+// two rows under one Δ sharing the client's input labels.
+func replayReader(t *testing.T, span, evalLo, evalHi int) *bytes.Reader {
+	t.Helper()
+	script := make([]byte, label.Size*(1+2*span))
+	if _, err := rand.Read(script); err != nil {
+		t.Fatal(err)
+	}
+	first := script[label.Size:]
+	second := first[span*label.Size:]
+	copy(second[evalLo*label.Size:evalHi*label.Size], first[evalLo*label.Size:evalHi*label.Size])
+	return bytes.NewReader(script)
+}
+
+// TestRestartedTweaksCannotRecoverDelta mounts the attack a tweak
+// restart under one Δ allows. Two garblings of a MAC round share the
+// evaluator's input labels, and the caller asks for tweak 0 both times.
+// For a partial-product AND x[j] ∧ y[i] the evaluator-half row is
+// H(Y⁰, t+1) ⊕ H(Y¹, t+1) ⊕ X⁰, so if t repeats, the XOR of the two rows
+// is X⁰ ⊕ X⁰′. The evaluator holds the active garbler labels Xˣ and
+// X′ˣ′; when x ≠ x′ their XOR with the two rows is Δ, and with Δ every
+// label of the request. The garbler's cursor moves the second garbling
+// to fresh tweaks, so the XOR is noise.
+func TestRestartedTweaksCannotRecoverDelta(t *testing.T) {
+	const width = 4
+	c := circuit.MustMAC(circuit.MACConfig{Width: width, AccWidth: 2 * width})
+	span := circuit.FirstInput + c.NGarbler + c.NEvaluator + c.NState
+	evalLo := c.EvaluatorInputWire(0)
+	g, err := NewGarbler(DefaultParams(), replayReader(t, span, evalLo, evalLo+c.NEvaluator))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first AND of a garbler input and an evaluator input, and its
+	// table index (the k-th AND owns table k).
+	gate, table := -1, 0
+	for i, gt := range c.Gates {
+		if gt.Op != circuit.AND {
+			continue
+		}
+		if gt.A >= circuit.FirstInput && gt.A < evalLo && gt.B >= evalLo && gt.B < evalLo+c.NEvaluator {
+			gate = i
+			break
+		}
+		table++
+	}
+	if gate < 0 {
+		t.Fatal("MAC circuit has no garbler-input × evaluator-input AND")
+	}
+	j := c.Gates[gate].A - circuit.FirstInput
+
+	zero, ones := circuit.Uint64ToBits(0, width), circuit.Uint64ToBits(1<<width-1, width)
+	first, err := g.Garble(c, GarbleOptions{GarblerInputs: zero, TweakBase: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := g.Garble(c, GarbleOptions{GarblerInputs: ones, TweakBase: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first.EvalPairs, second.EvalPairs) {
+		t.Fatal("the scripted stream did not replay the evaluator-input labels")
+	}
+	te1 := label.Label(tableRows(t, &first.Material, table)[1])
+	te2 := label.Label(tableRows(t, &second.Material, table)[1])
+	guess := te1.Xor(te2).Xor(first.Material.GarblerActive[j]).Xor(second.Material.GarblerActive[j])
+	if delta := first.GarblerPairs[j].False.Xor(first.GarblerPairs[j].True); guess == delta {
+		t.Fatalf("evaluator recovered Δ from two rows garbled under tweak bases %d and %d",
+			first.Material.TweakBase, second.Material.TweakBase)
+	}
+}
+
+// chainRunner returns a garbler and a function that runs one 8-bit MAC
+// chain on it, starting from State0 nil as a garble worker does row
+// after row, and returns the chain's last garbling and its output.
+func chainRunner(t *testing.T) (*Garbler, func(xs, as []uint64) (*Garbled, uint64)) {
+	t.Helper()
+	c := circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16})
+	p := DefaultParams()
+	g, err := NewGarbler(p, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, func(xs, as []uint64) (*Garbled, uint64) {
+		var state0, act []label.Label
+		var gb *Garbled
+		var res *EvalResult
+		var err error
+		for i := range xs {
+			if gb, err = g.Garble(c, GarbleOptions{GarblerInputs: circuit.Uint64ToBits(xs[i], 8), State0: state0}); err != nil {
+				t.Fatal(err)
+			}
+			if res, err = e.Eval(&gb.Material, pickActive(gb.EvalPairs, circuit.Uint64ToBits(as[i], 8)), act); err != nil {
+				t.Fatal(err)
+			}
+			state0, act = gb.StateOut0, res.StateActive
+		}
+		return gb, circuit.BitsToUint64(res.Outputs)
+	}
+}
+
+// TestNewChainStartsFromZero runs two MAC chains on one garbler: the
+// second, started from State0 nil, accumulates from zero rather than
+// from the first chain's result.
+func TestNewChainStartsFromZero(t *testing.T) {
+	_, chain := chainRunner(t)
+	_, got1 := chain([]uint64{3, 5}, []uint64{7, 11})
+	if got1 != 3*7+5*11 {
+		t.Fatalf("first chain = %d", got1)
+	}
+	_, got2 := chain([]uint64{2}, []uint64{9})
+	if got2 != 18 {
+		t.Fatalf("second chain = %d, want 18 (state leaked from the first: %d)", got2, got1)
+	}
+}
+
+// TestTweaksNeverRepeatAcrossChains runs two MAC chains on one garbler.
+// The second chain's tweaks start at or past the first chain's end, and
+// an explicit lower TweakBase is raised to the cursor rather than
+// honoured.
+func TestTweaksNeverRepeatAcrossChains(t *testing.T) {
+	g, chain := chainRunner(t)
+	gb1, _ := chain([]uint64{3, 5}, []uint64{7, 11})
+	gb2, _ := chain([]uint64{2}, []uint64{9})
+	c := circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16})
+	if gb2.Material.TweakBase < gb1.NextTweak {
+		t.Fatalf("second chain's tweak base %d overlaps the first chain's range ending %d", gb2.Material.TweakBase, gb1.NextTweak)
+	}
+	gb3, err := g.Garble(c, GarbleOptions{GarblerInputs: make([]bool, 8), TweakBase: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gb3.Material.TweakBase != gb2.NextTweak {
+		t.Fatalf("explicit tweak base 1 yielded %d, want the cursor %d", gb3.Material.TweakBase, gb2.NextTweak)
+	}
+}
+
 func TestTweakReuseProducesIdenticalTables(t *testing.T) {
 	// Documentation of *why* tweak discipline matters: garbling the
 	// same wires under the same tweak yields identical ciphertexts, so
 	// reuse across rounds would leak equality of label pairs. The
-	// sequential sessions always advance tweaks; this test pins the
-	// underlying behaviour the discipline protects against.
+	// garbler's tweak cursor always advances; this test pins the
+	// underlying behaviour the cursor protects against.
 	h := DefaultParams().Hash
 	d := label.MustNewDelta()
 	a0 := label.MustRandom()

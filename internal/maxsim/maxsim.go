@@ -322,7 +322,9 @@ type DotProductRun struct {
 // garbler-held vector x, producing evaluable material for a client
 // vector of the same length. Timing is accounted on one MAC unit (a
 // single dot product cannot be split across units — rounds are
-// sequentially dependent through the accumulator).
+// sequentially dependent through the accumulator). Successive dot
+// products on one simulator share its Δ, and its garbler hands each
+// one the tweaks after the previous one's.
 func (s *Simulator) GarbleDotProduct(x []int64) (*DotProductRun, error) {
 	run := &DotProductRun{Rounds: make([]*gc.Garbled, 0, len(x))}
 	st, err := s.GarbleDotProductRounds(x, func(_ int, gb *gc.Garbled) error {
@@ -349,21 +351,19 @@ func (s *Simulator) GarbleDotProductRounds(x []int64, emit func(round int, gb *g
 	}
 	var st Stats
 	var state0 []label.Label
-	var tweak uint64
+	bits := make([]bool, s.cfg.Width) // Garble only reads it, so every round shares it
 	for round, xi := range x {
 		if err := checkRange(xi, s.cfg.Width, s.cfg.Signed); err != nil {
 			return Stats{}, fmt.Errorf("maxsim: round %d: %w", round, err)
 		}
-		gb, err := s.garbler.Garble(s.macCkt, gc.GarbleOptions{
-			GarblerInputs: circuit.Int64ToBits(xi, s.cfg.Width),
-			State0:        state0,
-			TweakBase:     tweak,
-		})
+		for i := range bits {
+			bits[i] = uint64(xi)>>i&1 == 1 // circuit.Int64ToBits, in place
+		}
+		gb, err := s.garbler.Garble(s.macCkt, gc.GarbleOptions{GarblerInputs: bits, State0: state0})
 		if err != nil {
 			return Stats{}, fmt.Errorf("maxsim: garbling round %d: %w", round, err)
 		}
 		state0 = gb.StateOut0
-		tweak = gb.NextTweak
 		st.TablesGarbled += uint64(gb.Material.NumTables)
 		st.TableBytes += uint64(gb.Material.CiphertextBytes())
 		if err := emit(round, gb); err != nil {

@@ -6,28 +6,25 @@ package maxsim
 // the randomness stream, never on the garbler's operands (the operands
 // only select which of each input wire's two labels is the active
 // one). PreGarbleDotProduct therefore garbles a whole dot product
-// before the inputs exist, and Bind later patches the garbler-active
-// labels for the real vector. The label draw order is identical to
-// GarbleDotProduct's, so under the same randomness source a pre-garbled
-// run is byte-identical to an inline one — the determinism invariant
-// internal/precompute's property tests pin down.
+// before the inputs exist — as GarbleDotProduct of the zero vector —
+// and Bind later re-selects the garbler-active labels for the real
+// vector. It is the same garble loop, so under the same randomness
+// source a pre-garbled run is byte-identical to an inline one — the
+// determinism invariant internal/precompute's property tests pin down.
 
 import (
 	"fmt"
 
 	"maxelerator/internal/circuit"
-	"maxelerator/internal/gc"
-	"maxelerator/internal/label"
 )
 
 // PreRun is one pre-garbled dot product awaiting its garbler inputs.
-// It retains the garbler-input label pairs of every round; Bind
-// consumes them exactly once. A PreRun is not safe for concurrent use —
-// single-use admission is the pool layer's job (see
-// internal/precompute.Entry).
+// Its rounds retain their garbler-input label pairs
+// (gc.Garbled.GarblerPairs); Bind consumes them exactly once. A PreRun
+// is not safe for concurrent use — single-use admission is the pool
+// layer's job (see internal/precompute.Entry).
 type PreRun struct {
 	run    *DotProductRun
-	pairs  [][]label.Pair // per-round garbler-input pairs
 	width  int
 	signed bool
 	bound  bool
@@ -38,38 +35,18 @@ func (p *PreRun) Cols() int { return len(p.run.Rounds) }
 
 // PreGarbleDotProduct garbles the m-round sequential MAC with the
 // garbler inputs deferred: tables, evaluator pairs and timing are final,
-// only the garbler-active label selection waits for Bind. It draws
-// labels in exactly the order GarbleDotProduct does, so a simulator
-// seeded from the same randomness produces bit-identical material
-// either way.
+// only the garbler-active label selection waits for Bind. It is
+// GarbleDotProduct on m zeros, so a simulator seeded from the same
+// randomness produces bit-identical material either way.
 func (s *Simulator) PreGarbleDotProduct(m int) (*PreRun, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("maxsim: pre-garble of %d rounds", m)
 	}
-	run := &DotProductRun{Rounds: make([]*gc.Garbled, 0, m)}
-	pairs := make([][]label.Pair, 0, m)
-	var state0 []label.Label
-	var tweak uint64
-	zeros := make([]bool, s.macCkt.NGarbler)
-	for round := 0; round < m; round++ {
-		gb, err := s.garbler.Garble(s.macCkt, gc.GarbleOptions{
-			GarblerInputs: zeros,
-			State0:        state0,
-			TweakBase:     tweak,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("maxsim: pre-garbling round %d: %w", round, err)
-		}
-		run.Rounds = append(run.Rounds, gb)
-		pairs = append(pairs, gb.GarblerPairs)
-		state0 = gb.StateOut0
-		tweak = gb.NextTweak
-		run.Stats.TablesGarbled += uint64(gb.Material.NumTables)
-		run.Stats.TableBytes += uint64(gb.Material.CiphertextBytes())
+	run, err := s.GarbleDotProduct(make([]int64, m))
+	if err != nil {
+		return nil, err
 	}
-	run.OutputPairs = run.Rounds[m-1].OutputPairs
-	s.fillStats(&run.Stats, uint64(m))
-	return &PreRun{run: run, pairs: pairs, width: s.cfg.Width, signed: s.cfg.Signed}, nil
+	return &PreRun{run: run, width: s.cfg.Width, signed: s.cfg.Signed}, nil
 }
 
 // Bind selects the garbler-active labels for the real vector x and
@@ -91,10 +68,9 @@ func (p *PreRun) Bind(x []int64) (*DotProductRun, error) {
 		}
 	}
 	for round, xi := range x {
-		bits := circuit.Int64ToBits(xi, p.width)
-		active := p.run.Rounds[round].Material.GarblerActive
-		for i, v := range bits {
-			active[i] = p.pairs[round][i].Get(v)
+		gb := p.run.Rounds[round]
+		for i, v := range circuit.Int64ToBits(xi, p.width) {
+			gb.Material.GarblerActive[i] = gb.GarblerPairs[i].Get(v)
 		}
 	}
 	p.bound = true

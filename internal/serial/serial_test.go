@@ -8,8 +8,42 @@ import (
 	"maxelerator/internal/circuit"
 	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
-	"maxelerator/internal/seqgc"
 )
+
+// stages returns a function that garbles and evaluates the next stage
+// of ckt and returns its decoded outputs: one garbler and one evaluator
+// for the whole run, the state carried between stages as labels on both
+// sides, the sequential GC the FSM performs.
+func stages(t *testing.T, ckt *circuit.Circuit) func(garbler, evaluator []bool) []bool {
+	t.Helper()
+	p := gc.DefaultParams()
+	g, err := gc.NewGarbler(p, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := gc.NewEvaluator(p, ckt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var state0, stateAct []label.Label
+	return func(garbler, evaluator []bool) []bool {
+		t.Helper()
+		gb, err := g.Garble(ckt, gc.GarbleOptions{GarblerInputs: garbler, State0: state0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		active := make([]label.Label, len(evaluator))
+		for i, v := range evaluator {
+			active[i] = gb.EvalPairs[i].Get(v)
+		}
+		res, err := ev.Eval(&gb.Material, active, stateAct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state0, stateAct = gb.StateOut0, res.StateActive
+		return res.Outputs
+	}
+}
 
 func TestMACValidation(t *testing.T) {
 	for _, b := range []int{0, 2, 3, 6, 10, 12} {
@@ -180,15 +214,7 @@ func TestGarbledSerialMAC(t *testing.T) {
 	// the FSM-driven hardware: one small circuit, re-garbled per
 	// stage, state carried as labels.
 	ckt, l := MustMAC(4)
-	p := gc.DefaultParams()
-	gs, err := seqgc.NewGarblerSession(p, rand.Reader, ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := seqgc.NewEvaluatorSession(p, ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := stages(t, ckt)
 
 	xs := []uint64{13, 7}
 	as := []uint64{11, 15}
@@ -199,20 +225,7 @@ func TestGarbledSerialMAC(t *testing.T) {
 		xBits := circuit.Uint64ToBits(xs[r], l.Width)
 		lastRound = lastRound[:0]
 		for n := 0; n < l.StagesPerMAC; n++ {
-			gb, err := gs.NextRound(xBits)
-			if err != nil {
-				t.Fatal(err)
-			}
-			aBits := l.StageInputs(as[r], n)
-			active := make([]label.Label, len(aBits))
-			for i, v := range aBits {
-				active[i] = gb.EvalPairs[i].Get(v)
-			}
-			res, err := es.NextRound(&gb.Material, active)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lastRound = append(lastRound, res.Outputs[0])
+			lastRound = append(lastRound, next(xBits, l.StageInputs(as[r], n))[0])
 		}
 	}
 	if got := circuit.BitsToUint64(lastRound); got != uint64(want) {
@@ -225,11 +238,11 @@ func TestGarbledTableCountMatchesSchedule(t *testing.T) {
 	// slot grid minus the 8 signed-support ops this unsigned datapath
 	// omits.
 	ckt, l := MustMAC(8)
-	gs, err := seqgc.NewGarblerSession(gc.DefaultParams(), rand.Reader, ckt)
+	g, err := gc.NewGarbler(gc.DefaultParams(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := gs.NextRound(circuit.Uint64ToBits(99, 8))
+	gb, err := g.Garble(ckt, gc.GarbleOptions{GarblerInputs: circuit.Uint64ToBits(99, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +253,19 @@ func TestGarbledTableCountMatchesSchedule(t *testing.T) {
 
 func BenchmarkSerialStageGarbling(b *testing.B) {
 	ckt, l := MustMAC(8)
-	gs, err := seqgc.NewGarblerSession(gc.DefaultParams(), label.MustSystemDRBG(), ckt)
+	g, err := gc.NewGarbler(gc.DefaultParams(), label.MustSystemDRBG())
 	if err != nil {
 		b.Fatal(err)
 	}
-	xBits := circuit.Uint64ToBits(170, 8)
+	opts := gc.GarbleOptions{GarblerInputs: circuit.Uint64ToBits(170, 8)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gs.NextRound(xBits); err != nil {
+		gb, err := g.Garble(ckt, opts)
+		if err != nil {
 			b.Fatal(err)
 		}
+		opts.State0 = gb.StateOut0
 	}
 	b.ReportMetric(float64(l.ANDsPerStage), "tables/stage")
 }

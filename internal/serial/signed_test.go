@@ -1,14 +1,10 @@
 package serial
 
 import (
-	"crypto/rand"
 	mrand "math/rand"
 	"testing"
 
 	"maxelerator/internal/circuit"
-	"maxelerator/internal/gc"
-	"maxelerator/internal/label"
-	"maxelerator/internal/seqgc"
 )
 
 func TestMACSignedValidation(t *testing.T) {
@@ -138,15 +134,7 @@ func TestGarbledSignedSerialMAC(t *testing.T) {
 	// Full garbled run of the signed datapath: stage-by-stage
 	// sequential GC with the flags as garbler inputs.
 	ckt, l := MustMACSigned(4)
-	p := gc.DefaultParams()
-	gs, err := seqgc.NewGarblerSession(p, rand.Reader, ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := seqgc.NewEvaluatorSession(p, ckt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := stages(t, ckt)
 	xs := []int64{-3, 7}
 	as := []int64{5, -6}
 	want := int64(-3*5 + 7*-6)
@@ -158,20 +146,8 @@ func TestGarbledSignedSerialMAC(t *testing.T) {
 		for n := 0; n < l.StagesPerMAC; n++ {
 			isLast, vj, corr, notFirst := l.SignedStageInputs(n)
 			g := append(append([]bool{}, xBits...), isLast, vj, corr, notFirst)
-			gb, err := gs.NextRound(g)
-			if err != nil {
-				t.Fatal(err)
-			}
 			aBits := l.StageInputs(uint64(as[r])&(1<<uint(l.Width)-1), n)
-			active := make([]label.Label, len(aBits))
-			for i, v := range aBits {
-				active[i] = gb.EvalPairs[i].Get(v)
-			}
-			res, err := es.NextRound(&gb.Material, active)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lastRound = append(lastRound, res.Outputs[0])
+			lastRound = append(lastRound, next(g, aBits)[0])
 		}
 	}
 	if got := circuit.BitsToInt64(lastRound[:2*l.Width]); got != want {

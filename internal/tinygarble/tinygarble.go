@@ -107,20 +107,17 @@ func (f *Framework) GarbleMACRounds(n int) (Stats, error) {
 	}
 	var st Stats
 	var state0 []label.Label
-	var tweak uint64
 	mask := int64(1)<<f.width - 1
 	start := time.Now()
 	for round := 0; round < n; round++ {
 		gb, err := f.garbler.Garble(f.ckt, gc.GarbleOptions{
 			GarblerInputs: circuit.Int64ToBits(int64(round)&mask, f.width),
 			State0:        state0,
-			TweakBase:     tweak,
 		})
 		if err != nil {
 			return Stats{}, fmt.Errorf("tinygarble: round %d: %w", round, err)
 		}
 		state0 = gb.StateOut0
-		tweak = gb.NextTweak
 		st.Tables += uint64(gb.Material.NumTables)
 		st.TableBytes += uint64(gb.Material.CiphertextBytes())
 	}
@@ -202,19 +199,16 @@ func (f *Framework) EvaluateMACRounds(n int) (EvalStats, error) {
 	}
 	rounds := make([]round, 0, n)
 	var state0 []label.Label
-	var tweak uint64
 	mask := int64(1)<<f.width - 1
 	for r := 0; r < n; r++ {
 		gb, err := f.garbler.Garble(f.ckt, gc.GarbleOptions{
 			GarblerInputs: circuit.Int64ToBits(int64(r)&mask, f.width),
 			State0:        state0,
-			TweakBase:     tweak,
 		})
 		if err != nil {
 			return EvalStats{}, err
 		}
 		state0 = gb.StateOut0
-		tweak = gb.NextTweak
 		aBits := circuit.Int64ToBits(int64(r+1)&mask, f.width)
 		active := make([]label.Label, len(aBits))
 		for i, v := range aBits {
