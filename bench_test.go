@@ -520,46 +520,6 @@ func BenchmarkOTModes(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationOptimizer measures what netlist hygiene buys: the
-// same redundant circuit garbled raw vs after circuit.Optimize.
-func BenchmarkAblationOptimizer(b *testing.B) {
-	build := func() *circuit.Circuit {
-		bd := circuit.NewBuilder()
-		x := bd.GarblerInputs(8)
-		y := bd.EvaluatorInputs(8)
-		// Redundant generator calls, as a naive caller might write.
-		p1 := bd.MulTreeUnsigned(x, y)
-		p2 := bd.MulTreeUnsigned(x, y)
-		bd.OutputWord(bd.Add(p1, p2))
-		return bd.MustBuild()
-	}
-	for _, opt := range []bool{false, true} {
-		name := "raw"
-		if opt {
-			name = "optimised"
-		}
-		b.Run(name, func(b *testing.B) {
-			ckt := build()
-			if opt {
-				ckt = circuit.Optimize(ckt)
-			}
-			g, err := gc.NewGarbler(gc.DefaultParams(), label.MustSystemDRBG())
-			if err != nil {
-				b.Fatal(err)
-			}
-			gIn := make([]bool, ckt.NGarbler)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Garble(ckt, gc.GarbleOptions{GarblerInputs: gIn}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(ckt.Stats().ANDs), "AND-tables")
-		})
-	}
-}
-
 // BenchmarkSignedSerialDatapath contrasts the Baugh–Wooley signed
 // stage cost (2b+2 ANDs) against the unsigned stage (2b) — the
 // design-variant finding of EXPERIMENTS.md.

@@ -114,32 +114,36 @@ func (b *Builder) gate(op Op, x, y int) int {
 
 // XOR appends a free XOR gate and returns its output wire.
 func (b *Builder) XOR(x, y int) int {
-	// Constant folding keeps netlists tight: XOR with 0 is identity and
-	// XOR with 1 below is still a gate (inversion is cheap but not free
-	// to represent), so only fold the zero case.
-	if x == Const0 {
+	// Folding keeps netlists tight: XOR with 0 is identity and w ⊕ w is
+	// 0. XOR with 1 is still a gate (inversion is cheap but not free to
+	// represent).
+	switch {
+	case x == Const0:
 		b.checkWire(y)
 		return y
-	}
-	if y == Const0 {
+	case y == Const0:
 		b.checkWire(x)
 		return x
+	case x == y:
+		b.checkWire(x)
+		return Const0
 	}
 	return b.gate(XOR, x, y)
 }
 
 // AND appends an AND gate (one garbled table) and returns its output.
+// AND with a constant or with itself folds away, so a zero-padded
+// adder bit, whose carry is AND(c, c), emits no table.
 func (b *Builder) AND(x, y int) int {
-	if x == Const0 || y == Const0 {
+	switch {
+	case x == Const0 || y == Const0:
 		b.checkWire(x)
 		b.checkWire(y)
 		return Const0
-	}
-	if x == Const1 {
+	case x == Const1 || x == y:
 		b.checkWire(y)
 		return y
-	}
-	if y == Const1 {
+	case y == Const1:
 		b.checkWire(x)
 		return x
 	}

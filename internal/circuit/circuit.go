@@ -7,7 +7,10 @@
 //
 // Circuits consist solely of 2-input XOR and AND gates plus free
 // inversions, matching the cost model of free-XOR garbling where XOR
-// gates cost nothing and every AND gate costs one garbled table.
+// gates cost nothing and every AND gate costs one garbled table. The
+// builder folds constants and repeated operands as it emits gates, so
+// the netlist it builds is the one that is garbled: there is no
+// separate optimisation pass.
 package circuit
 
 import (

@@ -78,8 +78,44 @@ func TestConstantFolding(t *testing.T) {
 	if got := b.AND(x[0], Const1); got != x[0] {
 		t.Fatal("AND with const1 not folded to identity")
 	}
+	if got := b.XOR(x[0], x[0]); got != Const0 {
+		t.Fatal("XOR(w, w) not folded to const0")
+	}
+	if got := b.AND(x[0], x[0]); got != x[0] {
+		t.Fatal("AND(w, w) not folded to w")
+	}
 	if len(b.gates) != 0 {
 		t.Fatalf("folding still emitted %d gates", len(b.gates))
+	}
+}
+
+// The builder now does the algebraic folds the deleted netlist pass did:
+// (x0 ⊕ x0) ⊕ (x1 ∧ x1) builds to no gates and computes x1. Emitted
+// behind the builder's back, the self-AND is flagged by the audit
+// TestMACIsMinimal relies on.
+func TestOptimizeFoldsAlgebra(t *testing.T) {
+	b := NewBuilder()
+	x := b.GarblerInputs(2)
+	b.EvaluatorInputs(0)
+	b.Outputs(b.XOR(b.XOR(x[0], x[0]), b.AND(x[1], x[1])))
+	c := b.MustBuild()
+	if got := c.Stats(); got.ANDs != 0 || got.XORs != 0 {
+		t.Fatalf("folding left %d ANDs %d XORs", got.ANDs, got.XORs)
+	}
+	for _, u := range []bool{false, true} {
+		for _, v := range []bool{false, true} {
+			if got := evalBits(t, c, []bool{u, v}, nil)[0]; got != v {
+				t.Fatalf("x=(%v,%v) gives %v, want %v", u, v, got, v)
+			}
+		}
+	}
+
+	b = NewBuilder()
+	x = b.GarblerInputs(2)
+	b.EvaluatorInputs(0)
+	b.Outputs(b.XOR(b.gate(XOR, x[0], x[0]), b.gate(AND, x[1], x[1])))
+	if w := auditANDs(b.MustBuild()); w != (andWaste{unfolded: 1}) {
+		t.Fatalf("audit %+v, want one unfolded AND", w)
 	}
 }
 

@@ -10,10 +10,11 @@ import "fmt"
 // counts instead of guesses.
 
 // DivMod returns the quotient and remainder of unsigned x / y using
-// restoring long division: per quotient bit, one shifted-remainder
-// compare (GEq: one AND per bit) and one conditional subtract (Sub +
-// Mux). Division by zero yields quotient all-ones and remainder x,
-// matching hardware restoring dividers.
+// restoring long division: per quotient bit, one subtraction whose
+// borrow is the comparison (one AND per bit) and one mux that keeps
+// the difference or the shifted remainder. Division by zero yields
+// quotient all-ones and remainder x, matching hardware restoring
+// dividers.
 func (b *Builder) DivMod(x, y Word) (quot, rem Word) {
 	if len(x) == 0 || len(y) == 0 {
 		panic("circuit: division of empty word")
@@ -29,23 +30,17 @@ func (b *Builder) DivMod(x, y Word) (quot, rem Word) {
 		shifted := make(Word, w+1)
 		shifted[0] = x[i]
 		copy(shifted[1:], r[:w])
-		ge := b.GEq(shifted, yw)
-		diff := b.Sub(shifted, yw)
+		diff, ge := b.subBorrow(shifted, yw)
 		r = b.Mux(ge, diff, shifted)
 		quot[i] = ge
 	}
 	return quot, r[:w]
 }
 
-// Div returns the quotient of unsigned x / y.
-func (b *Builder) Div(x, y Word) Word {
-	q, _ := b.DivMod(x, y)
-	return q
-}
-
 // Sqrt returns the integer square root ⌊√x⌋ of an unsigned word with
-// even width, via the restoring digit-by-digit algorithm: one compare
-// and one conditional subtract per result bit, no multiplier.
+// even width, via the restoring digit-by-digit algorithm: one
+// subtraction (whose borrow is the comparison) and one mux per result
+// bit, no multiplier.
 func (b *Builder) Sqrt(x Word) Word {
 	if len(x) == 0 || len(x)%2 != 0 {
 		panic(fmt.Sprintf("circuit: Sqrt needs a non-empty even-width word, got %d bits", len(x)))
@@ -68,8 +63,7 @@ func (b *Builder) Sqrt(x Word) Word {
 		trial[0] = Const1
 		trial[1] = Const0
 		copy(trial[2:], root[:rw-2])
-		ge := b.GEq(shifted, trial)
-		diff := b.Sub(shifted, trial)
+		diff, ge := b.subBorrow(shifted, trial)
 		rem = b.Mux(ge, diff, shifted)
 		// root = (root << 1) | ge
 		newRoot := make(Word, rw)
@@ -78,50 +72,4 @@ func (b *Builder) Sqrt(x Word) Word {
 		root = newRoot
 	}
 	return root[:half]
-}
-
-// Abs returns |x| for a signed (2's complement) word, width
-// preserving (the most negative value maps to itself, as in
-// hardware).
-func (b *Builder) Abs(x Word) Word {
-	return b.CondNeg(x, x[len(x)-1])
-}
-
-// MinU and MaxU return the unsigned minimum/maximum of two words.
-func (b *Builder) MinU(x, y Word) Word {
-	return b.Mux(b.GEq(x, y), y, x)
-}
-
-// MaxU returns the unsigned maximum of two words.
-func (b *Builder) MaxU(x, y Word) Word {
-	return b.Mux(b.GEq(x, y), x, y)
-}
-
-// PopCount returns the ⌈log₂(n+1)⌉-bit population count of the word's
-// bits via a balanced adder tree.
-func (b *Builder) PopCount(x Word) Word {
-	if len(x) == 0 {
-		panic("circuit: PopCount of empty word")
-	}
-	width := 1
-	for 1<<uint(width) <= len(x) {
-		width++
-	}
-	terms := make([]Word, len(x))
-	for i, w := range x {
-		t := b.ConstWord(0, width)
-		t[0] = w
-		terms[i] = t
-	}
-	for len(terms) > 1 {
-		next := terms[:0]
-		for i := 0; i+1 < len(terms); i += 2 {
-			next = append(next, b.Add(terms[i], terms[i+1]))
-		}
-		if len(terms)%2 == 1 {
-			next = append(next, terms[len(terms)-1])
-		}
-		terms = next
-	}
-	return terms[0]
 }

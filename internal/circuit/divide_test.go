@@ -56,7 +56,8 @@ func TestDivExhaustiveSmall(t *testing.T) {
 	b := NewBuilder()
 	x := b.GarblerInputs(w)
 	y := b.EvaluatorInputs(w)
-	b.OutputWord(b.Div(x, y))
+	q, _ := b.DivMod(x, y)
+	b.OutputWord(q)
 	c := b.MustBuild()
 	for xv := uint64(0); xv < 16; xv++ {
 		for yv := uint64(1); yv < 16; yv++ {
@@ -142,12 +143,14 @@ func TestSqrtPanicsOnOddWidth(t *testing.T) {
 	b.Sqrt(x)
 }
 
+// TestAbsSigned: CondNeg on a word's own sign bit is |x|, the input
+// conditioning MulTreeSigned applies to each operand.
 func TestAbsSigned(t *testing.T) {
 	const w = 8
 	b := NewBuilder()
 	x := b.GarblerInputs(w)
 	b.EvaluatorInputs(0)
-	b.OutputWord(b.Abs(x))
+	b.OutputWord(b.CondNeg(x, x[w-1]))
 	c := b.MustBuild()
 	for _, v := range []int64{-128, -127, -1, 0, 1, 127} {
 		bits, err := c.Eval(Int64ToBits(v, w), nil)
@@ -167,65 +170,6 @@ func TestAbsSigned(t *testing.T) {
 	}
 }
 
-func TestMinMaxUnsigned(t *testing.T) {
-	const w = 8
-	b := NewBuilder()
-	x := b.GarblerInputs(w)
-	y := b.EvaluatorInputs(w)
-	b.OutputWord(b.MinU(x, y))
-	b.OutputWord(b.MaxU(x, y))
-	c := b.MustBuild()
-	f := func(xv, yv uint8) bool {
-		bits, err := c.Eval(Uint64ToBits(uint64(xv), w), Uint64ToBits(uint64(yv), w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		mn, mx := uint64(xv), uint64(yv)
-		if mn > mx {
-			mn, mx = mx, mn
-		}
-		return BitsToUint64(bits[:w]) == mn && BitsToUint64(bits[w:]) == mx
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPopCount(t *testing.T) {
-	const w = 11
-	b := NewBuilder()
-	x := b.GarblerInputs(w)
-	b.EvaluatorInputs(0)
-	b.OutputWord(b.PopCount(x))
-	c := b.MustBuild()
-	f := func(v uint16) bool {
-		xv := uint64(v) & (1<<w - 1)
-		bits, err := c.Eval(Uint64ToBits(xv, w), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := uint64(0)
-		for i := 0; i < w; i++ {
-			want += xv >> uint(i) & 1
-		}
-		return BitsToUint64(bits) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPopCountEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty popcount did not panic")
-		}
-	}()
-	b := NewBuilder()
-	b.GarblerInputs(1)
-	b.PopCount(Word{})
-}
-
 func TestDivisionANDCountQuadratic(t *testing.T) {
 	// Restoring division costs Θ(w²) AND gates — the reason [7] keeps
 	// divisions off the GC critical path where it can. Verify the cost
@@ -241,5 +185,30 @@ func TestDivisionANDCountQuadratic(t *testing.T) {
 	c8, c16 := count(8), count(16)
 	if ratio := float64(c16) / float64(c8); ratio < 3 || ratio > 5 {
 		t.Fatalf("division cost ratio 16/8 = %.2f, want ≈4 (quadratic)", ratio)
+	}
+}
+
+// TestDivSqrtANDCounts pins the b=16 blocks the ridge ops model prices
+// (816 and 432 ANDs when comparison and difference were two adders).
+// Each iteration's comparison is the borrow of its own subtraction, so
+// one (w+1)-bit AddCarry and a mux cost it; the zero-padded high bits
+// fold. A quotient-only caller such as RidgeOps builds the same 544,
+// 32 of them remainder logic it leaves dead.
+func TestDivSqrtANDCounts(t *testing.T) {
+	b := NewBuilder()
+	x := b.GarblerInputs(16)
+	y := b.EvaluatorInputs(16)
+	q, r := b.DivMod(x, y)
+	b.OutputWord(q)
+	b.OutputWord(r)
+	if got := b.MustBuild().Stats().ANDs; got != 544 {
+		t.Fatalf("b=16 DivMod has %d ANDs, want 544", got)
+	}
+	b = NewBuilder()
+	x = b.GarblerInputs(16)
+	b.EvaluatorInputs(0)
+	b.OutputWord(b.Sqrt(x))
+	if got := b.MustBuild().Stats().ANDs; got != 280 {
+		t.Fatalf("b=16 Sqrt has %d ANDs, want 280", got)
 	}
 }

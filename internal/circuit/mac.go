@@ -3,7 +3,7 @@ package circuit
 import "fmt"
 
 // This file holds the generators for the MAC unit — the paper's unit
-// of computation — in the variants the evaluation exercises:
+// of computation — in the two variants the evaluation exercises:
 //
 //   - MAC: the sequential signed multiply-accumulate garbled once per
 //     matrix element (the outer loop of §4), with the accumulator held
@@ -11,8 +11,9 @@ import "fmt"
 //   - MACCombinational: a one-shot MAC with the accumulator exposed as
 //     a third input word, used by unit tests and by the baseline
 //     frameworks that re-garble a full netlist each round.
-//   - DotProduct: a fully unrolled combinational dot product, the
-//     worst-case netlist the paper's sequential approach avoids.
+//
+// The builder's folds make the MAC minimal as built: no AND is dead,
+// constant-fed or a duplicate (TestMACIsMinimal).
 
 // MACConfig parameterises a MAC netlist.
 type MACConfig struct {
@@ -101,34 +102,6 @@ func MACCombinational(cfg MACConfig) (*Circuit, error) {
 	prod := cfg.mulAndExtend(b, x, a)
 	out := b.Add(accIn, prod)
 	b.OutputWord(out)
-	return b.Build()
-}
-
-// DotProduct builds a fully unrolled combinational dot product of two
-// n-element vectors of the given element width: the garbler holds one
-// vector, the evaluator the other. It is the monolithic netlist whose
-// size the sequential approach amortises away.
-func DotProduct(cfg MACConfig, n int) (*Circuit, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("circuit: dot product length %d must be positive", n)
-	}
-	b := NewBuilder()
-	xs := make([]Word, n)
-	for i := range xs {
-		xs[i] = b.GarblerInputs(cfg.Width)
-	}
-	as := make([]Word, n)
-	for i := range as {
-		as[i] = b.EvaluatorInputs(cfg.Width)
-	}
-	acc := b.ConstWord(0, cfg.AccWidth)
-	for i := 0; i < n; i++ {
-		acc = b.Add(acc, cfg.mulAndExtend(b, xs[i], as[i]))
-	}
-	b.OutputWord(acc)
 	return b.Build()
 }
 

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -15,10 +16,204 @@ func TestMACConfigValidation(t *testing.T) {
 	if _, err := MACCombinational(MACConfig{Width: -1, AccWidth: 0}); err == nil {
 		t.Fatal("negative width accepted")
 	}
-	if _, err := DotProduct(MACConfig{Width: 8, AccWidth: 16}, 0); err == nil {
-		t.Fatal("zero-length dot product accepted")
+}
+
+// TestMACIsMinimal pins the served MAC's AND counts and shows the
+// builder leaves nothing for a netlist pass to remove: no AND reads a
+// constant or the same wire twice, no two ANDs read the same pair, and a
+// backward liveness walk from Outputs and StateOuts reaches every AND.
+// These are the counts the deleted global pass (folds, structural
+// hashing, dead-gate removal) reached on the unfolded netlist.
+func TestMACIsMinimal(t *testing.T) {
+	for _, tc := range []struct {
+		width  int
+		signed bool
+		ands   int
+	}{
+		{8, true, 170}, {16, true, 610}, {32, true, 2269},
+		{8, false, 141}, {16, false, 549}, {32, false, 2144},
+	} {
+		c := MustMAC(MACConfig{Width: tc.width, AccWidth: 2 * tc.width, Signed: tc.signed})
+		if got := c.Stats().ANDs; got != tc.ands {
+			t.Errorf("b=%d signed=%v: %d ANDs, want %d", tc.width, tc.signed, got, tc.ands)
+		}
+		if w := auditANDs(c); w != (andWaste{}) {
+			t.Errorf("b=%d signed=%v: wasted ANDs %+v", tc.width, tc.signed, w)
+		}
 	}
 }
+
+// andWaste counts the ANDs a netlist pass could still remove.
+type andWaste struct {
+	dead     int // no path to an Outputs or StateOuts wire
+	unfolded int // reads a constant, or the same wire twice
+	repeated int // reads the same pair of wires as a later AND
+}
+
+// auditANDs walks c backwards from Outputs and StateOuts and classifies
+// every AND that is not needed; each AND lands in at most one class.
+func auditANDs(c *Circuit) andWaste {
+	var w andWaste
+	type pair struct{ a, b int }
+	seen := make(map[pair]bool)
+	live := make([]bool, c.NWires)
+	for _, o := range c.Outputs {
+		live[o] = true
+	}
+	for _, o := range c.StateOuts {
+		live[o] = true
+	}
+	for i := len(c.Gates) - 1; i >= 0; i-- {
+		g := c.Gates[i]
+		if g.Op == AND {
+			p := pair{min(g.A, g.B), max(g.A, g.B)}
+			switch {
+			case !live[g.Out]:
+				w.dead++
+			case p.a < FirstInput || p.a == p.b:
+				w.unfolded++
+			case seen[p]:
+				w.repeated++
+			}
+			seen[p] = true
+		}
+		if live[g.Out] {
+			live[g.A], live[g.B] = true, true
+		}
+	}
+	return w
+}
+
+// No pass removes dead gates any more: the builder must not emit them.
+// TestMACIsMinimal shows it does not by a liveness walk; this checks the
+// walk finds a dead AND (and ignores a dead XOR, which costs nothing to
+// garble).
+func TestOptimizeRemovesDeadGates(t *testing.T) {
+	b := NewBuilder()
+	x := b.GarblerInputs(4)
+	y := b.EvaluatorInputs(4)
+	used := b.AND(x[0], y[0])
+	b.AND(x[1], y[1]) // dead
+	b.XOR(x[2], y[2]) // dead
+	b.Outputs(used)
+	if w := auditANDs(b.MustBuild()); w != (andWaste{dead: 1}) {
+		t.Fatalf("audit %+v, want one dead AND", w)
+	}
+}
+
+// No pass merges duplicate gates any more: the builder must not emit
+// them. This checks the audit TestMACIsMinimal relies on flags an AND
+// that repeats another's operands in either order.
+func TestOptimizeMergesDuplicates(t *testing.T) {
+	b := NewBuilder()
+	x := b.GarblerInputs(2)
+	y := b.EvaluatorInputs(2)
+	a1 := b.AND(x[0], y[0])
+	a2 := b.AND(y[0], x[0]) // commutative duplicate
+	x1 := b.XOR(x[1], y[1])
+	x2 := b.XOR(y[1], x[1])
+	b.Outputs(b.AND(a1, x1), b.AND(a2, x2))
+	if w := auditANDs(b.MustBuild()); w != (andWaste{repeated: 1}) {
+		t.Fatalf("audit %+v, want one repeated AND", w)
+	}
+}
+
+// checkMACRounds runs c round by round from accumulator acc and checks
+// every output against acc + Σ x·y mod 2^AccWidth. Products are formed
+// in 64-bit wrapping arithmetic, which agrees with both signednesses
+// modulo 2^AccWidth ≤ 2^64.
+func checkMACRounds(t testing.TB, c *Circuit, cfg MACConfig, acc int64, xs, ys []int64) {
+	t.Helper()
+	mask := uint64(1)<<uint(cfg.AccWidth) - 1 // all ones at 64: the shift gives 0
+	state := Int64ToBits(acc, cfg.AccWidth)
+	want := uint64(acc)
+	for r := range xs {
+		want += uint64(xs[r] * ys[r])
+		out, next, err := c.EvalRound(Int64ToBits(xs[r], cfg.Width), Int64ToBits(ys[r], cfg.Width), state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := BitsToUint64(out); got != want&mask {
+			t.Fatalf("%+v acc=%d round %d: x=%d y=%d gives %#x, want %#x", cfg, acc, r, xs[r], ys[r], got, want&mask)
+		}
+		state = next
+	}
+}
+
+// TestMACMatchesPlaintext checks the folded MAC against plaintext: at
+// b=4 one round from every accumulator and every operand pair, plus a
+// 3-round chain per pair; at b = 8, 16, 32 random chains that include
+// the operand edges.
+func TestMACMatchesPlaintext(t *testing.T) {
+	for _, signed := range []bool{false, true} {
+		cfg := MACConfig{Width: 4, AccWidth: 8, Signed: signed}
+		c := MustMAC(cfg)
+		lo, hi := int64(0), int64(15)
+		if signed {
+			lo, hi = -8, 7
+		}
+		for x := lo; x <= hi; x++ {
+			for y := lo; y <= hi; y++ {
+				for acc := int64(0); acc < 256; acc++ {
+					checkMACRounds(t, c, cfg, acc, []int64{x}, []int64{y})
+				}
+				checkMACRounds(t, c, cfg, 0, []int64{x, y, x}, []int64{y, x, hi})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, width := range []int{8, 16, 32} {
+		for _, signed := range []bool{false, true} {
+			cfg := MACConfig{Width: width, AccWidth: 2 * width, Signed: signed}
+			c := MustMAC(cfg)
+			lo, hi := int64(0), int64(1)<<width-1
+			if signed {
+				lo, hi = -(int64(1) << (width - 1)), int64(1)<<(width-1)-1
+			}
+			edges := []int64{lo, hi, 0, 1, lo + 1, hi - 1}
+			draw := func(i int) int64 {
+				if i < len(edges) {
+					return edges[i]
+				}
+				return lo + rng.Int63n(hi-lo+1)
+			}
+			const rounds = 64
+			xs, ys := make([]int64, rounds), make([]int64, rounds)
+			for i := range xs {
+				xs[i], ys[i] = draw(i), draw((i*5+3)%rounds)
+			}
+			checkMACRounds(t, c, cfg, rng.Int63(), xs, ys)
+		}
+	}
+}
+
+// FuzzMACMatchesPlaintext checks one MAC round at any width 1…32 and
+// either signedness from any accumulator.
+func FuzzMACMatchesPlaintext(f *testing.F) {
+	f.Add(uint8(8), true, int64(-128), int64(127), int64(0))
+	f.Add(uint8(16), false, int64(0xffff), int64(0xffff), int64(-1))
+	f.Add(uint8(32), true, int64(-1)<<31, int64(-1)<<31, int64(1)<<62)
+	f.Fuzz(func(t *testing.T, width uint8, signed bool, x, y, acc int64) {
+		cfg := MACConfig{Width: 1 + int(width%32), Signed: signed}
+		cfg.AccWidth = 2 * cfg.Width
+		c, ok := macCache.Load(cfg)
+		if !ok {
+			c, _ = macCache.LoadOrStore(cfg, MustMAC(cfg))
+		}
+		// Operands are the low Width bits, read back in the MAC's own
+		// signedness so the plaintext product matches.
+		read := func(v int64) int64 {
+			bits := Int64ToBits(v, cfg.Width)
+			if signed {
+				return BitsToInt64(bits)
+			}
+			return int64(BitsToUint64(bits))
+		}
+		checkMACRounds(t, c.(*Circuit), cfg, acc, []int64{read(x)}, []int64{read(y)})
+	})
+}
+
+var macCache sync.Map // MACConfig → *Circuit
 
 func TestSequentialMACUnsigned(t *testing.T) {
 	cfg := MACConfig{Width: 8, AccWidth: 24}
@@ -82,34 +277,6 @@ func TestMACCombinationalMatchesSequentialStep(t *testing.T) {
 		want := (acc + x*a) & (1<<16 - 1)
 		if got := BitsToInt64(out) & (1<<16 - 1); got != want {
 			t.Fatalf("comb MAC(%d,%d,%d) = %d, want %d", x, a, acc, got, want)
-		}
-	}
-}
-
-func TestDotProductMatchesPlaintext(t *testing.T) {
-	cfg := MACConfig{Width: 6, AccWidth: 16, Signed: true}
-	const n = 5
-	c, err := DotProduct(cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 10; trial++ {
-		var g, e []bool
-		var want int64
-		for i := 0; i < n; i++ {
-			x := int64(rng.Intn(64) - 32)
-			a := int64(rng.Intn(64) - 32)
-			want += x * a
-			g = append(g, Int64ToBits(x, 6)...)
-			e = append(e, Int64ToBits(a, 6)...)
-		}
-		out, err := c.Eval(g, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := BitsToInt64(out); got != want {
-			t.Fatalf("dot product = %d, want %d", got, want)
 		}
 	}
 }

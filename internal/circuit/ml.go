@@ -1,38 +1,20 @@
 package circuit
 
-import "fmt"
-
 // Deep-learning building blocks (§2.1: DL layers interleave the
 // matrix multiplications MAXelerator accelerates with "several
-// non-linear operations"). These are the GC-optimised forms of the
-// usual suspects: ReLU, max pooling and argmax, all built from the
-// one-AND-per-bit comparator and multiplexer cells.
+// non-linear operations"). These are the GC-optimised forms of ReLU
+// and argmax, built from the one-AND-per-bit comparator and
+// multiplexer cells.
 
 // ReLU returns max(x, 0) for a signed word: one mux layer gated by the
-// sign bit (one AND per bit).
+// sign bit, one AND per bit below it (the sign bit's own select is
+// AND(s, s), which folds).
 func (b *Builder) ReLU(x Word) Word {
 	if len(x) == 0 {
 		panic("circuit: ReLU of empty word")
 	}
 	zero := b.ConstWord(0, len(x))
 	return b.Mux(x[len(x)-1], zero, x)
-}
-
-// MaxS returns the signed maximum of two words: a signed comparison
-// (flip the sign bits and compare unsigned) plus one mux layer.
-func (b *Builder) MaxS(x, y Word) Word {
-	if len(x) != len(y) || len(x) == 0 {
-		panic(fmt.Sprintf("circuit: signed max width mismatch %d vs %d", len(x), len(y)))
-	}
-	return b.Mux(b.geqSigned(x, y), x, y)
-}
-
-// MinS returns the signed minimum of two words.
-func (b *Builder) MinS(x, y Word) Word {
-	if len(x) != len(y) || len(x) == 0 {
-		panic(fmt.Sprintf("circuit: signed min width mismatch %d vs %d", len(x), len(y)))
-	}
-	return b.Mux(b.geqSigned(x, y), y, x)
 }
 
 // geqSigned returns x ≥ y for two's complement words: biasing both by
@@ -45,26 +27,6 @@ func (b *Builder) geqSigned(x, y Word) int {
 	bx[len(bx)-1] = b.NOT(x[len(x)-1])
 	by[len(by)-1] = b.NOT(y[len(y)-1])
 	return b.GEq(bx, by)
-}
-
-// MaxPool returns the signed maximum of a window of equal-width words
-// via a balanced comparator tree — the pooling layer of a ConvNet.
-func (b *Builder) MaxPool(window []Word) Word {
-	if len(window) == 0 {
-		panic("circuit: MaxPool of empty window")
-	}
-	level := window
-	for len(level) > 1 {
-		next := make([]Word, 0, (len(level)+1)/2)
-		for i := 0; i+1 < len(level); i += 2 {
-			next = append(next, b.MaxS(level[i], level[i+1]))
-		}
-		if len(level)%2 == 1 {
-			next = append(next, level[len(level)-1])
-		}
-		level = next
-	}
-	return level[0]
 }
 
 // ArgMax returns the index (as an index-width word) of the signed

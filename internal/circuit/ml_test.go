@@ -30,22 +30,27 @@ func TestReLU(t *testing.T) {
 }
 
 func TestReLUCostOneANDPerBit(t *testing.T) {
+	// One AND per bit below the sign: the sign bit's own select is
+	// AND(s, s), which the builder folds, so 16 bits cost 15.
 	b := NewBuilder()
 	x := b.GarblerInputs(16)
 	b.EvaluatorInputs(0)
 	b.OutputWord(b.ReLU(x))
-	if got := b.MustBuild().Stats().ANDs; got != 16 {
-		t.Fatalf("16-bit ReLU uses %d ANDs, want 16", got)
+	if got := b.MustBuild().Stats().ANDs; got != 15 {
+		t.Fatalf("16-bit ReLU uses %d ANDs, want 15", got)
 	}
 }
 
+// TestSignedMinMax checks geqSigned, ArgMax's comparator, by selecting
+// the signed maximum and minimum with it.
 func TestSignedMinMax(t *testing.T) {
 	const w = 8
 	b := NewBuilder()
 	x := b.GarblerInputs(w)
 	y := b.EvaluatorInputs(w)
-	b.OutputWord(b.MaxS(x, y))
-	b.OutputWord(b.MinS(x, y))
+	ge := b.geqSigned(x, y)
+	b.OutputWord(b.Mux(ge, x, y))
+	b.OutputWord(b.Mux(ge, y, x))
 	c := b.MustBuild()
 	f := func(xv, yv int8) bool {
 		bits, err := c.Eval(Int64ToBits(int64(xv), w), Int64ToBits(int64(yv), w))
@@ -60,39 +65,6 @@ func TestSignedMinMax(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxPool(t *testing.T) {
-	const w = 8
-	rng := mrand.New(mrand.NewSource(5))
-	for _, n := range []int{1, 2, 3, 4, 7} {
-		b := NewBuilder()
-		window := make([]Word, n)
-		for i := range window {
-			window[i] = b.GarblerInputs(w)
-		}
-		b.EvaluatorInputs(0)
-		b.OutputWord(b.MaxPool(window))
-		c := b.MustBuild()
-		for trial := 0; trial < 10; trial++ {
-			var g []bool
-			want := int64(-1 << 62)
-			for i := 0; i < n; i++ {
-				v := int64(rng.Intn(256) - 128)
-				if v > want {
-					want = v
-				}
-				g = append(g, Int64ToBits(v, w)...)
-			}
-			bits, err := c.Eval(g, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := BitsToInt64(bits); got != want {
-				t.Fatalf("n=%d: maxpool = %d, want %d", n, got, want)
-			}
-		}
 	}
 }
 
@@ -157,11 +129,8 @@ func TestArgMaxTiesPickLowerIndex(t *testing.T) {
 
 func TestMLPanicsOnBadShapes(t *testing.T) {
 	for name, f := range map[string]func(b *Builder){
-		"ReLU-empty":    func(b *Builder) { b.ReLU(Word{}) },
-		"MaxS-mismatch": func(b *Builder) { x := b.GarblerInputs(4); b.MaxS(x, x[:2]) },
-		"MinS-empty":    func(b *Builder) { b.MinS(Word{}, Word{}) },
-		"MaxPool-empty": func(b *Builder) { b.MaxPool(nil) },
-		"ArgMax-empty":  func(b *Builder) { b.ArgMax(nil) },
+		"ReLU-empty":   func(b *Builder) { b.ReLU(Word{}) },
+		"ArgMax-empty": func(b *Builder) { b.ArgMax(nil) },
 	} {
 		func() {
 			defer func() {

@@ -7,7 +7,7 @@ import "sync"
 // instruction stream over wire *slots*. A slot is a position in the
 // walker's working array; a wire's slot is handed to a later wire once
 // its last reader has run, so the working set is the circuit's peak
-// number of live wires instead of its wire count (the b=16 MAC has 2 341
+// number of live wires instead of its wire count (the b=16 MAC has 1 994
 // wires and never more than a few hundred live — a working set that stays
 // in L1).
 //

@@ -31,38 +31,56 @@ func (b *Builder) fullAdder(a, x, c int) (sum, carry int) {
 // AddCarry returns x + y with an explicit initial carry wire and the
 // final carry-out. Operands must have equal width.
 func (b *Builder) AddCarry(x, y Word, carryIn int) (Word, int) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("circuit: adder width mismatch %d vs %d", len(x), len(y)))
-	}
+	checkAdderWidths(x, y)
 	sum := make(Word, len(x))
+	return sum, b.ripple(sum, x, y, carryIn)
+}
+
+// ripple writes x + y + carryIn into sum, one full adder per bit, and
+// returns the carry out.
+func (b *Builder) ripple(sum, x, y Word, carryIn int) int {
 	c := carryIn
 	for i := range x {
 		sum[i], c = b.fullAdder(x[i], y[i], c)
 	}
-	return sum, c
+	return c
 }
 
-// Add returns the width-preserving sum x + y (carry-out discarded,
-// i.e. arithmetic mod 2^width).
-func (b *Builder) Add(x, y Word) Word {
-	s, _ := b.AddCarry(x, y, Const0)
-	return s
+func checkAdderWidths(x, y Word) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("circuit: adder width mismatch %d vs %d", len(x), len(y)))
+	}
+}
+
+// Add returns the width-preserving sum x + y mod 2^width. The carry
+// out of the top bit is never formed, so a w-bit Add costs w−1 ANDs.
+func (b *Builder) Add(x, y Word) Word { return b.addMod(x, y, Const0) }
+
+func (b *Builder) addMod(x, y Word, carryIn int) Word {
+	checkAdderWidths(x, y)
+	sum := make(Word, len(x))
+	if top := len(x) - 1; top >= 0 {
+		c := b.ripple(sum[:top], x[:top], y[:top], carryIn)
+		sum[top] = b.XOR(b.XOR(x[top], y[top]), c)
+	}
+	return sum
 }
 
 // Sub returns x − y mod 2^width via x + ¬y + 1.
-func (b *Builder) Sub(x, y Word) Word {
-	ny := make(Word, len(y))
-	for i, w := range y {
-		ny[i] = b.NOT(w)
-	}
-	s, _ := b.AddCarry(x, ny, Const1)
-	return s
+func (b *Builder) Sub(x, y Word) Word { return b.addMod(x, b.not(y), Const1) }
+
+// subBorrow returns x − y mod 2^width and the carry out of x + ¬y + 1,
+// which is x ≥ y for unsigned operands: one AND per bit buys both.
+func (b *Builder) subBorrow(x, y Word) (diff Word, geq int) {
+	return b.AddCarry(x, b.not(y), Const1)
 }
 
-// Neg returns the 2's complement −x mod 2^width.
-func (b *Builder) Neg(x Word) Word {
-	zero := b.ConstWord(0, len(x))
-	return b.Sub(zero, x)
+func (b *Builder) not(x Word) Word {
+	out := make(Word, len(x))
+	for i, w := range x {
+		out[i] = b.NOT(w)
+	}
+	return out
 }
 
 // CondNeg returns s ? −x : x using the standard one-adder trick:
@@ -75,8 +93,7 @@ func (b *Builder) CondNeg(x Word, s int) Word {
 	}
 	sw := b.ConstWord(0, len(x))
 	sw[0] = s
-	sum, _ := b.AddCarry(fx, sw, Const0)
-	return sum
+	return b.Add(fx, sw)
 }
 
 // Mux returns s ? x1 : x0 bitwise with one AND per bit:
@@ -121,68 +138,11 @@ func (b *Builder) SignExtend(x Word, width int) Word {
 	return out
 }
 
-// ShiftLeft returns x << n zero-filled, width-preserving. Shifting is
-// pure rewiring and costs no gates.
-func (b *Builder) ShiftLeft(x Word, n int) Word {
-	if n < 0 {
-		panic("circuit: negative shift")
-	}
-	out := make(Word, len(x))
-	for i := range out {
-		if i < n {
-			out[i] = Const0
-		} else {
-			out[i] = x[i-n]
-		}
-	}
-	return out
-}
-
 // GEq returns the wire carrying x ≥ y for unsigned operands, computed
 // as the carry-out of x + ¬y + 1 (one AND per bit).
 func (b *Builder) GEq(x, y Word) int {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("circuit: comparator width mismatch %d vs %d", len(x), len(y)))
-	}
-	ny := make(Word, len(y))
-	for i, w := range y {
-		ny[i] = b.NOT(w)
-	}
-	_, carry := b.AddCarry(x, ny, Const1)
-	return carry
-}
-
-// LessThan returns the wire carrying x < y for unsigned operands.
-func (b *Builder) LessThan(x, y Word) int { return b.NOT(b.GEq(x, y)) }
-
-// Equal returns the wire carrying x == y using an XNOR layer and an
-// AND reduction tree (len−1 AND gates).
-func (b *Builder) Equal(x, y Word) int {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("circuit: equality width mismatch %d vs %d", len(x), len(y)))
-	}
-	if len(x) == 0 {
-		return Const1
-	}
-	eq := make([]int, len(x))
-	for i := range x {
-		eq[i] = b.NOT(b.XOR(x[i], y[i]))
-	}
-	return b.andTree(eq)
-}
-
-func (b *Builder) andTree(ws []int) int {
-	for len(ws) > 1 {
-		next := ws[:0]
-		for i := 0; i+1 < len(ws); i += 2 {
-			next = append(next, b.AND(ws[i], ws[i+1]))
-		}
-		if len(ws)%2 == 1 {
-			next = append(next, ws[len(ws)-1])
-		}
-		ws = next
-	}
-	return ws[0]
+	_, ge := b.subBorrow(x, y)
+	return ge
 }
 
 // MulTreeUnsigned returns the full-width product x·y
@@ -223,10 +183,9 @@ func (b *Builder) MulTreeUnsigned(x, y Word) Word {
 
 // MulSerialUnsigned returns the full-width product using the serial
 // shift-and-add structure of the TinyGarble multiplier: a single
-// running sum accumulates one conditioned addend per bit of y. Its AND
-// count matches the tree multiplier but every addition depends on the
-// previous one, which is exactly the serial dependency chain the paper
-// criticises (§4: "the implementation of the multiplication operation
+// running sum accumulates one conditioned addend per bit of y. Every
+// addition depends on the previous one, which is exactly the serial
+// dependency chain the paper criticises (§4: "the implementation of the multiplication operation
 // in [16] follows a serial nature that does not allow parallelism").
 func (b *Builder) MulSerialUnsigned(x, y Word) Word {
 	if len(x) == 0 || len(y) == 0 {

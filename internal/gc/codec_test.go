@@ -21,7 +21,7 @@ func sampleMaterial(t *testing.T, seqState bool) *Material {
 		b := circuit.NewBuilder()
 		x := b.GarblerInputs(3)
 		y := b.EvaluatorInputs(3)
-		b.Outputs(b.GEq(x, y), b.Equal(x, y))
+		b.Outputs(b.GEq(x, y), b.OR(x[0], y[0]))
 		c = b.MustBuild()
 	}
 	g, err := NewGarbler(DefaultParams(), rand.Reader)

@@ -70,7 +70,10 @@ func Run(cfg Config) (*Report, error) {
 		logf = func(string, ...any) {}
 	}
 
-	before := readPoolCounters(cfg)
+	before, err := readPoolCounters(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("load: pool counters before the run: %w", err)
+	}
 
 	var (
 		skipped, succeeded, shed, failed, miscomputed atomic.Int64
@@ -148,7 +151,11 @@ func Run(cfg Config) (*Report, error) {
 		FirstError:  firstError,
 	}
 	r.Finalize(latencies)
-	if after := readPoolCounters(cfg); after != nil && before != nil {
+	after, err := readPoolCounters(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("load: pool counters after the run: %w", err)
+	}
+	if after != nil {
 		r.Pool = NewPoolStats(after.Hits-before.Hits, after.Misses-before.Misses)
 	}
 	return r, nil
@@ -204,20 +211,18 @@ func isBusy(err error) bool {
 
 // readPoolCounters samples cumulative precompute hit/miss counters
 // from whichever source the config provides; nil when none is
-// available (the report then omits pool stats).
-func readPoolCounters(cfg Config) *PoolStats {
-	var snap *obs.Snapshot
+// configured (the report then omits pool stats). A configured scrape
+// that fails is an error, not a missing section.
+func readPoolCounters(cfg Config) (*PoolStats, error) {
 	switch {
 	case cfg.Registry != nil:
-		snap = cfg.Registry.Snapshot()
+		return PoolFromSnapshot(cfg.Registry.Snapshot()), nil
 	case cfg.MetricsURL != "":
-		s, err := FetchSnapshot(cfg.MetricsURL)
+		snap, err := FetchSnapshot(cfg.MetricsURL)
 		if err != nil {
-			return nil
+			return nil, err
 		}
-		snap = s
-	default:
-		return nil
+		return PoolFromSnapshot(snap), nil
 	}
-	return PoolFromSnapshot(snap)
+	return nil, nil
 }

@@ -2,9 +2,15 @@ package load
 
 import (
 	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"maxelerator/internal/obs"
 )
 
 var testShape = Shape{Rows: 4, Cols: 4, Width: 8}
@@ -183,6 +189,43 @@ func TestParseShape(t *testing.T) {
 			t.Errorf("ParseShape(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 			t.Errorf("ParseShape(%q) = %+v, %v; want an error naming %q", tc.in, got, err, tc.err)
+		}
+	}
+}
+
+// A metrics URL that cannot be scraped fails the run with the scrape's
+// cause, before the run (the port refuses) or after it (the endpoint
+// answers once, then 503s), instead of leaving Report.Pool nil.
+func TestRunNamesFailedPoolScrape(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String()
+	ln.Close()
+
+	var scrapes atomic.Int64
+	reg := obs.NewRegistry()
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if scrapes.Add(1) > 1 {
+			http.Error(w, "gone", http.StatusServiceUnavailable)
+			return
+		}
+		reg.SnapshotJSON(w)
+	}))
+	defer flaky.Close()
+
+	for _, tc := range []struct{ url, want string }{
+		{refused, "before the run: load: scraping " + refused + "/histz"},
+		{flaky.URL, "after the run: load: scraping " + flaky.URL + "/histz: status 503"},
+	} {
+		r, err := Run(Config{
+			Target:     "127.0.0.1:1",
+			Scenario:   Scenario{Rate: 1, Process: Uniform, DurationSec: 1, Shape: testShape},
+			MetricsURL: tc.url,
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("metrics %s: report %+v, err = %v; want an error containing %q", tc.url, r, err, tc.want)
 		}
 	}
 }

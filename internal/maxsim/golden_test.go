@@ -17,12 +17,15 @@ import (
 // layout all feed it.
 //
 // It was first computed at the commit before the flat-program kernel
-// (def35ba) and re-pinned once since, when the garbler took ownership of
-// the tweak sequence: both rows are garbled on one simulator, so under
-// one Δ, and row 1 now continues row 0's tweak range instead of
-// restarting at 0. Row 0's bytes, the label draw order and every length
-// are unchanged.
-const goldenTranscriptDigest = "73dff149202b6eda1c87661f3eae4362e86bc37a9626e136c2bc3fd4e40bcbff"
+// (def35ba) and re-pinned twice since. First when the garbler took
+// ownership of the tweak sequence: both rows are garbled on one
+// simulator, so under one Δ, and row 1 now continues row 0's tweak range
+// instead of restarting at 0. Then when the builder began folding
+// XOR(w, w) and AND(w, w) and Add stopped forming its top carry: this
+// b=8 signed MAC went from 204 to 178 ANDs, so every material frame is
+// shorter and every tweak after the first dropped gate moves (protocol
+// v5). The label draw order is unchanged.
+const goldenTranscriptDigest = "eed7e5052874b60ec7895dab71db348448fb5af1785acc784f9973f502f24008"
 
 func transcriptDigest(t *testing.T, runs []*DotProductRun) string {
 	t.Helper()

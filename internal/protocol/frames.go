@@ -1,6 +1,6 @@
 package protocol
 
-// The frames of protocol v4. Outside the OT sub-protocol (raw
+// The frames of protocol v4, kept unchanged by v5. Outside the OT sub-protocol (raw
 // fixed-size binary, see internal/ot) every frame starts with a one-byte
 // tag from the one namespace below, and every control frame has one
 // fixed little-endian layout after it, checked for exact length on

@@ -50,11 +50,13 @@ import (
 // group elements); version 4 replaced the gob-encoded control frames
 // with the tagged binary ones of frames.go, and fixes the garbling
 // parameters (half gates over fixed-key AES) instead of naming the
-// scheme in the hello. Any other generation is detected in the
-// handshake — by its version field, or, for the gob generations, by the
-// first byte of its first frame — and rejected with ErrVersionMismatch
-// before a single OT byte moves.
-const ProtoVersion = 4
+// scheme in the hello; version 5 garbles the folded MAC netlist (no
+// constant, repeated-operand or unread ANDs), which both ends build
+// from the shape, so a v4 peer would disagree on every table count. Any
+// other generation is detected in the handshake — by its version field,
+// or, for the gob generations, by the first byte of its first frame —
+// and rejected with ErrVersionMismatch before a single OT byte moves.
+const ProtoVersion = 5
 
 // ErrVersionMismatch is returned (wrapped, naming the local version and
 // what is known of the peer's) when the two endpoints speak different
@@ -222,7 +224,7 @@ func NewServer(cfg maxsim.Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The hello names no garbling parameters: every v4 client evaluates
+	// The hello names no garbling parameters: every v4+ client evaluates
 	// under gc.DefaultParams, and a garbler on anything else would
 	// handshake cleanly and then compute garbage.
 	got, want := sim.Config().Params, gc.DefaultParams()
