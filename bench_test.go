@@ -30,9 +30,6 @@ import (
 	"maxelerator/internal/wire"
 )
 
-// BenchmarkTable1ResourceUsage regenerates Table 1: the fabric cost of
-// one MAC unit per bit-width, reported as custom metrics next to the
-// model-evaluation time.
 // clientRun is one Dial + Do + Close over a fresh connection — the
 // single-request convenience the protocol package used to export.
 func clientRun(c *protocol.Client, conn wire.Conn, y []int64) ([]int64, error) {
@@ -50,6 +47,26 @@ func clientRun(c *protocol.Client, conn wire.Conn, y []int64) ([]int64, error) {
 	return out, nil
 }
 
+// serveOne is clientRun's server side: one request on a fresh session,
+// then the client's session end.
+func serveOne(srv *protocol.Server, conn wire.Conn, cfg protocol.SessionConfig, req protocol.Request) error {
+	sess, err := srv.NewSession(conn, cfg)
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
+	if _, err := sess.Serve(req); err != nil {
+		return err
+	}
+	if _, err := sess.Serve(req); !errors.Is(err, protocol.ErrSessionEnded) {
+		return fmt.Errorf("after the one request: %v, want ErrSessionEnded", err)
+	}
+	return nil
+}
+
+// BenchmarkTable1ResourceUsage regenerates Table 1: the fabric cost of
+// one MAC unit per bit-width, reported as custom metrics next to the
+// model-evaluation time.
 func BenchmarkTable1ResourceUsage(b *testing.B) {
 	for _, width := range paper.Widths {
 		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
@@ -168,7 +185,7 @@ func BenchmarkFig1EndToEnd(b *testing.B) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, srvErr = srv.Serve(ca, protocol.Request{Matrix: [][]int64{x}})
+			srvErr = serveOne(srv, ca, protocol.SessionConfig{}, protocol.Request{Matrix: [][]int64{x}})
 		}()
 		got, err := clientRun(cli, cb, y)
 		wg.Wait()
@@ -501,7 +518,7 @@ func BenchmarkOTModes(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, srvErr = srv.Serve(ca, protocol.Request{Matrix: [][]int64{{1, 2, 3, 4}}, OT: mode.ot})
+					srvErr = serveOne(srv, ca, protocol.SessionConfig{}, protocol.Request{Matrix: [][]int64{{1, 2, 3, 4}}, OT: mode.ot})
 				}()
 				if _, err := clientRun(cli, counted, []int64{1, 1, 1, 1}); err != nil {
 					b.Fatal(err)
@@ -584,7 +601,8 @@ func BenchmarkParallelGarbling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			req := protocol.Request{Matrix: A, OT: protocol.OTBatched, GarbleWorkers: workers}
+			cfg := protocol.SessionConfig{GarbleWorkers: workers}
+			req := protocol.Request{Matrix: A, OT: protocol.OTBatched}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ca, cb := wire.Pipe()
@@ -593,7 +611,7 @@ func BenchmarkParallelGarbling(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, srvErr = srv.Serve(ca, req)
+					srvErr = serveOne(srv, ca, cfg, req)
 				}()
 				_, err := clientRun(cli, cb, y)
 				wg.Wait()
@@ -636,7 +654,7 @@ func BenchmarkMultiplexedSession(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, srvErr = srv.Serve(ca, protocol.Request{Matrix: A})
+					srvErr = serveOne(srv, ca, protocol.SessionConfig{}, protocol.Request{Matrix: A})
 				}()
 				if _, err := clientRun(cli, cb, y); err != nil || srvErr != nil {
 					b.Fatal(err, srvErr)

@@ -26,7 +26,7 @@ type fakeBackend struct {
 	srv  *protocol.Server
 
 	mu     sync.Mutex
-	served int // sessions that completed a real serve
+	served int // requests served to completion (every test session makes one)
 	busy   int // connections to reject with BUSY before serving again
 	down   bool
 	fault  *faultconn.Options // wraps the gateway-side conn when set
@@ -72,7 +72,15 @@ func (fb *fakeBackend) dial() (wire.Conn, error) {
 			beSide.RecvMsg()
 			return
 		}
-		if _, err := fb.srv.Serve(beSide, protocol.Request{Matrix: testMatrix}); err == nil {
+		sess, err := fb.srv.NewSession(beSide, protocol.SessionConfig{})
+		if err != nil {
+			return
+		}
+		defer sess.Close()
+		for {
+			if _, err := sess.Serve(protocol.Request{Matrix: testMatrix}); err != nil {
+				return
+			}
 			fb.mu.Lock()
 			fb.served++
 			fb.mu.Unlock()

@@ -59,18 +59,24 @@ func (t *Tracer) StartSession(kind, peer string) *SessionTrace {
 	return st
 }
 
+// MaxSpans bounds the spans one session trace keeps, so a connection
+// that stays open for request after request cannot grow the daemon's
+// memory without bound.
+const MaxSpans = 1024
+
 // SessionTrace is one protocol session's phase record.
 type SessionTrace struct {
-	mu    sync.Mutex
-	id    string
-	kind  string
-	peer  string
-	start time.Time
-	end   time.Duration
-	done  bool
-	errs  string
-	attrs map[string]string
-	spans []*Span
+	mu      sync.Mutex
+	id      string
+	kind    string
+	peer    string
+	start   time.Time
+	end     time.Duration
+	done    bool
+	errs    string
+	attrs   map[string]string
+	spans   []*Span
+	dropped int64 // spans refused past MaxSpans
 }
 
 // ID returns the session's assigned identifier ("" on a nil trace).
@@ -82,16 +88,21 @@ func (s *SessionTrace) ID() string {
 }
 
 // StartSpan opens a named phase span (handshake, ot_setup,
-// round_garble, decode, ...). Spans may overlap; End closes one.
+// round_garble, decode, ...). Spans may overlap; End closes one. Past
+// MaxSpans it records nothing and returns the nil span, a no-op; the
+// snapshot counts it in SpansDropped.
 func (s *SessionTrace) StartSpan(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	sp := &Span{parent: s, name: name}
 	s.mu.Lock()
-	sp.start = time.Since(s.start)
+	defer s.mu.Unlock()
+	if len(s.spans) == MaxSpans {
+		s.dropped++
+		return nil
+	}
+	sp := &Span{parent: s, name: name, start: time.Since(s.start)}
 	s.spans = append(s.spans, sp)
-	s.mu.Unlock()
 	return sp
 }
 
@@ -169,6 +180,8 @@ type SessionSnapshot struct {
 	Err        string            `json:"err,omitempty"`
 	Attrs      map[string]string `json:"attrs,omitempty"`
 	Spans      []SpanSnapshot    `json:"spans"`
+	// SpansDropped counts the spans refused past MaxSpans.
+	SpansDropped int64 `json:"spans_dropped,omitempty"`
 }
 
 // SpanCount returns how many of the snapshot's spans carry name —
@@ -190,7 +203,7 @@ func (s *SessionTrace) snapshot() SessionSnapshot {
 	defer s.mu.Unlock()
 	snap := SessionSnapshot{
 		ID: s.id, Kind: s.kind, Peer: s.peer, Start: s.start,
-		DurationUS: -1, Done: s.done, Err: s.errs,
+		DurationUS: -1, Done: s.done, Err: s.errs, SpansDropped: s.dropped,
 	}
 	if s.done {
 		snap.DurationUS = s.end.Microseconds()

@@ -122,14 +122,14 @@ func warmRequestAllocs(t *testing.T, n, width int, ot OTMode, workers int, poole
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess, err := srv.NewSession(a, SessionConfig{})
+		sess, err := srv.NewSession(a, SessionConfig{GarbleWorkers: workers})
 		if err != nil {
 			srvErr = err
 			return
 		}
 		defer sess.Close()
 		for {
-			_, err := sess.Serve(Request{Matrix: A, OT: ot, GarbleWorkers: workers})
+			_, err := sess.Serve(Request{Matrix: A, OT: ot})
 			if errors.Is(err, ErrSessionEnded) {
 				return
 			}

@@ -62,10 +62,7 @@ func (c *Client) WithShapeHint(h ShapeHint) *Client {
 // ClientSession is the evaluator's end of one multiplexed connection.
 // Not safe for concurrent use; requests run strictly one at a time.
 type ClientSession struct {
-	c        *Client
-	conn     wire.Conn // the timedConn: every op runs under a phase budget
-	tc       *timedConn
-	to       Timeouts
+	tc       *timedConn // every wire op runs under a phase budget
 	h        hello
 	params   gc.Params
 	macCkt   *circuit.Circuit
@@ -90,8 +87,8 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 	// The client wraps its connection in the same timed wrapper as the
 	// server (with no metrics registry): a garbler that stalls mid-setup
 	// costs the evaluator one phase budget, not a hung Dial.
-	tc := newTimedConn(conn, nil)
-	tc.enterPhase(phaseHandshake, c.timeouts.Handshake)
+	tc := newTimedConn(conn, nil, c.timeouts)
+	tc.enterPhase(phaseHandshake)
 	// The routing preface goes out before anything is read: the server
 	// speaks first, so this frame is the only thing a gateway can
 	// classify before committing the session to a backend.
@@ -116,6 +113,11 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 	if h.ProtoVersion != ProtoVersion {
 		return nil, fmt.Errorf("%w: server speaks v%d, client v%d", ErrVersionMismatch, h.ProtoVersion, ProtoVersion)
 	}
+	// The MAC below costs memory in Width²: bound the shape before the
+	// server has proven anything.
+	if err := checkWidths(h.Width, h.AccWidth); err != nil {
+		return nil, fmt.Errorf("protocol: refusing the server hello: %w", err)
+	}
 	if err := tc.SendMsg(appendHelloAck(nil, ProtoVersion)); err != nil {
 		return nil, err
 	}
@@ -123,13 +125,13 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("protocol: rebuilding MAC netlist: %w", err)
 	}
-	tc.enterPhase(phaseOTSetup, c.timeouts.Handshake)
+	tc.enterPhase(phaseOTSetup)
 	receiver, err := ot.NewExtensionReceiver(tc, c.rnd)
 	if err != nil {
 		return nil, err
 	}
-	tc.enterPhase(phaseRequestOpen, c.timeouts.IO)
-	return &ClientSession{c: c, conn: tc, tc: tc, to: c.timeouts, h: h, params: gc.DefaultParams(), macCkt: ckt, receiver: receiver}, nil
+	tc.enterPhase(phaseRequestOpen)
+	return &ClientSession{tc: tc, h: h, params: gc.DefaultParams(), macCkt: ckt, receiver: receiver}, nil
 }
 
 // Do runs one request with the client vector y and returns the decoded
@@ -152,13 +154,13 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 		}
 		bitsPerRound[i] = circuit.Int64ToBits(v, cs.h.Width)
 	}
-	cs.tc.enterPhase(phaseRequestOpen, cs.to.IO)
-	if err := cs.conn.SendMsg([]byte{tagReqOpen}); err != nil {
+	cs.tc.enterPhase(phaseRequestOpen)
+	if err := cs.tc.SendMsg([]byte{tagReqOpen}); err != nil {
 		return nil, cs.fail(err)
 	}
 	// The parse also rejects an OT mode this generation does not know,
 	// before any label is asked for.
-	hdr, err := recvFrame(cs.conn, parseReqHeader)
+	hdr, err := recvFrame(cs.tc, parseReqHeader)
 	if err != nil {
 		return nil, cs.fail(fmt.Errorf("protocol: reading request header: %w", err))
 	}
@@ -169,17 +171,17 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 		// OT traffic that will never come (see ClientSession.fail).
 		return nil, cs.fail(fmt.Errorf("protocol: server expects a %d-element vector, client holds %d", hdr.Cols, len(y)))
 	}
-	cs.tc.enterPhase(phaseRounds, cs.to.IO)
+	cs.tc.enterPhase(phaseRounds)
 	outs, err := cs.evalMatVec(hdr, bitsPerRound)
 	if err != nil {
 		return nil, cs.fail(err)
 	}
-	cs.tc.enterPhase(phaseDecode, cs.to.IO)
-	if err := cs.conn.SendMsg(appendResult(nil, outs)); err != nil {
+	cs.tc.enterPhase(phaseDecode)
+	if err := cs.tc.SendMsg(appendResult(nil, outs)); err != nil {
 		return nil, cs.fail(err)
 	}
 	cs.seq++
-	cs.tc.enterPhase(phaseRequestOpen, cs.to.IO)
+	cs.tc.enterPhase(phaseRequestOpen)
 	return outs, nil
 }
 
@@ -191,7 +193,7 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 // the session was only marked broken locally and the server hung.
 func (cs *ClientSession) fail(err error) error {
 	cs.broken = err
-	cs.conn.Close()
+	cs.tc.Close()
 	return err
 }
 
@@ -204,7 +206,7 @@ func (cs *ClientSession) Close() error {
 		return nil
 	}
 	cs.closed = true
-	return cs.conn.SendMsg([]byte{tagSessionEnd})
+	return cs.tc.SendMsg([]byte{tagSessionEnd})
 }
 
 // Requests returns how many requests the session has completed.
@@ -279,7 +281,7 @@ func (cs *ClientSession) readRows(hdr reqHeader, bitsPerRound [][]bool, batched 
 			if err := hp.failure(); err != nil {
 				return err
 			}
-			m, err := recvMaterial(cs.conn)
+			m, err := recvMaterial(cs.tc)
 			if err != nil {
 				return fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
 			}

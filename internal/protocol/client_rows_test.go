@@ -121,13 +121,13 @@ func TestHelperRowFailure(t *testing.T) {
 				conn := &corruptRecv{Conn: b, corrupt: tc.corrupt}
 				srvDone := make(chan error, 1)
 				go func() {
-					sess, err := srv.NewSession(a, SessionConfig{})
+					sess, err := srv.NewSession(a, SessionConfig{GarbleWorkers: 1})
 					if err != nil {
 						srvDone <- err
 						return
 					}
 					defer sess.Close()
-					_, err = sess.Serve(Request{Matrix: A, GarbleWorkers: 1})
+					_, err = sess.Serve(Request{Matrix: A})
 					srvDone <- err
 				}()
 				cs, err := cli.Dial(conn)

@@ -48,23 +48,13 @@ func faultMatrixServer(t *testing.T, to Timeouts) (*Server, *obs.Obs) {
 	return srv, o
 }
 
-// serveMux runs the full server side of one mux session and reports
+// serveMux runs the full server side of one mux session (serveOne, on
+// the two-worker garble pool both fault matrices exercise) and reports
 // the terminal error and wall time.
 func serveMux(srv *Server, conn wire.Conn, req Request) (error, time.Duration) {
 	start := time.Now()
-	sess, err := srv.NewSession(conn, SessionConfig{})
-	if err != nil {
-		return err, time.Since(start)
-	}
-	defer sess.Close()
-	if _, err := sess.Serve(req); err != nil {
-		return err, time.Since(start)
-	}
-	// Drain the client's end-of-session marker.
-	if _, err := sess.Serve(req); !errors.Is(err, ErrSessionEnded) {
-		return err, time.Since(start)
-	}
-	return nil, time.Since(start)
+	_, err := serveOne(srv, conn, SessionConfig{GarbleWorkers: 2}, req)
+	return err, time.Since(start)
 }
 
 // runFaultClient is the full client side; it runs in a goroutine and
@@ -103,7 +93,7 @@ func sampleOps(n int) []int {
 
 func TestFaultMatrixPeerStall(t *testing.T) {
 	before := runtime.NumGoroutine()
-	req := Request{Matrix: [][]int64{{1, 2}, {-3, 4}}, GarbleWorkers: 2}
+	req := Request{Matrix: [][]int64{{1, 2}, {-3, 4}}}
 	y := []int64{5, -6}
 
 	t.Run("matrix", func(t *testing.T) {
@@ -282,13 +272,13 @@ func TestServeContextCancellationInterruptsStalledSession(t *testing.T) {
 	defer cancel()
 	srvDone := make(chan error, 1)
 	go func() {
-		sess, err := srv.NewSessionContext(ctx, a, SessionConfig{})
+		sess, err := srv.NewSessionContext(ctx, a, SessionConfig{GarbleWorkers: 2})
 		if err != nil {
 			srvDone <- err
 			return
 		}
 		defer sess.Close()
-		_, err = sess.ServeContext(ctx, Request{Matrix: [][]int64{{1, 2, 3}}, GarbleWorkers: 2})
+		_, err = sess.ServeContext(ctx, Request{Matrix: [][]int64{{1, 2, 3}}})
 		srvDone <- err
 	}()
 
@@ -334,13 +324,13 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 	// for the peer.
 	announce := func(hdr reqHeader) func(*ServerSession) error {
 		return func(sess *ServerSession) error {
-			if _, err := sess.conn.RecvMsg(); err != nil {
+			if _, err := sess.tc.RecvMsg(); err != nil {
 				return err
 			}
-			if err := sess.conn.SendMsg(appendReqHeader(nil, hdr)); err != nil {
+			if err := sess.tc.SendMsg(appendReqHeader(nil, hdr)); err != nil {
 				return err
 			}
-			_, err := sess.conn.RecvMsg()
+			_, err := sess.tc.RecvMsg()
 			return err
 		}
 	}
@@ -427,7 +417,7 @@ func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	a, b := wire.Pipe()
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(a, Request{Matrix: bad, GarbleWorkers: 2})
+		_, err := serveOne(srv, a, SessionConfig{GarbleWorkers: 2}, Request{Matrix: bad})
 		srvDone <- err
 	}()
 	clientDone := make(chan error, 1)
@@ -454,7 +444,7 @@ func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	defer a2.Close()
 	defer b2.Close()
 	go func() {
-		_, err := srv.Serve(a2, Request{Matrix: good, GarbleWorkers: 3})
+		_, err := serveOne(srv, a2, SessionConfig{GarbleWorkers: 3}, Request{Matrix: good})
 		srvDone <- err
 	}()
 	if _, err := clientRun(cli, b2, []int64{1, 1}); err != nil {
@@ -476,7 +466,7 @@ func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	defer a3.Close()
 	defer b3.Close()
 	go func() {
-		_, err := srv.Serve(a3, Request{Matrix: good, GarbleWorkers: 1})
+		_, err := serveOne(srv, a3, SessionConfig{GarbleWorkers: 1}, Request{Matrix: good})
 		srvDone <- err
 	}()
 	if _, err := clientRun(cli, b3, []int64{1, 1}); err != nil {
@@ -583,7 +573,7 @@ func TestSetupReceiveCap(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			_, err = srv.Serve(wire.NewStreamConn(c), Request{Matrix: A, OT: OTBatched})
+			_, err = serveOne(srv, wire.NewStreamConn(c), SessionConfig{}, Request{Matrix: A, OT: OTBatched})
 			srvDone <- err
 		}()
 		nc, err := net.Dial("tcp", ln.Addr().String())

@@ -35,10 +35,10 @@ var (
 // server mid-rounds.
 func openRequestByHand(t *testing.T, cs *ClientSession) reqHeader {
 	t.Helper()
-	if err := cs.conn.SendMsg([]byte{tagReqOpen}); err != nil {
+	if err := cs.tc.SendMsg([]byte{tagReqOpen}); err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := recvFrame(cs.conn, parseReqHeader)
+	hdr, err := recvFrame(cs.tc, parseReqHeader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestHintedClientAgainstDirectServer(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, srvErr = srv.Serve(a, Request{Matrix: A})
+		_, srvErr = serveOne(srv, a, SessionConfig{}, Request{Matrix: A})
 	}()
 	cs, err := cli.Dial(b)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestConfigureAfterServePanics(t *testing.T) {
 	a, b := wire.Pipe()
 	defer a.Close()
 	b.Close() // fail the session fast; serving at all is what flips the latch
-	if _, err := srv.Serve(a, Request{Matrix: [][]int64{{1}}}); err == nil {
+	if _, err := srv.NewSession(a, SessionConfig{}); err == nil {
 		t.Fatal("serve on closed pipe succeeded")
 	}
 	for name, call := range map[string]func(){

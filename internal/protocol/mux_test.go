@@ -9,6 +9,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -185,7 +186,7 @@ func TestMultiplexedMixedModes(t *testing.T) {
 
 	reqs := []Request{
 		{Matrix: A},
-		{Matrix: A, OT: OTBatched, GarbleWorkers: 2},
+		{Matrix: A, OT: OTBatched},
 		{Matrix: A},
 	}
 
@@ -194,7 +195,7 @@ func TestMultiplexedMixedModes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess, err := srv.NewSession(a, SessionConfig{})
+		sess, err := srv.NewSession(a, SessionConfig{GarbleWorkers: 2})
 		if err != nil {
 			srvErr = err
 			return
@@ -342,7 +343,7 @@ func TestParallelGarblingMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, srvErr = srv.Serve(a, Request{Matrix: A, GarbleWorkers: workers})
+			resp, srvErr = serveOne(srv, a, SessionConfig{GarbleWorkers: workers}, Request{Matrix: A})
 		}()
 		out, err := clientRun(cli, b, y)
 		wg.Wait()
@@ -384,7 +385,7 @@ func TestGarblePoolMetrics(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, srvErr = srv.Serve(a, Request{Matrix: A, GarbleWorkers: 4})
+		_, srvErr = serveOne(srv, a, SessionConfig{GarbleWorkers: 4}, Request{Matrix: A})
 	}()
 	if _, err := clientRun(cli, b, []int64{1, 1}); err != nil {
 		t.Fatal(err)
@@ -429,7 +430,7 @@ func disconnectMidRounds(t *testing.T, mode OTMode) error {
 
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(a, Request{Matrix: [][]int64{{1, 2, 3, 4}, {5, 6, 7, 8}}, OT: mode})
+		_, err := serveOne(srv, a, SessionConfig{}, Request{Matrix: [][]int64{{1, 2, 3, 4}, {5, 6, 7, 8}}, OT: mode})
 		srvDone <- err
 	}()
 
@@ -485,13 +486,16 @@ func wantMismatch(t *testing.T, err error, peer int) {
 }
 
 // clientRejectsFirstFrame plays a server whose first frame is frame and
-// returns what Dial makes of it.
+// returns what Dial makes of it. The scripted server sends nothing
+// else, so a client that accepted the frame fails on its handshake
+// budget instead of hanging.
 func clientRejectsFirstFrame(t *testing.T, frame []byte) error {
 	t.Helper()
 	cli, err := NewClient(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli.WithTimeouts(Timeouts{Handshake: faultBudget, IO: faultBudget})
 	a, b := wire.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -520,7 +524,7 @@ func serverRejectsFirstFrames(t *testing.T, frames ...[]byte) error {
 	ca := wire.NewCounting(a)
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(ca, Request{Matrix: [][]int64{{1, 2}}})
+		_, err := srv.NewSession(ca, SessionConfig{})
 		srvDone <- err
 	}()
 	if _, err := b.RecvMsg(); err != nil {
@@ -572,6 +576,34 @@ func TestClientRejectsV2Hello(t *testing.T) {
 	wantMismatch(t, clientRejectsFirstFrame(t, frame), 2)
 }
 
+// TestDialRefusesUnservableHelloWidths: the client builds its MAC
+// netlist from the hello, at a cost that grows with Width², so a
+// hostile hello announcing Width 1024 used to cost Dial ≈ 1.4 GiB before
+// OT began (and the largest u16 width more memory than the host has).
+// Dial now checks the shape against the served bound first — an
+// accumulator wider than 64 bits could never decode into an int64
+// anyway — and refuses it by name without acking or building anything.
+func TestDialRefusesUnservableHelloWidths(t *testing.T) {
+	for _, h := range []hello{
+		{Width: 1024, AccWidth: 2048},
+		{Width: 32, AccWidth: 65, Signed: true},
+		{Width: 8, AccWidth: 15},
+		{Width: 0, AccWidth: 16},
+	} {
+		h.ProtoVersion = ProtoVersion
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := clientRejectsFirstFrame(t, appendHello(nil, h))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "2·width ≤ accumulator ≤ 64") {
+			t.Fatalf("hello %+v: Dial error = %v, want one naming the served bound", h, err)
+		}
+		if kib := (after.TotalAlloc - before.TotalAlloc) >> 10; kib >= 16<<10 {
+			t.Fatalf("hello %+v: Dial allocated %d KiB before refusing it, want < 16 MiB", h, kib)
+		}
+	}
+}
+
 // TestV3GobFramesRejected: v3 is the mismatch that exists in the field.
 // It framed its control messages with gob, so none of its first frames
 // carries a v4 tag; each (captured bytes, see frames_test.go) must be
@@ -583,42 +615,6 @@ func TestV3GobFramesRejected(t *testing.T) {
 	t.Run("busy", func(t *testing.T) { wantMismatch(t, clientRejectsFirstFrame(t, v3GobBusy), 0) })
 	t.Run("ack", func(t *testing.T) { wantMismatch(t, serverRejectsFirstFrames(t, v3GobAck), 0) })
 	t.Run("hint", func(t *testing.T) { wantMismatch(t, serverRejectsFirstFrames(t, v3GobHint, v3GobAck), 0) })
-}
-
-// TestDeprecatedWrappersStillServe pins the migration contract: the
-// pre-v2 entry points keep working as thin wrappers over Serve.
-func TestDeprecatedWrappersStillServe(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	var wg sync.WaitGroup
-	var out int64
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var resp *Response
-		resp, srvErr = srv.Serve(a, Request{Matrix: [][]int64{{2, -3}}})
-		if srvErr == nil {
-			out = resp.Values[0]
-		}
-	}()
-	got, err := clientRun(cli, b, []int64{4, 5})
-	wg.Wait()
-	if err != nil || srvErr != nil {
-		t.Fatal(err, srvErr)
-	}
-	if want := int64(2*4 - 3*5); got[0] != want || out != want {
-		t.Fatalf("client %d server %d, want %d", got[0], out, want)
-	}
 }
 
 // TestOTModeValidation pins the single-place enum validation.

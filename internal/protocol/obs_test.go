@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"crypto/rand"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func runObservedSession(t *testing.T, mode OTMode) *obs.Obs {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, srvErr = srv.Serve(a, Request{Matrix: A, OT: mode})
+		_, srvErr = serveOne(srv, a, SessionConfig{}, Request{Matrix: A, OT: mode})
 	}()
 	if _, err := clientRun(cli, b, y); err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func runObservedSession(t *testing.T, mode OTMode) *obs.Obs {
 func TestSessionMetricsRecorded(t *testing.T) {
 	o := runObservedSession(t, OTPerRound)
 	reg := o.Metrics()
-	if got := reg.Counter("sessions_total", "", obs.L("kind", "matvec")).Value(); got != 1 {
+	if got := reg.Counter("sessions_total", "", obs.L("kind", "mux")).Value(); got != 1 {
 		t.Fatalf("sessions_total = %d", got)
 	}
 	if got := reg.Gauge("sessions_active", "").Value(); got != 0 {
@@ -76,7 +77,7 @@ func TestSessionMetricsRecorded(t *testing.T) {
 	if reg.Histogram("ot_setup_seconds", "", nil).Count() != 1 {
 		t.Fatal("ot_setup_seconds not observed")
 	}
-	if reg.Histogram("session_seconds", "", nil, obs.L("kind", "matvec")).Count() != 1 {
+	if reg.Histogram("session_seconds", "", nil, obs.L("kind", "mux")).Count() != 1 {
 		t.Fatal("session_seconds not observed")
 	}
 	// Per-core idle-slot counters: the b=8 schedule has idle slots on
@@ -100,7 +101,7 @@ func TestSessionTraceSpans(t *testing.T) {
 	if !s.Done || s.Err != "" || s.DurationUS <= 0 {
 		t.Fatalf("trace %+v", s)
 	}
-	if s.Kind != "matvec" || s.Attrs["rows"] != "2" || s.Attrs["cols"] != "3" {
+	if s.Kind != "mux" || s.Attrs["rows"] != "2" || s.Attrs["cols"] != "3" {
 		t.Fatalf("trace attrs %+v", s)
 	}
 	// Phase taxonomy: handshake → ot_setup → rounds (+ per-row
@@ -137,12 +138,13 @@ func TestFailedSessionCountsError(t *testing.T) {
 	srv.WithObs(o)
 	a, b := wire.Pipe()
 	defer a.Close()
-	// Empty matrix fails validation inside the session wrapper.
-	if _, err := srv.Serve(a, Request{}); err == nil {
-		t.Fatal("empty matrix accepted")
-	}
+	// The client hangs up during the handshake, so the session fails
+	// before it opens.
 	b.Close()
-	if got := o.Metrics().Counter("session_errors_total", "", obs.L("kind", "matvec")).Value(); got != 1 {
+	if _, err := srv.NewSession(a, SessionConfig{}); err == nil {
+		t.Fatal("session opened against a client that hung up")
+	}
+	if got := o.Metrics().Counter("session_errors_total", "", obs.L("kind", "mux")).Value(); got != 1 {
 		t.Fatalf("session_errors_total = %d", got)
 	}
 	if got := o.Metrics().Gauge("sessions_active", "").Value(); got != 0 {
@@ -150,6 +152,68 @@ func TestFailedSessionCountsError(t *testing.T) {
 	}
 	if s := o.Traces().Recent(1)[0]; s.Err == "" || !s.Done {
 		t.Fatalf("failed session trace %+v", s)
+	}
+}
+
+// TestSessionTraceSpansBounded: a multiplexed session opens three spans
+// per one-row request (rounds, round_garble[0], decode) for as long as
+// its client stays connected, and used to keep every one of them — in
+// the live session and among the tracer's retained traces — so one
+// long-lived connection grew the daemon's memory with every request.
+// The trace now keeps obs.MaxSpans spans and counts the rest.
+func TestSessionTraceSpansBounded(t *testing.T) {
+	o := obs.New(8)
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.WithObs(o)
+	cli, err := NewClient(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := wire.Pipe()
+	defer a.Close()
+	defer b.Close()
+	const requests = obs.MaxSpans/3 + 10
+	srvDone := make(chan error, 1)
+	go func() {
+		sess, err := srv.NewSession(a, SessionConfig{})
+		if err != nil {
+			srvDone <- err
+			return
+		}
+		defer sess.Close()
+		for {
+			if _, err := sess.Serve(Request{Matrix: [][]int64{{3}}}); err != nil {
+				if errors.Is(err, ErrSessionEnded) {
+					err = nil
+				}
+				srvDone <- err
+				return
+			}
+		}
+	}()
+	cs, err := cli.Dial(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < requests; r++ {
+		if out, err := cs.Do([]int64{5}); err != nil || out[0] != 15 {
+			t.Fatalf("request %d: %v %v", r, out, err)
+		}
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-srvDone; err != nil {
+		t.Fatal(err)
+	}
+	s := o.Traces().Recent(1)[0]
+	opened := 2 + 3*requests // handshake and ot_setup, then three per request
+	if len(s.Spans) != obs.MaxSpans || s.SpansDropped != int64(opened-obs.MaxSpans) {
+		t.Fatalf("trace keeps %d spans and dropped %d after %d opened, want %d and %d",
+			len(s.Spans), s.SpansDropped, opened, obs.MaxSpans, opened-obs.MaxSpans)
 	}
 }
 

@@ -39,13 +39,14 @@ func TestWorkerPanicIsolatedToRequest(t *testing.T) {
 	}
 	defer func() { garbleTestHook = nil }()
 
-	req := Request{Matrix: [][]int64{{1, 2}, {3, 4}}, GarbleWorkers: 2}
+	req := Request{Matrix: [][]int64{{1, 2}, {3, 4}}}
+	cfg := SessionConfig{GarbleWorkers: 2}
 	a, b := wire.Pipe()
 	defer a.Close()
 	defer b.Close()
 	srvDone := make(chan error, 1)
 	go func() {
-		sess, err := srv.NewSession(a, SessionConfig{})
+		sess, err := srv.NewSession(a, cfg)
 		if err != nil {
 			srvDone <- err
 			return
@@ -94,7 +95,7 @@ func TestWorkerPanicIsolatedToRequest(t *testing.T) {
 	defer a2.Close()
 	defer b2.Close()
 	go func() {
-		_, err := srv.Serve(a2, req)
+		_, err := serveOne(srv, a2, cfg, req)
 		srvDone <- err
 	}()
 	out, err := clientRun(cli, b2, []int64{5, 6})
@@ -134,7 +135,7 @@ func TestInlinePanicIsolated(t *testing.T) {
 	defer b.Close()
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := srv.Serve(a, Request{Matrix: [][]int64{{1, 2}}, GarbleWorkers: 1})
+		_, err := serveOne(srv, a, SessionConfig{GarbleWorkers: 1}, Request{Matrix: [][]int64{{1, 2}}})
 		srvDone <- err
 	}()
 	_, derr := clientRun(cli, b, []int64{5, 6})

@@ -36,9 +36,9 @@ func precomputeTestServer(t *testing.T, cfg maxsim.Config, o *obs.Obs, pool int)
 	return srv, eng, shape
 }
 
-// serveOnce runs one request over a fresh pipe and returns the client's
-// outputs.
-func serveOnce(t *testing.T, srv *Server, req Request, y []int64) []int64 {
+// serveOnce runs one request (serveOne) over a fresh pipe and returns
+// the client's outputs.
+func serveOnce(t *testing.T, srv *Server, cfg SessionConfig, req Request, y []int64) []int64 {
 	t.Helper()
 	ca, cb := wire.Pipe()
 	defer ca.Close()
@@ -48,7 +48,7 @@ func serveOnce(t *testing.T, srv *Server, req Request, y []int64) []int64 {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, srvErr = srv.Serve(ca, req)
+		_, srvErr = serveOne(srv, ca, cfg, req)
 	}()
 	cli, err := NewClient(label.MustSystemDRBG())
 	if err != nil {
@@ -79,7 +79,7 @@ func TestPrecomputeHitServesOnlinePath(t *testing.T) {
 			if err := eng.Prefill(shape, 1); err != nil {
 				t.Fatal(err)
 			}
-			out := serveOnce(t, srv, Request{Matrix: A, OT: mode}, y)
+			out := serveOnce(t, srv, SessionConfig{}, Request{Matrix: A, OT: mode}, y)
 			if out[0] != want[0] || out[1] != want[1] {
 				t.Fatalf("pool-served result %v, want %v", out, want)
 			}
@@ -143,7 +143,7 @@ func TestPrecomputeMissFallsBackBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, srvErr = srv.Serve(rec, Request{Matrix: A})
+			_, srvErr = serveOne(srv, rec, SessionConfig{}, Request{Matrix: A})
 		}()
 		cdrbg, err := label.NewDRBG([16]byte{22})
 		if err != nil {
@@ -198,14 +198,14 @@ func TestPrecomputeBackgroundFillTurnsMissIntoHit(t *testing.T) {
 	A := [][]int64{{1, -2, 3}, {4, 5, -6}}
 	y := []int64{7, -8, 9}
 
-	serveOnce(t, srv, Request{Matrix: A}, y) // worker not started: miss
+	serveOnce(t, srv, SessionConfig{}, Request{Matrix: A}, y) // worker not started: miss
 	lbl := obs.L("shape", shape.String())
 	if v := o.Metrics().Counter("precompute_misses_total", "", lbl).Value(); v != 1 {
 		t.Fatalf("misses = %d, want 1", v)
 	}
 	eng.Start()
 	waitForDepth(t, eng, shape, 1)
-	serveOnce(t, srv, Request{Matrix: A}, y) // warm now: hit
+	serveOnce(t, srv, SessionConfig{}, Request{Matrix: A}, y) // warm now: hit
 	if v := o.Metrics().Counter("precompute_hits_total", "", lbl).Value(); v != 1 {
 		t.Fatalf("hits = %d, want 1", v)
 	}

@@ -72,13 +72,13 @@ func TestServeMatchesPlaintextProperty(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		srv.WithPrecompute(eng) // never started: a hit only when prefilled below
-		req := Request{Matrix: A, OT: mode, GarbleWorkers: workers}
+		req := Request{Matrix: A, OT: mode}
 		if hit {
 			if err := eng.Prefill(srv.shapeOf(req), 1); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 		}
-		got := serveOnce(t, srv, req, y)
+		got := serveOnce(t, srv, SessionConfig{GarbleWorkers: workers}, req, y)
 		hits, _ := eng.PoolStats()
 		eng.Stop()
 		if (hits == 1) != hit {

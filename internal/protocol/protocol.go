@@ -19,18 +19,17 @@
 // the "millions of users" target reachable; see DESIGN.md §8 for the
 // wire format.
 //
-// The server entry point is Serve (one request over a fresh
-// connection) or NewSession (many requests over one connection); the
-// client end of both is Dial. The garbler hot path fans
-// matrix rows out to a worker pool (Request.GarbleWorkers) and streams
-// the results strictly in row order, so the wire format is identical
-// whatever the pool size.
+// The server has one entry point: NewSession (or NewSessionContext)
+// opens a connection's session, and ServerSession.Serve serves each
+// request on it; the client end is Dial. The garbler hot path fans
+// matrix rows out to a worker pool (SessionConfig.GarbleWorkers) and
+// streams the results strictly in row order, so the wire format is
+// identical whatever the pool size.
 //
 // The threat model is honest-but-curious, matching the paper.
 package protocol
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -177,8 +176,8 @@ func sendErrFrame(conn wire.Conn, text string) error {
 }
 
 // Server is the garbler endpoint: it owns the accelerator
-// configuration and the model data. Serve and NewSession may be called
-// from concurrent goroutines — each request (and each garbling worker
+// configuration and the model data. NewSession may be called from
+// concurrent goroutines — each request (and each garbling worker
 // within one) forks its own simulator off the server's compiled one,
 // with a fresh free-XOR offset, as the paper requires ("new labels are
 // required for every garbling operation to ensure security").
@@ -189,8 +188,7 @@ type Server struct {
 	// worker. Nothing garbles on it; requests and workers Fork it.
 	sim *maxsim.Simulator
 	obs *obs.Obs
-	// timeouts are the default per-operation I/O budgets applied to
-	// every session (overridable per session via SessionConfig).
+	// timeouts are the per-operation I/O budgets of every session.
 	timeouts Timeouts
 	// pre, when non-nil, is the offline/online precomputation engine:
 	// matvec requests first try a pre-garbled pool entry and only fall
@@ -211,7 +209,7 @@ type Server struct {
 // panic names the offender so the fix is one stack frame away.
 func (s *Server) mustNotHaveServed(method string) {
 	if s.started.Load() {
-		panic(fmt.Sprintf("protocol: Server.%s called after a session was served; configure the server before Serve/NewSession", method))
+		panic(fmt.Sprintf("protocol: Server.%s called after a session was served; configure the server before NewSession", method))
 	}
 }
 
@@ -232,7 +230,23 @@ func NewServer(cfg maxsim.Config) (*Server, error) {
 		return nil, fmt.Errorf("protocol: protocol v%d fixes %s/%s, got %s/%s", ProtoVersion,
 			want.Scheme.Name(), want.Hash.Name(), got.Scheme.Name(), got.Hash.Name())
 	}
+	// Every client refuses a hello outside the served bound, so a server
+	// configured outside it would fail every session; fail at boot.
+	if err := checkWidths(sim.Config().Width, sim.Config().AccWidth); err != nil {
+		return nil, err
+	}
 	return &Server{sim: sim, arena: wire.NewArena()}, nil
+}
+
+// checkWidths is the one bound on a served MAC shape, 1 ≤ width and
+// 2·width ≤ accWidth ≤ 64 (a result decodes into an int64), applied by
+// NewServer to its configuration and by Dial to the hello.
+func checkWidths(width, accWidth int) error {
+	if width < 1 || accWidth < 2*width || accWidth > 64 {
+		return fmt.Errorf("protocol: width %d / accumulator width %d outside the served bound 1 ≤ width, 2·width ≤ accumulator ≤ 64 (results decode into an int64)",
+			width, accWidth)
+	}
+	return nil
 }
 
 // WithObs attaches an observability hub: every session is counted,
@@ -274,8 +288,8 @@ func (s *Server) shapeOf(req Request) precompute.Shape {
 	}
 }
 
-// WithTimeouts sets the default per-operation I/O budgets for every
-// session this server runs: Handshake bounds each wire operation of
+// WithTimeouts sets the per-operation I/O budgets for every session
+// this server runs: Handshake bounds each wire operation of
 // the connection-setup phases, IO each steady-state one. The zero
 // value leaves operations unbounded (the pre-timeout behaviour). Call
 // before serving (panics after the first session); returns s for
@@ -287,7 +301,7 @@ func (s *Server) WithTimeouts(t Timeouts) *Server {
 }
 
 // ArenaOutstanding reports how many frame-assembly buffers the
-// server's wire arena currently has checked out. Every Serve path —
+// server's wire arena currently has checked out. Every serve path —
 // success, fault, or mid-session disconnect — must return its buffers,
 // so a server with no session in flight reports zero; harnesses (cmd/
 // maxchaos) assert this after a drain as the arena-leak check.
@@ -305,18 +319,6 @@ type Request struct {
 	Matrix [][]int64
 	// OT selects the label-transfer mode (default OTPerRound).
 	OT OTMode
-	// GarbleWorkers sizes the row-garbling worker pool. 0 or 1 garbles
-	// inline on the session goroutine; N > 1 garbles up to N rows
-	// concurrently (each worker owns a private simulator, so every row
-	// still gets fresh labels) while an in-order streamer keeps the
-	// wire format unchanged.
-	GarbleWorkers int
-	// Trace, when non-nil, is a caller-opened session trace the
-	// protocol annotates with its phase spans instead of opening its
-	// own — this is how the daemon correlates its structured session
-	// logs with /debug/sessions entries. Honored by the one-shot Serve
-	// only; multiplexed sessions pass it via SessionConfig.
-	Trace *obs.SessionTrace
 }
 
 // validate rejects malformed requests before any wire traffic, so a
@@ -331,13 +333,7 @@ func (req Request) validate() error {
 			return fmt.Errorf("protocol: row %d has %d columns, want %d", i, len(row), cols)
 		}
 	}
-	if err := req.OT.validate(); err != nil {
-		return err
-	}
-	if req.GarbleWorkers < 0 {
-		return fmt.Errorf("protocol: negative garble worker count %d", req.GarbleWorkers)
-	}
-	return nil
+	return req.OT.validate()
 }
 
 // Response is the server-side outcome of one request.
@@ -346,34 +342,6 @@ type Response struct {
 	Values []int64
 	// Stats is the accelerator accounting for the request.
 	Stats Stats
-}
-
-// Serve runs one request over a fresh connection: versioned handshake,
-// one OT setup, the request, and the client's end-of-session marker.
-// To amortise the handshake and OT setup over many requests, use
-// NewSession instead.
-func (s *Server) Serve(conn wire.Conn, req Request) (resp *Response, err error) {
-	ss := s.beginSession("matvec", conn, req.Trace)
-	defer func() { ss.finish(err) }()
-	if err = req.validate(); err != nil {
-		return nil, err
-	}
-	sess, err := s.startSession(context.Background(), conn, ss, req.GarbleWorkers, s.timeouts)
-	if err != nil {
-		return nil, err
-	}
-	resp, err = sess.Serve(req)
-	if err != nil {
-		return nil, err
-	}
-	// Drain the client's end-of-session marker so the stream closes in
-	// a known state (through the session's timed connection, so a peer
-	// that never sends it costs one budget, not forever); a disconnect
-	// here is fine, the work is done.
-	if frame, derr := sess.conn.RecvMsg(); derr == nil && tagOf(frame) != tagSessionEnd {
-		return nil, fmt.Errorf("protocol: client sent a frame tagged %#02x on a finished single-request session, want the session end", tagOf(frame))
-	}
-	return resp, nil
 }
 
 func checkRange(v int64, width int, signed bool) error {
@@ -390,33 +358,34 @@ func checkRange(v int64, width int, signed bool) error {
 	return nil
 }
 
-// maxRowSpans bounds the per-row garbling spans retained in one
-// session trace; larger matrices keep only the aggregate rounds span.
+// maxRowSpans bounds the per-row garbling spans one request opens;
+// rows past it get only the aggregate rounds span. The session trace
+// bounds its own total (obs.MaxSpans) across requests.
 const maxRowSpans = 64
 
-// session is the per-session observability state shared by every
-// serving path. Every field is nil-safe, so the uninstrumented server
-// pays only a few nil checks. finish is idempotent: the first caller
-// (error return or Close) records the terminal state.
+// session is the per-session observability state; its trace and
+// metrics carry kind "mux", the one kind of session. Every field is
+// nil-safe, so the uninstrumented server pays only a few nil checks.
+// finish is idempotent: the first caller (error return or Close)
+// records the terminal state.
 type session struct {
 	tr     *obs.SessionTrace
 	reg    *obs.Registry
 	active *obs.Gauge
 	start  time.Time
-	kind   string
 	once   bool
 }
 
-func (s *Server) beginSession(kind string, conn wire.Conn, tr *obs.SessionTrace) *session {
+func (s *Server) beginSession(conn wire.Conn, tr *obs.SessionTrace) *session {
 	s.started.Store(true)
 	reg := s.obs.Metrics()
 	if tr == nil {
-		tr = s.obs.Traces().StartSession(kind, wire.PeerAddr(conn))
+		tr = s.obs.Traces().StartSession("mux", wire.PeerAddr(conn))
 	}
-	reg.Counter("sessions_total", "protocol sessions accepted", obs.L("kind", kind)).Inc()
+	reg.Counter("sessions_total", "protocol sessions accepted", obs.L("kind", "mux")).Inc()
 	active := reg.Gauge("sessions_active", "protocol sessions currently in flight")
 	active.Add(1)
-	return &session{tr: tr, reg: reg, active: active, start: time.Now(), kind: kind}
+	return &session{tr: tr, reg: reg, active: active, start: time.Now()}
 }
 
 // finish closes the session once; later calls are no-ops.
@@ -428,10 +397,10 @@ func (ss *session) finish(err error) {
 	ss.active.Add(-1)
 	ss.tr.Finish(err)
 	ss.reg.Histogram("session_seconds", "end-to-end session duration", nil,
-		obs.L("kind", ss.kind)).Observe(time.Since(ss.start).Seconds())
+		obs.L("kind", "mux")).Observe(time.Since(ss.start).Seconds())
 	if err != nil {
 		ss.reg.Counter("session_errors_total", "sessions that ended in error",
-			obs.L("kind", ss.kind)).Inc()
+			obs.L("kind", "mux")).Inc()
 	}
 }
 

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	mrand "math/rand"
 	"net"
@@ -15,10 +16,31 @@ import (
 	"maxelerator/internal/wire"
 )
 
-// serveValues runs one request through the unified Serve API and
-// splits the response the way the retired per-mode helpers used to.
+// serveOne serves exactly one request on a fresh session over conn: the
+// request, then the client's session end (a second Serve that must
+// report ErrSessionEnded), then Close.
+func serveOne(srv *Server, conn wire.Conn, cfg SessionConfig, req Request) (*Response, error) {
+	sess, err := srv.NewSession(conn, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
+	resp, err := sess.Serve(req)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sess.Serve(req); !errors.Is(err, ErrSessionEnded) {
+		if err == nil {
+			err = errors.New("the client opened a second request on a one-request session")
+		}
+		return nil, err
+	}
+	return resp, nil
+}
+
+// serveValues serves one request (serveOne) and splits the response.
 func serveValues(srv *Server, conn wire.Conn, req Request) ([]int64, Stats, error) {
-	resp, err := srv.Serve(conn, req)
+	resp, err := serveOne(srv, conn, SessionConfig{}, req)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -216,7 +238,7 @@ func TestVectorLengthMismatchRejected(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv.Serve(a, Request{Matrix: [][]int64{{1, 2, 3}}})
+		serveOne(srv, a, SessionConfig{}, Request{Matrix: [][]int64{{1, 2, 3}}})
 	}()
 	if _, err := clientRun(cli, b, []int64{1}); err == nil {
 		t.Fatal("length mismatch accepted by client")
@@ -241,7 +263,7 @@ func TestClientRejectsOutOfRangeInput(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv.Serve(a, Request{Matrix: [][]int64{{1}}})
+		serveOne(srv, a, SessionConfig{}, Request{Matrix: [][]int64{{1}}})
 	}()
 	if _, err := clientRun(cli, b, []int64{500}); err == nil {
 		t.Fatal("out-of-range client value accepted")
@@ -250,19 +272,71 @@ func TestClientRejectsOutOfRangeInput(t *testing.T) {
 	wg.Wait()
 }
 
-func TestServerValidation(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8})
+// refusesThenServes opens a session and checks that Serve refuses each
+// bad request before any wire traffic, leaving the session usable: a
+// well-formed request then serves on it.
+func refusesThenServes(t *testing.T, bad map[string]Request) {
+	t.Helper()
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := wire.Pipe()
+	cli, err := NewClient(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := wire.Pipe()
 	defer a.Close()
-	if _, err := srv.Serve(a, Request{}); err == nil {
-		t.Fatal("empty matrix accepted")
+	defer b.Close()
+	ca := wire.NewCounting(a)
+	opened := make(chan *ServerSession, 1)
+	go func() {
+		sess, err := srv.NewSession(ca, SessionConfig{})
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- sess
+	}()
+	cs, err := cli.Dial(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := srv.Serve(a, Request{Matrix: [][]int64{{1, 2}, {3}}}); err == nil {
-		t.Fatal("ragged matrix accepted")
+	sess := <-opened
+	if sess == nil {
+		t.FailNow()
 	}
+	defer sess.Close()
+	sent, recv, _, _ := ca.Totals()
+	for name, req := range bad {
+		if _, err := sess.Serve(req); err == nil {
+			t.Fatalf("%s request accepted", name)
+		}
+	}
+	if s, r, _, _ := ca.Totals(); s != sent || r != recv {
+		t.Fatalf("refusals moved %d bytes out and %d in, want none", s-sent, r-recv)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := sess.Serve(Request{Matrix: [][]int64{{2, -3}}})
+		done <- err
+	}()
+	out, err := cs.Do([]int64{4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("session unusable after the refusals: %v", err)
+	}
+	if out[0] != 2*4-3*5 {
+		t.Fatalf("result %d after the refusals, want %d", out[0], 2*4-3*5)
+	}
+}
+
+func TestServerValidation(t *testing.T) {
+	refusesThenServes(t, map[string]Request{
+		"empty":  {},
+		"ragged": {Matrix: [][]int64{{1, 2}, {3}}},
+	})
 }
 
 func TestNewClientValidation(t *testing.T) {
@@ -292,6 +366,25 @@ func TestGarblingParamsFixedByVersion(t *testing.T) {
 	_, out, _ := runSession(t, base, [][]int64{{1, 2, 3}}, []int64{3, 3, 3})
 	if len(out) != 1 || out[0] != 18 {
 		t.Fatalf("default parameters: got %v, want [18]", out)
+	}
+}
+
+// TestNewServerRefusesUnservableWidths: every client refuses a hello
+// outside the served bound (TestDialRefusesUnservableHelloWidths), so a
+// server configured outside it — maxd -b 64 — fails at boot, naming the
+// bound, instead of failing every session. The widest servable shape
+// still builds.
+func TestNewServerRefusesUnservableWidths(t *testing.T) {
+	for _, cfg := range []maxsim.Config{
+		{Width: 32, AccWidth: 65, Signed: true},
+		{Width: 64},
+	} {
+		if _, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), "2·width ≤ accumulator ≤ 64") {
+			t.Errorf("NewServer(%+v) error = %v, want one naming the served bound", cfg, err)
+		}
+	}
+	if _, err := NewServer(maxsim.Config{Width: 32, AccWidth: 64, Signed: true}); err != nil {
+		t.Fatalf("b=32 with a 64-bit accumulator refused: %v", err)
 	}
 }
 
@@ -354,7 +447,7 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv.Serve(a, Request{Matrix: [][]int64{{1, 2, 3, 4, 5, 6}}, OT: mode})
+			serveOne(srv, a, SessionConfig{}, Request{Matrix: [][]int64{{1, 2, 3, 4, 5, 6}}, OT: mode})
 		}()
 		if _, err := clientRun(cli, cb, []int64{1, 1, 1, 1, 1, 1}); err != nil {
 			t.Fatal(err)
@@ -371,18 +464,11 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 }
 
 func TestUnknownOTModeRejected(t *testing.T) {
-	srv, err := NewServer(maxsim.Config{Width: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := wire.Pipe()
-	defer a.Close()
-	// 2 was correlated OT, retired in PR 13.
-	for _, m := range []OTMode{2, 99} {
-		if _, err := srv.Serve(a, Request{Matrix: [][]int64{{1}}, OT: m}); err == nil {
-			t.Fatalf("unknown OT mode %d accepted", int(m))
-		}
-	}
+	// 2 was correlated OT, since retired.
+	refusesThenServes(t, map[string]Request{
+		"OT mode 2":  {Matrix: [][]int64{{1}}, OT: 2},
+		"OT mode 99": {Matrix: [][]int64{{1}}, OT: 99},
+	})
 }
 
 func TestConcurrentSessions(t *testing.T) {
@@ -405,7 +491,7 @@ func TestConcurrentSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer ca.Close()
-			if _, err := srv.Serve(ca, Request{Matrix: [][]int64{x}}); err != nil {
+			if _, err := serveOne(srv, ca, SessionConfig{}, Request{Matrix: [][]int64{x}}); err != nil {
 				errs <- err
 			}
 		}()

@@ -147,7 +147,7 @@ func TestDoOnBrokenSessionNamesErrSessionClosed(t *testing.T) {
 	defer b.Close()
 	srvDone := make(chan error, 1)
 	go func() {
-		_, serr := srv.Serve(a, Request{Matrix: [][]int64{{1, 2, 3}}})
+		_, serr := serveOne(srv, a, SessionConfig{}, Request{Matrix: [][]int64{{1, 2, 3}}})
 		srvDone <- serr
 	}()
 	cs, err := cli.Dial(b)

@@ -22,15 +22,16 @@ import (
 
 // SessionConfig shapes one multiplexed server session.
 type SessionConfig struct {
-	// GarbleWorkers is the default row-garbling pool size for requests
-	// that leave Request.GarbleWorkers at 0 (see that field's docs).
+	// GarbleWorkers sizes the row-garbling worker pool of every request
+	// on the session. 0 or 1 garbles inline on the session goroutine;
+	// N > 1 garbles up to N rows concurrently (each worker owns a
+	// private simulator, so every row still gets fresh labels) while an
+	// in-order streamer keeps the wire format unchanged.
 	GarbleWorkers int
-	// Timeouts are the per-operation I/O budgets of this session.
-	// Zero fields inherit the server's WithTimeouts defaults; negative
-	// fields disable that budget.
-	Timeouts Timeouts
 	// Trace, when non-nil, is a caller-opened session trace annotated
-	// with the session's phase spans instead of opening a fresh one.
+	// with the session's phase spans instead of opening a fresh one —
+	// this is how the daemon correlates its structured session logs
+	// with /debug/sessions entries.
 	Trace *obs.SessionTrace
 }
 
@@ -41,9 +42,7 @@ type SessionConfig struct {
 // stream position is unknown — and refuses further requests.
 type ServerSession struct {
 	srv     *Server
-	conn    wire.Conn // the timedConn: every op runs under a phase budget
-	tc      *timedConn
-	to      Timeouts
+	tc      *timedConn // every wire op runs under a phase budget
 	ss      *session
 	sender  *ot.ExtensionSender
 	workers int
@@ -76,9 +75,11 @@ func (s *Server) NewSession(conn wire.Conn, cfg SessionConfig) (*ServerSession, 
 // NewSessionContext is NewSession under a context: cancellation
 // interrupts the handshake and OT setup, including operations already
 // blocked on the wire. Pass the same context to ServeContext so
-// in-flight requests are interruptible too.
+// in-flight requests are interruptible too. The connection-level
+// phases — version negotiation and OT setup — run each wire operation
+// under the handshake budget.
 func (s *Server) NewSessionContext(ctx context.Context, conn wire.Conn, cfg SessionConfig) (sess *ServerSession, err error) {
-	ss := s.beginSession("mux", conn, cfg.Trace)
+	ss := s.beginSession(conn, cfg.Trace)
 	defer func() {
 		if err != nil {
 			ss.finish(err)
@@ -87,24 +88,17 @@ func (s *Server) NewSessionContext(ctx context.Context, conn wire.Conn, cfg Sess
 	if cfg.GarbleWorkers < 0 {
 		return nil, fmt.Errorf("protocol: negative garble worker count %d", cfg.GarbleWorkers)
 	}
-	return s.startSession(ctx, conn, ss, cfg.GarbleWorkers, cfg.Timeouts.resolveAgainst(s.timeouts))
-}
-
-// startSession runs the connection-level phases shared by Serve and
-// NewSession: version negotiation and OT setup, each wire operation
-// under the handshake budget.
-func (s *Server) startSession(ctx context.Context, conn wire.Conn, ss *session, workers int, to Timeouts) (*ServerSession, error) {
-	cfg := s.sim.Config()
-	tc := newTimedConn(conn, ss.reg)
+	simCfg := s.sim.Config()
+	tc := newTimedConn(conn, ss.reg, s.timeouts)
 	release := tc.bind(ctx)
 	defer release()
-	tc.enterPhase(phaseHandshake, to.Handshake)
+	tc.enterPhase(phaseHandshake)
 	ss.tr.SetAttr("proto_version", fmt.Sprint(ProtoVersion))
-	ss.tr.SetAttr("scheme", cfg.Params.Scheme.Name())
+	ss.tr.SetAttr("scheme", simCfg.Params.Scheme.Name())
 	hs := ss.tr.StartSpan("handshake")
-	err := tc.SendMsg(appendHello(nil, hello{
+	err = tc.SendMsg(appendHello(nil, hello{
 		ProtoVersion: ProtoVersion,
-		Width:        cfg.Width, AccWidth: cfg.AccWidth, Signed: cfg.Signed,
+		Width:        simCfg.Width, AccWidth: simCfg.AccWidth, Signed: simCfg.Signed,
 	}))
 	if err != nil {
 		hs.End()
@@ -140,22 +134,21 @@ func (s *Server) startSession(ctx context.Context, conn wire.Conn, ss *session, 
 	// the expensive public-key phase — paid once per connection, reused
 	// by every request. It shares the handshake budget: both are
 	// connection setup.
-	tc.enterPhase(phaseOTSetup, to.Handshake)
+	tc.enterPhase(phaseOTSetup)
 	otSpan := ss.tr.StartSpan("ot_setup")
-	sender, err := ot.NewExtensionSender(tc, cfg.Rand)
+	sender, err := ot.NewExtensionSender(tc, simCfg.Rand)
 	ss.observeOTSetup(otSpan.End())
 	if err != nil {
 		return nil, err
 	}
-	tc.enterPhase(phaseRequestOpen, to.IO)
-	return &ServerSession{srv: s, conn: tc, tc: tc, to: to, ss: ss, sender: sender, workers: workers}, nil
+	tc.enterPhase(phaseRequestOpen)
+	return &ServerSession{srv: s, tc: tc, ss: ss, sender: sender, workers: cfg.GarbleWorkers}, nil
 }
 
 // Serve handles the next client request with the server-side inputs in
 // req. It blocks until the client opens a request; ErrSessionEnded
 // means the client closed the loop (or disconnected between requests)
-// and no request was consumed. Request.Trace is ignored — the
-// session's trace spans every request.
+// and no request was consumed.
 func (sess *ServerSession) Serve(req Request) (*Response, error) {
 	return sess.ServeContext(context.Background(), req)
 }
@@ -177,8 +170,8 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 	}
 	release := sess.tc.bind(ctx)
 	defer release()
-	sess.tc.enterPhase(phaseRequestOpen, sess.to.IO)
-	open, err := sess.conn.RecvMsg()
+	sess.tc.enterPhase(phaseRequestOpen)
+	open, err := sess.tc.RecvMsg()
 	if err != nil {
 		sess.ended = true
 		if wire.IsDisconnect(err) {
@@ -203,13 +196,13 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 			// fails now instead of waiting out its deadline. Best
 			// effort — the wire may already be down — and generic: the
 			// panic detail stays in the server log, off the wire.
-			_ = sendErrFrame(sess.conn, "request aborted by internal server error")
+			_ = sendErrFrame(sess.tc, "request aborted by internal server error")
 		}
 		sess.broken = err
 		return nil, err
 	}
 	sess.seq++
-	sess.tc.enterPhase(phaseRequestOpen, sess.to.IO)
+	sess.tc.enterPhase(phaseRequestOpen)
 	return resp, nil
 }
 
@@ -241,17 +234,12 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 	cols := len(A[0])
 	ss := sess.ss
 	reqStart := time.Now()
-	sess.tc.enterPhase(phaseRounds, sess.to.IO)
+	sess.tc.enterPhase(phaseRounds)
 	ss.tr.SetAttr("rows", fmt.Sprint(len(A)))
 	ss.tr.SetAttr("cols", fmt.Sprint(cols))
 	hdr := reqHeader{Seq: sess.seq, Rows: len(A), Cols: cols, OT: req.OT}
-	if err := sess.conn.SendMsg(appendReqHeader(nil, hdr)); err != nil {
+	if err := sess.tc.SendMsg(appendReqHeader(nil, hdr)); err != nil {
 		return nil, err
-	}
-
-	workers := req.GarbleWorkers
-	if workers == 0 {
-		workers = sess.workers
 	}
 
 	// Offline/online split: a pool hit replaces garbling with material
@@ -284,7 +272,7 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 	// row 0 while later rows are still being produced. The byte stream
 	// is identical to the fully buffered path.
 	st := newRowStreamer(sess, req.OT)
-	if err := st.run(ctx, A, workers, pre); err != nil {
+	if err := st.run(ctx, A, sess.workers, pre); err != nil {
 		return nil, err
 	}
 	agg := st.agg
@@ -292,9 +280,9 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 	ss.tr.SetAttr("macs", fmt.Sprint(agg.MACs))
 	ss.tr.SetAttr("table_bytes", fmt.Sprint(agg.TableBytes))
 
-	sess.tc.enterPhase(phaseDecode, sess.to.IO)
+	sess.tc.enterPhase(phaseDecode)
 	decode := ss.tr.StartSpan("decode")
-	values, err := recvFrame(sess.conn, parseResult)
+	values, err := recvFrame(sess.tc, parseResult)
 	decode.End()
 	if err != nil {
 		return nil, fmt.Errorf("protocol: reading client result: %w", err)

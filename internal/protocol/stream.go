@@ -104,7 +104,7 @@ func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
 	return &rowStreamer{
 		sess: sess,
 		ot:   mode,
-		fw:   wire.NewFrameWriter(sess.conn, sess.srv.arena),
+		fw:   wire.NewFrameWriter(sess.tc, sess.srv.arena),
 		chunks: sess.ss.reg.Counter("pipeline_chunks_total",
 			"chunks (runs of consecutive garbled rounds of one row) streamed through the serve pipeline"),
 	}

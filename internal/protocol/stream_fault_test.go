@@ -26,13 +26,12 @@ import (
 )
 
 // pipelineReq is the canonical pipelined request: several rows through
-// the worker pool with per-round OT, so material streams through the
-// arena while later rows are still garbling.
+// the two-worker pool (serveMux) with per-round OT, so material streams
+// through the arena while later rows are still garbling.
 func pipelineReq() Request {
 	return Request{
-		Matrix:        [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}},
-		OT:            OTPerRound,
-		GarbleWorkers: 2,
+		Matrix: [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}},
+		OT:     OTPerRound,
 	}
 }
 
@@ -226,7 +225,7 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 	defer cancel()
 	srvDone := make(chan error, 1)
 	go func() {
-		sess, err := srv.NewSessionContext(ctx, sconn, SessionConfig{})
+		sess, err := srv.NewSessionContext(ctx, sconn, SessionConfig{GarbleWorkers: 2})
 		if err != nil {
 			srvDone <- err
 			return

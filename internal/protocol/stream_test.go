@@ -97,7 +97,7 @@ func streamTranscriptOf(t *testing.T, A [][]int64, y []int64, mode OTMode, worke
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, srvErr = srv.Serve(rec, Request{Matrix: A, OT: mode, GarbleWorkers: workers})
+		_, srvErr = serveOne(srv, rec, SessionConfig{GarbleWorkers: workers}, Request{Matrix: A, OT: mode})
 	}()
 	cdrbg, err := label.NewDRBG([16]byte{22})
 	if err != nil {
@@ -285,7 +285,7 @@ func TestFirstFrameLeavesEarly(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, srvErr = srv.Serve(conn, Request{Matrix: [][]int64{row}, GarbleWorkers: 4})
+		resp, srvErr = serveOne(srv, conn, SessionConfig{GarbleWorkers: 4}, Request{Matrix: [][]int64{row}})
 	}()
 	out, err := clientRun(cli, b, y)
 	wg.Wait()

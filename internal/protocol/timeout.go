@@ -50,26 +50,6 @@ type Timeouts struct {
 	IO time.Duration
 }
 
-// resolve merges a per-session override into server/client defaults:
-// zero inherits, negative disables.
-func resolveTimeout(override, def time.Duration) time.Duration {
-	switch {
-	case override < 0:
-		return 0
-	case override == 0:
-		return def
-	default:
-		return override
-	}
-}
-
-func (t Timeouts) resolveAgainst(def Timeouts) Timeouts {
-	return Timeouts{
-		Handshake: resolveTimeout(t.Handshake, def.Handshake),
-		IO:        resolveTimeout(t.IO, def.IO),
-	}
-}
-
 // Phase names, used in timeout errors and the phase_timeouts_total
 // metric. They mirror the session-trace span taxonomy.
 const (
@@ -85,11 +65,13 @@ var aLongTimeAgo = time.Unix(1, 0)
 
 // timedConn wraps the session's connection so every wire operation —
 // including the ones the ot package makes internally — runs under the
-// current phase's budget. Both endpoints wrap their connection in one;
-// phase transitions just update the budget.
+// current phase's budget, taken from its endpoint's Timeouts. Both
+// endpoints wrap their connection in one; phase transitions just pick
+// the budget.
 type timedConn struct {
 	inner wire.Conn
 	reg   *obs.Registry // nil on the client: timeouts still apply, counters don't
+	to    Timeouts
 
 	mu     sync.Mutex
 	dc     wire.DeadlineConn // nil once the transport proves deadline-incapable
@@ -98,56 +80,51 @@ type timedConn struct {
 	ctxErr error // sticky cancellation cause set by a bound context
 }
 
-func newTimedConn(conn wire.Conn, reg *obs.Registry) *timedConn {
-	tc := &timedConn{inner: conn, reg: reg, phase: phaseHandshake}
-	if dc, ok := wire.AsDeadline(conn); ok {
-		tc.dc = dc
-	}
-	return tc
+func newTimedConn(conn wire.Conn, reg *obs.Registry, to Timeouts) *timedConn {
+	dc, _ := wire.AsDeadline(conn) // nil when the transport has no deadlines
+	return &timedConn{inner: conn, reg: reg, to: to, dc: dc, phase: phaseHandshake}
 }
 
 // enterPhase switches the budget applied to subsequent operations, and
-// the receive cap with it: until the OT set-up is done the peer has
-// proven nothing and every frame due has a known small size, so a
-// length prefix announcing more than wire.SetupFrameLimit is refused
-// unread; from request_open on the cap is wire.MaxMessageSize.
-func (tc *timedConn) enterPhase(phase string, budget time.Duration) {
+// the receive cap with it. Until the OT set-up is done the budget is
+// Timeouts.Handshake, and since the peer has proven nothing and every
+// frame due has a known small size, a length prefix announcing more
+// than wire.SetupFrameLimit is refused unread; from request_open on the
+// budget is Timeouts.IO and the cap wire.MaxMessageSize.
+func (tc *timedConn) enterPhase(phase string) {
+	budget, limit := tc.to.IO, wire.MaxMessageSize
+	if phase == phaseHandshake || phase == phaseOTSetup {
+		budget, limit = tc.to.Handshake, wire.SetupFrameLimit
+	}
 	tc.mu.Lock()
 	tc.phase, tc.budget = phase, budget
 	tc.mu.Unlock()
-	limit := wire.MaxMessageSize
-	if phase == phaseHandshake || phase == phaseOTSetup {
-		limit = wire.SetupFrameLimit
-	}
 	wire.LimitRecv(tc.inner, limit)
 }
 
 // bind makes ctx cancellation interrupt this connection's in-flight
 // and future operations. The returned release func must be called
-// (typically deferred) to stop the watcher; cancellation stays sticky
-// after release — a cancelled session does not resume.
+// (typically deferred) to detach ctx; it waits for an abort that has
+// already started. Cancellation stays sticky after release — a
+// cancelled session does not resume.
 func (tc *timedConn) bind(ctx context.Context) (release func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
-	// Already cancelled: fail fast without spawning a watcher.
+	// Already cancelled: fail fast, synchronously.
 	if err := ctx.Err(); err != nil {
 		tc.abort(err)
 		return func() {}
 	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		select {
-		case <-ctx.Done():
-			tc.abort(ctx.Err())
-		case <-stop:
-		}
-	}()
+	aborted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(aborted)
+		tc.abort(ctx.Err())
+	})
 	return func() {
-		close(stop)
-		<-done
+		if !stop() {
+			<-aborted
+		}
 	}
 }
 
