@@ -2,8 +2,9 @@
 // representation used throughout the MAXelerator reproduction, together
 // with a builder for the GC-optimised arithmetic blocks the paper
 // relies on: the one-AND-per-bit ripple adder of TinyGarble, the
-// tree-based multiplier of Fig. 2, multiplexers, 2's-complement
-// conditioning for signed inputs, and comparison logic.
+// tree-based multiplier of Fig. 2 (its rows selected by the garbler's
+// radix-4 Booth digits, which serve signed and unsigned inputs alike),
+// multiplexers, and comparison logic.
 //
 // Circuits consist solely of 2-input XOR and AND gates plus free
 // inversions, matching the cost model of free-XOR garbling where XOR

@@ -13,7 +13,8 @@ import "fmt"
 //     frameworks that re-garble a full netlist each round.
 //
 // The builder's folds make the MAC minimal as built: no AND is dead,
-// constant-fed or a duplicate (TestMACIsMinimal).
+// constant-fed, a duplicate or reads a wire and its complement
+// (TestMACIsMinimal).
 
 // MACConfig parameterises a MAC netlist.
 type MACConfig struct {
@@ -24,12 +25,15 @@ type MACConfig struct {
 	// case studies accumulate into 2b bits with the tree multiplier
 	// producing the full product.
 	AccWidth int
-	// Signed selects the signed datapath of §4.3 (multiplexer +
-	// 2's-complement conditioning at multiplier input and output).
+	// Signed reads both operands as 2's complement (§4.3). Either way
+	// the tree multiplier is the radix-4 Booth one, with unsigned x
+	// recoded as a (b+1)-bit signed value, so signed operands need no
+	// conditional negation.
 	Signed bool
 	// SerialMultiplier selects the TinyGarble-style serial multiplier
-	// instead of the paper's tree multiplier. The netlists compute the
-	// same function; only the dependency structure differs.
+	// instead of the paper's tree multiplier for an unsigned MAC. The
+	// netlists compute the same function; only the dependency structure
+	// and the table count differ.
 	SerialMultiplier bool
 }
 
@@ -43,22 +47,12 @@ func (cfg MACConfig) validate() error {
 	return nil
 }
 
-// mulAndExtend multiplies x by a and widens the product to the
-// accumulator width according to the config's signedness.
-func (cfg MACConfig) mulAndExtend(b *Builder, x, a Word) Word {
-	var p Word
-	switch {
-	case cfg.Signed:
-		p = b.MulTreeSigned(x, a)
-	case cfg.SerialMultiplier:
-		p = b.MulSerialUnsigned(x, a)
-	default:
-		p = b.MulTreeUnsigned(x, a)
+// mulAcc returns acc + x·a mod 2^AccWidth.
+func (cfg MACConfig) mulAcc(b *Builder, acc, x, a Word) Word {
+	if cfg.SerialMultiplier && !cfg.Signed {
+		return b.Add(acc, b.ZeroExtend(b.MulSerialUnsigned(x, a), cfg.AccWidth))
 	}
-	if cfg.Signed {
-		return b.SignExtend(p, cfg.AccWidth)
-	}
-	return b.ZeroExtend(p, cfg.AccWidth)
+	return b.mulAccBooth(acc, x, a, cfg.Signed)
 }
 
 // MAC builds the sequential MAC unit: garbler input x (the model
@@ -73,8 +67,7 @@ func MAC(cfg MACConfig) (*Circuit, error) {
 	x := b.GarblerInputs(cfg.Width)
 	a := b.EvaluatorInputs(cfg.Width)
 	acc := b.StateInputs(cfg.AccWidth)
-	prod := cfg.mulAndExtend(b, x, a)
-	next := b.Add(acc, prod)
+	next := cfg.mulAcc(b, acc, x, a)
 	b.StateOuts(next...)
 	b.OutputWord(next)
 	return b.Build()
@@ -99,8 +92,7 @@ func MACCombinational(cfg MACConfig) (*Circuit, error) {
 	x := b.GarblerInputs(cfg.Width)
 	accIn := b.GarblerInputs(cfg.AccWidth)
 	a := b.EvaluatorInputs(cfg.Width)
-	prod := cfg.mulAndExtend(b, x, a)
-	out := b.Add(accIn, prod)
+	out := cfg.mulAcc(b, accIn, x, a)
 	b.OutputWord(out)
 	return b.Build()
 }

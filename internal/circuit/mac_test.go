@@ -20,18 +20,19 @@ func TestMACConfigValidation(t *testing.T) {
 
 // TestMACIsMinimal pins the served MAC's AND counts and shows the
 // builder leaves nothing for a netlist pass to remove: no AND reads a
-// constant or the same wire twice, no two ANDs read the same pair, and a
-// backward liveness walk from Outputs and StateOuts reaches every AND.
-// These are the counts the deleted global pass (folds, structural
-// hashing, dead-gate removal) reached on the unfolded netlist.
+// constant, the same wire twice or a wire and its complement, no two
+// ANDs read the same pair, and a backward liveness walk from Outputs and
+// StateOuts reaches every AND. The radix-4 Booth rows took the counts
+// from 170 / 610 / 2 269 signed and 141 / 549 / 2 144 unsigned, the
+// tree multiplier with three conditional negations, to these.
 func TestMACIsMinimal(t *testing.T) {
 	for _, tc := range []struct {
 		width  int
 		signed bool
 		ands   int
 	}{
-		{8, true, 170}, {16, true, 610}, {32, true, 2269},
-		{8, false, 141}, {16, false, 549}, {32, false, 2144},
+		{8, true, 112}, {16, true, 426}, {32, true, 1641},
+		{8, false, 128}, {16, false, 461}, {32, false, 1715},
 	} {
 		c := MustMAC(MACConfig{Width: tc.width, AccWidth: 2 * tc.width, Signed: tc.signed})
 		if got := c.Stats().ANDs; got != tc.ands {
@@ -45,9 +46,10 @@ func TestMACIsMinimal(t *testing.T) {
 
 // andWaste counts the ANDs a netlist pass could still remove.
 type andWaste struct {
-	dead     int // no path to an Outputs or StateOuts wire
-	unfolded int // reads a constant, or the same wire twice
-	repeated int // reads the same pair of wires as a later AND
+	dead          int // no path to an Outputs or StateOuts wire
+	unfolded      int // reads a constant, or the same wire twice
+	repeated      int // reads the same pair of wires as a later AND
+	complementary int // reads w and XOR(w, Const1): always 0
 }
 
 // auditANDs walks c backwards from Outputs and StateOuts and classifies
@@ -56,6 +58,12 @@ func auditANDs(c *Circuit) andWaste {
 	var w andWaste
 	type pair struct{ a, b int }
 	seen := make(map[pair]bool)
+	notOf := make(map[int]int) // XOR(w, Const1) → w
+	for _, g := range c.Gates {
+		if g.Op == XOR && (g.A == Const1) != (g.B == Const1) {
+			notOf[g.Out] = g.A + g.B - Const1
+		}
+	}
 	live := make([]bool, c.NWires)
 	for _, o := range c.Outputs {
 		live[o] = true
@@ -74,6 +82,8 @@ func auditANDs(c *Circuit) andWaste {
 				w.unfolded++
 			case seen[p]:
 				w.repeated++
+			case isNot(notOf, p.a, p.b) || isNot(notOf, p.b, p.a):
+				w.complementary++
 			}
 			seen[p] = true
 		}
@@ -82,6 +92,12 @@ func auditANDs(c *Circuit) andWaste {
 		}
 	}
 	return w
+}
+
+// isNot reports whether wire n is XOR(w, Const1).
+func isNot(notOf map[int]int, n, w int) bool {
+	v, ok := notOf[n]
+	return ok && v == w
 }
 
 // No pass removes dead gates any more: the builder must not emit them.
@@ -118,6 +134,40 @@ func TestOptimizeMergesDuplicates(t *testing.T) {
 	}
 }
 
+// An adder bit whose two addends are constant needs no AND: 1 + 0 + c
+// once emitted AND(¬c, c), which is always 0. This checks the fold and
+// that the audit flags such an AND built behind the builder's back.
+func TestOptimizeFoldsComplementaryAND(t *testing.T) {
+	b := NewBuilder()
+	b.GarblerInputs(0)
+	c := b.EvaluatorInputs(1)[0]
+	for _, addends := range [][2]int{{Const1, Const0}, {Const0, Const1}, {Const1, Const1}, {Const0, Const0}} {
+		sum, carry := b.fullAdder(addends[0], addends[1], c)
+		b.Outputs(sum, carry)
+	}
+	ckt := b.MustBuild()
+	if got := ckt.Stats().ANDs; got != 0 {
+		t.Fatalf("constant addends emitted %d ANDs", got)
+	}
+	for _, v := range []bool{false, true} {
+		out := evalBits(t, ckt, nil, []bool{v})
+		want := []bool{!v, v, !v, v, v, true, v, false}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("c=%v: (sum, carry) bits %v, want %v", v, out, want)
+			}
+		}
+	}
+
+	b = NewBuilder()
+	b.GarblerInputs(0)
+	c = b.EvaluatorInputs(1)[0]
+	b.Outputs(b.gate(AND, b.NOT(c), c))
+	if w := auditANDs(b.MustBuild()); w != (andWaste{complementary: 1}) {
+		t.Fatalf("audit %+v, want one complementary AND", w)
+	}
+}
+
 // checkMACRounds runs c round by round from accumulator acc and checks
 // every output against acc + Σ x·y mod 2^AccWidth. Products are formed
 // in 64-bit wrapping arithmetic, which agrees with both signednesses
@@ -140,62 +190,77 @@ func checkMACRounds(t testing.TB, c *Circuit, cfg MACConfig, acc int64, xs, ys [
 	}
 }
 
-// TestMACMatchesPlaintext checks the folded MAC against plaintext: at
-// b=4 one round from every accumulator and every operand pair, plus a
-// 3-round chain per pair; at b = 8, 16, 32 random chains that include
-// the operand edges.
+// TestMACMatchesPlaintext checks the folded MAC against plaintext, with
+// the accumulator as wide as the product and 4 bits wider (64 at most):
+// at b = 1…5 one round for every operand pair, including
+// −2^{b−1}·−2^{b−1}, from every accumulator up to 8 bits and from the
+// accumulator edges above, plus a 3-round chain per pair; at b = 8, 16,
+// 32 random chains that include the operand edges.
 func TestMACMatchesPlaintext(t *testing.T) {
-	for _, signed := range []bool{false, true} {
-		cfg := MACConfig{Width: 4, AccWidth: 8, Signed: signed}
-		c := MustMAC(cfg)
-		lo, hi := int64(0), int64(15)
-		if signed {
-			lo, hi = -8, 7
-		}
-		for x := lo; x <= hi; x++ {
-			for y := lo; y <= hi; y++ {
-				for acc := int64(0); acc < 256; acc++ {
-					checkMACRounds(t, c, cfg, acc, []int64{x}, []int64{y})
-				}
-				checkMACRounds(t, c, cfg, 0, []int64{x, y, x}, []int64{y, x, hi})
-			}
-		}
-	}
 	rng := rand.New(rand.NewSource(31))
-	for _, width := range []int{8, 16, 32} {
+	for _, width := range []int{1, 2, 3, 4, 5, 8, 16, 32} {
 		for _, signed := range []bool{false, true} {
-			cfg := MACConfig{Width: width, AccWidth: 2 * width, Signed: signed}
-			c := MustMAC(cfg)
-			lo, hi := int64(0), int64(1)<<width-1
-			if signed {
-				lo, hi = -(int64(1) << (width - 1)), int64(1)<<(width-1)-1
-			}
-			edges := []int64{lo, hi, 0, 1, lo + 1, hi - 1}
-			draw := func(i int) int64 {
-				if i < len(edges) {
-					return edges[i]
+			for _, accWidth := range []int{2 * width, min(2*width+4, 64)} {
+				cfg := MACConfig{Width: width, AccWidth: accWidth, Signed: signed}
+				c := MustMAC(cfg)
+				lo, hi := int64(0), int64(1)<<width-1
+				if signed {
+					lo, hi = -(int64(1) << (width - 1)), int64(1)<<(width-1)-1
 				}
-				return lo + rng.Int63n(hi-lo+1)
+				if width > 5 {
+					xs, ys := edgeChain(rng, lo, hi)
+					checkMACRounds(t, c, cfg, rng.Int63(), xs, ys)
+					continue
+				}
+				accs := []int64{0, 1, -1, 1<<(accWidth-1) - 1, -1 << (accWidth - 1)}
+				if accWidth <= 8 {
+					accs = accs[:0]
+					for acc := int64(0); acc < 1<<accWidth; acc++ {
+						accs = append(accs, acc)
+					}
+				}
+				for x := lo; x <= hi; x++ {
+					for y := lo; y <= hi; y++ {
+						for _, acc := range accs {
+							checkMACRounds(t, c, cfg, acc, []int64{x}, []int64{y})
+						}
+						checkMACRounds(t, c, cfg, 0, []int64{x, y, x}, []int64{y, x, hi})
+					}
+				}
 			}
-			const rounds = 64
-			xs, ys := make([]int64, rounds), make([]int64, rounds)
-			for i := range xs {
-				xs[i], ys[i] = draw(i), draw((i*5+3)%rounds)
-			}
-			checkMACRounds(t, c, cfg, rng.Int63(), xs, ys)
 		}
 	}
 }
 
-// FuzzMACMatchesPlaintext checks one MAC round at any width 1…32 and
-// either signedness from any accumulator.
+// edgeChain draws a 64-round chain of operands in [lo, hi] whose first
+// rounds pair the range's edges.
+func edgeChain(rng *rand.Rand, lo, hi int64) (xs, ys []int64) {
+	edges := []int64{lo, hi, 0, 1, lo + 1, hi - 1}
+	draw := func(i int) int64 {
+		if i < len(edges) {
+			return edges[i]
+		}
+		return lo + rng.Int63n(hi-lo+1)
+	}
+	const rounds = 64
+	xs, ys = make([]int64, rounds), make([]int64, rounds)
+	for i := range xs {
+		xs[i], ys[i] = draw(i), draw((i*5+3)%rounds)
+	}
+	return xs, ys
+}
+
+// FuzzMACMatchesPlaintext checks one MAC round at any width 1…32,
+// either signedness and any accumulator width 2b…64, from any
+// accumulator.
 func FuzzMACMatchesPlaintext(f *testing.F) {
-	f.Add(uint8(8), true, int64(-128), int64(127), int64(0))
-	f.Add(uint8(16), false, int64(0xffff), int64(0xffff), int64(-1))
-	f.Add(uint8(32), true, int64(-1)<<31, int64(-1)<<31, int64(1)<<62)
-	f.Fuzz(func(t *testing.T, width uint8, signed bool, x, y, acc int64) {
+	f.Add(uint8(8), true, uint8(0), int64(-128), int64(127), int64(0))
+	f.Add(uint8(16), false, uint8(4), int64(0xffff), int64(0xffff), int64(-1))
+	f.Add(uint8(32), true, uint8(0), int64(-1)<<31, int64(-1)<<31, int64(1)<<62)
+	f.Add(uint8(3), false, uint8(7), int64(2), int64(0), int64(0))
+	f.Fuzz(func(t *testing.T, width uint8, signed bool, extra uint8, x, y, acc int64) {
 		cfg := MACConfig{Width: 1 + int(width%32), Signed: signed}
-		cfg.AccWidth = 2 * cfg.Width
+		cfg.AccWidth = 2*cfg.Width + int(extra)%(65-2*cfg.Width)
 		c, ok := macCache.Load(cfg)
 		if !ok {
 			c, _ = macCache.LoadOrStore(cfg, MustMAC(cfg))

@@ -101,13 +101,13 @@ func TestProgramMatchesNetlist(t *testing.T) {
 }
 
 // TestProgramWorkingSet pins what slot renaming buys on the MAC: the
-// walker's array is the peak live-wire count, about a seventh of the
+// walker's array is the peak live-wire count, about an eighth of the
 // wire count at the serve path's widths (DESIGN.md's live-slot table).
-// The builder's folds took wires out but left the peak (84 / 292 /
-// 1 092 slots) where it was.
+// The radix-4 Booth rows took the peak from 84 / 292 / 1 092 slots to
+// the bounds below, which are the measured peaks.
 func TestProgramWorkingSet(t *testing.T) {
 	for _, tc := range []struct{ width, wires, maxSlots int }{
-		{8, 587, 103}, {16, 1994, 327}, {32, 7146, 1159},
+		{8, 404, 62}, {16, 1415, 182}, {32, 5199, 614},
 	} {
 		c := MustMAC(MACConfig{Width: tc.width, AccWidth: 2 * tc.width, Signed: true})
 		p, err := c.Program()

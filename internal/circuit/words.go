@@ -4,9 +4,9 @@ import "fmt"
 
 // Arithmetic blocks. Every block uses the GC-optimised constructions
 // the paper builds on: ripple adders with one AND gate per bit
-// (TinyGarble), multiplexers with one AND per bit, conditional
-// 2's-complement negation with one adder, and the tree-based multiplier
-// of Fig. 2 built from partial-product AND layers plus an adder tree.
+// (TinyGarble), multiplexers with one AND per bit, and the tree-based
+// multiplier of Fig. 2, its partial-product rows selected by the
+// garbler's radix-4 Booth digits and summed by a balanced adder tree.
 
 // ConstWord returns a width-bit word wired to the constant v
 // (little-endian). Bits of v above width are discarded.
@@ -19,8 +19,16 @@ func (b *Builder) ConstWord(v uint64, width int) Word {
 }
 
 // fullAdder returns (sum, carryOut) for one bit position using the
-// 1-AND 4-XOR cell: s = a ⊕ b ⊕ c, c' = c ⊕ ((a⊕c) ∧ (b⊕c)).
+// 1-AND 4-XOR cell: s = a ⊕ b ⊕ c, c' = c ⊕ ((a⊕c) ∧ (b⊕c)). Two
+// constant addends need no AND: the carry is a when they are equal, and
+// c when they differ.
 func (b *Builder) fullAdder(a, x, c int) (sum, carry int) {
+	if a < FirstInput && x < FirstInput {
+		if a == x {
+			return c, a
+		}
+		return b.NOT(c), c
+	}
 	ac := b.XOR(a, c)
 	xc := b.XOR(x, c)
 	sum = b.XOR(a, xc)
@@ -83,19 +91,6 @@ func (b *Builder) not(x Word) Word {
 	return out
 }
 
-// CondNeg returns s ? −x : x using the standard one-adder trick:
-// every bit is XORed with s (conditional bitwise complement) and then
-// s is added at the least significant position.
-func (b *Builder) CondNeg(x Word, s int) Word {
-	fx := make(Word, len(x))
-	for i, w := range x {
-		fx[i] = b.XOR(w, s)
-	}
-	sw := b.ConstWord(0, len(x))
-	sw[0] = s
-	return b.Add(fx, sw)
-}
-
 // Mux returns s ? x1 : x0 bitwise with one AND per bit:
 // out = x0 ⊕ s∧(x1 ⊕ x0).
 func (b *Builder) Mux(s int, x1, x0 Word) Word {
@@ -145,42 +140,6 @@ func (b *Builder) GEq(x, y Word) int {
 	return ge
 }
 
-// MulTreeUnsigned returns the full-width product x·y
-// (len(x)+len(y) bits) using the tree-based structure of Fig. 2:
-// one partial-product AND layer per bit of y, pairwise-combined by a
-// balanced adder tree so that additions at the same tree level are
-// independent and can garble in parallel.
-func (b *Builder) MulTreeUnsigned(x, y Word) Word {
-	if len(x) == 0 || len(y) == 0 {
-		panic("circuit: multiplication of empty word")
-	}
-	outW := len(x) + len(y)
-	// Partial products: pp_i = (x & y_i) << i, zero-extended to outW.
-	pps := make([]Word, len(y))
-	for i := range y {
-		pp := make(Word, outW)
-		for j := range pp {
-			pp[j] = Const0
-		}
-		for j := range x {
-			pp[i+j] = b.AND(x[j], y[i])
-		}
-		pps[i] = pp
-	}
-	// Balanced adder tree.
-	for len(pps) > 1 {
-		next := pps[:0]
-		for i := 0; i+1 < len(pps); i += 2 {
-			next = append(next, b.Add(pps[i], pps[i+1]))
-		}
-		if len(pps)%2 == 1 {
-			next = append(next, pps[len(pps)-1])
-		}
-		pps = next
-	}
-	return pps[0]
-}
-
 // MulSerialUnsigned returns the full-width product using the serial
 // shift-and-add structure of the TinyGarble multiplier: a single
 // running sum accumulates one conditioned addend per bit of y. Every
@@ -206,16 +165,79 @@ func (b *Builder) MulSerialUnsigned(x, y Word) Word {
 	return acc
 }
 
-// MulTreeSigned returns the full-width signed (2's complement) product
-// following the paper's §4.3 structure: multiplexer–2's-complement
-// pairs condition both inputs to magnitudes, the unsigned tree
-// multiplier forms the product, and a final conditional negation
-// applies the result sign.
-func (b *Builder) MulTreeSigned(x, y Word) Word {
-	sx := x[len(x)-1]
-	sy := y[len(y)-1]
-	mx := b.CondNeg(x, sx)
-	my := b.CondNeg(y, sy)
-	p := b.MulTreeUnsigned(mx, my)
-	return b.CondNeg(p, b.XOR(sx, sy))
+// mulAccBooth returns acc + x·y mod 2^len(acc) through the tree
+// multiplier of Fig. 2, built on x's radix-4 Booth digits
+// d_i = −2·x_{2i+1} + x_{2i} + x_{2i−1} ∈ {0, ±1, ±2}: ⌈n/2⌉ rows d_i·y
+// instead of b rows x_i·y, and no conditional negation. x is read as an
+// n-bit signed value, n = b when signed and b+1 (a zero sign bit) when
+// not, so one generator serves both signednesses. A digit costs one
+// AND that reads only x, and a row 2·len(y) selects.
+func (b *Builder) mulAccBooth(acc, x, y Word, signed bool) Word {
+	if len(x) == 0 || len(y) == 0 {
+		panic("circuit: multiplication of empty word")
+	}
+	// m is the row width: ±2y needs one bit more than y signed, two
+	// unsigned.
+	n, m := len(x), len(y)+1
+	widen := b.SignExtend
+	if !signed {
+		n, m, widen = n+1, m+1, b.ZeroExtend
+	}
+	// The product less row 0's +1 fits n+len(y) bits signed: unsigned,
+	// it can be −1, which is why n counts x's zero sign bit.
+	w := min(n+len(y), len(acc))
+	xs, ys := widen(x, n+1), widen(y, m)
+	twoY := append(Word{Const0}, ys[:m-1]...)
+	k := (n + 1) / 2
+	rows, negs := make([]Word, k), make([]int, k)
+	for i := range rows {
+		below := Const0
+		if i > 0 {
+			below = xs[2*i-1]
+		}
+		one := b.XOR(xs[2*i], below)
+		two := b.AND(b.XOR(xs[2*i+1], xs[2*i]), b.NOT(one))
+		negs[i] = xs[2*i+1]
+		// The row is d_i·y − neg_i: the selected multiple, complemented
+		// when the digit is negative. The sign-extended y bit repeats,
+		// and so does its select.
+		pp := make(Word, m)
+		oneY := Const0
+		for j := range pp {
+			if j == 0 || ys[j] != ys[j-1] {
+				oneY = b.AND(one, ys[j])
+			}
+			pp[j] = b.XOR(b.XOR(oneY, b.AND(two, twoY[j])), negs[i])
+		}
+		// Sign extension by the standard pattern: an m-bit row with sign
+		// s is its low bits plus ¬s·2^{m−1} − 2^{m−1}. Row 0 carries
+		// s, s, ¬s above its low bits and row i ≥ 1 carries ¬s, 1; with
+		// them the rows' −2^{m−1+2i} terms sum to 2^{m−1+2k}, which is
+		// 0 mod 2^w.
+		s, ns := pp[m-1], b.NOT(pp[m-1])
+		tail := Word{ns, Const1}
+		if i == 0 {
+			tail = Word{s, s, ns}
+		}
+		rows[i] = b.ConstWord(0, w)
+		for j, wire := range append(pp[:m-1], tail...) {
+			if p := 2*i + j; p < w {
+				rows[i][p] = wire
+			}
+		}
+	}
+	// A balanced adder tree. The adder joining rows [lo, mid) and
+	// [mid, hi) has a right operand that is Const0 below 2·mid, so the
+	// carry into 2·mid is free: it takes neg_mid, the +1 that completes
+	// row mid's negation. neg_0 is the accumulator add's carry-in.
+	var sum func(lo, hi int) Word
+	sum = func(lo, hi int) Word {
+		if hi-lo == 1 {
+			return rows[lo]
+		}
+		mid := (lo + hi) / 2
+		l, r, p := sum(lo, mid), sum(mid, hi), 2*mid
+		return append(l[:p:p], b.addMod(l[p:], r[p:], negs[mid])...)
+	}
+	return b.addMod(acc, b.SignExtend(sum(0, k), len(acc)), negs[0])
 }

@@ -94,51 +94,6 @@ func TestSubMatchesIntegerSubtraction(t *testing.T) {
 	}
 }
 
-// TestNegMatchesTwosComplement: CondNeg with a constant-true sign is
-// negation, built from NOT gates and a constant carry-in.
-func TestNegMatchesTwosComplement(t *testing.T) {
-	const w = 12
-	b := NewBuilder()
-	x := b.GarblerInputs(w)
-	b.EvaluatorInputs(0)
-	b.OutputWord(b.CondNeg(x, Const1))
-	c := b.MustBuild()
-	for _, v := range []uint64{0, 1, 5, 1<<w - 1, 1 << (w - 1)} {
-		bits, err := c.Eval(Uint64ToBits(v, w), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := (-v) & (1<<w - 1)
-		if got := BitsToUint64(bits); got != want {
-			t.Fatalf("Neg(%d) = %d, want %d", v, got, want)
-		}
-	}
-}
-
-func TestCondNeg(t *testing.T) {
-	const w = 10
-	b := NewBuilder()
-	x := b.GarblerInputs(w)
-	s := b.EvaluatorInputs(1)
-	b.OutputWord(b.CondNeg(x, s[0]))
-	c := b.MustBuild()
-	f := func(v uint16, neg bool) bool {
-		xv := uint64(v) & (1<<w - 1)
-		bits, err := c.Eval(Uint64ToBits(xv, w), []bool{neg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := xv
-		if neg {
-			want = (-xv) & (1<<w - 1)
-		}
-		return BitsToUint64(bits) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMuxSelects(t *testing.T) {
 	const w = 8
 	b := NewBuilder()
@@ -222,17 +177,6 @@ func TestComparators(t *testing.T) {
 	}
 }
 
-func TestMulTreeUnsigned(t *testing.T) {
-	const w = 8
-	eval := buildBinOp(t, w, 2*w, func(b *Builder, x, y Word) Word { return b.MulTreeUnsigned(x, y) })
-	f := func(x, y uint8) bool {
-		return eval(uint64(x), uint64(y)) == uint64(x)*uint64(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMulSerialUnsigned(t *testing.T) {
 	const w = 8
 	eval := buildBinOp(t, w, 2*w, func(b *Builder, x, y Word) Word { return b.MulSerialUnsigned(x, y) })
@@ -244,86 +188,55 @@ func TestMulSerialUnsigned(t *testing.T) {
 	}
 }
 
-func TestMulTreeSigned(t *testing.T) {
-	const w = 8
-	b := NewBuilder()
-	x := b.GarblerInputs(w)
-	y := b.EvaluatorInputs(w)
-	b.OutputWord(b.MulTreeSigned(x, y))
-	c := b.MustBuild()
-	check := func(xv, yv int64) {
-		bits, err := c.Eval(Int64ToBits(xv, w), Int64ToBits(yv, w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := BitsToInt64(bits); got != xv*yv {
-			t.Fatalf("signed %d*%d = %d, want %d", xv, yv, got, xv*yv)
-		}
-	}
-	// Exhaustive corner cases including the -2^(b-1) edge.
-	for _, xv := range []int64{-128, -127, -1, 0, 1, 2, 63, 127} {
-		for _, yv := range []int64{-128, -5, -1, 0, 1, 7, 127} {
-			check(xv, yv)
-		}
-	}
-	f := func(a, b int8) bool {
-		bits, err := c.Eval(Int64ToBits(int64(a), w), Int64ToBits(int64(b), w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return BitsToInt64(bits) == int64(a)*int64(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTreeVsSerialStructure(t *testing.T) {
-	// The tree buys adder-level parallelism (⌈log₂ b⌉ adder levels
-	// instead of b chained adders — exercised by the scheduler package),
-	// not a shorter raw AND chain: ripple carries dominate AND depth in
-	// both, which is 31 at b=16. The table counts differ, because the
-	// builder's folds price each adder by the span where its operands can
-	// be non-zero: 518 for the tree, 496 for the serial chain.
-	const w = 16
-	mk := func(serial bool) Stats {
-		b := NewBuilder()
-		x := b.GarblerInputs(w)
-		y := b.EvaluatorInputs(w)
-		if serial {
-			b.OutputWord(b.MulSerialUnsigned(x, y))
-		} else {
-			b.OutputWord(b.MulTreeUnsigned(x, y))
-		}
-		return b.MustBuild().Stats()
+	// The tree buys adder-level parallelism (⌈log₂ k⌉ levels over k ≈ b/2
+	// Booth rows instead of b chained adders — exercised by the scheduler
+	// package), not a shorter raw AND chain: ripple carries dominate AND
+	// depth in both. It also halves the rows, so at b=16 the unsigned
+	// Booth MAC garbles 461 tables against the serial chain's 527.
+	cfg := MACConfig{Width: 16, AccWidth: 32}
+	tree := MustMAC(cfg).Stats()
+	cfg.SerialMultiplier = true
+	serial := MustMAC(cfg).Stats()
+	if tree.ANDs != 461 || serial.ANDs != 527 {
+		t.Fatalf("tree %d ANDs, serial %d ANDs; want 461 and 527", tree.ANDs, serial.ANDs)
 	}
-	tree, serial := mk(false), mk(true)
-	if tree.ANDs != 518 || serial.ANDs != 496 {
-		t.Fatalf("tree %d ANDs, serial %d ANDs; want 518 and 496", tree.ANDs, serial.ANDs)
-	}
-	if tree.ANDDepth != 31 || serial.ANDDepth != 31 {
-		t.Fatalf("tree depth %d, serial depth %d; want 31 for both", tree.ANDDepth, serial.ANDDepth)
+	if tree.ANDDepth != 32 || serial.ANDDepth != 32 {
+		t.Fatalf("tree depth %d, serial depth %d; want 32 for both", tree.ANDDepth, serial.ANDDepth)
 	}
 }
 
+// TestMulTreePartialProductsAreParallel: every Booth row select reads
+// one evaluator input and one digit wire, which depends on x alone, so
+// the whole select layer sits at AND depth ≤ 2 — the parallelism the
+// FSM exploits. A signed b-bit MAC has b/2 rows of 2b selects.
 func TestMulTreePartialProductsAreParallel(t *testing.T) {
-	// Every partial-product AND reads only primary inputs, so the whole
-	// pp layer sits at AND depth 1 — the parallelism the FSM exploits.
 	const w = 8
-	b := NewBuilder()
-	x := b.GarblerInputs(w)
-	y := b.EvaluatorInputs(w)
-	b.OutputWord(b.MulTreeUnsigned(x, y))
-	c := b.MustBuild()
-	inputs := FirstInput + c.NGarbler + c.NEvaluator
-	ppANDs := 0
+	c := MustMAC(MACConfig{Width: w, AccWidth: 2 * w, Signed: true})
+	ev := FirstInput + c.NGarbler
+	xOnly := make([]bool, c.NWires) // constant or computed from x alone
+	for i := 0; i < ev; i++ {
+		xOnly[i] = true
+	}
+	depth := make([]int, c.NWires)
+	selects := 0
 	for _, g := range c.Gates {
-		if g.Op == AND && g.A < inputs && g.B < inputs {
-			ppANDs++
+		xOnly[g.Out] = xOnly[g.A] && xOnly[g.B]
+		depth[g.Out] = max(depth[g.A], depth[g.B])
+		if g.Op != AND {
+			continue
+		}
+		depth[g.Out]++
+		isEv := func(w int) bool { return w >= ev && w < ev+c.NEvaluator }
+		if isEv(g.A) && xOnly[g.B] || isEv(g.B) && xOnly[g.A] {
+			selects++
+			if depth[g.Out] > 2 {
+				t.Fatalf("select gate %+v at AND depth %d", g, depth[g.Out])
+			}
 		}
 	}
-	if ppANDs != w*w {
-		t.Fatalf("found %d input-level partial-product ANDs, want %d", ppANDs, w*w)
+	if selects != w*w {
+		t.Fatalf("found %d row selects, want %d", selects, w*w)
 	}
 }
 

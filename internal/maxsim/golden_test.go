@@ -17,15 +17,17 @@ import (
 // layout all feed it.
 //
 // It was first computed at the commit before the flat-program kernel
-// (def35ba) and re-pinned twice since. First when the garbler took
+// (def35ba) and re-pinned three times since. First when the garbler took
 // ownership of the tweak sequence: both rows are garbled on one
 // simulator, so under one Δ, and row 1 now continues row 0's tweak range
 // instead of restarting at 0. Then when the builder began folding
 // XOR(w, w) and AND(w, w) and Add stopped forming its top carry: this
 // b=8 signed MAC went from 204 to 178 ANDs, so every material frame is
 // shorter and every tweak after the first dropped gate moves (protocol
-// v5). The label draw order is unchanged.
-const goldenTranscriptDigest = "eed7e5052874b60ec7895dab71db348448fb5af1785acc784f9973f502f24008"
+// v5). Then when the MAC's multiplier became radix-4 Booth rows selected
+// by x's digits: the MAC went from 178 to 120 ANDs (protocol v6). The
+// label draw order is unchanged.
+const goldenTranscriptDigest = "37e0d405f91084a251c00cd439f38f5f93c3a84714870874a596c88ddaf2c22a"
 
 func transcriptDigest(t *testing.T, runs []*DotProductRun) string {
 	t.Helper()

@@ -51,11 +51,14 @@ import (
 // parameters (half gates over fixed-key AES) instead of naming the
 // scheme in the hello; version 5 garbles the folded MAC netlist (no
 // constant, repeated-operand or unread ANDs), which both ends build
-// from the shape, so a v4 peer would disagree on every table count. Any
-// other generation is detected in the handshake — by its version field,
-// or, for the gob generations, by the first byte of its first frame —
-// and rejected with ErrVersionMismatch before a single OT byte moves.
-const ProtoVersion = 5
+// from the shape, so a v4 peer would disagree on every table count;
+// version 6 garbles the radix-4 Booth MAC (b/2 partial-product rows
+// selected by the garbler's digits, no conditional negations), so a v5
+// peer disagrees on every table count in turn. Any other generation is
+// detected in the handshake — by its version field, or, for the gob
+// generations, by the first byte of its first frame — and rejected with
+// ErrVersionMismatch before a single OT byte moves.
+const ProtoVersion = 6
 
 // ErrVersionMismatch is returned (wrapped, naming the local version and
 // what is known of the peer's) when the two endpoints speak different

@@ -180,10 +180,11 @@ func chainFixture() ([][]int64, []int64) {
 // chainTranscriptDigest is the SHA-256 of the chain fixture's server
 // frames (each behind its 4-byte big-endian length), recorded while the
 // serve pipeline still moved whole rows. Streaming rounds must not move
-// a byte. It was re-pinned once, for protocol v5: the hello carries the
-// new version and the folded b=8 MAC garbles 178 tables per round
-// instead of 204.
-const chainTranscriptDigest = "da9043123b0ffd5bc601ead1f3c104d6f1a66d699ce32ddfd0aa6a7780ede251"
+// a byte. It was re-pinned twice: for protocol v5, when the hello
+// carried the new version and the folded b=8 MAC garbled 178 tables per
+// round instead of 204; and for v6, when the radix-4 Booth MAC garbles
+// 120.
+const chainTranscriptDigest = "50d23008c4fa5c5c95d6487aac307ee732feb94419c9b5064d09a7ed2e0262c5"
 
 func framesDigest(frames [][]byte) string {
 	h := sha256.New()
