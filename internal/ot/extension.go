@@ -235,8 +235,12 @@ func send[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) erro
 }
 
 // ExtensionReceiver is the choice-bit holder (the GC evaluator) of an
-// IKNP session. Not safe for concurrent use: batches run one at a time
-// over scratch the receiver owns.
+// IKNP session. A batch is two halves: request sends its u matrix, and
+// finish reads the sender's ciphertexts for it. Requests must be issued
+// in order on one goroutine, over scratch the receiver owns; finishes
+// must run in the same order, on that goroutine or on at most one
+// other. A receiver may therefore run any number of requests ahead of
+// its finishes: a u matrix depends on nothing the sender says.
 type ExtensionReceiver struct {
 	conn  wire.Conn
 	col0  [Kappa]colPRG
@@ -280,13 +284,31 @@ func (er *ExtensionReceiver) Receive(choices []bool) ([]Message, error) {
 	return receive[Message](er, choices)
 }
 
-// receive is the receiver's half of one batch. The u frame is built in
-// er.u and reused by the next batch, which wire.Conn's SendMsg contract
-// allows; the returned slice is the batch's only allocation here.
+// receive is one whole batch: request, then finish.
 func receive[M ~[16]byte](er *ExtensionReceiver, choices []bool) ([]M, error) {
+	p, err := request[M](er, choices)
+	if err != nil {
+		return nil, err
+	}
+	return finish(er, p)
+}
+
+// Pending is a batch whose u matrix is on the wire: its choice bits and
+// row pads H(j, t_j), which finish unmasks into the chosen messages.
+type Pending[M ~[16]byte] struct {
+	choices []bool
+	pads    []M
+}
+
+// request is the receiver's first half of one batch: it draws t and u,
+// sends u, hashes the row pads and advances the index. The u frame is
+// built in er.u and reused by the next request, which wire.Conn's
+// SendMsg contract allows; the pads are the batch's only allocation
+// here. finish reads choices again.
+func request[M ~[16]byte](er *ExtensionReceiver, choices []bool) (Pending[M], error) {
 	m := len(choices)
 	if m == 0 {
-		return nil, nil
+		return Pending[M]{}, nil
 	}
 	mBytes := (m + 7) / 8
 	if m > RetainLabels {
@@ -312,22 +334,32 @@ func receive[M ~[16]byte](er *ExtensionReceiver, choices []bool) ([]M, error) {
 	}
 	subtle.XORBytes(er.u, er.u, er.t)
 	if err := er.conn.SendMsg(er.u); err != nil {
-		return nil, fmt.Errorf("ot: extension receiver sending u matrix: %w", err)
+		return Pending[M]{}, fmt.Errorf("ot: extension receiver sending u matrix: %w", err)
 	}
 
 	// The row pads H(j, t_j) need nothing from the sender, so they are
-	// hashed while it hashes its own: out holds pads until the
-	// ciphertexts arrive.
-	out := make([]M, m)
+	// hashed while it hashes its own.
+	p := Pending[M]{choices: choices, pads: make([]M, m)}
 	var rows [8]Message
 	for strip := 0; strip < mBytes; strip++ {
 		transpose(er.t, mBytes, strip, &rows)
 		first := 8 * strip
 		for k := 0; k < min(8, m-first); k++ {
-			out[first+k] = M(rowHash(er.index+uint64(first+k), rows[k]))
+			p.pads[first+k] = M(rowHash(er.index+uint64(first+k), rows[k]))
 		}
 	}
+	er.index += uint64(m)
+	return p, nil
+}
 
+// finish is the receiver's second half of the batch p: it reads the
+// ciphertext frame and unmasks the chosen messages in p's pads, which
+// it returns. Of er it touches only the connection's receive side.
+func finish[M ~[16]byte](er *ExtensionReceiver, p Pending[M]) ([]M, error) {
+	m := len(p.choices)
+	if m == 0 {
+		return nil, nil
+	}
 	cts, err := er.conn.RecvMsg()
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension receiver reading ciphertexts: %w", err)
@@ -335,13 +367,12 @@ func receive[M ~[16]byte](er *ExtensionReceiver, choices []bool) ([]M, error) {
 	if len(cts) != 32*m {
 		return nil, fmt.Errorf("ot: extension receiver got %d ciphertext bytes, want %d", len(cts), 32*m)
 	}
-	for j, c := range choices {
+	for j, c := range p.choices {
 		off := 32 * j
 		if c {
 			off += 16
 		}
-		out[j] = M(xorMsg(Message(out[j]), Message(cts[off:off+16])))
+		p.pads[j] = M(xorMsg(Message(p.pads[j]), Message(cts[off:off+16])))
 	}
-	er.index += uint64(m)
-	return out, nil
+	return p.pads, nil
 }

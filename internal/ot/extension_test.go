@@ -57,7 +57,9 @@ func seededSession(t testing.TB, a, b wire.Conn, refSend, refRecv bool) (batchSe
 // oracle: one session of interleaved batch sizes must put the same
 // bytes on the wire and deliver the same messages whichever of the two
 // implementations plays either side. The mixed pairings are a v4 peer
-// talking to the kernel.
+// talking to the kernel. A kernel receiver whose requests run 1, 2 or
+// 16 batches ahead of its finishes must too: the u matrices do not
+// depend on when the ciphertexts arrive.
 func TestExtensionTranscriptMatchesReference(t *testing.T) {
 	// 9001 is above RetainLabels and ends the sender's last chunk mid-byte.
 	sizes := []int{1, 3, 7, 8, 9, 64, 129, 1000, 4096, 8, 9001, 8}
@@ -65,50 +67,82 @@ func TestExtensionTranscriptMatchesReference(t *testing.T) {
 		sender, receiver [][]byte
 		got              [][]Message
 	}
-	run := func(refSend, refRecv bool) transcript {
+	// run plays the session; ahead > 0 runs the kernel receiver's
+	// requests that many batches ahead of its finishes.
+	run := func(refSend, refRecv bool, ahead int) transcript {
 		a, b := wire.Pipe()
 		defer a.Close()
 		defer b.Close()
 		ta, tb := &tapConn{Conn: a}, &tapConn{Conn: b}
 		snd, rcv := seededSession(t, ta, tb, refSend, refRecv)
 		rng := mrand.New(mrand.NewSource(13))
-		var tr transcript
-		for _, m := range sizes {
-			pairs := make([][2]Message, m)
-			for i := range pairs {
-				rng.Read(pairs[i][0][:])
-				rng.Read(pairs[i][1][:])
+		pairs := make([][][2]Message, len(sizes))
+		choices := make([][]bool, len(sizes))
+		for k, m := range sizes {
+			pairs[k] = make([][2]Message, m)
+			for i := range pairs[k] {
+				rng.Read(pairs[k][i][0][:])
+				rng.Read(pairs[k][i][1][:])
 			}
-			choices := randomChoices(rng, m)
-			errc := make(chan error, 1)
-			go func() { errc <- snd.Send(pairs) }()
-			got, err := rcv.Receive(choices)
-			if serr := <-errc; serr != nil {
-				t.Fatal(serr)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j, c := range choices {
-				if got[j] != pairs[j][b2i(c)] {
-					t.Fatalf("ref sender %v, ref receiver %v: batch of %d, transfer %d wrong", refSend, refRecv, m, j)
+			choices[k] = randomChoices(rng, m)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			for _, p := range pairs {
+				if err := snd.Send(p); err != nil {
+					errc <- err
+					return
 				}
 			}
-			tr.got = append(tr.got, got)
+			errc <- nil
+		}()
+		var tr transcript
+		var err error
+		if ahead > 0 {
+			tr.got, err = receiveAhead(rcv.(*ExtensionReceiver), choices, ahead)
+		} else {
+			for _, c := range choices {
+				var got []Message
+				if got, err = rcv.Receive(c); err != nil {
+					break
+				}
+				tr.got = append(tr.got, got)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		for k, got := range tr.got {
+			for j, c := range choices[k] {
+				if got[j] != pairs[k][j][b2i(c)] {
+					t.Fatalf("ref sender %v, ref receiver %v, ahead %d: batch of %d, transfer %d wrong", refSend, refRecv, ahead, sizes[k], j)
+				}
+			}
 		}
 		tr.sender, tr.receiver = ta.sent, tb.sent
 		return tr
 	}
-	want := run(true, true)
+	want := run(true, true, 0)
 	// Set-up is two frames from the receiver (the base-OT sender) and
 	// one from the sender; then one u matrix and one ciphertext frame
 	// per batch.
 	if len(want.receiver) != 2+len(sizes) || len(want.sender) != 1+len(sizes) {
 		t.Fatalf("reference session sent %d + %d frames", len(want.sender), len(want.receiver))
 	}
-	for _, p := range [][2]bool{{false, false}, {false, true}, {true, false}} {
-		got := run(p[0], p[1])
-		name := fmt.Sprintf("ref sender %v, ref receiver %v", p[0], p[1])
+	type pairing struct {
+		refSend, refRecv bool
+		ahead            int
+	}
+	pairings := []pairing{{false, false, 0}, {false, true, 0}, {true, false, 0}}
+	for _, ahead := range []int{1, 2, 16} {
+		pairings = append(pairings, pairing{false, false, ahead}, pairing{true, false, ahead})
+	}
+	for _, p := range pairings {
+		got := run(p.refSend, p.refRecv, p.ahead)
+		name := fmt.Sprintf("ref sender %v, ref receiver %v, ahead %d", p.refSend, p.refRecv, p.ahead)
 		if !reflect.DeepEqual(got.receiver, want.receiver) {
 			t.Errorf("%s: the receiver's frames (u matrices) differ from the reference session's", name)
 		}
@@ -118,6 +152,93 @@ func TestExtensionTranscriptMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got.got, want.got) {
 			t.Errorf("%s: delivered messages differ from the reference session's", name)
 		}
+	}
+}
+
+// receiveAhead receives one batch per choices entry on the calling
+// goroutine, its requests running ahead batches in front of its
+// finishes.
+func receiveAhead(er *ExtensionReceiver, choices [][]bool, ahead int) ([][]Message, error) {
+	var pending []Pending[Message]
+	var got [][]Message
+	for next := 0; len(got) < len(choices); {
+		for ; next < len(choices) && next < len(got)+ahead; next++ {
+			p, err := request[Message](er, choices[next])
+			if err != nil {
+				return nil, err
+			}
+			pending = append(pending, p)
+		}
+		msgs, err := finish(er, pending[0])
+		if err != nil {
+			return nil, err
+		}
+		pending = pending[1:]
+		got = append(got, msgs)
+	}
+	return got, nil
+}
+
+// TestExtensionSplitReceiverTwoGoroutines is the receiver's
+// concurrency contract, under -race in CI: one goroutine issues every
+// request in order, up to a window ahead; another finishes them in the
+// same order; every batch delivers the chosen labels. The sizes include
+// one above RetainLabels, whose scratch the requester drops while
+// earlier batches are still being finished.
+func TestExtensionSplitReceiverTwoGoroutines(t *testing.T) {
+	es, er, closeFn := extSession(t)
+	defer closeFn()
+	rng := mrand.New(mrand.NewSource(9))
+	sizes := []int{8, 8, 1, 9, 300, 8, RetainLabels + 1, 8, 16, 8}
+	for len(sizes) < 64 {
+		sizes = append(sizes, 8)
+	}
+	pairs := make([][]label.Pair, len(sizes))
+	choices := make([][]bool, len(sizes))
+	for k, m := range sizes {
+		pairs[k] = randomLabelPairs(t, m)
+		choices[k] = randomChoices(rng, m)
+	}
+	sendErr := make(chan error, 1)
+	go func() {
+		for _, p := range pairs {
+			if err := SendLabels(es, p); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	pending := make(chan Pending[label.Label], 4)
+	var reqErr error
+	go func() {
+		defer close(pending)
+		for _, c := range choices {
+			p, err := RequestLabels(er, c)
+			if err != nil {
+				reqErr = err
+				return
+			}
+			pending <- p
+		}
+	}()
+	for k := range sizes {
+		p, ok := <-pending
+		if !ok {
+			t.Fatalf("requester stopped before batch %d: %v", k, reqErr)
+		}
+		got, err := FinishLabels(er, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range choices[k] {
+			if got[j] != pairs[k][j].Get(c) {
+				t.Fatalf("batch %d of %d labels: label %d wrong", k, sizes[k], j)
+			}
+		}
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,7 +11,21 @@ func SendLabels(es *ExtensionSender, pairs []label.Pair) error {
 }
 
 // ReceiveLabels obtains the active labels for the receiver's input
-// bits. The returned slice is the caller's.
+// bits: RequestLabels, then FinishLabels. The returned slice is the
+// caller's.
 func ReceiveLabels(er *ExtensionReceiver, choices []bool) ([]label.Label, error) {
 	return receive[label.Label](er, choices)
+}
+
+// RequestLabels sends the u matrix for the receiver's input bits, which
+// must not change until FinishLabels; see ExtensionReceiver for the
+// order the two halves keep.
+func RequestLabels(er *ExtensionReceiver, choices []bool) (Pending[label.Label], error) {
+	return request[label.Label](er, choices)
+}
+
+// FinishLabels reads the sender's ciphertexts for p and returns its
+// active labels, the caller's.
+func FinishLabels(er *ExtensionReceiver, p Pending[label.Label]) ([]label.Label, error) {
+	return finish(er, p)
 }

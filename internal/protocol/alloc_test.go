@@ -40,6 +40,12 @@ var raceDetector bool
 // hand-off uses (≈ 10 objects at 4×4, ≈ 130 at 16×16). The helper count
 // is min(GOMAXPROCS, Rows) − 1, so the test pins GOMAXPROCS to 2, the
 // value the counts were measured at.
+//
+// A per-round request also starts the OT request writer (otRequests):
+// its goroutine, closure and struct and its window channel with the
+// channel's buffer, ≈ 6 objects per request whatever the shape. The
+// two per-round cells were re-measured with it: 316–317 → 320–324 and
+// 178–179 → 183–185 against the lockstep client.
 func TestWarmRequestAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	slack := uint64(10) // budget = measured × (1 + 1/slack)
@@ -52,8 +58,8 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 		pooled            bool
 		measured          uint64
 	}{
-		{n: 4, width: 8, ot: OTPerRound, measured: 326},
-		{n: 4, width: 8, ot: OTPerRound, pooled: true, measured: 183},
+		{n: 4, width: 8, ot: OTPerRound, measured: 323},
+		{n: 4, width: 8, ot: OTPerRound, pooled: true, measured: 185},
 		{n: 4, width: 8, ot: OTBatched, measured: 288},
 		{n: 4, width: 8, ot: OTBatched, pooled: true, measured: 138},
 		{n: 16, width: 16, ot: OTBatched, workers: 2, measured: 3627},

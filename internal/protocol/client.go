@@ -220,11 +220,12 @@ func (cs *ClientSession) Err() error { return cs.broken }
 // evalMatVec evaluates a matvec request, obtaining input labels per the
 // server-announced OT mode. Rows are independent MAC chains, so they
 // run on nw = min(GOMAXPROCS, Rows) goroutines, each on its own
-// gc.Evaluator. Only the caller touches the connection: it receives
-// every frame and runs every OT in wire order, evaluates rows
-// r ≡ 0 (mod nw) in place, and hands every other row's rounds to
-// helper r mod nw. The transcript is the sequential one, byte for byte;
-// with nw = 1 nothing is spawned or handed off.
+// gc.Evaluator. The caller receives every frame and finishes every OT
+// in wire order, evaluates rows r ≡ 0 (mod nw) in place, and hands
+// every other row's rounds to helper r mod nw; in per-round mode one
+// writer sends the OT requests ahead of it (requestAhead). Each
+// direction's transcript is the sequential one, byte for byte; with
+// nw = 1 no helper is spawned.
 func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int64, error) {
 	// Batched mode: obtain every round's labels in one OT batch before
 	// any material arrives — faster, but the client holds
@@ -257,7 +258,18 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	}
 	outs := make([]int64, hdr.Rows)
 	hp := cs.startHelpers(hdr, nw, outs)
-	err := cs.readRows(hdr, bitsPerRound, batched, hp, outs)
+	var reqs *otRequests
+	if hdr.OT != OTBatched {
+		reqs = cs.requestAhead(hdr, bitsPerRound)
+	}
+	err := cs.readRows(hdr, batched, reqs, hp, outs)
+	if reqs != nil {
+		if err != nil {
+			cs.tc.Close() // before Do's fail: the writer's next send must fail
+		}
+		for range reqs.pending { // until the writer has returned
+		}
+	}
 	if herr := hp.finish(); err == nil {
 		err = herr
 	}
@@ -267,9 +279,9 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	return outs, nil
 }
 
-// readRows is the reader: every frame and every OT of the request, in
+// readRows is the reader: every frame and OT finish of the request, in
 // wire order. It stops at the next frame boundary once a helper fails.
-func (cs *ClientSession) readRows(hdr reqHeader, bitsPerRound [][]bool, batched []label.Label, hp *rowHelpers, outs []int64) error {
+func (cs *ClientSession) readRows(hdr reqHeader, batched []label.Label, reqs *otRequests, hp *rowHelpers, outs []int64) error {
 	nw := 1
 	if hp != nil {
 		nw = len(hp.queues)
@@ -289,11 +301,8 @@ func (cs *ClientSession) readRows(hdr reqHeader, bitsPerRound [][]bool, batched 
 			if hdr.OT == OTBatched {
 				off := (row*hdr.Cols + round) * cs.h.Width
 				in.active = batched[off : off+cs.h.Width]
-			} else {
-				in.active, err = ot.ReceiveLabels(cs.receiver, bitsPerRound[round])
-				if err != nil {
-					return fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
-				}
+			} else if in.active, err = reqs.next(cs.receiver); err != nil {
+				return fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
 			}
 			if h != 0 {
 				hp.queues[h] <- in
@@ -308,6 +317,49 @@ func (cs *ClientSession) readRows(hdr reqHeader, bitsPerRound [][]bool, batched 
 		}
 	}
 	return nil
+}
+
+// otLookahead is how many rounds the per-round OT's requests may run
+// ahead of the material; the client holds otLookahead + 2 rounds of row
+// pads (DESIGN §8).
+const otLookahead = 16
+
+// otRequests is a per-round request's OT writer. A u matrix depends only
+// on the client's own PRGs and choice bits, so a goroutine sends every
+// round's request in wire order, up to otLookahead rounds before its
+// material, and hands the pending batch to the reader to finish. It is
+// a goroutine, not the reader sending ahead, because over a synchronous
+// transport both ends may be blocked writing at once.
+type otRequests struct {
+	pending chan ot.Pending[label.Label] // closed when the writer returns
+	err     error                        // why it stopped early; read once pending is closed
+}
+
+// requestAhead starts the writer for a per-round request.
+func (cs *ClientSession) requestAhead(hdr reqHeader, bitsPerRound [][]bool) *otRequests {
+	rq := &otRequests{pending: make(chan ot.Pending[label.Label], otLookahead)}
+	go func() {
+		defer close(rq.pending)
+		for k := 0; k < hdr.Rows*hdr.Cols; k++ {
+			p, err := ot.RequestLabels(cs.receiver, bitsPerRound[k%hdr.Cols])
+			if err != nil {
+				rq.err = err
+				return
+			}
+			rq.pending <- p
+		}
+	}()
+	return rq
+}
+
+// next finishes the next round's OT: its active labels, or the error
+// that stopped the writer before the round's request.
+func (rq *otRequests) next(er *ot.ExtensionReceiver) ([]label.Label, error) {
+	p, ok := <-rq.pending
+	if !ok {
+		return nil, rq.err
+	}
+	return ot.FinishLabels(er, p)
 }
 
 // chainRound is one round of a row's MAC chain: its material frame and

@@ -55,10 +55,13 @@ func (c *corruptRecv) Unwrap() wire.Conn { return c.Conn }
 
 // TestHelperRowFailure drives the client's row-parallel evaluation into
 // a failure that lands in a row a helper goroutine owns (row 1 of 4:
-// rows r ≡ 0 (mod GOMAXPROCS) stay with the reader). Whether the server
-// sends its error frame there or the row's table is corrupt, Do must
-// fail with that error, close the connection, and leave no goroutine
-// behind; so must a clean request, minus the failure.
+// rows r ≡ 0 (mod GOMAXPROCS) stay with the reader), or in the reader's
+// own row at GOMAXPROCS 1. Whether the server sends its error frame
+// there or the row's table is corrupt, Do must fail with that error,
+// close the connection, and leave no goroutine behind — the per-round
+// request writer, blocked on its window or on the wire, included — and
+// the server's arena must have every buffer back; so must a clean
+// request, minus the failure.
 func TestHelperRowFailure(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const rows, cols = 4, 3
@@ -101,7 +104,7 @@ func TestHelperRowFailure(t *testing.T) {
 			return nil
 		}},
 	}
-	for _, procs := range []int{2, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
@@ -152,6 +155,9 @@ func TestHelperRowFailure(t *testing.T) {
 					t.Fatal("server still serving 10 s after the client finished")
 				}
 				b.Close()
+				if got := srv.arena.Outstanding(); got != 0 {
+					t.Errorf("arena buffers outstanding: %d", got)
+				}
 				checkGoroutines(t, before)
 			})
 		}

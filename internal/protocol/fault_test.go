@@ -277,8 +277,8 @@ func TestServeContextCancellationInterruptsStalledSession(t *testing.T) {
 			srvDone <- err
 			return
 		}
-		defer sess.Close()
 		_, err = sess.ServeContext(ctx, Request{Matrix: [][]int64{{1, 2, 3}}})
+		sess.Close() // before the report: the gauges are read on receipt
 		srvDone <- err
 	}()
 

@@ -109,7 +109,9 @@ type OTMode int
 
 const (
 	// OTPerRound runs one OT-extension batch per MAC round: the
-	// memory-constrained evaluator holds only one round of labels.
+	// memory-constrained evaluator holds a bounded window of rounds, the
+	// row pads of otLookahead + 2 batches whose requests run ahead of
+	// the material, whatever the request's size.
 	OTPerRound OTMode = iota
 	// OTBatched transfers every round's labels in one OT-extension
 	// batch before any material: fewer round trips, but the client

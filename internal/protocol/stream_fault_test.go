@@ -230,8 +230,8 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 			srvDone <- err
 			return
 		}
-		defer sess.Close()
 		_, err = sess.ServeContext(ctx, pipelineReq())
+		sess.Close() // before the report: the gauges are read on receipt
 		srvDone <- err
 	}()
 

@@ -50,6 +50,15 @@ func streamTranscript(t *testing.T, mode OTMode, workers, depth int, pool poolSt
 // knobs and returns the server's sent frames and the client's outputs.
 func streamTranscriptOf(t *testing.T, A [][]int64, y []int64, mode OTMode, workers, depth int, pool poolState) ([][]byte, []int64) {
 	t.Helper()
+	srvFrames, _, out := streamTranscriptWith(t, A, y, mode, workers, depth, pool, clientRun)
+	return srvFrames, out
+}
+
+// streamTranscriptWith is streamTranscriptOf with the client played by
+// run; it also returns the frames the client sent.
+func streamTranscriptWith(t *testing.T, A [][]int64, y []int64, mode OTMode, workers, depth int, pool poolState,
+	run func(*Client, wire.Conn, []int64) ([]int64, error)) (srvFrames, cliFrames [][]byte, out []int64) {
+	t.Helper()
 	oldDepth := pipeDepth
 	pipeDepth = depth
 	defer func() { pipeDepth = oldDepth }()
@@ -107,7 +116,8 @@ func streamTranscriptOf(t *testing.T, A [][]int64, y []int64, mode OTMode, worke
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := clientRun(cli, cb, y)
+	cliRec := &recordingConn{Conn: cb}
+	out, err = run(cli, cliRec, y)
 	if err != nil {
 		t.Fatalf("client (mode=%s workers=%d depth=%d pool=%d): %v", mode, workers, depth, pool, err)
 	}
@@ -115,7 +125,7 @@ func streamTranscriptOf(t *testing.T, A [][]int64, y []int64, mode OTMode, worke
 	if srvErr != nil {
 		t.Fatalf("server (mode=%s workers=%d depth=%d pool=%d): %v", mode, workers, depth, pool, srvErr)
 	}
-	return rec.frames(), out
+	return rec.frames(), cliRec.frames(), out
 }
 
 func wantResults(t *testing.T, out []int64) {
