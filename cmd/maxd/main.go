@@ -14,8 +14,8 @@
 // multiplexed protocol session (versioned handshake, one IKNP OT
 // setup, then any number of client requests with per-round material
 // streaming) and emits structured per-request and per-session log
-// lines. -garble-workers sizes the parallel row-garbling pool each
-// request garbles under; -max-sessions bounds the sessions in flight.
+// lines. -garble-workers caps the lanes that garble a request's rows;
+// -max-sessions bounds the sessions in flight.
 // Overflow connections queue up to -admission-wait and are then shed
 // with a BUSY control frame carrying a retry-after hint (so a loaded
 // daemon answers in bounded time instead of stringing clients along);

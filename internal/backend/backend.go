@@ -49,8 +49,8 @@ type Config struct {
 	// Width is the operand bit-width (power of two); the accumulator is
 	// 2·Width bits, operands are signed.
 	Width int
-	// GarbleWorkers sizes the row-garbling pool each request garbles
-	// under (0 or 1 = sequential).
+	// GarbleWorkers caps the lanes each request's rows are garbled on
+	// (0 or 1 = one lane).
 	GarbleWorkers int
 	// MaxSessions bounds the sessions in flight; 0 = unlimited.
 	MaxSessions int

@@ -171,6 +171,10 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 		// OT traffic that will never come (see ClientSession.fail).
 		return nil, cs.fail(fmt.Errorf("protocol: server expects a %d-element vector, client holds %d", hdr.Cols, len(y)))
 	}
+	// Evaluation allocates per row (and label) before any material arrives.
+	if err := checkShape(hdr.Rows, hdr.Cols, cs.h.Width, hdr.OT); err != nil {
+		return nil, cs.fail(fmt.Errorf("protocol: refusing the request header: %w", err))
+	}
 	cs.tc.enterPhase(phaseRounds)
 	outs, err := cs.evalMatVec(hdr, bitsPerRound)
 	if err != nil {

@@ -17,12 +17,14 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/wire"
@@ -194,12 +196,6 @@ func TestFaultMatrixPeerStall(t *testing.T) {
 					if got := reg.Gauge("sessions_active", "").Value(); got != 0 {
 						t.Errorf("sessions_active = %d after timeout", got)
 					}
-					if got := reg.Gauge("garble_queue_depth", "").Value(); got != 0 {
-						t.Errorf("garble_queue_depth = %d after timeout", got)
-					}
-					if got := reg.Gauge("garble_workers_busy", "").Value(); got != 0 {
-						t.Errorf("garble_workers_busy = %d after timeout", got)
-					}
 					var timeouts uint64
 					for _, phase := range []string{"handshake", "ot_setup", "request_open", "rounds", "decode"} {
 						timeouts += reg.PhaseTimeouts(phase).Value()
@@ -304,18 +300,14 @@ func TestServeContextCancellationInterruptsStalledSession(t *testing.T) {
 	if got := reg.Gauge("sessions_active", "").Value(); got != 0 {
 		t.Errorf("sessions_active = %d after cancellation", got)
 	}
-	if got := reg.Gauge("garble_queue_depth", "").Value(); got != 0 {
-		t.Errorf("garble_queue_depth = %d after cancellation", got)
-	}
-	if got := reg.Gauge("garble_workers_busy", "").Value(); got != 0 {
-		t.Errorf("garble_workers_busy = %d after cancellation", got)
-	}
 }
 
 // TestClientAbortClosesConnPromptly: a client that bails on a request
-// header it cannot serve — a vector-length mismatch, or a shape this
-// generation retired (correlated OT = OTMode 2) — names the problem and closes the connection, so the server fails fast
-// instead of stalling until its deadline (or, without one, forever).
+// header it cannot serve — a vector-length mismatch, a shape this
+// generation retired (correlated OT = OTMode 2), or one outside the
+// bound checkShape sets — names the problem and closes the connection,
+// so the server fails fast instead of stalling until its deadline (or,
+// without one, forever).
 // The server here has NO timeouts — only the abort-by-close can unblock
 // it.
 func TestClientAbortClosesConnPromptly(t *testing.T) {
@@ -334,6 +326,9 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 			return err
 		}
 	}
+	// The fewest width-8 batched rows of one column whose labels
+	// (rows·cols·width) pass the bound one OT frame sets.
+	batchedRows := wire.MaxMessageSize/(2*label.Size)/8 + 1
 	cases := []struct {
 		name    string
 		serve   func(*ServerSession) error
@@ -344,6 +339,11 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 			return err
 		}, "3-element vector"},
 		{"retired correlated OT", announce(reqHeader{Rows: 1, Cols: 1, OT: 2}), "unknown OT mode 2"},
+		// Shapes no request could complete: the client refuses them from
+		// the header, before allocating a result slot or a choice bit.
+		{"zero rows", announce(reqHeader{Rows: 0, Cols: 1}), "0 rows × 1 cols"},
+		{"2^32-1 rows", announce(reqHeader{Rows: math.MaxUint32, Cols: 1}), "4294967295 rows × 1 cols"},
+		{"batched labels past the bound", announce(reqHeader{Rows: batchedRows, Cols: 1, OT: OTBatched}), "262145 rows × 1 cols (batched"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -397,7 +397,7 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 // TestPoolMetricsFailedRowsAndInlineGauge is the regression test for
 // the two pool-metrics bugs: garble_rows_total counted failed rows,
 // and garble_workers was never reset by inline (single-worker)
-// requests.
+// requests. A one-lane request's rows count like any other lane's.
 func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
@@ -477,6 +477,9 @@ func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	}
 	if got := reg.Gauge("garble_workers", "").Value(); got != 1 {
 		t.Fatalf("garble_workers = %d after an inline request, want 1", got)
+	}
+	if got := reg.Counter("garble_rows_total", "").Value(); got != uint64(2*len(good)) {
+		t.Fatalf("garble_rows_total = %d after a one-lane request, want %d", got, 2*len(good))
 	}
 }
 

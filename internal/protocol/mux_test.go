@@ -363,8 +363,8 @@ func TestParallelGarblingMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGarblePoolMetrics checks the pool's instrumentation settles
-// clean: every row counted, no queue residue, no busy workers.
+// TestGarblePoolMetrics checks the lanes' instrumentation: every row
+// counted and timed once, the lane count recorded.
 func TestGarblePoolMetrics(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
@@ -397,12 +397,6 @@ func TestGarblePoolMetrics(t *testing.T) {
 	reg := o.Metrics()
 	if got := reg.Counter("garble_rows_total", "").Value(); got != uint64(len(A)) {
 		t.Fatalf("garble_rows_total = %d", got)
-	}
-	if got := reg.Gauge("garble_queue_depth", "").Value(); got != 0 {
-		t.Fatalf("garble_queue_depth = %d after completion", got)
-	}
-	if got := reg.Gauge("garble_workers_busy", "").Value(); got != 0 {
-		t.Fatalf("garble_workers_busy = %d after completion", got)
 	}
 	if got := reg.Gauge("garble_workers", "").Value(); got != 4 {
 		t.Fatalf("garble_workers = %d", got)

@@ -1,10 +1,10 @@
 package protocol
 
-// Panic containment: a panic inside one garble-pool worker (or the
-// serving path generally) must cost exactly that request — the client
-// receives an explicit error frame, the server logs the stack and
-// counts the recovery, the pool gauges settle to zero, and the server
-// value keeps serving fresh sessions.
+// Panic containment: a panic inside one garble lane (or the serving
+// path generally) must cost exactly that request — the client receives
+// an explicit error frame, the server logs the stack and counts the
+// recovery, no lane is left behind, and the server value keeps serving
+// fresh sessions.
 
 import (
 	"crypto/rand"
@@ -17,105 +17,124 @@ import (
 	"maxelerator/internal/wire"
 )
 
+// TestWorkerPanicIsolatedToRequest: row 1 of a two-lane request is a
+// helper lane's, and its garbling panics either before the row starts
+// or after its round 0 is already queued for the producer; row 0
+// garbles normally on the producer.
 func TestWorkerPanicIsolatedToRequest(t *testing.T) {
-	before := runtime.NumGoroutine()
-	o := obs.New(4)
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		setup func() // installs the panicking hook
+	}{
+		{"row", func() {
+			garbleTestHook = func(row int) {
+				if row == 1 {
+					panic("injected garbling panic")
+				}
+			}
+		}},
+		{"round", func() {
+			garbleRoundTestHook = func(row, round int) {
+				if row == 1 && round == 0 {
+					panic("injected garbling panic")
+				}
+			}
+		}},
 	}
-	srv.WithObs(o)
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			o := obs.New(4)
+			srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.WithObs(o)
+			cli, err := NewClient(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clearHooks := func() { garbleTestHook, garbleRoundTestHook = nil, nil }
+			tc.setup()
+			defer clearHooks()
 
-	// Row 1's garbling panics inside its pool worker; row 0 garbles
-	// normally. The hook is cleared before the recovery session below.
-	garbleTestHook = func(row int) {
-		if row == 1 {
-			panic("injected garbling panic")
-		}
-	}
-	defer func() { garbleTestHook = nil }()
+			req := Request{Matrix: [][]int64{{1, 2}, {3, 4}}}
+			cfg := SessionConfig{GarbleWorkers: 2}
+			a, b := wire.Pipe()
+			defer a.Close()
+			defer b.Close()
+			srvDone := make(chan error, 1)
+			go func() {
+				sess, err := srv.NewSession(a, cfg)
+				if err != nil {
+					srvDone <- err
+					return
+				}
+				_, err = sess.Serve(req)
+				sess.Close() // before the report: the gauges are read on receipt
+				srvDone <- err
+			}()
 
-	req := Request{Matrix: [][]int64{{1, 2}, {3, 4}}}
-	cfg := SessionConfig{GarbleWorkers: 2}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	srvDone := make(chan error, 1)
-	go func() {
-		sess, err := srv.NewSession(a, cfg)
-		if err != nil {
-			srvDone <- err
-			return
-		}
-		defer sess.Close()
-		_, err = sess.Serve(req)
-		srvDone <- err
-	}()
+			cs, err := cli.Dial(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, derr := cs.Do([]int64{5, 6})
+			if derr == nil {
+				t.Fatal("request succeeded despite a panicking garble lane")
+			}
+			// The failure must arrive as the explicit internal-error frame,
+			// not a timeout or a decode error — the client learns the
+			// server broke, without the panic detail crossing the wire.
+			if !errors.Is(derr, ErrInternal) {
+				t.Fatalf("client error = %v, want ErrInternal", derr)
+			}
+			if contains := "injected garbling panic"; errContains(derr, contains) {
+				t.Errorf("client error %q leaks the server-side panic detail", derr)
+			}
+			serr := <-srvDone
+			if !errors.Is(serr, ErrInternal) {
+				t.Fatalf("server error = %v, want ErrInternal", serr)
+			}
 
-	cs, err := cli.Dial(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, derr := cs.Do([]int64{5, 6})
-	if derr == nil {
-		t.Fatal("request succeeded despite a panicking garble worker")
-	}
-	// The failure must arrive as the explicit internal-error frame, not
-	// a timeout or a decode error — the client learns the server broke,
-	// without the panic detail crossing the wire.
-	if !errors.Is(derr, ErrInternal) {
-		t.Fatalf("client error = %v, want ErrInternal", derr)
-	}
-	if contains := "injected garbling panic"; errContains(derr, contains) {
-		t.Errorf("client error %q leaks the server-side panic detail", derr)
-	}
-	serr := <-srvDone
-	if !errors.Is(serr, ErrInternal) {
-		t.Fatalf("server error = %v, want ErrInternal", serr)
-	}
+			reg := o.Metrics()
+			if got := reg.Counter("panics_recovered_total", "").Value(); got != 1 {
+				t.Errorf("panics_recovered_total = %d, want 1", got)
+			}
+			if got := reg.Gauge("sessions_active", "").Value(); got != 0 {
+				t.Errorf("sessions_active = %d after recovered panic, want 0", got)
+			}
 
-	reg := o.Metrics()
-	if got := reg.Counter("panics_recovered_total", "").Value(); got != 1 {
-		t.Errorf("panics_recovered_total = %d, want 1", got)
-	}
-	for _, g := range []string{"garble_queue_depth", "garble_workers_busy", "sessions_active"} {
-		if got := reg.Gauge(g, "").Value(); got != 0 {
-			t.Errorf("%s = %d after recovered panic, want 0", g, got)
-		}
-	}
+			// The same server value must keep serving: a fresh session
+			// (hooks cleared) completes normally — the daemon stayed up.
+			clearHooks()
+			a2, b2 := wire.Pipe()
+			defer a2.Close()
+			defer b2.Close()
+			go func() {
+				_, err := serveOne(srv, a2, cfg, req)
+				srvDone <- err
+			}()
+			out, err := clientRun(cli, b2, []int64{5, 6})
+			if err != nil {
+				t.Fatalf("server unusable after a recovered panic: %v", err)
+			}
+			if serr := <-srvDone; serr != nil {
+				t.Fatalf("server error on recovery session: %v", serr)
+			}
+			// [[1,2],[3,4]] · [5,6] = [17, 39]
+			if len(out) != 2 || out[0] != 17 || out[1] != 39 {
+				t.Fatalf("recovery session result = %v, want [17 39]", out)
+			}
 
-	// The same server value must keep serving: a fresh session (panic
-	// hook cleared) completes normally — the daemon stayed up.
-	garbleTestHook = nil
-	a2, b2 := wire.Pipe()
-	defer a2.Close()
-	defer b2.Close()
-	go func() {
-		_, err := serveOne(srv, a2, cfg, req)
-		srvDone <- err
-	}()
-	out, err := clientRun(cli, b2, []int64{5, 6})
-	if err != nil {
-		t.Fatalf("server unusable after a recovered panic: %v", err)
+			checkGoroutines(t, before)
+		})
 	}
-	if serr := <-srvDone; serr != nil {
-		t.Fatalf("server error on recovery session: %v", serr)
-	}
-	// [[1,2],[3,4]] · [5,6] = [17, 39]
-	if len(out) != 2 || out[0] != 17 || out[1] != 39 {
-		t.Fatalf("recovery session result = %v, want [17 39]", out)
-	}
-
-	checkGoroutines(t, before)
 }
 
-// TestInlinePanicIsolated covers the single-worker (inline) garbling
-// path, where the panic unwinds the session goroutine itself and is
-// caught by serveRows's recover, not a pool worker's.
+// TestInlinePanicIsolated covers the one-lane garbling path, where the
+// panic unwinds the pipeline's producer goroutine and is caught by
+// pipeline.Stream's recover, not a helper lane's.
 func TestInlinePanicIsolated(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})

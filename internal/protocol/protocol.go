@@ -21,10 +21,10 @@
 //
 // The server has one entry point: NewSession (or NewSessionContext)
 // opens a connection's session, and ServerSession.Serve serves each
-// request on it; the client end is Dial. The garbler hot path fans
-// matrix rows out to a worker pool (SessionConfig.GarbleWorkers) and
-// streams the results strictly in row order, so the wire format is
-// identical whatever the pool size.
+// request on it; the client end is Dial. The garbler hot path stripes
+// matrix rows over up to SessionConfig.GarbleWorkers lanes, as the
+// client does over its evaluators, and streams every round in row
+// order, so the wire format is identical whatever the lane count.
 //
 // The threat model is honest-but-curious, matching the paper.
 package protocol
@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"maxelerator/internal/gc"
+	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/precompute"
@@ -254,6 +255,20 @@ func checkWidths(width, accWidth int) error {
 	return nil
 }
 
+// checkShape is the one bound on a request's shape, applied by
+// Request.validate and by Do to the header before the client allocates
+// for it. It rejects only requests that could never complete: the
+// result (8 bytes a row) must fit one frame, and so must a batched
+// request's one OT answer (two labels a transfer; its u matrix is less).
+func checkShape(rows, cols, width int, mode OTMode) error {
+	maxRows, maxLabels := (wire.MaxMessageSize-1)/8, wire.MaxMessageSize/(2*label.Size)
+	if rows < 1 || rows > maxRows || mode == OTBatched && cols > maxLabels/(rows*width) {
+		return fmt.Errorf("protocol: %d rows × %d cols (%s, width %d) outside the served bound 1 ≤ rows ≤ %d, batched rows·cols·width ≤ %d (each must fit one frame)",
+			rows, cols, mode, width, maxRows, maxLabels)
+	}
+	return nil
+}
+
 // WithObs attaches an observability hub: every session is counted,
 // phase-traced (handshake → ot_setup → rounds → decode) and timed, and
 // the per-session simulators record their hardware accounting into the
@@ -326,9 +341,9 @@ type Request struct {
 	OT OTMode
 }
 
-// validate rejects malformed requests before any wire traffic, so a
-// bad request never desynchronises an open session.
-func (req Request) validate() error {
+// validate rejects malformed or unservable requests before any wire
+// traffic, so a bad request never desynchronises an open session.
+func (req Request) validate(width int) error {
 	if len(req.Matrix) == 0 || len(req.Matrix[0]) == 0 {
 		return fmt.Errorf("protocol: empty server matrix")
 	}
@@ -338,7 +353,10 @@ func (req Request) validate() error {
 			return fmt.Errorf("protocol: row %d has %d columns, want %d", i, len(row), cols)
 		}
 	}
-	return req.OT.validate()
+	if err := req.OT.validate(); err != nil {
+		return err
+	}
+	return checkShape(len(req.Matrix), cols, width, req.OT)
 }
 
 // Response is the server-side outcome of one request.

@@ -12,6 +12,7 @@ import (
 
 	"maxelerator/internal/gc"
 	"maxelerator/internal/gchash"
+	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/wire"
 )
@@ -333,9 +334,13 @@ func refusesThenServes(t *testing.T, bad map[string]Request) {
 }
 
 func TestServerValidation(t *testing.T) {
+	// One width-8 batched row whose labels pass the bound one OT frame
+	// sets (checkShape): no client could ever be served it.
+	wide := make([]int64, wire.MaxMessageSize/(2*label.Size)/8+1)
 	refusesThenServes(t, map[string]Request{
-		"empty":  {},
-		"ragged": {Matrix: [][]int64{{1, 2}, {3}}},
+		"empty":                  {},
+		"ragged":                 {Matrix: [][]int64{{1, 2}, {3}}},
+		"batched past the bound": {Matrix: [][]int64{wide}, OT: OTBatched},
 	})
 }
 

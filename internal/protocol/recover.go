@@ -2,10 +2,10 @@ package protocol
 
 // Panic containment. The garbler is a long-running daemon serving many
 // tenants: a panic while garbling one poisoned request must fail that
-// request, never the process. recover() sits at the two places a
-// request's code runs — the session goroutine (serveRows) and each
-// garble-pool worker — and converts the panic into an error wrapping
-// ErrInternal. The session is broken (the stream position is unknown)
+// request, never the process. recover() sits everywhere a request's
+// code runs — the session goroutine (serveRows), the serve pipeline's
+// producer (pipeline.Stream) and each helper garble lane — and
+// converts the panic into an error wrapping ErrInternal. The session is broken (the stream position is unknown)
 // but the daemon, its listener, and every other session stay up, and
 // the peer receives an explicit error frame instead of waiting out its
 // deadline. Replaying the failed request on a fresh session is safe:

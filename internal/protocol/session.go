@@ -22,11 +22,11 @@ import (
 
 // SessionConfig shapes one multiplexed server session.
 type SessionConfig struct {
-	// GarbleWorkers sizes the row-garbling worker pool of every request
-	// on the session. 0 or 1 garbles inline on the session goroutine;
-	// N > 1 garbles up to N rows concurrently (each worker owns a
-	// private simulator, so every row still gets fresh labels) while an
-	// in-order streamer keeps the wire format unchanged.
+	// GarbleWorkers caps the lanes garbling each request's rows at
+	// min(GarbleWorkers, Rows), at least one. Lane 0 is the serve
+	// pipeline's producer goroutine; lane h garbles rows r ≡ h (mod
+	// lanes) under a private simulator (fresh labels for every row) and
+	// the producer streams them in row order: the wire format is fixed.
 	GarbleWorkers int
 	// Trace, when non-nil, is a caller-opened session trace annotated
 	// with the session's phase spans instead of opening a fresh one —
@@ -165,7 +165,7 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 	if sess.ended {
 		return nil, ErrSessionEnded
 	}
-	if err := req.validate(); err != nil {
+	if err := req.validate(sess.srv.sim.Config().Width); err != nil {
 		return nil, err
 	}
 	release := sess.tc.bind(ctx)
@@ -217,13 +217,13 @@ func (sess *ServerSession) Close() error {
 func (sess *ServerSession) Requests() int { return sess.seq }
 
 // serveRows serves an opened request — the one datapath, under
-// per-round or batched OT. Rows are garbled by the worker pool (fresh
+// per-round or batched OT. Rows are garbled on striped lanes (fresh
 // labels per row and per request) and streamed strictly in row order,
-// so the wire format is identical whatever the pool size. A panic
+// so the wire format is identical whatever the lane count. A panic
 // anywhere on the session goroutine is contained here: it becomes a
-// per-request ErrInternal, never a daemon crash (pool workers carry
-// their own recover — a goroutine panic cannot be caught across
-// goroutines).
+// per-request ErrInternal, never a daemon crash (the pipeline's
+// producer and every helper lane carry their own recover — a goroutine
+// panic cannot be caught across goroutines).
 func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {

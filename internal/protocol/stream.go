@@ -8,15 +8,14 @@ package protocol
 // row — through a bounded pipeline.Stream into a consumer that frames
 // material with one bulk copy per round (gc.AppendMaterial appends the
 // round's table block, already in wire layout, to a wire.Arena buffer;
-// one SendMsg per frame) and runs the per-round OT. Inline garbling
-// yields every round as soon as it is garbled, so round 0's frame
-// leaves while the rest of the row is still being garbled, the way
-// MAXelerator's PCIe link drains each table while the FSM garbles the
-// next; the garble pool's in-order reorder stage and the precompute
-// pool replay yield whole rows. The bytes on the wire are
-// byte-identical to the buffered path at any pool size or pipeline
-// depth — only the timing and the buffering change, which is what the
-// bytes_buffered_peak gauge exists to prove.
+// one SendMsg per frame) and runs the per-round OT. Garbling yields
+// every round as soon as it is garbled, at every lane count, so round
+// 0's frame leaves while the rest of the row is still being garbled,
+// the way MAXelerator's PCIe link drains each table while the FSM
+// garbles the next; the precompute pool replay yields whole rows. The
+// bytes on the wire are byte-identical to the buffered path at any lane
+// count or pipeline depth — only the timing and the buffering change,
+// which is what the bytes_buffered_peak gauge exists to prove.
 
 import (
 	"context"
@@ -37,11 +36,11 @@ import (
 // rows may sit between the producer and the wire at once. The channel
 // holds pipeDepth chunks when chunks are whole rows and pipeDepth·Cols
 // when they are single rounds, so the bound is the same either way.
-// Together with the garble pool's admission window it bounds
-// per-request buffering to O(workers + pipeDepth) rows instead of
-// O(rows). A variable only so the transcript property test can sweep it
-// (set while no session is in flight, like garbleTestHook); the wire
-// bytes must not depend on it.
+// With the garble lanes' one-row queues it bounds per-request buffering
+// to lanes − 1 queued rows, pipeDepth rows and one row in progress per
+// lane, not O(rows). A variable only so the transcript property test
+// can sweep it (set while no session is in flight, like
+// garbleTestHook); the wire bytes must not depend on it.
 var pipeDepth = 2
 
 // errStreamAborted is the producer's return when the consumer bailed
@@ -50,8 +49,8 @@ var pipeDepth = 2
 var errStreamAborted = errors.New("protocol: row stream aborted by consumer")
 
 // rowChunk is a run of consecutive garbled rounds of one row in flight
-// between garbling and framing: one round from the inline producer, a
-// whole row from the pool or a precompute hit.
+// between garbling and framing: one round from a garble lane, a whole
+// row from a precompute hit.
 type rowChunk struct {
 	rounds []*gc.Garbled
 	// stats is the row's accounting, set on the chunk that ends the row.
@@ -172,11 +171,11 @@ func (st *rowStreamer) consume(c rowChunk) error {
 
 // run drives the pipeline for one request: pre non-nil replays pooled
 // material straight into the stream (a precompute hit never re-garbles);
-// otherwise the request garbles, inline round by round or on the pool.
+// otherwise the request garbles round by round on its lanes.
 // Deadlines and cancellation hold at every stage — the consumer's wire
 // operations run under the rounds phase budget, the producer checks ctx
 // at every chunk it yields, and a producer panic is contained exactly
-// like a worker panic.
+// like a helper lane's.
 func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []*maxsim.DotProductRun) error {
 	ss := st.sess.ss
 	defer func() {
@@ -210,8 +209,8 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 	}
 
 	depth := pipeDepth
-	if pre == nil && garblesInline(workers, len(A)) {
-		depth *= len(A[0]) // the inline producer yields single rounds
+	if pre == nil {
+		depth *= len(A[0]) // garbling yields single rounds
 	}
 	err := pipeline.Stream(ctx, depth, produce, st.consume)
 	if pre == nil {

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,79 +246,92 @@ func (c *materialWatchConn) SendMsg(m []byte) error {
 	return err
 }
 
-// TestFirstFrameLeavesEarly: on a 1×512 request the inline producer
-// hands each round to the wire as soon as it is garbled. The round hook
-// holds the garbling of round 511 until the conn has carried round 0's
-// material frame; a pipeline that moved whole rows would only send it
-// after round 511, so the bounded wait would expire and the test fail.
-// Buffering stays within two rows of tables, and the trace records the
-// producer's back-pressure wait.
+// TestFirstFrameLeavesEarly: every lane hands each round on as soon as
+// it is garbled, and lane 0 — the pipeline's producer — hands it
+// straight to the wire. The round hook holds the garbling of row 0's
+// last round until the conn has carried round 0's material frame; a
+// pipeline that moved whole rows would only send it after that round,
+// so the bounded wait would expire and the test fail. The cases are a
+// one-lane 1×512 request and a two-lane 2×256 one, whose second row a
+// helper lane garbles meanwhile. Buffering stays within two rows of
+// tables, and the trace records the producer's back-pressure wait.
 func TestFirstFrameLeavesEarly(t *testing.T) {
-	const cols = 512
-	row := make([]int64, cols)
-	y := make([]int64, cols)
-	var want int64
-	for j := range row {
-		row[j] = int64(j%15 - 7)
-		y[j] = int64(j%9 - 4)
-		want += row[j] * y[j]
-	}
-	o := obs.New(2)
-	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.WithObs(o)
-	cli, err := NewClient(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := wire.Pipe()
-	defer a.Close()
-	defer b.Close()
-	conn := &materialWatchConn{Conn: a, first: make(chan struct{})}
+	for _, tc := range []struct{ rows, cols, workers int }{
+		{rows: 1, cols: 512, workers: 4},
+		{rows: 2, cols: 256, workers: 2},
+	} {
+		t.Run(fmt.Sprintf("%dx%d/workers=%d", tc.rows, tc.cols, tc.workers), func(t *testing.T) {
+			A := make([][]int64, tc.rows)
+			y := make([]int64, tc.cols)
+			want := make([]int64, tc.rows)
+			for j := range y {
+				y[j] = int64(j%9 - 4)
+			}
+			for i := range A {
+				A[i] = make([]int64, tc.cols)
+				for j := range A[i] {
+					A[i][j] = int64((j+5*i)%15 - 7)
+					want[i] += A[i][j] * y[j]
+				}
+			}
+			o := obs.New(2)
+			srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.WithObs(o)
+			cli, err := NewClient(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := wire.Pipe()
+			defer a.Close()
+			defer b.Close()
+			conn := &materialWatchConn{Conn: a, first: make(chan struct{})}
 
-	var early atomic.Bool
-	garbleRoundTestHook = func(_, round int) {
-		if round != cols-2 { // the hook runs after round r, before round r+1
-			return
-		}
-		select {
-		case <-conn.first:
-			early.Store(true)
-		case <-time.After(5 * time.Second):
-		}
-	}
-	defer func() { garbleRoundTestHook = nil }()
+			var early atomic.Bool
+			garbleRoundTestHook = func(row, round int) {
+				if row != 0 || round != tc.cols-2 { // the hook runs after round r, before round r+1
+					return
+				}
+				select {
+				case <-conn.first:
+					early.Store(true)
+				case <-time.After(5 * time.Second):
+				}
+			}
+			defer func() { garbleRoundTestHook = nil }()
 
-	var wg sync.WaitGroup
-	var resp *Response
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		resp, srvErr = serveOne(srv, conn, SessionConfig{GarbleWorkers: 4}, Request{Matrix: [][]int64{row}})
-	}()
-	out, err := clientRun(cli, b, y)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srvErr != nil {
-		t.Fatal(srvErr)
-	}
-	if len(out) != 1 || out[0] != want {
-		t.Fatalf("result %v, want [%d]", out, want)
-	}
-	if !early.Load() {
-		t.Fatalf("round 0's material frame had not left when round %d was about to be garbled", cols-1)
-	}
-	rowBytes := int64(resp.Stats.TableBytes)
-	if peak := o.Metrics().Gauge("bytes_buffered_peak", "").Value(); peak <= 0 || peak > 2*rowBytes {
-		t.Fatalf("bytes_buffered_peak = %d, want within (0, %d] (two rows of tables)", peak, 2*rowBytes)
-	}
-	if attrs := o.Traces().Recent(1)[0].Attrs; attrs["garble_wait_ms"] == "" {
-		t.Fatalf("trace attrs %v lack garble_wait_ms", attrs)
+			var wg sync.WaitGroup
+			var resp *Response
+			var srvErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, srvErr = serveOne(srv, conn, SessionConfig{GarbleWorkers: tc.workers}, Request{Matrix: A})
+			}()
+			out, err := clientRun(cli, b, y)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if srvErr != nil {
+				t.Fatal(srvErr)
+			}
+			if !slices.Equal(out, want) {
+				t.Fatalf("result %v, want %v", out, want)
+			}
+			if !early.Load() {
+				t.Fatalf("round 0's material frame had not left when round %d of row 0 was about to be garbled", tc.cols-1)
+			}
+			rowBytes := int64(resp.Stats.TableBytes) / int64(tc.rows)
+			if peak := o.Metrics().Gauge("bytes_buffered_peak", "").Value(); peak <= 0 || peak > 2*rowBytes {
+				t.Fatalf("bytes_buffered_peak = %d, want within (0, %d] (two rows of tables)", peak, 2*rowBytes)
+			}
+			if attrs := o.Traces().Recent(1)[0].Attrs; attrs["garble_wait_ms"] == "" {
+				t.Fatalf("trace attrs %v lack garble_wait_ms", attrs)
+			}
+		})
 	}
 }
 
