@@ -74,7 +74,7 @@ func TestReportEvaluate(t *testing.T) {
 	}
 
 	cases := []struct {
-		name  string
+		name   string
 		break_ func(*Report)
 	}{
 		{"double serve", func(r *Report) { r.ServedTotal = r.Succeeded + 1 }},

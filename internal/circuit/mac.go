@@ -97,6 +97,19 @@ func MACCombinational(cfg MACConfig) (*Circuit, error) {
 	return b.Build()
 }
 
+// CheckRange reports whether v is a width-bit operand: two's
+// complement when signed, unsigned otherwise.
+func CheckRange(v int64, width int, signed bool) error {
+	kind, lo, hi := "unsigned", int64(0), int64(1)<<width-1
+	if signed {
+		kind, lo, hi = "signed", -(int64(1) << (width - 1)), int64(1)<<(width-1)-1
+	}
+	if v < lo || v > hi {
+		return fmt.Errorf("value %d outside %s %d-bit range [%d, %d]", v, kind, width, lo, hi)
+	}
+	return nil
+}
+
 // Uint64ToBits encodes the low width bits of v little-endian.
 func Uint64ToBits(v uint64, width int) []bool {
 	bits := make([]bool, width)

@@ -29,8 +29,6 @@ type Stats = maxsim.Stats
 
 // Accelerator is a configured MAXelerator instance.
 type Accelerator struct {
-	// sim is the compiled template every call forks; nothing garbles
-	// on it directly.
 	sim *maxsim.Simulator
 }
 
@@ -76,33 +74,30 @@ var garbleTestHook func(*maxsim.DotProductRun)
 // independent sequential-MAC chain; timing aggregates over the
 // configured MAC units.
 //
-// Every call garbles on its own fork of the accelerator — a fresh
-// free-XOR offset and fresh labels, as package protocol forks per
-// request — because new labels are required for every garbling
-// operation.
+// Every call garbles its rows as one request: a fresh free-XOR offset
+// and fresh labels per call, shared by its rows, as package protocol
+// garbles a request, because new labels are required for every
+// garbling operation.
 func (a *Accelerator) SecureMatVec(A [][]int64, y []int64) ([]int64, Stats, error) {
 	if len(A) == 0 {
 		return nil, Stats{}, fmt.Errorf("core: empty matrix")
 	}
 	cfg := a.sim.Config()
-	unit, err := a.sim.Fork(cfg.Rand)
+	req, err := a.sim.NewRequest(len(y)) // every row must have len(y) values
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, fmt.Errorf("core: %w", err)
+	}
+	runs, err := a.sim.GarbleRows(req, A)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("core: %w", err)
 	}
 	out := make([]int64, len(A))
 	var agg Stats
-	for i, row := range A {
-		if len(row) != len(y) {
-			return nil, Stats{}, fmt.Errorf("core: row %d length %d != vector length %d", i, len(row), len(y))
-		}
-		run, err := unit.GarbleDotProduct(row)
-		if err != nil {
-			return nil, Stats{}, fmt.Errorf("core: row %d: %w", i, err)
-		}
+	for i, run := range runs {
 		if garbleTestHook != nil {
 			garbleTestHook(run)
 		}
-		if out[i], err = maxsim.EvaluateDotProduct(cfg.Params, unit.Circuit(), run, y, cfg.Width, cfg.Signed); err != nil {
+		if out[i], err = maxsim.EvaluateDotProduct(cfg.Params, a.sim.Circuit(), run, y, cfg.Width, cfg.Signed); err != nil {
 			return nil, Stats{}, fmt.Errorf("core: row %d: %w", i, err)
 		}
 		agg.Add(run.Stats)

@@ -123,7 +123,9 @@ type Garbled struct {
 // executions that hashed one label under one tweak would differ by
 // exactly the XOR of their other inputs, and the half-gate evaluator row
 // carries the garbler's FALSE label, so an evaluator holding both
-// garblings' active labels would learn Δ.
+// garblings' active labels would learn Δ. The lanes of a Request share
+// one Δ across garblers, so there each row's cursor starts at the row's
+// own tweak range instead (request.go).
 //
 // A Garbler is not safe for concurrent use: besides Δ, the label stream
 // and the tweak cursor it owns the walker's working memory — the slot

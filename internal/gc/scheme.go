@@ -7,7 +7,9 @@
 // of TinyGarble is built in: state labels carry from round to round
 // through GarbleOptions.State0 and EvalResult.StateActive, and a
 // Garbler's tweak cursor keeps every round of every chain on fresh
-// tweaks under its Δ.
+// tweaks under its Δ. A Request garbles the rows of one matrix request
+// under one Δ on any number of lanes, each row on labels and tweaks
+// fixed by its index.
 //
 // Three AND-garbling schemes are provided behind the Scheme interface:
 // the paper's production scheme (half gates, 2 ciphertexts per AND)

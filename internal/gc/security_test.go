@@ -189,15 +189,18 @@ func replayReader(t *testing.T, span, evalLo, evalHi int) *bytes.Reader {
 // X′ˣ′; when x ≠ x′ their XOR with the two rows is Δ, and with Δ every
 // label of the request. The garbler's cursor moves the second garbling
 // to fresh tweaks, so the XOR is noise.
+//
+// The lanes cases mount it on a request's rows: four one-round rows
+// under the request's one Δ, striped over 1, 2 and 4 lanes, every row
+// drawing the same evaluator-input labels. Each row hashes in its own
+// row-indexed range, so no pair of rows recovers Δ. The control garbles
+// row 0 on two lanes — the one way to repeat a row's tweaks, which the
+// stripe never takes — and the attack succeeds.
 func TestRestartedTweaksCannotRecoverDelta(t *testing.T) {
 	const width = 4
 	c := circuit.MustMAC(circuit.MACConfig{Width: width, AccWidth: 2 * width})
 	span := circuit.FirstInput + c.NGarbler + c.NEvaluator + c.NState
 	evalLo := c.EvaluatorInputWire(0)
-	g, err := NewGarbler(DefaultParams(), replayReader(t, span, evalLo, evalLo+c.NEvaluator))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The first AND of a garbler input and an evaluator input, and its
 	// table index (the k-th AND owns table k).
 	gate, table := -1, 0
@@ -215,7 +218,21 @@ func TestRestartedTweaksCannotRecoverDelta(t *testing.T) {
 		t.Fatal("MAC circuit has no garbler-input × evaluator-input AND")
 	}
 	j := c.Gates[gate].A - circuit.FirstInput
+	// recovers reports whether the evaluator of both garblings learns Δ.
+	recovers := func(first, second *Garbled, delta label.Label) bool {
+		t.Helper()
+		if !slices.Equal(first.EvalPairs, second.EvalPairs) {
+			t.Fatal("the scripted stream did not replay the evaluator-input labels")
+		}
+		te1 := label.Label(tableRows(t, &first.Material, table)[1])
+		te2 := label.Label(tableRows(t, &second.Material, table)[1])
+		return te1.Xor(te2).Xor(first.Material.GarblerActive[j]).Xor(second.Material.GarblerActive[j]) == delta
+	}
 
+	g, err := NewGarbler(DefaultParams(), replayReader(t, span, evalLo, evalLo+c.NEvaluator))
+	if err != nil {
+		t.Fatal(err)
+	}
 	zero, ones := circuit.Uint64ToBits(0, width), circuit.Uint64ToBits(1<<width-1, width)
 	first, err := g.Garble(c, GarbleOptions{GarblerInputs: zero, TweakBase: 0})
 	if err != nil {
@@ -225,15 +242,124 @@ func TestRestartedTweaksCannotRecoverDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(first.EvalPairs, second.EvalPairs) {
-		t.Fatal("the scripted stream did not replay the evaluator-input labels")
-	}
-	te1 := label.Label(tableRows(t, &first.Material, table)[1])
-	te2 := label.Label(tableRows(t, &second.Material, table)[1])
-	guess := te1.Xor(te2).Xor(first.Material.GarblerActive[j]).Xor(second.Material.GarblerActive[j])
-	if delta := first.GarblerPairs[j].False.Xor(first.GarblerPairs[j].True); guess == delta {
+	if recovers(first, second, g.deltaLabel) {
 		t.Fatalf("evaluator recovered Δ from two rows garbled under tweak bases %d and %d",
 			first.Material.TweakBase, second.Material.TweakBase)
+	}
+
+	// A lane whose evaluator-input labels repeat every round's script.
+	evalScript := make([]label.Label, c.NEvaluator)
+	for i := range evalScript {
+		evalScript[i] = label.MustRandom()
+	}
+	req, err := NewRequest(DefaultParams(), c, 1, [16]byte{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := func() *Lane {
+		l := req.Lane()
+		l.g.rand = &repeatEvalLabels{span: span, evalLo: evalLo, eval: evalScript}
+		return l
+	}
+	garble := func(l *Lane, row int, x int64) *Garbled {
+		t.Helper()
+		var gb *Garbled
+		if err := l.GarbleRow(row, []int64{x}, func(_ int, g *Garbled) error { gb = g; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return gb
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		ls := make([]*Lane, lanes)
+		for h := range ls {
+			ls[h] = lane()
+		}
+		rows := make([]*Garbled, 4)
+		for i := range rows {
+			rows[i] = garble(ls[i%lanes], i, int64(i%2)*(1<<width-1)) // x alternates 0 and 2^width − 1
+		}
+		for a := range rows {
+			for b := a + 1; b < len(rows); b += 2 { // the pairs with x ≠ x′
+				if recovers(rows[a], rows[b], req.delta.Label()) {
+					t.Fatalf("lanes=%d: evaluator recovered Δ from rows %d and %d (tweak bases %d, %d)",
+						lanes, a, b, rows[a].Material.TweakBase, rows[b].Material.TweakBase)
+				}
+			}
+		}
+	}
+	l0, l1 := lane(), lane()
+	if !recovers(garble(l0, 0, 0), garble(l1, 0, 1<<width-1), req.delta.Label()) {
+		t.Fatal("control: two lanes garbling row 0 under one tweak base did not leak Δ; the attack above proves nothing")
+	}
+}
+
+// repeatEvalLabels is a lane's label stream for the attack above: fresh
+// random labels, except that the evaluator-input slots [evalLo,
+// evalLo+len(eval)) of every span-label round are eval.
+type repeatEvalLabels struct {
+	span, evalLo int
+	eval         []label.Label
+	n            int
+}
+
+func (r *repeatEvalLabels) Read(p []byte) (int, error) {
+	for off := 0; off < len(p); off += label.Size {
+		if k := r.n%r.span - r.evalLo; k >= 0 && k < len(r.eval) {
+			copy(p[off:], r.eval[k][:])
+		} else if _, err := rand.Read(p[off : off+label.Size]); err != nil {
+			return off, err
+		}
+		r.n++
+	}
+	return len(p), nil
+}
+
+// TestRequestTweaksNeverRepeatAcrossRows: a request's rows hash in
+// disjoint tweak ranges — row i's rounds from i·Cols·ANDs·TweaksPerGate,
+// whichever lane garbles it — at 1, 2 and 4 lanes, and a lane refuses a
+// row at or below one it has garbled.
+func TestRequestTweaksNeverRepeatAcrossRows(t *testing.T) {
+	c := circuit.MustMAC(circuit.MACConfig{Width: 4, AccWidth: 8, Signed: true})
+	const rows, cols = 6, 3
+	ands := uint64(c.Stats().ANDs)
+	tpg := DefaultParams().Scheme.TweaksPerGate()
+	for _, lanes := range []int{1, 2, 4} {
+		req, err := NewRequest(DefaultParams(), c, cols, [16]byte{9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := make([]*Lane, lanes)
+		for h := range ls {
+			ls[h] = req.Lane()
+		}
+		type span struct{ lo, hi uint64 }
+		var used []span
+		for i := 0; i < rows; i++ {
+			err := ls[i%lanes].GarbleRow(i, []int64{1, -2, 3}, func(r int, gb *Garbled) error {
+				lo := gb.Material.TweakBase
+				if want := (uint64(i)*cols + uint64(r)) * ands * tpg; lo != want {
+					t.Fatalf("lanes=%d row %d round %d: tweak base %d, want %d", lanes, i, r, lo, want)
+				}
+				used = append(used, span{lo, gb.NextTweak})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		slices.SortFunc(used, func(a, b span) int { return int(a.lo) - int(b.lo) })
+		for k := 1; k < len(used); k++ {
+			if used[k].lo < used[k-1].hi {
+				t.Fatalf("lanes=%d: tweak ranges [%d, %d) and [%d, %d) overlap",
+					lanes, used[k-1].lo, used[k-1].hi, used[k].lo, used[k].hi)
+			}
+		}
+		last := ls[(rows-1)%lanes]
+		for _, row := range []int{rows - 1, rows - 1 - lanes} {
+			if err := last.GarbleRow(row, []int64{0, 0, 0}, func(int, *Garbled) error { return nil }); err == nil {
+				t.Fatalf("lanes=%d: a lane garbled row %d after row %d", lanes, row, rows-1)
+			}
+		}
 	}
 }
 

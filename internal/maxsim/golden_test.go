@@ -17,7 +17,7 @@ import (
 // layout all feed it.
 //
 // It was first computed at the commit before the flat-program kernel
-// (def35ba) and re-pinned three times since. First when the garbler took
+// (def35ba) and re-pinned four times since. First when the garbler took
 // ownership of the tweak sequence: both rows are garbled on one
 // simulator, so under one Δ, and row 1 now continues row 0's tweak range
 // instead of restarting at 0. Then when the builder began folding
@@ -25,9 +25,13 @@ import (
 // b=8 signed MAC went from 204 to 178 ANDs, so every material frame is
 // shorter and every tweak after the first dropped gate moves (protocol
 // v5). Then when the MAC's multiplier became radix-4 Booth rows selected
-// by x's digits: the MAC went from 178 to 120 ANDs (protocol v6). The
-// label draw order is unchanged.
-const goldenTranscriptDigest = "37e0d405f91084a251c00cd439f38f5f93c3a84714870874a596c88ddaf2c22a"
+// by x's digits: the MAC went from 178 to 120 ANDs (protocol v6). Then
+// when the two rows became one gc.Request: the DRBG now supplies only
+// the request's 16-byte seed, Δ and every label are AES under that seed
+// (row i's n-th label is AES_k(i ‖ n)), and row 1 hashes from its
+// row-indexed tweak base 1·3·120·2 = 720, which happens to be where
+// row 0's range ends. Frame lengths and layout are unchanged.
+const goldenTranscriptDigest = "607111ce9b4d1c4f01af57489392bb60115828141ebd347436a5f68e4910eabe"
 
 func transcriptDigest(t *testing.T, runs []*DotProductRun) string {
 	t.Helper()
@@ -61,33 +65,21 @@ func goldenSim(t *testing.T) *Simulator {
 	return sim
 }
 
+// TestGoldenTranscriptDigest pins the bytes of a two-row request as
+// GarbleRows, and the serve path, garble it. TestPreGarbleMatchesInline
+// holds the offline path to the same bytes.
 func TestGoldenTranscriptDigest(t *testing.T) {
 	A := [][]int64{{1, -2, 3}, {-128, 127, -1}}
 	sim := goldenSim(t)
-	runs := make([]*DotProductRun, len(A))
-	for i, row := range A {
-		run, err := sim.GarbleDotProduct(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = run
+	req, err := sim.NewRequest(len(A[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := sim.GarbleRows(req, A)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := transcriptDigest(t, runs); got != goldenTranscriptDigest {
 		t.Fatalf("transcript digest %s, want the parent commit's %s", got, goldenTranscriptDigest)
-	}
-
-	// The offline path draws the same stream: pre-garble, bind, same bytes.
-	pre := goldenSim(t)
-	for i, row := range A {
-		pr, err := pre.PreGarbleDotProduct(len(row))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if runs[i], err = pr.Bind(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := transcriptDigest(t, runs); got != goldenTranscriptDigest {
-		t.Fatalf("pre-garbled transcript digest %s, want %s", got, goldenTranscriptDigest)
 	}
 }

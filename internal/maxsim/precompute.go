@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"maxelerator/internal/circuit"
+	"maxelerator/internal/gc"
 )
 
 // PreRun is one pre-garbled dot product awaiting its garbler inputs.
@@ -59,20 +60,30 @@ func (p *PreRun) Bind(x []int64) (*DotProductRun, error) {
 	if p.bound {
 		return nil, fmt.Errorf("maxsim: pre-garbled run already bound")
 	}
-	if len(x) != len(p.run.Rounds) {
-		return nil, fmt.Errorf("maxsim: binding %d values to a %d-round pre-garbling", len(x), len(p.run.Rounds))
-	}
-	for round, xi := range x {
-		if err := checkRange(xi, p.width, p.signed); err != nil {
-			return nil, fmt.Errorf("maxsim: round %d: %w", round, err)
-		}
-	}
-	for round, xi := range x {
-		gb := p.run.Rounds[round]
-		for i, v := range circuit.Int64ToBits(xi, p.width) {
-			gb.Material.GarblerActive[i] = gb.GarblerPairs[i].Get(v)
-		}
+	if err := BindRounds(p.run.Rounds, x, p.width, p.signed); err != nil {
+		return nil, err
 	}
 	p.bound = true
 	return p.run, nil
+}
+
+// BindRounds selects each round's garbler-active labels for x[r] from
+// its retained pairs (gc.Garbled.GarblerPairs), for PreRun.Bind and the
+// precompute pool alike. A bad x leaves the rounds untouched.
+func BindRounds(rounds []*gc.Garbled, x []int64, width int, signed bool) error {
+	if len(x) != len(rounds) {
+		return fmt.Errorf("maxsim: binding %d values to a %d-round pre-garbling", len(x), len(rounds))
+	}
+	for round, xi := range x {
+		if err := circuit.CheckRange(xi, width, signed); err != nil {
+			return fmt.Errorf("maxsim: round %d: %w", round, err)
+		}
+	}
+	for round, xi := range x {
+		gb := rounds[round]
+		for i, p := range gb.GarblerPairs {
+			gb.Material.GarblerActive[i] = p.Get(uint64(xi)>>i&1 == 1) // circuit.Int64ToBits, in place
+		}
+	}
+	return nil
 }

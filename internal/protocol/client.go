@@ -149,7 +149,7 @@ func (cs *ClientSession) Do(y []int64) ([]int64, error) {
 	// never costs a wire exchange (or desynchronizes the session).
 	bitsPerRound := make([][]bool, len(y))
 	for i, v := range y {
-		if err := checkRange(v, cs.h.Width, cs.h.Signed); err != nil {
+		if err := circuit.CheckRange(v, cs.h.Width, cs.h.Signed); err != nil {
 			return nil, fmt.Errorf("protocol: element %d: %w", i, err)
 		}
 		bitsPerRound[i] = circuit.Int64ToBits(v, cs.h.Width)

@@ -398,6 +398,8 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 // the two pool-metrics bugs: garble_rows_total counted failed rows,
 // and garble_workers was never reset by inline (single-worker)
 // requests. A one-lane request's rows count like any other lane's.
+// The failed rows are injected panics: an out-of-range matrix never
+// reaches the lanes (TestServeRefusesOutOfRangeMatrixBeforeAnyFrame).
 func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
@@ -411,13 +413,14 @@ func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 	}
 	reg := o.Metrics()
 
-	// Request 1: every row holds an out-of-range value, so every
-	// garbling fails. Failed rows must not count as garbled.
-	bad := [][]int64{{1 << 20, 1}, {1 << 20, 2}}
+	// Request 1: every row's garbling panics. Failed rows must not
+	// count as garbled.
+	garbleTestHook = func(int) { panic("injected garbling fault") }
+	defer func() { garbleTestHook = nil }()
 	a, b := wire.Pipe()
 	srvDone := make(chan error, 1)
 	go func() {
-		_, err := serveOne(srv, a, SessionConfig{GarbleWorkers: 2}, Request{Matrix: bad})
+		_, err := serveOne(srv, a, SessionConfig{GarbleWorkers: 2}, Request{Matrix: [][]int64{{1, 1}, {2, 2}}})
 		srvDone <- err
 	}()
 	clientDone := make(chan error, 1)
@@ -425,8 +428,10 @@ func TestPoolMetricsFailedRowsAndInlineGauge(t *testing.T) {
 		_, err := clientRun(cli, b, []int64{1, 1})
 		clientDone <- err
 	}()
-	if serr := <-srvDone; serr == nil {
-		t.Fatal("server garbled an out-of-range matrix")
+	serr := <-srvDone
+	garbleTestHook = nil
+	if !errors.Is(serr, ErrInternal) {
+		t.Fatalf("server error %v, want ErrInternal", serr)
 	}
 	a.Close()
 	b.Close()

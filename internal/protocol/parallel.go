@@ -3,72 +3,49 @@ package protocol
 // Parallel row garbling. Matrix rows are independent MAC chains of
 // equal cost, so they are garbled on a static stripe (garbleRows), the
 // way the paper's FSM assigns each GC core its work and the client's
-// rowHelpers evaluate them. Every lane garbles under a private fork of
-// the server's simulator (fresh free-XOR offset and labels; the
-// compiled netlist is shared read-only), and rounds leave strictly in
-// row order, so the wire bytes do not depend on the lane count.
+// rowHelpers evaluate them. A request is one gc.Request — one seed, one
+// Δ, row-indexed labels and tweaks — and every lane garbles its rows on
+// its own gc.Lane of it, so a row's bytes depend on its index alone,
+// and rounds leave strictly in row order: the wire bytes do not depend
+// on the lane count.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"maxelerator/internal/gc"
-	"maxelerator/internal/maxsim"
 )
 
-// lockedReader serializes reads of a shared randomness source so the
-// garbling lanes can draw from one cfg.Rand concurrently. The default
-// crypto/rand reader is already safe, but deterministic test readers
-// generally are not.
-type lockedReader struct {
-	mu sync.Mutex
-	r  io.Reader
-}
-
-func (lr *lockedReader) Read(p []byte) (int, error) {
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	return lr.r.Read(p)
-}
-
 // garbleRows garbles every row of A and hands the rounds to emit in
-// strict row and round order, one round per chunk, the row's Stats
-// riding on its last. Rows are striped over lanes = min(workers, rows)
-// lanes: lane 0 is the caller, the pipeline's producer, garbling its
-// rows straight into emit; lane h ≥ 1 is a goroutine garbling its rows
-// into a queue that holds one row, which the caller relays when each
-// row's turn comes. With one lane no goroutine starts. A helper lane's
-// panic becomes its error; cancellation stops every lane at its next
-// round. No lane outlives the call.
+// strict row and round order, one round per chunk. Rows are striped
+// over lanes = min(workers, rows) lanes: lane 0 is the caller, the
+// pipeline's producer, garbling its rows straight into emit; lane h ≥ 1
+// is a goroutine garbling its rows into a queue that holds one row,
+// which the caller relays when each row's turn comes. With one lane no
+// goroutine starts. A helper lane's panic becomes its error;
+// cancellation stops every lane at its next round. No lane outlives the
+// call.
 func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers int, emit func(rowChunk) error) error {
-	n, ss := len(A), sess.ss
+	n, cols, ss, sim := len(A), len(A[0]), sess.ss, sess.srv.sim
 	lanes := max(1, min(workers, n))
 	ss.reg.Gauge("garble_workers", "row-garbling lanes of the last request").Set(int64(lanes))
 	rowSeconds := ss.reg.Histogram("garble_row_seconds", "wall time to garble one matrix row, back-pressure included", nil)
 	rowsTotal := ss.reg.Counter("garble_rows_total", "matrix rows garbled")
 
-	// One fork per lane: nothing mutable is shared but the randomness
-	// source, which gets a lock once two lanes draw from it.
-	rnd := sess.srv.sim.Config().Rand
-	if lanes > 1 {
-		rnd = &lockedReader{r: rnd}
+	req, err := sim.NewRequest(cols)
+	if err != nil {
+		return err
 	}
-	sims := make([]*maxsim.Simulator, lanes)
-	for h := range sims {
-		var err error
-		if sims[h], err = sess.srv.sim.Fork(rnd); err != nil {
-			return err
-		}
-	}
-	garble := func(i int, out func(rowChunk) error) error {
+	rowStats := sim.Account(cols)
+	garble := func(lane *gc.Lane, i int, out func(rowChunk) error) error {
 		t0 := time.Now()
-		err := streamRow(ss, sims[i%lanes], i, A[i], out)
+		err := streamRow(ss, lane, i, A[i], out)
 		rowSeconds.Observe(time.Since(t0).Seconds())
 		if err == nil {
 			rowsTotal.Inc()
+			sim.Count(rowStats)
 		}
 		return err
 	}
@@ -83,7 +60,7 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 		wg.Wait()
 	}()
 	for h := 1; h < lanes; h++ {
-		q := make(chan rowChunk, len(A[0])) // one row: the lane's memory bound
+		q := make(chan rowChunk, cols) // one row: the lane's memory bound
 		queues[h] = q
 		send := func(c rowChunk) error {
 			select {
@@ -104,26 +81,32 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 				close(q)
 				wg.Done()
 			}()
+			lane := req.Lane()
 			for i := h; i < n && errs[h] == nil; i += lanes {
-				errs[h] = garble(i, send)
+				errs[h] = garble(lane, i, send)
 			}
 		}()
 	}
 
-	// row hands row i to emit: lane 0 garbles it in place, a helper's is
-	// relayed from its queue, which closes before the row ends only on
-	// error.
+	// row hands row i to emit: lane 0 garbles it in place, a helper's
+	// cols rounds are relayed from its queue, which closes before the
+	// row ends only on error.
+	lane0 := req.Lane()
 	row := func(i int) error {
 		h := i % lanes
 		if h == 0 {
-			return garble(i, emit)
+			return garble(lane0, i, emit)
 		}
-		for c := range queues[h] {
-			if err := emit(c); err != nil || c.stats != nil {
+		for range cols {
+			c, ok := <-queues[h]
+			if !ok {
+				return errs[h]
+			}
+			if err := emit(c); err != nil {
 				return err
 			}
 		}
-		return errs[h]
+		return nil
 	}
 	for i := range A {
 		if err := ctx.Err(); err != nil {
@@ -148,36 +131,28 @@ var garbleTestHook func(row int)
 // session is in flight.
 var garbleRoundTestHook func(row, round int)
 
-// streamRow garbles one row under its trace span (the first
+// streamRow garbles row i on lane under its trace span (the first
 // maxRowSpans rows of a session get one) and hands each round to emit
-// as soon as it is garbled, the last one with the row's Stats. The span
-// therefore also covers the time emit blocked on a full pipeline or
-// queue. The chunks are windows of one per-row slice, so streaming a
-// round allocates nothing.
-func streamRow(ss *session, sim *maxsim.Simulator, i int, row []int64, emit func(rowChunk) error) error {
+// as soon as it is garbled. The span therefore also covers the time
+// emit blocked on a full pipeline or queue. The chunks are windows of
+// one per-row slice, so streaming a round allocates nothing.
+func streamRow(ss *session, lane *gc.Lane, i int, row []int64, emit func(rowChunk) error) error {
 	if garbleTestHook != nil {
 		garbleTestHook(i)
 	}
 	if i < maxRowSpans {
 		defer ss.tr.StartSpan(fmt.Sprintf("round_garble[%d]", i)).End()
 	}
-	rounds := make([]*gc.Garbled, 0, len(row))
+	rounds := make(rowChunk, 0, len(row))
 	last := len(row) - 1
-	st, err := sim.GarbleDotProductRounds(row, func(r int, gb *gc.Garbled) error {
+	return lane.GarbleRow(i, row, func(r int, gb *gc.Garbled) error {
 		rounds = append(rounds, gb)
-		if r == last {
-			return nil // leaves below, with the row's Stats
-		}
-		if err := emit(rowChunk{rounds: rounds[r : r+1]}); err != nil {
+		if err := emit(rounds[r : r+1]); err != nil {
 			return err
 		}
-		if garbleRoundTestHook != nil {
+		if garbleRoundTestHook != nil && r < last {
 			garbleRoundTestHook(i, r)
 		}
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	return emit(rowChunk{rounds: rounds[last:], stats: &st})
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
@@ -292,5 +293,109 @@ func TestPrecomputeMultiplexedSession(t *testing.T) {
 	}
 	if v := o.Metrics().Counter("precompute_misses_total", "", lbl).Value(); v != 1 {
 		t.Fatalf("misses = %d, want 1", v)
+	}
+}
+
+// TestHardwareCountersCountRoundsGarbled pins what macs_total counts:
+// MAC rounds garbled — a pool entry's when it is built, an inline row's
+// when it is garbled. Three prefilled 2×3 entries read 18, a hit that
+// serves one of them adds nothing, and a miss garbles its 6 rounds
+// inline.
+func TestHardwareCountersCountRoundsGarbled(t *testing.T) {
+	o := obs.New(4)
+	srv, eng, shape := precomputeTestServer(t, maxsim.Config{Width: 8, AccWidth: 24, Signed: true}, o, 4)
+	macs := o.Metrics().Counter("macs_total", "")
+	if err := eng.Prefill(shape, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := macs.Value(); got != 18 {
+		t.Fatalf("macs_total = %d after prefilling three 2×3 entries, want 18", got)
+	}
+	req := Request{Matrix: [][]int64{{1, 2, 3}, {4, 5, 6}}}
+	serveOnce(t, srv, SessionConfig{}, req, []int64{1, 1, 1})
+	if got := macs.Value(); got != 18 {
+		t.Fatalf("macs_total = %d after a pool hit, want 18", got)
+	}
+	for eng.Take(shape) != nil { // drain the pool: the next request misses
+	}
+	serveOnce(t, srv, SessionConfig{}, req, []int64{1, 1, 1})
+	if got := macs.Value(); got != 24 {
+		t.Fatalf("macs_total = %d after a miss, want 24", got)
+	}
+}
+
+// TestResponseStatsMatchServedFrames: a response's accounting is rows ×
+// Account(cols) on every path, and its table count and bytes are what
+// the material frames it sent carry. Under batched OT those are the
+// server's last rows·cols frames (a raw OT frame may begin with any
+// byte, the material tag included).
+func TestResponseStatsMatchServedFrames(t *testing.T) {
+	cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
+	A := [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}}
+	for _, path := range []struct {
+		name    string
+		workers int
+		pooled  bool
+	}{{"inline", 1, false}, {"lanes", 2, false}, {"hit", 2, true}} {
+		t.Run(path.name, func(t *testing.T) {
+			srv, eng, shape := precomputeTestServer(t, cfg, obs.New(4), 1)
+			if path.pooled {
+				shape.Rows, shape.OT = len(A), OTBatched.String()
+				if err := eng.Prefill(shape, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ca, cb := wire.Pipe()
+			defer ca.Close()
+			defer cb.Close()
+			rec := &recordingConn{Conn: ca}
+			var wg sync.WaitGroup
+			var resp *Response
+			var srvErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, srvErr = serveOne(srv, rec, SessionConfig{GarbleWorkers: path.workers}, Request{Matrix: A, OT: OTBatched})
+			}()
+			cli, err := NewClient(label.MustSystemDRBG())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := clientRun(cli, cb, []int64{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			if srvErr != nil {
+				t.Fatal(srvErr)
+			}
+			if hits, _ := eng.PoolStats(); (hits == 1) != path.pooled {
+				t.Fatalf("%d pool hits on the %s path", hits, path.name)
+			}
+
+			var want Stats
+			for range A {
+				want.Add(srv.sim.Account(len(A[0])))
+			}
+			if resp.Stats != want {
+				t.Fatalf("Response.Stats = %+v, want rows × Account(cols) = %+v", resp.Stats, want)
+			}
+			var tables, tableBytes uint64
+			frames := rec.frames()
+			for _, f := range frames[len(frames)-len(A)*len(A[0]):] {
+				if tagOf(f) != tagMaterial {
+					t.Fatalf("frame tag %#02x among the material frames", tagOf(f))
+				}
+				m, err := gc.UnmarshalMaterial(f[1:])
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables += uint64(m.NumTables)
+				tableBytes += uint64(m.CiphertextBytes())
+			}
+			if resp.Stats.TablesGarbled != tables || resp.Stats.TableBytes != tableBytes {
+				t.Fatalf("Response.Stats counts %d tables / %d bytes, the frames %d / %d",
+					resp.Stats.TablesGarbled, resp.Stats.TableBytes, tables, tableBytes)
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"maxelerator/internal/gchash"
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
+	"maxelerator/internal/precompute"
 	"maxelerator/internal/wire"
 )
 
@@ -342,6 +343,96 @@ func TestServerValidation(t *testing.T) {
 		"ragged":                 {Matrix: [][]int64{{1, 2}, {3}}},
 		"batched past the bound": {Matrix: [][]int64{wide}, OT: OTBatched},
 	})
+}
+
+// TestServeRefusesOutOfRangeMatrixBeforeAnyFrame: a matrix entry
+// outside the configured width is refused while the client's request
+// open waits, before the header or any material leaves — inline and on
+// a pool hit — and the same open is then served a good matrix. The
+// server used to send the header and row 0, fail at the entry, and leave
+// the client blocked on a half-sent request.
+func TestServeRefusesOutOfRangeMatrixBeforeAnyFrame(t *testing.T) {
+	bad := [][]int64{{1, 2, 3}, {4, 300, 6}}
+	good := [][]int64{{1, 2, 3}, {4, 5, 6}}
+	y := []int64{1, -1, 2}
+	for _, pooled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pooled=%t", pooled), func(t *testing.T) {
+			cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shape := precompute.Shape{Rows: 2, Cols: 3, Width: 8, Signed: true, Mode: "matvec", OT: "per-round"}
+			var eng *precompute.Engine
+			if pooled {
+				if eng, err = precompute.New(precompute.Config{Sim: cfg}); err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Stop()
+				if err := eng.Prefill(shape, 1); err != nil {
+					t.Fatal(err)
+				}
+				srv.WithPrecompute(eng)
+			}
+			cli, err := NewClient(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := wire.Pipe()
+			rec := &recordingConn{Conn: a}
+			opened := make(chan *ServerSession, 1)
+			go func() {
+				sess, err := srv.NewSession(rec, SessionConfig{GarbleWorkers: 2})
+				if err != nil {
+					t.Error(err)
+				}
+				opened <- sess
+			}()
+			cs, err := cli.Dial(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := <-opened
+			if sess == nil {
+				t.FailNow()
+			}
+			defer sess.Close()
+			var out []int64
+			var doErr error
+			var client sync.WaitGroup
+			client.Add(1)
+			go func() {
+				defer client.Done()
+				out, doErr = cs.Do(y)
+			}()
+			defer func() {
+				a.Close()
+				b.Close()
+				client.Wait()
+			}()
+
+			before := len(rec.frames())
+			if _, err := sess.Serve(Request{Matrix: bad}); err == nil || !strings.Contains(err.Error(), "value 300 outside signed 8-bit range") {
+				t.Fatalf("Serve(out-of-range) error = %v, want the range refusal", err)
+			}
+			if sent := len(rec.frames()) - before; sent != 0 {
+				t.Fatalf("the refused request sent %d frames, want none", sent)
+			}
+			if pooled && eng.Depth(shape) != 1 {
+				t.Fatal("the refused request consumed a pool entry")
+			}
+			if _, err := sess.Serve(Request{Matrix: good}); err != nil {
+				t.Fatalf("session unusable after the refusal: %v", err)
+			}
+			client.Wait()
+			if doErr != nil || len(out) != 2 || out[0] != 5 || out[1] != 11 {
+				t.Fatalf("client got %v, %v; want [5 11]", out, doErr)
+			}
+			if hits, _ := eng.PoolStats(); pooled && hits != 1 {
+				t.Fatalf("the good request hit the pool %d times, want 1", hits)
+			}
+		})
+	}
 }
 
 func TestNewClientValidation(t *testing.T) {

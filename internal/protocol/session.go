@@ -3,9 +3,9 @@ package protocol
 // Multiplexed server sessions: one versioned handshake and one base-OT
 // + IKNP extension setup per connection, then any number of requests.
 // The client drives the request loop (request open → request header →
-// rounds → result); every request garbles under fresh labels (per-request
-// simulators), so multiplexing never weakens the paper's
-// fresh-labels-per-garbling requirement.
+// rounds → result); every request garbles under fresh labels (one
+// freshly seeded gc.Request each), so multiplexing never weakens the
+// paper's fresh-labels-per-garbling requirement.
 
 import (
 	"context"
@@ -25,8 +25,10 @@ type SessionConfig struct {
 	// GarbleWorkers caps the lanes garbling each request's rows at
 	// min(GarbleWorkers, Rows), at least one. Lane 0 is the serve
 	// pipeline's producer goroutine; lane h garbles rows r ≡ h (mod
-	// lanes) under a private simulator (fresh labels for every row) and
-	// the producer streams them in row order: the wire format is fixed.
+	// lanes) on its own gc.Lane of the request, and the producer
+	// streams them in row order. The lanes share the request's Δ and a
+	// row's labels and tweaks follow from its index, so the transcript
+	// is byte-identical at every lane count.
 	GarbleWorkers int
 	// Trace, when non-nil, is a caller-opened session trace annotated
 	// with the session's phase spans instead of opening a fresh one —
@@ -165,7 +167,7 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 	if sess.ended {
 		return nil, ErrSessionEnded
 	}
-	if err := req.validate(sess.srv.sim.Config().Width); err != nil {
+	if err := req.validate(sess.srv.sim.Config()); err != nil {
 		return nil, err
 	}
 	release := sess.tc.bind(ctx)
@@ -217,9 +219,10 @@ func (sess *ServerSession) Close() error {
 func (sess *ServerSession) Requests() int { return sess.seq }
 
 // serveRows serves an opened request — the one datapath, under
-// per-round or batched OT. Rows are garbled on striped lanes (fresh
-// labels per row and per request) and streamed strictly in row order,
-// so the wire format is identical whatever the lane count. A panic
+// per-round or batched OT. Rows are garbled on striped lanes of one
+// request (fresh labels per request, row-indexed within it) and
+// streamed strictly in row order, so the transcript is byte-identical
+// whatever the lane count. A panic
 // anywhere on the session goroutine is contained here: it becomes a
 // per-request ErrInternal, never a daemon crash (the pipeline's
 // producer and every helper lane carry their own recover — a goroutine
@@ -275,8 +278,11 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 	if err := st.run(ctx, A, sess.workers, pre); err != nil {
 		return nil, err
 	}
-	agg := st.agg
 	rounds.End()
+	var agg Stats // rows × Account(cols), whichever path produced the rounds
+	for range A {
+		agg.Add(sess.srv.sim.Account(cols))
+	}
 	ss.tr.SetAttr("macs", fmt.Sprint(agg.MACs))
 	ss.tr.SetAttr("table_bytes", fmt.Sprint(agg.TableBytes))
 

@@ -51,16 +51,12 @@ var errStreamAborted = errors.New("protocol: row stream aborted by consumer")
 // rowChunk is a run of consecutive garbled rounds of one row in flight
 // between garbling and framing: one round from a garble lane, a whole
 // row from a precompute hit.
-type rowChunk struct {
-	rounds []*gc.Garbled
-	// stats is the row's accounting, set on the chunk that ends the row.
-	stats *Stats
-}
+type rowChunk []*gc.Garbled
 
 // tableBytes is the garbled-table volume of the chunk's rounds.
 func (c rowChunk) tableBytes() int64 {
 	var n int
-	for _, gb := range c.rounds {
+	for _, gb := range c {
 		n += gb.Material.CiphertextBytes()
 	}
 	return int64(n)
@@ -95,7 +91,6 @@ type rowStreamer struct {
 	// the producer goroutine, read after pipeline.Stream has reaped it.
 	wait time.Duration
 
-	agg      Stats
 	deferred []rowChunk // batched mode: material deferred past the OT
 }
 
@@ -148,17 +143,14 @@ func (st *rowStreamer) offer(yield func(rowChunk) bool, c rowChunk) bool {
 // for the tail — the honest O(request) case the watermark exposes).
 func (st *rowStreamer) consume(c rowChunk) error {
 	st.chunks.Inc()
-	if c.stats != nil {
-		st.agg.Add(*c.stats)
-	}
 	if st.ot == OTBatched {
 		st.deferred = append(st.deferred, c)
-		for _, gb := range c.rounds {
+		for _, gb := range c {
 			st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
 		}
 		return nil
 	}
-	for _, gb := range c.rounds {
+	for _, gb := range c {
 		if err := st.sendMaterialFramed(gb); err != nil {
 			return err
 		}
@@ -201,7 +193,7 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("protocol: streaming interrupted at row %d: %w", i, err)
 			}
-			if err := emit(rowChunk{rounds: run.Rounds, stats: &run.Stats}); err != nil {
+			if err := emit(run.Rounds); err != nil {
 				return err
 			}
 		}
@@ -231,7 +223,7 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			return err
 		}
 		for _, c := range st.deferred {
-			for _, gb := range c.rounds {
+			for _, gb := range c {
 				if err := st.sendMaterialFramed(gb); err != nil {
 					return err
 				}

@@ -1,12 +1,11 @@
 package protocol
 
-// Wire-transcript property tests for the streaming serve pipeline
-// (PR 8): the pipelined hot path must emit exactly the bytes the fully
-// buffered path did, whatever the pipeline depth, worker count, or
-// serving path (inline, precompute cold miss, precompute hit). Where
-// worker pools share one entropy stream — so label values legitimately
-// depend on draw interleaving — the test pins the frame structure and
-// results instead of raw bytes.
+// Wire-transcript property tests for the streaming serve pipeline: the
+// pipelined hot path must emit exactly the bytes the fully buffered
+// path did, whatever the pipeline depth, lane count, or serving path
+// (inline, precompute cold miss, precompute hit). A request's rows
+// share one seed and one Δ, and a row's labels and tweaks follow from
+// its index, so the lane count does not move a byte either.
 
 import (
 	"bytes"
@@ -81,9 +80,8 @@ func streamTranscriptWith(t *testing.T, A [][]int64, y []int64, mode OTMode, wor
 			t.Fatal(err)
 		}
 		eng, err := precompute.New(precompute.Config{
-			Sim:        maxsim.Config{Width: 8, AccWidth: 24, Signed: true},
-			SeedSource: seeds,
-			PoolSize:   1,
+			Sim:      maxsim.Config{Width: 8, AccWidth: 24, Signed: true, Rand: seeds},
+			PoolSize: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -191,11 +189,13 @@ func chainFixture() ([][]int64, []int64) {
 // chainTranscriptDigest is the SHA-256 of the chain fixture's server
 // frames (each behind its 4-byte big-endian length), recorded while the
 // serve pipeline still moved whole rows. Streaming rounds must not move
-// a byte. It was re-pinned twice: for protocol v5, when the hello
+// a byte. It was re-pinned three times: for protocol v5, when the hello
 // carried the new version and the folded b=8 MAC garbled 178 tables per
-// round instead of 204; and for v6, when the radix-4 Booth MAC garbles
-// 120.
-const chainTranscriptDigest = "50d23008c4fa5c5c95d6487aac307ee732feb94419c9b5064d09a7ed2e0262c5"
+// round instead of 204; for v6, when the radix-4 Booth MAC garbles 120;
+// and when a request became one gc.Request, whose labels and Δ are AES
+// under a 16-byte seed the server DRBG supplies, in place of labels read
+// from that DRBG one by one. Frame lengths and the version are unchanged.
+const chainTranscriptDigest = "f37a81cb1b1c0cb70392318000a797e7fe70b06030a640c2563c3f46843c4952"
 
 func framesDigest(frames [][]byte) string {
 	h := sha256.New()
@@ -353,12 +353,12 @@ func TestStreamTranscriptInvariantOnHits(t *testing.T) {
 	}
 }
 
-// TestStreamTranscriptStructureUnderWorkers: pooled garbling draws
-// labels from one shared entropy stream, so raw bytes legitimately vary
-// with scheduling — but the frame structure (count and per-frame
-// length) and the results must match the serial path exactly at every
-// worker count, depth, and fallback path. A reordering or framing bug
-// in the pipeline shows up here.
+// TestStreamTranscriptStructureUnderWorkers: the lanes of a request
+// garble under its one Δ, each row on labels and tweaks fixed by its
+// index, so the transcript is byte-identical to the one-lane path at
+// every lane count, depth, and fallback path. A reordering or framing
+// bug in the pipeline, or a lane that drew labels out of its row's
+// stream, shows up here.
 func TestStreamTranscriptStructureUnderWorkers(t *testing.T) {
 	for _, mode := range []OTMode{OTPerRound, OTBatched} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -370,15 +370,7 @@ func TestStreamTranscriptStructureUnderWorkers(t *testing.T) {
 			}{{2, 1, poolNone}, {3, 4, poolNone}, {2, 4, poolCold}} {
 				got, out := streamTranscript(t, mode, run.workers, run.depth, run.pool)
 				wantResults(t, out)
-				label := fmt.Sprintf("workers=%d depth=%d pool=%d", run.workers, run.depth, run.pool)
-				if len(got) != len(base) {
-					t.Fatalf("%s: frame count %d, want %d", label, len(got), len(base))
-				}
-				for i := range base {
-					if len(got[i]) != len(base[i]) {
-						t.Fatalf("%s: frame %d is %d bytes, want %d", label, i, len(got[i]), len(base[i]))
-					}
-				}
+				sameFrames(t, fmt.Sprintf("workers=%d depth=%d pool=%d", run.workers, run.depth, run.pool), got, base)
 			}
 		})
 	}
