@@ -17,29 +17,37 @@ import (
 	"maxelerator/internal/wire"
 )
 
-// TestWorkerPanicIsolatedToRequest: row 1 of a two-lane request is a
-// helper lane's, and its garbling panics either before the row starts
-// or after its round 0 is already queued for the producer; row 0
-// garbles normally on the producer.
+// TestWorkerPanicIsolatedToRequest: one row of a two-lane request
+// panics while the other lane garbles normally, either before the row
+// starts or after its round 0 is already queued. Row 1 is lane 1's;
+// row 0 is lane 0's, whose queue the session goroutine reads first.
 func TestWorkerPanicIsolatedToRequest(t *testing.T) {
+	panicBefore := func(panicRow int) func() {
+		return func() {
+			garbleTestHook = func(row int) {
+				if row == panicRow {
+					panic("injected garbling panic")
+				}
+			}
+		}
+	}
+	panicAfterRound0 := func(panicRow int) func() {
+		return func() {
+			garbleRoundTestHook = func(row, round int) {
+				if row == panicRow && round == 0 {
+					panic("injected garbling panic")
+				}
+			}
+		}
+	}
 	cases := []struct {
 		name  string
 		setup func() // installs the panicking hook
 	}{
-		{"row", func() {
-			garbleTestHook = func(row int) {
-				if row == 1 {
-					panic("injected garbling panic")
-				}
-			}
-		}},
-		{"round", func() {
-			garbleRoundTestHook = func(row, round int) {
-				if row == 1 && round == 0 {
-					panic("injected garbling panic")
-				}
-			}
-		}},
+		{"row", panicBefore(1)},
+		{"round", panicAfterRound0(1)},
+		{"lane0_row", panicBefore(0)},
+		{"lane0_round", panicAfterRound0(0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,9 +140,9 @@ func TestWorkerPanicIsolatedToRequest(t *testing.T) {
 	}
 }
 
-// TestInlinePanicIsolated covers the one-lane garbling path, where the
-// panic unwinds the pipeline's producer goroutine and is caught by
-// pipeline.Stream's recover, not a helper lane's.
+// TestInlinePanicIsolated covers the one-lane garbling path: the panic
+// unwinds the request's only lane goroutine and is caught by that
+// lane's own recover.
 func TestInlinePanicIsolated(t *testing.T) {
 	o := obs.New(4)
 	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})

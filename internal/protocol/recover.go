@@ -3,9 +3,9 @@ package protocol
 // Panic containment. The garbler is a long-running daemon serving many
 // tenants: a panic while garbling one poisoned request must fail that
 // request, never the process. recover() sits everywhere a request's
-// code runs — the session goroutine (serveRows), the serve pipeline's
-// producer (pipeline.Stream) and each helper garble lane — and
-// converts the panic into an error wrapping ErrInternal. The session is broken (the stream position is unknown)
+// code runs — the session goroutine (serveRows) and each garble lane,
+// lane 0 included — and converts the panic into an error wrapping
+// ErrInternal. The session is broken (the stream position is unknown)
 // but the daemon, its listener, and every other session stay up, and
 // the peer receives an explicit error frame instead of waiting out its
 // deadline. Replaying the failed request on a fresh session is safe:
@@ -29,19 +29,12 @@ var panicStackOnce sync.Once
 // recoveredPanic converts a recovered panic value into a per-request
 // error, counting it and logging the stack once per process.
 func recoveredPanic(reg *obs.Registry, r any) error {
-	return recoveredPanicStack(reg, r, debug.Stack())
-}
-
-// recoveredPanicStack is recoveredPanic for panics recovered on another
-// goroutine (the serve pipeline's producer), logging the stack captured
-// at the recovery site instead of the caller's.
-func recoveredPanicStack(reg *obs.Registry, r any, stack []byte) error {
 	reg.Counter("panics_recovered_total",
 		"panics recovered and converted to per-request errors").Inc()
 	logged := false
 	panicStackOnce.Do(func() {
 		logged = true
-		log.Printf("protocol: recovered panic: %v\n%s", r, stack)
+		log.Printf("protocol: recovered panic: %v\n%s", r, debug.Stack())
 	})
 	if !logged {
 		log.Printf("protocol: recovered panic: %v", r)

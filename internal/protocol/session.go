@@ -23,12 +23,12 @@ import (
 // SessionConfig shapes one multiplexed server session.
 type SessionConfig struct {
 	// GarbleWorkers caps the lanes garbling each request's rows at
-	// min(GarbleWorkers, Rows), at least one. Lane 0 is the serve
-	// pipeline's producer goroutine; lane h garbles rows r ≡ h (mod
-	// lanes) on its own gc.Lane of the request, and the producer
-	// streams them in row order. The lanes share the request's Δ and a
-	// row's labels and tweaks follow from its index, so the transcript
-	// is byte-identical at every lane count.
+	// min(GarbleWorkers, Rows), at least one. Every lane is a goroutine:
+	// lane h garbles rows r ≡ h (mod lanes) on its own gc.Lane of the
+	// request into its own bounded queue, and the session goroutine
+	// frames the rounds from the queues in row order. The lanes share
+	// the request's Δ and a row's labels and tweaks follow from its
+	// index, so the transcript is byte-identical at every lane count.
 	GarbleWorkers int
 	// Trace, when non-nil, is a caller-opened session trace annotated
 	// with the session's phase spans instead of opening a fresh one —
@@ -222,11 +222,10 @@ func (sess *ServerSession) Requests() int { return sess.seq }
 // per-round or batched OT. Rows are garbled on striped lanes of one
 // request (fresh labels per request, row-indexed within it) and
 // streamed strictly in row order, so the transcript is byte-identical
-// whatever the lane count. A panic
-// anywhere on the session goroutine is contained here: it becomes a
-// per-request ErrInternal, never a daemon crash (the pipeline's
-// producer and every helper lane carry their own recover — a goroutine
-// panic cannot be caught across goroutines).
+// whatever the lane count. A panic anywhere on the session goroutine
+// is contained here: it becomes a per-request ErrInternal, never a
+// daemon crash (every garble lane carries its own recover — a
+// goroutine panic cannot be caught across goroutines).
 func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -270,10 +269,10 @@ func (sess *ServerSession) serveRows(ctx context.Context, req Request) (resp *Re
 
 	rounds := ss.tr.StartSpan("rounds")
 	defer rounds.End()
-	// Streaming pipeline (see stream.go): garbling — or pooled-material
-	// replay — overlaps framing and transfer, so the evaluator starts on
-	// row 0 while later rows are still being produced. The byte stream
-	// is identical to the fully buffered path.
+	// Streaming (see stream.go): the lanes' garbling overlaps framing
+	// and transfer, so the evaluator starts on row 0 while later rows
+	// are still being garbled; a hit frames pooled material. The byte
+	// stream is identical to the fully buffered path.
 	st := newRowStreamer(sess, req.OT)
 	if err := st.run(ctx, A, sess.workers, pre); err != nil {
 		return nil, err

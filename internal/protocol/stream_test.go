@@ -246,15 +246,15 @@ func (c *materialWatchConn) SendMsg(m []byte) error {
 	return err
 }
 
-// TestFirstFrameLeavesEarly: every lane hands each round on as soon as
-// it is garbled, and lane 0 — the pipeline's producer — hands it
-// straight to the wire. The round hook holds the garbling of row 0's
+// TestFirstFrameLeavesEarly: every lane queues each round as soon as
+// it is garbled, and the session goroutine frames it from the queue
+// straight onto the wire. The round hook holds the garbling of row 0's
 // last round until the conn has carried round 0's material frame; a
 // pipeline that moved whole rows would only send it after that round,
 // so the bounded wait would expire and the test fail. The cases are a
-// one-lane 1×512 request and a two-lane 2×256 one, whose second row a
-// helper lane garbles meanwhile. Buffering stays within two rows of
-// tables, and the trace records the producer's back-pressure wait.
+// one-lane 1×512 request and a two-lane 2×256 one, whose second row
+// lane 1 garbles meanwhile. Buffering stays within two rows of tables,
+// and the trace records the lanes' back-pressure wait.
 func TestFirstFrameLeavesEarly(t *testing.T) {
 	for _, tc := range []struct{ rows, cols, workers int }{
 		{rows: 1, cols: 512, workers: 4},
@@ -373,5 +373,93 @@ func TestStreamTranscriptStructureUnderWorkers(t *testing.T) {
 				sameFrames(t, fmt.Sprintf("workers=%d depth=%d pool=%d", run.workers, run.depth, run.pool), got, base)
 			}
 		})
+	}
+}
+
+// TestLaneBufferBound pins the per-lane memory rule: a lane queues at
+// most pipeDepth rows ahead of the wire, and the session goroutine
+// holds one round while it frames it, so a per-round request buffers
+// at most lanes·(pipeDepth rows + one round) of tables whatever its row
+// count. A precompute hit garbles nothing and reads 0.
+func TestLaneBufferBound(t *testing.T) {
+	const rows, cols = 4, 6
+	A := make([][]int64, rows)
+	y := make([]int64, cols)
+	want := make([]int64, rows)
+	for j := range y {
+		y[j] = int64(j%5 - 2)
+	}
+	for i := range A {
+		A[i] = make([]int64, cols)
+		for j := range A[i] {
+			A[i][j] = int64((3*j+i)%11 - 5)
+			want[i] += A[i][j] * y[j]
+		}
+	}
+	o := obs.New(2)
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.WithObs(o)
+	eng, err := precompute.New(precompute.Config{
+		Sim:      maxsim.Config{Width: 8, AccWidth: 24, Signed: true},
+		PoolSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Stop)
+	srv.WithPrecompute(eng)
+	cli, err := NewClient(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(lanes int) *Response {
+		t.Helper()
+		a, b := wire.Pipe()
+		defer a.Close()
+		defer b.Close()
+		var resp *Response
+		var srvErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, srvErr = serveOne(srv, a, SessionConfig{GarbleWorkers: lanes}, Request{Matrix: A})
+		}()
+		out, err := clientRun(cli, b, y)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srvErr != nil {
+			t.Fatal(srvErr)
+		}
+		if !slices.Equal(out, want) {
+			t.Fatalf("result %v, want %v", out, want)
+		}
+		return resp
+	}
+	peak := func() int64 { return o.Metrics().Gauge("bytes_buffered_peak", "").Value() }
+
+	for _, lanes := range []int{1, 2, 4} {
+		resp := serve(lanes)
+		rowBytes := int64(resp.Stats.TableBytes) / rows
+		bound := int64(lanes) * (int64(pipeDepth)*rowBytes + rowBytes/cols)
+		if p := peak(); p <= 0 || p > bound {
+			t.Fatalf("lanes=%d: bytes_buffered_peak = %d, want within (0, %d]", lanes, p, bound)
+		}
+	}
+
+	shape := precompute.Shape{Rows: rows, Cols: cols, Width: 8, Signed: true, Mode: "matvec", OT: OTPerRound.String()}
+	if err := eng.Prefill(shape, 1); err != nil {
+		t.Fatal(err)
+	}
+	serve(2)
+	if hits, _ := eng.PoolStats(); hits != 1 {
+		t.Fatalf("pool hits = %d, want 1", hits)
+	}
+	if p := peak(); p != 0 {
+		t.Fatalf("bytes_buffered_peak = %d after a precompute hit, want 0", p)
 	}
 }
