@@ -1,13 +1,13 @@
 package protocol
 
-// Fault-matrix cases for the PR 8 streaming serve pipeline. The
-// pipeline adds moving parts the original fault matrix never exercised
-// — a producer goroutine, a bounded chunk channel, garble lanes with
-// one-row queues, and arena-backed frame buffers held across vectored
-// writes. Each fault here targets one of those parts and asserts the
-// same cloud invariants as the rest of the matrix: a deadline-bounded
-// (or immediate) return, every arena buffer back in the pool, no
-// session left active, and no goroutine left behind.
+// Fault-matrix cases for the streaming serve path. It has moving parts
+// the original fault matrix never exercised — garble lane goroutines,
+// each with a bounded queue of rounds, and arena-backed frame buffers
+// held across vectored writes. Each fault here targets one of those
+// parts and asserts the same cloud invariants as the rest of the
+// matrix: a deadline-bounded (or immediate) return, every arena buffer
+// back in the pool, no session left active, and no goroutine left
+// behind.
 
 import (
 	"context"
@@ -35,11 +35,10 @@ func pipelineReq() Request {
 	}
 }
 
-// TestPipelineStallMidChunk: the peer goes silent while garbled chunks
-// are in flight between the producer and the wire. The server must
-// time out within its phase budget, the producer and its workers must
-// unwind through the admission window, and every arena buffer must be
-// back in the pool.
+// TestPipelineStallMidChunk: the peer goes silent while garbled rounds
+// are queued between the lanes and the wire. The server must time out
+// within its phase budget, every lane must unwind, and every arena
+// buffer must be back in the pool.
 func TestPipelineStallMidChunk(t *testing.T) {
 	before := runtime.NumGoroutine()
 	req := pipelineReq()
@@ -196,10 +195,10 @@ func TestPipelineCutBetweenHeaderAndPayload(t *testing.T) {
 
 // TestPipelineCancelWhileArenaHoldsBuffers: over a synchronous pipe a
 // non-reading peer leaves the server blocked inside a vectored frame
-// write — an arena buffer checked out, rows queued behind the
-// admission window. Cancelling the context (no timeouts configured)
-// must interrupt the blocked write, return the buffer to the arena,
-// and unwind producer, workers, and gauges.
+// write — an arena buffer checked out, rounds queued on the lanes.
+// Cancelling the context (no timeouts configured) must interrupt the
+// blocked write, return the buffer to the arena, and unwind the lanes
+// and gauges.
 func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	o := obs.New(4)
