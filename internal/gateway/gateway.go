@@ -544,7 +544,9 @@ func (g *Gateway) relay(client, backend wire.Conn, b *backendState, first []byte
 				backend.Close()
 				return
 			}
-			if err := dst.SendMsg(msg); err != nil {
+			err = dst.SendMsg(msg)
+			wire.Recycle(msg) // SendMsg keeps no reference, so the body is reused
+			if err != nil {
 				client.Close()
 				backend.Close()
 				return

@@ -141,10 +141,12 @@ func (d *decoder) labels() ([]label.Label, error) {
 // Material aliases data: its TableBlock is the table region of data
 // itself, checked (every row count, the table count, no overrun) but not
 // copied. The caller must own data and leave it untouched for as long as
-// the Material is in use — both transports hand each received frame to
-// the receiver as its own buffer (wire.streamConn.RecvMsg allocates one
-// per frame; wire.Pipe's SendMsg copies, "the receiver owns the copy"),
-// so the protocol's evaluator parses and evaluates a round in place.
+// the Material is in use. Every wire.Conn hands each received frame to
+// the receiver as its own buffer, a body drawn from wire's recycled
+// size classes (wire.Pipe copies into one), so the protocol's evaluator
+// parses and evaluates a round in place and hands the frame back with
+// wire.Recycle once Eval has returned — Eval copies everything its
+// result holds.
 func UnmarshalMaterial(data []byte) (*Material, error) {
 	d := &decoder{buf: data}
 	ver, err := d.bytes(1)

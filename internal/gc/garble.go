@@ -189,22 +189,59 @@ type GarbleOptions struct {
 // label per constant, input and state wire, in wire order, then walks
 // the circuit's lowered program once, hashing under the tweaks that
 // follow the garbler's previous execution; the returned values are
-// freshly allocated and stay valid across later Garble calls.
+// freshly allocated and stay valid across later Garble calls. A caller
+// that hands its rounds back garbles through a Lane with a RoundPool
+// instead, which refills released rounds in place.
 func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, error) {
-	prog, err := c.Program()
-	if err != nil {
+	res := new(Garbled)
+	if err := g.garble(res, c, opts); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough; a nil s always gets a fresh (non-nil) one.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// size re-slices every slice of gb but StateInActive to prog's lengths,
+// for tables of stride bytes, allocating only where a capacity falls
+// short.
+func (gb *Garbled) size(prog *circuit.Program, stride int) {
+	m := &gb.Material
+	m.TableBlock = resize(m.TableBlock, prog.NAND*stride)
+	m.GarblerActive = resize(m.GarblerActive, prog.NGarbler)
+	m.OutputPerm = resize(m.OutputPerm, len(prog.Outputs))
+	gb.EvalPairs = resize(gb.EvalPairs, prog.NEvaluator)
+	gb.GarblerPairs = resize(gb.GarblerPairs, prog.NGarbler)
+	gb.OutputPairs = resize(gb.OutputPairs, len(prog.Outputs))
+	gb.StateOut0 = resize(gb.StateOut0, prog.NState)
+}
+
+// garble is Garble into res: it rewrites every field of res and
+// re-slices every slice to the program's lengths, allocating only where
+// a capacity falls short, so a recycled round is refilled without
+// allocating and nothing of its previous contents survives.
+func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) error {
+	prog, err := c.Program()
+	if err != nil {
+		return err
+	}
 	if len(opts.GarblerInputs) != prog.NGarbler {
-		return nil, fmt.Errorf("gc: got %d garbler input bits, want %d", len(opts.GarblerInputs), prog.NGarbler)
+		return fmt.Errorf("gc: got %d garbler input bits, want %d", len(opts.GarblerInputs), prog.NGarbler)
 	}
 	if opts.State0 != nil && len(opts.State0) != prog.NState {
-		return nil, fmt.Errorf("gc: got %d state labels, want %d", len(opts.State0), prog.NState)
+		return fmt.Errorf("gc: got %d state labels, want %d", len(opts.State0), prog.NState)
 	}
 	scheme := g.params.Scheme
 	rows := scheme.TableSize()
 	if rows > 255 {
-		return nil, fmt.Errorf("gc: table with %d rows not representable", rows)
+		return fmt.Errorf("gc: table with %d rows not representable", rows)
 	}
 
 	// Every slot is written before it is read (the netlist is
@@ -216,7 +253,7 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 	span := prog.InputSpan()
 	for i := 0; i < span; i++ {
 		if err := label.ReadRandom(g.rand, &w[i]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	garblerBase := circuit.FirstInput
@@ -228,40 +265,34 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 
 	stride := 1 + rows*label.Size
 	tweak := max(opts.TweakBase, g.next)
-	res := &Garbled{
-		Material: Material{
-			TableBlock:    make([]byte, prog.NAND*stride),
-			NumTables:     prog.NAND,
-			GarblerActive: make([]label.Label, prog.NGarbler),
-			OutputPerm:    make([]bool, len(prog.Outputs)),
-			TweakBase:     tweak,
-		},
-		EvalPairs:    make([]label.Pair, prog.NEvaluator),
-		GarblerPairs: make([]label.Pair, prog.NGarbler),
-		OutputPairs:  make([]label.Pair, len(prog.Outputs)),
-		StateOut0:    make([]label.Label, prog.NState),
-	}
+	res.size(prog, stride)
+	m := &res.Material
+	m.NumTables = prog.NAND
+	m.TweakBase = tweak
 	// The input slots are recycled during the walk, so everything
 	// derived from input labels is taken now. Constant wires: the active
 	// label of const-0 is its FALSE label, of const-1 its TRUE label.
-	res.Material.ConstActive[0] = w[circuit.Const0]
-	res.Material.ConstActive[1] = g.delta.Flip(w[circuit.Const1])
+	m.ConstActive[0] = w[circuit.Const0]
+	m.ConstActive[1] = g.delta.Flip(w[circuit.Const1])
 	// Garbler inputs: active labels for the garbler's values, selected
 	// from the retained pairs.
 	for i, v := range opts.GarblerInputs {
 		res.GarblerPairs[i] = label.NewPair(w[garblerBase+i], g.delta)
-		res.Material.GarblerActive[i] = res.GarblerPairs[i].Get(v)
+		m.GarblerActive[i] = res.GarblerPairs[i].Get(v)
 	}
 	for i := range res.EvalPairs {
 		res.EvalPairs[i] = label.NewPair(w[evalBase+i], g.delta)
 	}
+	// Round 0: state is logical 0, so the FALSE labels are active and
+	// must travel to the evaluator. Any later round sends none: a
+	// recycled round-0 round keeps only the capacity, never a label a
+	// later round could carry onto the wire.
+	m.StateInActive = m.StateInActive[:0]
 	if opts.State0 == nil && prog.NState > 0 {
-		// Round 0: state is logical 0, so the FALSE labels are active
-		// and must travel to the evaluator.
-		res.Material.StateInActive = append([]label.Label(nil), w[stateBase:span]...)
+		m.StateInActive = append(m.StateInActive, w[stateBase:span]...)
 	}
 
-	blk := res.Material.TableBlock
+	blk := m.TableBlock
 	tweaksPerGate := scheme.TweaksPerGate()
 	off := 0
 	for i := range prog.Instrs {
@@ -276,7 +307,7 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 		} else {
 			out0, t := scheme.GarbleAND(g.params.Hash, g.delta, w[in.A], w[in.B], tweak)
 			if len(t) != rows {
-				return nil, fmt.Errorf("gc: %s produced a %d-row table, TableSize says %d", scheme.Name(), len(t), rows)
+				return fmt.Errorf("gc: %s produced a %d-row table, TableSize says %d", scheme.Name(), len(t), rows)
 			}
 			w[in.Out] = out0
 			table[0] = byte(rows)
@@ -290,13 +321,13 @@ func (g *Garbler) Garble(c *circuit.Circuit, opts GarbleOptions) (*Garbled, erro
 	res.NextTweak, g.next = tweak, tweak
 
 	for i, slot := range prog.Outputs {
-		res.Material.OutputPerm[i] = w[slot].LSB()
+		m.OutputPerm[i] = w[slot].LSB()
 		res.OutputPairs[i] = label.NewPair(w[slot], g.delta)
 	}
 	for i, slot := range prog.StateOuts {
 		res.StateOut0[i] = w[slot]
 	}
-	return res, nil
+	return nil
 }
 
 // DecodeWithPairs decodes active output labels on the garbler side by

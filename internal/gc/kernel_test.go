@@ -1,6 +1,9 @@
 package gc
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,6 +97,94 @@ func TestEvaluatorEvalAllocatesNothing(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("b=%d: two chained Eval rounds allocate %.0f objects, want 0", width, allocs)
+		}
+	}
+}
+
+// TestPooledLaneAllocatesNothing is the garbler's half of the serve
+// path's allocation contract: a lane drawing its rounds from a
+// RoundPool, whose holder releases each round once it has used it, as
+// the session goroutine does once a round's frame is sent, garbles a
+// row without a single heap object once the pool holds its rounds.
+// Before rounds were recycled every round allocated its table block
+// and seven other slices.
+func TestPooledLaneAllocatesNothing(t *testing.T) {
+	for _, width := range []int{8, 16} {
+		c := circuit.MustMAC(circuit.MACConfig{Width: width, AccWidth: 2 * width, Signed: true})
+		x := []int64{1, -2, 3, -4}
+		req, err := NewRequest(DefaultParams(), c, len(x), [16]byte{5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := NewRoundPool(DefaultParams(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lane := req.PooledLane(pool)
+		release := func(_ int, gb *Garbled) error {
+			pool.Put(gb)
+			return nil
+		}
+		row := 0
+		garbleRow := func() {
+			if err := lane.GarbleRow(row, x, release); err != nil {
+				t.Fatal(err)
+			}
+			row++
+		}
+		garbleRow() // the lane's chained-state buffer and the pool's one round
+		if allocs := testing.AllocsPerRun(20, garbleRow); allocs != 0 {
+			t.Fatalf("b=%d: a pooled lane's %d-round row allocates %.0f objects, want 0", width, len(x), allocs)
+		}
+	}
+}
+
+// TestPooledLaneMatchesFreshLane: a round refilled in place is the
+// round a fresh lane garbles, byte for byte, whatever the released round
+// held — a round 0 refilled as a later round carries no state labels,
+// a later round refilled as a round 0 carries its own. Every released
+// round is poisoned first, so a field the refill skipped would show.
+func TestPooledLaneMatchesFreshLane(t *testing.T) {
+	c := circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16, Signed: true})
+	x := []int64{5, -6, 7}
+	req, err := NewRequest(DefaultParams(), c, len(x), [16]byte{6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewRoundPool(DefaultParams(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, pooled := req.Lane(), req.PooledLane(pool)
+	for row := 0; row < 4; row++ {
+		var want []*Garbled
+		if err := fresh.GarbleRow(row, x, func(_ int, gb *Garbled) error {
+			want = append(want, gb)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		err := pooled.GarbleRow(row, x, func(round int, gb *Garbled) error {
+			w := want[round]
+			gotM, err := MarshalMaterial(&gb.Material)
+			if err != nil {
+				return err
+			}
+			wantM, err := MarshalMaterial(&w.Material)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(gotM, wantM) || !slices.Equal(gb.EvalPairs, w.EvalPairs) ||
+				!slices.Equal(gb.GarblerPairs, w.GarblerPairs) || !slices.Equal(gb.OutputPairs, w.OutputPairs) ||
+				!slices.Equal(gb.StateOut0, w.StateOut0) || gb.NextTweak != w.NextTweak {
+				return fmt.Errorf("row %d round %d: the refilled round differs from the fresh one", row, round)
+			}
+			poisonRound(gb)
+			pool.Put(gb)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

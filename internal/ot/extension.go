@@ -182,7 +182,7 @@ func (es *ExtensionSender) Send(pairs [][2]Message) error {
 // send is the sender's half of one batch of m transfers; pair yields
 // transfer j's two messages. The ciphertext frame is built in es.out
 // and reused by the next batch, which wire.Conn's SendMsg contract
-// allows.
+// allows; the received u matrix is recycled once it is consumed.
 func send[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) error {
 	if m == 0 {
 		return nil
@@ -193,6 +193,7 @@ func send[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) erro
 	if err != nil {
 		return fmt.Errorf("ot: extension sender reading u matrix: %w", err)
 	}
+	defer wire.Recycle(u)
 	if len(u) != Kappa*mBytes {
 		return fmt.Errorf("ot: extension sender got %d u bytes, want %d", len(u), Kappa*mBytes)
 	}
@@ -353,8 +354,9 @@ func request[M ~[16]byte](er *ExtensionReceiver, choices []bool) (Pending[M], er
 }
 
 // finish is the receiver's second half of the batch p: it reads the
-// ciphertext frame and unmasks the chosen messages in p's pads, which
-// it returns. Of er it touches only the connection's receive side.
+// ciphertext frame, unmasks the chosen messages in p's pads, which it
+// returns, and recycles the frame. Of er it touches only the
+// connection's receive side.
 func finish[M ~[16]byte](er *ExtensionReceiver, p Pending[M]) ([]M, error) {
 	m := len(p.choices)
 	if m == 0 {
@@ -364,6 +366,7 @@ func finish[M ~[16]byte](er *ExtensionReceiver, p Pending[M]) ([]M, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension receiver reading ciphertexts: %w", err)
 	}
+	defer wire.Recycle(cts)
 	if len(cts) != 32*m {
 		return nil, fmt.Errorf("ot: extension receiver got %d ciphertext bytes, want %d", len(cts), 32*m)
 	}

@@ -297,11 +297,11 @@ func (cs *ClientSession) readRows(hdr reqHeader, batched []label.Label, reqs *ot
 			if err := hp.failure(); err != nil {
 				return err
 			}
-			m, err := recvMaterial(cs.tc)
+			m, frame, err := recvMaterial(cs.tc)
 			if err != nil {
 				return fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
 			}
-			in := chainRound{m: m}
+			in := chainRound{m: m, frame: frame}
 			if hdr.OT == OTBatched {
 				off := (row*hdr.Cols + round) * cs.h.Width
 				in.active = batched[off : off+cs.h.Width]
@@ -366,21 +366,25 @@ func (rq *otRequests) next(er *ot.ExtensionReceiver) ([]label.Label, error) {
 	return ot.FinishLabels(er, p)
 }
 
-// chainRound is one round of a row's MAC chain: its material frame and
-// active evaluator labels, both owned by whoever holds the round.
+// chainRound is one round of a row's MAC chain: its material, the frame
+// the material aliases, and its active evaluator labels, all owned by
+// whoever holds the round.
 type chainRound struct {
 	m      *gc.Material
+	frame  []byte
 	active []label.Label
 }
 
 // eval evaluates the round on ev, chaining the state labels of prev,
-// the row's previous round (ignored at round 0).
+// the row's previous round (ignored at round 0), and then recycles the
+// round's frame: the result is ev's and copies nothing out of it.
 func (in chainRound) eval(ev *gc.Evaluator, prev *gc.EvalResult, row, round int) (*gc.EvalResult, error) {
 	var state []label.Label
 	if round > 0 {
 		state = prev.StateActive
 	}
 	res, err := ev.Eval(in.m, in.active, state)
+	wire.Recycle(in.frame)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: row %d round %d evaluate: %w", row, round, err)
 	}
@@ -427,7 +431,8 @@ func (cs *ClientSession) startHelpers(hdr reqHeader, nw int, outs []int64) *rowH
 					}
 					var err error
 					if res, err = in.eval(cs.evals[h], res, row, round); err != nil {
-						hp.err.CompareAndSwap(nil, &err)
+						first := err // only a failed round moves an error to the heap
+						hp.err.CompareAndSwap(nil, &first)
 						for range q { // keep the reader unblocked until it sees the error
 						}
 						return

@@ -64,14 +64,17 @@ func frameBody(frame []byte, tag byte, name string, size int) ([]byte, error) {
 	return frame[1:], nil
 }
 
-// recvFrame receives the next frame and parses it as the one due.
+// recvFrame receives the next frame and parses it as the one due. The
+// parsers copy what they return, so the frame is recycled.
 func recvFrame[T any](conn wire.Conn, parse func([]byte) (T, error)) (T, error) {
 	frame, err := conn.RecvMsg()
 	if err != nil {
 		var zero T
 		return zero, err
 	}
-	return parse(frame)
+	v, err := parse(frame)
+	wire.Recycle(frame)
+	return v, err
 }
 
 // errForeignFrame refuses a peer whose first frame did not parse as the

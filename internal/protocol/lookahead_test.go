@@ -51,7 +51,7 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 		var res *gc.EvalResult
 		for round, v := range y {
 			in := chainRound{}
-			if in.m, err = recvMaterial(cs.tc); err != nil {
+			if in.m, in.frame, err = recvMaterial(cs.tc); err != nil {
 				return nil, err
 			}
 			if in.active, err = ot.ReceiveLabels(cs.receiver, circuit.Int64ToBits(v, cs.h.Width)); err != nil {

@@ -23,12 +23,18 @@ import (
 )
 
 // pipeDepth is how many rows one lane may hold ahead of the wire: its
-// queue holds pipeDepth·Cols rounds. Per-round buffering is therefore
-// at most pipeDepth queued rows plus one row in progress per lane, not
-// O(rows). A variable only so the transcript property test can sweep it
-// (set while no session is in flight, like garbleTestHook); the wire
-// bytes must not depend on it.
+// queue holds pipeDepth·Cols rounds, and at most laneRounds. Per-round
+// buffering is therefore at most pipeDepth queued rows plus one row in
+// progress per lane, not O(rows). A variable only so the transcript
+// property test can sweep it (set while no session is in flight, like
+// garbleTestHook); the wire bytes must not depend on it.
 var pipeDepth = 2
+
+// laneRounds caps a lane's queue for long rows: every queued round is a
+// garbled round the server's RoundPool holds, and one lane of a 1×512
+// request ran ≈ 300 rounds ahead of the wire for nothing — 32 rounds
+// keep the consumer as busy (DESIGN §13).
+const laneRounds = 32
 
 // errLaneStopped is a lane's error once the caller has stopped reading
 // the queues. garbleRows has returned by then, so it never escapes.
@@ -37,15 +43,24 @@ var errLaneStopped = errors.New("protocol: garble lane stopped")
 // garbleRows garbles every row of A and hands each round to consume on
 // the caller's goroutine, in strict row and round order. Rows are
 // striped over lanes = max(1, min(workers, rows)) goroutines: lane h
-// garbles rows r ≡ h (mod lanes) into its own queue of pipeDepth·Cols
-// rounds, and the caller reads row r's rounds from queue r mod lanes. A
-// lane charges wm with each round's table bytes once the round is
-// queued; framing it credits them back. A lane's panic becomes its
+// garbles rows r ≡ h (mod lanes) into its own queue of
+// min(pipeDepth·Cols, laneRounds) rounds, and the caller reads row r's
+// rounds from queue r mod lanes.
+// Lanes garble into rounds from the server's RoundPool, and a dequeued
+// round is consume's, to release once done with it; keep is how many
+// rounds consume may still hold when the last returns, and the pool
+// reserves what the request can hold at once. A lane charges wm
+// with each round's table bytes once the round is queued; framing it
+// credits them back. A lane's panic becomes its
 // error; cancellation stops every lane at its next round and the caller
 // at its next row. No lane outlives the call.
-func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers int, wm *byteWatermark, consume func(*gc.Garbled) error) error {
+func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers, keep int, wm *byteWatermark, consume func(*gc.Garbled) error) error {
 	n, cols, ss, sim := len(A), len(A[0]), sess.ss, sess.srv.sim
 	lanes := max(1, min(workers, n))
+	depth := min(pipeDepth*cols, laneRounds)
+	// Each lane holds its queue and the round it garbles, and consume
+	// the round it frames and the ones it keeps.
+	sess.srv.rounds.Reserve(min(n*cols, lanes*(depth+1)+1+keep))
 	ss.reg.Gauge("garble_workers", "row-garbling lanes of the last request").Set(int64(lanes))
 	rowSeconds := ss.reg.Histogram("garble_row_seconds", "wall time to garble one matrix row, back-pressure included", nil)
 	rowsTotal := ss.reg.Counter("garble_rows_total", "matrix rows garbled")
@@ -73,7 +88,7 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 		ss.tr.SetAttr("garble_wait_ms", fmt.Sprintf("%.3f", wait.Seconds()*1e3))
 	}()
 	for h := range lanes {
-		q := make(chan *gc.Garbled, pipeDepth*cols) // pipeDepth rows ahead of the wire
+		q := make(chan *gc.Garbled, depth) // pipeDepth rows, at most laneRounds rounds, ahead of the wire
 		queues[h] = q
 		send := func(gb *gc.Garbled) error {
 			size := int64(gb.Material.CiphertextBytes())
@@ -98,7 +113,7 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers 
 				close(q)
 				wg.Done()
 			}()
-			lane := req.Lane()
+			lane := req.PooledLane(sess.srv.rounds)
 			for i := h; i < n && errs[h] == nil; i += lanes {
 				t0 := time.Now()
 				errs[h] = streamRow(ss, lane, i, A[i], send)

@@ -16,7 +16,7 @@ var propertySeed = flag.Int64("property.seed", 0, "seed of TestServeMatchesPlain
 
 // TestServeMatchesPlaintextProperty is the end-to-end property of the
 // serve path: whatever the shape, operand width, sign, OT mode, pool
-// outcome, garble-pool size and client GOMAXPROCS (which sets how many
+// outcome, lane count (1 to 4) and client GOMAXPROCS (which sets how many
 // row evaluators the client runs: none besides the reader at 1 or at
 // one row), the client decodes exactly A·y. Cases are drawn from one
 // seed, printed on failure; replay with -property.seed.
@@ -36,7 +36,7 @@ func TestServeMatchesPlaintextProperty(t *testing.T) {
 		signed := rng.Intn(2) == 0
 		mode := []OTMode{OTPerRound, OTBatched}[rng.Intn(2)]
 		hit := rng.Intn(2) == 0
-		workers := 1 + rng.Intn(3)
+		workers := 1 + rng.Intn(4) // lanes 1 to 4, as many as the rows allow
 		rows, cols := []int{1, 2, 3, 4, 17}[rng.Intn(5)], 1+rng.Intn(5)
 		procs := []int{1, 2, 4}[rng.Intn(3)]
 		runtime.GOMAXPROCS(procs)

@@ -182,13 +182,15 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 		sess.broken = err
 		return nil, fmt.Errorf("protocol: reading request open: %w", err)
 	}
+	tag, n := tagOf(open), len(open)
+	wire.Recycle(open)
 	switch {
-	case len(open) == 1 && open[0] == tagSessionEnd:
+	case n == 1 && tag == tagSessionEnd:
 		sess.ended = true
 		return nil, ErrSessionEnded
-	case len(open) == 1 && open[0] == tagReqOpen:
+	case n == 1 && tag == tagReqOpen:
 	default:
-		sess.broken = fmt.Errorf("protocol: expected a request open or session end, got tag %#02x in a %d-byte frame", tagOf(open), len(open))
+		sess.broken = fmt.Errorf("protocol: expected a request open or session end, got tag %#02x in a %d-byte frame", tag, n)
 		return nil, sess.broken
 	}
 	resp, err := sess.serveRows(ctx, req)

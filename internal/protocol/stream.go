@@ -47,6 +47,9 @@ type rowStreamer struct {
 	ot   OTMode
 	fw   *wire.FrameWriter
 	wm   byteWatermark
+	// rounds takes back each inline round once it is framed and its OT
+	// is done; nil on a precompute hit, whose entry's rounds are dropped.
+	rounds *gc.RoundPool
 
 	deferred []*gc.Garbled // batched mode: material deferred past the OT
 }
@@ -79,9 +82,12 @@ func (st *rowStreamer) sendMaterialFramed(gb *gc.Garbled) error {
 }
 
 // consume frames and transfers one round. Per-round mode streams its
-// material and runs its OT immediately; batched mode only accumulates
-// (its one OT must precede any material, so transfer waits for the
-// tail — the honest O(request) case the watermark exposes).
+// material and runs its OT immediately, then releases the round;
+// batched mode only accumulates (its one OT must precede any material,
+// so transfer waits for the tail — the honest O(request) case the
+// watermark exposes) and releases each round once its deferred frame is
+// sent. The OT's pairs are copied for the batch, so the frame is the
+// last use of a deferred round.
 func (st *rowStreamer) consume(gb *gc.Garbled) error {
 	if st.ot == OTBatched {
 		st.deferred = append(st.deferred, gb)
@@ -91,7 +97,11 @@ func (st *rowStreamer) consume(gb *gc.Garbled) error {
 	if err := st.sendMaterialFramed(gb); err != nil {
 		return err
 	}
-	return ot.SendLabels(st.sess.sender, gb.EvalPairs)
+	if err := ot.SendLabels(st.sess.sender, gb.EvalPairs); err != nil {
+		return err
+	}
+	st.rounds.Put(gb)
+	return nil
 }
 
 // run streams one request: pre non-nil frames pooled material (a
@@ -110,7 +120,12 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 	}
 
 	if pre == nil {
-		if err := st.sess.garbleRows(ctx, A, workers, &st.wm, st.consume); err != nil {
+		st.rounds = st.sess.srv.rounds
+		keep := 0
+		if st.ot == OTBatched {
+			keep = len(A) * len(A[0]) // every round waits for the batch's OT
+		}
+		if err := st.sess.garbleRows(ctx, A, workers, keep, &st.wm, st.consume); err != nil {
 			return err
 		}
 	}
@@ -135,6 +150,7 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			if err := st.sendMaterialFramed(gb); err != nil {
 				return err
 			}
+			st.rounds.Put(gb)
 		}
 	}
 	return nil

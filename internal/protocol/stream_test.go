@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -461,5 +462,101 @@ func TestLaneBufferBound(t *testing.T) {
 	}
 	if p := peak(); p != 0 {
 		t.Fatalf("bytes_buffered_peak = %d after a precompute hit, want 0", p)
+	}
+}
+
+// recycledRoundsDigest is the SHA-256 of the server frames (each behind
+// its 4-byte big-endian length) of TestRecycledRoundsTranscriptDigest's
+// session, recorded before the serve path recycled rounds and frame
+// bodies, when every round and every received frame was allocated
+// fresh.
+const recycledRoundsDigest = "3fb939de90890eb8e19b904491782a6cae53f5bb2f152eac1c2e8f1002c3f539"
+
+// TestRecycledRoundsTranscriptDigest serves three requests on one
+// seeded two-lane session — per-round 2×3, batched 3×2, per-round 2×3 —
+// so the rounds and bodies the first request releases come back as the
+// later requests' rounds, round 0s as later rounds and the other way
+// round. No byte of a released round may reach the wire: the server's
+// byte stream must equal the one the fresh-allocating path sent, and
+// every result must be right.
+func TestRecycledRoundsTranscriptDigest(t *testing.T) {
+	drbg, err := label.NewDRBG([16]byte{41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true, Rand: drbg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdrbg, err := label.NewDRBG([16]byte{42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClient(cdrbg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := wire.Pipe()
+	defer a.Close()
+	defer b.Close()
+	rec := &recordingConn{Conn: a}
+
+	reqs := []struct {
+		req Request
+		y   []int64
+	}{
+		{Request{Matrix: [][]int64{{1, -2, 3}, {-4, 5, -6}}}, []int64{7, -8, 9}},
+		{Request{Matrix: [][]int64{{10, -11}, {12, 13}, {-14, 15}}, OT: OTBatched}, []int64{-16, 17}},
+		{Request{Matrix: [][]int64{{-18, 19, -20}, {21, -22, 23}}}, []int64{24, -25, 26}},
+	}
+	var wg sync.WaitGroup
+	var srvErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sess, err := srv.NewSession(rec, SessionConfig{GarbleWorkers: 2})
+		if err != nil {
+			srvErr = err
+			return
+		}
+		defer sess.Close()
+		for _, r := range reqs {
+			if _, err := sess.Serve(r.req); err != nil {
+				srvErr = err
+				return
+			}
+		}
+		if _, err := sess.Serve(reqs[0].req); !errors.Is(err, ErrSessionEnded) {
+			srvErr = fmt.Errorf("after the client closed: %v, want ErrSessionEnded", err)
+		}
+	}()
+	cs, err := cli.Dial(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reqs {
+		out, err := cs.Do(r.y)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		for row, x := range r.req.Matrix {
+			var want int64
+			for j := range x {
+				want += x[j] * r.y[j]
+			}
+			if out[row] != want {
+				t.Fatalf("request %d row %d = %d, want %d", i, row, out[row], want)
+			}
+		}
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if srvErr != nil {
+		t.Fatal(srvErr)
+	}
+	if d := framesDigest(rec.frames()); d != recycledRoundsDigest {
+		t.Fatalf("transcript digest %s, want %s", d, recycledRoundsDigest)
 	}
 }

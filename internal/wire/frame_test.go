@@ -216,9 +216,8 @@ func TestArenaAccounting(t *testing.T) {
 }
 
 // TestArenaReuse checks a freed buffer's capacity is reused rather than
-// reallocated. sync.Pool may drop any one Put (under the race detector
-// it drops a quarter of them on purpose), so one reuse in several
-// attempts is the property.
+// reallocated. A collection may trim the arena's free list between a
+// Free and a Get, so one reuse in several attempts is the property.
 func TestArenaReuse(t *testing.T) {
 	a := NewArena()
 	for attempt := 0; attempt < 32; attempt++ {

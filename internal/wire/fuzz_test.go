@@ -27,25 +27,39 @@ func FuzzStreamConnRecv(f *testing.F) {
 }
 
 // FuzzStreamConnRoundTrip checks that any sequence of messages
-// round-trips exactly through the framing.
+// round-trips exactly through the framing while the receiver recycles
+// every other message it reads: a later message read into a recycled
+// body arrives intact, and so does every message still held.
 func FuzzStreamConnRoundTrip(f *testing.F) {
 	f.Add([]byte("hello"), []byte{}, []byte{0, 1, 2})
 	f.Fuzz(func(t *testing.T, a, b, c []byte) {
 		var buf bytes.Buffer
 		w := NewStreamConn(&buf)
-		for _, msg := range [][]byte{a, b, c} {
+		sent := [][]byte{a, b, c, c, a, b}
+		for _, msg := range sent {
 			if err := w.SendMsg(msg); err != nil {
 				t.Fatal(err)
 			}
 		}
 		r := NewStreamConn(&buf)
-		for _, want := range [][]byte{a, b, c} {
+		held := make([][]byte, len(sent))
+		for i, want := range sent {
 			got, err := r.RecvMsg()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("frame %q != %q", got, want)
+				t.Fatalf("frame %d: %q != %q", i, got, want)
+			}
+			if i%2 == 0 {
+				Recycle(got)
+			} else {
+				held[i] = got
+			}
+		}
+		for i := 1; i < len(sent); i += 2 {
+			if !bytes.Equal(held[i], sent[i]) {
+				t.Fatalf("held frame %d changed to %q, want %q", i, held[i], sent[i])
 			}
 		}
 	})

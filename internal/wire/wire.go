@@ -43,7 +43,11 @@ type Conn interface {
 	// bytes out, the pipe has copied them, the wrappers delegate) and a
 	// new implementation must.
 	SendMsg(msg []byte) error
-	// RecvMsg receives the next message.
+	// RecvMsg receives the next message. The message is the caller's:
+	// no Conn keeps a reference to it. A caller done with it may hand
+	// it back with Recycle, so a later RecvMsg on any Conn reuses its
+	// buffer; a caller that keeps it, or anything aliasing it, simply
+	// never recycles it.
 	RecvMsg() ([]byte, error)
 	// Close releases the channel. Further operations fail.
 	Close() error
@@ -102,6 +106,9 @@ type streamConn struct {
 	whdr  [frameHeaderSize]byte
 	wvec  [2][]byte
 	wbufs net.Buffers
+	// rhdr is the receive side's header scratch, guarded by rmu: a
+	// local array would escape through the io.Reader interface.
+	rhdr [frameHeaderSize]byte
 
 	// rlimit is the largest frame RecvMsg accepts; zero means
 	// MaxMessageSize. See LimitRecv.
@@ -137,11 +144,10 @@ func (c *streamConn) SendMsg(msg []byte) error {
 func (c *streamConn) RecvMsg() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.rw, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
 		return nil, fmt.Errorf("wire: reading frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.rhdr[:])
 	limit := c.rlimit.Load()
 	if limit <= 0 || limit > MaxMessageSize {
 		limit = MaxMessageSize
@@ -149,8 +155,9 @@ func (c *streamConn) RecvMsg() ([]byte, error) {
 	if int64(n) > limit {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	msg := make([]byte, n)
+	msg := body(int(n))
 	if _, err := io.ReadFull(c.rw, msg); err != nil {
+		Recycle(msg)
 		return nil, fmt.Errorf("wire: reading frame body: %w", err)
 	}
 	return msg, nil
@@ -284,12 +291,16 @@ func (p *pipeConn) SendMsg(msg []byte) error {
 	if isClosedChan(p.deadline.wait()) {
 		return errPipeTimeout
 	}
+	cp := body(len(msg)) // the receiver owns the copy
+	copy(cp, msg)
 	select {
-	case p.send <- append([]byte(nil), msg...): // the receiver owns the copy
+	case p.send <- cp:
 		return nil
 	case <-p.closer.done:
+		Recycle(cp)
 		return ErrClosed
 	case <-p.deadline.wait():
+		Recycle(cp)
 		return errPipeTimeout
 	}
 }
