@@ -64,6 +64,12 @@ func (t *Tracer) StartSession(kind, peer string) *SessionTrace {
 // memory without bound.
 const MaxSpans = 1024
 
+// spanBlock is the largest block a session trace carves spans from.
+// Spans come in blocks that double from 4 up to it, so a request's
+// spans cost a heap object per block, not per span: a warm request
+// allocates as much while its trace fills as after it is full.
+const spanBlock = 64
+
 // SessionTrace is one protocol session's phase record.
 type SessionTrace struct {
 	mu      sync.Mutex
@@ -76,7 +82,8 @@ type SessionTrace struct {
 	errs    string
 	attrs   map[string]string
 	spans   []*Span
-	dropped int64 // spans refused past MaxSpans
+	block   []Span // the spans' current block; a full one is replaced, never grown
+	dropped int64  // spans refused past MaxSpans
 }
 
 // ID returns the session's assigned identifier ("" on a nil trace).
@@ -101,7 +108,11 @@ func (s *SessionTrace) StartSpan(name string) *Span {
 		s.dropped++
 		return nil
 	}
-	sp := &Span{parent: s, name: name, start: time.Since(s.start)}
+	if len(s.block) == cap(s.block) {
+		s.block = make([]Span, 0, min(max(2*cap(s.block), 4), spanBlock))
+	}
+	s.block = append(s.block, Span{parent: s, name: name, start: time.Since(s.start)})
+	sp := &s.block[len(s.block)-1]
 	s.spans = append(s.spans, sp)
 	return sp
 }

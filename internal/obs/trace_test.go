@@ -201,3 +201,30 @@ func TestSpanCount(t *testing.T) {
 		t.Fatalf("SpanCount(decode) = %d", got)
 	}
 }
+
+// TestSpansAllocatePerBlock: a span costs a share of its block, not a
+// heap object of its own, so a warm request's spans allocate about as
+// much while its session trace fills as once it is full (each request
+// of the serve path opens one span per row, and the benchmark's short
+// and long runs count the same objects per request). Every span still
+// keeps its own start and duration.
+func TestSpansAllocatePerBlock(t *testing.T) {
+	st := NewTracer(1).StartSession("mux", "peer")
+	const perRequest = 18
+	if allocs := testing.AllocsPerRun(20, func() {
+		for range perRequest {
+			st.StartSpan("round_garble").End()
+		}
+	}); allocs >= perRequest/2 {
+		t.Fatalf("%d spans allocate %.1f objects, want well under one per span", perRequest, allocs)
+	}
+	snap := st.snapshot()
+	if len(snap.Spans) != 21*perRequest {
+		t.Fatalf("%d spans recorded, want %d", len(snap.Spans), 21*perRequest)
+	}
+	for i, sp := range snap.Spans {
+		if sp.DurationUS < 0 {
+			t.Fatalf("span %d is still open after End", i)
+		}
+	}
+}
