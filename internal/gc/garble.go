@@ -174,6 +174,11 @@ type GarbleOptions struct {
 	// state to logical 0 by construction (the evaluator's round-0
 	// active state labels equal these FALSE labels).
 	State0 []label.Label
+	// EvalLabels, when non-nil, is where the FALSE labels of the
+	// evaluator's input wires are drawn from, in wire order, for
+	// executions that share them; nil draws them from the garbler's
+	// label stream like every other input.
+	EvalLabels io.Reader
 	// TweakBase is a floor for this execution's first hash tweak: Garble
 	// starts at the larger of it and the garbler's cursor, so a base
 	// below the tweaks already used is raised, never honoured.
@@ -186,7 +191,8 @@ type GarbleOptions struct {
 
 // Garble garbles the circuit and returns both the evaluator-bound
 // material and the garbler-side secrets. It draws one fresh 16-byte
-// label per constant, input and state wire, in wire order, then walks
+// label per constant, input and state wire, in wire order (the
+// evaluator's from opts.EvalLabels when it is set), then walks
 // the circuit's lowered program once, hashing under the tweaks that
 // follow the garbler's previous execution; the returned values are
 // freshly allocated and stay valid across later Garble calls. A caller
@@ -251,14 +257,18 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 	}
 	w := g.slots
 	span := prog.InputSpan()
-	for i := 0; i < span; i++ {
-		if err := label.ReadRandom(g.rand, &w[i]); err != nil {
-			return err
-		}
-	}
 	garblerBase := circuit.FirstInput
 	evalBase := garblerBase + prog.NGarbler
 	stateBase := evalBase + prog.NEvaluator
+	for i := 0; i < span; i++ {
+		src := g.rand
+		if opts.EvalLabels != nil && evalBase <= i && i < stateBase {
+			src = opts.EvalLabels
+		}
+		if err := label.ReadRandom(src, &w[i]); err != nil {
+			return err
+		}
+	}
 	if opts.State0 != nil {
 		copy(w[stateBase:span], opts.State0)
 	}

@@ -14,14 +14,18 @@ import (
 
 // Request garbles the rows of one matrix request, each a Cols-round
 // sequential chain of one circuit, under one Δ and one AES key set from
-// a 16-byte seed. Row i's labels are AES_k(i ‖ n) for n = 0, 1, … in
-// draw order, and Δ is AES_k(2⁶⁴−1 ‖ 0), a counter no row reaches. Row
-// i hashes under the tweaks from i·Cols·ANDs·TweaksPerGate on, a range
-// no other row touches. A row's bytes therefore depend on its index
-// alone, not on which lane garbles it or when, and no tweak repeats
-// under Δ however the rows are spread over lanes. A Request is
-// read-only and safe for concurrent use; each goroutine garbles on its
-// own Lane.
+// a 16-byte seed. The request is one circuit in which the evaluator's
+// input of round j fans out to every row's round j, so every row's
+// round j shares that input's labels: label n of round j is
+// AES_k(2⁶⁴−2 ‖ j·NEvaluator + n), and the evaluator obtains them by
+// one OT whatever the row count. Row i's other labels are AES_k(i ‖ n)
+// for n = 0, 1, … in draw order, and Δ is AES_k(2⁶⁴−1 ‖ 0); a row index
+// is a non-negative int, so it never reaches either high word. Row i
+// hashes under the tweaks from i·Cols·ANDs·TweaksPerGate on, a range no
+// other row touches. A row's bytes therefore depend on its index alone,
+// not on which lane garbles it or when, and no tweak repeats under Δ
+// however the rows are spread over lanes. A Request is read-only and
+// safe for concurrent use; each goroutine garbles on its own Lane.
 type Request struct {
 	params    Params
 	ckt       *circuit.Circuit
@@ -30,6 +34,13 @@ type Request struct {
 	delta     label.Delta
 	rowTweaks uint64 // the tweak range one row spans
 }
+
+// The high words of the counter blocks outside every row's: Δ's, and
+// the evaluator-input labels' that every row shares.
+const (
+	deltaDomain  = math.MaxUint64
+	columnDomain = math.MaxUint64 - 1
+)
 
 // NewRequest keys a request of cols-round rows of c from seed.
 func NewRequest(params Params, c *circuit.Circuit, cols int, seed [16]byte) (*Request, error) {
@@ -40,7 +51,7 @@ func NewRequest(params Params, c *circuit.Circuit, cols int, seed [16]byte) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if cols < 1 {
+	if cols < 1 || prog.NEvaluator > 0 && uint64(cols) > math.MaxUint64/uint64(prog.NEvaluator) {
 		return nil, fmt.Errorf("gc: request of %d-round rows", cols)
 	}
 	block, err := aes.NewCipher(seed[:])
@@ -48,7 +59,7 @@ func NewRequest(params Params, c *circuit.Circuit, cols int, seed [16]byte) (*Re
 		return nil, err
 	}
 	src := counterLabels{block: block}
-	binary.BigEndian.PutUint64(src.ctr[:8], math.MaxUint64)
+	binary.BigEndian.PutUint64(src.ctr[:8], deltaDomain)
 	d, err := label.NewDelta(&src)
 	if err != nil {
 		return nil, err
@@ -64,6 +75,7 @@ type Lane struct {
 	req    *Request
 	g      Garbler
 	src    counterLabels
+	col    counterLabels // the evaluator-input labels' stream
 	bits   []bool
 	state  []label.Label // the chained state: the last round's StateOut0
 	rounds *RoundPool    // where rounds come from; nil allocates each
@@ -79,7 +91,9 @@ func (r *Request) Lane() *Lane { return r.PooledLane(nil) }
 // a new one otherwise. The holder of a round hands it back with
 // rounds.Put once done with it.
 func (r *Request) PooledLane(rounds *RoundPool) *Lane {
-	l := &Lane{req: r, src: counterLabels{block: r.block}, bits: make([]bool, r.ckt.NGarbler), rounds: rounds}
+	l := &Lane{req: r, src: counterLabels{block: r.block}, col: counterLabels{block: r.block},
+		bits: make([]bool, r.ckt.NGarbler), rounds: rounds}
+	binary.BigEndian.PutUint64(l.col.ctr[:8], columnDomain)
 	l.g = Garbler{params: r.params, delta: r.delta, rand: &l.src, aes: r.params.halfGatesAES(), deltaLabel: r.delta.Label()}
 	return l
 }
@@ -91,7 +105,7 @@ func (r *Request) PooledLane(rounds *RoundPool) *Lane {
 // state labels, so the round may be released while the next is
 // garbled. Each value enters as its low bits, so the caller
 // range-checks x. A row at or below one this lane has garbled, even in
-// part, is refused.
+// part, is refused. Round j's EvalPairs are the same in every row.
 func (l *Lane) GarbleRow(i int, x []int64, emit func(round int, gb *Garbled) error) error {
 	if i < l.next {
 		return fmt.Errorf("gc: row %d refused: this lane has garbled row %d", i, l.next-1)
@@ -105,11 +119,8 @@ func (l *Lane) GarbleRow(i int, x []int64, emit func(round int, gb *Garbled) err
 	l.g.next = uint64(i) * l.req.rowTweaks
 	var state0 []label.Label
 	for round, xi := range x {
-		for b := range l.bits { // Garble only reads it, so every round shares it
-			l.bits[b] = uint64(xi)>>b&1 == 1 // circuit.Int64ToBits, in place
-		}
-		gb := l.rounds.get()
-		if err := l.g.garble(gb, l.req.ckt, GarbleOptions{GarblerInputs: l.bits, State0: state0}); err != nil {
+		gb, err := l.garbleRound(round, xi, state0)
+		if err != nil {
 			return fmt.Errorf("gc: row %d round %d: %w", i, round, err)
 		}
 		l.state = append(l.state[:0], gb.StateOut0...)
@@ -119,6 +130,21 @@ func (l *Lane) GarbleRow(i int, x []int64, emit func(round int, gb *Garbled) err
 		}
 	}
 	return nil
+}
+
+// garbleRound garbles round j of the lane's current row for the value
+// xi, on state0 (nil at round 0), with round j's shared evaluator-input
+// labels.
+func (l *Lane) garbleRound(j int, xi int64, state0 []label.Label) (*Garbled, error) {
+	for b := range l.bits { // Garble only reads it, so every round shares it
+		l.bits[b] = uint64(xi)>>b&1 == 1 // circuit.Int64ToBits, in place
+	}
+	l.col.n = uint64(j) * uint64(l.req.ckt.NEvaluator)
+	gb := l.rounds.get()
+	if err := l.g.garble(gb, l.req.ckt, GarbleOptions{GarblerInputs: l.bits, State0: state0, EvalLabels: &l.col}); err != nil {
+		return nil, err
+	}
+	return gb, nil
 }
 
 // RoundPool recycles the rounds of one compiled circuit between the
@@ -214,11 +240,12 @@ func poisonRound(gb *Garbled) {
 	m.NumTables, m.TweakBase, gb.NextTweak = 0xA5A5, 0xA5A5A5A5A5A5A5A5, 0xA5A5A5A5A5A5A5A5
 }
 
-// counterLabels is one row's label stream: the n-th label read is
-// AES_k(row ‖ n), both halves big-endian. Reads are whole labels.
+// counterLabels is one label stream of a request: the n-th label read
+// is AES_k(domain ‖ n), both halves big-endian, where the domain is a
+// row index, columnDomain or deltaDomain. Reads are whole labels.
 type counterLabels struct {
 	block cipher.Block
-	ctr   [label.Size]byte // row ‖ n
+	ctr   [label.Size]byte // domain ‖ n
 	n     uint64
 }
 

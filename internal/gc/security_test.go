@@ -2,7 +2,10 @@ package gc
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/rand"
+	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -360,6 +363,111 @@ func TestRequestTweaksNeverRepeatAcrossRows(t *testing.T) {
 				t.Fatalf("lanes=%d: a lane garbled row %d after row %d", lanes, row, rows-1)
 			}
 		}
+	}
+}
+
+// TestRequestColumnLabelsShared: label n of every row's round j is the
+// column domain's AES_k(2⁶⁴−2 ‖ j·NEvaluator + n), whichever lane
+// garbles the row, so every row's round j has the same EvalPairs and
+// one OT serves them all. That high word lies above every row index a
+// lane admits (a non-negative int) and below Δ's, and j·NEvaluator + n
+// stays below 2⁶⁴ for every request NewRequest admits, so no column
+// label is a row label or Δ: a round at the top of the column range is
+// garbled, evaluated and checked against both.
+func TestRequestColumnLabelsShared(t *testing.T) {
+	if !(uint64(math.MaxInt) < columnDomain && columnDomain < deltaDomain) {
+		t.Fatalf("domains: largest row %d, columns %d, Δ %d", math.MaxInt, uint64(columnDomain), uint64(deltaDomain))
+	}
+	c := circuit.MustMAC(circuit.MACConfig{Width: 4, AccWidth: 8, Signed: true})
+	nEval := uint64(c.NEvaluator)
+	seed := [16]byte{7}
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	columnLabel := func(ctr uint64) label.Label {
+		var in [label.Size]byte
+		var out label.Label
+		binary.BigEndian.PutUint64(in[:8], columnDomain)
+		binary.BigEndian.PutUint64(in[8:], ctr)
+		block.Encrypt(out[:], in[:])
+		return out
+	}
+
+	const rows, cols = 5, 3
+	for _, lanes := range []int{1, 2} {
+		req, err := NewRequest(DefaultParams(), c, cols, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := make([]*Lane, lanes)
+		for h := range ls {
+			ls[h] = req.Lane()
+		}
+		var row0 [cols][]label.Pair
+		for i := 0; i < rows; i++ {
+			err := ls[i%lanes].GarbleRow(i, []int64{1, -2, 3}, func(r int, gb *Garbled) error {
+				for n, p := range gb.EvalPairs {
+					if want := columnLabel(uint64(r)*nEval + uint64(n)); p.False != want {
+						t.Fatalf("lanes=%d row %d round %d: evaluator label %d is not the column domain's", lanes, i, r, n)
+					}
+				}
+				if i == 0 {
+					row0[r] = slices.Clone(gb.EvalPairs)
+				} else if !slices.Equal(gb.EvalPairs, row0[r]) {
+					t.Fatalf("lanes=%d: row %d round %d's EvalPairs differ from row 0's", lanes, i, r)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// The largest request NewRequest admits ends its column range at
+	// most NEvaluator − 1 below 2⁶⁴; one more round is refused.
+	top := math.MaxUint64 / nEval
+	if _, err := NewRequest(DefaultParams(), c, int(top+1), seed); err == nil {
+		t.Fatalf("a request of %d rounds overflows the column counter but was admitted", top+1)
+	}
+	big, err := NewRequest(DefaultParams(), c, int(top), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := big.Lane().garbleRound(int(top-1), 3, nil) // row 0's round top−1, on a fresh lane
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowLabels := []label.Label{gb.Material.ConstActive[0]}
+	for _, p := range gb.GarblerPairs {
+		rowLabels = append(rowLabels, p.False)
+	}
+	rowLabels = append(rowLabels, gb.Material.StateInActive...)
+	for n, p := range gb.EvalPairs {
+		ctr := (top-1)*nEval + uint64(n)
+		if ctr < (top-1)*nEval || p.False != columnLabel(ctr) {
+			t.Fatalf("top round: evaluator label %d is not AES_k(2⁶⁴−2 ‖ %d)", n, ctr)
+		}
+		if p.False == big.delta.Label() || p.True == big.delta.Label() || slices.Contains(rowLabels, p.False) {
+			t.Fatalf("top round: evaluator label %d is Δ or one of the row's labels", n)
+		}
+	}
+	ev, err := NewEvaluator(DefaultParams(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := int64(-5)
+	active := make([]label.Label, len(gb.EvalPairs))
+	for n, p := range gb.EvalPairs {
+		active[n] = p.Get(uint64(y)>>n&1 == 1)
+	}
+	res, err := ev.Eval(&gb.Material, active, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := circuit.BitsToInt64(res.Outputs); got != 3*y {
+		t.Fatalf("top round decodes %d, want %d", got, 3*y)
 	}
 }
 

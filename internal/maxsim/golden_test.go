@@ -30,8 +30,13 @@ import (
 // the request's 16-byte seed, Δ and every label are AES under that seed
 // (row i's n-th label is AES_k(i ‖ n)), and row 1 hashes from its
 // row-indexed tweak base 1·3·120·2 = 720, which happens to be where
-// row 0's range ends. Frame lengths and layout are unchanged.
-const goldenTranscriptDigest = "607111ce9b4d1c4f01af57489392bb60115828141ebd347436a5f68e4910eabe"
+// row 0's range ends. Frame lengths and layout are unchanged. Then when
+// the rows began sharing the evaluator's input labels (protocol v7):
+// label n of round j's evaluator inputs is AES_k(2⁶⁴−2 ‖ j·8 + n) in
+// both rows, so row 1's EvalPairs equal row 0's, and a row's own stream
+// no longer draws those 8 labels a round, which moves every later label
+// of the row. Frame lengths and layout are unchanged again.
+const goldenTranscriptDigest = "af7876bff887b109a1fb41598b2aa945b0e13b941225630c6bc31340513effa9"
 
 func transcriptDigest(t *testing.T, runs []*DotProductRun) string {
 	t.Helper()

@@ -74,6 +74,18 @@ var raceDetector bool
 // (circuit.Int64ToBits): 185 → 167–168 and 138 → 119–121. The 16×16
 // pooled cell, the warm_pool request, was added then at 1 230–1 238
 // (1 485–1 495 before the change).
+//
+// Every cell was re-measured (over TCP, objects then KiB, each the
+// range of two to four runs) when the rows of a request began sharing
+// the evaluator's input labels, so that a request transfers Cols·Width
+// labels, not Rows·Cols·Width. Per-round 4×4: 121 → 109–110 and 13 →
+// 12; pooled 95 → 83–85 and 10 → 8, with three of its four OT
+// exchanges gone. Batched 4×4: 101–103 → 102–103 and 12 → 11; pooled
+// 78–79 → 79 and 9 → 7. Batched 16×16: 870–873 → 873–874 and 201 →
+// 140, the client's OT pads and both ends' OT scratch shrinking from
+// 4 096 labels to 256; pooled 828 → 826–828 and 191 → 128–129. The
+// one-row per-round 1×64 cell was added then at 360–362 objects and
+// 33–34 KiB, the same before and after: one row shares nothing.
 func TestWarmRequestAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	slack := uint64(10) // budget = ⌈measured × (1 + 1/slack)⌉
@@ -82,22 +94,27 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 	}
 	budget := func(measured uint64) uint64 { return measured + (measured+slack-1)/slack }
 	cells := []struct {
-		n, width, workers int
-		ot                OTMode
-		pooled            bool
-		objects, kib      uint64 // measured
+		rows, n, width, workers int
+		ot                      OTMode
+		pooled                  bool
+		objects, kib            uint64 // measured
 	}{
-		{n: 4, width: 8, ot: OTPerRound, objects: 122, kib: 14},
-		{n: 4, width: 8, ot: OTPerRound, pooled: true, objects: 97, kib: 10},
-		{n: 4, width: 8, ot: OTBatched, objects: 103, kib: 12},
-		{n: 4, width: 8, ot: OTBatched, pooled: true, objects: 79, kib: 9},
-		{n: 16, width: 16, ot: OTBatched, workers: 2, objects: 872, kib: 202},
-		{n: 16, width: 16, ot: OTBatched, workers: 2, pooled: true, objects: 828, kib: 191},
+		{n: 4, width: 8, ot: OTPerRound, objects: 110, kib: 12},
+		{n: 4, width: 8, ot: OTPerRound, pooled: true, objects: 85, kib: 8},
+		{n: 4, width: 8, ot: OTBatched, objects: 103, kib: 11},
+		{n: 4, width: 8, ot: OTBatched, pooled: true, objects: 79, kib: 7},
+		{n: 16, width: 16, ot: OTBatched, workers: 2, objects: 874, kib: 140},
+		{n: 16, width: 16, ot: OTBatched, workers: 2, pooled: true, objects: 828, kib: 129},
+		{rows: 1, n: 64, width: 8, ot: OTPerRound, objects: 362, kib: 34},
 	}
 	for _, c := range cells {
-		name := fmt.Sprintf("%dx%d/b=%d/%s/workers=%d/pooled=%t", c.n, c.n, c.width, c.ot, c.workers, c.pooled)
+		rows := c.n
+		if c.rows > 0 {
+			rows = c.rows
+		}
+		name := fmt.Sprintf("%dx%d/b=%d/%s/workers=%d/pooled=%t", rows, c.n, c.width, c.ot, c.workers, c.pooled)
 		t.Run(name, func(t *testing.T) {
-			allocs, kib := warmRequestAllocs(t, c.n, c.width, c.ot, c.workers, c.pooled)
+			allocs, kib := warmRequestAllocs(t, rows, c.n, c.width, c.ot, c.workers, c.pooled)
 			t.Logf("%d objects, %d KiB (budgets %d and %d for %d and %d measured)",
 				allocs, kib, budget(c.objects), budget(c.kib), c.objects, c.kib)
 			if allocs > budget(c.objects) {
@@ -110,19 +127,19 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 	}
 }
 
-// warmRequestAllocs serves five n×n requests on one session over
+// warmRequestAllocs serves five rows×n requests on one session over
 // loopback TCP — the first pays the lazy set-up of both endpoints and
 // fills their pools, the other four are counted — checks each against
 // plaintext and returns the fewest heap objects and KiB a counted one
 // took. A pooled cell takes every request from entries built
 // beforehand; no refill worker runs, so nothing else allocates during
 // the count.
-func warmRequestAllocs(t *testing.T, n, width int, ot OTMode, workers int, pooled bool) (objects, kib uint64) {
+func warmRequestAllocs(t *testing.T, rows, n, width int, ot OTMode, workers int, pooled bool) (objects, kib uint64) {
 	t.Helper()
 	lim := int64(1) << (width - 2)
-	A := make([][]int64, n)
+	A := make([][]int64, rows)
 	y := make([]int64, n)
-	want := make([]int64, n)
+	want := make([]int64, rows)
 	for j := range y {
 		y[j] = int64(j*1000-7000) % lim
 	}
@@ -145,7 +162,7 @@ func warmRequestAllocs(t *testing.T, n, width int, ot OTMode, workers int, poole
 		}
 		defer eng.Stop()
 		srv.WithPrecompute(eng)
-		shape := precompute.Shape{Rows: n, Cols: n, Width: width, Signed: true, Mode: "matvec", OT: ot.String()}
+		shape := precompute.Shape{Rows: rows, Cols: n, Width: width, Signed: true, Mode: "matvec", OT: ot.String()}
 		if err := eng.Prefill(shape, 5); err != nil {
 			t.Fatal(err)
 		}

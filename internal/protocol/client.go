@@ -71,9 +71,12 @@ type ClientSession struct {
 	closed   bool
 	broken   error
 
-	// choices is a batched-OT request's choice bits, reused across
-	// requests under ot.RetainLabels' rule.
+	// choices is a batched-OT request's choice bits, and labels a
+	// per-round request's active labels of row 0, which every later row
+	// reuses; both are reused across requests under ot.RetainLabels'
+	// rule.
 	choices []bool
+	labels  []label.Label
 	// evals are the row evaluators, one per goroutine of a request
 	// (evals[0] is the reader's), grown to the widest request and
 	// reused by the next.
@@ -222,7 +225,10 @@ func (cs *ClientSession) Requests() int { return cs.seq }
 func (cs *ClientSession) Err() error { return cs.broken }
 
 // evalMatVec evaluates a matvec request, obtaining input labels per the
-// server-announced OT mode. Rows are independent MAC chains, so they
+// server-announced OT mode. Every row's round j shares the labels of
+// y[j], so either mode transfers Cols·Width labels: batched in one OT
+// before any material, per-round one OT per round of row 0, kept for
+// the later rows. Rows are independent MAC chains, so they
 // run on nw = min(GOMAXPROCS, Rows) goroutines, each on its own
 // gc.Evaluator. The caller receives every frame and finishes every OT
 // in wire order, evaluates rows r ≡ 0 (mod nw) in place, and hands
@@ -231,24 +237,30 @@ func (cs *ClientSession) Err() error { return cs.broken }
 // direction's transcript is the sequential one, byte for byte; with
 // nw = 1 no helper is spawned.
 func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int64, error) {
-	// Batched mode: obtain every round's labels in one OT batch before
-	// any material arrives — faster, but the client holds
-	// Rows·Cols·Width labels at once (§3's memory tradeoff).
-	var batched []label.Label
-	if hdr.OT == OTBatched {
+	// shared holds round j's labels at [j·Width, (j+1)·Width) for every
+	// row it serves: all of them in batched mode, rows ≥ 1 in per-round
+	// mode (nil for a one-row request, which keeps nothing).
+	var shared []label.Label
+	if n := hdr.Cols * cs.h.Width; hdr.OT == OTBatched {
 		choices := cs.choices[:0]
-		for row := 0; row < hdr.Rows; row++ {
-			for round := 0; round < hdr.Cols; round++ {
-				choices = append(choices, bitsPerRound[round]...)
-			}
+		for round := 0; round < hdr.Cols; round++ {
+			choices = append(choices, bitsPerRound[round]...)
 		}
 		if len(choices) <= ot.RetainLabels {
 			cs.choices = choices
 		}
 		var err error
-		batched, err = ot.ReceiveLabels(cs.receiver, choices)
+		shared, err = ot.ReceiveLabels(cs.receiver, choices)
 		if err != nil {
 			return nil, fmt.Errorf("protocol: batched OT: %w", err)
+		}
+	} else if hdr.Rows > 1 {
+		if shared = cs.labels; cap(shared) < n {
+			shared = make([]label.Label, n)
+		}
+		shared = shared[:n]
+		if n <= ot.RetainLabels {
+			cs.labels = shared
 		}
 	}
 
@@ -266,7 +278,7 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	if hdr.OT != OTBatched {
 		reqs = cs.requestAhead(hdr, bitsPerRound)
 	}
-	err := cs.readRows(hdr, batched, reqs, hp, outs)
+	err := cs.readRows(hdr, shared, reqs, hp, outs)
 	if reqs != nil {
 		if err != nil {
 			cs.tc.Close() // before Do's fail: the writer's next send must fail
@@ -285,7 +297,9 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 
 // readRows is the reader: every frame and OT finish of the request, in
 // wire order. It stops at the next frame boundary once a helper fails.
-func (cs *ClientSession) readRows(hdr reqHeader, batched []label.Label, reqs *otRequests, hp *rowHelpers, outs []int64) error {
+// A per-round row-0 round's labels come from its OT and are copied into
+// shared, which the helpers then only read.
+func (cs *ClientSession) readRows(hdr reqHeader, shared []label.Label, reqs *otRequests, hp *rowHelpers, outs []int64) error {
 	nw := 1
 	if hp != nil {
 		nw = len(hp.queues)
@@ -302,11 +316,13 @@ func (cs *ClientSession) readRows(hdr reqHeader, batched []label.Label, reqs *ot
 				return fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
 			}
 			in := chainRound{m: m, frame: frame}
-			if hdr.OT == OTBatched {
-				off := (row*hdr.Cols + round) * cs.h.Width
-				in.active = batched[off : off+cs.h.Width]
+			off := round * cs.h.Width
+			if row > 0 || hdr.OT == OTBatched {
+				in.active = shared[off : off+cs.h.Width]
 			} else if in.active, err = reqs.next(cs.receiver); err != nil {
 				return fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
+			} else if shared != nil {
+				copy(shared[off:], in.active)
 			}
 			if h != 0 {
 				hp.queues[h] <- in
@@ -329,8 +345,8 @@ func (cs *ClientSession) readRows(hdr reqHeader, batched []label.Label, reqs *ot
 const otLookahead = 16
 
 // otRequests is a per-round request's OT writer. A u matrix depends only
-// on the client's own PRGs and choice bits, so a goroutine sends every
-// round's request in wire order, up to otLookahead rounds before its
+// on the client's own PRGs and choice bits, so a goroutine sends row 0's
+// Cols requests in wire order, up to otLookahead rounds before their
 // material, and hands the pending batch to the reader to finish. It is
 // a goroutine, not the reader sending ahead, because over a synchronous
 // transport both ends may be blocked writing at once.
@@ -344,8 +360,8 @@ func (cs *ClientSession) requestAhead(hdr reqHeader, bitsPerRound [][]bool) *otR
 	rq := &otRequests{pending: make(chan ot.Pending[label.Label], otLookahead)}
 	go func() {
 		defer close(rq.pending)
-		for k := 0; k < hdr.Rows*hdr.Cols; k++ {
-			p, err := ot.RequestLabels(cs.receiver, bitsPerRound[k%hdr.Cols])
+		for _, bits := range bitsPerRound {
+			p, err := ot.RequestLabels(cs.receiver, bits)
 			if err != nil {
 				rq.err = err
 				return

@@ -326,24 +326,27 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 			return err
 		}
 	}
-	// The fewest width-8 batched rows of one column whose labels
-	// (rows·cols·width) pass the bound one OT frame sets.
-	batchedRows := wire.MaxMessageSize/(2*label.Size)/8 + 1
+	// The fewest width-8 batched columns whose labels (cols·width, which
+	// every row shares) pass the bound one OT frame sets; the client's
+	// vector is that long, so the header passes the length check.
+	batchedCols := wire.MaxMessageSize/(2*label.Size)/8 + 1
 	cases := []struct {
 		name    string
 		serve   func(*ServerSession) error
 		wantErr string
+		y       []int64 // the client's vector; nil is {1}
 	}{
 		{"vector length mismatch", func(sess *ServerSession) error {
 			_, err := sess.Serve(Request{Matrix: [][]int64{{1, 2, 3}}})
 			return err
-		}, "3-element vector"},
-		{"retired correlated OT", announce(reqHeader{Rows: 1, Cols: 1, OT: 2}), "unknown OT mode 2"},
+		}, "3-element vector", nil},
+		{"retired correlated OT", announce(reqHeader{Rows: 1, Cols: 1, OT: 2}), "unknown OT mode 2", nil},
 		// Shapes no request could complete: the client refuses them from
 		// the header, before allocating a result slot or a choice bit.
-		{"zero rows", announce(reqHeader{Rows: 0, Cols: 1}), "0 rows × 1 cols"},
-		{"2^32-1 rows", announce(reqHeader{Rows: math.MaxUint32, Cols: 1}), "4294967295 rows × 1 cols"},
-		{"batched labels past the bound", announce(reqHeader{Rows: batchedRows, Cols: 1, OT: OTBatched}), "262145 rows × 1 cols (batched"},
+		{"zero rows", announce(reqHeader{Rows: 0, Cols: 1}), "0 rows × 1 cols", nil},
+		{"2^32-1 rows", announce(reqHeader{Rows: math.MaxUint32, Cols: 1}), "4294967295 rows × 1 cols", nil},
+		{"batched labels past the bound", announce(reqHeader{Rows: 1, Cols: batchedCols, OT: OTBatched}), "1 rows × 262145 cols (batched",
+			make([]int64, batchedCols)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -373,7 +376,11 @@ func TestClientAbortClosesConnPromptly(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The client aborts by name; the abort must reach the server.
-			if _, err := cs.Do([]int64{1}); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			y := tc.y
+			if y == nil {
+				y = []int64{1}
+			}
+			if _, err := cs.Do(y); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("client error = %v, want one naming %q", err, tc.wantErr)
 			}
 			if cs.Err() == nil {

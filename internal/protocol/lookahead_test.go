@@ -18,6 +18,7 @@ import (
 
 	"maxelerator/internal/circuit"
 	"maxelerator/internal/gc"
+	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/ot"
 	"maxelerator/internal/wire"
@@ -25,8 +26,9 @@ import (
 
 // lockstepRun is the per-round client as it was before its requests ran
 // ahead: Dial, then one request that sends round k's u matrix only once
-// round k's material has arrived (ot.ReceiveLabels per round, on one
-// goroutine, one evaluator), then Close.
+// row 0's round k material has arrived (ot.ReceiveLabels per round, on
+// one goroutine, one evaluator) and reuses those labels for every later
+// row, then Close.
 func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 	cs, err := c.Dial(conn)
 	if err != nil {
@@ -47,6 +49,7 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 		return nil, err
 	}
 	outs := make([]int64, hdr.Rows)
+	active := make([][]label.Label, len(y))
 	for row := range outs {
 		var res *gc.EvalResult
 		for round, v := range y {
@@ -54,9 +57,12 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 			if in.m, in.frame, err = recvMaterial(cs.tc); err != nil {
 				return nil, err
 			}
-			if in.active, err = ot.ReceiveLabels(cs.receiver, circuit.Int64ToBits(v, cs.h.Width)); err != nil {
-				return nil, err
+			if row == 0 {
+				if active[round], err = ot.ReceiveLabels(cs.receiver, circuit.Int64ToBits(v, cs.h.Width)); err != nil {
+					return nil, err
+				}
 			}
+			in.active = active[round]
 			if res, err = in.eval(ev, res, row, round); err != nil {
 				return nil, err
 			}
@@ -69,28 +75,42 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 	return outs, cs.Close()
 }
 
-// TestPerRoundLockstepClientStillServed pins what lets a v6 client of
+// TestPerRoundLockstepClientStillServed pins what lets a v7 client of
 // either generation talk to this server: the server reads round k's u
 // matrix after sending round k's material, so a lockstep client — one
 // that sends it only then — is served, and the bytes in each direction
 // are those of the client whose requests run ahead. A server that read
 // u first would strand lockstep clients and need a ProtoVersion bump.
+// The 3×3 request's later rows run no OT on either client.
 func TestPerRoundLockstepClientStillServed(t *testing.T) {
-	A, y := chainFixture()
-	var want int64
-	for j := range y {
-		want += A[0][j] * y[j]
+	chainA, chainY := chainFixture()
+	for _, tc := range []struct {
+		name string
+		A    [][]int64
+		y    []int64
+	}{
+		{"1x64", chainA, chainY},
+		{"3x3", [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}}, []int64{7, -8, 9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvLock, cliLock, out := streamTranscriptWith(t, tc.A, tc.y, OTPerRound, 0, 2, poolNone, lockstepRun)
+			for i, row := range tc.A {
+				var want int64
+				for j := range row {
+					want += row[j] * tc.y[j]
+				}
+				if out[i] != want {
+					t.Fatalf("lockstep client: row %d = %d, want %d", i, out[i], want)
+				}
+			}
+			if d := framesDigest(srvLock); len(tc.A) == 1 && d != chainTranscriptDigest {
+				t.Fatalf("lockstep client: server transcript digest %s, want %s", d, chainTranscriptDigest)
+			}
+			srvAhead, cliAhead, _ := streamTranscriptWith(t, tc.A, tc.y, OTPerRound, 0, 2, poolNone, clientRun)
+			sameFrames(t, "server frames, lookahead vs lockstep client", srvAhead, srvLock)
+			sameFrames(t, "client frames, lookahead vs lockstep client", cliAhead, cliLock)
+		})
 	}
-	srvLock, cliLock, out := streamTranscriptWith(t, A, y, OTPerRound, 0, 2, poolNone, lockstepRun)
-	if len(out) != 1 || out[0] != want {
-		t.Fatalf("lockstep client: result %v, want [%d]", out, want)
-	}
-	if d := framesDigest(srvLock); d != chainTranscriptDigest {
-		t.Fatalf("lockstep client: server transcript digest %s, want %s", d, chainTranscriptDigest)
-	}
-	srvAhead, cliAhead, _ := streamTranscriptWith(t, A, y, OTPerRound, 0, 2, poolNone, clientRun)
-	sameFrames(t, "server frames, lookahead vs lockstep client", srvAhead, srvLock)
-	sameFrames(t, "client frames, lookahead vs lockstep client", cliAhead, cliLock)
 }
 
 // holdMaterial is the server's side of the connection: it holds
@@ -159,10 +179,10 @@ func (c *countRequests) SendMsg(m []byte) error {
 func (c *countRequests) Unwrap() wire.Conn { return c.Conn }
 
 // TestPerRoundLookaheadSendsEarly: the server holds its first material
-// frame until the client has sent min(otLookahead, Rows·Cols) u
-// matrices. A client that sends a round's request only after its
-// material never gets there, and the 5 s bound releases the frame
-// instead.
+// frame until the client has sent min(otLookahead, Cols) u matrices,
+// all it sends: only row 0's rounds run an OT. A client that sends a
+// round's request only after its material never gets there, and the
+// 5 s bound releases the frame instead.
 func TestPerRoundLookaheadSendsEarly(t *testing.T) {
 	chainA, chainY := chainFixture()
 	for _, tc := range []struct {
@@ -174,7 +194,7 @@ func TestPerRoundLookaheadSendsEarly(t *testing.T) {
 		{"3x3", [][]int64{{1, -2, 3}, {4, 5, -6}, {-7, 8, 9}}, []int64{7, -8, 9}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := min(otLookahead, len(tc.A)*len(tc.y))
+			want := min(otLookahead, len(tc.y))
 			srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
 			if err != nil {
 				t.Fatal(err)

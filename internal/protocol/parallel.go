@@ -48,7 +48,7 @@ var errLaneStopped = errors.New("protocol: garble lane stopped")
 // rounds from queue r mod lanes.
 // Lanes garble into rounds from the server's RoundPool, and a dequeued
 // round is consume's, to release once done with it; keep is how many
-// rounds consume may still hold when the last returns, and the pool
+// rounds consume may hold past the call that handed them over, and the pool
 // reserves what the request can hold at once. A lane charges wm
 // with each round's table bytes once the round is queued; framing it
 // credits them back. A lane's panic becomes its

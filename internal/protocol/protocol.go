@@ -56,11 +56,15 @@ import (
 // from the shape, so a v4 peer would disagree on every table count;
 // version 6 garbles the radix-4 Booth MAC (b/2 partial-product rows
 // selected by the garbler's digits, no conditional negations), so a v5
-// peer disagrees on every table count in turn. Any other generation is
+// peer disagrees on every table count in turn; version 7 shares the
+// evaluator's input labels of round j across every row of a request,
+// so one OT per round of row 0 (per-round) or one of Cols·Width labels
+// (batched) serves the whole request, and a v6 peer would wait for OT
+// exchanges that never come. Any other generation is
 // detected in the handshake — by its version field, or, for the gob
 // generations, by the first byte of its first frame — and rejected with
 // ErrVersionMismatch before a single OT byte moves.
-const ProtoVersion = 6
+const ProtoVersion = 7
 
 // ErrVersionMismatch is returned (wrapped, naming the local version and
 // what is known of the peer's) when the two endpoints speak different
@@ -110,14 +114,15 @@ func (e *BusyError) Unwrap() error { return ErrServerBusy }
 type OTMode int
 
 const (
-	// OTPerRound runs one OT-extension batch per MAC round: the
-	// memory-constrained evaluator holds a bounded window of rounds, the
-	// row pads of otLookahead + 2 batches whose requests run ahead of
-	// the material, whatever the request's size.
+	// OTPerRound runs one OT-extension batch per round of row 0, whose
+	// labels every later row reuses: the evaluator holds the row pads of
+	// otLookahead + 2 batches whose requests run ahead of the material,
+	// and, for a request of more than one row, row 0's Cols·Width
+	// labels.
 	OTPerRound OTMode = iota
-	// OTBatched transfers every round's labels in one OT-extension
-	// batch before any material: fewer round trips, but the client
-	// holds Rows·Cols·Width labels at once.
+	// OTBatched transfers every round's labels, Cols·Width of them, in
+	// one OT-extension batch once row 0 is garbled and before any
+	// material: fewer round trips for the same labels held.
 	OTBatched
 )
 
@@ -274,11 +279,12 @@ func checkWidths(width, accWidth int) error {
 // Request.validate and by Do to the header before the client allocates
 // for it. It rejects only requests that could never complete: the
 // result (8 bytes a row) must fit one frame, and so must a batched
-// request's one OT answer (two labels a transfer; its u matrix is less).
+// request's one OT answer of cols·width transfers (two labels each; its
+// u matrix is less).
 func checkShape(rows, cols, width int, mode OTMode) error {
 	maxRows, maxLabels := (wire.MaxMessageSize-1)/8, wire.MaxMessageSize/(2*label.Size)
-	if rows < 1 || rows > maxRows || mode == OTBatched && cols > maxLabels/(rows*width) {
-		return fmt.Errorf("protocol: %d rows × %d cols (%s, width %d) outside the served bound 1 ≤ rows ≤ %d, batched rows·cols·width ≤ %d (each must fit one frame)",
+	if rows < 1 || rows > maxRows || mode == OTBatched && cols > maxLabels/width {
+		return fmt.Errorf("protocol: %d rows × %d cols (%s, width %d) outside the served bound 1 ≤ rows ≤ %d, batched cols·width ≤ %d (each must fit one frame)",
 			rows, cols, mode, width, maxRows, maxLabels)
 	}
 	return nil

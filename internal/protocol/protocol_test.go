@@ -6,6 +6,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -525,8 +526,12 @@ func TestBatchedOTSession(t *testing.T) {
 
 func TestBatchedOTUsesFewerMessages(t *testing.T) {
 	// The §3 tradeoff: batching collapses the per-round OT exchanges
-	// into one, at the cost of client label memory.
-	run := func(mode OTMode) int64 {
+	// into one. Every row shares the evaluator's labels, so per-round
+	// mode runs one exchange (u matrix, then ciphertexts) per column,
+	// not per row and column: 2·(cols−1) messages more than batched
+	// mode's one exchange, and a further row adds only its material.
+	const cols = 6
+	run := func(rows int, mode OTMode) int64 {
 		srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
 		if err != nil {
 			t.Fatal(err)
@@ -539,11 +544,15 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 		defer a.Close()
 		defer b.Close()
 		cb := wire.NewCounting(b)
+		A := make([][]int64, rows)
+		for i := range A {
+			A[i] = []int64{1, 2, 3, 4, 5, 6}
+		}
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			serveOne(srv, a, SessionConfig{}, Request{Matrix: [][]int64{{1, 2, 3, 4, 5, 6}}, OT: mode})
+			serveOne(srv, a, SessionConfig{}, Request{Matrix: A, OT: mode})
 		}()
 		if _, err := clientRun(cli, cb, []int64{1, 1, 1, 1, 1, 1}); err != nil {
 			t.Fatal(err)
@@ -552,10 +561,119 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 		_, _, sentMsgs, recvMsgs := cb.Totals()
 		return sentMsgs + recvMsgs
 	}
-	perRound := run(OTPerRound)
-	batched := run(OTBatched)
-	if batched >= perRound {
-		t.Fatalf("batched OT used %d messages, per-round %d", batched, perRound)
+	perRound := run(3, OTPerRound)
+	batched := run(3, OTBatched)
+	if perRound-batched != 2*(cols-1) {
+		t.Fatalf("3×%d: per-round OT used %d messages, batched %d; want 2·(cols−1) = %d more", cols, perRound, batched, 2*(cols-1))
+	}
+	for _, mode := range []OTMode{OTPerRound, OTBatched} {
+		if d := run(4, mode) - run(3, mode); d != cols {
+			t.Fatalf("%s: a fourth row added %d messages, want its %d material frames", mode, d, cols)
+		}
+	}
+}
+
+// otAnswers is the server's side of a connection: it counts the OT
+// answers the server sends once a request is open, and their labels.
+// Inside a request the server receives only u matrices, then the
+// result, and the OT sender answers each u matrix with its next frame,
+// 32 bytes a transfer; every call runs on the session goroutine.
+type otAnswers struct {
+	wire.Conn
+	open, answer       bool // a request is open; a u matrix awaits its answer
+	answers, transfers int
+}
+
+func (c *otAnswers) RecvMsg() ([]byte, error) {
+	m, err := c.Conn.RecvMsg()
+	if err == nil {
+		opens := len(m) == 1 && m[0] == tagReqOpen
+		c.answer = c.open && !opens
+		c.open = c.open || opens
+	}
+	return m, err
+}
+
+func (c *otAnswers) SendMsg(m []byte) error {
+	if c.answer {
+		c.answer = false
+		c.answers++
+		c.transfers += len(m) / 32
+	}
+	return c.Conn.SendMsg(m)
+}
+
+func (c *otAnswers) Unwrap() wire.Conn { return c.Conn }
+
+// TestOTLabelsPerRequest: a request transfers the evaluator's labels of
+// each column once, Cols·Width transfers whatever its row count, in one
+// answer (batched) or one per column (per-round), inline and on a pool
+// hit. Each row of the matrix is different, and every result is A·y.
+func TestOTLabelsPerRequest(t *testing.T) {
+	const cols, width = 5, 8
+	y := []int64{3, -1, 4, -1, 5}
+	for _, rows := range []int{1, 4, 16} {
+		A := make([][]int64, rows)
+		want := make([]int64, rows)
+		for i := range A {
+			A[i] = make([]int64, cols)
+			for j := range A[i] {
+				A[i][j] = int64((i*7+j*13)%41 - 20)
+				want[i] += A[i][j] * y[j]
+			}
+		}
+		for _, mode := range []OTMode{OTPerRound, OTBatched} {
+			for _, hit := range []bool{false, true} {
+				name := fmt.Sprintf("%dx%d/%s/hit=%t", rows, cols, mode, hit)
+				cfg := maxsim.Config{Width: width, AccWidth: 24, Signed: true}
+				srv, err := NewServer(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := Request{Matrix: A, OT: mode}
+				if hit {
+					eng, err := precompute.New(precompute.Config{Sim: cfg, PoolSize: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(eng.Stop)
+					srv.WithPrecompute(eng)
+					if err := eng.Prefill(srv.shapeOf(req), 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cli, err := NewClient(rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, b := wire.Pipe()
+				rec := &otAnswers{Conn: a}
+				var srvErr error
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_, srvErr = serveOne(srv, rec, SessionConfig{GarbleWorkers: 2}, req)
+				}()
+				out, err := clientRun(cli, b, y)
+				wg.Wait()
+				a.Close()
+				b.Close()
+				if err != nil || srvErr != nil {
+					t.Fatalf("%s: client %v, server %v", name, err, srvErr)
+				}
+				if !slices.Equal(out, want) {
+					t.Fatalf("%s: result %v, want %v", name, out, want)
+				}
+				wantAnswers := cols
+				if mode == OTBatched {
+					wantAnswers = 1
+				}
+				if rec.transfers != cols*width || rec.answers != wantAnswers {
+					t.Fatalf("%s: %d OT transfers in %d answers, want %d in %d", name, rec.transfers, rec.answers, cols*width, wantAnswers)
+				}
+			}
+		}
 	}
 }
 

@@ -52,7 +52,7 @@ type ServerSession struct {
 	ended   bool
 	broken  error
 
-	// pairs is a batched-OT request's label pairs, every round's in
+	// pairs is a batched-OT request's label pairs, row 0's rounds' in
 	// order, gathered for its one OT; see recyclePairs.
 	pairs []label.Pair
 }

@@ -5,13 +5,14 @@ package protocol
 // the session goroutine frames its material with one bulk copy
 // (gc.AppendMaterial appends the round's table block, already in wire
 // layout, to a wire.Arena buffer; one SendMsg per frame) and runs the
-// per-round OT. Round 0's frame therefore leaves while the rest of the
-// row is still being garbled, the way MAXelerator's PCIe link drains
-// each table while the FSM garbles the next. A precompute hit frames
-// the entry's rounds in a plain loop. The bytes on the wire are
-// byte-identical to the buffered path at any lane count or queue depth
-// — only the timing and the buffering change, which is what the
-// bytes_buffered_peak gauge exists to prove.
+// OT, which only row 0's rounds carry. Round 0's frame therefore
+// leaves while the rest of the row is still being garbled (in batched
+// mode, once row 0 is garbled and its one OT done), the way
+// MAXelerator's PCIe link drains each table while the FSM garbles the
+// next. A precompute hit frames the entry's rounds in a plain loop.
+// The bytes on the wire are byte-identical to the buffered path at any
+// lane count or queue depth — only the timing and the buffering
+// change, which is what the bytes_buffered_peak gauge exists to prove.
 
 import (
 	"context"
@@ -42,6 +43,9 @@ func (w *byteWatermark) add(n int64) {
 }
 
 // rowStreamer frames one request's rounds on the session goroutine.
+// Every row's round j carries the same evaluator-input labels (one
+// gc.Request), so only row 0's rounds run an OT; later rows send
+// material alone.
 type rowStreamer struct {
 	sess *ServerSession
 	ot   OTMode
@@ -51,7 +55,9 @@ type rowStreamer struct {
 	// is done; nil on a precompute hit, whose entry's rounds are dropped.
 	rounds *gc.RoundPool
 
-	deferred []*gc.Garbled // batched mode: material deferred past the OT
+	cols int           // rounds per row
+	n    int           // rounds consumed so far
+	held []*gc.Garbled // batched mode: row 0's rounds, held for the one OT
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
@@ -81,26 +87,51 @@ func (st *rowStreamer) sendMaterialFramed(gb *gc.Garbled) error {
 	return nil
 }
 
-// consume frames and transfers one round. Per-round mode streams its
-// material and runs its OT immediately, then releases the round;
-// batched mode only accumulates (its one OT must precede any material,
-// so transfer waits for the tail — the honest O(request) case the
-// watermark exposes) and releases each round once its deferred frame is
-// sent. The OT's pairs are copied for the batch, so the frame is the
-// last use of a deferred round.
+// consume frames and transfers one round, then releases it. A round of
+// row 1 or later only streams its material. Per-round mode streams a
+// row-0 round's material and runs its OT at once. Batched mode holds
+// row 0's rounds until the last arrives, runs the request's one OT over
+// their pairs, and frames them (sendHeld): its OT must precede any
+// material, and row 0's pairs are every row's.
 func (st *rowStreamer) consume(gb *gc.Garbled) error {
-	if st.ot == OTBatched {
-		st.deferred = append(st.deferred, gb)
-		st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
-		return nil
+	row0 := st.n < st.cols
+	st.n++
+	if row0 && st.ot == OTBatched {
+		st.held = append(st.held, gb)
+		if len(st.held) < st.cols {
+			return nil
+		}
+		return st.sendHeld()
 	}
 	if err := st.sendMaterialFramed(gb); err != nil {
 		return err
 	}
-	if err := ot.SendLabels(st.sess.sender, gb.EvalPairs); err != nil {
-		return err
+	if row0 {
+		if err := ot.SendLabels(st.sess.sender, gb.EvalPairs); err != nil {
+			return err
+		}
 	}
 	st.rounds.Put(gb)
+	return nil
+}
+
+// sendHeld is a batched request's one OT over the held rounds' pairs,
+// copied in round order, then the held rounds' frames.
+func (st *rowStreamer) sendHeld() error {
+	for _, gb := range st.held {
+		st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
+	}
+	err := ot.SendLabels(st.sess.sender, st.sess.pairs)
+	st.sess.recyclePairs()
+	if err != nil {
+		return err
+	}
+	for _, gb := range st.held {
+		if err := st.sendMaterialFramed(gb); err != nil {
+			return err
+		}
+		st.rounds.Put(gb)
+	}
 	return nil
 }
 
@@ -115,21 +146,18 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			"peak garbled-material bytes buffered between garbling and wire transfer (last request)").
 			Set(st.wm.peak.Load())
 	}()
+	st.cols = len(A[0])
+	keep := 0
 	if st.ot == OTBatched {
-		st.deferred = make([]*gc.Garbled, 0, len(A)*len(A[0]))
+		st.held = make([]*gc.Garbled, 0, st.cols)
+		keep = st.cols // row 0's rounds wait for the OT
 	}
 
 	if pre == nil {
 		st.rounds = st.sess.srv.rounds
-		keep := 0
-		if st.ot == OTBatched {
-			keep = len(A) * len(A[0]) // every round waits for the batch's OT
-		}
-		if err := st.sess.garbleRows(ctx, A, workers, keep, &st.wm, st.consume); err != nil {
-			return err
-		}
+		return st.sess.garbleRows(ctx, A, workers, keep, &st.wm, st.consume)
 	}
-	for i, run := range pre { // a hit; nothing when the request garbled
+	for i, run := range pre {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("protocol: streaming interrupted at row %d: %w", i, err)
 		}
@@ -137,20 +165,6 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			if err := st.consume(gb); err != nil {
 				return err
 			}
-		}
-	}
-
-	if st.ot == OTBatched {
-		err := ot.SendLabels(st.sess.sender, st.sess.pairs)
-		st.sess.recyclePairs()
-		if err != nil {
-			return err
-		}
-		for _, gb := range st.deferred {
-			if err := st.sendMaterialFramed(gb); err != nil {
-				return err
-			}
-			st.rounds.Put(gb)
 		}
 	}
 	return nil

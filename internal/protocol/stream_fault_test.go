@@ -72,8 +72,9 @@ func TestPipelineStallMidChunk(t *testing.T) {
 	maxWait := 4*healthy + 2*budget + 5*time.Second
 
 	// Stall indices inside the rounds stretch: the midpoint and the
-	// tail of the client's send sequence, where per-round OT traffic —
-	// interleaved with the server's streamed material — lives.
+	// tail of the client's send sequence, where row 0's per-round OT
+	// traffic — interleaved with the server's streamed material — and
+	// the result live.
 	stalls := map[int]bool{(sends + 1) / 2: true, (2 * sends) / 3: true, sends - 1: true}
 	for idx := range stalls {
 		idx := idx
@@ -167,9 +168,9 @@ func TestPipelineCutBetweenHeaderAndPayload(t *testing.T) {
 		t.Fatalf("healthy run too small: %d server messages", msgs)
 	}
 	// Two adjacent header writes (odd indices) around two-thirds of the
-	// way in: deep inside the rounds, where material frames (vectored)
-	// and OT ciphertexts alternate, so one of the two cuts lands on a
-	// material frame's header/payload boundary.
+	// way in: deep inside the rounds, past row 0's OT ciphertexts, where
+	// the later rows' material frames (vectored) stream, so the cuts
+	// land on material frames' header/payload boundaries.
 	k := (2 * msgs) / 3
 	for _, msg := range []int{k, k + 1} {
 		msg := msg

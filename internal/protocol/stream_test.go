@@ -195,8 +195,13 @@ func chainFixture() ([][]int64, []int64) {
 // round instead of 204; for v6, when the radix-4 Booth MAC garbles 120;
 // and when a request became one gc.Request, whose labels and Δ are AES
 // under a 16-byte seed the server DRBG supplies, in place of labels read
-// from that DRBG one by one. Frame lengths and the version are unchanged.
-const chainTranscriptDigest = "f37a81cb1b1c0cb70392318000a797e7fe70b06030a640c2563c3f46843c4952"
+// from that DRBG one by one (frame lengths and the version unchanged).
+// It was re-pinned a fourth time for v7, when every row of a request
+// began sharing the evaluator's input labels: round j's come from the
+// column domain AES_k(2⁶⁴−2 ‖ j·8 + n), so every label and table of
+// the one row moves and the hello carries version 7. This request has
+// one row, so frame lengths are unchanged.
+const chainTranscriptDigest = "b39f4ef0a2c236f7255199d160cc92707e4571f75555b963845064642a528a5b"
 
 func framesDigest(frames [][]byte) string {
 	h := sha256.New()
@@ -469,8 +474,12 @@ func TestLaneBufferBound(t *testing.T) {
 // its 4-byte big-endian length) of TestRecycledRoundsTranscriptDigest's
 // session, recorded before the serve path recycled rounds and frame
 // bodies, when every round and every received frame was allocated
-// fresh.
-const recycledRoundsDigest = "3fb939de90890eb8e19b904491782a6cae53f5bb2f152eac1c2e8f1002c3f539"
+// fresh. It was re-pinned once, for v7, on that fresh-allocating path
+// (each lane on an unpooled gc.Lane): the rows of each request share
+// the evaluator's input labels, so rows ≥ 1 run no OT (two fewer
+// per-round OT frames in each 2×3 request, and the batched 3×2 OT
+// covers 2·8 labels instead of 6·8), and every label moves.
+const recycledRoundsDigest = "0427624b2251be6fa4f46e0d11512f3c998e04df0a7772838a94fdc6971251bd"
 
 // TestRecycledRoundsTranscriptDigest serves three requests on one
 // seeded two-lane session — per-round 2×3, batched 3×2, per-round 2×3 —
