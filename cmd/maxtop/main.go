@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"maxelerator/internal/gateway"
+	"maxelerator/internal/load"
 	"maxelerator/internal/obs"
 	"maxelerator/internal/report"
 )
@@ -141,17 +142,10 @@ func (s *snapshot) sumBy(name, key string) []struct {
 	return out
 }
 
-// scrape fetches and decodes one /histz snapshot.
+// scrape fetches and decodes one /histz snapshot, under
+// load.FetchSnapshot's timeout.
 func scrape(url string) (*snapshot, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	snap, err := obs.DecodeSnapshot(resp.Body)
+	snap, err := load.FetchSnapshot(url)
 	if err != nil {
 		return nil, err
 	}
@@ -159,10 +153,12 @@ func scrape(url string) (*snapshot, error) {
 }
 
 // fetchFleet reads a maxgw /fleetz snapshot; any failure (endpoint
-// absent, daemon is a plain maxd) degrades to nil and the table is
-// simply not rendered.
+// absent, daemon is a plain maxd, no answer in time) degrades to nil
+// and the table is simply not rendered.
 func fetchFleet(url string) []gateway.BackendStatus {
-	resp, err := http.Get(url)
+	// Bounded like scrape's fetch, so a gateway that stops answering
+	// cannot hang the view.
+	resp, err := (&http.Client{Timeout: 5 * time.Second}).Get(url)
 	if err != nil {
 		return nil
 	}

@@ -342,3 +342,42 @@ func TestWatchScrapeError(t *testing.T) {
 		t.Fatal("unhealthy endpoint accepted")
 	}
 }
+
+// hang answers nothing until the client gives up.
+func hang(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
+
+// TestWatchScrapeTimesOut: a -once render against a daemon that
+// accepts the connection and never answers returns an error instead of
+// blocking.
+func TestWatchScrapeTimesOut(t *testing.T) {
+	t.Parallel()
+	srv := httptest.NewServer(http.HandlerFunc(hang))
+	defer srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- watch(&strings.Builder{}, srv.URL+"/histz", time.Millisecond, 1, false) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a daemon that never answered rendered a snapshot")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("watch still blocked on a daemon that never answers")
+	}
+}
+
+// TestWatchFleetzTimesOut: a gateway whose /fleetz never answers costs
+// the frame its fleet table, not the view.
+func TestWatchFleetzTimesOut(t *testing.T) {
+	t.Parallel()
+	mux := fakeDaemon(gwRegistry())
+	mux.HandleFunc("/fleetz", hang)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	var sb strings.Builder
+	if err := watch(&sb, srv.URL+"/histz", time.Millisecond, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "per-backend") {
+		t.Fatalf("fleet table rendered without a /fleetz answer:\n%s", sb.String())
+	}
+}

@@ -11,7 +11,8 @@
 // proxy cannot read the shape from traffic it forwards. Instead, hinted
 // clients open with a shape-hint preface frame (protocol.ShapeHint);
 // the gateway peeks it under a short deadline, orders the routable
-// backends (see route) and relays frames for the rest of the session.
+// backends (see route) and, once a backend has answered, copies bytes
+// both ways for the rest of the session without parsing a frame.
 // Unhinted (and legacy) clients send nothing first — the peek times out
 // and the session gets the same ordering without the advertiser term.
 //
@@ -28,6 +29,7 @@ package gateway
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -93,10 +95,9 @@ type Config struct {
 	// Obs receives the gateway's metrics and health; nil disables
 	// observability (the repo-wide nil-Obs contract).
 	Obs *obs.Obs
-	// Dial opens a protocol connection to a backend Addr. Nil uses TCP
-	// (net.DialTimeout wrapped in wire.NewStreamConn); tests inject
-	// in-memory pipes.
-	Dial func(addr string) (wire.Conn, error)
+	// Dial opens a connection to a backend Addr. Nil uses
+	// net.DialTimeout over TCP.
+	Dial func(addr string) (net.Conn, error)
 	// Probe asks a backend for health and advertised shapes. Nil uses
 	// the HTTP prober against Backend.HealthURL.
 	Probe ProbeFunc
@@ -140,12 +141,8 @@ func (c Config) withDefaults() Config {
 		c.Now = time.Now
 	}
 	if c.Dial == nil {
-		c.Dial = func(addr string) (wire.Conn, error) {
-			nc, err := net.DialTimeout("tcp", addr, dialTimeout)
-			if err != nil {
-				return nil, err
-			}
-			return wire.NewStreamConn(nc), nil
+		c.Dial = func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, dialTimeout)
 		}
 	}
 	if c.Probe == nil {
@@ -156,7 +153,7 @@ func (c Config) withDefaults() Config {
 
 // Gateway routes client sessions across a garbler fleet. Create with
 // New, optionally Start the health prober, feed it connections via
-// Serve or HandleConn, and Close to stop.
+// Serve, and Close to stop.
 type Gateway struct {
 	cfg     Config
 	states  []*backendState // config order; membership is breaker.Routable()
@@ -175,7 +172,7 @@ type Gateway struct {
 	// shutdown can first wait for sessions to finish on their own, then
 	// escalate to closing them.
 	connMu sync.Mutex
-	conns  map[wire.Conn]struct{}
+	conns  map[net.Conn]struct{}
 	sessWG sync.WaitGroup
 }
 
@@ -191,7 +188,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:   cfg,
 		reg:   cfg.Obs.Metrics(),
 		stop:  make(chan struct{}),
-		conns: make(map[wire.Conn]struct{}),
+		conns: make(map[net.Conn]struct{}),
 		ejector: resilience.NewEjector(resilience.EjectorConfig{
 			K:          cfg.OutlierK,
 			MinSamples: cfg.OutlierMinSamples,
@@ -269,9 +266,9 @@ func (g *Gateway) Drain(timeout time.Duration) bool {
 	}
 }
 
-// KillSessions force-closes every tracked client connection. The relay
-// pumps see the close as a terminal receive error and tear down their
-// backend side, so a follow-up Drain observes the sessions unwind.
+// KillSessions force-closes every tracked client connection. The relay's
+// copies see the close as a terminal error and tear down their backend
+// side, so a follow-up Drain observes the sessions unwind.
 func (g *Gateway) KillSessions() {
 	g.connMu.Lock()
 	defer g.connMu.Unlock()
@@ -282,32 +279,39 @@ func (g *Gateway) KillSessions() {
 
 // Serve accepts connections from l and routes each on its own
 // goroutine, until Accept fails (closing the listener is the shutdown
-// signal).
+// signal). Each connection is counted and registered before its
+// goroutine starts, so a Drain or KillSessions that follows Serve's
+// return sees every session it accepted.
 func (g *Gateway) Serve(l net.Listener) error {
 	for {
 		nc, err := l.Accept()
 		if err != nil {
 			return err
 		}
-		go g.HandleConn(wire.NewStreamConn(nc))
+		g.track(nc)
+		go g.handle(nc)
 	}
 }
 
-// HandleConn routes one client session end to end: peek, pick, relay.
-// It closes conn before returning. Exported so tests and single-binary
-// deployments can feed in-memory pipes.
-func (g *Gateway) HandleConn(conn wire.Conn) {
-	defer conn.Close()
+// track counts conn as an in-flight session and registers it for
+// KillSessions; handle undoes both.
+func (g *Gateway) track(conn net.Conn) {
 	g.sessWG.Add(1)
-	defer g.sessWG.Done()
 	g.connMu.Lock()
 	g.conns[conn] = struct{}{}
 	g.connMu.Unlock()
+}
+
+// handle routes one tracked client session end to end: peek, pick,
+// relay. It closes conn before returning.
+func (g *Gateway) handle(conn net.Conn) {
+	defer g.sessWG.Done()
 	defer func() {
 		g.connMu.Lock()
 		delete(g.conns, conn)
 		g.connMu.Unlock()
 	}()
+	defer conn.Close()
 	active := g.reg.Gauge("gw_sessions_active", "client sessions currently relayed")
 	active.Add(1)
 	defer active.Add(-1)
@@ -385,18 +389,11 @@ func (g *Gateway) HandleConn(conn wire.Conn) {
 // peek waits up to PeekTimeout for the client's optional first frame.
 // It returns the consumed frame (to forward verbatim), the decoded
 // hint when the frame was one, and a non-nil error only when the
-// client is gone. A timeout is the normal unhinted case. Connections
-// that cannot carry deadlines skip the peek entirely — blocking
-// forever on a client that is itself waiting for the server hello
-// would deadlock.
-func (g *Gateway) peek(conn wire.Conn) (pending []byte, hint protocol.ShapeHint, hinted bool, err error) {
-	dc, ok := wire.AsDeadline(conn)
-	if !ok {
-		return nil, protocol.ShapeHint{}, false, nil
-	}
-	dc.SetDeadline(time.Now().Add(g.cfg.PeekTimeout))
+// client is gone. A timeout is the normal unhinted case.
+func (g *Gateway) peek(conn net.Conn) (pending []byte, hint protocol.ShapeHint, hinted bool, err error) {
+	conn.SetDeadline(time.Now().Add(g.cfg.PeekTimeout))
 	frame, rerr := recvFirstFrame(conn)
-	dc.SetDeadline(time.Time{})
+	conn.SetDeadline(time.Time{})
 	switch {
 	case rerr == nil:
 		hint, hinted = protocol.PeekShapeHint(frame)
@@ -410,12 +407,14 @@ func (g *Gateway) peek(conn wire.Conn) (pending []byte, hint protocol.ShapeHint,
 
 // recvFirstFrame reads a connection's first frame — a hint, ack, hello
 // or busy frame from a peer that has proven nothing yet — under the
-// set-up receive cap, and lifts the cap for the relayed session after
-// it (the endpoints enforce their own phase caps).
-func recvFirstFrame(conn wire.Conn) ([]byte, error) {
-	wire.LimitRecv(conn, wire.SetupFrameLimit)
-	defer wire.LimitRecv(conn, wire.MaxMessageSize)
-	return conn.RecvMsg()
+// set-up receive cap. The stream conn reads unbuffered, so conn is left
+// exactly on the next frame boundary for relay's byte copy. No frame is
+// read after commit: from there on the endpoints' own phase caps are
+// the only guard.
+func recvFirstFrame(conn net.Conn) ([]byte, error) {
+	sc := wire.NewStreamConn(conn)
+	wire.LimitRecv(sc, wire.SetupFrameLimit)
+	return sc.RecvMsg()
 }
 
 // route orders the backends for one session, hinted or not, with one
@@ -484,20 +483,17 @@ func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 // frame (if any), and reads the backend's first frame. A BUSY first
 // frame or any error abandons the backend with nothing committed —
 // the failover-safe window.
-func (g *Gateway) connect(b *backendState, pending []byte) (wire.Conn, []byte, *protocol.BusyError, error) {
+func (g *Gateway) connect(b *backendState, pending []byte) (net.Conn, []byte, *protocol.BusyError, error) {
 	conn, err := g.cfg.Dial(b.Addr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	conn.SetDeadline(time.Now().Add(helloTimeout))
 	if pending != nil {
-		if err := conn.SendMsg(pending); err != nil {
+		if err := wire.NewStreamConn(conn).SendMsg(pending); err != nil {
 			conn.Close()
 			return nil, nil, nil, err
 		}
-	}
-	if dc, ok := wire.AsDeadline(conn); ok {
-		dc.SetDeadline(time.Now().Add(helloTimeout))
-		defer dc.SetDeadline(time.Time{})
 	}
 	first, err := recvFirstFrame(conn)
 	if err != nil {
@@ -508,15 +504,19 @@ func (g *Gateway) connect(b *backendState, pending []byte) (wire.Conn, []byte, *
 		conn.Close()
 		return nil, nil, busy, nil
 	}
+	conn.SetDeadline(time.Time{})
 	return conn, first, nil, nil
 }
 
 // relay commits the session to backend b: deliver the backend's first
-// frame to the client, then pump frames both directions until either
-// side ends. From here on every fault belongs to the endpoints — the
-// gateway never retries a committed session (see the package comment
-// for why that is the single-serve guarantee).
-func (g *Gateway) relay(client, backend wire.Conn, b *backendState, first []byte) {
+// frame to the client, then copy bytes both directions until either
+// side ends. Both conns sit on a frame boundary here, and the gateway
+// parses nothing from now on; between two TCP conns io.Copy splices in
+// the kernel on Linux, which is why the conns are copied unwrapped.
+// From here on every fault belongs to the endpoints — the gateway never
+// retries a committed session (see the package comment for why that is
+// the single-serve guarantee).
+func (g *Gateway) relay(client, backend net.Conn, b *backendState, first []byte) {
 	defer backend.Close()
 	b.sessions.Add(1)
 	b.active.Add(1)
@@ -528,33 +528,21 @@ func (g *Gateway) relay(client, backend wire.Conn, b *backendState, first []byte
 	perBackend.Add(1)
 	defer perBackend.Add(-1)
 
-	if err := client.SendMsg(first); err != nil {
+	if err := wire.NewStreamConn(client).SendMsg(first); err != nil {
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
-	pump := func(dst, src wire.Conn) {
+	copyThenClose := func(dst, src net.Conn) {
 		defer wg.Done()
-		for {
-			msg, err := src.RecvMsg()
-			if err != nil {
-				// Session over (orderly close or fault): tear down both
-				// sides so the peer pump unblocks too.
-				client.Close()
-				backend.Close()
-				return
-			}
-			err = dst.SendMsg(msg)
-			wire.Recycle(msg) // SendMsg keeps no reference, so the body is reused
-			if err != nil {
-				client.Close()
-				backend.Close()
-				return
-			}
-		}
+		io.Copy(dst, src)
+		// Session over (orderly close or fault): tear down both sides so
+		// the other copy unblocks too.
+		client.Close()
+		backend.Close()
 	}
-	go pump(client, backend)
-	go pump(backend, client)
+	go copyThenClose(client, backend)
+	go copyThenClose(backend, client)
 	wg.Wait()
 }
 
@@ -562,13 +550,13 @@ func (g *Gateway) relay(client, backend wire.Conn, b *backendState, first []byte
 // a BUSY frame carrying a retry hint (the largest backend hint seen,
 // floored at the configured RetryAfter), so hinted and unhinted
 // clients alike land in their existing retry taxonomy.
-func (g *Gateway) shed(conn wire.Conn, lastBusy *protocol.BusyError) {
+func (g *Gateway) shed(conn net.Conn, lastBusy *protocol.BusyError) {
 	retryAfter := g.cfg.RetryAfter
 	if lastBusy != nil && lastBusy.RetryAfter > retryAfter {
 		retryAfter = lastBusy.RetryAfter
 	}
 	g.reg.Counter("gw_shed_total", "sessions rejected after exhausting candidates").Inc()
-	protocol.SendBusy(conn, retryAfter)
+	protocol.SendBusy(wire.NewStreamConn(conn), retryAfter)
 }
 
 // BackendStatus is one row of Snapshot: the operator view of a

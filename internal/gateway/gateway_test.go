@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -14,25 +15,32 @@ import (
 	"maxelerator/internal/protocol"
 	"maxelerator/internal/protocol/retry"
 	"maxelerator/internal/wire"
-	"maxelerator/internal/wire/faultconn"
 )
 
-// fakeBackend is one in-process garbler daemon: every dialed
-// connection gets a real protocol.Server session (or a scripted BUSY /
-// dial refusal / injected fault), so gateway tests exercise the same
-// frames production does.
+// fakeBackend is one in-process garbler daemon on a loopback TCP
+// listener: every accepted connection gets a real protocol.Server
+// session (or a scripted BUSY / hang-up), so gateway tests exercise the
+// same bytes, sockets and relay path production does. A net.Pipe would
+// not do: it has no buffer, so a backend writing its hello while the
+// gateway writes the client's hint would deadlock.
 type fakeBackend struct {
 	name string
-	srv  *protocol.Server
+	ln   net.Listener
 
 	mu     sync.Mutex
+	srv    *protocol.Server
 	served int // requests served to completion (every test session makes one)
 	busy   int // connections to reject with BUSY before serving again
+	hangup int // connections to close before the hello
 	down   bool
-	fault  *faultconn.Options // wraps the gateway-side conn when set
-	status string             // probe verdict
-	shapes []string           // advertised pool shapes
-	wg     sync.WaitGroup
+	status string   // probe verdict
+	shapes []string // advertised pool shapes
+	// open counts accepted connections not yet served out; idle is
+	// broadcast when it drops to zero. A WaitGroup would not do: the
+	// accept goroutine's Add and a test's Wait are ordered only through
+	// TCP, which the race detector does not see.
+	open int
+	idle sync.Cond
 }
 
 var testMatrix = [][]int64{{2, 3}}
@@ -43,53 +51,100 @@ func newFakeBackend(t *testing.T, name string) *fakeBackend {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fakeBackend{name: name, srv: srv, status: obs.HealthOK}
-}
-
-func (fb *fakeBackend) dial() (wire.Conn, error) {
-	fb.mu.Lock()
-	if fb.down {
-		fb.mu.Unlock()
-		return nil, fmt.Errorf("dial %s: %w", fb.name, wire.ErrClosed)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	busy := fb.busy > 0
-	if busy {
-		fb.busy--
-	}
-	fault := fb.fault
-	fb.mu.Unlock()
-	gwSide, beSide := wire.Pipe()
-	fb.wg.Add(1)
+	fb := &fakeBackend{name: name, ln: ln, srv: srv, status: obs.HealthOK}
+	fb.idle.L = &fb.mu
 	go func() {
-		defer fb.wg.Done()
-		defer beSide.Close()
-		if busy {
-			protocol.SendBusy(beSide, 5*time.Millisecond)
-			// A pipe has no socket buffer: closing it before the gateway
-			// has forwarded the client's preface fails that send, and the
-			// rejection is counted as a dial error. Wait for the preface
-			// or for the gateway to hang up.
-			beSide.RecvMsg()
-			return
-		}
-		sess, err := fb.srv.NewSession(beSide, protocol.SessionConfig{})
-		if err != nil {
-			return
-		}
-		defer sess.Close()
 		for {
-			if _, err := sess.Serve(protocol.Request{Matrix: testMatrix}); err != nil {
+			c, err := ln.Accept()
+			if err != nil {
 				return
 			}
 			fb.mu.Lock()
-			fb.served++
+			fb.open++
 			fb.mu.Unlock()
+			go fb.serve(c)
 		}
 	}()
-	if fault != nil {
-		return faultconn.New(gwSide, *fault), nil
+	t.Cleanup(func() {
+		ln.Close()
+		fb.wait()
+	})
+	return fb
+}
+
+// wait returns once every connection fb accepted has been served out.
+func (fb *fakeBackend) wait() {
+	fb.mu.Lock()
+	for fb.open > 0 {
+		fb.idle.Wait()
 	}
-	return gwSide, nil
+	fb.mu.Unlock()
+}
+
+func (fb *fakeBackend) dial() (net.Conn, error) {
+	fb.mu.Lock()
+	down := fb.down
+	fb.mu.Unlock()
+	if down {
+		return nil, fmt.Errorf("dial %s: %w", fb.name, wire.ErrClosed)
+	}
+	return net.DialTimeout("tcp", fb.ln.Addr().String(), time.Second)
+}
+
+// reject scripts fb's next connections: the first hangup of them are
+// closed before the hello, the busy after those get a BUSY rejection.
+// It takes fb.mu because TCP orders nothing for the race detector.
+func (fb *fakeBackend) reject(busy, hangup int) {
+	fb.mu.Lock()
+	fb.busy, fb.hangup = busy, hangup
+	fb.mu.Unlock()
+}
+
+func (fb *fakeBackend) serve(c net.Conn) {
+	defer func() {
+		c.Close()
+		fb.mu.Lock()
+		if fb.open--; fb.open == 0 {
+			fb.idle.Broadcast()
+		}
+		fb.mu.Unlock()
+	}()
+	fb.mu.Lock()
+	srv, hangup, busy := fb.srv, fb.hangup > 0, fb.busy > 0
+	if hangup {
+		fb.hangup--
+	} else if busy {
+		fb.busy--
+	}
+	fb.mu.Unlock()
+	switch {
+	case hangup:
+		return
+	case busy:
+		protocol.SendBusy(wire.NewStreamConn(c), 5*time.Millisecond)
+		// Closing with the client's preface unread would reset the
+		// connection, and the reset can overtake the BUSY frame. Read
+		// until the gateway hangs up.
+		io.Copy(io.Discard, c)
+		return
+	}
+	sess, err := srv.NewSession(wire.NewStreamConn(c), protocol.SessionConfig{})
+	if err != nil {
+		return
+	}
+	defer sess.Close()
+	for {
+		if _, err := sess.Serve(protocol.Request{Matrix: testMatrix}); err != nil {
+			return
+		}
+		fb.mu.Lock()
+		fb.served++
+		fb.mu.Unlock()
+	}
 }
 
 func (fb *fakeBackend) servedCount() int {
@@ -99,11 +154,13 @@ func (fb *fakeBackend) servedCount() int {
 }
 
 // fleet wires N fake backends behind one gateway with injected dial
-// and probe functions.
+// and probe functions; the gateway serves a loopback TCP listener at
+// addr.
 type fleet struct {
 	backends map[string]*fakeBackend
 	gw       *Gateway
 	obs      *obs.Obs
+	addr     string
 }
 
 func newFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
@@ -119,7 +176,7 @@ func newFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
 	cfg.PeekTimeout = 50 * time.Millisecond
 	cfg.EjectAfter = 2
 	cfg.RetryAfter = 10 * time.Millisecond
-	cfg.Dial = func(addr string) (wire.Conn, error) {
+	cfg.Dial = func(addr string) (net.Conn, error) {
 		fb, ok := f.backends[addr]
 		if !ok {
 			return nil, fmt.Errorf("unknown backend %q", addr)
@@ -143,20 +200,53 @@ func newFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
 		t.Fatal(err)
 	}
 	f.gw = gw
-	t.Cleanup(func() {
-		gw.Close()
-		for _, fb := range f.backends {
-			fb.wg.Wait()
-		}
-	})
+	f.addr = serveGateway(t, gw)
+	t.Cleanup(gw.Close)
 	return f
+}
+
+// serveGateway runs g.Serve on a fresh loopback listener until the test
+// ends and returns the listener's address.
+func serveGateway(t *testing.T, g *Gateway) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		g.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-served
+	})
+	return ln.Addr().String()
+}
+
+// dial opens a client connection to the gateway.
+func (f *fleet) dial(t *testing.T) net.Conn {
+	t.Helper()
+	nc, err := net.Dial("tcp", f.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nc
+}
+
+// handleNow routes one client connection on the calling goroutine, the
+// way Serve would on its own.
+func (f *fleet) handleNow(conn net.Conn) {
+	f.gw.track(conn)
+	f.gw.handle(conn)
 }
 
 // drain waits out every backend goroutine, so served counters are
 // final before assertions.
 func (f *fleet) drain() {
 	for _, fb := range f.backends {
-		fb.wg.Wait()
+		fb.wait()
 	}
 }
 
@@ -212,7 +302,7 @@ var testHint = protocol.ShapeHint{Rows: 1, Cols: 2, Width: 8, Signed: true, Mode
 // runSession dials the gateway with an optional shape hint and runs
 // one request end to end, returning the Dial error verbatim (BUSY
 // shedding surfaces there).
-func runSession(t *testing.T, g *Gateway, hint *protocol.ShapeHint) ([]int64, error) {
+func runSession(t *testing.T, f *fleet, hint *protocol.ShapeHint) ([]int64, error) {
 	t.Helper()
 	cli, err := protocol.NewClient(rand.Reader)
 	if err != nil {
@@ -221,10 +311,9 @@ func runSession(t *testing.T, g *Gateway, hint *protocol.ShapeHint) ([]int64, er
 	if hint != nil {
 		cli.WithShapeHint(*hint)
 	}
-	gwSide, cliSide := wire.Pipe()
-	defer cliSide.Close()
-	go g.HandleConn(gwSide)
-	cs, err := cli.Dial(cliSide)
+	nc := f.dial(t)
+	defer nc.Close()
+	cs, err := cli.Dial(wire.NewStreamConn(nc))
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +343,7 @@ func TestHintedSessionsSpreadOverAdvertisers(t *testing.T) {
 	f.advertise(testHint.Key())
 	const sessions = 9
 	for i := 0; i < sessions; i++ {
-		out, err := runSession(t, f.gw, &testHint)
+		out, err := runSession(t, f, &testHint)
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -286,11 +375,10 @@ func TestConcurrentHintedSessionsUseTwoBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		cli.WithShapeHint(testHint)
-		gwSide, cliSide := wire.Pipe()
-		defer cliSide.Close()
-		go f.gw.HandleConn(gwSide)
+		nc := f.dial(t)
+		defer nc.Close()
 		// A completed Dial proves the session is committed and counted.
-		if _, err := cli.Dial(cliSide); err != nil {
+		if _, err := cli.Dial(wire.NewStreamConn(nc)); err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
 	}
@@ -311,7 +399,7 @@ func TestConcurrentHintedSessionsUseTwoBackends(t *testing.T) {
 // gets served — the peek times out and the session routes by load.
 func TestUnhintedSessionRoutesAndServes(t *testing.T) {
 	f := newFleet(t, 2, nil)
-	out, err := runSession(t, f.gw, nil)
+	out, err := runSession(t, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,16 +415,15 @@ func TestUnhintedSessionRoutesAndServes(t *testing.T) {
 
 // TestBusyFailoverNeverDoubleServes is the chaos test for the
 // single-serve guarantee: the first candidate rejects with BUSY and the
-// second one's connection dies on its first frame (faultconn), yet the
-// session lands exactly once — on the third candidate — and the client
-// sees one clean result.
+// second one hangs up before its hello, yet the session lands exactly
+// once — on the third candidate — and the client sees one clean result.
 func TestBusyFailoverNeverDoubleServes(t *testing.T) {
 	f := newFleet(t, 3, nil)
 	order := f.routeOrder(true)
-	f.backends[order[0]].busy = 1
-	f.backends[order[1]].fault = &faultconn.Options{ErrOnRecv: 1}
+	f.backends[order[0]].reject(1, 0)
+	f.backends[order[1]].reject(0, 1)
 
-	out, err := runSession(t, f.gw, &testHint)
+	out, err := runSession(t, f, &testHint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +450,12 @@ func TestBusyFailoverNeverDoubleServes(t *testing.T) {
 func TestDeadBackendFailsOver(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	order := f.routeOrder(true)
-	f.backends[order[0]].down = true
+	dead := f.backends[order[0]]
+	dead.mu.Lock()
+	dead.down = true
+	dead.mu.Unlock()
 
-	out, err := runSession(t, f.gw, &testHint)
+	out, err := runSession(t, f, &testHint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,9 +473,9 @@ func TestDeadBackendFailsOver(t *testing.T) {
 func TestAllBusySheds(t *testing.T) {
 	f := newFleet(t, 3, nil)
 	for _, fb := range f.backends {
-		fb.busy = 10
+		fb.reject(10, 0)
 	}
-	_, err := runSession(t, f.gw, &testHint)
+	_, err := runSession(t, f, &testHint)
 	var be *protocol.BusyError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected BusyError, got %v", err)
@@ -453,7 +543,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 		t.Fatalf("gateway health = %q with a partial fleet", got)
 	}
 
-	out, err := runSession(t, f.gw, &testHint)
+	out, err := runSession(t, f, &testHint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,9 +719,9 @@ func TestRouteOrder(t *testing.T) {
 // vanishes must not consume a backend.
 func TestClientGoneDuringPeek(t *testing.T) {
 	f := newFleet(t, 2, nil)
-	gwSide, cliSide := wire.Pipe()
+	gwSide, cliSide := net.Pipe()
 	cliSide.Close()
-	f.gw.HandleConn(gwSide) // synchronous: returns once the peek fails
+	f.handleNow(gwSide) // returns once the peek fails
 	f.drain()
 	if got := f.totalServed(); got != 0 {
 		t.Fatalf("fleet served %d sessions for a vanished client", got)
@@ -650,7 +740,7 @@ func TestOversizedPrefaceRefusedAtPeek(t *testing.T) {
 	p1, p2 := net.Pipe()
 	defer p2.Close()
 	go p2.Write([]byte{0x04, 0x00, 0x00, 0x00})
-	f.gw.HandleConn(wire.NewStreamConn(p1)) // synchronous: returns once the peek fails
+	f.handleNow(p1) // returns once the peek fails
 	f.drain()
 	if got := f.totalServed(); got != 0 {
 		t.Fatalf("fleet served %d sessions for an over-cap preface", got)
@@ -667,7 +757,7 @@ func TestOversizedPrefaceRefusedAtPeek(t *testing.T) {
 func TestRetryLayerRidesFailover(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	for _, fb := range f.backends {
-		fb.busy = 2 // both replicas reject the first two session attempts
+		fb.reject(2, 0) // both replicas reject the first two session attempts
 	}
 	cli, err := protocol.NewClient(rand.Reader)
 	if err != nil {
@@ -675,9 +765,11 @@ func TestRetryLayerRidesFailover(t *testing.T) {
 	}
 	cli.WithShapeHint(testHint)
 	rd, err := retry.NewReDialer(cli, func() (wire.Conn, error) {
-		gwSide, cliSide := wire.Pipe()
-		go f.gw.HandleConn(gwSide)
-		return cliSide, nil
+		nc, err := net.Dial("tcp", f.addr)
+		if err != nil {
+			return nil, err
+		}
+		return wire.NewStreamConn(nc), nil
 	}, retry.Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -703,7 +795,7 @@ func TestRetryLayerRidesFailover(t *testing.T) {
 // ends at zero.
 func TestDrainCleanWhenSessionsFinish(t *testing.T) {
 	f := newFleet(t, 1, nil)
-	out, err := runSession(t, f.gw, nil)
+	out, err := runSession(t, f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,13 +819,12 @@ func TestDrainDeadlineEscalatesToClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwSide, cliSide := wire.Pipe()
-	defer cliSide.Close()
-	go f.gw.HandleConn(gwSide)
+	nc := f.dial(t)
+	defer nc.Close()
 	// A completed Dial proves the session is committed and relaying;
 	// the client then goes idle without closing, so it can never drain
 	// on its own.
-	if _, err := cli.Dial(cliSide); err != nil {
+	if _, err := cli.Dial(wire.NewStreamConn(nc)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -129,7 +129,7 @@ func TestRetryBudgetShedsWhenExhausted(t *testing.T) {
 		fb.down = true
 		fb.mu.Unlock()
 	}
-	_, err := runSession(t, f.gw, &testHint)
+	_, err := runSession(t, f, &testHint)
 	var be *protocol.BusyError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected BusyError from the budget shed, got %v", err)
@@ -215,7 +215,7 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 	// Two shed sessions are enough to trip every breaker (EjectAfter=2,
 	// each session dials all three candidates).
 	for i := 0; i < 2; i++ {
-		if _, err := runSession(t, f.gw, &testHint); err == nil {
+		if _, err := runSession(t, f, &testHint); err == nil {
 			t.Fatal("session succeeded against a dead fleet")
 		}
 	}
@@ -223,7 +223,7 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 		t.Fatalf("%d backends still routable after the fleet died", n)
 	}
 	// Mid-cooldown the fleet is unroutable: sessions shed immediately.
-	if _, err := runSession(t, f.gw, &testHint); err == nil {
+	if _, err := runSession(t, f, &testHint); err == nil {
 		t.Fatal("session succeeded with every breaker open")
 	}
 
@@ -233,7 +233,7 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 		fb.mu.Unlock()
 	}
 	clock.Advance(cooldown + time.Second)
-	out, err := runSession(t, f.gw, &testHint)
+	out, err := runSession(t, f, &testHint)
 	if err != nil {
 		t.Fatalf("trial session failed against a revived fleet: %v", err)
 	}
