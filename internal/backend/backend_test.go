@@ -405,6 +405,8 @@ type panicConn struct{ wire.Conn }
 
 func (panicConn) SendMsg([]byte) error { panic("injected") }
 
+func (panicConn) SendMsgs([][]byte) error { panic("injected") }
+
 // TestPanicCostsOneConnection: a panic under a connection handler is
 // counted and logged, releases the session slot, and leaves the accept
 // loop serving. The handler's deferred recover runs after the slot is

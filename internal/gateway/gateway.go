@@ -28,6 +28,7 @@
 package gateway
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -407,14 +408,29 @@ func (g *Gateway) peek(conn net.Conn) (pending []byte, hint protocol.ShapeHint, 
 
 // recvFirstFrame reads a connection's first frame — a hint, ack, hello
 // or busy frame from a peer that has proven nothing yet — under the
-// set-up receive cap. The stream conn reads unbuffered, so conn is left
-// exactly on the next frame boundary for relay's byte copy. No frame is
-// read after commit: from there on the endpoints' own phase caps are
-// the only guard.
+// set-up receive cap. It reads the length prefix and then exactly the
+// body from conn, not through a stream conn, which would read ahead:
+// conn is left exactly on the next frame boundary, and whatever the
+// peer sent behind the frame is still in the socket for relay's byte
+// copy. No frame is read after commit: from there on the endpoints'
+// own phase caps are the only guard.
 func recvFirstFrame(conn net.Conn) ([]byte, error) {
-	sc := wire.NewStreamConn(conn)
-	wire.LimitRecv(sc, wire.SetupFrameLimit)
-	return sc.RecvMsg()
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		return nil, fmt.Errorf("gateway: reading frame header: %w", err)
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > wire.SetupFrameLimit {
+		return nil, fmt.Errorf("gateway: frame of %d bytes exceeds limit %d", n, wire.SetupFrameLimit)
+	}
+	frame := make([]byte, n)
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("gateway: reading frame body: %w", err)
+	}
+	return frame, nil
 }
 
 // route orders the backends for one session, hinted or not, with one

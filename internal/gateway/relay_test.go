@@ -173,6 +173,57 @@ func TestRelayForwardsBytesAfterPreface(t *testing.T) {
 	}
 }
 
+// TestRelayForwardsBytesAfterBackendFirstFrame is the backend's side of
+// TestRelayForwardsBytesAfterPreface: a backend that writes its first
+// frame and more bytes in one Write has all of them reach the client
+// verbatim. connect reads exactly the first frame, so what follows it is
+// still in the socket for the relay's copy.
+func TestRelayForwardsBytesAfterBackendFirstFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var sent bytes.Buffer
+	// Any first frame but BUSY commits the session.
+	if err := wire.NewStreamConn(&sent).SendMsg([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	sent.WriteString("\x00\x00\x00\x05trailing bytes of the next frame, and then some")
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		c.Write(sent.Bytes())
+		io.Copy(io.Discard, c) // until the gateway closes its side
+	}()
+	gw, err := New(Config{Backends: []Backend{{Addr: ln.Addr().String()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	addr := serveGateway(t, gw)
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := protocol.SendShapeHint(wire.NewStreamConn(nc), testHint); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := make([]byte, sent.Len())
+	if _, err := io.ReadFull(nc, got); err != nil {
+		t.Fatalf("client read %q before %v; want everything the backend wrote", got, err)
+	}
+	if !bytes.Equal(got, sent.Bytes()) {
+		t.Fatalf("client received %q, want %q", got, sent.Bytes())
+	}
+}
+
 // TestRelayOversizedFrameRefusedByBackend: the gateway parses nothing
 // after commit, so a client's 64 MiB length prefix right after the
 // hello reaches the backend, whose set-up cap refuses it before drawing

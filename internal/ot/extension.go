@@ -176,31 +176,46 @@ func NewExtensionSender(conn wire.Conn, rnd io.Reader) (*ExtensionSender, error)
 // Send transfers one batch of message pairs; the connected receiver
 // must call Receive with the same batch size.
 func (es *ExtensionSender) Send(pairs [][2]Message) error {
-	return send(es, len(pairs), func(j int) (Message, Message) { return pairs[j][0], pairs[j][1] })
+	return es.ship(answer(es, len(pairs), func(j int) (Message, Message) { return pairs[j][0], pairs[j][1] }))
 }
 
-// send is the sender's half of one batch of m transfers; pair yields
-// transfer j's two messages. The ciphertext frame is built in es.out
-// and reused by the next batch, which wire.Conn's SendMsg contract
-// allows; the received u matrix is recycled once it is consumed.
-func send[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) error {
+// ship sends a batch's ciphertext frame, or returns the error that
+// kept answer from building it; an empty batch has no frame.
+func (es *ExtensionSender) ship(out []byte, err error) error {
+	if err != nil || out == nil {
+		return err
+	}
+	if err := es.conn.SendMsg(out); err != nil {
+		return fmt.Errorf("ot: extension sender shipping ciphertexts: %w", err)
+	}
+	return nil
+}
+
+// answer is the sender's half of one batch of m transfers, short of the
+// send; pair yields transfer j's two messages. It returns the
+// ciphertext frame, nil for an empty batch. The frame is built in
+// es.out and reused by the next batch, which wire.Conn's SendMsg
+// contract allows, unless the batch is larger than RetainLabels: then
+// it is a buffer of its own that the sender does not keep. The
+// received u matrix is recycled once it is consumed.
+func answer[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) ([]byte, error) {
 	if m == 0 {
-		return nil
+		return nil, nil
 	}
 	mBytes := (m + 7) / 8
 
 	u, err := es.conn.RecvMsg()
 	if err != nil {
-		return fmt.Errorf("ot: extension sender reading u matrix: %w", err)
+		return nil, fmt.Errorf("ot: extension sender reading u matrix: %w", err)
 	}
 	defer wire.Recycle(u)
 	if len(u) != Kappa*mBytes {
-		return fmt.Errorf("ot: extension sender got %d u bytes, want %d", len(u), Kappa*mBytes)
+		return nil, fmt.Errorf("ot: extension sender got %d u bytes, want %d", len(u), Kappa*mBytes)
 	}
 
-	es.out = scratch(es.out, 32*m)
-	if m > RetainLabels {
-		defer func() { es.out = nil }()
+	out := scratch(es.out, 32*m)
+	if m <= RetainLabels {
+		es.out = out
 	}
 	var rows [8]Message
 	for base := 0; base < mBytes; base += chunkBytes {
@@ -223,16 +238,13 @@ func send[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) erro
 				m0, m1 := pair(j)
 				y0 := xorMsg(Message(m0), rowHash(idx, rows[k]))
 				y1 := xorMsg(Message(m1), rowHash(idx, xorMsg(rows[k], es.sPacked)))
-				copy(es.out[32*j:], y0[:])
-				copy(es.out[32*j+16:], y1[:])
+				copy(out[32*j:], y0[:])
+				copy(out[32*j+16:], y1[:])
 			}
 		}
 	}
 	es.index += uint64(m)
-	if err := es.conn.SendMsg(es.out); err != nil {
-		return fmt.Errorf("ot: extension sender shipping ciphertexts: %w", err)
-	}
-	return nil
+	return out, nil
 }
 
 // ExtensionReceiver is the choice-bit holder (the GC evaluator) of an

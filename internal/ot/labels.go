@@ -7,7 +7,15 @@ import "maxelerator/internal/label"
 // matching each of its choice bits. pairs is read in place and not
 // retained.
 func SendLabels(es *ExtensionSender, pairs []label.Pair) error {
-	return send(es, len(pairs), func(j int) (label.Label, label.Label) { return pairs[j].False, pairs[j].True })
+	return es.ship(AnswerLabels(es, pairs))
+}
+
+// AnswerLabels is SendLabels without the send: it reads the receiver's
+// u matrix and returns the ciphertext frame that answers it, for the
+// caller to send next on the same connection, before the sender's next
+// batch, which may reuse the frame's buffer.
+func AnswerLabels(es *ExtensionSender, pairs []label.Pair) ([]byte, error) {
+	return answer(es, len(pairs), func(j int) (label.Label, label.Label) { return pairs[j].False, pairs[j].True })
 }
 
 // ReceiveLabels obtains the active labels for the receiver's input

@@ -246,6 +246,13 @@ func (c *tapConn) SendMsg(msg []byte) error {
 	return c.Conn.SendMsg(msg)
 }
 
+func (c *tapConn) SendMsgs(msgs [][]byte) error {
+	for _, msg := range msgs {
+		c.sent = append(c.sent, append([]byte(nil), msg...))
+	}
+	return c.Conn.SendMsgs(msgs)
+}
+
 // TestBaseOTKeyAgreement checks the keys themselves, not just the
 // delivered message: with all-zero pairs the ciphertexts on the wire
 // are the sender's (k0, k1), and the receiver's output is

@@ -631,6 +631,8 @@ func (c *rewriteSend) SendMsg(msg []byte) error {
 	return c.Conn.SendMsg(msg)
 }
 
+func (c *rewriteSend) SendMsgs(msgs [][]byte) error { return sendEach(c, msgs) }
+
 // Unwrap keeps wire.AsDeadline transparent, so phase budgets still bind.
 func (c *rewriteSend) Unwrap() wire.Conn { return c.Conn }
 

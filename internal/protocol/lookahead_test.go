@@ -143,6 +143,8 @@ func (c *holdMaterial) SendMsg(m []byte) error {
 	return c.Conn.SendMsg(m)
 }
 
+func (c *holdMaterial) SendMsgs(ms [][]byte) error { return sendEach(c, ms) }
+
 func (c *holdMaterial) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return c.Conn.Close()
@@ -175,6 +177,8 @@ func (c *countRequests) SendMsg(m []byte) error {
 	}
 	return nil
 }
+
+func (c *countRequests) SendMsgs(ms [][]byte) error { return sendEach(c, ms) }
 
 func (c *countRequests) Unwrap() wire.Conn { return c.Conn }
 

@@ -30,11 +30,22 @@ type recordingConn struct {
 }
 
 func (r *recordingConn) SendMsg(m []byte) error {
+	r.record(m)
+	return r.Conn.SendMsg(m)
+}
+
+func (r *recordingConn) SendMsgs(ms [][]byte) error {
+	for _, m := range ms {
+		r.record(m)
+	}
+	return r.Conn.SendMsgs(ms)
+}
+
+func (r *recordingConn) record(m []byte) {
 	cp := append([]byte(nil), m...)
 	r.mu.Lock()
 	r.sent = append(r.sent, cp)
 	r.mu.Unlock()
-	return r.Conn.SendMsg(m)
 }
 
 func (r *recordingConn) frames() [][]byte {

@@ -67,6 +67,17 @@ func clientRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 	return out, nil
 }
 
+// sendEach sends msgs through c one SendMsg at a time: a test wrapper's
+// SendMsgs, so that its SendMsg hook sees every frame of a batch.
+func sendEach(c wire.Conn, msgs [][]byte) error {
+	for _, m := range msgs {
+		if err := c.SendMsg(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runSession wires a server and client over an in-memory pipe.
 func runSession(t *testing.T, cfg maxsim.Config, A [][]int64, y []int64) (serverOut []int64, clientOut []int64, st Stats) {
 	t.Helper()
@@ -576,8 +587,10 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 // otAnswers is the server's side of a connection: it counts the OT
 // answers the server sends once a request is open, and their labels.
 // Inside a request the server receives only u matrices, then the
-// result, and the OT sender answers each u matrix with its next frame,
-// 32 bytes a transfer; every call runs on the session goroutine.
+// result, and the OT sender answers each u matrix with the last frame
+// of its next send, 32 bytes a transfer: a SendMsg, or a SendMsgs that
+// carries a round's material ahead of the answer. Every call runs on
+// the session goroutine.
 type otAnswers struct {
 	wire.Conn
 	open, answer       bool // a request is open; a u matrix awaits its answer
@@ -595,12 +608,21 @@ func (c *otAnswers) RecvMsg() ([]byte, error) {
 }
 
 func (c *otAnswers) SendMsg(m []byte) error {
+	c.count(m)
+	return c.Conn.SendMsg(m)
+}
+
+func (c *otAnswers) SendMsgs(ms [][]byte) error {
+	c.count(ms[len(ms)-1])
+	return c.Conn.SendMsgs(ms)
+}
+
+func (c *otAnswers) count(m []byte) {
 	if c.answer {
 		c.answer = false
 		c.answers++
 		c.transfers += len(m) / 32
 	}
-	return c.Conn.SendMsg(m)
 }
 
 func (c *otAnswers) Unwrap() wire.Conn { return c.Conn }

@@ -4,15 +4,17 @@ package protocol
 // lanes (parallel.go) queue each round as soon as it is garbled, and
 // the session goroutine frames its material with one bulk copy
 // (gc.AppendMaterial appends the round's table block, already in wire
-// layout, to a wire.Arena buffer; one SendMsg per frame) and runs the
-// OT, which only row 0's rounds carry. Round 0's frame therefore
-// leaves while the rest of the row is still being garbled (in batched
-// mode, once row 0 is garbled and its one OT done), the way
-// MAXelerator's PCIe link drains each table while the FSM garbles the
-// next. A precompute hit frames the entry's rounds in a plain loop.
-// The bytes on the wire are byte-identical to the buffered path at any
-// lane count or queue depth — only the timing and the buffering
-// change, which is what the bytes_buffered_peak gauge exists to prove.
+// layout, to a wire.Arena buffer) and runs the OT, which only row 0's
+// rounds carry. Round 0's frame therefore leaves while the rest of the
+// row is still being garbled (in batched mode, once row 0 is garbled
+// and its one OT done), the way MAXelerator's PCIe link drains each
+// table while the FSM garbles the next. A precompute hit frames the
+// entry's rounds in a plain loop. A frame is one write, except that a
+// per-round OT answer whose u matrix is already read ahead shares its
+// round's write. The bytes on the wire are byte-identical to the
+// buffered path at any lane count or queue depth — only the timing and
+// the buffering change, which is what the bytes_buffered_peak gauge
+// exists to prove.
 
 import (
 	"context"
@@ -58,32 +60,76 @@ type rowStreamer struct {
 	cols int           // rounds per row
 	n    int           // rounds consumed so far
 	held []*gc.Garbled // batched mode: row 0's rounds, held for the one OT
+	pair [2][]byte     // per-round mode: a round's material and OT answer, one SendMsgs
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
 	return &rowStreamer{sess: sess, ot: mode, fw: wire.NewFrameWriter(sess.tc, sess.srv.arena)}
 }
 
-// sendMaterialFramed ships one round's garbled material behind the
-// material tag, assembling the frame in a pooled arena buffer: the
-// round's table block is copied in whole, nothing is allocated. The
-// watermark drops by the round's bytes once they are on the wire.
-func (st *rowStreamer) sendMaterialFramed(gb *gc.Garbled) error {
+// frameMaterial assembles one round's garbled material behind the
+// material tag in a pooled arena buffer: the round's table block is
+// copied in whole, nothing is allocated.
+func (st *rowStreamer) frameMaterial(gb *gc.Garbled) (*wire.Buf, error) {
 	m := &gb.Material
 	size, err := gc.MaterialSize(m)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	buf := st.fw.Begin(1 + size)
 	buf.B = append(buf.B, tagMaterial)
 	if buf.B, err = gc.AppendMaterial(buf.B, m); err != nil {
 		buf.Free()
+		return nil, err
+	}
+	return buf, nil
+}
+
+// sendMaterialFramed ships one round's material frame. The watermark
+// drops by the round's bytes once they are on the wire.
+func (st *rowStreamer) sendMaterialFramed(gb *gc.Garbled) error {
+	buf, err := st.frameMaterial(gb)
+	if err != nil {
 		return err
 	}
 	if err := st.fw.Send(buf); err != nil {
 		return err
 	}
-	st.wm.add(-int64(m.CiphertextBytes()))
+	st.wm.add(-int64(gb.Material.CiphertextBytes()))
+	return nil
+}
+
+// sendPerRound ships a per-round row-0 round: its material, then the
+// answer to its OT. When the client's u matrix, which it sends up to
+// otLookahead rounds early, is already read ahead, the answer is built
+// first and both frames leave in one write, the material's buffer
+// checked out until that write returns. Otherwise the material goes
+// first and the OT waits for u, so a client that sends u only once the
+// material has arrived is still served. The bytes on the wire are the
+// same either way.
+func (st *rowStreamer) sendPerRound(gb *gc.Garbled) error {
+	tc := st.sess.tc
+	if !wire.FrameBuffered(tc) {
+		if err := st.sendMaterialFramed(gb); err != nil {
+			return err
+		}
+		return ot.SendLabels(st.sess.sender, gb.EvalPairs)
+	}
+	buf, err := st.frameMaterial(gb)
+	if err != nil {
+		return err
+	}
+	cts, err := ot.AnswerLabels(st.sess.sender, gb.EvalPairs)
+	if err == nil {
+		st.pair = [2][]byte{buf.B, cts}
+		err = tc.SendMsgs(st.pair[:])
+		st.pair = [2][]byte{}
+	}
+	buf.Free()
+	if err != nil {
+		return err
+	}
+	st.wm.add(-int64(gb.Material.CiphertextBytes()))
 	return nil
 }
 
@@ -103,13 +149,14 @@ func (st *rowStreamer) consume(gb *gc.Garbled) error {
 		}
 		return st.sendHeld()
 	}
-	if err := st.sendMaterialFramed(gb); err != nil {
-		return err
-	}
+	var err error
 	if row0 {
-		if err := ot.SendLabels(st.sess.sender, gb.EvalPairs); err != nil {
-			return err
-		}
+		err = st.sendPerRound(gb)
+	} else {
+		err = st.sendMaterialFramed(gb)
+	}
+	if err != nil {
+		return err
 	}
 	st.rounds.Put(gb)
 	return nil

@@ -252,6 +252,8 @@ func (c *materialWatchConn) SendMsg(m []byte) error {
 	return err
 }
 
+func (c *materialWatchConn) SendMsgs(ms [][]byte) error { return sendEach(c, ms) }
+
 // TestFirstFrameLeavesEarly: every lane queues each round as soon as
 // it is garbled, and the session goroutine frames it from the queue
 // straight onto the wire. The round hook holds the garbling of row 0's

@@ -198,6 +198,16 @@ func (tc *timedConn) SendMsg(msg []byte) error {
 	return tc.classify(phase, budget, tc.inner.SendMsg(msg))
 }
 
+// SendMsgs implements wire.Conn under the current phase budget, armed
+// once for the whole batch.
+func (tc *timedConn) SendMsgs(msgs [][]byte) error {
+	phase, budget, err := tc.arm()
+	if err != nil {
+		return err
+	}
+	return tc.classify(phase, budget, tc.inner.SendMsgs(msgs))
+}
+
 // RecvMsg implements wire.Conn under the current phase budget.
 func (tc *timedConn) RecvMsg() ([]byte, error) {
 	phase, budget, err := tc.arm()

@@ -142,12 +142,42 @@ func (c *Conn) flake() bool {
 
 // SendMsg implements wire.Conn with the scripted send-side faults.
 func (c *Conn) SendMsg(msg []byte) error {
+	if err := c.sendFault(nil); err != nil {
+		return err
+	}
+	return c.inner.SendMsg(msg)
+}
+
+// SendMsgs implements wire.Conn: each frame counts as one send and
+// meets that send's faults, the frames ahead of a faulted one go out
+// before its fault strikes, as they would have one SendMsg at a time,
+// and a batch with no fault goes out whole.
+func (c *Conn) SendMsgs(msgs [][]byte) error {
+	for i := range msgs {
+		if err := c.sendFault(msgs[:i]); err != nil {
+			return err
+		}
+	}
+	return c.inner.SendMsgs(msgs)
+}
+
+// sendFault counts one send and applies its scripted delay and fault,
+// sending ahead, the frames of its batch before it, just before a
+// fault.
+func (c *Conn) sendFault(ahead [][]byte) error {
 	c.mu.Lock()
 	c.sends++
 	n := c.sends
 	c.mu.Unlock()
 	if err := c.delay(c.opts.SendDelay); err != nil {
 		return err
+	}
+	scripted := n == c.opts.StallOnSend || n == c.opts.ErrOnSend || n == c.opts.CloseOnSend
+	flaky := !scripted && c.flake()
+	if (scripted || flaky) && len(ahead) > 0 {
+		if err := c.inner.SendMsgs(ahead); err != nil {
+			return err
+		}
 	}
 	switch {
 	case n == c.opts.StallOnSend:
@@ -157,11 +187,10 @@ func (c *Conn) SendMsg(msg []byte) error {
 	case n == c.opts.CloseOnSend:
 		c.Close()
 		return fmt.Errorf("faultconn: send %d closed the connection: %w", n, ErrInjected)
-	}
-	if c.flake() {
+	case flaky:
 		return fmt.Errorf("faultconn: flaky send %d: %w", n, ErrInjected)
 	}
-	return c.inner.SendMsg(msg)
+	return nil
 }
 
 // RecvMsg implements wire.Conn with the scripted receive-side faults.
@@ -209,7 +238,8 @@ func (c *Conn) Ops() (sends, recvs int) {
 // Stream wraps a byte stream (placed beneath wire.NewStreamConn) with
 // byte-level write faults. Under the wire framing each message is two
 // writes — a 4-byte length prefix, then the body — so write index 2k+1
-// is the k-th message's header and 2k+2 its body (1-based).
+// is the k-th message's header and 2k+2 its body (1-based), whether the
+// messages were sent one by one or in one SendMsgs.
 type Stream struct {
 	rw io.ReadWriter
 

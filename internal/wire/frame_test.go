@@ -52,8 +52,92 @@ func TestSendMsgStreamByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSendMsgsStreamParity: a batch sent with one SendMsgs reaches a
+// transport that is not a TCP socket as each frame's header Write then
+// its body Write, the parity the fault harness counts on, and as the
+// same bytes SendMsg sends one frame at a time.
+func TestSendMsgsStreamParity(t *testing.T) {
+	batch := [][]byte{[]byte("material"), nil, []byte("ciphertexts")}
+	var log writeLog
+	if err := NewStreamConn(&log).SendMsgs(batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.writes) != 2*len(batch) {
+		t.Fatalf("a batch of %d frames took %d writes, want %d", len(batch), len(log.writes), 2*len(batch))
+	}
+	var one bytes.Buffer
+	for i, msg := range batch {
+		var hdr [frameHeaderSize]byte
+		binary.BigEndian.PutUint32(hdr[:], uint32(len(msg)))
+		if !bytes.Equal(log.writes[2*i], hdr[:]) || !bytes.Equal(log.writes[2*i+1], msg) {
+			t.Fatalf("frame %d: writes %q, %q; want its header, then its body", i, log.writes[2*i], log.writes[2*i+1])
+		}
+		if err := NewStreamConn(&one).SendMsg(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := bytes.Join(log.writes, nil); !bytes.Equal(got, one.Bytes()) {
+		t.Fatal("SendMsgs wrote other bytes than SendMsg one frame at a time")
+	}
+	if err := NewStreamConn(&log).SendMsgs([][]byte{nil, make([]byte, MaxMessageSize+1)}); err == nil {
+		t.Fatal("a batch with an oversized frame was sent")
+	}
+}
+
+// TestReadAheadHeldOnlyWhileUnread: a stream conn holds its read-ahead
+// buffer only while it holds bytes not yet returned, and FrameBuffered
+// is true exactly when a whole frame is among them.
+func TestReadAheadHeldOnlyWhileUnread(t *testing.T) {
+	var stream bytes.Buffer
+	w := NewStreamConn(&stream)
+	for _, msg := range []string{"one", "two"} {
+		if err := w.SendMsg([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream.Write([]byte{0, 0, 0, 5, 't', 'h'}) // a third frame, cut short
+	c := NewStreamConn(&stream)
+	sc := c.(*streamConn)
+	if FrameBuffered(c) {
+		t.Fatal("FrameBuffered before any read")
+	}
+	if msg, err := c.RecvMsg(); err != nil || string(msg) != "one" {
+		t.Fatalf("first frame %q, %v", msg, err)
+	}
+	if sc.rbuf == nil || !FrameBuffered(Observed(NewCounting(c), nil, nil)) {
+		t.Fatal("the second frame, read with the first, is not held")
+	}
+	if msg, err := c.RecvMsg(); err != nil || string(msg) != "two" {
+		t.Fatalf("second frame %q, %v", msg, err)
+	}
+	if sc.rbuf == nil || FrameBuffered(c) {
+		t.Fatal("want the third frame's first bytes held, and no whole frame")
+	}
+	stream.Write([]byte("ree"))
+	if msg, err := c.RecvMsg(); err != nil || string(msg) != "three" {
+		t.Fatalf("third frame %q, %v", msg, err)
+	}
+	if sc.rbuf != nil {
+		t.Fatalf("a drained conn still holds a %d-byte read-ahead buffer", cap(sc.rbuf))
+	}
+
+	a, b := Pipe()
+	defer a.Close()
+	if FrameBuffered(b) {
+		t.Fatal("FrameBuffered on an empty pipe")
+	}
+	if err := a.SendMsg([]byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	if !FrameBuffered(b) {
+		t.Fatal("FrameBuffered false with a message queued on the pipe")
+	}
+}
+
 // TestSendMsgStreamOverSocket exercises the writev path a real TCP
-// transport takes and checks the peer reassembles whole messages.
+// transport takes and checks the peer reassembles whole messages. The
+// peer receives through one stream conn: a conn reads ahead, so a
+// second conn over the same socket would miss what the first holds.
 func TestSendMsgStreamOverSocket(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -68,9 +152,10 @@ func TestSendMsgStreamOverSocket(t *testing.T) {
 			return
 		}
 		defer c.Close()
+		conn := NewStreamConn(c)
 		var got [][]byte
 		for range sent {
-			msg, err := NewStreamConn(c).RecvMsg()
+			msg, err := conn.RecvMsg()
 			if err != nil {
 				break
 			}

@@ -43,6 +43,12 @@ type Conn interface {
 	// bytes out, the pipe has copied them, the wrappers delegate) and a
 	// new implementation must.
 	SendMsg(msg []byte) error
+	// SendMsgs transmits msgs in order, as SendMsg would one by one,
+	// under the same no-retain contract; a stream conn writes them with
+	// one writev. A wrapper that hooks SendMsg must hook every frame of
+	// SendMsgs too, or the embedded Conn's SendMsgs would carry frames
+	// past its hook.
+	SendMsgs(msgs [][]byte) error
 	// RecvMsg receives the next message. The message is the caller's:
 	// no Conn keeps a reference to it. A caller done with it may hand
 	// it back with Recycle, so a later RecvMsg on any Conn reuses its
@@ -97,70 +103,170 @@ func AsDeadline(c Conn) (DeadlineConn, bool) {
 // big-endian length prefix.
 type streamConn struct {
 	rw  io.ReadWriter
-	wmu sync.Mutex // serialises writers: header and body must stay adjacent
-	rmu sync.Mutex // serialises readers: header and body must be read by one caller
+	wmu sync.Mutex // serialises writers: a batch's headers and bodies must stay adjacent
+	rmu sync.Mutex // serialises readers: a frame must be read by one caller
 
-	// Send scratch, guarded by wmu: the header bytes and the
-	// header-then-body buffer list of the frame being written live here
-	// so SendMsg allocates nothing per message.
-	whdr  [frameHeaderSize]byte
-	wvec  [2][]byte
+	// Send scratch, guarded by wmu: the headers and the header-then-body
+	// buffer list of the batch being written live here, so a send
+	// allocates nothing once they have grown to the largest batch.
+	whdr  []byte
+	wvec  [][]byte
 	wbufs net.Buffers
-	// rhdr is the receive side's header scratch, guarded by rmu: a
-	// local array would escape through the io.Reader interface.
-	rhdr [frameHeaderSize]byte
+
+	// Read-ahead, guarded by rmu: rbuf[roff:] are bytes read from the
+	// transport and not yet returned. rbuf is drawn from the body size
+	// classes when a read needs it and recycled as soon as RecvMsg
+	// drains it, so a conn holds it only while it holds unread bytes.
+	rbuf []byte
+	roff int
 
 	// rlimit is the largest frame RecvMsg accepts; zero means
 	// MaxMessageSize. See LimitRecv.
 	rlimit atomic.Int64
 }
 
+// readAhead bounds one read of the transport: a frame whose header and
+// body fit in it is served from the read-ahead buffer, together with
+// whatever that read brought in behind it; a larger body is read
+// straight into its own buffer.
+const readAhead = 64 << 10
+
 // NewStreamConn wraps a byte stream (e.g. a *net.TCPConn) as a Conn.
 // Closing the Conn closes the underlying stream when it implements
-// io.Closer.
+// io.Closer. RecvMsg reads ahead of the frame it returns, so every
+// frame of a stream must be received through the one Conn: a second
+// stream conn over the same reader, or a direct Read, misses the bytes
+// the first one holds. Wrapping a stream again only to send is fine.
 func NewStreamConn(rw io.ReadWriter) Conn { return &streamConn{rw: rw} }
 
-// SendMsg writes the length prefix and the payload with one
-// net.Buffers write: a single writev — one syscall, one TCP segment for
-// a small frame — when the transport is a *net.TCPConn, and the header
-// Write followed by the body Write on any other io.Writer.
-func (c *streamConn) SendMsg(msg []byte) error {
-	if len(msg) > MaxMessageSize {
-		return fmt.Errorf("wire: message of %d bytes exceeds limit %d", len(msg), MaxMessageSize)
+// SendMsg is SendMsgs of one frame.
+func (c *streamConn) SendMsg(msg []byte) error { return c.SendMsgs([][]byte{msg}) }
+
+// SendMsgs writes every frame's length prefix and payload with one
+// net.Buffers write: a single writev — one syscall, and one TCP segment
+// for a small batch — when the transport is a *net.TCPConn, and each
+// frame's header Write followed by its body Write on any other
+// io.Writer.
+func (c *streamConn) SendMsgs(msgs [][]byte) error {
+	for _, msg := range msgs {
+		if len(msg) > MaxMessageSize {
+			return fmt.Errorf("wire: message of %d bytes exceeds limit %d", len(msg), MaxMessageSize)
+		}
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(len(msg)))
-	c.wvec[0], c.wvec[1] = c.whdr[:], msg
-	c.wbufs = c.wvec[:]
+	if n := frameHeaderSize * len(msgs); cap(c.whdr) < n {
+		c.whdr, c.wvec = make([]byte, n), make([][]byte, 0, 2*len(msgs))
+	}
+	c.wvec = c.wvec[:0]
+	for i, msg := range msgs {
+		hdr := c.whdr[frameHeaderSize*i : frameHeaderSize*(i+1)]
+		binary.BigEndian.PutUint32(hdr, uint32(len(msg)))
+		c.wvec = append(c.wvec, hdr, msg)
+	}
+	c.wbufs = c.wvec
 	_, err := c.wbufs.WriteTo(c.rw)
-	c.wvec[1] = nil // do not pin the caller's buffer until the next send
+	clear(c.wvec) // do not pin the caller's buffers until the next send
 	if err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	return nil
 }
 
+// RecvMsg returns the next frame. A frame that fits in the read-ahead
+// window is copied out of the read-ahead buffer, filled by as few reads
+// as the transport allows; a larger one has its header and whatever
+// was read ahead of its body copied, and the rest of the body read
+// straight into it. A length prefix over the receive cap is refused
+// before any body is drawn.
 func (c *streamConn) RecvMsg() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
-	if _, err := io.ReadFull(c.rw, c.rhdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(c.rhdr[:])
+	defer c.drained()
 	limit := c.rlimit.Load()
 	if limit <= 0 || limit > MaxMessageSize {
 		limit = MaxMessageSize
 	}
+	// Under the set-up cap a read asks for no more than the largest
+	// frame the cap admits.
+	window := int(min(readAhead, limit+frameHeaderSize))
+	if err := c.fill(frameHeaderSize, window); err != nil {
+		return nil, fmt.Errorf("wire: reading frame header: %w", err)
+	}
+	n := int(binary.BigEndian.Uint32(c.rbuf[c.roff:]))
 	if int64(n) > limit {
+		c.roff += frameHeaderSize
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	msg := body(int(n))
-	if _, err := io.ReadFull(c.rw, msg); err != nil {
-		Recycle(msg)
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
+	if frameHeaderSize+n <= window {
+		if err := c.fill(frameHeaderSize+n, window); err != nil {
+			return nil, fmt.Errorf("wire: reading frame body: %w", err)
+		}
+	}
+	c.roff += frameHeaderSize
+	msg := body(n)
+	k := copy(msg, c.rbuf[c.roff:])
+	c.roff += k
+	if k < n { // past the window: the rest of the body goes straight into msg
+		c.drained()
+		if _, err := io.ReadFull(c.rw, msg[k:]); err != nil {
+			Recycle(msg)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("wire: reading frame body: %w", err)
+		}
 	}
 	return msg, nil
+}
+
+// fill reads until the read-ahead buffer holds need unread bytes, need
+// ≤ window, with no read asking for more than window bytes beyond
+// what is unread. A stream that ends with nothing unread is io.EOF, one
+// that ends inside a frame io.ErrUnexpectedEOF.
+func (c *streamConn) fill(need, window int) error {
+	have := len(c.rbuf) - c.roff
+	if have >= need {
+		return nil
+	}
+	switch {
+	case cap(c.rbuf) < window: // the first read, or the cap was lifted
+		b := body(window)[:have]
+		copy(b, c.rbuf[c.roff:])
+		Recycle(c.rbuf)
+		c.rbuf, c.roff = b, 0
+	case c.roff+window > cap(c.rbuf):
+		c.rbuf = c.rbuf[:copy(c.rbuf, c.rbuf[c.roff:])]
+		c.roff = 0
+	}
+	for len(c.rbuf)-c.roff < need {
+		n, err := c.rw.Read(c.rbuf[len(c.rbuf) : c.roff+window])
+		c.rbuf = c.rbuf[:len(c.rbuf)+n]
+		if err != nil && len(c.rbuf)-c.roff < need {
+			if err == io.EOF && len(c.rbuf) > c.roff {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// drained hands the read-ahead buffer back once nothing in it is unread.
+func (c *streamConn) drained() {
+	if c.roff == len(c.rbuf) {
+		Recycle(c.rbuf)
+		c.rbuf, c.roff = nil, 0
+	}
+}
+
+// frameBuffered reports whether a whole frame is read ahead.
+func (c *streamConn) frameBuffered() bool {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	have := c.rbuf[c.roff:]
+	return len(have) >= frameHeaderSize &&
+		int64(len(have)-frameHeaderSize) >= int64(binary.BigEndian.Uint32(have))
 }
 
 func (c *streamConn) Close() error {
@@ -305,6 +411,19 @@ func (p *pipeConn) SendMsg(msg []byte) error {
 	}
 }
 
+// SendMsgs sends each message in turn; a pipe has no syscall to save.
+func (p *pipeConn) SendMsgs(msgs [][]byte) error {
+	for _, msg := range msgs {
+		if err := p.SendMsg(msg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// frameBuffered reports whether a message is queued.
+func (p *pipeConn) frameBuffered() bool { return len(p.recv) > 0 }
+
 func (p *pipeConn) RecvMsg() ([]byte, error) {
 	if isClosedChan(p.deadline.wait()) {
 		return nil, errPipeTimeout
@@ -367,6 +486,20 @@ func (c *Counting) SendMsg(msg []byte) error {
 	return err
 }
 
+// SendMsgs implements Conn, tallying each frame.
+func (c *Counting) SendMsgs(msgs [][]byte) error {
+	err := c.Conn.SendMsgs(msgs)
+	if err == nil {
+		c.mu.Lock()
+		for _, msg := range msgs {
+			c.sent += int64(len(msg))
+		}
+		c.sentMsgs += int64(len(msgs))
+		c.mu.Unlock()
+	}
+	return err
+}
+
 // RecvMsg implements Conn.
 func (c *Counting) RecvMsg() ([]byte, error) {
 	msg, err := c.Conn.RecvMsg()
@@ -413,6 +546,16 @@ func (c *observedConn) SendMsg(msg []byte) error {
 	return err
 }
 
+func (c *observedConn) SendMsgs(msgs [][]byte) error {
+	err := c.Conn.SendMsgs(msgs)
+	if err == nil && c.onSend != nil {
+		for _, msg := range msgs {
+			c.onSend(len(msg) + frameHeaderSize)
+		}
+	}
+	return err
+}
+
 func (c *observedConn) RecvMsg() ([]byte, error) {
 	msg, err := c.Conn.RecvMsg()
 	if err == nil && c.onRecv != nil {
@@ -453,6 +596,26 @@ func PeerAddr(c Conn) string {
 		}
 	}
 	return ""
+}
+
+// FrameBuffered reports whether the next RecvMsg on c returns without
+// waiting on the transport: a whole frame is already read ahead by the
+// stream connection underneath c, or queued on its pipe. A caller that
+// may either send first or receive first uses it to receive first only
+// when that cannot block. Only c's reader may ask, since another
+// reader's RecvMsg would change the answer.
+func FrameBuffered(c Conn) bool {
+	for c != nil {
+		if fb, ok := c.(interface{ frameBuffered() bool }); ok {
+			return fb.frameBuffered()
+		}
+		u, ok := c.(connUnwrapper)
+		if !ok {
+			return false
+		}
+		c = u.Unwrap()
+	}
+	return false
 }
 
 // LimitRecv caps the frames the stream connection underneath c accepts
