@@ -111,34 +111,41 @@ func (c *corkConn) uncork() error {
 
 func (c *corkConn) Unwrap() wire.Conn { return c.Conn }
 
-// requestsFirstRun is a one-row per-round client that sends its request
-// open and every round's u matrix in one write before it reads the
-// request header, so every u matrix is already read ahead when the
-// server reaches its round. Dial, one request, Close. It writes once
-// the server's set-up is done, so that no set-up read, which asks for
-// no more than the set-up cap, takes in part of the request; it closes
-// sent once the write has returned.
-func requestsFirstRun(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}, sent chan<- struct{}) ([]int64, error) {
+// requestsFirst dials, then sends a request open and every round's u
+// matrix for y in one write, before reading the request header, so that
+// every u matrix is already read ahead when the server reaches its
+// round. It writes once setUp closes, when the server's set-up is done,
+// so that no set-up read, which asks for no more than the set-up cap,
+// takes in part of the request.
+func requestsFirst(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}) (*ClientSession, []ot.Pending[label.Label], error) {
 	cork := &corkConn{Conn: conn}
 	cs, err := c.Dial(cork)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	<-setUp
 	cork.corked = true
 	if err := cs.tc.SendMsg([]byte{tagReqOpen}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pending := make([]ot.Pending[label.Label], len(y))
 	for k, v := range y {
 		if pending[k], err = ot.RequestLabels(cs.receiver, circuit.Int64ToBits(v, cs.h.Width)); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if err := cork.uncork(); err != nil {
+	return cs, pending, cork.uncork()
+}
+
+// requestsFirstRun is a one-row per-round client that sends its requests
+// first (requestsFirst) and closes sent once they are written. Dial, one
+// request, Close.
+func requestsFirstRun(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}, sent chan<- struct{}) ([]int64, error) {
+	cs, pending, err := requestsFirst(c, conn, y, setUp)
+	close(sent)
+	if err != nil {
 		return nil, err
 	}
-	close(sent)
 	hdr, err := recvFrame(cs.tc, parseReqHeader)
 	if err != nil {
 		return nil, err
@@ -225,12 +232,12 @@ func TestPerRoundSyscalls(t *testing.T) {
 				srvConn = newWriteCounter(wire.NewStreamConn(srvSock))
 				defer srvConn.Close()
 				sess, err := srv.NewSession(srvConn, SessionConfig{GarbleWorkers: 2})
+				close(setUp)
 				if err != nil {
 					srvErr = err
 					return
 				}
 				defer sess.Close()
-				close(setUp)
 				<-sent
 				req := Request{Matrix: A, OT: OTPerRound}
 				if _, srvErr = sess.Serve(req); srvErr == nil {
@@ -256,6 +263,9 @@ func TestPerRoundSyscalls(t *testing.T) {
 				t.Fatal(err)
 			}
 			out, err := run(cli, cliConn, y)
+			if err != nil {
+				cliConn.Close() // ends the server's session too
+			}
 			wg.Wait()
 			if err != nil || srvErr != nil {
 				t.Fatalf("client %v, server %v", err, srvErr)
@@ -317,12 +327,12 @@ func TestPerRoundStallMidBatch(t *testing.T) {
 		srvConn = newWriteCounter(wire.NewStreamConn(c))
 		defer srvConn.Close()
 		sess, err := srv.NewSession(srvConn, SessionConfig{GarbleWorkers: 2})
+		setupWrites = srvConn.writes
+		close(setUp)
 		if err != nil {
 			srvDone <- err
 			return
 		}
-		setupWrites = srvConn.writes
-		close(setUp)
 		<-sent
 		_, err = sess.Serve(Request{Matrix: A, OT: OTPerRound})
 		sess.Close() // before the report: the gauges are read on receipt
@@ -339,25 +349,11 @@ func TestPerRoundStallMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cork := &corkConn{Conn: wire.NewStreamConn(nc)}
-	cs, err := cli.Dial(cork)
+	cs, _, err := requestsFirst(cli, wire.NewStreamConn(nc), y, setUp)
+	close(sent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-setUp
-	cork.corked = true
-	if err := cs.tc.SendMsg([]byte{tagReqOpen}); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range y {
-		if _, err := ot.RequestLabels(cs.receiver, circuit.Int64ToBits(v, cs.h.Width)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cork.uncork(); err != nil {
-		t.Fatal(err)
-	}
-	close(sent)
 	if _, err := recvFrame(cs.tc, parseReqHeader); err != nil {
 		t.Fatal(err)
 	}
