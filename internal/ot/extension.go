@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"maxelerator/internal/wire"
 )
@@ -42,14 +43,18 @@ const (
 	RetainLabels = 8192
 )
 
-// colPRG is one column PRG: AES-128 in counter mode keyed by a 16-byte
-// base-OT seed, read through the lookahead. Both parties expand the
-// same seed to the same stream and consume equal amounts per batch;
-// the bytes read do not depend on how the reads are split.
+// colPRG is one column PRG: AES-128 in counter mode, from a zero
+// counter block, keyed by a 16-byte base-OT seed and read through the
+// lookahead. Both parties expand the same seed to the same stream and
+// consume equal amounts per batch; the bytes read do not depend on how
+// the reads are split. It runs the counter over its block cipher
+// itself: a cipher.NewCTR would keep a second copy of the key schedule,
+// and a sender holds Kappa of these, a receiver 2·Kappa.
 type colPRG struct {
-	stream cipher.Stream
-	buf    [lookahead]byte
-	off    int // next unread byte of buf; lookahead when it is spent
+	block cipher.Block
+	ctr   uint64 // counter blocks encrypted so far
+	buf   [lookahead]byte
+	off   int // next unread byte of buf; lookahead when it is spent
 }
 
 func (p *colPRG) init(seed Message) error {
@@ -57,9 +62,7 @@ func (p *colPRG) init(seed Message) error {
 	if err != nil {
 		return fmt.Errorf("ot: building PRG: %w", err)
 	}
-	var iv [aes.BlockSize]byte
-	p.stream = cipher.NewCTR(blk, iv[:])
-	p.off = lookahead
+	p.block, p.ctr, p.off = blk, 0, lookahead
 	return nil
 }
 
@@ -78,13 +81,22 @@ func (p *colPRG) refill(dst []byte) {
 	n := copy(dst, p.buf[p.off:])
 	dst = dst[n:]
 	if n = len(dst) &^ (lookahead - 1); n > 0 {
-		clear(dst[:n])
-		p.stream.XORKeyStream(dst[:n], dst[:n])
+		p.keystream(dst[:n])
 		dst = dst[n:]
 	}
-	clear(p.buf[:])
-	p.stream.XORKeyStream(p.buf[:], p.buf[:])
+	p.keystream(p.buf[:])
 	p.off = copy(dst, p.buf[:])
+}
+
+// keystream fills dst, whole blocks, with the stream's next blocks: the
+// encryptions of the next counter values, big-endian 128-bit.
+func (p *colPRG) keystream(dst []byte) {
+	for b := dst; len(b) > 0; b = b[aes.BlockSize:] {
+		binary.BigEndian.PutUint64(b, 0)
+		binary.BigEndian.PutUint64(b[8:], p.ctr)
+		p.ctr++
+		p.block.Encrypt(b, b)
+	}
 }
 
 // transpose extracts rows 8·strip … 8·strip+7 of a column-major bit
@@ -176,14 +188,24 @@ func NewExtensionSender(conn wire.Conn, rnd io.Reader) (*ExtensionSender, error)
 // Send transfers one batch of message pairs; the connected receiver
 // must call Receive with the same batch size.
 func (es *ExtensionSender) Send(pairs [][2]Message) error {
-	return es.ship(answer(es, len(pairs), func(j int) (Message, Message) { return pairs[j][0], pairs[j][1] }))
+	return ship(es, len(pairs), func(j int) (Message, Message) { return pairs[j][0], pairs[j][1] })
 }
 
-// ship sends a batch's ciphertext frame, or returns the error that
-// kept answer from building it; an empty batch has no frame.
-func (es *ExtensionSender) ship(out []byte, err error) error {
-	if err != nil || out == nil {
+// ship is one whole batch of m transfers: answer into es.out, then
+// send. es.out is reused by the next batch, which wire.Conn's SendMsg
+// contract allows, unless the batch is larger than RetainLabels: then
+// the frame is a buffer of its own that the sender does not keep. An
+// empty batch has no frame.
+func ship[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) error {
+	if m == 0 {
+		return nil
+	}
+	out, err := answer(es, es.out[:0], m, pair)
+	if err != nil {
 		return err
+	}
+	if m <= RetainLabels {
+		es.out = out
 	}
 	if err := es.conn.SendMsg(out); err != nil {
 		return fmt.Errorf("ot: extension sender shipping ciphertexts: %w", err)
@@ -192,15 +214,14 @@ func (es *ExtensionSender) ship(out []byte, err error) error {
 }
 
 // answer is the sender's half of one batch of m transfers, short of the
-// send; pair yields transfer j's two messages. It returns the
-// ciphertext frame, nil for an empty batch. The frame is built in
-// es.out and reused by the next batch, which wire.Conn's SendMsg
-// contract allows, unless the batch is larger than RetainLabels: then
-// it is a buffer of its own that the sender does not keep. The
-// received u matrix is recycled once it is consumed.
-func answer[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) ([]byte, error) {
+// send; pair yields transfer j's two messages. It reads the receiver's
+// u matrix and appends the batch's ciphertext frame, 32 bytes a
+// transfer, to dst, which it returns; an empty batch reads nothing and
+// appends nothing. The received u matrix is recycled once it is
+// consumed.
+func answer[M ~[16]byte](es *ExtensionSender, dst []byte, m int, pair func(j int) (M, M)) ([]byte, error) {
 	if m == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	mBytes := (m + 7) / 8
 
@@ -213,10 +234,9 @@ func answer[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) ([
 		return nil, fmt.Errorf("ot: extension sender got %d u bytes, want %d", len(u), Kappa*mBytes)
 	}
 
-	out := scratch(es.out, 32*m)
-	if m <= RetainLabels {
-		es.out = out
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, 32*m)[:n+32*m]
+	out := dst[n:]
 	var rows [8]Message
 	for base := 0; base < mBytes; base += chunkBytes {
 		cb := min(chunkBytes, mBytes-base)
@@ -244,16 +264,18 @@ func answer[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) ([
 		}
 	}
 	es.index += uint64(m)
-	return out, nil
+	return dst, nil
 }
 
 // ExtensionReceiver is the choice-bit holder (the GC evaluator) of an
-// IKNP session. A batch is two halves: request sends its u matrix, and
-// finish reads the sender's ciphertexts for it. Requests must be issued
-// in order on one goroutine, over scratch the receiver owns; finishes
+// IKNP session. A batch is two halves: request builds its u matrix,
+// which the caller sends, and finish reads the sender's ciphertexts for
+// it. Requests must be issued in order on one goroutine, over scratch
+// the receiver owns, and their u frames sent in that order; finishes
 // must run in the same order, on that goroutine or on at most one
 // other. A receiver may therefore run any number of requests ahead of
-// its finishes: a u matrix depends on nothing the sender says.
+// its finishes, and send their u frames together: a u matrix depends
+// on nothing the sender says.
 type ExtensionReceiver struct {
 	conn  wire.Conn
 	col0  [Kappa]colPRG
@@ -262,7 +284,7 @@ type ExtensionReceiver struct {
 
 	r []byte // the batch's packed choice bits
 	t []byte // the batch's t matrix, column-major
-	u []byte // the batch's u frame
+	u []byte // receive's u frame
 }
 
 // NewExtensionReceiver runs the base phase: the extension receiver
@@ -297,35 +319,46 @@ func (er *ExtensionReceiver) Receive(choices []bool) ([]Message, error) {
 	return receive[Message](er, choices)
 }
 
-// receive is one whole batch: request, then finish.
+// receive is one whole batch: request into er.u, send it, then
+// finish. er.u is reused by the next batch, which wire.Conn's SendMsg
+// contract allows, unless the batch is larger than RetainLabels.
 func receive[M ~[16]byte](er *ExtensionReceiver, choices []bool) ([]M, error) {
-	p, err := request[M](er, choices)
-	if err != nil {
-		return nil, err
+	m := len(choices)
+	if m == 0 {
+		return nil, nil
+	}
+	u, p := request[M](er, er.u[:0], choices)
+	if m <= RetainLabels {
+		er.u = u
+	}
+	if err := er.conn.SendMsg(u); err != nil {
+		return nil, fmt.Errorf("ot: extension receiver sending u matrix: %w", err)
 	}
 	return finish(er, p)
 }
 
-// Pending is a batch whose u matrix is on the wire: its choice bits and
-// row pads H(j, t_j), which finish unmasks into the chosen messages.
+// Pending is a batch whose u matrix is built: its choice bits and row
+// pads H(j, t_j), which finish unmasks into the chosen messages once
+// the sender has answered the u matrix.
 type Pending[M ~[16]byte] struct {
 	choices []bool
 	pads    []M
 }
 
 // request is the receiver's first half of one batch: it draws t and u,
-// sends u, hashes the row pads and advances the index. The u frame is
-// built in er.u and reused by the next request, which wire.Conn's
-// SendMsg contract allows; the pads are the batch's only allocation
-// here. finish reads choices again.
-func request[M ~[16]byte](er *ExtensionReceiver, choices []bool) (Pending[M], error) {
+// appends u — the batch's u frame, Kappa·⌈m/8⌉ bytes — to dst and
+// returns it, hashes the row pads and advances the index. It sends
+// nothing: the caller sends the frame, in batch order. An empty batch
+// appends nothing and has no frame. The pads are the batch's only
+// allocation here, besides dst's growth; finish reads choices again.
+func request[M ~[16]byte](er *ExtensionReceiver, dst []byte, choices []bool) ([]byte, Pending[M]) {
 	m := len(choices)
 	if m == 0 {
-		return Pending[M]{}, nil
+		return dst, Pending[M]{}
 	}
 	mBytes := (m + 7) / 8
 	if m > RetainLabels {
-		defer func() { er.r, er.t, er.u = nil, nil, nil }()
+		defer func() { er.r, er.t = nil, nil }()
 	}
 
 	er.r = scratch(er.r, mBytes)
@@ -338,17 +371,16 @@ func request[M ~[16]byte](er *ExtensionReceiver, choices []bool) (Pending[M], er
 
 	// t_i = PRG(k_i^0), u_i = t_i ⊕ PRG(k_i^1) ⊕ r.
 	er.t = scratch(er.t, Kappa*mBytes)
-	er.u = scratch(er.u, Kappa*mBytes)
+	n := len(dst)
+	dst = slices.Grow(dst, Kappa*mBytes)[:n+Kappa*mBytes]
+	u := dst[n:]
 	for i := range er.col0 {
 		er.col0[i].read(er.t[i*mBytes : (i+1)*mBytes])
-		ui := er.u[i*mBytes : (i+1)*mBytes]
+		ui := u[i*mBytes : (i+1)*mBytes]
 		er.col1[i].read(ui)
 		subtle.XORBytes(ui, ui, er.r)
 	}
-	subtle.XORBytes(er.u, er.u, er.t)
-	if err := er.conn.SendMsg(er.u); err != nil {
-		return Pending[M]{}, fmt.Errorf("ot: extension receiver sending u matrix: %w", err)
-	}
+	subtle.XORBytes(u, u, er.t)
 
 	// The row pads H(j, t_j) need nothing from the sender, so they are
 	// hashed while it hashes its own.
@@ -362,7 +394,7 @@ func request[M ~[16]byte](er *ExtensionReceiver, choices []bool) (Pending[M], er
 		}
 	}
 	er.index += uint64(m)
-	return p, nil
+	return dst, p
 }
 
 // finish is the receiver's second half of the batch p: it reads the

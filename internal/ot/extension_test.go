@@ -2,6 +2,8 @@ package ot
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
@@ -155,19 +157,35 @@ func TestExtensionTranscriptMatchesReference(t *testing.T) {
 	}
 }
 
+// frames cuts buf at ends into the frames it holds.
+func frames(buf []byte, ends []int) [][]byte {
+	var msgs [][]byte
+	start := 0
+	for _, end := range ends {
+		msgs = append(msgs, buf[start:end])
+		start = end
+	}
+	return msgs
+}
+
 // receiveAhead receives one batch per choices entry on the calling
 // goroutine, its requests running ahead batches in front of its
-// finishes.
+// finishes. The u frames of the requests issued together go out in one
+// SendMsgs.
 func receiveAhead(er *ExtensionReceiver, choices [][]bool, ahead int) ([][]Message, error) {
 	var pending []Pending[Message]
 	var got [][]Message
+	var buf []byte
 	for next := 0; len(got) < len(choices); {
-		for ; next < len(choices) && next < len(got)+ahead; next++ {
-			p, err := request[Message](er, choices[next])
-			if err != nil {
-				return nil, err
-			}
+		var ends []int
+		for buf = buf[:0]; next < len(choices) && next < len(got)+ahead; next++ {
+			var p Pending[Message]
+			buf, p = request[Message](er, buf, choices[next])
+			ends = append(ends, len(buf))
 			pending = append(pending, p)
+		}
+		if err := er.conn.SendMsgs(frames(buf, ends)); err != nil {
+			return nil, err
 		}
 		msgs, err := finish(er, pending[0])
 		if err != nil {
@@ -213,13 +231,14 @@ func TestExtensionSplitReceiverTwoGoroutines(t *testing.T) {
 	var reqErr error
 	go func() {
 		defer close(pending)
+		var u []byte
 		for _, c := range choices {
-			p, err := RequestLabels(er, c)
-			if err != nil {
-				reqErr = err
+			var p Pending[label.Label]
+			u, p = RequestLabels(er, u[:0], c)
+			pending <- p
+			if reqErr = er.conn.SendMsg(u); reqErr != nil {
 				return
 			}
-			pending <- p
 		}
 	}()
 	for k := range sizes {
@@ -289,16 +308,16 @@ func TestTransposeMatchesBitLoop(t *testing.T) {
 
 // TestColPRGReadSplits: however a column stream is read — single bytes,
 // runs that straddle the lookahead, runs that bypass it — the bytes are
-// those of one read of the raw AES-CTR stream.
+// those of one read of crypto/cipher's AES-CTR stream from a zero IV.
 func TestColPRGReadSplits(t *testing.T) {
 	const total = 8 * lookahead
 	seed := Message{1, 2, 3}
-	var raw colPRG
-	if err := raw.init(seed); err != nil {
+	blk, err := aes.NewCipher(seed[:])
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, total)
-	raw.stream.XORKeyStream(want, want)
+	cipher.NewCTR(blk, make([]byte, aes.BlockSize)).XORKeyStream(want, want)
 
 	check := func(splitSeed int64) bool {
 		rng := mrand.New(mrand.NewSource(splitSeed))

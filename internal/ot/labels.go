@@ -7,29 +7,38 @@ import "maxelerator/internal/label"
 // matching each of its choice bits. pairs is read in place and not
 // retained.
 func SendLabels(es *ExtensionSender, pairs []label.Pair) error {
-	return es.ship(AnswerLabels(es, pairs))
+	return ship(es, len(pairs), labelPair(pairs))
 }
 
-// AnswerLabels is SendLabels without the send: it reads the receiver's
-// u matrix and returns the ciphertext frame that answers it, for the
-// caller to send next on the same connection, before the sender's next
-// batch, which may reuse the frame's buffer.
-func AnswerLabels(es *ExtensionSender, pairs []label.Pair) ([]byte, error) {
-	return answer(es, len(pairs), func(j int) (label.Label, label.Label) { return pairs[j].False, pairs[j].True })
+// AppendAnswer is SendLabels without the send: it reads the receiver's
+// u matrix and appends the ciphertext frame that answers it, 32 bytes a
+// pair, to dst, which it returns. The frame is the caller's, to send on
+// the same connection before the sender's next batch; an empty batch
+// reads and appends nothing, and has no frame.
+func AppendAnswer(es *ExtensionSender, dst []byte, pairs []label.Pair) ([]byte, error) {
+	return answer(es, dst, len(pairs), labelPair(pairs))
+}
+
+// labelPair yields transfer j's two labels.
+func labelPair(pairs []label.Pair) func(j int) (label.Label, label.Label) {
+	return func(j int) (label.Label, label.Label) { return pairs[j].False, pairs[j].True }
 }
 
 // ReceiveLabels obtains the active labels for the receiver's input
-// bits: RequestLabels, then FinishLabels. The returned slice is the
-// caller's.
+// bits: RequestLabels, the u frame's send, then FinishLabels. The
+// returned slice is the caller's.
 func ReceiveLabels(er *ExtensionReceiver, choices []bool) ([]label.Label, error) {
 	return receive[label.Label](er, choices)
 }
 
-// RequestLabels sends the u matrix for the receiver's input bits, which
-// must not change until FinishLabels; see ExtensionReceiver for the
-// order the two halves keep.
-func RequestLabels(er *ExtensionReceiver, choices []bool) (Pending[label.Label], error) {
-	return request[label.Label](er, choices)
+// RequestLabels builds the u matrix for the receiver's input bits and
+// appends it, one frame, to dst, which it returns. It sends nothing:
+// the caller sends the frame, in request order, and may send several
+// requests' frames in one write. choices must not change until
+// FinishLabels; see ExtensionReceiver for the order the two halves
+// keep. An empty batch appends nothing and has no frame.
+func RequestLabels(er *ExtensionReceiver, dst []byte, choices []bool) ([]byte, Pending[label.Label]) {
+	return request[label.Label](er, dst, choices)
 }
 
 // FinishLabels reads the sender's ciphertexts for p and returns its

@@ -9,6 +9,7 @@ package ot
 // one implementation.
 
 import (
+	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
@@ -29,7 +30,7 @@ type refSender struct {
 func newRefSender(es *ExtensionSender) *refSender {
 	ref := &refSender{conn: es.conn, s: es.s, sPacked: es.sPacked}
 	for i := range es.columns {
-		ref.columns[i] = es.columns[i].stream
+		ref.columns[i] = refStream(&es.columns[i])
 	}
 	return ref
 }
@@ -46,10 +47,16 @@ type refReceiver struct {
 func newRefReceiver(er *ExtensionReceiver) *refReceiver {
 	ref := &refReceiver{conn: er.conn}
 	for i := range er.col0 {
-		ref.col0[i] = er.col0[i].stream
-		ref.col1[i] = er.col1[i].stream
+		ref.col0[i] = refStream(&er.col0[i])
+		ref.col1[i] = refStream(&er.col1[i])
 	}
 	return ref
+}
+
+// refStream is crypto/cipher's AES-CTR stream, from a zero IV, over
+// the block cipher of p, which must not have been read yet.
+func refStream(p *colPRG) cipher.Stream {
+	return cipher.NewCTR(p.block, make([]byte, aes.BlockSize))
 }
 
 func refNextPad(s cipher.Stream, n int) []byte {

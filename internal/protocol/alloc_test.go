@@ -86,6 +86,22 @@ var raceDetector bool
 // 4 096 labels to 256; pooled 828 → 826–828 and 191 → 128–129. The
 // one-row per-round 1×64 cell was added then at 360–362 objects and
 // 33–34 KiB, the same before and after: one row shares nothing.
+//
+// Every cell was re-measured (four runs each, objects then KiB) when
+// both ends began corking their writes: the client's u-writer sends
+// otBatch u matrices from one session buffer, and the server frames
+// rounds into a session cork whose arena buffers it reserves on each
+// request's first frame, every buffer sized for a material frame and
+// an OT answer, so that the cork's working set is allocated once a
+// server and survives the collector's trims. Per-round 4×4: 107–109 →
+// 106–109 and 12 → 11–12; pooled 82–85 → 84 and 8 → 8. Batched 4×4:
+// 101–105 → 101–102 and 11 → 11; pooled 77 → 77–78 and 7 → 7. Batched
+// 16×16: 872–874 → 871–875 and 139 → 139–140; pooled 826–828 → 825–827
+// and 128–129 → 128–129. Per-round 1×64: 359–361 → 358–360 and 33–34 →
+// 33. No cell moved past its runs' spread, and no budget was raised.
+// Before the server sized every buffer alike, a row-0 round popped a
+// buffer framed for a later row's material alone and grew it, and the
+// per-round 4×4 cell read 17–31 KiB.
 func TestWarmRequestAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	slack := uint64(10) // budget = ⌈measured × (1 + 1/slack)⌉
@@ -99,13 +115,13 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 		pooled                  bool
 		objects, kib            uint64 // measured
 	}{
-		{n: 4, width: 8, ot: OTPerRound, objects: 110, kib: 12},
-		{n: 4, width: 8, ot: OTPerRound, pooled: true, objects: 85, kib: 8},
-		{n: 4, width: 8, ot: OTBatched, objects: 103, kib: 11},
-		{n: 4, width: 8, ot: OTBatched, pooled: true, objects: 79, kib: 7},
+		{n: 4, width: 8, ot: OTPerRound, objects: 109, kib: 12},
+		{n: 4, width: 8, ot: OTPerRound, pooled: true, objects: 84, kib: 8},
+		{n: 4, width: 8, ot: OTBatched, objects: 102, kib: 11},
+		{n: 4, width: 8, ot: OTBatched, pooled: true, objects: 78, kib: 7},
 		{n: 16, width: 16, ot: OTBatched, workers: 2, objects: 874, kib: 140},
-		{n: 16, width: 16, ot: OTBatched, workers: 2, pooled: true, objects: 828, kib: 129},
-		{rows: 1, n: 64, width: 8, ot: OTPerRound, objects: 362, kib: 34},
+		{n: 16, width: 16, ot: OTBatched, workers: 2, pooled: true, objects: 827, kib: 129},
+		{rows: 1, n: 64, width: 8, ot: OTPerRound, objects: 360, kib: 33},
 	}
 	for _, c := range cells {
 		rows := c.n
@@ -127,19 +143,13 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 	}
 }
 
-// warmRequestAllocs serves five rows×n requests on one session over
-// loopback TCP — the first pays the lazy set-up of both endpoints and
-// fills their pools, the other four are counted — checks each against
-// plaintext and returns the fewest heap objects and KiB a counted one
-// took. A pooled cell takes every request from entries built
-// beforehand; no refill worker runs, so nothing else allocates during
-// the count.
-func warmRequestAllocs(t *testing.T, rows, n, width int, ot OTMode, workers int, pooled bool) (objects, kib uint64) {
-	t.Helper()
+// allocFixture is the rows×n matrix and n-vector of the allocation
+// cells at the given width, and A·y.
+func allocFixture(rows, n, width int) (A [][]int64, y, want []int64) {
 	lim := int64(1) << (width - 2)
-	A := make([][]int64, rows)
-	y := make([]int64, n)
-	want := make([]int64, rows)
+	A = make([][]int64, rows)
+	y = make([]int64, n)
+	want = make([]int64, rows)
 	for j := range y {
 		y[j] = int64(j*1000-7000) % lim
 	}
@@ -150,6 +160,19 @@ func warmRequestAllocs(t *testing.T, rows, n, width int, ot OTMode, workers int,
 			want[i] += A[i][j] * y[j]
 		}
 	}
+	return A, y, want
+}
+
+// warmRequestAllocs serves five rows×n requests on one session over
+// loopback TCP — the first pays the lazy set-up of both endpoints and
+// fills their pools, the other four are counted — checks each against
+// plaintext and returns the fewest heap objects and KiB a counted one
+// took. A pooled cell takes every request from entries built
+// beforehand; no refill worker runs, so nothing else allocates during
+// the count.
+func warmRequestAllocs(t *testing.T, rows, n, width int, ot OTMode, workers int, pooled bool) (objects, kib uint64) {
+	t.Helper()
+	A, y, want := allocFixture(rows, n, width)
 	cfg := maxsim.Config{Width: width, AccWidth: 2*width + 8, Signed: true}
 	srv, err := NewServer(cfg)
 	if err != nil {
@@ -247,4 +270,94 @@ func warmRequestAllocs(t *testing.T, rows, n, width int, ot OTMode, workers int,
 		t.Fatalf("pooled cell hit the pool %d times and missed %d, want 5 and 0", hits, misses)
 	}
 	return objects, kib
+}
+
+// TestFreshSessionAllocationBudget bounds the heap objects and bytes of
+// one whole session on a fresh loopback TCP connection — connect,
+// handshake, OT set-up, one per-round 4×16 b=8 request, close — both
+// endpoints together, against one long-lived server: the cold_session
+// shape, where whatever a session keeps for its requests is paid once an
+// op. It reports the fewest of four sessions after a warm-up one, with
+// the budgets of TestWarmRequestAllocationBudget.
+//
+// Measured (four runs each) at 6 868–6 950 objects and 1 091–1 099 KiB
+// before either end corked its writes, when the session's OT column
+// PRGs each held a cipher.NewCTR, whose copy of the AES key schedule
+// cost 384 objects and ≈ 190 KiB a session; at 6 124–6 172 and 903–910
+// with the corks and without that copy. The corks cost a fresh
+// connection ≈ 9 KiB and ≈ 12 objects: the poller's iovec cache and
+// the stream conn's header scratch grow to a batch of frames, and the
+// cork's and the u-writer's slices are the session's.
+func TestFreshSessionAllocationBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	slack := uint64(10)
+	if raceDetector {
+		slack = 5
+	}
+	budget := func(measured uint64) uint64 { return measured + (measured+slack-1)/slack }
+	const objectsMeasured, kibMeasured = 6172, 910
+	A, y, want := allocFixture(4, 16, 8)
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	session := func() {
+		t.Helper()
+		srvDone := make(chan error, 1)
+		go func() {
+			nc, err := ln.Accept()
+			if err != nil {
+				srvDone <- err
+				return
+			}
+			conn := wire.NewStreamConn(nc)
+			defer conn.Close()
+			_, err = serveOne(srv, conn, SessionConfig{GarbleWorkers: 1}, Request{Matrix: A, OT: OTPerRound})
+			srvDone <- err
+		}()
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := NewClient(label.MustSystemDRBG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := clientRun(cli, wire.NewStreamConn(nc), y)
+		nc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-srvDone; err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("row %d = %d, want %d", i, out[i], want[i])
+			}
+		}
+	}
+	session()
+	objects, kib := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 4 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		session()
+		runtime.ReadMemStats(&after)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		kib = min(kib, (after.TotalAlloc-before.TotalAlloc)/1024)
+	}
+	t.Logf("%d objects, %d KiB (budgets %d and %d for %d and %d measured)",
+		objects, kib, budget(objectsMeasured), budget(kibMeasured), objectsMeasured, kibMeasured)
+	if objects > budget(objectsMeasured) {
+		t.Fatalf("fresh session allocated %d objects, budget %d for %d measured", objects, budget(objectsMeasured), objectsMeasured)
+	}
+	if kib > budget(kibMeasured) {
+		t.Fatalf("fresh session allocated %d KiB, budget %d for %d measured", kib, budget(kibMeasured), kibMeasured)
+	}
 }

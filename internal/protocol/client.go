@@ -81,6 +81,12 @@ type ClientSession struct {
 	// (evals[0] is the reader's), grown to the widest request and
 	// reused by the next.
 	evals []*gc.Evaluator
+	// ubuf and umsgs are the u-writer's batch: up to otBatch u frames
+	// back to back, and the frames cut from it for one SendMsgs. Only
+	// a per-round request's writer touches them, and it is gone before
+	// the next request starts one.
+	ubuf  []byte
+	umsgs [][]byte
 }
 
 // Dial opens a session on conn: receive the server hello, negotiate
@@ -281,9 +287,13 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	err := cs.readRows(hdr, shared, reqs, hp, outs)
 	if reqs != nil {
 		if err != nil {
+			reqs.fail(err)
 			cs.tc.Close() // before Do's fail: the writer's next send must fail
 		}
 		for range reqs.pending { // until the writer has returned
+		}
+		if ferr := reqs.failure(); ferr != nil {
+			err = ferr // the first failure: the reader's own, or the writer's that closed the conn under it
 		}
 	}
 	if herr := hp.finish(); err == nil {
@@ -340,36 +350,84 @@ func (cs *ClientSession) readRows(hdr reqHeader, shared []label.Label, reqs *otR
 }
 
 // otLookahead is how many rounds the per-round OT's requests may run
-// ahead of the material; the client holds otLookahead + 2 rounds of row
-// pads (DESIGN §8).
-const otLookahead = 16
+// ahead of the material, and otBatch how many u frames the writer sends
+// in one write; the client holds otLookahead + 2 rounds of row pads and
+// one batch of u frames (DESIGN §8).
+const (
+	otLookahead = 16
+	otBatch     = otLookahead / 2
+)
 
 // otRequests is a per-round request's OT writer. A u matrix depends only
-// on the client's own PRGs and choice bits, so a goroutine sends row 0's
-// Cols requests in wire order, up to otLookahead rounds before their
-// material, and hands the pending batch to the reader to finish. It is
-// a goroutine, not the reader sending ahead, because over a synchronous
-// transport both ends may be blocked writing at once.
+// on the client's own PRGs and choice bits, so a goroutine builds row
+// 0's Cols requests in wire order, up to otLookahead rounds before their
+// material, and sends them otBatch at a time, each batch in one
+// SendMsgs. It hands each request's pending pads to the reader, to
+// finish, before the write that carries its u frame: the server answers
+// u_k before it reads u_k+1, so a writer blocked in its write over a
+// synchronous transport would otherwise wait on a reader waiting for
+// the pending it holds. It is a goroutine, not the reader sending
+// ahead, because over a synchronous transport both ends may be blocked
+// writing at once.
 type otRequests struct {
 	pending chan ot.Pending[label.Label] // closed when the writer returns
-	err     error                        // why it stopped early; read once pending is closed
+	err     atomic.Pointer[error]        // the first failure of the writer or the reader
 }
 
-// requestAhead starts the writer for a per-round request.
+// fail records err unless a failure is already recorded.
+func (rq *otRequests) fail(err error) { rq.err.CompareAndSwap(nil, &err) }
+
+// failure is the first recorded failure, or nil.
+func (rq *otRequests) failure() error {
+	if err := rq.err.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// requestAhead starts the writer for a per-round request. A failed
+// write closes the connection, so a reader waiting for an answer to a
+// u frame that never left fails at once rather than at its deadline;
+// the write's error is the request's.
 func (cs *ClientSession) requestAhead(hdr reqHeader, bitsPerRound [][]bool) *otRequests {
 	rq := &otRequests{pending: make(chan ot.Pending[label.Label], otLookahead)}
 	go func() {
 		defer close(rq.pending)
-		for _, bits := range bitsPerRound {
-			p, err := ot.RequestLabels(cs.receiver, bits)
-			if err != nil {
-				rq.err = err
+		for k := 0; k < len(bitsPerRound); k += otBatch {
+			batch := bitsPerRound[k:min(k+otBatch, len(bitsPerRound))]
+			if err := cs.requestBatch(batch, rq.pending); err != nil {
+				rq.fail(fmt.Errorf("protocol: sending the u matrices of rounds %d-%d: %w", k, k+len(batch)-1, err))
+				cs.tc.Close()
 				return
 			}
-			rq.pending <- p
 		}
 	}()
 	return rq
+}
+
+// requestBatch builds one request per entry of batch into the session's
+// batch buffer, hands each one's pending pads to pending as it is
+// built, and then sends the batch's u frames in one SendMsgs.
+func (cs *ClientSession) requestBatch(batch [][]bool, pending chan<- ot.Pending[label.Label]) error {
+	if cs.ubuf == nil { // sized once for a whole batch of this session's u frames
+		cs.ubuf = make([]byte, 0, otBatch*ot.Kappa*((cs.h.Width+7)/8))
+		cs.umsgs = make([][]byte, 0, otBatch)
+	}
+	buf := cs.ubuf[:0]
+	var ends [otBatch]int
+	for i, bits := range batch {
+		var p ot.Pending[label.Label]
+		buf, p = ot.RequestLabels(cs.receiver, buf, bits)
+		ends[i] = len(buf)
+		pending <- p
+	}
+	cs.ubuf, cs.umsgs = buf, cs.umsgs[:0]
+	start := 0
+	for _, end := range ends[:len(batch)] {
+		cs.umsgs = append(cs.umsgs, buf[start:end])
+		start = end
+	}
+	return cs.tc.SendMsgs(cs.umsgs)
 }
 
 // next finishes the next round's OT: its active labels, or the error
@@ -377,7 +435,7 @@ func (cs *ClientSession) requestAhead(hdr reqHeader, bitsPerRound [][]bool) *otR
 func (rq *otRequests) next(er *ot.ExtensionReceiver) ([]label.Label, error) {
 	p, ok := <-rq.pending
 	if !ok {
-		return nil, rq.err
+		return nil, rq.failure()
 	}
 	return ot.FinishLabels(er, p)
 }

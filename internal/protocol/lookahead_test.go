@@ -248,17 +248,52 @@ func TestPerRoundLookaheadSendsEarly(t *testing.T) {
 	}
 }
 
+// errUBatch is the failure failUBatch injects.
+var errUBatch = errors.New("injected u batch write failure")
+
+// failUBatch is the client's side of the connection: once a request is
+// open, its second write of u matrices (ot.Kappa bytes each at b ≤ 8)
+// fails with errUBatch and sends nothing. Only the u-writer sends u
+// matrices, and the request open comes before it starts.
+type failUBatch struct {
+	wire.Conn
+	open    bool
+	batches int
+}
+
+func (c *failUBatch) SendMsg(m []byte) error { return c.SendMsgs([][]byte{m}) }
+
+func (c *failUBatch) SendMsgs(ms [][]byte) error {
+	switch {
+	case len(ms[0]) == 1 && ms[0][0] == tagReqOpen:
+		c.open = true
+	case c.open && len(ms[0]) == ot.Kappa:
+		if c.batches++; c.batches == 2 {
+			return errUBatch
+		}
+	}
+	return c.Conn.SendMsgs(ms)
+}
+
+func (c *failUBatch) Unwrap() wire.Conn { return c.Conn }
+
 // TestPerRoundLookaheadWriterExits: whatever ends a per-round request
 // early — an error frame in place of material, a server that stops
-// sending, a server whose context is cancelled mid-rounds — Do fails,
-// the session breaks, the request writer is gone with every other
-// client goroutine, and the server's arena has every buffer back.
+// sending, a server whose context is cancelled mid-rounds, a u batch
+// the client fails to write — Do fails, the session breaks, the request
+// writer is gone with every other client goroutine, and the server's
+// arena has every buffer back. The writer hands a batch's pending OTs
+// to the reader before it writes their u matrices, so when that write
+// fails the reader is waiting for an answer to a u matrix the server
+// never got: the writer closes the connection, and Do returns the
+// write's error at once, not when the 30 s phase budget runs out.
 func TestPerRoundLookaheadWriterExits(t *testing.T) {
 	A, y := chainFixture()
 	for _, tc := range []struct {
 		name   string
 		hook   func(cancel func(), round int)
 		hold   bool // the server holds material frame 3 until closed
+		failU  bool // the client's second u batch fails to write
 		client Timeouts
 		want   func(error) bool
 	}{
@@ -266,14 +301,16 @@ func TestPerRoundLookaheadWriterExits(t *testing.T) {
 			if round == 5 {
 				panic("injected garbling fault")
 			}
-		}, false, Timeouts{}, func(err error) bool { return errors.Is(err, ErrInternal) }},
-		{"stalled server", nil, true, Timeouts{Handshake: faultBudget, IO: 300 * time.Millisecond},
+		}, false, false, Timeouts{}, func(err error) bool { return errors.Is(err, ErrInternal) }},
+		{"stalled server", nil, true, false, Timeouts{Handshake: faultBudget, IO: 300 * time.Millisecond},
 			func(err error) bool { return errors.Is(err, ErrPhaseTimeout) }},
 		{"cancelled context", func(cancel func(), round int) {
 			if round == 5 {
 				cancel()
 			}
-		}, false, Timeouts{}, func(err error) bool { return err != nil }},
+		}, false, false, Timeouts{}, func(err error) bool { return err != nil }},
+		{"failed u batch", nil, false, true, Timeouts{Handshake: faultBudget, IO: 30 * time.Second},
+			func(err error) bool { return errors.Is(err, errUBatch) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -309,13 +346,21 @@ func TestPerRoundLookaheadWriterExits(t *testing.T) {
 				defer sess.Close()
 				sess.ServeContext(ctx, Request{Matrix: A})
 			}()
-			cs, err := cli.Dial(b)
+			cconn := wire.Conn(b)
+			if tc.failU {
+				cconn = &failUBatch{Conn: b}
+			}
+			cs, err := cli.Dial(cconn)
 			if err != nil {
 				t.Fatal(err)
 			}
+			start := time.Now()
 			_, derr := cs.Do(y)
 			if !tc.want(derr) {
 				t.Fatalf("Do error = %v", derr)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("Do took %v to fail", d)
 			}
 			if cs.Err() == nil {
 				t.Fatal("the session is still usable after a failed request")

@@ -51,10 +51,11 @@ var errLaneStopped = errors.New("protocol: garble lane stopped")
 // rounds consume may hold past the call that handed them over, and the pool
 // reserves what the request can hold at once. A lane charges wm
 // with each round's table bytes once the round is queued; framing it
-// credits them back. A lane's panic becomes its
+// credits them back. When the next round's queue has nothing ready,
+// idle runs before the caller waits on it. A lane's panic becomes its
 // error; cancellation stops every lane at its next round and the caller
 // at its next row. No lane outlives the call.
-func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers, keep int, wm *byteWatermark, consume func(*gc.Garbled) error) error {
+func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers, keep int, wm *byteWatermark, consume func(*gc.Garbled) error, idle func() error) error {
 	n, cols, ss, sim := len(A), len(A[0]), sess.ss, sess.srv.sim
 	lanes := max(1, min(workers, n))
 	depth := min(pipeDepth*cols, laneRounds)
@@ -133,7 +134,16 @@ func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers,
 		// A queue closes before its row ends only on its lane's error.
 		h := i % lanes
 		for range cols {
-			gb, ok := <-queues[h]
+			var gb *gc.Garbled
+			var ok bool
+			select {
+			case gb, ok = <-queues[h]:
+			default: // nothing ready: what the caller holds leaves before the wait
+				if err := idle(); err != nil {
+					return err
+				}
+				gb, ok = <-queues[h]
+			}
 			if !ok {
 				return errs[h]
 			}

@@ -15,6 +15,7 @@ import (
 	"maxelerator/internal/gchash"
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
+	"maxelerator/internal/ot"
 	"maxelerator/internal/precompute"
 	"maxelerator/internal/wire"
 )
@@ -587,22 +588,29 @@ func TestBatchedOTUsesFewerMessages(t *testing.T) {
 // otAnswers is the server's side of a connection: it counts the OT
 // answers the server sends once a request is open, and their labels.
 // Inside a request the server receives only u matrices, then the
-// result, and the OT sender answers each u matrix with the last frame
-// of its next send, 32 bytes a transfer: a SendMsg, or a SendMsgs that
-// carries a round's material ahead of the answer. Every call runs on
-// the session goroutine.
+// result, and answers the u matrices in the order they came, each with
+// one frame of 32 bytes a transfer. A write may carry material frames,
+// answers or both, so every frame of it is classified on its own: it
+// is the answer to the oldest unanswered u matrix when its length fits
+// that u, whose k = len(u)/ot.Kappa bytes per column carry 8·(k−1) < t
+// ≤ 8·k transfers, and material otherwise (tagMaterial, and longer than
+// any answer here). Every call runs on the session goroutine.
 type otAnswers struct {
 	wire.Conn
-	open, answer       bool // a request is open; a u matrix awaits its answer
+	open               bool  // a request is open
+	awaiting           []int // k of each u matrix not yet answered, oldest first
 	answers, transfers int
 }
 
 func (c *otAnswers) RecvMsg() ([]byte, error) {
 	m, err := c.Conn.RecvMsg()
 	if err == nil {
-		opens := len(m) == 1 && m[0] == tagReqOpen
-		c.answer = c.open && !opens
-		c.open = c.open || opens
+		switch {
+		case len(m) == 1 && m[0] == tagReqOpen:
+			c.open, c.awaiting = true, c.awaiting[:0]
+		case c.open && len(m)%ot.Kappa == 0:
+			c.awaiting = append(c.awaiting, len(m)/ot.Kappa)
+		}
 	}
 	return m, err
 }
@@ -613,15 +621,20 @@ func (c *otAnswers) SendMsg(m []byte) error {
 }
 
 func (c *otAnswers) SendMsgs(ms [][]byte) error {
-	c.count(ms[len(ms)-1])
+	for _, m := range ms {
+		c.count(m)
+	}
 	return c.Conn.SendMsgs(ms)
 }
 
 func (c *otAnswers) count(m []byte) {
-	if c.answer {
-		c.answer = false
+	if len(c.awaiting) == 0 || len(m)%32 != 0 {
+		return
+	}
+	if t, k := len(m)/32, c.awaiting[0]; 8*(k-1) < t && t <= 8*k {
+		c.awaiting = c.awaiting[1:]
 		c.answers++
-		c.transfers += len(m) / 32
+		c.transfers += t
 	}
 }
 

@@ -55,6 +55,8 @@ type ServerSession struct {
 	// pairs is a batched-OT request's label pairs, row 0's rounds' in
 	// order, gathered for its one OT; see recyclePairs.
 	pairs []label.Pair
+	// cork is the frames framed and not yet written (stream.go).
+	cork cork
 }
 
 // recyclePairs empties pairs for the next request, keeping the backing
@@ -199,9 +201,13 @@ func (sess *ServerSession) ServeContext(ctx context.Context, req Request) (*Resp
 			// A recovered panic: tell the evaluator explicitly so it
 			// fails now instead of waiting out its deadline. Best
 			// effort — the wire may already be down — and generic: the
-			// panic detail stays in the server log, off the wire.
+			// panic detail stays in the server log, off the wire. The
+			// cork holds whole rounds, so it goes first, and the error
+			// frame takes the place of the next round's material.
+			_ = sess.cork.flush(sess.tc)
 			_ = sendErrFrame(sess.tc, "request aborted by internal server error")
 		}
+		sess.cork.drop()
 		sess.broken = err
 		return nil, err
 	}

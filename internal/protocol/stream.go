@@ -9,9 +9,9 @@ package protocol
 // row is still being garbled (in batched mode, once row 0 is garbled
 // and its one OT done), the way MAXelerator's PCIe link drains each
 // table while the FSM garbles the next. A precompute hit frames the
-// entry's rounds in a plain loop. A frame is one write, except that a
-// per-round OT answer whose u matrix is already read ahead shares its
-// round's write. The bytes on the wire are byte-identical to the
+// entry's rounds in a plain loop. Frames are corked and leave in one
+// write whenever the session goroutine would otherwise wait, or once
+// the cork is full. The bytes on the wire are byte-identical to the
 // buffered path at any lane count or queue depth — only the timing and
 // the buffering change, which is what the bytes_buffered_peak gauge
 // exists to prove.
@@ -44,39 +44,108 @@ func (w *byteWatermark) add(n int64) {
 	}
 }
 
-// rowStreamer frames one request's rounds on the session goroutine.
-// Every row's round j carries the same evaluator-input labels (one
-// gc.Request), so only row 0's rounds run an OT; later rows send
-// material alone.
+// The cork caps: the cork is flushed once it holds corkFrames frames or
+// corkBytes bytes.
+const (
+	corkFrames = 32
+	corkBytes  = 64 << 10
+)
+
+// cork is a session's outgoing frames waiting for one SendMsgs, and the
+// arena buffers they live in, freed once the write returns. It lives on
+// the session, so its slices are allocated once a session and reused by
+// every request.
+type cork struct {
+	msgs  [][]byte
+	bufs  []*wire.Buf
+	bytes int
+}
+
+// add corks msg, which lives in a buffer already held or about to be.
+func (c *cork) add(msg []byte) {
+	if c.msgs == nil {
+		c.msgs = make([][]byte, 0, corkFrames)
+	}
+	c.msgs = append(c.msgs, msg)
+	c.bytes += len(msg)
+}
+
+// hold makes the cork free b after the write that carries its frames.
+func (c *cork) hold(b *wire.Buf) {
+	if c.bufs == nil {
+		c.bufs = make([]*wire.Buf, 0, corkFrames)
+	}
+	c.bufs = append(c.bufs, b)
+}
+
+// full reports whether the cork has reached a cap.
+func (c *cork) full() bool { return len(c.msgs) >= corkFrames || c.bytes >= corkBytes }
+
+// flush writes the corked frames in one SendMsgs, one writev on a
+// stream conn, and frees their buffers whether or not it succeeds.
+func (c *cork) flush(conn wire.Conn) error {
+	if len(c.msgs) == 0 {
+		return nil
+	}
+	err := conn.SendMsgs(c.msgs)
+	c.drop()
+	return err
+}
+
+// drop frees the held buffers and empties the cork without sending.
+func (c *cork) drop() {
+	for _, b := range c.bufs {
+		b.Free()
+	}
+	clear(c.msgs) // pin no buffer until the next request
+	clear(c.bufs)
+	c.msgs, c.bufs, c.bytes = c.msgs[:0], c.bufs[:0], 0
+}
+
+// rowStreamer frames one request's rounds on the session goroutine
+// into the session's cork. Every row's round j carries the same
+// evaluator-input labels (one gc.Request), so only row 0's rounds run
+// an OT; later rows send material alone. The cork is flushed before
+// anything that may block — a lane queue with nothing ready, a u matrix
+// not read ahead, the batched OT, the end of the request — and when it
+// is full, so a frame never waits in it while the session goroutine
+// waits.
 type rowStreamer struct {
 	sess *ServerSession
 	ot   OTMode
-	fw   *wire.FrameWriter
+	cork *cork
 	wm   byteWatermark
 	// rounds takes back each inline round once it is framed and its OT
 	// is done; nil on a precompute hit, whose entry's rounds are dropped.
 	rounds *gc.RoundPool
 
-	cols int           // rounds per row
-	n    int           // rounds consumed so far
-	held []*gc.Garbled // batched mode: row 0's rounds, held for the one OT
-	pair [2][]byte     // per-round mode: a round's material and OT answer, one SendMsgs
+	cols     int           // rounds per row
+	n        int           // rounds consumed so far
+	reserved bool          // the arena holds the cork's buffers for this request
+	held     []*gc.Garbled // batched mode: row 0's rounds, held for the one OT
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
-	return &rowStreamer{sess: sess, ot: mode, fw: wire.NewFrameWriter(sess.tc, sess.srv.arena)}
+	return &rowStreamer{sess: sess, ot: mode, cork: &sess.cork}
 }
 
 // frameMaterial assembles one round's garbled material behind the
 // material tag in a pooled arena buffer: the round's table block is
-// copied in whole, nothing is allocated.
+// copied in whole, nothing is allocated. Every buffer has room for the
+// round's OT answer behind the material, whether or not the round runs
+// one, so that the arena's buffers all fit every round.
 func (st *rowStreamer) frameMaterial(gb *gc.Garbled) (*wire.Buf, error) {
 	m := &gb.Material
 	size, err := gc.MaterialSize(m)
 	if err != nil {
 		return nil, err
 	}
-	buf := st.fw.Begin(1 + size)
+	size += 1 + 32*len(gb.EvalPairs)
+	if !st.reserved { // the request's first frame: as many buffers as the cork may hold
+		st.sess.srv.arena.Reserve(min(corkFrames, corkBytes/size+2), size)
+		st.reserved = true
+	}
+	buf := st.sess.srv.arena.Get(size)
 	buf.B = append(buf.B, tagMaterial)
 	if buf.B, err = gc.AppendMaterial(buf.B, m); err != nil {
 		buf.Free()
@@ -85,60 +154,58 @@ func (st *rowStreamer) frameMaterial(gb *gc.Garbled) (*wire.Buf, error) {
 	return buf, nil
 }
 
-// sendMaterialFramed ships one round's material frame. The watermark
-// drops by the round's bytes once they are on the wire.
-func (st *rowStreamer) sendMaterialFramed(gb *gc.Garbled) error {
+// corkMaterial corks one round's material frame.
+func (st *rowStreamer) corkMaterial(gb *gc.Garbled) error {
 	buf, err := st.frameMaterial(gb)
 	if err != nil {
 		return err
 	}
-	if err := st.fw.Send(buf); err != nil {
-		return err
-	}
-	st.wm.add(-int64(gb.Material.CiphertextBytes()))
+	st.cork.hold(buf)
+	st.cork.add(buf.B)
 	return nil
 }
 
-// sendPerRound ships a per-round row-0 round: its material, then the
-// answer to its OT. When the client's u matrix, which it sends up to
-// otLookahead rounds early, is already read ahead, the answer is built
-// first and both frames leave in one write, the material's buffer
-// checked out until that write returns. Otherwise the material goes
-// first and the OT waits for u, so a client that sends u only once the
-// material has arrived is still served. The bytes on the wire are the
-// same either way.
-func (st *rowStreamer) sendPerRound(gb *gc.Garbled) error {
-	tc := st.sess.tc
-	if !wire.FrameBuffered(tc) {
-		if err := st.sendMaterialFramed(gb); err != nil {
-			return err
-		}
-		return ot.SendLabels(st.sess.sender, gb.EvalPairs)
-	}
+// corkPerRound corks a per-round row-0 round: its material, then the
+// answer to its OT, appended to the same arena buffer. The client sends
+// u up to otLookahead rounds early, and a u matrix already read ahead
+// is answered at once. Otherwise the cork, material included, is
+// flushed before the read of u blocks, so a client that sends u only
+// once the material has arrived is still served. The bytes on the wire
+// are the same either way, and the cork ends on a round boundary
+// whether this returns an error or not.
+func (st *rowStreamer) corkPerRound(gb *gc.Garbled) error {
 	buf, err := st.frameMaterial(gb)
 	if err != nil {
 		return err
 	}
-	cts, err := ot.AnswerLabels(st.sess.sender, gb.EvalPairs)
+	mat := len(buf.B)
+	ahead := wire.FrameBuffered(st.sess.tc)
+	if !ahead {
+		st.cork.add(buf.B)
+		err = st.flush()
+	}
 	if err == nil {
-		st.pair = [2][]byte{buf.B, cts}
-		err = tc.SendMsgs(st.pair[:])
-		st.pair = [2][]byte{}
+		buf.B, err = ot.AppendAnswer(st.sess.sender, buf.B, gb.EvalPairs)
 	}
-	buf.Free()
 	if err != nil {
+		buf.Free()
 		return err
 	}
-	st.wm.add(-int64(gb.Material.CiphertextBytes()))
+	if ahead {
+		st.cork.add(buf.B[:mat])
+	}
+	st.cork.hold(buf)
+	st.cork.add(buf.B[mat:])
 	return nil
 }
 
-// consume frames and transfers one round, then releases it. A round of
-// row 1 or later only streams its material. Per-round mode streams a
-// row-0 round's material and runs its OT at once. Batched mode holds
+// consume frames one round into the cork, then releases it. A round
+// of row 1 or later only streams its material. Per-round mode streams
+// a row-0 round's material and runs its OT at once. Batched mode holds
 // row 0's rounds until the last arrives, runs the request's one OT over
 // their pairs, and frames them (sendHeld): its OT must precede any
-// material, and row 0's pairs are every row's.
+// material, and row 0's pairs are every row's. The watermark drops by
+// a round's bytes once it is framed.
 func (st *rowStreamer) consume(gb *gc.Garbled) error {
 	row0 := st.n < st.cols
 	st.n++
@@ -151,20 +218,42 @@ func (st *rowStreamer) consume(gb *gc.Garbled) error {
 	}
 	var err error
 	if row0 {
-		err = st.sendPerRound(gb)
+		err = st.corkPerRound(gb)
 	} else {
-		err = st.sendMaterialFramed(gb)
+		err = st.corkMaterial(gb)
 	}
 	if err != nil {
 		return err
 	}
+	st.release(gb)
+	return st.flushIfFull()
+}
+
+// release credits a framed round's bytes to the watermark and hands the
+// round back.
+func (st *rowStreamer) release(gb *gc.Garbled) {
+	st.wm.add(-int64(gb.Material.CiphertextBytes()))
 	st.rounds.Put(gb)
-	return nil
+}
+
+// flush writes out the cork.
+func (st *rowStreamer) flush() error { return st.cork.flush(st.sess.tc) }
+
+// flushIfFull flushes the cork once it reaches a cap.
+func (st *rowStreamer) flushIfFull() error {
+	if !st.cork.full() {
+		return nil
+	}
+	return st.flush()
 }
 
 // sendHeld is a batched request's one OT over the held rounds' pairs,
-// copied in round order, then the held rounds' frames.
+// copied in round order, then the held rounds' frames. The OT reads u
+// and may block, so the cork is flushed first.
 func (st *rowStreamer) sendHeld() error {
+	if err := st.flush(); err != nil {
+		return err
+	}
 	for _, gb := range st.held {
 		st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
 	}
@@ -174,10 +263,13 @@ func (st *rowStreamer) sendHeld() error {
 		return err
 	}
 	for _, gb := range st.held {
-		if err := st.sendMaterialFramed(gb); err != nil {
+		if err := st.corkMaterial(gb); err != nil {
 			return err
 		}
-		st.rounds.Put(gb)
+		st.release(gb)
+		if err := st.flushIfFull(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -190,7 +282,7 @@ func (st *rowStreamer) sendHeld() error {
 func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []*maxsim.DotProductRun) error {
 	defer func() {
 		st.sess.ss.reg.Gauge("bytes_buffered_peak",
-			"peak garbled-material bytes buffered between garbling and wire transfer (last request)").
+			"peak garbled-material bytes buffered between garbling and framing (last request)").
 			Set(st.wm.peak.Load())
 	}()
 	st.cols = len(A[0])
@@ -202,7 +294,10 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 
 	if pre == nil {
 		st.rounds = st.sess.srv.rounds
-		return st.sess.garbleRows(ctx, A, workers, keep, &st.wm, st.consume)
+		if err := st.sess.garbleRows(ctx, A, workers, keep, &st.wm, st.consume, st.flush); err != nil {
+			return err
+		}
+		return st.flush()
 	}
 	for i, run := range pre {
 		if err := ctx.Err(); err != nil {
@@ -214,5 +309,5 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			}
 		}
 	}
-	return nil
+	return st.flush()
 }

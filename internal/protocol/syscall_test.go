@@ -24,6 +24,7 @@ import (
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/ot"
+	"maxelerator/internal/precompute"
 	"maxelerator/internal/wire"
 )
 
@@ -44,11 +45,15 @@ func (c *readCounter) Read(p []byte) (int, error) {
 // it forwards is one write of the socket (one writev). It counts them,
 // the frames they carry and the frames received, and hashes the frames
 // sent, each behind its length, as framesDigest does: the bytes the
-// conn puts on the wire.
+// conn puts on the wire. uWrites counts the writes, once a request
+// open has been sent, whose every frame is a u matrix of a b ≤ 8
+// request (ot.Kappa bytes).
 type writeCounter struct {
 	wire.Conn
 	mu                  sync.Mutex
 	writes, sent, recvd int
+	open                bool
+	uWrites             int
 	digest              hash.Hash
 }
 
@@ -61,12 +66,18 @@ func (c *writeCounter) SendMsg(m []byte) error { return c.SendMsgs([][]byte{m}) 
 func (c *writeCounter) SendMsgs(ms [][]byte) error {
 	c.mu.Lock()
 	c.writes++
+	us := c.open
 	for _, m := range ms {
 		var n [4]byte
 		binary.BigEndian.PutUint32(n[:], uint32(len(m)))
 		c.digest.Write(n[:])
 		c.digest.Write(m)
 		c.sent++
+		us = us && len(m) == ot.Kappa
+		c.open = c.open || len(m) == 1 && m[0] == tagReqOpen
+	}
+	if us {
+		c.uWrites++
 	}
 	c.mu.Unlock()
 	return c.Conn.SendMsgs(ms)
@@ -129,8 +140,10 @@ func requestsFirst(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}) 
 		return nil, nil, err
 	}
 	pending := make([]ot.Pending[label.Label], len(y))
+	var u []byte
 	for k, v := range y {
-		if pending[k], err = ot.RequestLabels(cs.receiver, circuit.Int64ToBits(v, cs.h.Width)); err != nil {
+		u, pending[k] = ot.RequestLabels(cs.receiver, u[:0], circuit.Int64ToBits(v, cs.h.Width))
+		if err := cs.tc.SendMsg(u); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -177,21 +190,42 @@ func requestsFirstRun(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{
 	return out, cs.Close()
 }
 
+// chainHitDigest is chainTranscriptDigest's counterpart for the chain
+// fixture served from a pool entry built from engine seeds {33},
+// recorded before either end corked its writes.
+const chainHitDigest = "6c70bdc7f4e9011b47edb8f3cfc4bc5a70466280afe0cd52d10828ff443c4164"
+
 // TestPerRoundSyscalls runs the 1×64 b=8 chain fixture over loopback
-// TCP with a read and write count under both ends. Each side makes
-// fewer than two reads per frame it receives (a stream conn that read
-// header and body separately made exactly two), and the server's bytes
-// are the chain transcript's. A client whose u matrices all lead their
-// rounds gets exactly one server write per round, material and OT
-// answer together; the lookahead client gets one for each round whose
-// u matrix had arrived, and two for the others.
+// TCP with a read and write count under both ends, garbled inline and
+// from a pool hit. Each side makes fewer than two reads per frame it
+// receives (a stream conn that read header and body separately made
+// exactly two), and the server's bytes are the chain transcript's. Both
+// ends cork: the client's u-writer sends its 64 u matrices otBatch to a
+// write, and the server writes whatever it has framed in one write,
+// flushing before it would wait and at the cork's cap. Inline, it waits
+// whenever its lane has no round ready, so how many rounds share a
+// write follows how far the lane runs ahead (a plain run wrote the 64
+// rounds in 5–18 writes, a -race run, whose lane falls behind, in
+// 45–68); it never flushes more than twice a round. A pool hit has
+// every round ready, so there the server's own choices alone set the
+// count, which must be well under one write per row-0 round (each round
+// is a material frame and an OT answer): a client whose u matrices all
+// lead their rounds lets it flush on the cap alone, and the lookahead
+// client makes it flush before each read of a u matrix not yet sent.
 func TestPerRoundSyscalls(t *testing.T) {
 	A, y := chainFixture()
 	var want int64
 	for j := range y {
 		want += A[0][j] * y[j]
 	}
-	for _, name := range []string{"lookahead", "requests_first"} {
+	for _, tc := range []struct {
+		client string
+		hit    bool
+	}{{"lookahead", false}, {"requests_first", false}, {"lookahead", true}, {"requests_first", true}} {
+		name, digest := tc.client, chainTranscriptDigest
+		if tc.hit {
+			name, digest = tc.client+"/hit", chainHitDigest
+		}
 		t.Run(name, func(t *testing.T) {
 			// The server opens the request once its set-up is done and,
 			// for the requests-first client, once the request is sent.
@@ -199,7 +233,7 @@ func TestPerRoundSyscalls(t *testing.T) {
 			run := func(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 				return requestsFirstRun(c, conn, y, setUp, sent)
 			}
-			if name == "lookahead" {
+			if tc.client == "lookahead" {
 				run = clientRun
 				close(sent)
 			}
@@ -216,8 +250,25 @@ func TestPerRoundSyscalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var eng *precompute.Engine
+			if tc.hit {
+				seeds, err := label.NewDRBG([16]byte{33})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if eng, err = precompute.New(precompute.Config{Sim: maxsim.Config{Width: 8, AccWidth: 24, Signed: true, Rand: seeds}, PoolSize: 1}); err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Stop()
+				srv.WithPrecompute(eng)
+				shape := precompute.Shape{Rows: 1, Cols: len(y), Width: 8, Signed: true, Mode: "matvec", OT: OTPerRound.String()}
+				if err := eng.Prefill(shape, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 			var srvSock *readCounter
 			var srvConn *writeCounter
+			var setupWrites int
 			var srvErr error
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -232,6 +283,7 @@ func TestPerRoundSyscalls(t *testing.T) {
 				srvConn = newWriteCounter(wire.NewStreamConn(srvSock))
 				defer srvConn.Close()
 				sess, err := srv.NewSession(srvConn, SessionConfig{GarbleWorkers: 2})
+				setupWrites = srvConn.writes
 				close(setUp)
 				if err != nil {
 					srvErr = err
@@ -273,8 +325,11 @@ func TestPerRoundSyscalls(t *testing.T) {
 			if out[0] != want {
 				t.Fatalf("result %d, want %d", out[0], want)
 			}
-			if d := hex.EncodeToString(srvConn.digest.Sum(nil)); d != chainTranscriptDigest {
-				t.Fatalf("server transcript digest %s, want %s", d, chainTranscriptDigest)
+			if d := hex.EncodeToString(srvConn.digest.Sum(nil)); d != digest {
+				t.Fatalf("server transcript digest %s, want %s", d, digest)
+			}
+			if hits, _ := eng.PoolStats(); tc.hit && hits != 1 {
+				t.Fatalf("pool hits = %d, want 1", hits)
 			}
 			for _, side := range []struct {
 				name  string
@@ -285,14 +340,20 @@ func TestPerRoundSyscalls(t *testing.T) {
 					t.Errorf("%s: %d reads for %d frames received, want fewer than 2 a frame", side.name, side.reads, side.recvd)
 				}
 			}
-			shared := srvConn.sent - srvConn.writes // rounds whose two frames shared a write
-			t.Logf("server: %d frames in %d writes, %d reads for %d frames; client: %d frames in %d writes, %d reads for %d frames",
-				srvConn.sent, srvConn.writes, srvSock.reads.Load(), srvConn.recvd, cliConn.sent, cliConn.writes, cliSock.reads.Load(), cliConn.recvd)
-			if name == "requests_first" && shared != len(y) {
-				t.Fatalf("server sent %d frames in %d writes: %d rounds shared a write, want all %d", srvConn.sent, srvConn.writes, shared, len(y))
+			// Past the set-up and the request header, before the session end.
+			roundWrites := srvConn.writes - setupWrites - 1
+			t.Logf("server: %d frames in %d writes (%d in the rounds), %d reads for %d frames; client: %d frames in %d writes (%d of u matrices), %d reads for %d frames",
+				srvConn.sent, srvConn.writes, roundWrites, srvSock.reads.Load(), srvConn.recvd,
+				cliConn.sent, cliConn.writes, cliConn.uWrites, cliSock.reads.Load(), cliConn.recvd)
+			bound := 2*len(y) + 1
+			if tc.hit {
+				bound = len(y) / 4
 			}
-			if shared < 0 || shared > len(y) {
-				t.Fatalf("server sent %d frames in %d writes; at most the %d rounds may share one", srvConn.sent, srvConn.writes, len(y))
+			if roundWrites < 1 || roundWrites > bound {
+				t.Fatalf("server wrote its %d rounds in %d writes, want 1 to %d", len(y), roundWrites, bound)
+			}
+			if bound := (len(y)+otBatch-1)/otBatch + 1; tc.client == "lookahead" && cliConn.uWrites > bound {
+				t.Fatalf("client sent its %d u matrices in %d writes, want at most %d", len(y), cliConn.uWrites, bound)
 			}
 		})
 	}
@@ -300,11 +361,11 @@ func TestPerRoundSyscalls(t *testing.T) {
 
 // TestPerRoundStallMidBatch: a client that sent every u matrix with its
 // request open, then reads nothing past the request header, leaves the
-// server blocked inside one of its batched writes (a round's material
-// and OT answer, the material's arena buffer checked out) once the
+// server blocked inside one of its corked writes (several rounds'
+// material and OT answers, their arena buffers checked out) once the
 // small socket buffers fill. The rounds phase's budget ends the write
-// with ErrPhaseTimeout, every round's write was a batch, and the buffer
-// is back in the arena.
+// with ErrPhaseTimeout, every round write carried at least one whole
+// round, and the buffers are back in the arena.
 func TestPerRoundStallMidBatch(t *testing.T) {
 	A, y := chainFixture()
 	srv, o := faultMatrixServer(t, Timeouts{Handshake: 10 * time.Second, IO: 500 * time.Millisecond})
@@ -315,7 +376,7 @@ func TestPerRoundStallMidBatch(t *testing.T) {
 	defer ln.Close()
 	setUp, sent := make(chan struct{}), make(chan struct{})
 	var srvConn *writeCounter
-	var setupWrites int
+	var setupWrites, setupSent int
 	srvDone := make(chan error, 1)
 	go func() {
 		c, err := ln.Accept()
@@ -327,7 +388,7 @@ func TestPerRoundStallMidBatch(t *testing.T) {
 		srvConn = newWriteCounter(wire.NewStreamConn(c))
 		defer srvConn.Close()
 		sess, err := srv.NewSession(srvConn, SessionConfig{GarbleWorkers: 2})
-		setupWrites = srvConn.writes
+		setupWrites, setupSent = srvConn.writes, srvConn.sent
 		close(setUp)
 		if err != nil {
 			srvDone <- err
@@ -366,10 +427,11 @@ func TestPerRoundStallMidBatch(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("the stalled batch never tripped the rounds deadline")
 	}
-	rounds := srvConn.writes - setupWrites - 1 // past the request header
-	if rounds < 1 || rounds >= len(y) || srvConn.sent-srvConn.writes != rounds {
-		t.Fatalf("%d round writes carried %d frames before the stall; want every one a batch of two, and the stall before the last round",
-			rounds, srvConn.sent-setupWrites-1)
+	// Past the request header; the last write is the one that stalled.
+	writes, frames := srvConn.writes-setupWrites-1, srvConn.sent-setupSent-1
+	if writes < 1 || frames < 2*writes || frames >= 2*len(y) {
+		t.Fatalf("%d round writes carried %d frames before the stall; want each to carry a whole round or more, and the stall before the last round",
+			writes, frames)
 	}
 	if n := srv.arena.Outstanding(); n != 0 {
 		t.Errorf("arena buffers outstanding after the timeout: %d", n)

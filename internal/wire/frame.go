@@ -62,6 +62,17 @@ func (a *Arena) Get(sizeHint int) *Buf {
 	return b
 }
 
+// Reserve makes the arena hold at least n free buffers, making the
+// shortfall with size bytes of capacity, and keeps them through the
+// collector's trims for as long as each run reserves them: a caller that
+// checks out up to n buffers at a time, a varying number each run,
+// allocates them all in its first run and then reuses them, rather than
+// allocating anew each time a trim has dropped the ones only a deeper
+// run reached.
+func (a *Arena) Reserve(n, size int) {
+	a.free.Reserve(n, func() *Buf { return &Buf{B: make([]byte, 0, size)} })
+}
+
 // Free returns b to its arena. A second Free of the same Buf is a
 // no-op, so error paths can Free unconditionally.
 func (b *Buf) Free() {

@@ -155,8 +155,9 @@ func (c *streamConn) SendMsgs(msgs [][]byte) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if n := frameHeaderSize * len(msgs); cap(c.whdr) < n {
-		c.whdr, c.wvec = make([]byte, n), make([][]byte, 0, 2*len(msgs))
+	if n := len(msgs); cap(c.whdr) < frameHeaderSize*n {
+		n = max(n, cap(c.wvec)) // at least double: batches grow a frame at a time
+		c.whdr, c.wvec = make([]byte, frameHeaderSize*n), make([][]byte, 0, 2*n)
 	}
 	c.wvec = c.wvec[:0]
 	for i, msg := range msgs {
