@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"maxelerator/internal/circuit"
 	"maxelerator/internal/label"
@@ -66,6 +67,24 @@ func NewRequest(params Params, c *circuit.Circuit, cols int, seed [16]byte) (*Re
 	}
 	return &Request{params: params, ckt: c, cols: cols, block: block, delta: d,
 		rowTweaks: uint64(cols) * uint64(prog.NAND) * params.Scheme.TweaksPerGate()}, nil
+}
+
+// AppendEvalPairs appends the evaluator-input label pairs of r's
+// rounds to dst, Cols·NEvaluator of them in round order: round j's are
+// the EvalPairs every row's round j carries, so they are known before
+// any row is garbled. Each counter block is encrypted in place in dst.
+func (r *Request) AppendEvalPairs(dst []label.Pair) []label.Pair {
+	n := r.cols * r.ckt.NEvaluator
+	dst = slices.Grow(dst, n)
+	for i := range uint64(n) {
+		dst = append(dst, label.Pair{})
+		p := &dst[len(dst)-1]
+		binary.BigEndian.PutUint64(p.False[:8], columnDomain)
+		binary.BigEndian.PutUint64(p.False[8:], i)
+		r.block.Encrypt(p.False[:], p.False[:])
+		p.True = r.delta.Flip(p.False)
+	}
+	return dst
 }
 
 // Lane garbles rows of its request on one goroutine, reusing the

@@ -373,7 +373,9 @@ func TestRequestTweaksNeverRepeatAcrossRows(t *testing.T) {
 // lane admits (a non-negative int) and below Δ's, and j·NEvaluator + n
 // stays below 2⁶⁴ for every request NewRequest admits, so no column
 // label is a row label or Δ: a round at the top of the column range is
-// garbled, evaluated and checked against both.
+// garbled, evaluated and checked against both. AppendEvalPairs, which
+// the batched OT reads before any row is garbled, is every row's round-j
+// EvalPairs in round order, appended behind what dst holds.
 func TestRequestColumnLabelsShared(t *testing.T) {
 	if !(uint64(math.MaxInt) < columnDomain && columnDomain < deltaDomain) {
 		t.Fatalf("domains: largest row %d, columns %d, Δ %d", math.MaxInt, uint64(columnDomain), uint64(deltaDomain))
@@ -404,6 +406,12 @@ func TestRequestColumnLabelsShared(t *testing.T) {
 		for h := range ls {
 			ls[h] = req.Lane()
 		}
+		head := label.Pair{False: label.Label{1}, True: label.Label{2}}
+		pairs := req.AppendEvalPairs([]label.Pair{head})
+		if len(pairs) != 1+cols*int(nEval) || pairs[0] != head {
+			t.Fatalf("lanes=%d: AppendEvalPairs gave %d pairs behind %v, want %d behind %v", lanes, len(pairs)-1, pairs[0], cols*nEval, head)
+		}
+		pairs = pairs[1:]
 		var row0 [cols][]label.Pair
 		for i := 0; i < rows; i++ {
 			err := ls[i%lanes].GarbleRow(i, []int64{1, -2, 3}, func(r int, gb *Garbled) error {
@@ -411,6 +419,9 @@ func TestRequestColumnLabelsShared(t *testing.T) {
 					if want := columnLabel(uint64(r)*nEval + uint64(n)); p.False != want {
 						t.Fatalf("lanes=%d row %d round %d: evaluator label %d is not the column domain's", lanes, i, r, n)
 					}
+				}
+				if !slices.Equal(gb.EvalPairs, pairs[uint64(r)*nEval:uint64(r+1)*nEval]) {
+					t.Fatalf("lanes=%d row %d round %d: EvalPairs differ from AppendEvalPairs' round %d", lanes, i, r, r)
 				}
 				if i == 0 {
 					row0[r] = slices.Clone(gb.EvalPairs)

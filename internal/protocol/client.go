@@ -64,7 +64,6 @@ func (c *Client) WithShapeHint(h ShapeHint) *Client {
 type ClientSession struct {
 	tc       *timedConn // every wire op runs under a phase budget
 	h        hello
-	params   gc.Params
 	macCkt   *circuit.Circuit
 	receiver *ot.ExtensionReceiver
 	seq      int
@@ -140,7 +139,7 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 		return nil, err
 	}
 	tc.enterPhase(phaseRequestOpen)
-	return &ClientSession{tc: tc, h: h, params: gc.DefaultParams(), macCkt: ckt, receiver: receiver}, nil
+	return &ClientSession{tc: tc, h: h, macCkt: ckt, receiver: receiver}, nil
 }
 
 // Do runs one request with the client vector y and returns the decoded
@@ -271,12 +270,15 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	}
 
 	nw := min(runtime.GOMAXPROCS(0), hdr.Rows)
-	for len(cs.evals) < nw {
-		ev, err := gc.NewEvaluator(cs.params, cs.macCkt)
-		if err != nil {
-			return nil, err
+	if len(cs.evals) < nw {
+		params := gc.DefaultParams() // keys one fixed-key AES, which every evaluator shares
+		for len(cs.evals) < nw {
+			ev, err := gc.NewEvaluator(params, cs.macCkt)
+			if err != nil {
+				return nil, err
+			}
+			cs.evals = append(cs.evals, ev)
 		}
-		cs.evals = append(cs.evals, ev)
 	}
 	outs := make([]int64, hdr.Rows)
 	hp := cs.startHelpers(hdr, nw, outs)

@@ -44,7 +44,7 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 	if hdr.OT != OTPerRound || hdr.Cols != len(y) {
 		return nil, fmt.Errorf("lockstep client: got a %s request of %d columns", hdr.OT, hdr.Cols)
 	}
-	ev, err := gc.NewEvaluator(cs.params, cs.macCkt)
+	ev, err := gc.NewEvaluator(gc.DefaultParams(), cs.macCkt)
 	if err != nil {
 		return nil, err
 	}

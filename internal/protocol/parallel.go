@@ -40,36 +40,30 @@ const laneRounds = 32
 // the queues. garbleRows has returned by then, so it never escapes.
 var errLaneStopped = errors.New("protocol: garble lane stopped")
 
-// garbleRows garbles every row of A and hands each round to consume on
-// the caller's goroutine, in strict row and round order. Rows are
-// striped over lanes = max(1, min(workers, rows)) goroutines: lane h
-// garbles rows r ≡ h (mod lanes) into its own queue of
+// garbleRows garbles every row of A under req and hands each round to
+// consume on the caller's goroutine, in strict row and round order.
+// Rows are striped over lanes = max(1, min(workers, rows)) goroutines:
+// lane h garbles rows r ≡ h (mod lanes) into its own queue of
 // min(pipeDepth·Cols, laneRounds) rounds, and the caller reads row r's
 // rounds from queue r mod lanes.
 // Lanes garble into rounds from the server's RoundPool, and a dequeued
-// round is consume's, to release once done with it; keep is how many
-// rounds consume may hold past the call that handed them over, and the pool
-// reserves what the request can hold at once. A lane charges wm
-// with each round's table bytes once the round is queued; framing it
-// credits them back. When the next round's queue has nothing ready,
+// round is consume's, to release before it returns; the pool reserves
+// what the request can hold at once. A lane charges wm with each
+// round's table bytes once the round is queued; framing it credits
+// them back. When the next round's queue has nothing ready,
 // idle runs before the caller waits on it. A lane's panic becomes its
 // error; cancellation stops every lane at its next round and the caller
 // at its next row. No lane outlives the call.
-func (sess *ServerSession) garbleRows(ctx context.Context, A [][]int64, workers, keep int, wm *byteWatermark, consume func(*gc.Garbled) error, idle func() error) error {
+func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A [][]int64, workers int, wm *byteWatermark, consume func(*gc.Garbled) error, idle func() error) error {
 	n, cols, ss, sim := len(A), len(A[0]), sess.ss, sess.srv.sim
 	lanes := max(1, min(workers, n))
 	depth := min(pipeDepth*cols, laneRounds)
 	// Each lane holds its queue and the round it garbles, and consume
-	// the round it frames and the ones it keeps.
-	sess.srv.rounds.Reserve(min(n*cols, lanes*(depth+1)+1+keep))
+	// the round it frames.
+	sess.srv.rounds.Reserve(min(n*cols, lanes*(depth+1)+1))
 	ss.reg.Gauge("garble_workers", "row-garbling lanes of the last request").Set(int64(lanes))
 	rowSeconds := ss.reg.Histogram("garble_row_seconds", "wall time to garble one matrix row, back-pressure included", nil)
 	rowsTotal := ss.reg.Counter("garble_rows_total", "matrix rows garbled")
-
-	req, err := sim.NewRequest(cols)
-	if err != nil {
-		return err
-	}
 	rowStats := sim.Account(cols)
 
 	// Lane h's queue, error and time blocked on its queue; errs[h] is

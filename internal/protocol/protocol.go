@@ -121,8 +121,9 @@ const (
 	// labels.
 	OTPerRound OTMode = iota
 	// OTBatched transfers every round's labels, Cols·Width of them, in
-	// one OT-extension batch once row 0 is garbled and before any
-	// material: fewer round trips for the same labels held.
+	// one OT-extension batch before any material, which the server runs
+	// once row 0's round 0 is garbled: fewer round trips for the same
+	// labels held.
 	OTBatched
 )
 

@@ -52,8 +52,8 @@ type ServerSession struct {
 	ended   bool
 	broken  error
 
-	// pairs is a batched-OT request's label pairs, row 0's rounds' in
-	// order, gathered for its one OT; see recyclePairs.
+	// pairs is a batched-OT request's label pairs in round order, drawn
+	// from its key (or a hit's row 0) for its one OT; see recyclePairs.
 	pairs []label.Pair
 	// cork is the frames framed and not yet written (stream.go).
 	cork cork

@@ -5,13 +5,13 @@ package protocol
 // the session goroutine frames its material with one bulk copy
 // (gc.AppendMaterial appends the round's table block, already in wire
 // layout, to a wire.Arena buffer) and runs the OT, which only row 0's
-// rounds carry. Round 0's frame therefore leaves while the rest of the
-// row is still being garbled (in batched mode, once row 0 is garbled
-// and its one OT done), the way MAXelerator's PCIe link drains each
-// table while the FSM garbles the next. A precompute hit frames the
-// entry's rounds in a plain loop. Frames are corked and leave in one
-// write whenever the session goroutine would otherwise wait, or once
-// the cork is full. The bytes on the wire are byte-identical to the
+// rounds carry (in batched mode, one OT before round 0's frame, over
+// pairs the request key fixes). Round 0's frame therefore leaves while
+// the rest of the row is still being garbled, the way MAXelerator's
+// PCIe link drains each table while the FSM garbles the next. A
+// precompute hit frames the entry's rounds in a plain loop. Frames are
+// corked and leave in one write whenever the session goroutine would
+// otherwise wait, or once the cork is full. The bytes on the wire are byte-identical to the
 // buffered path at any lane count or queue depth — only the timing and
 // the buffering change, which is what the bytes_buffered_peak gauge
 // exists to prove.
@@ -105,11 +105,11 @@ func (c *cork) drop() {
 // rowStreamer frames one request's rounds on the session goroutine
 // into the session's cork. Every row's round j carries the same
 // evaluator-input labels (one gc.Request), so only row 0's rounds run
-// an OT; later rows send material alone. The cork is flushed before
-// anything that may block — a lane queue with nothing ready, a u matrix
-// not read ahead, the batched OT, the end of the request — and when it
-// is full, so a frame never waits in it while the session goroutine
-// waits.
+// an OT, or in batched mode the first round alone; other rounds send
+// material only. The cork is flushed before anything that may block — a
+// lane queue with nothing ready, a u matrix not read ahead, the batched
+// OT, the end of the request — and when it is full, so a frame never
+// waits in it while the session goroutine waits.
 type rowStreamer struct {
 	sess *ServerSession
 	ot   OTMode
@@ -119,10 +119,9 @@ type rowStreamer struct {
 	// is done; nil on a precompute hit, whose entry's rounds are dropped.
 	rounds *gc.RoundPool
 
-	cols     int           // rounds per row
-	n        int           // rounds consumed so far
-	reserved bool          // the arena holds the cork's buffers for this request
-	held     []*gc.Garbled // batched mode: row 0's rounds, held for the one OT
+	cols     int  // rounds per row
+	n        int  // rounds consumed so far
+	reserved bool // the arena holds the cork's buffers for this request
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
@@ -199,25 +198,26 @@ func (st *rowStreamer) corkPerRound(gb *gc.Garbled) error {
 	return nil
 }
 
-// consume frames one round into the cork, then releases it. A round
-// of row 1 or later only streams its material. Per-round mode streams
-// a row-0 round's material and runs its OT at once. Batched mode holds
-// row 0's rounds until the last arrives, runs the request's one OT over
-// their pairs, and frames them (sendHeld): its OT must precede any
-// material, and row 0's pairs are every row's. The watermark drops by
-// a round's bytes once it is framed.
+// consume frames one round into the cork, then releases it. Per-round
+// mode streams a row-0 round's material and runs its OT at once.
+// Batched mode runs the request's one OT over sess.pairs, filled by
+// run, before the first round's frame: its OT must precede any
+// material, and reads u, so the cork is flushed first. Every other
+// round only streams its material. The watermark drops by a round's
+// bytes once it is framed.
 func (st *rowStreamer) consume(gb *gc.Garbled) error {
+	if st.n == 0 && st.ot == OTBatched {
+		if err := st.flush(); err != nil {
+			return err
+		}
+		if err := ot.SendLabels(st.sess.sender, st.sess.pairs); err != nil {
+			return err
+		}
+	}
 	row0 := st.n < st.cols
 	st.n++
-	if row0 && st.ot == OTBatched {
-		st.held = append(st.held, gb)
-		if len(st.held) < st.cols {
-			return nil
-		}
-		return st.sendHeld()
-	}
 	var err error
-	if row0 {
+	if row0 && st.ot == OTPerRound {
 		err = st.corkPerRound(gb)
 	} else {
 		err = st.corkMaterial(gb)
@@ -247,36 +247,11 @@ func (st *rowStreamer) flushIfFull() error {
 	return st.flush()
 }
 
-// sendHeld is a batched request's one OT over the held rounds' pairs,
-// copied in round order, then the held rounds' frames. The OT reads u
-// and may block, so the cork is flushed first.
-func (st *rowStreamer) sendHeld() error {
-	if err := st.flush(); err != nil {
-		return err
-	}
-	for _, gb := range st.held {
-		st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
-	}
-	err := ot.SendLabels(st.sess.sender, st.sess.pairs)
-	st.sess.recyclePairs()
-	if err != nil {
-		return err
-	}
-	for _, gb := range st.held {
-		if err := st.corkMaterial(gb); err != nil {
-			return err
-		}
-		st.release(gb)
-		if err := st.flushIfFull(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // run streams one request: pre non-nil frames pooled material (a
 // precompute hit never re-garbles, and charges the watermark nothing);
-// otherwise the request garbles round by round on its lanes. Deadlines
+// otherwise the request draws its seed and garbles round by round on
+// its lanes. A batched request's OT pairs come from the request key,
+// or from a hit's row-0 rounds, before the first round. Deadlines
 // and cancellation hold throughout: every wire operation runs under the
 // rounds phase budget, and ctx is checked at every row.
 func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []*maxsim.DotProductRun) error {
@@ -285,19 +260,28 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			"peak garbled-material bytes buffered between garbling and framing (last request)").
 			Set(st.wm.peak.Load())
 	}()
+	defer st.sess.recyclePairs()
 	st.cols = len(A[0])
-	keep := 0
-	if st.ot == OTBatched {
-		st.held = make([]*gc.Garbled, 0, st.cols)
-		keep = st.cols // row 0's rounds wait for the OT
-	}
+	batched := st.ot == OTBatched
 
 	if pre == nil {
+		req, err := st.sess.srv.sim.NewRequest(st.cols)
+		if err != nil {
+			return err
+		}
+		if batched {
+			st.sess.pairs = req.AppendEvalPairs(st.sess.pairs)
+		}
 		st.rounds = st.sess.srv.rounds
-		if err := st.sess.garbleRows(ctx, A, workers, keep, &st.wm, st.consume, st.flush); err != nil {
+		if err := st.sess.garbleRows(ctx, req, A, workers, &st.wm, st.consume, st.flush); err != nil {
 			return err
 		}
 		return st.flush()
+	}
+	if batched {
+		for _, gb := range pre[0].Rounds {
+			st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)
+		}
 	}
 	for i, run := range pre {
 		if err := ctx.Err(); err != nil {

@@ -21,9 +21,12 @@ import (
 	"testing"
 	"time"
 
+	"maxelerator/internal/circuit"
+	"maxelerator/internal/gc"
 	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/obs"
+	"maxelerator/internal/ot"
 	"maxelerator/internal/precompute"
 	"maxelerator/internal/wire"
 )
@@ -386,9 +389,10 @@ func TestStreamTranscriptStructureUnderWorkers(t *testing.T) {
 
 // TestLaneBufferBound pins the per-lane memory rule: a lane queues at
 // most pipeDepth rows ahead of the wire, and the session goroutine
-// holds one round while it frames it, so a per-round request buffers
-// at most lanes·(pipeDepth rows + one round) of tables whatever its row
-// count. A precompute hit garbles nothing and reads 0.
+// holds one round while it frames it, so a request buffers at most
+// lanes·(pipeDepth rows + one round) of tables whatever its row count.
+// The bound holds in batched mode too: its OT waits for no round of
+// row 0. A precompute hit garbles nothing and reads 0.
 func TestLaneBufferBound(t *testing.T) {
 	const rows, cols = 4, 6
 	A := make([][]int64, rows)
@@ -423,7 +427,7 @@ func TestLaneBufferBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := func(lanes int) *Response {
+	serve := func(lanes int, mode OTMode) *Response {
 		t.Helper()
 		a, b := wire.Pipe()
 		defer a.Close()
@@ -433,7 +437,7 @@ func TestLaneBufferBound(t *testing.T) {
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			resp, srvErr = serveOne(srv, a, SessionConfig{GarbleWorkers: lanes}, Request{Matrix: A})
+			resp, srvErr = serveOne(srv, a, SessionConfig{GarbleWorkers: lanes}, Request{Matrix: A, OT: mode})
 		}()
 		out, err := clientRun(cli, b, y)
 		<-done
@@ -450,25 +454,137 @@ func TestLaneBufferBound(t *testing.T) {
 	}
 	peak := func() int64 { return o.Metrics().Gauge("bytes_buffered_peak", "").Value() }
 
-	for _, lanes := range []int{1, 2, 4} {
-		resp := serve(lanes)
-		rowBytes := int64(resp.Stats.TableBytes) / rows
-		bound := int64(lanes) * (int64(pipeDepth)*rowBytes + rowBytes/cols)
-		if p := peak(); p <= 0 || p > bound {
-			t.Fatalf("lanes=%d: bytes_buffered_peak = %d, want within (0, %d]", lanes, p, bound)
+	for _, mode := range []OTMode{OTPerRound, OTBatched} {
+		for _, lanes := range []int{1, 2, 4} {
+			resp := serve(lanes, mode)
+			rowBytes := int64(resp.Stats.TableBytes) / rows
+			bound := int64(lanes) * (int64(pipeDepth)*rowBytes + rowBytes/cols)
+			if p := peak(); p <= 0 || p > bound {
+				t.Fatalf("%s lanes=%d: bytes_buffered_peak = %d, want within (0, %d]", mode, lanes, p, bound)
+			}
 		}
 	}
 
-	shape := precompute.Shape{Rows: rows, Cols: cols, Width: 8, Signed: true, Mode: "matvec", OT: OTPerRound.String()}
+	shape := precompute.Shape{Rows: rows, Cols: cols, Width: 8, Signed: true, Mode: "matvec", OT: OTBatched.String()}
 	if err := eng.Prefill(shape, 1); err != nil {
 		t.Fatal(err)
 	}
-	serve(2)
+	serve(2, OTBatched)
 	if hits, _ := eng.PoolStats(); hits != 1 {
 		t.Fatalf("pool hits = %d, want 1", hits)
 	}
 	if p := peak(); p != 0 {
 		t.Fatalf("bytes_buffered_peak = %d after a precompute hit, want 0", p)
+	}
+}
+
+// batchedRun is a batched client that closes otDone once its one OT is
+// done: Dial, then one request whose ot.ReceiveLabels runs before it
+// reads any material, evaluated on one goroutine, then Close.
+func batchedRun(c *Client, conn wire.Conn, y []int64, otDone chan<- struct{}) ([]int64, error) {
+	cs, err := c.Dial(conn)
+	if err != nil {
+		return nil, err
+	}
+	if err := cs.tc.SendMsg([]byte{tagReqOpen}); err != nil {
+		return nil, err
+	}
+	hdr, err := recvFrame(cs.tc, parseReqHeader)
+	if err != nil {
+		return nil, err
+	}
+	if hdr.OT != OTBatched || hdr.Cols != len(y) {
+		return nil, fmt.Errorf("batched client: got a %s request of %d columns", hdr.OT, hdr.Cols)
+	}
+	var choices []bool
+	for _, v := range y {
+		choices = append(choices, circuit.Int64ToBits(v, cs.h.Width)...)
+	}
+	shared, err := ot.ReceiveLabels(cs.receiver, choices)
+	if err != nil {
+		return nil, err
+	}
+	close(otDone)
+	ev, err := gc.NewEvaluator(gc.DefaultParams(), cs.macCkt)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]int64, hdr.Rows)
+	for row := range outs {
+		var res *gc.EvalResult
+		for round := range y {
+			in := chainRound{active: shared[round*cs.h.Width : (round+1)*cs.h.Width]}
+			if in.m, in.frame, err = recvMaterial(cs.tc); err != nil {
+				return nil, err
+			}
+			if res, err = in.eval(ev, res, row, round); err != nil {
+				return nil, err
+			}
+		}
+		outs[row] = cs.decode(res.Outputs)
+	}
+	if err := cs.tc.SendMsg(appendResult(nil, outs)); err != nil {
+		return nil, err
+	}
+	return outs, cs.Close()
+}
+
+// TestBatchedOTBeforeRowZero pins when a batched request's one OT runs:
+// once the session goroutine dequeues round 0, not once row 0 is
+// garbled, because the request key fixes every pair. Row 0's lane is
+// parked after queueing round 0 until the client's ot.ReceiveLabels has
+// returned. A server that held row 0 for the OT would leave the two
+// waiting on each other, so the park gives up after 5 s and fails the
+// test, and the request then finishes either way.
+func TestBatchedOTBeforeRowZero(t *testing.T) {
+	A := [][]int64{{1, -2, 3, 4}, {5, 6, -7, 8}, {-9, 10, 11, -12}}
+	y := []int64{7, -8, 9, -10}
+	srv, err := NewServer(maxsim.Config{Width: 8, AccWidth: 24, Signed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClient(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var otDone chan struct{}
+	garbleRoundTestHook = func(row, round int) {
+		if row != 0 || round != 0 {
+			return
+		}
+		select {
+		case <-otDone:
+		case <-time.After(5 * time.Second):
+			t.Errorf("the client's batched OT had not returned 5 s after row 0's round 0 was queued")
+		}
+	}
+	t.Cleanup(func() { garbleRoundTestHook = nil })
+
+	for _, lanes := range []int{1, 2} {
+		otDone = make(chan struct{}) // no lane runs between requests
+		a, b := wire.Pipe()
+		var srvErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, srvErr = serveOne(srv, a, SessionConfig{GarbleWorkers: lanes}, Request{Matrix: A, OT: OTBatched})
+		}()
+		out, err := batchedRun(cli, b, y, otDone)
+		<-done
+		a.Close()
+		b.Close()
+		if err != nil || srvErr != nil {
+			t.Fatalf("lanes=%d: client %v, server %v", lanes, err, srvErr)
+		}
+		for i, row := range A {
+			var want int64
+			for j := range row {
+				want += row[j] * y[j]
+			}
+			if out[i] != want {
+				t.Fatalf("lanes=%d: row %d = %d, want %d", lanes, i, out[i], want)
+			}
+		}
 	}
 }
 

@@ -166,7 +166,7 @@ func requestsFirstRun(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{
 	if hdr.OT != OTPerRound || hdr.Rows != 1 || hdr.Cols != len(y) {
 		return nil, fmt.Errorf("requests-first client: got a %s request of %d×%d", hdr.OT, hdr.Rows, hdr.Cols)
 	}
-	ev, err := gc.NewEvaluator(cs.params, cs.macCkt)
+	ev, err := gc.NewEvaluator(gc.DefaultParams(), cs.macCkt)
 	if err != nil {
 		return nil, err
 	}

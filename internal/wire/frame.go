@@ -11,16 +11,12 @@ import (
 // SendMsg as it is, so the hot path neither allocates a per-table
 // []byte nor copies the payload to glue the length prefix on.
 
-// Arena is a pool of frame-assembly buffers with checkout accounting:
-// InUseBytes/Outstanding report what is currently held, PeakBytes the
-// high-water mark. The serve pipeline checks one buffer out per frame
-// it is assembling, so the accounting demonstrates O(frame) rather than
-// O(request) buffering. Its free buffers are a recycle.List, like the
-// received bodies (recycle.go).
+// Arena is a pool of frame-assembly buffers that counts its checkouts:
+// Outstanding reports how many buffers are currently held. The serve
+// pipeline checks one buffer out per frame it is assembling. Its free
+// buffers are a recycle.List, like the received bodies (recycle.go).
 type Arena struct {
 	free        recycle.List[*Buf]
-	inUse       atomic.Int64 // bytes of capacity currently checked out
-	peak        atomic.Int64 // high-water mark of inUse
 	outstanding atomic.Int64 // buffers currently checked out
 }
 
@@ -30,9 +26,6 @@ type Arena struct {
 type Buf struct {
 	B []byte
 	a *Arena
-	// charged is the capacity accounted at checkout; Free credits the
-	// same amount back so accounting cannot drift when append grows B.
-	charged int64
 }
 
 // NewArena returns an empty arena.
@@ -50,15 +43,7 @@ func (a *Arena) Get(sizeHint int) *Buf {
 	}
 	b.B = b.B[:0]
 	b.a = a
-	b.charged = int64(cap(b.B))
 	a.outstanding.Add(1)
-	in := a.inUse.Add(b.charged)
-	for {
-		p := a.peak.Load()
-		if in <= p || a.peak.CompareAndSwap(p, in) {
-			break
-		}
-	}
 	return b
 }
 
@@ -81,18 +66,9 @@ func (b *Buf) Free() {
 	}
 	a := b.a
 	b.a = nil
-	a.inUse.Add(-b.charged)
 	a.outstanding.Add(-1)
-	b.charged = 0
 	a.free.Put(b)
 }
-
-// InUseBytes reports the capacity currently checked out.
-func (a *Arena) InUseBytes() int64 { return a.inUse.Load() }
-
-// PeakBytes reports the checkout high-water mark since the arena was
-// created.
-func (a *Arena) PeakBytes() int64 { return a.peak.Load() }
 
 // Outstanding reports how many buffers are currently checked out; a
 // quiesced pipeline must report zero.
