@@ -15,6 +15,22 @@ func allSchemes() []Scheme { return []Scheme{HalfGates{}, GRR3{}, FourRow{}} }
 
 func params(s Scheme) Params { return Params{Hash: gchash.MustAES(), Scheme: s} }
 
+// TestDefaultParamsSharesOneHasher: the fixed-key hasher is keyed once
+// per process, so DefaultParams hands out the same one every call and
+// allocates nothing.
+func TestDefaultParamsSharesOneHasher(t *testing.T) {
+	if gchash.MustAES() != gchash.MustAES() {
+		t.Fatal("MustAES returned two hashers")
+	}
+	var p Params
+	if n := testing.AllocsPerRun(100, func() { p = DefaultParams() }); n != 0 {
+		t.Fatalf("DefaultParams allocates %.0f objects", n)
+	}
+	if p.Hash != gchash.MustAES() {
+		t.Fatal("DefaultParams hashes with another hasher than MustAES's")
+	}
+}
+
 // tableRows returns the rows of table k as slices into m.TableBlock, by
 // walking the block's wire layout.
 func tableRows(t *testing.T, m *Material, k int) [][]byte {

@@ -1,14 +1,12 @@
 package gc
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 
 	"maxelerator/internal/circuit"
+	"maxelerator/internal/gchash"
 	"maxelerator/internal/label"
 	"maxelerator/internal/recycle"
 )
@@ -31,7 +29,7 @@ type Request struct {
 	params    Params
 	ckt       *circuit.Circuit
 	cols      int
-	block     cipher.Block
+	stream    gchash.CTR // the request key's; lanes read copies of it
 	delta     label.Delta
 	rowTweaks uint64 // the tweak range one row spans
 }
@@ -55,17 +53,13 @@ func NewRequest(params Params, c *circuit.Circuit, cols int, seed [16]byte) (*Re
 	if cols < 1 || prog.NEvaluator > 0 && uint64(cols) > math.MaxUint64/uint64(prog.NEvaluator) {
 		return nil, fmt.Errorf("gc: request of %d-round rows", cols)
 	}
-	block, err := aes.NewCipher(seed[:])
+	stream, err := gchash.NewCTR(seed)
 	if err != nil {
 		return nil, err
 	}
-	src := counterLabels{block: block}
-	binary.BigEndian.PutUint64(src.ctr[:8], deltaDomain)
-	d, err := label.NewDelta(&src)
-	if err != nil {
-		return nil, err
-	}
-	return &Request{params: params, ckt: c, cols: cols, block: block, delta: d,
+	var d label.Label
+	stream.BlockAt(d[:], deltaDomain, 0)
+	return &Request{params: params, ckt: c, cols: cols, stream: stream, delta: label.DeltaFromLabel(d),
 		rowTweaks: uint64(cols) * uint64(prog.NAND) * params.Scheme.TweaksPerGate()}, nil
 }
 
@@ -79,9 +73,7 @@ func (r *Request) AppendEvalPairs(dst []label.Pair) []label.Pair {
 	for i := range uint64(n) {
 		dst = append(dst, label.Pair{})
 		p := &dst[len(dst)-1]
-		binary.BigEndian.PutUint64(p.False[:8], columnDomain)
-		binary.BigEndian.PutUint64(p.False[8:], i)
-		r.block.Encrypt(p.False[:], p.False[:])
+		r.stream.BlockAt(p.False[:], columnDomain, i)
 		p.True = r.delta.Flip(p.False)
 	}
 	return dst
@@ -93,8 +85,8 @@ func (r *Request) AppendEvalPairs(dst []label.Pair) []label.Pair {
 type Lane struct {
 	req    *Request
 	g      Garbler
-	src    counterLabels
-	col    counterLabels // the evaluator-input labels' stream
+	src    gchash.CTR // the current row's label stream
+	col    gchash.CTR // the evaluator-input labels' stream
 	bits   []bool
 	state  []label.Label // the chained state: the last round's StateOut0
 	rounds *RoundPool    // where rounds come from; nil allocates each
@@ -110,9 +102,7 @@ func (r *Request) Lane() *Lane { return r.PooledLane(nil) }
 // a new one otherwise. The holder of a round hands it back with
 // rounds.Put once done with it.
 func (r *Request) PooledLane(rounds *RoundPool) *Lane {
-	l := &Lane{req: r, src: counterLabels{block: r.block}, col: counterLabels{block: r.block},
-		bits: make([]bool, r.ckt.NGarbler), rounds: rounds}
-	binary.BigEndian.PutUint64(l.col.ctr[:8], columnDomain)
+	l := &Lane{req: r, src: r.stream, col: r.stream, bits: make([]bool, r.ckt.NGarbler), rounds: rounds}
 	l.g = Garbler{params: r.params, delta: r.delta, rand: &l.src, aes: r.params.halfGatesAES(), deltaLabel: r.delta.Label()}
 	return l
 }
@@ -133,8 +123,7 @@ func (l *Lane) GarbleRow(i int, x []int64, emit func(round int, gb *Garbled) err
 		return fmt.Errorf("gc: row %d has %d values, the request %d rounds", i, len(x), l.req.cols)
 	}
 	l.next = i + 1
-	binary.BigEndian.PutUint64(l.src.ctr[:8], uint64(i))
-	l.src.n = 0
+	l.src.Seek(uint64(i), 0)
 	l.g.next = uint64(i) * l.req.rowTweaks
 	var state0 []label.Label
 	for round, xi := range x {
@@ -158,7 +147,7 @@ func (l *Lane) garbleRound(j int, xi int64, state0 []label.Label) (*Garbled, err
 	for b := range l.bits { // Garble only reads it, so every round shares it
 		l.bits[b] = uint64(xi)>>b&1 == 1 // circuit.Int64ToBits, in place
 	}
-	l.col.n = uint64(j) * uint64(l.req.ckt.NEvaluator)
+	l.col.Seek(columnDomain, uint64(j)*uint64(l.req.ckt.NEvaluator))
 	gb := l.rounds.get()
 	if err := l.g.garble(gb, l.req.ckt, GarbleOptions{GarblerInputs: l.bits, State0: state0, EvalLabels: &l.col}); err != nil {
 		return nil, err
@@ -257,22 +246,4 @@ func poisonRound(gb *Garbled) {
 		perm[i] = true
 	}
 	m.NumTables, m.TweakBase, gb.NextTweak = 0xA5A5, 0xA5A5A5A5A5A5A5A5, 0xA5A5A5A5A5A5A5A5
-}
-
-// counterLabels is one label stream of a request: the n-th label read
-// is AES_k(domain ‖ n), both halves big-endian, where the domain is a
-// row index, columnDomain or deltaDomain. Reads are whole labels.
-type counterLabels struct {
-	block cipher.Block
-	ctr   [label.Size]byte // domain ‖ n
-	n     uint64
-}
-
-func (c *counterLabels) Read(p []byte) (int, error) {
-	for off := 0; off < len(p); off += label.Size {
-		binary.BigEndian.PutUint64(c.ctr[8:], c.n)
-		c.block.Encrypt(p[off:off+label.Size], c.ctr[:])
-		c.n++
-	}
-	return len(p), nil
 }

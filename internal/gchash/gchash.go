@@ -75,24 +75,19 @@ type AES struct {
 	block cipher.Block
 }
 
-// NewAES constructs the fixed-key AES hasher.
-func NewAES() (*AES, error) {
+// fixedAES is the process's one fixed-key hasher. It holds nothing
+// mutable, so every garbler, evaluator and session shares it.
+var fixedAES = func() *AES {
 	b, err := aes.NewCipher(fixedKey[:])
 	if err != nil {
-		return nil, fmt.Errorf("gchash: initialising fixed-key AES: %w", err)
+		panic(fmt.Sprintf("gchash: initialising fixed-key AES: %v", err)) // a 16-byte key cannot fail
 	}
-	return &AES{block: b}, nil
-}
+	return &AES{block: b}
+}()
 
-// MustAES constructs the fixed-key AES hasher and panics on failure,
-// which cannot happen for a well-formed 16-byte key.
-func MustAES() *AES {
-	h, err := NewAES()
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
+// MustAES returns the fixed-key AES hasher: the same one on every
+// call, keyed once per process.
+func MustAES() *AES { return fixedAES }
 
 // Name implements Hasher.
 func (h *AES) Name() string { return "fixed-key-aes" }

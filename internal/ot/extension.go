@@ -1,8 +1,6 @@
 package ot
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
@@ -10,6 +8,8 @@ import (
 	"io"
 	"slices"
 
+	"maxelerator/internal/gchash"
+	"maxelerator/internal/label"
 	"maxelerator/internal/wire"
 )
 
@@ -18,15 +18,13 @@ import (
 const Kappa = 128
 
 // The extension kernel. A batch of m transfers is a Kappa×m bit matrix
-// held column-major — column i is the next ⌈m/8⌉ bytes of PRG i, the
-// layout the u matrix has on the wire — and consumed row by row. Three
-// sizes fix its working memory:
+// held column-major — column i is the next ⌈m/8⌉ bytes of column PRG
+// i, the layout the u matrix has on the wire — and consumed row by row.
+// A column PRG is a gchash.CTR keyed by a 16-byte base-OT seed, from a
+// zero counter block: both parties expand the same seed to the same
+// stream and consume equal amounts per batch. Two sizes fix the
+// kernel's working memory:
 const (
-	// lookahead is how much of each column stream is expanded at a
-	// time. A per-round batch takes one byte per column; drawing it from
-	// the lookahead costs a copy where a one-byte XORKeyStream costs an
-	// AES block and a call through cipher.Stream.
-	lookahead = 64
 	// chunkBytes is the sender's strip-mining step: it expands, masks
 	// and transposes 8·chunkBytes transfers at a time, so its matrix
 	// scratch is Kappa·chunkBytes (16 KiB) whatever the batch. The
@@ -42,62 +40,6 @@ const (
 	// (choice bits, label pairs) follow the same rule.
 	RetainLabels = 8192
 )
-
-// colPRG is one column PRG: AES-128 in counter mode, from a zero
-// counter block, keyed by a 16-byte base-OT seed and read through the
-// lookahead. Both parties expand the same seed to the same stream and
-// consume equal amounts per batch; the bytes read do not depend on how
-// the reads are split. It runs the counter over its block cipher
-// itself: a cipher.NewCTR would keep a second copy of the key schedule,
-// and a sender holds Kappa of these, a receiver 2·Kappa.
-type colPRG struct {
-	block cipher.Block
-	ctr   uint64 // counter blocks encrypted so far
-	buf   [lookahead]byte
-	off   int // next unread byte of buf; lookahead when it is spent
-}
-
-func (p *colPRG) init(seed Message) error {
-	blk, err := aes.NewCipher(seed[:])
-	if err != nil {
-		return fmt.Errorf("ot: building PRG: %w", err)
-	}
-	p.block, p.ctr, p.off = blk, 0, lookahead
-	return nil
-}
-
-// read fills dst with the next len(dst) bytes of the stream.
-func (p *colPRG) read(dst []byte) {
-	if len(dst) <= lookahead-p.off {
-		p.off += copy(dst, p.buf[p.off:])
-		return
-	}
-	p.refill(dst)
-}
-
-// refill is read's path through the cipher: whole lookaheads go
-// straight to dst, the rest through a freshly expanded buf.
-func (p *colPRG) refill(dst []byte) {
-	n := copy(dst, p.buf[p.off:])
-	dst = dst[n:]
-	if n = len(dst) &^ (lookahead - 1); n > 0 {
-		p.keystream(dst[:n])
-		dst = dst[n:]
-	}
-	p.keystream(p.buf[:])
-	p.off = copy(dst, p.buf[:])
-}
-
-// keystream fills dst, whole blocks, with the stream's next blocks: the
-// encryptions of the next counter values, big-endian 128-bit.
-func (p *colPRG) keystream(dst []byte) {
-	for b := dst; len(b) > 0; b = b[aes.BlockSize:] {
-		binary.BigEndian.PutUint64(b, 0)
-		binary.BigEndian.PutUint64(b[8:], p.ctr)
-		p.ctr++
-		p.block.Encrypt(b, b)
-	}
-}
 
 // transpose extracts rows 8·strip … 8·strip+7 of a column-major bit
 // matrix: column i occupies cols[i·stride:(i+1)·stride], bit j of a
@@ -151,7 +93,7 @@ type ExtensionSender struct {
 	conn    wire.Conn
 	s       [Kappa]bool
 	sPacked Message
-	columns [Kappa]colPRG
+	columns [Kappa]gchash.CTR
 	index   uint64
 
 	q   []byte // one chunk of the q matrix, column-major
@@ -178,33 +120,29 @@ func NewExtensionSender(conn wire.Conn, rnd io.Reader) (*ExtensionSender, error)
 		return nil, fmt.Errorf("ot: extension base phase (sender): %w", err)
 	}
 	for i, seed := range seeds {
-		if err := es.columns[i].init(seed); err != nil {
-			return nil, err
+		if es.columns[i], err = gchash.NewCTR(seed); err != nil {
+			return nil, fmt.Errorf("ot: building PRG: %w", err)
 		}
 	}
 	return es, nil
 }
 
-// Send transfers one batch of message pairs; the connected receiver
-// must call Receive with the same batch size.
-func (es *ExtensionSender) Send(pairs [][2]Message) error {
-	return ship(es, len(pairs), func(j int) (Message, Message) { return pairs[j][0], pairs[j][1] })
-}
-
-// ship is one whole batch of m transfers: answer into es.out, then
-// send. es.out is reused by the next batch, which wire.Conn's SendMsg
-// contract allows, unless the batch is larger than RetainLabels: then
-// the frame is a buffer of its own that the sender does not keep. An
-// empty batch has no frame.
-func ship[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) error {
-	if m == 0 {
+// SendLabels transfers one wire-label pair per evaluator input bit
+// through the extension session: the receiver learns exactly the label
+// matching each of its choice bits. pairs is read in place and not
+// retained. The answer goes into es.out, reused by the next batch,
+// which wire.Conn's SendMsg contract allows, unless the batch is larger
+// than RetainLabels: then the frame is a buffer of its own that the
+// sender does not keep. An empty batch has no frame.
+func SendLabels(es *ExtensionSender, pairs []label.Pair) error {
+	if len(pairs) == 0 {
 		return nil
 	}
-	out, err := answer(es, es.out[:0], m, pair)
+	out, err := AppendAnswer(es, es.out[:0], pairs)
 	if err != nil {
 		return err
 	}
-	if m <= RetainLabels {
+	if len(pairs) <= RetainLabels {
 		es.out = out
 	}
 	if err := es.conn.SendMsg(out); err != nil {
@@ -213,13 +151,14 @@ func ship[M ~[16]byte](es *ExtensionSender, m int, pair func(j int) (M, M)) erro
 	return nil
 }
 
-// answer is the sender's half of one batch of m transfers, short of the
-// send; pair yields transfer j's two messages. It reads the receiver's
-// u matrix and appends the batch's ciphertext frame, 32 bytes a
-// transfer, to dst, which it returns; an empty batch reads nothing and
-// appends nothing. The received u matrix is recycled once it is
-// consumed.
-func answer[M ~[16]byte](es *ExtensionSender, dst []byte, m int, pair func(j int) (M, M)) ([]byte, error) {
+// AppendAnswer is SendLabels without the send: it reads the receiver's
+// u matrix and appends the ciphertext frame that answers it, 32 bytes a
+// pair, to dst, which it returns. The frame is the caller's, to send on
+// the same connection before the sender's next batch; an empty batch
+// reads and appends nothing, and has no frame. The received u matrix is
+// recycled once it is consumed.
+func AppendAnswer(es *ExtensionSender, dst []byte, pairs []label.Pair) ([]byte, error) {
+	m := len(pairs)
 	if m == 0 {
 		return dst, nil
 	}
@@ -244,7 +183,7 @@ func answer[M ~[16]byte](es *ExtensionSender, dst []byte, m int, pair func(j int
 		es.q = scratch(es.q, Kappa*cb)
 		for i := range es.columns {
 			qi := es.q[i*cb : (i+1)*cb]
-			es.columns[i].read(qi)
+			es.columns[i].Read(qi)
 			if es.s[i] {
 				subtle.XORBytes(qi, qi, u[i*mBytes+base:])
 			}
@@ -255,9 +194,8 @@ func answer[M ~[16]byte](es *ExtensionSender, dst []byte, m int, pair func(j int
 			for k := 0; k < min(8, m-first); k++ {
 				j := first + k
 				idx := es.index + uint64(j)
-				m0, m1 := pair(j)
-				y0 := xorMsg(Message(m0), rowHash(idx, rows[k]))
-				y1 := xorMsg(Message(m1), rowHash(idx, xorMsg(rows[k], es.sPacked)))
+				y0 := xorMsg(Message(pairs[j].False), rowHash(idx, rows[k]))
+				y1 := xorMsg(Message(pairs[j].True), rowHash(idx, xorMsg(rows[k], es.sPacked)))
 				copy(out[32*j:], y0[:])
 				copy(out[32*j+16:], y1[:])
 			}
@@ -268,23 +206,23 @@ func answer[M ~[16]byte](es *ExtensionSender, dst []byte, m int, pair func(j int
 }
 
 // ExtensionReceiver is the choice-bit holder (the GC evaluator) of an
-// IKNP session. A batch is two halves: request builds its u matrix,
-// which the caller sends, and finish reads the sender's ciphertexts for
-// it. Requests must be issued in order on one goroutine, over scratch
-// the receiver owns, and their u frames sent in that order; finishes
-// must run in the same order, on that goroutine or on at most one
-// other. A receiver may therefore run any number of requests ahead of
+// IKNP session. A batch is two halves: RequestLabels builds its u
+// matrix, which the caller sends, and FinishLabels reads the sender's
+// ciphertexts for it. Requests must be issued in order on one
+// goroutine, over scratch the receiver owns, and their u frames sent in
+// that order; finishes must run in the same order, on that goroutine or
+// on at most one other. A receiver may therefore run any number of requests ahead of
 // its finishes, and send their u frames together: a u matrix depends
 // on nothing the sender says.
 type ExtensionReceiver struct {
 	conn  wire.Conn
-	col0  [Kappa]colPRG
-	col1  [Kappa]colPRG
+	col0  [Kappa]gchash.CTR
+	col1  [Kappa]gchash.CTR
 	index uint64
 
 	r []byte // the batch's packed choice bits
 	t []byte // the batch's t matrix, column-major
-	u []byte // receive's u frame
+	u []byte // ReceiveLabels' u frame
 }
 
 // NewExtensionReceiver runs the base phase: the extension receiver
@@ -303,58 +241,58 @@ func NewExtensionReceiver(conn wire.Conn, rnd io.Reader) (*ExtensionReceiver, er
 	if err := BaseSend(conn, rnd, seedPairs); err != nil {
 		return nil, fmt.Errorf("ot: extension base phase (receiver): %w", err)
 	}
-	for i := range seedPairs {
-		if err := er.col0[i].init(seedPairs[i][0]); err != nil {
-			return nil, err
+	for i, seeds := range seedPairs {
+		var err error
+		if er.col0[i], err = gchash.NewCTR(seeds[0]); err != nil {
+			return nil, fmt.Errorf("ot: building PRG: %w", err)
 		}
-		if err := er.col1[i].init(seedPairs[i][1]); err != nil {
-			return nil, err
+		if er.col1[i], err = gchash.NewCTR(seeds[1]); err != nil {
+			return nil, fmt.Errorf("ot: building PRG: %w", err)
 		}
 	}
 	return er, nil
 }
 
-// Receive obtains the chosen message of each pair in one batch.
-func (er *ExtensionReceiver) Receive(choices []bool) ([]Message, error) {
-	return receive[Message](er, choices)
-}
-
-// receive is one whole batch: request into er.u, send it, then
-// finish. er.u is reused by the next batch, which wire.Conn's SendMsg
-// contract allows, unless the batch is larger than RetainLabels.
-func receive[M ~[16]byte](er *ExtensionReceiver, choices []bool) ([]M, error) {
-	m := len(choices)
-	if m == 0 {
+// ReceiveLabels obtains the active labels for the receiver's input
+// bits: RequestLabels into er.u, the u frame's send, then FinishLabels.
+// er.u is reused by the next batch, which wire.Conn's SendMsg contract
+// allows, unless the batch is larger than RetainLabels. The returned
+// slice is the caller's.
+func ReceiveLabels(er *ExtensionReceiver, choices []bool) ([]label.Label, error) {
+	if len(choices) == 0 {
 		return nil, nil
 	}
-	u, p := request[M](er, er.u[:0], choices)
-	if m <= RetainLabels {
+	u, p := RequestLabels(er, er.u[:0], choices)
+	if len(choices) <= RetainLabels {
 		er.u = u
 	}
 	if err := er.conn.SendMsg(u); err != nil {
 		return nil, fmt.Errorf("ot: extension receiver sending u matrix: %w", err)
 	}
-	return finish(er, p)
+	return FinishLabels(er, p)
 }
 
 // Pending is a batch whose u matrix is built: its choice bits and row
-// pads H(j, t_j), which finish unmasks into the chosen messages once
-// the sender has answered the u matrix.
-type Pending[M ~[16]byte] struct {
+// pads H(j, t_j), which FinishLabels unmasks into the chosen labels
+// once the sender has answered the u matrix.
+type Pending struct {
 	choices []bool
-	pads    []M
+	pads    []label.Label
 }
 
-// request is the receiver's first half of one batch: it draws t and u,
-// appends u — the batch's u frame, Kappa·⌈m/8⌉ bytes — to dst and
-// returns it, hashes the row pads and advances the index. It sends
-// nothing: the caller sends the frame, in batch order. An empty batch
-// appends nothing and has no frame. The pads are the batch's only
-// allocation here, besides dst's growth; finish reads choices again.
-func request[M ~[16]byte](er *ExtensionReceiver, dst []byte, choices []bool) ([]byte, Pending[M]) {
+// RequestLabels is the receiver's first half of one batch: it draws t
+// and u for the receiver's input bits, appends u — the batch's u frame,
+// Kappa·⌈m/8⌉ bytes — to dst and returns it, hashes the row pads and
+// advances the index. It sends nothing: the caller sends the frame, in
+// request order, and may send several requests' frames in one write.
+// choices must not change until FinishLabels; see ExtensionReceiver for
+// the order the two halves keep. An empty batch appends nothing and has
+// no frame. The pads are the batch's only allocation here, besides
+// dst's growth.
+func RequestLabels(er *ExtensionReceiver, dst []byte, choices []bool) ([]byte, Pending) {
 	m := len(choices)
 	if m == 0 {
-		return dst, Pending[M]{}
+		return dst, Pending{}
 	}
 	mBytes := (m + 7) / 8
 	if m > RetainLabels {
@@ -375,33 +313,33 @@ func request[M ~[16]byte](er *ExtensionReceiver, dst []byte, choices []bool) ([]
 	dst = slices.Grow(dst, Kappa*mBytes)[:n+Kappa*mBytes]
 	u := dst[n:]
 	for i := range er.col0 {
-		er.col0[i].read(er.t[i*mBytes : (i+1)*mBytes])
+		er.col0[i].Read(er.t[i*mBytes : (i+1)*mBytes])
 		ui := u[i*mBytes : (i+1)*mBytes]
-		er.col1[i].read(ui)
+		er.col1[i].Read(ui)
 		subtle.XORBytes(ui, ui, er.r)
 	}
 	subtle.XORBytes(u, u, er.t)
 
 	// The row pads H(j, t_j) need nothing from the sender, so they are
 	// hashed while it hashes its own.
-	p := Pending[M]{choices: choices, pads: make([]M, m)}
+	p := Pending{choices: choices, pads: make([]label.Label, m)}
 	var rows [8]Message
 	for strip := 0; strip < mBytes; strip++ {
 		transpose(er.t, mBytes, strip, &rows)
 		first := 8 * strip
 		for k := 0; k < min(8, m-first); k++ {
-			p.pads[first+k] = M(rowHash(er.index+uint64(first+k), rows[k]))
+			p.pads[first+k] = label.Label(rowHash(er.index+uint64(first+k), rows[k]))
 		}
 	}
 	er.index += uint64(m)
 	return dst, p
 }
 
-// finish is the receiver's second half of the batch p: it reads the
-// ciphertext frame, unmasks the chosen messages in p's pads, which it
-// returns, and recycles the frame. Of er it touches only the
-// connection's receive side.
-func finish[M ~[16]byte](er *ExtensionReceiver, p Pending[M]) ([]M, error) {
+// FinishLabels is the receiver's second half of the batch p: it reads
+// the sender's ciphertext frame, unmasks the chosen labels in p's pads,
+// which it returns, the caller's, and recycles the frame. Of er it
+// touches only the connection's receive side.
+func FinishLabels(er *ExtensionReceiver, p Pending) ([]label.Label, error) {
 	m := len(p.choices)
 	if m == 0 {
 		return nil, nil
@@ -419,7 +357,7 @@ func finish[M ~[16]byte](er *ExtensionReceiver, p Pending[M]) ([]M, error) {
 		if c {
 			off += 16
 		}
-		p.pads[j] = M(xorMsg(Message(p.pads[j]), Message(cts[off:off+16])))
+		p.pads[j] = label.Label(xorMsg(Message(p.pads[j]), Message(cts[off:off+16])))
 	}
 	return p.pads, nil
 }

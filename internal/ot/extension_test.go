@@ -2,8 +2,6 @@ package ot
 
 import (
 	"bytes"
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"fmt"
 	mrand "math/rand"
@@ -16,13 +14,48 @@ import (
 )
 
 // batchSender and batchReceiver are what the kernel and the reference
-// endpoints have in common.
+// endpoints have in common: message pairs in, chosen messages out.
 type batchSender interface {
 	Send(pairs [][2]Message) error
 }
 
 type batchReceiver interface {
 	Receive(choices []bool) ([]Message, error)
+}
+
+// kernelSender and kernelReceiver put the kernel, which speaks labels,
+// behind the message-typed batch interfaces. A label and a message are
+// the same 16 bytes, so the conversion changes no byte on the wire.
+type kernelSender struct{ *ExtensionSender }
+
+func (k kernelSender) Send(pairs [][2]Message) error {
+	return SendLabels(k.ExtensionSender, toLabelPairs(pairs))
+}
+
+type kernelReceiver struct{ *ExtensionReceiver }
+
+func (k kernelReceiver) Receive(choices []bool) ([]Message, error) {
+	got, err := ReceiveLabels(k.ExtensionReceiver, choices)
+	return toMessages(got), err
+}
+
+func toLabelPairs(pairs [][2]Message) []label.Pair {
+	lp := make([]label.Pair, len(pairs))
+	for j, p := range pairs {
+		lp[j] = label.Pair{False: label.Label(p[0]), True: label.Label(p[1])}
+	}
+	return lp
+}
+
+func toMessages(labels []label.Label) []Message {
+	if labels == nil {
+		return nil
+	}
+	msgs := make([]Message, len(labels))
+	for j, l := range labels {
+		msgs[j] = Message(l)
+	}
+	return msgs
 }
 
 // seededSession sets up a session over a and b whose every random draw
@@ -44,11 +77,11 @@ func seededSession(t testing.TB, a, b wire.Conn, refSend, refRecv bool) (batchSe
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snd batchSender = es
+	var snd batchSender = kernelSender{es}
 	if refSend {
 		snd = newRefSender(es)
 	}
-	var rcv batchReceiver = er
+	var rcv batchReceiver = kernelReceiver{er}
 	if refRecv {
 		rcv = newRefReceiver(er)
 	}
@@ -101,7 +134,7 @@ func TestExtensionTranscriptMatchesReference(t *testing.T) {
 		var tr transcript
 		var err error
 		if ahead > 0 {
-			tr.got, err = receiveAhead(rcv.(*ExtensionReceiver), choices, ahead)
+			tr.got, err = receiveAhead(rcv.(kernelReceiver).ExtensionReceiver, choices, ahead)
 		} else {
 			for _, c := range choices {
 				var got []Message
@@ -173,26 +206,26 @@ func frames(buf []byte, ends []int) [][]byte {
 // finishes. The u frames of the requests issued together go out in one
 // SendMsgs.
 func receiveAhead(er *ExtensionReceiver, choices [][]bool, ahead int) ([][]Message, error) {
-	var pending []Pending[Message]
+	var pending []Pending
 	var got [][]Message
 	var buf []byte
 	for next := 0; len(got) < len(choices); {
 		var ends []int
 		for buf = buf[:0]; next < len(choices) && next < len(got)+ahead; next++ {
-			var p Pending[Message]
-			buf, p = request[Message](er, buf, choices[next])
+			var p Pending
+			buf, p = RequestLabels(er, buf, choices[next])
 			ends = append(ends, len(buf))
 			pending = append(pending, p)
 		}
 		if err := er.conn.SendMsgs(frames(buf, ends)); err != nil {
 			return nil, err
 		}
-		msgs, err := finish(er, pending[0])
+		labels, err := FinishLabels(er, pending[0])
 		if err != nil {
 			return nil, err
 		}
 		pending = pending[1:]
-		got = append(got, msgs)
+		got = append(got, toMessages(labels))
 	}
 	return got, nil
 }
@@ -227,13 +260,13 @@ func TestExtensionSplitReceiverTwoGoroutines(t *testing.T) {
 		}
 		sendErr <- nil
 	}()
-	pending := make(chan Pending[label.Label], 4)
+	pending := make(chan Pending, 4)
 	var reqErr error
 	go func() {
 		defer close(pending)
 		var u []byte
 		for _, c := range choices {
-			var p Pending[label.Label]
+			var p Pending
 			u, p = RequestLabels(er, u[:0], c)
 			pending <- p
 			if reqErr = er.conn.SendMsg(u); reqErr != nil {
@@ -302,46 +335,6 @@ func TestTransposeMatchesBitLoop(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestColPRGReadSplits: however a column stream is read — single bytes,
-// runs that straddle the lookahead, runs that bypass it — the bytes are
-// those of one read of crypto/cipher's AES-CTR stream from a zero IV.
-func TestColPRGReadSplits(t *testing.T) {
-	const total = 8 * lookahead
-	seed := Message{1, 2, 3}
-	blk, err := aes.NewCipher(seed[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, total)
-	cipher.NewCTR(blk, make([]byte, aes.BlockSize)).XORKeyStream(want, want)
-
-	check := func(splitSeed int64) bool {
-		rng := mrand.New(mrand.NewSource(splitSeed))
-		var p colPRG
-		if err := p.init(seed); err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 0, total)
-		for len(got) < total {
-			n := 1
-			switch rng.Intn(3) {
-			case 1:
-				n = 1 + rng.Intn(lookahead)
-			case 2:
-				n = lookahead + rng.Intn(2*lookahead)
-			}
-			n = min(n, total-len(got))
-			// Stale bytes in the destination must not reach the output.
-			got = append(got, bytes.Repeat([]byte{0xa5}, n)...)
-			p.read(got[len(got)-n:])
-		}
-		return bytes.Equal(got, want)
-	}
-	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -425,11 +418,13 @@ func TestExtensionScratchCap(t *testing.T) {
 	}
 }
 
-var benchSink []Message
+var benchSink []label.Label
 
 // benchExtension moves rounds batches of batch messages per iteration
 // through one session over an in-memory pipe. ns/op is the wall clock
 // of the pair (the sides overlap); allocs/op and B/op are their sum.
+// The kernel runs on labels directly, so neither the clock nor the
+// allocation count sees the adapters' conversions.
 func benchExtension(b *testing.B, reference bool, batch, rounds int) {
 	ca, cb := wire.Pipe()
 	defer ca.Close()
@@ -441,12 +436,19 @@ func benchExtension(b *testing.B, reference bool, batch, rounds int) {
 		rand.Read(pairs[i][1][:])
 	}
 	choices := randomChoices(mrand.New(mrand.NewSource(8)), batch)
+	send := func() error { return snd.Send(pairs) }
+	receive := func() (err error) { _, err = rcv.Receive(choices); return err }
+	if !reference {
+		es, er, lp := snd.(kernelSender).ExtensionSender, rcv.(kernelReceiver).ExtensionReceiver, toLabelPairs(pairs)
+		send = func() error { return SendLabels(es, lp) }
+		receive = func() (err error) { benchSink, err = ReceiveLabels(er, choices); return err }
+	}
 	errc := make(chan error, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	go func() {
 		for i := 0; i < b.N*rounds; i++ {
-			if err := snd.Send(pairs); err != nil {
+			if err := send(); err != nil {
 				errc <- err
 				return
 			}
@@ -454,8 +456,7 @@ func benchExtension(b *testing.B, reference bool, batch, rounds int) {
 		errc <- nil
 	}()
 	for i := 0; i < b.N*rounds; i++ {
-		var err error
-		if benchSink, err = rcv.Receive(choices); err != nil {
+		if err := receive(); err != nil {
 			b.Fatal(err)
 		}
 	}

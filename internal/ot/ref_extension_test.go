@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"maxelerator/internal/gchash"
 	"maxelerator/internal/wire"
 )
 
@@ -54,9 +55,10 @@ func newRefReceiver(er *ExtensionReceiver) *refReceiver {
 }
 
 // refStream is crypto/cipher's AES-CTR stream, from a zero IV, over
-// the block cipher of p, which must not have been read yet.
-func refStream(p *colPRG) cipher.Stream {
-	return cipher.NewCTR(p.block, make([]byte, aes.BlockSize))
+// the block cipher of the column PRG c, which must not have been read
+// yet.
+func refStream(c *gchash.CTR) cipher.Stream {
+	return cipher.NewCTR(c.Block(), make([]byte, aes.BlockSize))
 }
 
 func refNextPad(s cipher.Stream, n int) []byte {

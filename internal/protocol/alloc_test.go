@@ -112,6 +112,19 @@ var raceDetector bool
 // The per-round cells, whose path did not change, read as before:
 // 4×4 106–108 → 103–108 and 11–12, pooled 82–84 and 8, 1×64 358–360 →
 // 358–361 and 33–34. No measured value rose.
+//
+// Every cell was re-measured (eight alternating runs each side, objects
+// then KiB) when every keyed stream became a gchash.CTR and the
+// fixed-key hasher one per process. A request's Δ is one encrypted
+// block where it was a read through an escaped stream (one object
+// fewer), while the request and each lane now hold streams with a
+// 64-byte lookahead (≈ 0.2–0.3 KiB more a request). Per-round 4×4:
+// 107–108 → 102–108 and 12 → 12; pooled 81–85 → 82–84 and 8–9 → 8.
+// Batched 4×4: 96–101 → 95–100 and 10–11 → 11; pooled 75–77 → 75–77
+// and 7 → 7. Batched 16×16: 868–870 → 867–870 and 139 → 139–140;
+// pooled 824–826 → 824–826 and 128 → 128. Per-round 1×64: 358–361 →
+// 357–359 and 33 → 34, the lookahead bytes crossing a KiB. No object
+// count rose; the 1×64 KiB constant stays at its old measurement.
 func TestWarmRequestAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	slack := uint64(10) // budget = ⌈measured × (1 + 1/slack)⌉
@@ -127,11 +140,11 @@ func TestWarmRequestAllocationBudget(t *testing.T) {
 	}{
 		{n: 4, width: 8, ot: OTPerRound, objects: 108, kib: 12},
 		{n: 4, width: 8, ot: OTPerRound, pooled: true, objects: 84, kib: 8},
-		{n: 4, width: 8, ot: OTBatched, objects: 101, kib: 11},
+		{n: 4, width: 8, ot: OTBatched, objects: 100, kib: 11},
 		{n: 4, width: 8, ot: OTBatched, pooled: true, objects: 77, kib: 7},
-		{n: 16, width: 16, ot: OTBatched, workers: 2, objects: 871, kib: 139},
+		{n: 16, width: 16, ot: OTBatched, workers: 2, objects: 870, kib: 139},
 		{n: 16, width: 16, ot: OTBatched, workers: 2, pooled: true, objects: 826, kib: 128},
-		{rows: 1, n: 64, width: 8, ot: OTPerRound, objects: 360, kib: 33},
+		{rows: 1, n: 64, width: 8, ot: OTPerRound, objects: 359, kib: 33},
 	}
 	for _, c := range cells {
 		rows := c.n
@@ -297,7 +310,10 @@ func warmRequestAllocs(t *testing.T, rows, n, width int, ot OTMode, workers int,
 // with the corks and without that copy. The corks cost a fresh
 // connection ≈ 9 KiB and ≈ 12 objects: the poller's iovec cache and
 // the stream conn's header scratch grow to a batch of frames, and the
-// cork's and the u-writer's slices are the session's.
+// cork's and the u-writer's slices are the session's. Re-measured (eight
+// alternating runs each side) when the column PRGs became gchash.CTRs
+// and the fixed-key hasher one per process: 6 072–6 253 objects and
+// 895–909 KiB before, 6 135–6 232 and 901–908 after, the same spread.
 func TestFreshSessionAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	slack := uint64(10)

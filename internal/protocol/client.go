@@ -271,9 +271,8 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 
 	nw := min(runtime.GOMAXPROCS(0), hdr.Rows)
 	if len(cs.evals) < nw {
-		params := gc.DefaultParams() // keys one fixed-key AES, which every evaluator shares
 		for len(cs.evals) < nw {
-			ev, err := gc.NewEvaluator(params, cs.macCkt)
+			ev, err := gc.NewEvaluator(gc.DefaultParams(), cs.macCkt) // the process's one fixed-key hasher
 			if err != nil {
 				return nil, err
 			}
@@ -372,8 +371,8 @@ const (
 // ahead, because over a synchronous transport both ends may be blocked
 // writing at once.
 type otRequests struct {
-	pending chan ot.Pending[label.Label] // closed when the writer returns
-	err     atomic.Pointer[error]        // the first failure of the writer or the reader
+	pending chan ot.Pending       // closed when the writer returns
+	err     atomic.Pointer[error] // the first failure of the writer or the reader
 }
 
 // fail records err unless a failure is already recorded.
@@ -392,7 +391,7 @@ func (rq *otRequests) failure() error {
 // u frame that never left fails at once rather than at its deadline;
 // the write's error is the request's.
 func (cs *ClientSession) requestAhead(hdr reqHeader, bitsPerRound [][]bool) *otRequests {
-	rq := &otRequests{pending: make(chan ot.Pending[label.Label], otLookahead)}
+	rq := &otRequests{pending: make(chan ot.Pending, otLookahead)}
 	go func() {
 		defer close(rq.pending)
 		for k := 0; k < len(bitsPerRound); k += otBatch {
@@ -410,7 +409,7 @@ func (cs *ClientSession) requestAhead(hdr reqHeader, bitsPerRound [][]bool) *otR
 // requestBatch builds one request per entry of batch into the session's
 // batch buffer, hands each one's pending pads to pending as it is
 // built, and then sends the batch's u frames in one SendMsgs.
-func (cs *ClientSession) requestBatch(batch [][]bool, pending chan<- ot.Pending[label.Label]) error {
+func (cs *ClientSession) requestBatch(batch [][]bool, pending chan<- ot.Pending) error {
 	if cs.ubuf == nil { // sized once for a whole batch of this session's u frames
 		cs.ubuf = make([]byte, 0, otBatch*ot.Kappa*((cs.h.Width+7)/8))
 		cs.umsgs = make([][]byte, 0, otBatch)
@@ -418,7 +417,7 @@ func (cs *ClientSession) requestBatch(batch [][]bool, pending chan<- ot.Pending[
 	buf := cs.ubuf[:0]
 	var ends [otBatch]int
 	for i, bits := range batch {
-		var p ot.Pending[label.Label]
+		var p ot.Pending
 		buf, p = ot.RequestLabels(cs.receiver, buf, bits)
 		ends[i] = len(buf)
 		pending <- p

@@ -128,7 +128,7 @@ func (c *corkConn) Unwrap() wire.Conn { return c.Conn }
 // round. It writes once setUp closes, when the server's set-up is done,
 // so that no set-up read, which asks for no more than the set-up cap,
 // takes in part of the request.
-func requestsFirst(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}) (*ClientSession, []ot.Pending[label.Label], error) {
+func requestsFirst(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}) (*ClientSession, []ot.Pending, error) {
 	cork := &corkConn{Conn: conn}
 	cs, err := c.Dial(cork)
 	if err != nil {
@@ -139,7 +139,7 @@ func requestsFirst(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{}) 
 	if err := cs.tc.SendMsg([]byte{tagReqOpen}); err != nil {
 		return nil, nil, err
 	}
-	pending := make([]ot.Pending[label.Label], len(y))
+	pending := make([]ot.Pending, len(y))
 	var u []byte
 	for k, v := range y {
 		u, pending[k] = ot.RequestLabels(cs.receiver, u[:0], circuit.Int64ToBits(v, cs.h.Width))
