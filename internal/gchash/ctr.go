@@ -49,15 +49,23 @@ func (c *CTR) Seek(hi, lo uint64) { c.hi, c.lo, c.off = hi, lo, ctrLookahead }
 // Read fills p with the next len(p) bytes of the stream. It never
 // fails.
 func (c *CTR) Read(p []byte) (int, error) {
-	if len(p) <= ctrLookahead-c.off {
-		c.off += copy(p, c.buf[c.off:])
-		return len(p), nil
-	}
-	c.refill(p)
+	c.Fill(p)
 	return len(p), nil
 }
 
-// refill is Read's path through the cipher: whole lookaheads go
+// Fill is Read without its results, which keeps it small enough for the
+// compiler to inline: a read the lookahead serves, as nearly all of the
+// OT extension's per-round column reads are, is then a copy and no
+// call.
+func (c *CTR) Fill(p []byte) {
+	if len(p) <= ctrLookahead-c.off {
+		c.off += copy(p, c.buf[c.off:])
+		return
+	}
+	c.refill(p)
+}
+
+// refill is Fill's path through the cipher: whole lookaheads go
 // straight to dst, the rest through a freshly expanded buf.
 func (c *CTR) refill(dst []byte) {
 	n := copy(dst, c.buf[c.off:])

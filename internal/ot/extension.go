@@ -183,7 +183,7 @@ func AppendAnswer(es *ExtensionSender, dst []byte, pairs []label.Pair) ([]byte, 
 		es.q = scratch(es.q, Kappa*cb)
 		for i := range es.columns {
 			qi := es.q[i*cb : (i+1)*cb]
-			es.columns[i].Read(qi)
+			es.columns[i].Fill(qi)
 			if es.s[i] {
 				subtle.XORBytes(qi, qi, u[i*mBytes+base:])
 			}
@@ -313,9 +313,9 @@ func RequestLabels(er *ExtensionReceiver, dst []byte, choices []bool) ([]byte, P
 	dst = slices.Grow(dst, Kappa*mBytes)[:n+Kappa*mBytes]
 	u := dst[n:]
 	for i := range er.col0 {
-		er.col0[i].Read(er.t[i*mBytes : (i+1)*mBytes])
+		er.col0[i].Fill(er.t[i*mBytes : (i+1)*mBytes])
 		ui := u[i*mBytes : (i+1)*mBytes]
-		er.col1[i].Read(ui)
+		er.col1[i].Fill(ui)
 		subtle.XORBytes(ui, ui, er.r)
 	}
 	subtle.XORBytes(u, u, er.t)
