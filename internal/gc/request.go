@@ -29,7 +29,7 @@ type Request struct {
 	params    Params
 	ckt       *circuit.Circuit
 	cols      int
-	stream    gchash.CTR // the request key's; lanes read copies of it
+	key       gchash.Schedule // the request key's; every lane's streams read it
 	delta     label.Delta
 	rowTweaks uint64 // the tweak range one row spans
 }
@@ -53,14 +53,12 @@ func NewRequest(params Params, c *circuit.Circuit, cols int, seed [16]byte) (*Re
 	if cols < 1 || prog.NEvaluator > 0 && uint64(cols) > math.MaxUint64/uint64(prog.NEvaluator) {
 		return nil, fmt.Errorf("gc: request of %d-round rows", cols)
 	}
-	stream, err := gchash.NewCTR(seed)
-	if err != nil {
-		return nil, err
-	}
+	r := &Request{params: params, ckt: c, cols: cols, key: gchash.NewSchedule(seed),
+		rowTweaks: uint64(cols) * uint64(prog.NAND) * params.Scheme.TweaksPerGate()}
 	var d label.Label
-	stream.BlockAt(d[:], deltaDomain, 0)
-	return &Request{params: params, ckt: c, cols: cols, stream: stream, delta: label.DeltaFromLabel(d),
-		rowTweaks: uint64(cols) * uint64(prog.NAND) * params.Scheme.TweaksPerGate()}, nil
+	r.key.BlockAt(d[:], deltaDomain, 0)
+	r.delta = label.DeltaFromLabel(d)
+	return r, nil
 }
 
 // AppendEvalPairs appends the evaluator-input label pairs of r's
@@ -73,7 +71,7 @@ func (r *Request) AppendEvalPairs(dst []label.Pair) []label.Pair {
 	for i := range uint64(n) {
 		dst = append(dst, label.Pair{})
 		p := &dst[len(dst)-1]
-		r.stream.BlockAt(p.False[:], columnDomain, i)
+		r.key.BlockAt(p.False[:], columnDomain, i)
 		p.True = r.delta.Flip(p.False)
 	}
 	return dst
@@ -102,7 +100,7 @@ func (r *Request) Lane() *Lane { return r.PooledLane(nil) }
 // a new one otherwise. The holder of a round hands it back with
 // rounds.Put once done with it.
 func (r *Request) PooledLane(rounds *RoundPool) *Lane {
-	l := &Lane{req: r, src: r.stream, col: r.stream, bits: make([]bool, r.ckt.NGarbler), rounds: rounds}
+	l := &Lane{req: r, src: r.key.Stream(), col: r.key.Stream(), bits: make([]bool, r.ckt.NGarbler), rounds: rounds}
 	l.g = Garbler{params: r.params, delta: r.delta, rand: &l.src, aes: r.params.halfGatesAES(), deltaLabel: r.delta.Label()}
 	return l
 }

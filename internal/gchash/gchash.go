@@ -48,23 +48,9 @@ var fixedKey = [16]byte{
 	0x74, 0x6f, 0x72, 0x2d, 0x47, 0x43, 0x48, 0x31, // "tor-GCH1"
 }
 
-// roundKeys is fixedKey expanded by the AES-128 key schedule of
-// FIPS-197 §5.2: round key i is w[4i..4i+3] as bytes, round key 0 is the
-// key itself. The amd64 kernel encrypts with it directly;
-// TestRoundKeysMatchCryptoAES pins it to crypto/aes.
-var roundKeys = [11][16]byte{
-	{0x4d, 0x41, 0x58, 0x65, 0x6c, 0x65, 0x72, 0x61, 0x74, 0x6f, 0x72, 0x2d, 0x47, 0x43, 0x48, 0x31},
-	{0x56, 0x13, 0x9f, 0xc5, 0x3a, 0x76, 0xed, 0xa4, 0x4e, 0x19, 0x9f, 0x89, 0x09, 0x5a, 0xd7, 0xb8},
-	{0xea, 0x1d, 0xf3, 0xc4, 0xd0, 0x6b, 0x1e, 0x60, 0x9e, 0x72, 0x81, 0xe9, 0x97, 0x28, 0x56, 0x51},
-	{0xda, 0xac, 0x22, 0x4c, 0x0a, 0xc7, 0x3c, 0x2c, 0x94, 0xb5, 0xbd, 0xc5, 0x03, 0x9d, 0xeb, 0x94},
-	{0x8c, 0x45, 0x00, 0x37, 0x86, 0x82, 0x3c, 0x1b, 0x12, 0x37, 0x81, 0xde, 0x11, 0xaa, 0x6a, 0x4a},
-	{0x30, 0x47, 0xd6, 0xb5, 0xb6, 0xc5, 0xea, 0xae, 0xa4, 0xf2, 0x6b, 0x70, 0xb5, 0x58, 0x01, 0x3a},
-	{0x7a, 0x3b, 0x56, 0x60, 0xcc, 0xfe, 0xbc, 0xce, 0x68, 0x0c, 0xd7, 0xbe, 0xdd, 0x54, 0xd6, 0x84},
-	{0x1a, 0xcd, 0x09, 0xa1, 0xd6, 0x33, 0xb5, 0x6f, 0xbe, 0x3f, 0x62, 0xd1, 0x63, 0x6b, 0xb4, 0x55},
-	{0xe5, 0x40, 0xf5, 0x5a, 0x33, 0x73, 0x40, 0x35, 0x8d, 0x4c, 0x22, 0xe4, 0xee, 0x27, 0x96, 0xb1},
-	{0x32, 0xd0, 0x3d, 0x72, 0x01, 0xa3, 0x7d, 0x47, 0x8c, 0xef, 0x5f, 0xa3, 0x62, 0xc8, 0xc9, 0x12},
-	{0xec, 0x0d, 0xf4, 0xd8, 0xed, 0xae, 0x89, 0x9f, 0x61, 0x41, 0xd6, 0x3c, 0x03, 0x89, 0x1f, 0x2e},
-}
+// roundKeys is fixedKey's schedule, which the amd64 kernel encrypts
+// with directly.
+var roundKeys = expandKey(fixedKey)
 
 // AES is the fixed-key AES-128 garbling hash. On amd64 with AES-NI it
 // hashes through the kernel of hashand_amd64.s; elsewhere, and under the
@@ -77,13 +63,16 @@ type AES struct {
 
 // fixedAES is the process's one fixed-key hasher. It holds nothing
 // mutable, so every garbler, evaluator and session shares it.
-var fixedAES = func() *AES {
-	b, err := aes.NewCipher(fixedKey[:])
+var fixedAES = &AES{block: mustCipher(fixedKey)}
+
+// mustCipher keys crypto/aes with a fixed public key.
+func mustCipher(key [16]byte) cipher.Block {
+	b, err := aes.NewCipher(key[:])
 	if err != nil {
-		panic(fmt.Sprintf("gchash: initialising fixed-key AES: %v", err)) // a 16-byte key cannot fail
+		panic(fmt.Sprintf("gchash: keying fixed-key AES: %v", err)) // a 16-byte key cannot fail
 	}
-	return &AES{block: b}
-}()
+	return b
+}
 
 // MustAES returns the fixed-key AES hasher: the same one on every
 // call, keyed once per process.

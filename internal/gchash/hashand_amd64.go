@@ -4,7 +4,7 @@ package gchash
 
 import "maxelerator/internal/label"
 
-// useKernel reports whether *AES hashes with the AES-NI kernel of
+// useKernel reports whether gchash encrypts with the AES-NI kernels of
 // hashand_amd64.s. A CPU without AES-NI takes the portable loops.
 var useKernel = hasAESNI()
 
@@ -21,6 +21,33 @@ func hashAND4(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
 //
 //go:noescape
 func hashAND2(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
+
+// ctrBlocks fills dst, whole blocks, with AES(hi ‖ lo+n) under the
+// expanded schedule rk for n = 0, 1, …, lo wrapping without a carry.
+//
+//go:noescape
+func ctrBlocks(rk *[11][16]byte, hi, lo uint64, dst []byte)
+
+// tccr8 is HashRows with the expanded schedule rk.
+//
+//go:noescape
+func tccr8(rk *[11][16]byte, x *[8]label.Label, j uint64, h *[8]label.Label)
+
+func encryptCounters(s *Schedule, hi, lo uint64, dst []byte) {
+	if !useKernel {
+		encryptCountersGo(s.block, hi, lo, dst)
+		return
+	}
+	ctrBlocks(&s.rk, hi, lo, dst)
+}
+
+func hashRows(x *[8]label.Label, j uint64, h *[8]label.Label) {
+	if !useKernel {
+		hashRowsGo(x, j, h)
+		return
+	}
+	tccr8(&rowKeys, x, j, h)
+}
 
 func (h *AES) hashAND(s *ANDBlocks, n int, tweak uint64) {
 	switch {

@@ -1,7 +1,6 @@
 package ot
 
 import (
-	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -20,16 +19,18 @@ const Kappa = 128
 // The extension kernel. A batch of m transfers is a Kappa×m bit matrix
 // held column-major — column i is the next ⌈m/8⌉ bytes of column PRG
 // i, the layout the u matrix has on the wire — and consumed row by row.
-// A column PRG is a gchash.CTR keyed by a 16-byte base-OT seed, from a
-// zero counter block: both parties expand the same seed to the same
-// stream and consume equal amounts per batch. Two sizes fix the
-// kernel's working memory:
+// A column PRG is AES in counter mode keyed by a 16-byte base-OT seed,
+// from a zero counter block: both parties expand the same seed to the
+// same stream and consume equal amounts per batch, so an endpoint's
+// columns are one gchash.Columns, read in lockstep. Row j is hashed by
+// gchash.HashRows under the global index j, eight rows a call. Two
+// sizes fix the kernel's working memory:
 const (
 	// chunkBytes is the sender's strip-mining step: it expands, masks
 	// and transposes 8·chunkBytes transfers at a time, so its matrix
-	// scratch is Kappa·chunkBytes (16 KiB) whatever the batch. The
-	// column streams are independent, so chunking over transfers draws
-	// the same bytes from each.
+	// scratch is Kappa·chunkBytes (16 KiB) whatever the batch. Each
+	// column's bytes do not depend on how its reads are split, so
+	// chunking over transfers draws the same bytes from each.
 	chunkBytes = 128
 	// RetainLabels caps the scratch that must span a whole batch (the
 	// receiver's t and u matrices, the sender's ciphertext frame, 16 B
@@ -47,7 +48,7 @@ const (
 // its byte i/8. Eight columns' strip bytes are gathered into a uint64
 // and transposed as an 8×8 bit block; the eight result bytes are byte
 // i/8 of the eight rows.
-func transpose(cols []byte, stride, strip int, rows *[8]Message) {
+func transpose(cols []byte, stride, strip int, rows *[8]label.Label) {
 	for g := 0; g < Kappa/8; g++ {
 		c := cols[8*g*stride+strip:]
 		x := uint64(c[0]) | uint64(c[stride])<<8 | uint64(c[2*stride])<<16 | uint64(c[3*stride])<<24 |
@@ -64,16 +65,38 @@ func transpose(cols []byte, stride, strip int, rows *[8]Message) {
 	}
 }
 
-// rowHash is the IKNP row-breaking hash H(j, q): SHA-256 over the
-// big-endian index and the row, truncated to one message. The index j
-// is global across batches so pads never repeat.
-func rowHash(index uint64, row Message) Message {
-	var in [8 + len(row)]byte
-	binary.BigEndian.PutUint64(in[:8], index)
-	copy(in[8:], row[:])
-	sum := sha256.Sum256(in[:])
-	return Message(sum[:len(row)])
+// xorColumns XORs column i of src, src[i·stride:][:n], masked by
+// mask[i], into column i of dst, dst[i·n:(i+1)·n], for the Kappa
+// columns: a byte a column at the per-round cadence (n = 1), a word at
+// a time otherwise, and no call per column. A stride of 0 XORs the one
+// src into every column.
+func xorColumns(dst []byte, n int, src []byte, stride int, mask *[Kappa]byte) {
+	if n == 1 {
+		for i, m := range mask {
+			dst[i] ^= src[i*stride] & m
+		}
+		return
+	}
+	for i, m := range mask {
+		m8 := uint64(m) * 0x0101010101010101
+		d, c := dst[i*n:(i+1)*n], src[i*stride:][:n]
+		k := 0
+		for ; k+8 <= n; k += 8 {
+			binary.LittleEndian.PutUint64(d[k:], binary.LittleEndian.Uint64(d[k:])^binary.LittleEndian.Uint64(c[k:])&m8)
+		}
+		for ; k < n; k++ {
+			d[k] ^= c[k] & m
+		}
+	}
 }
+
+// allColumns is the mask that XORs every column.
+var allColumns = func() (m [Kappa]byte) {
+	for i := range m {
+		m[i] = 0xff
+	}
+	return m
+}()
 
 // scratch returns buf resized to n bytes, reallocating only when it is
 // too small. The contents are unspecified.
@@ -91,13 +114,16 @@ func scratch(buf []byte, n int) []byte {
 // owns.
 type ExtensionSender struct {
 	conn    wire.Conn
-	s       [Kappa]bool
-	sPacked Message
-	columns [Kappa]gchash.CTR
+	sMask   [Kappa]byte // 0xff where s_i is 1, 0 where it is 0
+	sPacked label.Label
+	columns *gchash.Columns
 	index   uint64
 
 	q   []byte // one chunk of the q matrix, column-major
 	out []byte // the batch's ciphertext frame
+	// A strip's rows and their two hashes. gchash.HashRows's portable
+	// path makes them escape, so they live here, on the heap already.
+	rows, h0, h1 [8]label.Label
 }
 
 // NewExtensionSender runs the base phase: the extension sender acts as
@@ -109,21 +135,19 @@ func NewExtensionSender(conn wire.Conn, rnd io.Reader) (*ExtensionSender, error)
 	if _, err := io.ReadFull(rnd, sByte[:]); err != nil {
 		return nil, fmt.Errorf("ot: drawing extension secret: %w", err)
 	}
-	es.sPacked = sByte
+	es.sPacked = label.Label(sByte)
 	choices := make([]bool, Kappa)
 	for i := range choices {
 		choices[i] = sByte[i/8]>>(uint(i)%8)&1 == 1
-		es.s[i] = choices[i]
+		if choices[i] {
+			es.sMask[i] = 0xff
+		}
 	}
 	seeds, err := BaseReceive(conn, rnd, choices)
 	if err != nil {
 		return nil, fmt.Errorf("ot: extension base phase (sender): %w", err)
 	}
-	for i, seed := range seeds {
-		if es.columns[i], err = gchash.NewCTR(seed); err != nil {
-			return nil, fmt.Errorf("ot: building PRG: %w", err)
-		}
-	}
+	es.columns = gchash.NewColumns(seeds)
 	return es, nil
 }
 
@@ -176,28 +200,26 @@ func AppendAnswer(es *ExtensionSender, dst []byte, pairs []label.Pair) ([]byte, 
 	n := len(dst)
 	dst = slices.Grow(dst, 32*m)[:n+32*m]
 	out := dst[n:]
-	var rows [8]Message
+	rows, h0, h1 := &es.rows, &es.h0, &es.h1
 	for base := 0; base < mBytes; base += chunkBytes {
 		cb := min(chunkBytes, mBytes-base)
 		// q_i = PRG(k_i^{s_i}) ⊕ s_i·u_i, so row j is t_j ⊕ r_j·s.
 		es.q = scratch(es.q, Kappa*cb)
-		for i := range es.columns {
-			qi := es.q[i*cb : (i+1)*cb]
-			es.columns[i].Fill(qi)
-			if es.s[i] {
-				subtle.XORBytes(qi, qi, u[i*mBytes+base:])
-			}
-		}
+		es.columns.Fill(es.q, cb)
+		xorColumns(es.q, cb, u[base:], mBytes, &es.sMask)
 		for strip := 0; strip < cb; strip++ {
-			transpose(es.q, cb, strip, &rows)
+			transpose(es.q, cb, strip, rows)
 			first := 8 * (base + strip)
+			idx := es.index + uint64(first)
+			gchash.HashRows(rows, idx, h0)
+			for k := range rows {
+				rows[k].XorInto(&es.sPacked, &rows[k])
+			}
+			gchash.HashRows(rows, idx, h1)
 			for k := 0; k < min(8, m-first); k++ {
 				j := first + k
-				idx := es.index + uint64(j)
-				y0 := xorMsg(Message(pairs[j].False), rowHash(idx, rows[k]))
-				y1 := xorMsg(Message(pairs[j].True), rowHash(idx, xorMsg(rows[k], es.sPacked)))
-				copy(out[32*j:], y0[:])
-				copy(out[32*j+16:], y1[:])
+				pairs[j].False.XorInto(&h0[k], (*label.Label)(out[32*j:]))
+				pairs[j].True.XorInto(&h1[k], (*label.Label)(out[32*j+16:]))
 			}
 		}
 	}
@@ -216,13 +238,14 @@ func AppendAnswer(es *ExtensionSender, dst []byte, pairs []label.Pair) ([]byte, 
 // on nothing the sender says.
 type ExtensionReceiver struct {
 	conn  wire.Conn
-	col0  [Kappa]gchash.CTR
-	col1  [Kappa]gchash.CTR
+	col0  *gchash.Columns // under the seeds k_i^0
+	col1  *gchash.Columns // under the seeds k_i^1
 	index uint64
 
-	r []byte // the batch's packed choice bits
-	t []byte // the batch's t matrix, column-major
-	u []byte // ReceiveLabels' u frame
+	r    []byte         // the batch's packed choice bits
+	t    []byte         // the batch's t matrix, column-major
+	u    []byte         // ReceiveLabels' u frame
+	rows [8]label.Label // a strip of t's rows, on the heap as ExtensionSender's
 }
 
 // NewExtensionReceiver runs the base phase: the extension receiver
@@ -241,15 +264,11 @@ func NewExtensionReceiver(conn wire.Conn, rnd io.Reader) (*ExtensionReceiver, er
 	if err := BaseSend(conn, rnd, seedPairs); err != nil {
 		return nil, fmt.Errorf("ot: extension base phase (receiver): %w", err)
 	}
+	keys0, keys1 := make([]Message, Kappa), make([]Message, Kappa)
 	for i, seeds := range seedPairs {
-		var err error
-		if er.col0[i], err = gchash.NewCTR(seeds[0]); err != nil {
-			return nil, fmt.Errorf("ot: building PRG: %w", err)
-		}
-		if er.col1[i], err = gchash.NewCTR(seeds[1]); err != nil {
-			return nil, fmt.Errorf("ot: building PRG: %w", err)
-		}
+		keys0[i], keys1[i] = seeds[0], seeds[1]
 	}
+	er.col0, er.col1 = gchash.NewColumns(keys0), gchash.NewColumns(keys1)
 	return er, nil
 }
 
@@ -312,24 +331,26 @@ func RequestLabels(er *ExtensionReceiver, dst []byte, choices []bool) ([]byte, P
 	n := len(dst)
 	dst = slices.Grow(dst, Kappa*mBytes)[:n+Kappa*mBytes]
 	u := dst[n:]
-	for i := range er.col0 {
-		er.col0[i].Fill(er.t[i*mBytes : (i+1)*mBytes])
-		ui := u[i*mBytes : (i+1)*mBytes]
-		er.col1[i].Fill(ui)
-		subtle.XORBytes(ui, ui, er.r)
-	}
+	er.col0.Fill(er.t, mBytes)
+	er.col1.Fill(u, mBytes)
 	subtle.XORBytes(u, u, er.t)
+	xorColumns(u, mBytes, er.r, 0, &allColumns)
 
 	// The row pads H(j, t_j) need nothing from the sender, so they are
-	// hashed while it hashes its own.
+	// hashed while it hashes its own: a whole strip straight into the
+	// pads, the last, short one through rows.
 	p := Pending{choices: choices, pads: make([]label.Label, m)}
-	var rows [8]Message
+	rows := &er.rows
 	for strip := 0; strip < mBytes; strip++ {
-		transpose(er.t, mBytes, strip, &rows)
+		transpose(er.t, mBytes, strip, rows)
 		first := 8 * strip
-		for k := 0; k < min(8, m-first); k++ {
-			p.pads[first+k] = label.Label(rowHash(er.index+uint64(first+k), rows[k]))
+		idx := er.index + uint64(first)
+		if m-first >= 8 {
+			gchash.HashRows(rows, idx, (*[8]label.Label)(p.pads[first:]))
+			continue
 		}
+		gchash.HashRows(rows, idx, rows)
+		copy(p.pads[first:], rows[:m-first])
 	}
 	er.index += uint64(m)
 	return dst, p

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"maxelerator/internal/gchash"
+	"maxelerator/internal/label"
 	"maxelerator/internal/wire"
 )
 
@@ -546,14 +548,17 @@ func TestExtensionCommunicationIsSymmetricAfterBase(t *testing.T) {
 	}
 }
 
+// TestRowHashDomainSeparation: the row hash the kernel calls separates
+// one row at two indices, and two rows at one index.
 func TestRowHashDomainSeparation(t *testing.T) {
-	var row Message
-	if rowHash(1, row) == rowHash(2, row) {
+	var zeros, other, h, g [8]label.Label
+	other[0][5] = 9
+	gchash.HashRows(&zeros, 1, &h) // h[k] = H(1+k, 0)
+	gchash.HashRows(&other, 1, &g) // g[0] = H(1, other[0])
+	if h[0] == h[1] {
 		t.Fatal("row hash ignores index")
 	}
-	var row2 Message
-	row2[5] = 9
-	if rowHash(1, row) == rowHash(1, row2) {
+	if h[0] == g[0] {
 		t.Fatal("row hash ignores row")
 	}
 }

@@ -2,20 +2,19 @@ package ot
 
 // The extension as it stood before the kernel rewrite, kept as the
 // oracle TestExtensionTranscriptMatchesReference compares against:
-// Send, Receive, nextPad and rowHash are the old bodies verbatim (a
-// one-byte-at-a-time column read, a bit-at-a-time transpose, a hashed
-// row through sha256.New), renamed. A reference endpoint takes over a
-// kernel endpoint's freshly set-up session, so the base phase is the
-// one implementation.
+// Send, Receive and nextPad are the old bodies verbatim (a
+// one-byte-at-a-time column read from crypto/cipher's CTR, a
+// bit-at-a-time transpose), renamed. The row hash is protocol v8's,
+// the fixed-key TCCR hash, one row at a time through crypto/aes alone.
+// A reference endpoint takes over a kernel endpoint's freshly set-up
+// session, so the base phase is the one implementation.
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
-	"maxelerator/internal/gchash"
 	"maxelerator/internal/wire"
 )
 
@@ -29,9 +28,10 @@ type refSender struct {
 
 // newRefSender takes over es, which must not have sent a batch yet.
 func newRefSender(es *ExtensionSender) *refSender {
-	ref := &refSender{conn: es.conn, s: es.s, sPacked: es.sPacked}
-	for i := range es.columns {
-		ref.columns[i] = refStream(&es.columns[i])
+	ref := &refSender{conn: es.conn, sPacked: Message(es.sPacked)}
+	for i := range ref.columns {
+		ref.s[i] = es.sMask[i] != 0
+		ref.columns[i] = refStream(es.columns.Key(i))
 	}
 	return ref
 }
@@ -47,18 +47,25 @@ type refReceiver struct {
 // yet.
 func newRefReceiver(er *ExtensionReceiver) *refReceiver {
 	ref := &refReceiver{conn: er.conn}
-	for i := range er.col0 {
-		ref.col0[i] = refStream(&er.col0[i])
-		ref.col1[i] = refStream(&er.col1[i])
+	for i := range ref.col0 {
+		ref.col0[i] = refStream(er.col0.Key(i))
+		ref.col1[i] = refStream(er.col1.Key(i))
 	}
 	return ref
 }
 
-// refStream is crypto/cipher's AES-CTR stream, from a zero IV, over
-// the block cipher of the column PRG c, which must not have been read
-// yet.
-func refStream(c *gchash.CTR) cipher.Stream {
-	return cipher.NewCTR(c.Block(), make([]byte, aes.BlockSize))
+// refStream is crypto/cipher's AES-CTR stream, from a zero IV, under
+// a column PRG's key.
+func refStream(key [16]byte) cipher.Stream {
+	return cipher.NewCTR(refCipher(key), make([]byte, aes.BlockSize))
+}
+
+func refCipher(key [16]byte) cipher.Block {
+	b, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func refNextPad(s cipher.Stream, n int) []byte {
@@ -67,15 +74,20 @@ func refNextPad(s cipher.Stream, n int) []byte {
 	return buf
 }
 
+// refRowPi is π of the row hash: AES-128 under the fixed public key
+// "MAXelerator-TCCR", spelled out here rather than taken from gchash.
+var refRowPi = refCipher([16]byte{'M', 'A', 'X', 'e', 'l', 'e', 'r', 'a', 't', 'o', 'r', '-', 'T', 'C', 'C', 'R'})
+
+// refRowHash is the tweakable correlation-robust hash of Guo, Katz,
+// Wang and Yu, H(j, x) = π(π(x) ⊕ j) ⊕ π(x), the index j little-endian
+// in bytes 0..7.
 func refRowHash(index uint64, row Message) Message {
-	h := sha256.New()
-	var idx [8]byte
-	binary.BigEndian.PutUint64(idx[:], index)
-	h.Write(idx[:])
-	h.Write(row[:])
-	var out Message
-	copy(out[:], h.Sum(nil))
-	return out
+	var p, q, out Message
+	refRowPi.Encrypt(p[:], row[:])
+	q = p
+	binary.LittleEndian.PutUint64(q[:8], binary.LittleEndian.Uint64(q[:8])^index)
+	refRowPi.Encrypt(out[:], q[:])
+	return xorMsg(out, p)
 }
 
 func (es *refSender) Send(pairs [][2]Message) error {

@@ -26,14 +26,17 @@ import (
 // corkDigests are the SHA-256 of the cork fixture's frames, each behind
 // its 4-byte big-endian length, as each end sent them, recorded before
 // either end corked its writes: the server's, served inline and from a
-// pool hit, and the client's, which a hit does not change.
+// pool hit, and the client's, which a hit does not change. They were
+// re-pinned once, for protocol v8: IKNP row hash is fixed-key TCCR. The
+// server's OT answer frames move, and the hello and its ack carry
+// version 8.
 var corkDigests = map[string]string{
-	"per-round/server":     "b3511873ffb3a7552cf81704cab142d65c1ef8e59fd314a5a48368348c334420",
-	"per-round/server/hit": "5ad3248cd5aa05f04eadda9c5a6a42534c79cc3b932f220af2122814e7850d51",
-	"per-round/client":     "7091610228986e0d5deca2a132236c6fed658329fefdae6b3fa91b427db28557",
-	"batched/server":       "34e7ff416404e84c933d46a5a844628800302a39d81f9beae901ecb8203e3fd4",
-	"batched/server/hit":   "be2f1ca1d3279de4426956b13f5da15630d1cd3780c09053eed3ad84be9f1d6c",
-	"batched/client":       "c663b60601bdf8431680106685ff94d53f720777079d21d2ff51e7c9db6021a3",
+	"per-round/server":     "96cbde6efba2b7cae81cc149d160981fbf31c9df568cc02623fa5f781bfc8653",
+	"per-round/server/hit": "7cabfcbaa9731bbfae7ae96acb6c3f142b53da52f00e2a69e349386962d2b73a",
+	"per-round/client":     "b54cda8278c100ac9328e6a7ea4cdaf0b3a4910b2a7bab894eb8a675b0ff175c",
+	"batched/server":       "7ae7cbddc7e003e6a628032adf7fcbf192eca15a6a937b25544227ba1112c470",
+	"batched/server/hit":   "abfc43b55f0153e2127805efcd17d87a30f957cfc971cf2633355fdb5f43d73e",
+	"batched/client":       "ad9eb130310e6c24803010ce285c1c221428e60b4f2c1e4a5133d492df547d73",
 }
 
 // corkFixture is a 4×24 request: 24 row-0 rounds are three u batches

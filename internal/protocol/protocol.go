@@ -60,11 +60,14 @@ import (
 // evaluator's input labels of round j across every row of a request,
 // so one OT per round of row 0 (per-round) or one of Cols·Width labels
 // (batched) serves the whole request, and a v6 peer would wait for OT
-// exchanges that never come. Any other generation is
+// exchanges that never come; version 8 hashes the IKNP extension's rows
+// with the fixed-key TCCR hash of gchash.HashRows instead of SHA-256,
+// so a v7 peer would unmask every OT answer into garbage labels. Any
+// other generation is
 // detected in the handshake — by its version field, or, for the gob
 // generations, by the first byte of its first frame — and rejected with
 // ErrVersionMismatch before a single OT byte moves.
-const ProtoVersion = 7
+const ProtoVersion = 8
 
 // ErrVersionMismatch is returned (wrapped, naming the local version and
 // what is known of the peer's) when the two endpoints speak different

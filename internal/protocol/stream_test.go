@@ -203,8 +203,12 @@ func chainFixture() ([][]int64, []int64) {
 // began sharing the evaluator's input labels: round j's come from the
 // column domain AES_k(2⁶⁴−2 ‖ j·8 + n), so every label and table of
 // the one row moves and the hello carries version 7. This request has
-// one row, so frame lengths are unchanged.
-const chainTranscriptDigest = "b39f4ef0a2c236f7255199d160cc92707e4571f75555b963845064642a528a5b"
+// one row, so frame lengths are unchanged. It was re-pinned a fifth
+// time for protocol v8: IKNP row hash is fixed-key TCCR. The OT answer
+// frames are the labels masked by gchash.HashRows instead of SHA-256,
+// and the hello carries version 8; every material frame and every
+// frame length is unchanged.
+const chainTranscriptDigest = "638afa2d9067d2b1dd1e6164aa3d488144304421fff3c094252a2e6bcd91b22c"
 
 func framesDigest(frames [][]byte) string {
 	h := sha256.New()
@@ -596,8 +600,10 @@ func TestBatchedOTBeforeRowZero(t *testing.T) {
 // (each lane on an unpooled gc.Lane): the rows of each request share
 // the evaluator's input labels, so rows ≥ 1 run no OT (two fewer
 // per-round OT frames in each 2×3 request, and the batched 3×2 OT
-// covers 2·8 labels instead of 6·8), and every label moves.
-const recycledRoundsDigest = "0427624b2251be6fa4f46e0d11512f3c998e04df0a7772838a94fdc6971251bd"
+// covers 2·8 labels instead of 6·8), and every label moves. It was
+// re-pinned a second time for protocol v8: IKNP row hash is fixed-key
+// TCCR. Only the OT answer frames and the hello's version move.
+const recycledRoundsDigest = "2c73f7f0d2743f981caa973629373ef00d5dc654fd6bbe0f9f9c573c771d716b"
 
 // TestRecycledRoundsTranscriptDigest serves three requests on one
 // seeded two-lane session — per-round 2×3, batched 3×2, per-round 2×3 —
