@@ -149,13 +149,17 @@ func (c *Circuit) Validate() error {
 	if len(c.StateOuts) != c.NState {
 		return fmt.Errorf("circuit: %d state wires but %d state outputs", c.NState, len(c.StateOuts))
 	}
-	defined := make([]bool, c.NWires)
+	// defined is a bit per wire: Validate runs on every Build and every
+	// lowering, twice a client Dial, so it keeps to an eighth of a []bool.
+	defined := make([]uint64, (c.NWires+63)/64)
+	define := func(w int) { defined[w/64] |= 1 << (w % 64) }
+	isDefined := func(w int) bool { return defined[w/64]&(1<<(w%64)) != 0 }
 	span := FirstInput + c.NGarbler + c.NEvaluator + c.NState
 	if c.NWires < span {
 		return fmt.Errorf("circuit: NWires %d below input span %d", c.NWires, span)
 	}
 	for i := 0; i < span; i++ {
-		defined[i] = true
+		define(i)
 	}
 	for i, g := range c.Gates {
 		if g.Op != XOR && g.Op != AND {
@@ -164,24 +168,24 @@ func (c *Circuit) Validate() error {
 		if g.A < 0 || g.A >= c.NWires || g.B < 0 || g.B >= c.NWires {
 			return fmt.Errorf("circuit: gate %d reads out-of-range wire", i)
 		}
-		if !defined[g.A] || !defined[g.B] {
+		if !isDefined(g.A) || !isDefined(g.B) {
 			return fmt.Errorf("circuit: gate %d reads undefined wire (not topological)", i)
 		}
 		if g.Out < 0 || g.Out >= c.NWires {
 			return fmt.Errorf("circuit: gate %d writes out-of-range wire %d", i, g.Out)
 		}
-		if defined[g.Out] {
+		if isDefined(g.Out) {
 			return fmt.Errorf("circuit: gate %d redefines wire %d", i, g.Out)
 		}
-		defined[g.Out] = true
+		define(g.Out)
 	}
 	for i, w := range c.Outputs {
-		if w < 0 || w >= c.NWires || !defined[w] {
+		if w < 0 || w >= c.NWires || !isDefined(w) {
 			return fmt.Errorf("circuit: output %d references undefined wire %d", i, w)
 		}
 	}
 	for i, w := range c.StateOuts {
-		if w < 0 || w >= c.NWires || !defined[w] {
+		if w < 0 || w >= c.NWires || !isDefined(w) {
 			return fmt.Errorf("circuit: state output %d references undefined wire %d", i, w)
 		}
 	}

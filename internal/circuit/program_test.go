@@ -123,6 +123,112 @@ func TestProgramWorkingSet(t *testing.T) {
 	}
 }
 
+// randomNetlist is a netlist with gates reading any earlier wire, so
+// live ranges are long and uneven, repeated operands and dead gates.
+func randomNetlist(rng *mrand.Rand) *Circuit {
+	nG, nE := 1+rng.Intn(6), 1+rng.Intn(6)
+	span := FirstInput + nG + nE
+	nGates := 1 + rng.Intn(300)
+	c := &Circuit{NGarbler: nG, NEvaluator: nE, NWires: span + nGates}
+	for i := 0; i < nGates; i++ {
+		out := span + i
+		pick := func() int {
+			if rng.Intn(4) == 0 {
+				return rng.Intn(out)
+			}
+			return out - 1 - rng.Intn(min(out, 12))
+		}
+		c.Gates = append(c.Gates, Gate{Op: Op(rng.Intn(2)), A: pick(), B: pick(), Out: out})
+	}
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		c.Outputs = append(c.Outputs, rng.Intn(c.NWires))
+	}
+	return c
+}
+
+// bundles counts a program's two-AND bundles and single ANDs, and
+// checks what a bundle promises: its second instruction is an AND that
+// does not read the first's output. It also checks that the AND
+// indexes are 0 … NAND−1, each once.
+func bundles(t *testing.T, p *Program) (pairs, singles int) {
+	t.Helper()
+	seen := make([]bool, p.NAND)
+	for i := 0; i < len(p.Instrs); i++ {
+		in := p.Instrs[i]
+		if in.Op != AND {
+			if in.Paired {
+				t.Fatalf("instr %d: an XOR marked as a bundle", i)
+			}
+			continue
+		}
+		if int(in.Index) >= p.NAND || seen[in.Index] {
+			t.Fatalf("instr %d: AND index %d out of range or repeated", i, in.Index)
+		}
+		seen[in.Index] = true
+		if !in.Paired {
+			singles++
+			continue
+		}
+		if i+1 == len(p.Instrs) {
+			t.Fatalf("instr %d: the last instruction heads a bundle", i)
+		}
+		next := p.Instrs[i+1]
+		if next.Op != AND || next.Paired || next.A == in.Out || next.B == in.Out {
+			t.Fatalf("instr %d: bundle partner %+v is not an AND independent of %+v", i, next, in)
+		}
+		if int(next.Index) >= p.NAND || seen[next.Index] {
+			t.Fatalf("instr %d: AND index %d out of range or repeated", i+1, next.Index)
+		}
+		seen[next.Index] = true
+		pairs++
+		i++
+	}
+	return pairs, singles
+}
+
+// TestProgramBundles pins how far lowering pairs the MAC's ANDs into
+// two-AND bundles — the AES pipeline a kernel call keeps full — and
+// checks, on the MAC and on random netlists, that every bundle is two
+// independent ANDs and that bundling never needs more slots than
+// netlist order (TestProgramWorkingSet's bounds are netlist order's
+// peaks). The floors are the measured counts, ≥ 96 % of ANDs paired.
+func TestProgramBundles(t *testing.T) {
+	for _, tc := range []struct{ width, ands, pairs int }{
+		{8, 112, 54}, {16, 426, 206}, {32, 1641, 808},
+	} {
+		c := MustMAC(MACConfig{Width: tc.width, AccWidth: 2 * tc.width, Signed: true})
+		p, err := c.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, singles := bundles(t, p)
+		t.Logf("b=%d: %d ANDs, %d two-AND bundles, %d single, %d slots", tc.width, p.NAND, pairs, singles, p.NSlots)
+		if p.NAND != tc.ands || 2*pairs+singles != p.NAND || pairs < tc.pairs {
+			t.Fatalf("b=%d: %d two-AND bundles and %d singles of %d ANDs, want %d ANDs and at least %d bundles",
+				tc.width, pairs, singles, p.NAND, tc.ands, tc.pairs)
+		}
+	}
+	rng := mrand.New(mrand.NewSource(48))
+	total, paired := 0, 0
+	for i := 0; i < 200; i++ {
+		c := randomNetlist(rng)
+		p, err := c.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, _ := bundles(t, p)
+		total, paired = total+p.NAND, paired+2*pairs
+		s := scheduler{c: c, wires: make([]wire, c.NWires)}
+		s.countReaders()
+		if peak := s.netlistPeak(p.InputSpan()); p.NSlots > peak {
+			t.Fatalf("netlist %d: %d slots, netlist order needs %d", i, p.NSlots, peak)
+		}
+	}
+	if paired < total/2 {
+		t.Fatalf("random netlists: %d of %d ANDs paired", paired, total)
+	}
+}
+
 func TestProgramRejectsInvalidNetlist(t *testing.T) {
 	c := &Circuit{NGarbler: 1, NWires: 4, Gates: []Gate{{Op: AND, A: 2, B: 3, Out: 3}}, Outputs: []int{3}}
 	if _, err := c.Program(); err == nil {

@@ -112,50 +112,48 @@ func (e *Evaluator) Eval(m *Material, evalActive, stateActive []label.Label) (*E
 	copy(w[circuit.FirstInput+prog.NGarbler:], evalActive)
 	copy(w[circuit.FirstInput+prog.NGarbler+prog.NEvaluator:], stateActive)
 
+	// The block is outside input: its length and every row count are
+	// checked here, whoever built it, before the walk reads a table.
 	blk := m.TableBlock
-	tweak := m.TweakBase
+	rows := e.params.Scheme.TableSize()
+	stride := 1 + rows*label.Size
+	if len(blk) != prog.NAND*stride {
+		return nil, fmt.Errorf("gc: table block of %d bytes, want %d tables of %d rows (%d bytes)", len(blk), prog.NAND, rows, prog.NAND*stride)
+	}
+	for off := 0; off < len(blk); off += stride {
+		if int(blk[off]) != rows {
+			return nil, fmt.Errorf("gc: table %d has %d rows, want %d", off/stride, blk[off], rows)
+		}
+	}
+
 	tweaksPerGate := e.params.Scheme.TweaksPerGate()
-	off := 0
-	for i := range prog.Instrs {
+	round := andRound{w: w, tables: blk, tweak: m.TweakBase}
+	var bundle [2]gchash.HalfGate
+	for i := 0; i < len(prog.Instrs); i++ {
 		in := &prog.Instrs[i]
-		if in.Op == circuit.XOR {
+		switch {
+		case in.Op == circuit.XOR:
 			w[in.A].XorInto(&w[in.B], &w[in.Out])
-			continue
-		}
-		// The block is outside input: its length and every row count are
-		// checked here, whoever built it.
-		if off >= len(blk) {
-			return nil, fmt.Errorf("gc: gate %d: table block ends after %d bytes, before this gate's table", i, len(blk))
-		}
-		n := int(blk[off])
-		end := off + 1 + n*label.Size
-		if end > len(blk) {
-			return nil, fmt.Errorf("gc: gate %d: %d-row table at offset %d overruns the %d-byte table block", i, n, off, len(blk))
-		}
-		if e.aes != nil {
-			if n != halfGateRows {
-				return nil, fmt.Errorf("gc: gate %d: half-gates table has %d rows, want %d", i, n, halfGateRows)
+		case e.aes != nil:
+			round.gate(&bundle[0], in)
+			n := 1
+			if in.Paired {
+				i, n = i+1, 2
+				round.gate(&bundle[1], &prog.Instrs[i])
 			}
-			tg := (*label.Label)(blk[off+1 : off+1+label.Size])
-			te := (*label.Label)(blk[off+1+label.Size : end])
-			evalHalfGate(e.aes, &e.and, &w[in.A], &w[in.B], &w[in.Out], tg, te, tweak)
-		} else {
-			rows := e.rows[:0]
-			for r := off + 1; r < end; r += label.Size {
-				rows = append(rows, label.Label(blk[r:r+label.Size]))
+			e.aes.EvalANDs(&e.and, bundle[:n])
+		default:
+			table := blk[int(in.Index)*stride+1:][:rows*label.Size]
+			e.rows = e.rows[:0]
+			for r := 0; r < len(table); r += label.Size {
+				e.rows = append(e.rows, label.Label(table[r:r+label.Size]))
 			}
-			e.rows = rows
-			out, err := e.params.Scheme.EvalAND(e.params.Hash, w[in.A], w[in.B], rows, tweak)
+			out, err := e.params.Scheme.EvalAND(e.params.Hash, w[in.A], w[in.B], e.rows, m.TweakBase+uint64(in.Index)*tweaksPerGate)
 			if err != nil {
-				return nil, fmt.Errorf("gc: gate %d: %w", i, err)
+				return nil, fmt.Errorf("gc: AND %d: %w", in.Index, err)
 			}
 			w[in.Out] = out
 		}
-		off = end
-		tweak += tweaksPerGate
-	}
-	if off != len(blk) {
-		return nil, fmt.Errorf("gc: %d bytes of garbled tables unused", len(blk)-off)
 	}
 
 	res := &e.res

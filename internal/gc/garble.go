@@ -36,14 +36,35 @@ func (p Params) validate() error {
 // halfGatesAES reports whether p is the paper's configuration — half
 // gates over the fixed-key AES hash, the only one the protocol serves —
 // by returning the concrete hash, or nil for any other combination. It
-// is the AND step's one branch: the concrete kernel (kernel.go) when
-// non-nil, the Scheme/Hasher interfaces otherwise.
+// is the AND step's one branch: the bundle kernels of gchash
+// (GarbleANDs / EvalANDs, one call per AND or per two-AND bundle of the
+// program) when non-nil, the Scheme/Hasher interfaces otherwise.
+// HalfGates.GarbleAND / EvalAND stay as the reference the kernels are
+// held to, byte for byte (TestKernelMatchesSchemeInterface).
 func (p Params) halfGatesAES() *gchash.AES {
 	if _, ok := p.Scheme.(HalfGates); !ok {
 		return nil
 	}
 	h, _ := p.Hash.(*gchash.AES)
 	return h
+}
+
+// andRound is one round as the bundle kernels see it: the walker's
+// slots, the round's table block and its first tweak.
+type andRound struct {
+	w      []label.Label
+	tables []byte
+	tweak  uint64
+}
+
+// gate resolves AND in into h. Its table and tweaks follow from its
+// netlist index k: the table at k·gchash.TableStride, the tweaks from
+// tweak + 2k. It writes h field by field: a HalfGate built whole and
+// copied in costs a store-forwarding stall per gate.
+func (r *andRound) gate(h *gchash.HalfGate, in *circuit.Instr) {
+	h.A, h.B, h.Out = &r.w[in.A], &r.w[in.B], &r.w[in.Out]
+	h.Table = (*[gchash.TableStride]byte)(r.tables[int(in.Index)*gchash.TableStride:])
+	h.Tweak = r.tweak + 2*uint64(in.Index)
 }
 
 // Material is everything the evaluator receives for one garbled
@@ -140,7 +161,7 @@ type Garbler struct {
 	next uint64
 	// aes is params' concrete hash when the kernel applies, else nil.
 	aes *gchash.AES
-	// deltaLabel is Δ as a label, addressable for XorInto.
+	// deltaLabel is Δ as a label, addressable for the kernel.
 	deltaLabel label.Label
 	// slots is the walker's working array, grown to the largest program
 	// seen; and is the AND kernel's hash scratch.
@@ -302,32 +323,39 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 		m.StateInActive = append(m.StateInActive, w[stateBase:span]...)
 	}
 
+	// The walk runs in the program's order; each AND's table and tweaks
+	// follow from its netlist index.
 	blk := m.TableBlock
 	tweaksPerGate := scheme.TweaksPerGate()
-	off := 0
-	for i := range prog.Instrs {
+	round := andRound{w: w, tables: blk, tweak: tweak}
+	var bundle [2]gchash.HalfGate
+	for i := 0; i < len(prog.Instrs); i++ {
 		in := &prog.Instrs[i]
-		if in.Op == circuit.XOR {
+		switch {
+		case in.Op == circuit.XOR:
 			w[in.A].XorInto(&w[in.B], &w[in.Out])
-			continue
-		}
-		table := blk[off : off+stride]
-		if g.aes != nil {
-			g.garbleHalfGate(&w[in.A], &w[in.B], &w[in.Out], table, tweak)
-		} else {
-			out0, t := scheme.GarbleAND(g.params.Hash, g.delta, w[in.A], w[in.B], tweak)
+		case g.aes != nil:
+			round.gate(&bundle[0], in)
+			n := 1
+			if in.Paired {
+				i, n = i+1, 2
+				round.gate(&bundle[1], &prog.Instrs[i])
+			}
+			g.aes.GarbleANDs(&g.and, &g.deltaLabel, bundle[:n])
+		default:
+			out0, t := scheme.GarbleAND(g.params.Hash, g.delta, w[in.A], w[in.B], tweak+uint64(in.Index)*tweaksPerGate)
 			if len(t) != rows {
 				return fmt.Errorf("gc: %s produced a %d-row table, TableSize says %d", scheme.Name(), len(t), rows)
 			}
 			w[in.Out] = out0
+			table := blk[int(in.Index)*stride:]
 			table[0] = byte(rows)
 			for r := range t {
 				copy(table[1+r*label.Size:], t[r][:])
 			}
 		}
-		off += stride
-		tweak += tweaksPerGate
 	}
+	tweak += uint64(prog.NAND) * tweaksPerGate
 	res.NextTweak, g.next = tweak, tweak
 
 	for i, slot := range prog.Outputs {

@@ -226,7 +226,9 @@ func (c *Columns) refill(dst []byte, n int) {
 		d := dst[i*n : (i+1)*n]
 		la := c.buf[i*ctrLookahead : (i+1)*ctrLookahead]
 		copy(d, la[c.off:])
-		encryptCounters(&c.keys[i], 0, c.lo, d[have:have+whole])
+		if whole > 0 { // none at the per-round cadence
+			encryptCounters(&c.keys[i], 0, c.lo, d[have:have+whole])
+		}
 		encryptCounters(&c.keys[i], 0, c.lo+uint64(whole/aes.BlockSize), la)
 		copy(d[have+whole:], la)
 	}

@@ -32,9 +32,9 @@ type Hasher interface {
 	// Hash returns H(x, T).
 	Hash(x label.Label, tweak uint64) label.Label
 	// HashInto computes H(x, T) into dst, sparing the caller the label
-	// copies of Hash. The garbling kernel does not come through here — it
-	// hashes a whole AND gate at a time with (*AES).HashAND over scratch
-	// it owns.
+	// copies of Hash. The garbling walkers do not come through here —
+	// they garble whole ANDs, two at a time, with (*AES).GarbleANDs and
+	// EvalANDs.
 	HashInto(x *label.Label, tweak uint64, dst *label.Label)
 	// Name identifies the hash construction for reports.
 	Name() string
@@ -107,10 +107,11 @@ func (h *AES) hashIntoGo(x *label.Label, tweak uint64, dst *label.Label) {
 	ct.XorInto(&k, dst)
 }
 
-// ANDBlocks is the caller-owned working memory of HashAND: the labels
-// one AND gate hashes, their hashes, and the cipher inputs in between.
-// It belongs to whoever walks the circuit — one per Garbler, one per
-// Evaluator — and never to the *AES, which per-worker garblers share.
+// ANDBlocks is the caller-owned working memory of HashAND, and of the
+// portable GarbleANDs and EvalANDs: the labels one AND gate hashes,
+// their hashes, and the cipher inputs in between. It belongs to whoever
+// walks the circuit — one per Garbler, one per Evaluator — and never to
+// the *AES, which per-worker garblers share.
 // The portable path hands its arrays to the cipher, which makes the whole
 // struct escape, so a walker allocates it once (or embeds it in an object
 // already on the heap) and reuses it for every gate.

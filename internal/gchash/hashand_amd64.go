@@ -22,6 +22,18 @@ func hashAND4(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
 //go:noescape
 func hashAND2(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
 
+// garbleBundle garbles the n (1 or 2) gates at gates under Δ with the
+// expanded schedule rk: GarbleANDs' kernel.
+//
+//go:noescape
+func garbleBundle(rk *[11][16]byte, delta *label.Label, gates *HalfGate, n int)
+
+// evalBundle evaluates the n (1 or 2) gates at gates with the expanded
+// schedule rk: EvalANDs' kernel.
+//
+//go:noescape
+func evalBundle(rk *[11][16]byte, gates *HalfGate, n int)
+
 // ctrBlocks fills dst, whole blocks, with AES(hi ‖ lo+n) under the
 // expanded schedule rk for n = 0, 1, …, lo wrapping without a carry.
 //
@@ -71,4 +83,20 @@ func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {
 	s.X[0] = *x
 	hashAND2(&roundKeys, &s, tweak)
 	*dst = s.H[0]
+}
+
+func (h *AES) garbleANDs(s *ANDBlocks, delta *label.Label, g []HalfGate) {
+	if !useKernel {
+		h.garbleANDsGo(s, delta, g)
+		return
+	}
+	garbleBundle(&roundKeys, delta, &g[0], len(g))
+}
+
+func (h *AES) evalANDs(s *ANDBlocks, g []HalfGate) {
+	if !useKernel {
+		h.evalANDsGo(s, g)
+		return
+	}
+	evalBundle(&roundKeys, &g[0], len(g))
 }

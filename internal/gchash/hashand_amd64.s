@@ -4,8 +4,9 @@
 #include "go_asm.h"
 
 // The AES-NI kernels: the half-gate hash of an AND gate (hashAND4,
-// hashAND2), counter-mode blocks under an expanded key (ctrBlocks), and
-// the OT extension's row hash of eight rows (tccr8).
+// hashAND2), whole half-gate ANDs a bundle of one or two at a time
+// (garbleBundle, evalBundle), counter-mode blocks under an expanded key
+// (ctrBlocks), and the OT extension's row hash of eight rows (tccr8).
 //
 // The half-gate hash of one AND gate in one call: for each label x,
 // K = 2·x ⊕ T is built in general-purpose registers, the AES-128
@@ -118,6 +119,245 @@ TEXT ·hashAND2(SB), NOSPLIT, $0-24
 	PXOR  X5, X1
 	MOVOU X0, ANDBlocks_H+0(SI)
 	MOVOU X1, ANDBlocks_H+16(SI)
+	RET
+
+// The half-gate bundle kernels: one AND, or two that do not read each
+// other's output, a call (halfgate.go has the arithmetic). The garbler
+// builds K = 2·x ⊕ T for the FALSE labels only; a TRUE label's is
+// K ⊕ 2·Δ, since doubling is linear. Its feed-forward then cancels in
+// pairs: H(a⁰) ⊕ H(a¹) = π(K_a⁰) ⊕ π(K_a¹) ⊕ 2·Δ. A permute bit is
+// applied as a mask, -(x & 1) broadcast to 128 bits. Every input label
+// is loaded (a⁰ twice, the second time for T_E) before any output is
+// stored, gate 0's outputs before gate 1's, so gate 1's output may
+// overwrite a label gate 0 reads.
+
+// MASK leaves -(lsb of the label at SI) in m.
+#define MASK(m) \
+	MOVQ 0(SI), m; \
+	ANDQ $1, m; \
+	NEGQ m
+
+// BCAST broadcasts the mask in m to both halves of x.
+#define BCAST(m, x) \
+	MOVQ       m, x; \
+	PUNPCKLQDQ x, x
+
+// GKEYS loads the FALSE labels of the gate at r(DI): K_a⁰ in sa and
+// ka, K_a¹ in sa1, K_b⁰ in sb and kb, K_b¹ in sb1, the permute masks in
+// ma and mb. X12 holds 2·Δ. Clobbers AX, BX, CX, SI, R8, R9.
+#define GKEYS(r, sa, sa1, sb, sb1, ka, kb, ma, mb) \
+	MOVQ (r+HalfGate_Tweak)(DI), R8; \
+	LEAQ 1(R8), R9; \
+	MOVQ (r+HalfGate_A)(DI), SI; \
+	KEY(0, R8, sa, ka); \
+	MASK(ma); \
+	MOVO sa, sa1; \
+	PXOR X12, sa1; \
+	MOVQ (r+HalfGate_B)(DI), SI; \
+	KEY(0, R9, sb, kb); \
+	MASK(mb); \
+	MOVO sb, sb1; \
+	PXOR X12, sb1
+
+// GCOMBINE turns the four encrypted states of the gate at r(DI) into
+// its outputs: out⁰ in s0, T_G in s1, T_E in s3. X12 holds 2·Δ, X14 Δ.
+// Clobbers X13, X15, SI.
+#define GCOMBINE(r, s0, s1, s2, s3, ka, kb, ma, mb) \
+	PXOR  s0, s1; \
+	PXOR  X12, s1; \
+	PXOR  ka, s0; \
+	PXOR  s2, s3; \
+	PXOR  X12, s3; \
+	PXOR  kb, s2; \
+	BCAST(mb, X13); \
+	MOVO  X14, X15; \
+	PAND  X13, X15; \
+	PXOR  X15, s1; \
+	PAND  s3, X13; \
+	PXOR  X13, s2; \
+	BCAST(ma, X13); \
+	PAND  s1, X13; \
+	PXOR  X13, s0; \
+	PXOR  s2, s0; \
+	MOVQ  (r+HalfGate_A)(DI), SI; \
+	MOVOU 0(SI), X13; \
+	PXOR  X13, s3
+
+// GSTORE stores the table (row count 2, T_G, T_E) and out⁰ of the gate
+// at r(DI). Clobbers SI.
+#define GSTORE(r, out, tg, te) \
+	MOVQ  (r+HalfGate_Table)(DI), SI; \
+	MOVB  $2, 0(SI); \
+	MOVOU tg, 1(SI); \
+	MOVOU te, 17(SI); \
+	MOVQ  (r+HalfGate_Out)(DI), SI; \
+	MOVOU out, 0(SI)
+
+// RK8 / RK4 / RK2 run one AES round (AESENC, or AESENCLAST as op) with
+// round key i of the schedule at DX, through the key register k, on
+// X0..X7 / X0..X3 / X0..X1.
+#define RK8(op, i, k) \
+	MOVOU (16*i)(DX), k; \
+	op    k, X0; \
+	op    k, X1; \
+	op    k, X2; \
+	op    k, X3; \
+	op    k, X4; \
+	op    k, X5; \
+	op    k, X6; \
+	op    k, X7
+
+#define RK4(op, i, k) \
+	MOVOU (16*i)(DX), k; \
+	op    k, X0; \
+	op    k, X1; \
+	op    k, X2; \
+	op    k, X3
+
+#define RK2(op, i, k) \
+	MOVOU (16*i)(DX), k; \
+	op    k, X0; \
+	op    k, X1
+
+// func garbleBundle(rk *[11][16]byte, delta *label.Label, gates *HalfGate, n int)
+TEXT ·garbleBundle(SB), NOSPLIT, $0-32
+	MOVQ  rk+0(FP), DX
+	MOVQ  delta+8(FP), SI
+	MOVQ  gates+16(FP), DI
+	MOVOU 0(SI), X14
+	XORQ  R8, R8
+	KEY(0, R8, X12, X15)
+	GKEYS(0, X0, X1, X2, X3, X8, X9, R10, R11)
+	CMPQ  n+24(FP), $2
+	JNE   garble1
+
+	GKEYS(HalfGate__size, X4, X5, X6, X7, X10, X11, R12, R13)
+	MOVOU (DX), X13
+	PXOR  X13, X0
+	PXOR  X13, X1
+	PXOR  X13, X2
+	PXOR  X13, X3
+	PXOR  X13, X4
+	PXOR  X13, X5
+	PXOR  X13, X6
+	PXOR  X13, X7
+	RK8(AESENC, 1, X13)
+	RK8(AESENC, 2, X13)
+	RK8(AESENC, 3, X13)
+	RK8(AESENC, 4, X13)
+	RK8(AESENC, 5, X13)
+	RK8(AESENC, 6, X13)
+	RK8(AESENC, 7, X13)
+	RK8(AESENC, 8, X13)
+	RK8(AESENC, 9, X13)
+	RK8(AESENCLAST, 10, X13)
+	GCOMBINE(0, X0, X1, X2, X3, X8, X9, R10, R11)
+	GCOMBINE(HalfGate__size, X4, X5, X6, X7, X10, X11, R12, R13)
+	GSTORE(0, X0, X1, X3)
+	GSTORE(HalfGate__size, X4, X5, X7)
+	RET
+
+garble1:
+	MOVOU (DX), X13
+	PXOR  X13, X0
+	PXOR  X13, X1
+	PXOR  X13, X2
+	PXOR  X13, X3
+	RK4(AESENC, 1, X13)
+	RK4(AESENC, 2, X13)
+	RK4(AESENC, 3, X13)
+	RK4(AESENC, 4, X13)
+	RK4(AESENC, 5, X13)
+	RK4(AESENC, 6, X13)
+	RK4(AESENC, 7, X13)
+	RK4(AESENC, 8, X13)
+	RK4(AESENC, 9, X13)
+	RK4(AESENCLAST, 10, X13)
+	GCOMBINE(0, X0, X1, X2, X3, X8, X9, R10, R11)
+	GSTORE(0, X0, X1, X3)
+	RET
+
+// EKEYS loads the active labels of the gate at r(DI): K_a in sa and
+// ka, K_b in sb and kb, the select masks in ma and mb. Clobbers AX, BX,
+// CX, SI, R8, R9.
+#define EKEYS(r, sa, sb, ka, kb, ma, mb) \
+	MOVQ (r+HalfGate_Tweak)(DI), R8; \
+	LEAQ 1(R8), R9; \
+	MOVQ (r+HalfGate_A)(DI), SI; \
+	KEY(0, R8, sa, ka); \
+	MASK(ma); \
+	MOVQ (r+HalfGate_B)(DI), SI; \
+	KEY(0, R9, sb, kb); \
+	MASK(mb)
+
+// ECOMBINE turns the two encrypted states of the gate at r(DI) into its
+// output label, in sa. Clobbers X9, X10, X11, SI.
+#define ECOMBINE(r, sa, sb, ka, kb, ma, mb) \
+	PXOR  ka, sa; \
+	PXOR  kb, sb; \
+	MOVQ  (r+HalfGate_Table)(DI), SI; \
+	MOVOU 1(SI), X9; \
+	BCAST(ma, X10); \
+	PAND  X10, X9; \
+	PXOR  X9, sa; \
+	MOVOU 17(SI), X9; \
+	MOVQ  (r+HalfGate_A)(DI), SI; \
+	MOVOU 0(SI), X11; \
+	PXOR  X11, X9; \
+	BCAST(mb, X10); \
+	PAND  X10, X9; \
+	PXOR  X9, sb; \
+	PXOR  sb, sa
+
+// func evalBundle(rk *[11][16]byte, gates *HalfGate, n int)
+TEXT ·evalBundle(SB), NOSPLIT, $0-24
+	MOVQ rk+0(FP), DX
+	MOVQ gates+8(FP), DI
+	EKEYS(0, X0, X1, X4, X5, R10, R11)
+	CMPQ n+16(FP), $2
+	JNE  eval1
+
+	EKEYS(HalfGate__size, X2, X3, X6, X7, R12, R13)
+	MOVOU (DX), X8
+	PXOR  X8, X0
+	PXOR  X8, X1
+	PXOR  X8, X2
+	PXOR  X8, X3
+	RK4(AESENC, 1, X8)
+	RK4(AESENC, 2, X8)
+	RK4(AESENC, 3, X8)
+	RK4(AESENC, 4, X8)
+	RK4(AESENC, 5, X8)
+	RK4(AESENC, 6, X8)
+	RK4(AESENC, 7, X8)
+	RK4(AESENC, 8, X8)
+	RK4(AESENC, 9, X8)
+	RK4(AESENCLAST, 10, X8)
+	ECOMBINE(0, X0, X1, X4, X5, R10, R11)
+	ECOMBINE(HalfGate__size, X2, X3, X6, X7, R12, R13)
+	MOVQ  (0+HalfGate_Out)(DI), SI
+	MOVOU X0, 0(SI)
+	MOVQ  (HalfGate__size+HalfGate_Out)(DI), SI
+	MOVOU X2, 0(SI)
+	RET
+
+eval1:
+	MOVOU (DX), X8
+	PXOR  X8, X0
+	PXOR  X8, X1
+	RK2(AESENC, 1, X8)
+	RK2(AESENC, 2, X8)
+	RK2(AESENC, 3, X8)
+	RK2(AESENC, 4, X8)
+	RK2(AESENC, 5, X8)
+	RK2(AESENC, 6, X8)
+	RK2(AESENC, 7, X8)
+	RK2(AESENC, 8, X8)
+	RK2(AESENC, 9, X8)
+	RK2(AESENCLAST, 10, X8)
+	ECOMBINE(0, X0, X1, X4, X5, R10, R11)
+	MOVQ  (0+HalfGate_Out)(DI), SI
+	MOVOU X0, 0(SI)
 	RET
 
 // ROUND8 runs one AES round (AESENC, or AESENCLAST as op) with round

@@ -11,6 +11,12 @@ const useKernel = false
 
 func (h *AES) hashAND(s *ANDBlocks, n int, tweak uint64) { h.hashANDGo(s, n, tweak) }
 
+func (h *AES) garbleANDs(s *ANDBlocks, delta *label.Label, g []HalfGate) {
+	h.garbleANDsGo(s, delta, g)
+}
+
+func (h *AES) evalANDs(s *ANDBlocks, g []HalfGate) { h.evalANDsGo(s, g) }
+
 func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {
 	h.hashIntoGo(x, tweak, dst)
 }
