@@ -1,8 +1,10 @@
 package circuit
 
 import (
+	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Program is the lowered, read-only form of a Circuit that the garbling
@@ -22,10 +24,11 @@ import (
 //     that needs an input label after the walk must save it first.
 //   - Outputs and StateOuts name slots that are never recycled: they hold
 //     the circuit's results when the last instruction has run.
-//   - Every slot index is below NSlots, every instruction's Op is XOR or
-//     AND, and an instruction's Out slot is distinct from its A and B
-//     slots. Lowering validates the netlist, so a walker indexes without
-//     further checks and has no failure mode of its own.
+//   - Every slot index is below NSlots, every AND's Index is below NAND,
+//     and an instruction's Out slot is distinct from its A and B slots.
+//     Lowering validates the netlist and Check holds the result to the
+//     bounds, so a walker indexes without further checks (gchash's
+//     assembly walks do none) and has no failure mode of its own.
 //   - Instrs is the netlist's gates in a topological order of lowering's
 //     choosing (see Paired), one instruction a gate. An AND instruction's
 //     Index is its position among the netlist's ANDs in netlist order:
@@ -33,12 +36,13 @@ import (
 //     order puts them whatever order the walk runs in. The Indexes are
 //     0 … NAND−1, each once.
 //   - An AND instruction with Paired set is followed at once by another
-//     AND that reads neither its output nor any wire computed from it:
-//     a two-AND bundle, which a walker may garble in one call. The
-//     second AND's Out may be a slot the first vacated (one of the
-//     first's inputs, read for the last time), so such a walker reads
-//     all four input labels before it writes either output. A walker
-//     that runs one instruction at a time may ignore Paired.
+//     AND, not Paired, that reads neither its output nor any wire
+//     computed from it: a two-AND bundle, which a walker may garble in
+//     one call. The second AND's Out may be a slot the first vacated
+//     (one of the first's inputs, read for the last time), so such a
+//     walker reads all four input labels before it writes either
+//     output. A walker that runs one instruction at a time may ignore
+//     Paired.
 type Program struct {
 	// Instrs is the gate stream, in execution order.
 	Instrs []Instr
@@ -51,17 +55,82 @@ type Program struct {
 	// Outputs and StateOuts are the slots holding, after the walk, the
 	// circuit's output wires and next-round state wires, in order.
 	Outputs, StateOuts []uint32
+
+	// checked is set once Check has passed.
+	checked atomic.Bool
 }
 
-// Instr is one 2-input gate over slots.
+// Instr is one 2-input gate over slots, 16 bytes: the record gchash's
+// walks read as it lies, so it has one layout and no second, packed
+// copy.
 type Instr struct {
 	A, B, Out uint32
-	// Index is an AND's position among the netlist's ANDs: its table.
-	// Zero on an XOR.
-	Index uint32
-	Op    Op
-	// Paired marks the first AND of a two-AND bundle.
-	Paired bool
+	// Tag is the gate's op and table: zero on an XOR; on an AND, ANDTag
+	// | its Index, with PairTag set when it heads a bundle.
+	Tag uint32
+}
+
+// The bits of Instr.Tag.
+const (
+	// ANDTag marks an AND.
+	ANDTag = 1 << 31
+	// PairTag marks the first AND of a two-AND bundle.
+	PairTag = 1 << 30
+	// IndexMask selects an AND's Index.
+	IndexMask = PairTag - 1
+)
+
+// Op is the gate's operation.
+func (in Instr) Op() Op {
+	if in.Tag&ANDTag != 0 {
+		return AND
+	}
+	return XOR
+}
+
+// Paired reports whether the instruction is the first AND of a two-AND
+// bundle.
+func (in Instr) Paired() bool { return in.Tag&PairTag != 0 }
+
+// Index is an AND's position among the netlist's ANDs: its table. Zero
+// on an XOR.
+func (in Instr) Index() uint32 { return in.Tag & IndexMask }
+
+// Check reports whether p's instructions keep the bounds the walkers
+// index by without checks: every slot below NSlots, every AND's Index
+// below NAND, no tag bit on an XOR, and every Paired AND followed by an
+// AND that is not Paired and reads neither of its output. Lowering runs
+// it on every program it builds; a program that passed is not walked
+// again, so a walker may call it once a round. p must not be changed
+// after it has passed.
+func (p *Program) Check() error {
+	if p.checked.Load() {
+		return nil
+	}
+	n := uint32(max(p.NSlots, 0))
+	for i, in := range p.Instrs {
+		if in.A >= n || in.B >= n || in.Out >= n {
+			return fmt.Errorf("circuit: instruction %d reads or writes a slot past %d", i, n)
+		}
+		switch {
+		case in.Op() == XOR:
+			if in.Tag != 0 {
+				return fmt.Errorf("circuit: instruction %d is an XOR with tag %#x", i, in.Tag)
+			}
+		case int(in.Index()) >= p.NAND:
+			return fmt.Errorf("circuit: instruction %d owns table %d of %d", i, in.Index(), p.NAND)
+		case in.Paired():
+			if i+1 == len(p.Instrs) {
+				return fmt.Errorf("circuit: instruction %d heads a bundle with no partner", i)
+			}
+			next := p.Instrs[i+1]
+			if next.Op() != AND || next.Paired() || next.A == in.Out || next.B == in.Out {
+				return fmt.Errorf("circuit: instruction %d heads a bundle whose partner is not an independent AND", i)
+			}
+		}
+	}
+	p.checked.Store(true)
+	return nil
 }
 
 // InputSpan is the number of leading slots the walker fills before the
@@ -101,6 +170,9 @@ func lower(c *Circuit) (*Program, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	if len(c.Gates) > IndexMask {
+		return nil, fmt.Errorf("circuit: %d gates, more than a program indexes", len(c.Gates))
+	}
 	p := &Program{
 		Instrs:     make([]Instr, len(c.Gates)),
 		NGarbler:   c.NGarbler,
@@ -133,6 +205,9 @@ func lower(c *Circuit) (*Program, error) {
 	}
 	for i, w := range c.StateOuts {
 		p.StateOuts[i] = s.wires[w].slot
+	}
+	if err := p.Check(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -385,7 +460,14 @@ func (s *scheduler) emit(i int, k uint32, paired bool) {
 	}
 	a, b := s.wires[g.A].slot, s.wires[g.B].slot
 	s.wires[g.Out].slot = out
-	s.p.Instrs[s.n] = Instr{Op: g.Op, A: a, B: b, Out: out, Index: k, Paired: paired}
+	in := Instr{A: a, B: b, Out: out}
+	if g.Op == AND {
+		in.Tag = ANDTag | k
+	}
+	if paired {
+		in.Tag |= PairTag
+	}
+	s.p.Instrs[s.n] = in
 	s.n++
 	if g.Op == AND {
 		s.p.NAND++

@@ -16,7 +16,7 @@ func runProgram(p *Program, garbler, evaluator, state []bool) (outputs, next []b
 	copy(w[FirstInput+p.NGarbler:], evaluator)
 	copy(w[FirstInput+p.NGarbler+p.NEvaluator:], state)
 	for _, in := range p.Instrs {
-		if in.Op == AND {
+		if in.Op() == AND {
 			w[in.Out] = w[in.A] && w[in.B]
 		} else {
 			w[in.Out] = w[in.A] != w[in.B]
@@ -155,17 +155,17 @@ func bundles(t *testing.T, p *Program) (pairs, singles int) {
 	seen := make([]bool, p.NAND)
 	for i := 0; i < len(p.Instrs); i++ {
 		in := p.Instrs[i]
-		if in.Op != AND {
-			if in.Paired {
+		if in.Op() != AND {
+			if in.Paired() {
 				t.Fatalf("instr %d: an XOR marked as a bundle", i)
 			}
 			continue
 		}
-		if int(in.Index) >= p.NAND || seen[in.Index] {
-			t.Fatalf("instr %d: AND index %d out of range or repeated", i, in.Index)
+		if int(in.Index()) >= p.NAND || seen[in.Index()] {
+			t.Fatalf("instr %d: AND index %d out of range or repeated", i, in.Index())
 		}
-		seen[in.Index] = true
-		if !in.Paired {
+		seen[in.Index()] = true
+		if !in.Paired() {
 			singles++
 			continue
 		}
@@ -173,13 +173,13 @@ func bundles(t *testing.T, p *Program) (pairs, singles int) {
 			t.Fatalf("instr %d: the last instruction heads a bundle", i)
 		}
 		next := p.Instrs[i+1]
-		if next.Op != AND || next.Paired || next.A == in.Out || next.B == in.Out {
+		if next.Op() != AND || next.Paired() || next.A == in.Out || next.B == in.Out {
 			t.Fatalf("instr %d: bundle partner %+v is not an AND independent of %+v", i, next, in)
 		}
-		if int(next.Index) >= p.NAND || seen[next.Index] {
-			t.Fatalf("instr %d: AND index %d out of range or repeated", i+1, next.Index)
+		if int(next.Index()) >= p.NAND || seen[next.Index()] {
+			t.Fatalf("instr %d: AND index %d out of range or repeated", i+1, next.Index())
 		}
-		seen[next.Index] = true
+		seen[next.Index()] = true
 		pairs++
 		i++
 	}

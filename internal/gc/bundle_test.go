@@ -176,7 +176,7 @@ func TestBundledWalkMatchesNetlistOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, in := range prog.Instrs {
-			if in.Paired && (prog.Instrs[i+1].Out == in.A || prog.Instrs[i+1].Out == in.B) {
+			if in.Paired() && (prog.Instrs[i+1].Out == in.A || prog.Instrs[i+1].Out == in.B) {
 				aliased++
 			}
 		}

@@ -49,7 +49,8 @@ type Evaluator struct {
 	// aes is params' concrete hash when the kernel applies, else nil.
 	aes   *gchash.AES
 	slots []label.Label
-	and   gchash.ANDBlocks
+	// and is the portable walk's hash scratch.
+	and gchash.ANDBlocks
 	// rows is the interface path's copy of one table's rows.
 	rows []label.Label
 	res  EvalResult
@@ -112,45 +113,40 @@ func (e *Evaluator) Eval(m *Material, evalActive, stateActive []label.Label) (*E
 	copy(w[circuit.FirstInput+prog.NGarbler:], evalActive)
 	copy(w[circuit.FirstInput+prog.NGarbler+prog.NEvaluator:], stateActive)
 
-	// The block is outside input: its length and every row count are
-	// checked here, whoever built it, before the walk reads a table.
+	// The block is outside input: its length is checked here, whoever
+	// built it, and every row count before the walk reads its table —
+	// by the kernel walk as it goes, or by the pass below.
 	blk := m.TableBlock
 	rows := e.params.Scheme.TableSize()
 	stride := 1 + rows*label.Size
 	if len(blk) != prog.NAND*stride {
 		return nil, fmt.Errorf("gc: table block of %d bytes, want %d tables of %d rows (%d bytes)", len(blk), prog.NAND, rows, prog.NAND*stride)
 	}
-	for off := 0; off < len(blk); off += stride {
-		if int(blk[off]) != rows {
-			return nil, fmt.Errorf("gc: table %d has %d rows, want %d", off/stride, blk[off], rows)
-		}
-	}
 
-	tweaksPerGate := e.params.Scheme.TweaksPerGate()
-	round := andRound{w: w, tables: blk, tweak: m.TweakBase}
-	var bundle [2]gchash.HalfGate
-	for i := 0; i < len(prog.Instrs); i++ {
-		in := &prog.Instrs[i]
-		switch {
-		case in.Op == circuit.XOR:
-			w[in.A].XorInto(&w[in.B], &w[in.Out])
-		case e.aes != nil:
-			round.gate(&bundle[0], in)
-			n := 1
-			if in.Paired {
-				i, n = i+1, 2
-				round.gate(&bundle[1], &prog.Instrs[i])
+	if e.aes != nil {
+		if err := e.aes.EvalProgram(&e.and, prog, w, blk, m.TweakBase); err != nil {
+			return nil, fmt.Errorf("gc: %w", err)
+		}
+	} else {
+		for off := 0; off < len(blk); off += stride {
+			if int(blk[off]) != rows {
+				return nil, fmt.Errorf("gc: table %d has %d rows, want %d", off/stride, blk[off], rows)
 			}
-			e.aes.EvalANDs(&e.and, bundle[:n])
-		default:
-			table := blk[int(in.Index)*stride+1:][:rows*label.Size]
+		}
+		tweaksPerGate := e.params.Scheme.TweaksPerGate()
+		for _, in := range prog.Instrs {
+			if in.Op() == circuit.XOR {
+				w[in.A].XorInto(&w[in.B], &w[in.Out])
+				continue
+			}
+			table := blk[int(in.Index())*stride+1:][:rows*label.Size]
 			e.rows = e.rows[:0]
 			for r := 0; r < len(table); r += label.Size {
 				e.rows = append(e.rows, label.Label(table[r:r+label.Size]))
 			}
-			out, err := e.params.Scheme.EvalAND(e.params.Hash, w[in.A], w[in.B], e.rows, m.TweakBase+uint64(in.Index)*tweaksPerGate)
+			out, err := e.params.Scheme.EvalAND(e.params.Hash, w[in.A], w[in.B], e.rows, m.TweakBase+uint64(in.Index())*tweaksPerGate)
 			if err != nil {
-				return nil, fmt.Errorf("gc: AND %d: %w", in.Index, err)
+				return nil, fmt.Errorf("gc: AND %d: %w", in.Index(), err)
 			}
 			w[in.Out] = out
 		}

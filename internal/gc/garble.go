@@ -36,10 +36,10 @@ func (p Params) validate() error {
 // halfGatesAES reports whether p is the paper's configuration — half
 // gates over the fixed-key AES hash, the only one the protocol serves —
 // by returning the concrete hash, or nil for any other combination. It
-// is the AND step's one branch: the bundle kernels of gchash
-// (GarbleANDs / EvalANDs, one call per AND or per two-AND bundle of the
-// program) when non-nil, the Scheme/Hasher interfaces otherwise.
-// HalfGates.GarbleAND / EvalAND stay as the reference the kernels are
+// is the walkers' one branch: the round's whole program in one
+// (*gchash.AES).GarbleProgram / EvalProgram call when non-nil, a Go
+// loop through the Scheme/Hasher interfaces otherwise.
+// HalfGates.GarbleAND / EvalAND stay as the reference the walks are
 // held to, byte for byte (TestKernelMatchesSchemeInterface).
 func (p Params) halfGatesAES() *gchash.AES {
 	if _, ok := p.Scheme.(HalfGates); !ok {
@@ -47,24 +47,6 @@ func (p Params) halfGatesAES() *gchash.AES {
 	}
 	h, _ := p.Hash.(*gchash.AES)
 	return h
-}
-
-// andRound is one round as the bundle kernels see it: the walker's
-// slots, the round's table block and its first tweak.
-type andRound struct {
-	w      []label.Label
-	tables []byte
-	tweak  uint64
-}
-
-// gate resolves AND in into h. Its table and tweaks follow from its
-// netlist index k: the table at k·gchash.TableStride, the tweaks from
-// tweak + 2k. It writes h field by field: a HalfGate built whole and
-// copied in costs a store-forwarding stall per gate.
-func (r *andRound) gate(h *gchash.HalfGate, in *circuit.Instr) {
-	h.A, h.B, h.Out = &r.w[in.A], &r.w[in.B], &r.w[in.Out]
-	h.Table = (*[gchash.TableStride]byte)(r.tables[int(in.Index)*gchash.TableStride:])
-	h.Tweak = r.tweak + 2*uint64(in.Index)
 }
 
 // Material is everything the evaluator receives for one garbled
@@ -164,7 +146,7 @@ type Garbler struct {
 	// deltaLabel is Δ as a label, addressable for the kernel.
 	deltaLabel label.Label
 	// slots is the walker's working array, grown to the largest program
-	// seen; and is the AND kernel's hash scratch.
+	// seen; and is the portable walk's hash scratch.
 	slots []label.Label
 	and   gchash.ANDBlocks
 }
@@ -272,7 +254,9 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 	}
 
 	// Every slot is written before it is read (the netlist is
-	// topological), so the array is reused without clearing.
+	// topological), so the array is reused without clearing. The input
+	// labels are drawn straight into their slots, one read per run:
+	// constants and garbler inputs, evaluator inputs, state.
 	if len(g.slots) < prog.NSlots {
 		g.slots = make([]label.Label, prog.NSlots)
 	}
@@ -281,14 +265,18 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 	garblerBase := circuit.FirstInput
 	evalBase := garblerBase + prog.NGarbler
 	stateBase := evalBase + prog.NEvaluator
-	for i := 0; i < span; i++ {
-		src := g.rand
-		if opts.EvalLabels != nil && evalBase <= i && i < stateBase {
-			src = opts.EvalLabels
-		}
-		if err := label.ReadRandom(src, &w[i]); err != nil {
-			return err
-		}
+	evalSrc := g.rand
+	if opts.EvalLabels != nil {
+		evalSrc = opts.EvalLabels
+	}
+	if err := label.ReadRandoms(g.rand, w[:evalBase]); err != nil {
+		return err
+	}
+	if err := label.ReadRandoms(evalSrc, w[evalBase:stateBase]); err != nil {
+		return err
+	}
+	if err := label.ReadRandoms(g.rand, w[stateBase:span]); err != nil {
+		return err
 	}
 	if opts.State0 != nil {
 		copy(w[stateBase:span], opts.State0)
@@ -303,16 +291,17 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 	// The input slots are recycled during the walk, so everything
 	// derived from input labels is taken now. Constant wires: the active
 	// label of const-0 is its FALSE label, of const-1 its TRUE label.
+	delta := &g.deltaLabel
 	m.ConstActive[0] = w[circuit.Const0]
-	m.ConstActive[1] = g.delta.Flip(w[circuit.Const1])
+	w[circuit.Const1].XorInto(delta, &m.ConstActive[1])
 	// Garbler inputs: active labels for the garbler's values, selected
 	// from the retained pairs.
 	for i, v := range opts.GarblerInputs {
-		res.GarblerPairs[i] = label.NewPair(w[garblerBase+i], g.delta)
+		setPair(&res.GarblerPairs[i], &w[garblerBase+i], delta)
 		m.GarblerActive[i] = res.GarblerPairs[i].Get(v)
 	}
 	for i := range res.EvalPairs {
-		res.EvalPairs[i] = label.NewPair(w[evalBase+i], g.delta)
+		setPair(&res.EvalPairs[i], &w[evalBase+i], delta)
 	}
 	// Round 0: state is logical 0, so the FALSE labels are active and
 	// must travel to the evaluator. Any later round sends none: a
@@ -327,28 +316,22 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 	// follow from its netlist index.
 	blk := m.TableBlock
 	tweaksPerGate := scheme.TweaksPerGate()
-	round := andRound{w: w, tables: blk, tweak: tweak}
-	var bundle [2]gchash.HalfGate
-	for i := 0; i < len(prog.Instrs); i++ {
-		in := &prog.Instrs[i]
-		switch {
-		case in.Op == circuit.XOR:
-			w[in.A].XorInto(&w[in.B], &w[in.Out])
-		case g.aes != nil:
-			round.gate(&bundle[0], in)
-			n := 1
-			if in.Paired {
-				i, n = i+1, 2
-				round.gate(&bundle[1], &prog.Instrs[i])
+	if g.aes != nil {
+		if err := g.aes.GarbleProgram(&g.and, prog, w, blk, delta, tweak); err != nil {
+			return err
+		}
+	} else {
+		for _, in := range prog.Instrs {
+			if in.Op() == circuit.XOR {
+				w[in.A].XorInto(&w[in.B], &w[in.Out])
+				continue
 			}
-			g.aes.GarbleANDs(&g.and, &g.deltaLabel, bundle[:n])
-		default:
-			out0, t := scheme.GarbleAND(g.params.Hash, g.delta, w[in.A], w[in.B], tweak+uint64(in.Index)*tweaksPerGate)
+			out0, t := scheme.GarbleAND(g.params.Hash, g.delta, w[in.A], w[in.B], tweak+uint64(in.Index())*tweaksPerGate)
 			if len(t) != rows {
 				return fmt.Errorf("gc: %s produced a %d-row table, TableSize says %d", scheme.Name(), len(t), rows)
 			}
 			w[in.Out] = out0
-			table := blk[int(in.Index)*stride:]
+			table := blk[int(in.Index())*stride:]
 			table[0] = byte(rows)
 			for r := range t {
 				copy(table[1+r*label.Size:], t[r][:])
@@ -360,12 +343,18 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 
 	for i, slot := range prog.Outputs {
 		m.OutputPerm[i] = w[slot].LSB()
-		res.OutputPairs[i] = label.NewPair(w[slot], g.delta)
+		setPair(&res.OutputPairs[i], &w[slot], delta)
 	}
 	for i, slot := range prog.StateOuts {
 		res.StateOut0[i] = w[slot]
 	}
 	return nil
+}
+
+// setPair builds in p the pair whose FALSE label is *false0 under Δ.
+func setPair(p *label.Pair, false0, delta *label.Label) {
+	p.False = *false0
+	false0.XorInto(delta, &p.True)
 }
 
 // DecodeWithPairs decodes active output labels on the garbler side by

@@ -33,8 +33,8 @@ type Hasher interface {
 	Hash(x label.Label, tweak uint64) label.Label
 	// HashInto computes H(x, T) into dst, sparing the caller the label
 	// copies of Hash. The garbling walkers do not come through here —
-	// they garble whole ANDs, two at a time, with (*AES).GarbleANDs and
-	// EvalANDs.
+	// they run a whole round in one (*AES).GarbleProgram or EvalProgram
+	// call.
 	HashInto(x *label.Label, tweak uint64, dst *label.Label)
 	// Name identifies the hash construction for reports.
 	Name() string
@@ -56,7 +56,7 @@ var roundKeys = expandKey(fixedKey)
 // hashes through the kernel of hashand_amd64.s; elsewhere, and under the
 // purego build tag, through the portable loops below, which call
 // crypto/aes one block at a time. The two are bit-for-bit the same
-// function (TestHashANDMatchesGeneric).
+// function (TestHashANDMatchesGeneric, TestProgramWalkMatchesPortable).
 type AES struct {
 	block cipher.Block
 }
@@ -107,14 +107,14 @@ func (h *AES) hashIntoGo(x *label.Label, tweak uint64, dst *label.Label) {
 	ct.XorInto(&k, dst)
 }
 
-// ANDBlocks is the caller-owned working memory of HashAND, and of the
-// portable GarbleANDs and EvalANDs: the labels one AND gate hashes,
-// their hashes, and the cipher inputs in between. It belongs to whoever
-// walks the circuit — one per Garbler, one per Evaluator — and never to
-// the *AES, which per-worker garblers share.
+// ANDBlocks is the caller-owned working memory of the portable walks
+// (GarbleProgram and EvalProgram off the kernel): the labels one AND
+// gate hashes, their hashes, and the cipher inputs in between. It
+// belongs to whoever walks the circuit — one per Garbler, one per
+// Evaluator — and never to the *AES, which per-worker garblers share.
 // The portable path hands its arrays to the cipher, which makes the whole
 // struct escape, so a walker allocates it once (or embeds it in an object
-// already on the heap) and reuses it for every gate.
+// already on the heap) and reuses it for every round.
 type ANDBlocks struct {
 	// X holds the labels to hash: a⁰, a¹, b⁰, b¹ when garbling (n = 4),
 	// the two active labels a, b when evaluating (n = 2).
@@ -124,20 +124,11 @@ type ANDBlocks struct {
 	k [4]label.Label
 }
 
-// HashAND hashes the first n labels of s.X into s.H with the tweak
+// hashANDGo hashes the first n labels of s.X into s.H with the tweak
 // schedule of a half-gate AND: the first n/2 labels (wire a's) under
 // tweak, the rest (wire b's) under tweak+1. n is 4 for the garbler or 2
-// for the evaluator; any other n panics. It allocates nothing; H(x, T)
-// is bit-for-bit what Hash and HashInto return.
-func (h *AES) HashAND(s *ANDBlocks, n int, tweak uint64) {
-	if n != 2 && n != 4 {
-		panic(fmt.Sprintf("gchash: HashAND of %d labels; a half-gate AND hashes 2 or 4", n))
-	}
-	h.hashAND(s, n, tweak)
-}
-
-// hashANDGo is the portable HashAND: the fallback, and the oracle the
-// kernel is tested against.
+// for the evaluator. H(x, T) is bit for bit what Hash returns
+// (TestHashANDMatchesHash); the portable walks hash through it.
 func (h *AES) hashANDGo(s *ANDBlocks, n int, tweak uint64) {
 	for i := 0; i < n; i++ {
 		t := tweak

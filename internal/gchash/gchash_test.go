@@ -3,10 +3,7 @@ package gchash
 import (
 	"crypto/aes"
 	"encoding/binary"
-	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,24 +136,6 @@ func BenchmarkAESHash(b *testing.B) {
 	}
 }
 
-// BenchmarkHashAND prices one AND gate's hashes: the garbler's four
-// labels and the evaluator's two.
-func BenchmarkHashAND(b *testing.B) {
-	h := MustAES()
-	s := new(ANDBlocks)
-	for i := range s.X {
-		s.X[i] = label.MustRandom()
-	}
-	for _, n := range []int{4, 2} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h.HashAND(s, n, uint64(i))
-			}
-		})
-	}
-}
-
 func BenchmarkSHA256Hash(b *testing.B) {
 	h := NewSHA256()
 	x := label.MustRandom()
@@ -167,7 +146,7 @@ func BenchmarkSHA256Hash(b *testing.B) {
 	}
 }
 
-// TestHashANDMatchesHash: the AND kernel's batched form is the same
+// TestHashANDMatchesHash: the portable walks' AND hash is the same
 // function as Hash under the half-gate tweak schedule — wire a's labels
 // under T, wire b's under T+1 — for the garbler's four labels and the
 // evaluator's two, leaves its inputs alone, and allocates nothing on
@@ -178,7 +157,7 @@ func TestHashANDMatchesHash(t *testing.T) {
 	f := func(x [4]label.Label, tw uint64) bool {
 		for _, n := range []int{2, 4} {
 			s.X = x
-			h.HashAND(s, n, tw)
+			h.hashANDGo(s, n, tw)
 			if s.X != x {
 				return false
 			}
@@ -197,29 +176,19 @@ func TestHashANDMatchesHash(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { h.HashAND(s, 4, 9) }); n != 0 {
-		t.Fatalf("HashAND allocates %.0f objects per call", n)
+	if n := testing.AllocsPerRun(100, func() { h.hashANDGo(s, 4, 9) }); n != 0 {
+		t.Fatalf("hashANDGo allocates %.0f objects per call", n)
 	}
 }
 
-// TestHashANDMatchesGeneric: HashAND and HashInto are the portable loops
-// bit for bit, for both arities, on random labels and tweaks and on the
-// edges the kernel computes differently — a label with bit 127 set
-// (the GF(2^128) reduction), all-zero and all-ones labels, and tweaks 0
-// and 2^64−1 (tweak+1 wraps). Under purego, or on a CPU without AES-NI,
-// both sides are the portable path.
+// TestHashANDMatchesGeneric: HashInto is the portable loop bit for bit
+// on random labels and tweaks and on the edges the kernel computes
+// differently — a label with bit 127 set (the GF(2^128) reduction),
+// all-zero and all-ones labels, and tweaks 0 and 2^64−1. Under purego,
+// or on a CPU without AES-NI, both sides are the portable path.
 func TestHashANDMatchesGeneric(t *testing.T) {
 	h := MustAES()
-	got, want := new(ANDBlocks), new(ANDBlocks)
 	check := func(x [4]label.Label, tw uint64) bool {
-		for _, n := range []int{2, 4} {
-			got.X, want.X = x, x
-			h.HashAND(got, n, tw)
-			h.hashANDGo(want, n, tw)
-			if got.X != x || !slices.Equal(got.H[:n], want.H[:n]) {
-				return false
-			}
-		}
 		for i := range x {
 			var a, b label.Label
 			h.HashInto(&x[i], tw, &a)
@@ -371,23 +340,6 @@ func encryptBytewise(rk *[11][16]byte, in [16]byte) [16]byte {
 		}
 	}
 	return s
-}
-
-// TestHashANDRejectsOtherArity: HashAND takes the garbler's 4 labels or
-// the evaluator's 2, and names anything else in its panic.
-func TestHashANDRejectsOtherArity(t *testing.T) {
-	h := MustAES()
-	for _, n := range []int{-1, 0, 1, 3, 5} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "gchash: HashAND of") {
-					t.Errorf("HashAND(n=%d) panicked with %q, want the arity message", n, msg)
-				}
-			}()
-			h.HashAND(new(ANDBlocks), n, 0)
-		}()
-	}
 }
 
 // TestHashIntoAllocatesNothing: on the kernel path a one-label hash

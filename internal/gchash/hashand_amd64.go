@@ -2,7 +2,12 @@
 
 package gchash
 
-import "maxelerator/internal/label"
+import (
+	"unsafe"
+
+	"maxelerator/internal/circuit"
+	"maxelerator/internal/label"
+)
 
 // useKernel reports whether gchash encrypts with the AES-NI kernels of
 // hashand_amd64.s. A CPU without AES-NI takes the portable loops.
@@ -10,11 +15,18 @@ var useKernel = hasAESNI()
 
 func hasAESNI() bool
 
-// hashAND4 hashes s.X[0..1] under tweak and s.X[2..3] under tweak+1
-// into s.H[0..3] with the expanded schedule rk.
-//
-//go:noescape
-func hashAND4(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
+// The walks read circuit.Instr as it lies: A, B, Out and Tag at bytes
+// 0, 4, 8 and 12 of a 16-byte record, an AND marked by the tag's sign
+// bit and a bundle's head by bit 30 (hashand_amd64.s's INSTR_ and TAG_
+// constants). Each line fails to compile if its side differs.
+var (
+	_ = [1]struct{}{}[unsafe.Sizeof(circuit.Instr{})-16]
+	_ = [1]struct{}{}[unsafe.Offsetof(circuit.Instr{}.B)-4]
+	_ = [1]struct{}{}[unsafe.Offsetof(circuit.Instr{}.Out)-8]
+	_ = [1]struct{}{}[unsafe.Offsetof(circuit.Instr{}.Tag)-12]
+	_ = [1]struct{}{}[circuit.ANDTag-1<<31]
+	_ = [1]struct{}{}[circuit.PairTag-1<<30]
+)
 
 // hashAND2 hashes s.X[0] under tweak and s.X[1] under tweak+1 into
 // s.H[0..1] with the expanded schedule rk.
@@ -22,17 +34,19 @@ func hashAND4(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
 //go:noescape
 func hashAND2(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
 
-// garbleBundle garbles the n (1 or 2) gates at gates under Δ with the
-// expanded schedule rk: GarbleANDs' kernel.
+// garbleProgram is GarbleProgram's kernel, with the expanded schedule
+// rk: one loop over instrs, an XOR two loads, a PXOR and a store, a
+// single AND 4 AES states in flight and a bundle 8.
 //
 //go:noescape
-func garbleBundle(rk *[11][16]byte, delta *label.Label, gates *HalfGate, n int)
+func garbleProgram(rk *[11][16]byte, delta *label.Label, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
 
-// evalBundle evaluates the n (1 or 2) gates at gates with the expanded
-// schedule rk: EvalANDs' kernel.
+// evalProgram is EvalProgram's kernel: a single AND 2 AES states in
+// flight, a bundle 4. It stops at, and returns false on, the first
+// table it reads whose row count is not 2.
 //
 //go:noescape
-func evalBundle(rk *[11][16]byte, gates *HalfGate, n int)
+func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool
 
 // ctrBlocks fills dst, whole blocks, with AES(hi ‖ lo+n) under the
 // expanded schedule rk for n = 0, 1, …, lo wrapping without a carry.
@@ -61,17 +75,6 @@ func hashRows(x *[8]label.Label, j uint64, h *[8]label.Label) {
 	tccr8(&rowKeys, x, j, h)
 }
 
-func (h *AES) hashAND(s *ANDBlocks, n int, tweak uint64) {
-	switch {
-	case !useKernel:
-		h.hashANDGo(s, n, tweak)
-	case n == 4:
-		hashAND4(&roundKeys, s, tweak)
-	default:
-		hashAND2(&roundKeys, s, tweak)
-	}
-}
-
 // hashInto runs the evaluator's two-label kernel with a zero second
 // label, over scratch that stays on the stack.
 func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {
@@ -85,18 +88,17 @@ func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {
 	*dst = s.H[0]
 }
 
-func (h *AES) garbleANDs(s *ANDBlocks, delta *label.Label, g []HalfGate) {
+func (h *AES) garbleProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, delta *label.Label, tweak uint64) {
 	if !useKernel {
-		h.garbleANDsGo(s, delta, g)
+		h.garbleProgramGo(s, instrs, slots, tables, delta, tweak)
 		return
 	}
-	garbleBundle(&roundKeys, delta, &g[0], len(g))
+	garbleProgram(&roundKeys, delta, instrs, slots, tables, tweak)
 }
 
-func (h *AES) evalANDs(s *ANDBlocks, g []HalfGate) {
+func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool {
 	if !useKernel {
-		h.evalANDsGo(s, g)
-		return
+		return h.evalProgramGo(s, instrs, slots, tables, tweak)
 	}
-	evalBundle(&roundKeys, &g[0], len(g))
+	return evalProgram(&roundKeys, instrs, slots, tables, tweak)
 }

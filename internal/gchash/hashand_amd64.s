@@ -3,16 +3,17 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// The AES-NI kernels: the half-gate hash of an AND gate (hashAND4,
-// hashAND2), whole half-gate ANDs a bundle of one or two at a time
-// (garbleBundle, evalBundle), counter-mode blocks under an expanded key
-// (ctrBlocks), and the OT extension's row hash of eight rows (tccr8).
+// The AES-NI kernels: the half-gate hash of two labels (hashAND2,
+// HashInto's kernel), a round's whole lowered program in one walk
+// (garbleProgram, evalProgram), counter-mode blocks under an expanded
+// key (ctrBlocks), and the OT extension's row hash of eight rows
+// (tccr8).
 //
-// The half-gate hash of one AND gate in one call: for each label x,
-// K = 2·x ⊕ T is built in general-purpose registers, the AES-128
-// states of all labels advance together round by round, and
-// H = π(K) ⊕ K is stored into ANDBlocks.H. Only SSE2 and AES-NI are
-// used; hasAESNI is the one feature probe.
+// The half-gate hash: for each label x, K = 2·x ⊕ T is built in
+// general-purpose registers, the AES-128 states of all labels advance
+// together round by round, and H = π(K) ⊕ K is stored into
+// ANDBlocks.H. Only SSE2 and AES-NI are used; hasAESNI is the one
+// feature probe.
 //
 // A label is 16 bytes read as a big-endian 128-bit integer for the
 // doubling (byte 0 is the most significant) and as two little-endian
@@ -39,163 +40,9 @@
 	PUNPCKLQDQ f, k; \
 	MOVOU  k, f
 
-// ROUND4 / ROUND2 run one AES round (AESENC, or AESENCLAST as op) with
-// round key i of the schedule at DX on the states in X0..X3 / X0..X1.
-#define ROUND4(op, i) \
-	MOVOU (16*i)(DX), X8; \
-	op    X8, X0; \
-	op    X8, X1; \
-	op    X8, X2; \
-	op    X8, X3
-
-#define ROUND2(op, i) \
-	MOVOU (16*i)(DX), X8; \
-	op    X8, X0; \
-	op    X8, X1
-
-// func hashAND4(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
-TEXT ·hashAND4(SB), NOSPLIT, $0-24
-	MOVQ rk+0(FP), DX
-	MOVQ s+8(FP), SI
-	MOVQ tweak+16(FP), R8
-	LEAQ 1(R8), R9
-
-	KEY(ANDBlocks_X+0, R8, X0, X4)
-	KEY(ANDBlocks_X+16, R8, X1, X5)
-	KEY(ANDBlocks_X+32, R9, X2, X6)
-	KEY(ANDBlocks_X+48, R9, X3, X7)
-
-	MOVOU (DX), X8
-	PXOR  X8, X0
-	PXOR  X8, X1
-	PXOR  X8, X2
-	PXOR  X8, X3
-	ROUND4(AESENC, 1)
-	ROUND4(AESENC, 2)
-	ROUND4(AESENC, 3)
-	ROUND4(AESENC, 4)
-	ROUND4(AESENC, 5)
-	ROUND4(AESENC, 6)
-	ROUND4(AESENC, 7)
-	ROUND4(AESENC, 8)
-	ROUND4(AESENC, 9)
-	ROUND4(AESENCLAST, 10)
-
-	PXOR  X4, X0
-	PXOR  X5, X1
-	PXOR  X6, X2
-	PXOR  X7, X3
-	MOVOU X0, ANDBlocks_H+0(SI)
-	MOVOU X1, ANDBlocks_H+16(SI)
-	MOVOU X2, ANDBlocks_H+32(SI)
-	MOVOU X3, ANDBlocks_H+48(SI)
-	RET
-
-// func hashAND2(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
-TEXT ·hashAND2(SB), NOSPLIT, $0-24
-	MOVQ rk+0(FP), DX
-	MOVQ s+8(FP), SI
-	MOVQ tweak+16(FP), R8
-	LEAQ 1(R8), R9
-
-	KEY(ANDBlocks_X+0, R8, X0, X4)
-	KEY(ANDBlocks_X+16, R9, X1, X5)
-
-	MOVOU (DX), X8
-	PXOR  X8, X0
-	PXOR  X8, X1
-	ROUND2(AESENC, 1)
-	ROUND2(AESENC, 2)
-	ROUND2(AESENC, 3)
-	ROUND2(AESENC, 4)
-	ROUND2(AESENC, 5)
-	ROUND2(AESENC, 6)
-	ROUND2(AESENC, 7)
-	ROUND2(AESENC, 8)
-	ROUND2(AESENC, 9)
-	ROUND2(AESENCLAST, 10)
-
-	PXOR  X4, X0
-	PXOR  X5, X1
-	MOVOU X0, ANDBlocks_H+0(SI)
-	MOVOU X1, ANDBlocks_H+16(SI)
-	RET
-
-// The half-gate bundle kernels: one AND, or two that do not read each
-// other's output, a call (halfgate.go has the arithmetic). The garbler
-// builds K = 2·x ⊕ T for the FALSE labels only; a TRUE label's is
-// K ⊕ 2·Δ, since doubling is linear. Its feed-forward then cancels in
-// pairs: H(a⁰) ⊕ H(a¹) = π(K_a⁰) ⊕ π(K_a¹) ⊕ 2·Δ. A permute bit is
-// applied as a mask, -(x & 1) broadcast to 128 bits. Every input label
-// is loaded (a⁰ twice, the second time for T_E) before any output is
-// stored, gate 0's outputs before gate 1's, so gate 1's output may
-// overwrite a label gate 0 reads.
-
-// MASK leaves -(lsb of the label at SI) in m.
-#define MASK(m) \
-	MOVQ 0(SI), m; \
-	ANDQ $1, m; \
-	NEGQ m
-
-// BCAST broadcasts the mask in m to both halves of x.
-#define BCAST(m, x) \
-	MOVQ       m, x; \
-	PUNPCKLQDQ x, x
-
-// GKEYS loads the FALSE labels of the gate at r(DI): K_a⁰ in sa and
-// ka, K_a¹ in sa1, K_b⁰ in sb and kb, K_b¹ in sb1, the permute masks in
-// ma and mb. X12 holds 2·Δ. Clobbers AX, BX, CX, SI, R8, R9.
-#define GKEYS(r, sa, sa1, sb, sb1, ka, kb, ma, mb) \
-	MOVQ (r+HalfGate_Tweak)(DI), R8; \
-	LEAQ 1(R8), R9; \
-	MOVQ (r+HalfGate_A)(DI), SI; \
-	KEY(0, R8, sa, ka); \
-	MASK(ma); \
-	MOVO sa, sa1; \
-	PXOR X12, sa1; \
-	MOVQ (r+HalfGate_B)(DI), SI; \
-	KEY(0, R9, sb, kb); \
-	MASK(mb); \
-	MOVO sb, sb1; \
-	PXOR X12, sb1
-
-// GCOMBINE turns the four encrypted states of the gate at r(DI) into
-// its outputs: out⁰ in s0, T_G in s1, T_E in s3. X12 holds 2·Δ, X14 Δ.
-// Clobbers X13, X15, SI.
-#define GCOMBINE(r, s0, s1, s2, s3, ka, kb, ma, mb) \
-	PXOR  s0, s1; \
-	PXOR  X12, s1; \
-	PXOR  ka, s0; \
-	PXOR  s2, s3; \
-	PXOR  X12, s3; \
-	PXOR  kb, s2; \
-	BCAST(mb, X13); \
-	MOVO  X14, X15; \
-	PAND  X13, X15; \
-	PXOR  X15, s1; \
-	PAND  s3, X13; \
-	PXOR  X13, s2; \
-	BCAST(ma, X13); \
-	PAND  s1, X13; \
-	PXOR  X13, s0; \
-	PXOR  s2, s0; \
-	MOVQ  (r+HalfGate_A)(DI), SI; \
-	MOVOU 0(SI), X13; \
-	PXOR  X13, s3
-
-// GSTORE stores the table (row count 2, T_G, T_E) and out⁰ of the gate
-// at r(DI). Clobbers SI.
-#define GSTORE(r, out, tg, te) \
-	MOVQ  (r+HalfGate_Table)(DI), SI; \
-	MOVB  $2, 0(SI); \
-	MOVOU tg, 1(SI); \
-	MOVOU te, 17(SI); \
-	MOVQ  (r+HalfGate_Out)(DI), SI; \
-	MOVOU out, 0(SI)
-
-// RK8 / RK4 / RK2 run one AES round (AESENC, or AESENCLAST as op) with
-// round key i of the schedule at DX, through the key register k, on
-// X0..X7 / X0..X3 / X0..X1.
+// RK8 / RK4 / RK2 / RK1 run one AES round (AESENC, or AESENCLAST as
+// op) with round key i of the schedule at DX, through the key register
+// k, on X0..X7 / X0..X3 / X0..X1 / X0.
 #define RK8(op, i, k) \
 	MOVOU (16*i)(DX), k; \
 	op    k, X0; \
@@ -219,89 +66,292 @@ TEXT ·hashAND2(SB), NOSPLIT, $0-24
 	op    k, X0; \
 	op    k, X1
 
-// func garbleBundle(rk *[11][16]byte, delta *label.Label, gates *HalfGate, n int)
-TEXT ·garbleBundle(SB), NOSPLIT, $0-32
+#define RK1(op, i, k) \
+	MOVOU (16*i)(DX), k; \
+	op    k, X0
+
+// ENC8 / ENC4 / ENC2 / ENC1 encrypt X0..X7 / X0..X3 / X0..X1 / X0 in
+// place with the schedule at DX, through the key register k.
+#define ENC8(k) \
+	MOVOU (DX), k; \
+	PXOR  k, X0; \
+	PXOR  k, X1; \
+	PXOR  k, X2; \
+	PXOR  k, X3; \
+	PXOR  k, X4; \
+	PXOR  k, X5; \
+	PXOR  k, X6; \
+	PXOR  k, X7; \
+	RK8(AESENC, 1, k); \
+	RK8(AESENC, 2, k); \
+	RK8(AESENC, 3, k); \
+	RK8(AESENC, 4, k); \
+	RK8(AESENC, 5, k); \
+	RK8(AESENC, 6, k); \
+	RK8(AESENC, 7, k); \
+	RK8(AESENC, 8, k); \
+	RK8(AESENC, 9, k); \
+	RK8(AESENCLAST, 10, k)
+
+#define ENC4(k) \
+	MOVOU (DX), k; \
+	PXOR  k, X0; \
+	PXOR  k, X1; \
+	PXOR  k, X2; \
+	PXOR  k, X3; \
+	RK4(AESENC, 1, k); \
+	RK4(AESENC, 2, k); \
+	RK4(AESENC, 3, k); \
+	RK4(AESENC, 4, k); \
+	RK4(AESENC, 5, k); \
+	RK4(AESENC, 6, k); \
+	RK4(AESENC, 7, k); \
+	RK4(AESENC, 8, k); \
+	RK4(AESENC, 9, k); \
+	RK4(AESENCLAST, 10, k)
+
+#define ENC2(k) \
+	MOVOU (DX), k; \
+	PXOR  k, X0; \
+	PXOR  k, X1; \
+	RK2(AESENC, 1, k); \
+	RK2(AESENC, 2, k); \
+	RK2(AESENC, 3, k); \
+	RK2(AESENC, 4, k); \
+	RK2(AESENC, 5, k); \
+	RK2(AESENC, 6, k); \
+	RK2(AESENC, 7, k); \
+	RK2(AESENC, 8, k); \
+	RK2(AESENC, 9, k); \
+	RK2(AESENCLAST, 10, k)
+
+#define ENC1(k) \
+	MOVOU (DX), k; \
+	PXOR  k, X0; \
+	RK1(AESENC, 1, k); \
+	RK1(AESENC, 2, k); \
+	RK1(AESENC, 3, k); \
+	RK1(AESENC, 4, k); \
+	RK1(AESENC, 5, k); \
+	RK1(AESENC, 6, k); \
+	RK1(AESENC, 7, k); \
+	RK1(AESENC, 8, k); \
+	RK1(AESENC, 9, k); \
+	RK1(AESENCLAST, 10, k)
+
+// func hashAND2(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
+TEXT ·hashAND2(SB), NOSPLIT, $0-24
+	MOVQ rk+0(FP), DX
+	MOVQ s+8(FP), SI
+	MOVQ tweak+16(FP), R8
+	LEAQ 1(R8), R9
+
+	KEY(ANDBlocks_X+0, R8, X0, X4)
+	KEY(ANDBlocks_X+16, R9, X1, X5)
+
+	ENC2(X8)
+
+	PXOR  X4, X0
+	PXOR  X5, X1
+	MOVOU X0, ANDBlocks_H+0(SI)
+	MOVOU X1, ANDBlocks_H+16(SI)
+	RET
+
+// The program walks: one call runs a round's whole lowered program
+// (circuit.Program; halfgate.go has the half-gate arithmetic). DI walks
+// the instruction records up to R15, R14 is the slot array, DX the
+// round keys; the table block and the tweak base are read from the
+// argument frame. An XOR is two loads, a PXOR and a store. An AND with
+// TAG_PAIR set is a bundle with the instruction after it: both gates'
+// AES states run together. The garbler builds K = 2·x ⊕ T for the FALSE
+// labels only; a TRUE label's is K ⊕ 2·Δ, since doubling is linear. Its
+// feed-forward then cancels in pairs: H(a⁰) ⊕ H(a¹) =
+// π(K_a⁰) ⊕ π(K_a¹) ⊕ 2·Δ. A permute bit is applied as a mask,
+// -(x & 1) broadcast to 128 bits. Every input label of a bundle is
+// loaded (a⁰ twice, the second time for T_E) before any output is
+// stored, gate 0's outputs before gate 1's, so gate 1's output may
+// overwrite a label gate 0 reads. No bound is checked here: the Go
+// entry holds the program to Program.Check and the arrays to its
+// sizes.
+
+// The circuit.Instr record: slots A, B, Out and the tag, little-endian
+// uint32s, 16 bytes. hashand_amd64.go pins the layout at compile time.
+#define INSTR_A 0
+#define INSTR_B 4
+#define INSTR_OUT 8
+#define INSTR_TAG 12
+#define TAG_PAIR 30
+#define TAG_INDEX 0x3fffffff
+
+// SLOT leaves in reg the address of the slot the uint32 at f(DI) names.
+#define SLOT(f, reg) \
+	MOVL f(DI), reg; \
+	SHLQ $4, reg; \
+	ADDQ R14, reg
+
+// TABLE leaves in reg the address of the table of the AND at r(DI),
+// tb being the table block's base.
+#define TABLE(r, tb, reg) \
+	MOVL   (r+INSTR_TAG)(DI), reg; \
+	ANDL   $TAG_INDEX, reg; \
+	IMUL3Q $33, reg, reg; \
+	ADDQ   tb, reg
+
+// TWEAKS leaves the AND at r(DI)'s tweaks, tw + 2·index and one more,
+// in R8 and R9.
+#define TWEAKS(r, tw) \
+	MOVL (r+INSTR_TAG)(DI), R8; \
+	ANDL $TAG_INDEX, R8; \
+	SHLQ $1, R8; \
+	ADDQ tw, R8; \
+	LEAQ 1(R8), R9
+
+// XORSTEP runs the XOR at DI. Clobbers BX, CX, SI, X0, X1.
+#define XORSTEP \
+	SLOT(INSTR_A, SI); \
+	SLOT(INSTR_B, BX); \
+	SLOT(INSTR_OUT, CX); \
+	MOVOU 0(SI), X0; \
+	MOVOU 0(BX), X1; \
+	PXOR  X1, X0; \
+	MOVOU X0, 0(CX)
+
+// MASK leaves -(lsb of the label at SI) in m.
+#define MASK(m) \
+	MOVQ 0(SI), m; \
+	ANDQ $1, m; \
+	NEGQ m
+
+// BCAST broadcasts the mask in m to both halves of x.
+#define BCAST(m, x) \
+	MOVQ       m, x; \
+	PUNPCKLQDQ x, x
+
+// GKEYS loads the FALSE labels of the AND at r(DI): K_a⁰ in sa and
+// ka, K_a¹ in sa1, K_b⁰ in sb and kb, K_b¹ in sb1, the permute masks in
+// ma and mb. X12 holds 2·Δ. Clobbers AX, BX, CX, SI, R8, R9.
+#define GKEYS(r, tw, sa, sa1, sb, sb1, ka, kb, ma, mb) \
+	TWEAKS(r, tw); \
+	SLOT(r+INSTR_A, SI); \
+	KEY(0, R8, sa, ka); \
+	MASK(ma); \
+	MOVO sa, sa1; \
+	PXOR X12, sa1; \
+	SLOT(r+INSTR_B, SI); \
+	KEY(0, R9, sb, kb); \
+	MASK(mb); \
+	MOVO sb, sb1; \
+	PXOR X12, sb1
+
+// GCOMBINE turns the four encrypted states of the AND at r(DI) into
+// its outputs: out⁰ in s0, T_G in s1, T_E in s3. X12 holds 2·Δ, X14 Δ.
+// Clobbers X13, X15, SI.
+#define GCOMBINE(r, s0, s1, s2, s3, ka, kb, ma, mb) \
+	PXOR  s0, s1; \
+	PXOR  X12, s1; \
+	PXOR  ka, s0; \
+	PXOR  s2, s3; \
+	PXOR  X12, s3; \
+	PXOR  kb, s2; \
+	BCAST(mb, X13); \
+	MOVO  X14, X15; \
+	PAND  X13, X15; \
+	PXOR  X15, s1; \
+	PAND  s3, X13; \
+	PXOR  X13, s2; \
+	BCAST(ma, X13); \
+	PAND  s1, X13; \
+	PXOR  X13, s0; \
+	PXOR  s2, s0; \
+	SLOT(r+INSTR_A, SI); \
+	MOVOU 0(SI), X13; \
+	PXOR  X13, s3
+
+// GSTORE stores the table (row count 2, T_G, T_E) and out⁰ of the AND
+// at r(DI). Clobbers SI.
+#define GSTORE(r, tb, out, tg, te) \
+	TABLE(r, tb, SI); \
+	MOVB  $2, 0(SI); \
+	MOVOU tg, 1(SI); \
+	MOVOU te, 17(SI); \
+	SLOT(r+INSTR_OUT, SI); \
+	MOVOU out, 0(SI)
+
+// func garbleProgram(rk *[11][16]byte, delta *label.Label, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
+TEXT ·garbleProgram(SB), NOSPLIT, $0-96
 	MOVQ  rk+0(FP), DX
 	MOVQ  delta+8(FP), SI
-	MOVQ  gates+16(FP), DI
+	MOVQ  instrs_base+16(FP), DI
+	MOVQ  instrs_len+24(FP), R15
+	SHLQ  $4, R15
+	ADDQ  DI, R15
+	MOVQ  slots_base+40(FP), R14
 	MOVOU 0(SI), X14
 	XORQ  R8, R8
 	KEY(0, R8, X12, X15)
-	GKEYS(0, X0, X1, X2, X3, X8, X9, R10, R11)
-	CMPQ  n+24(FP), $2
-	JNE   garble1
+	JMP   gnext
 
-	GKEYS(HalfGate__size, X4, X5, X6, X7, X10, X11, R12, R13)
-	MOVOU (DX), X13
-	PXOR  X13, X0
-	PXOR  X13, X1
-	PXOR  X13, X2
-	PXOR  X13, X3
-	PXOR  X13, X4
-	PXOR  X13, X5
-	PXOR  X13, X6
-	PXOR  X13, X7
-	RK8(AESENC, 1, X13)
-	RK8(AESENC, 2, X13)
-	RK8(AESENC, 3, X13)
-	RK8(AESENC, 4, X13)
-	RK8(AESENC, 5, X13)
-	RK8(AESENC, 6, X13)
-	RK8(AESENC, 7, X13)
-	RK8(AESENC, 8, X13)
-	RK8(AESENC, 9, X13)
-	RK8(AESENCLAST, 10, X13)
+gxor:
+	XORSTEP
+	ADDQ $16, DI
+
+gnext:
+	CMPQ  DI, R15
+	JAE   gdone
+	MOVL  INSTR_TAG(DI), AX
+	TESTL AX, AX
+	JNS   gxor
+	BTL   $TAG_PAIR, AX
+	JCS   gpair
+
+	GKEYS(0, tweak+88(FP), X0, X1, X2, X3, X8, X9, R10, R11)
+	ENC4(X13)
 	GCOMBINE(0, X0, X1, X2, X3, X8, X9, R10, R11)
-	GCOMBINE(HalfGate__size, X4, X5, X6, X7, X10, X11, R12, R13)
-	GSTORE(0, X0, X1, X3)
-	GSTORE(HalfGate__size, X4, X5, X7)
+	GSTORE(0, tables_base+64(FP), X0, X1, X3)
+	ADDQ $16, DI
+	JMP  gnext
+
+gpair:
+	GKEYS(0, tweak+88(FP), X0, X1, X2, X3, X8, X9, R10, R11)
+	GKEYS(16, tweak+88(FP), X4, X5, X6, X7, X10, X11, R12, R13)
+	ENC8(X13)
+	GCOMBINE(0, X0, X1, X2, X3, X8, X9, R10, R11)
+	GCOMBINE(16, X4, X5, X6, X7, X10, X11, R12, R13)
+	GSTORE(0, tables_base+64(FP), X0, X1, X3)
+	GSTORE(16, tables_base+64(FP), X4, X5, X7)
+	ADDQ $32, DI
+	JMP  gnext
+
+gdone:
 	RET
 
-garble1:
-	MOVOU (DX), X13
-	PXOR  X13, X0
-	PXOR  X13, X1
-	PXOR  X13, X2
-	PXOR  X13, X3
-	RK4(AESENC, 1, X13)
-	RK4(AESENC, 2, X13)
-	RK4(AESENC, 3, X13)
-	RK4(AESENC, 4, X13)
-	RK4(AESENC, 5, X13)
-	RK4(AESENC, 6, X13)
-	RK4(AESENC, 7, X13)
-	RK4(AESENC, 8, X13)
-	RK4(AESENC, 9, X13)
-	RK4(AESENCLAST, 10, X13)
-	GCOMBINE(0, X0, X1, X2, X3, X8, X9, R10, R11)
-	GSTORE(0, X0, X1, X3)
-	RET
-
-// EKEYS loads the active labels of the gate at r(DI): K_a in sa and
-// ka, K_b in sb and kb, the select masks in ma and mb. Clobbers AX, BX,
-// CX, SI, R8, R9.
-#define EKEYS(r, sa, sb, ka, kb, ma, mb) \
-	MOVQ (r+HalfGate_Tweak)(DI), R8; \
-	LEAQ 1(R8), R9; \
-	MOVQ (r+HalfGate_A)(DI), SI; \
+// EKEYS loads the active labels of the AND at r(DI): K_a in sa and ka,
+// K_b in sb and kb, the select masks in ma and mb. Clobbers AX, BX, CX,
+// SI, R8, R9.
+#define EKEYS(r, tw, sa, sb, ka, kb, ma, mb) \
+	TWEAKS(r, tw); \
+	SLOT(r+INSTR_A, SI); \
 	KEY(0, R8, sa, ka); \
 	MASK(ma); \
-	MOVQ (r+HalfGate_B)(DI), SI; \
+	SLOT(r+INSTR_B, SI); \
 	KEY(0, R9, sb, kb); \
 	MASK(mb)
 
-// ECOMBINE turns the two encrypted states of the gate at r(DI) into its
-// output label, in sa. Clobbers X9, X10, X11, SI.
-#define ECOMBINE(r, sa, sb, ka, kb, ma, mb) \
+// ECOMBINE turns the two encrypted states of the AND at r(DI) into its
+// output label, in sa; it jumps to ebad, before reading a row, when the
+// table's row count is not 2. Clobbers X9, X10, X11, SI.
+#define ECOMBINE(r, tb, sa, sb, ka, kb, ma, mb) \
 	PXOR  ka, sa; \
 	PXOR  kb, sb; \
-	MOVQ  (r+HalfGate_Table)(DI), SI; \
+	TABLE(r, tb, SI); \
+	CMPB  0(SI), $2; \
+	JNE   ebad; \
 	MOVOU 1(SI), X9; \
 	BCAST(ma, X10); \
 	PAND  X10, X9; \
 	PXOR  X9, sa; \
 	MOVOU 17(SI), X9; \
-	MOVQ  (r+HalfGate_A)(DI), SI; \
+	SLOT(r+INSTR_A, SI); \
 	MOVOU 0(SI), X11; \
 	PXOR  X11, X9; \
 	BCAST(mb, X10); \
@@ -309,127 +359,60 @@ garble1:
 	PXOR  X9, sb; \
 	PXOR  sb, sa
 
-// func evalBundle(rk *[11][16]byte, gates *HalfGate, n int)
-TEXT ·evalBundle(SB), NOSPLIT, $0-24
+// ESTORE stores the output label in out of the AND at r(DI). Clobbers
+// SI.
+#define ESTORE(r, out) \
+	SLOT(r+INSTR_OUT, SI); \
+	MOVOU out, 0(SI)
+
+// func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool
+TEXT ·evalProgram(SB), NOSPLIT, $0-89
 	MOVQ rk+0(FP), DX
-	MOVQ gates+8(FP), DI
-	EKEYS(0, X0, X1, X4, X5, R10, R11)
-	CMPQ n+16(FP), $2
-	JNE  eval1
+	MOVQ instrs_base+8(FP), DI
+	MOVQ instrs_len+16(FP), R15
+	SHLQ $4, R15
+	ADDQ DI, R15
+	MOVQ slots_base+32(FP), R14
+	JMP  enext
 
-	EKEYS(HalfGate__size, X2, X3, X6, X7, R12, R13)
-	MOVOU (DX), X8
-	PXOR  X8, X0
-	PXOR  X8, X1
-	PXOR  X8, X2
-	PXOR  X8, X3
-	RK4(AESENC, 1, X8)
-	RK4(AESENC, 2, X8)
-	RK4(AESENC, 3, X8)
-	RK4(AESENC, 4, X8)
-	RK4(AESENC, 5, X8)
-	RK4(AESENC, 6, X8)
-	RK4(AESENC, 7, X8)
-	RK4(AESENC, 8, X8)
-	RK4(AESENC, 9, X8)
-	RK4(AESENCLAST, 10, X8)
-	ECOMBINE(0, X0, X1, X4, X5, R10, R11)
-	ECOMBINE(HalfGate__size, X2, X3, X6, X7, R12, R13)
-	MOVQ  (0+HalfGate_Out)(DI), SI
-	MOVOU X0, 0(SI)
-	MOVQ  (HalfGate__size+HalfGate_Out)(DI), SI
-	MOVOU X2, 0(SI)
+exor:
+	XORSTEP
+	ADDQ $16, DI
+
+enext:
+	CMPQ  DI, R15
+	JAE   edone
+	MOVL  INSTR_TAG(DI), AX
+	TESTL AX, AX
+	JNS   exor
+	BTL   $TAG_PAIR, AX
+	JCS   epair
+
+	EKEYS(0, tweak+80(FP), X0, X1, X4, X5, R10, R11)
+	ENC2(X8)
+	ECOMBINE(0, tables_base+56(FP), X0, X1, X4, X5, R10, R11)
+	ESTORE(0, X0)
+	ADDQ $16, DI
+	JMP  enext
+
+epair:
+	EKEYS(0, tweak+80(FP), X0, X1, X4, X5, R10, R11)
+	EKEYS(16, tweak+80(FP), X2, X3, X6, X7, R12, R13)
+	ENC4(X8)
+	ECOMBINE(0, tables_base+56(FP), X0, X1, X4, X5, R10, R11)
+	ECOMBINE(16, tables_base+56(FP), X2, X3, X6, X7, R12, R13)
+	ESTORE(0, X0)
+	ESTORE(16, X2)
+	ADDQ $32, DI
+	JMP  enext
+
+edone:
+	MOVB $1, ret+88(FP)
 	RET
 
-eval1:
-	MOVOU (DX), X8
-	PXOR  X8, X0
-	PXOR  X8, X1
-	RK2(AESENC, 1, X8)
-	RK2(AESENC, 2, X8)
-	RK2(AESENC, 3, X8)
-	RK2(AESENC, 4, X8)
-	RK2(AESENC, 5, X8)
-	RK2(AESENC, 6, X8)
-	RK2(AESENC, 7, X8)
-	RK2(AESENC, 8, X8)
-	RK2(AESENC, 9, X8)
-	RK2(AESENCLAST, 10, X8)
-	ECOMBINE(0, X0, X1, X4, X5, R10, R11)
-	MOVQ  (0+HalfGate_Out)(DI), SI
-	MOVOU X0, 0(SI)
+ebad:
+	MOVB $0, ret+88(FP)
 	RET
-
-// ROUND8 runs one AES round (AESENC, or AESENCLAST as op) with round
-// key i of the schedule at DX on the states in X0..X7, and ROUND1 on X0.
-#define ROUND8(op, i) \
-	MOVOU (16*i)(DX), X8; \
-	op    X8, X0; \
-	op    X8, X1; \
-	op    X8, X2; \
-	op    X8, X3; \
-	op    X8, X4; \
-	op    X8, X5; \
-	op    X8, X6; \
-	op    X8, X7
-
-#define ROUND1(op, i) \
-	MOVOU (16*i)(DX), X8; \
-	op    X8, X0
-
-// ENC8 / ENC4 / ENC1 encrypt X0..X7 / X0..X3 / X0 in place with the
-// schedule at DX.
-#define ENC8 \
-	MOVOU (DX), X8; \
-	PXOR  X8, X0; \
-	PXOR  X8, X1; \
-	PXOR  X8, X2; \
-	PXOR  X8, X3; \
-	PXOR  X8, X4; \
-	PXOR  X8, X5; \
-	PXOR  X8, X6; \
-	PXOR  X8, X7; \
-	ROUND8(AESENC, 1); \
-	ROUND8(AESENC, 2); \
-	ROUND8(AESENC, 3); \
-	ROUND8(AESENC, 4); \
-	ROUND8(AESENC, 5); \
-	ROUND8(AESENC, 6); \
-	ROUND8(AESENC, 7); \
-	ROUND8(AESENC, 8); \
-	ROUND8(AESENC, 9); \
-	ROUND8(AESENCLAST, 10)
-
-#define ENC4 \
-	MOVOU (DX), X8; \
-	PXOR  X8, X0; \
-	PXOR  X8, X1; \
-	PXOR  X8, X2; \
-	PXOR  X8, X3; \
-	ROUND4(AESENC, 1); \
-	ROUND4(AESENC, 2); \
-	ROUND4(AESENC, 3); \
-	ROUND4(AESENC, 4); \
-	ROUND4(AESENC, 5); \
-	ROUND4(AESENC, 6); \
-	ROUND4(AESENC, 7); \
-	ROUND4(AESENC, 8); \
-	ROUND4(AESENC, 9); \
-	ROUND4(AESENCLAST, 10)
-
-#define ENC1 \
-	MOVOU (DX), X8; \
-	PXOR  X8, X0; \
-	ROUND1(AESENC, 1); \
-	ROUND1(AESENC, 2); \
-	ROUND1(AESENC, 3); \
-	ROUND1(AESENC, 4); \
-	ROUND1(AESENC, 5); \
-	ROUND1(AESENC, 6); \
-	ROUND1(AESENC, 7); \
-	ROUND1(AESENC, 8); \
-	ROUND1(AESENC, 9); \
-	ROUND1(AESENCLAST, 10)
 
 // CTR leaves counter block hi ‖ lo+n in x: X15 holds hi, byte-swapped,
 // in its low half, R9 holds lo. Clobbers AX, X14.
@@ -466,7 +449,7 @@ ctr8:
 	CTR(5, X5)
 	CTR(6, X6)
 	CTR(7, X7)
-	ENC8
+	ENC8(X8)
 	MOVOU X0, 0(DI)
 	MOVOU X1, 16(DI)
 	MOVOU X2, 32(DI)
@@ -487,7 +470,7 @@ ctr4:
 	CTR(1, X1)
 	CTR(2, X2)
 	CTR(3, X3)
-	ENC4
+	ENC4(X8)
 	MOVOU X0, 0(DI)
 	MOVOU X1, 16(DI)
 	MOVOU X2, 32(DI)
@@ -500,7 +483,7 @@ ctr1:
 	TESTQ CX, CX
 	JZ    ctrdone
 	CTR(0, X0)
-	ENC1
+	ENC1(X8)
 	MOVOU X0, 0(DI)
 	INCQ  R9
 	ADDQ  $16, DI
@@ -543,7 +526,7 @@ TEXT ·tccr8(SB), NOSPLIT, $0-32
 	MOVOU 80(SI), X5
 	MOVOU 96(SI), X6
 	MOVOU 112(SI), X7
-	ENC8
+	ENC8(X8)
 	MOVOU X0, 0(DI)
 	MOVOU X1, 16(DI)
 	MOVOU X2, 32(DI)
@@ -561,7 +544,7 @@ TEXT ·tccr8(SB), NOSPLIT, $0-32
 	TWEAK(5, X5)
 	TWEAK(6, X6)
 	TWEAK(7, X7)
-	ENC8
+	ENC8(X8)
 	FEED(0, X0)
 	FEED(16, X1)
 	FEED(32, X2)

@@ -2,20 +2,23 @@
 
 package gchash
 
-import "maxelerator/internal/label"
+import (
+	"maxelerator/internal/circuit"
+	"maxelerator/internal/label"
+)
 
-// useKernel is false: off amd64, and under the purego tag, *AES hashes,
-// counter blocks are encrypted and rows hashed with the portable loops
-// through crypto/aes.
+// useKernel is false: off amd64, and under the purego tag, *AES hashes
+// and walks programs, counter blocks are encrypted and rows hashed with
+// the portable loops through crypto/aes.
 const useKernel = false
 
-func (h *AES) hashAND(s *ANDBlocks, n int, tweak uint64) { h.hashANDGo(s, n, tweak) }
-
-func (h *AES) garbleANDs(s *ANDBlocks, delta *label.Label, g []HalfGate) {
-	h.garbleANDsGo(s, delta, g)
+func (h *AES) garbleProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, delta *label.Label, tweak uint64) {
+	h.garbleProgramGo(s, instrs, slots, tables, delta, tweak)
 }
 
-func (h *AES) evalANDs(s *ANDBlocks, g []HalfGate) { h.evalANDsGo(s, g) }
+func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool {
+	return h.evalProgramGo(s, instrs, slots, tables, tweak)
+}
 
 func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {
 	h.hashIntoGo(x, tweak, dst)

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // Size is the byte length of a wire label. The paper uses the standard
@@ -33,12 +34,10 @@ type Label [Size]byte
 // Zero is the all-zero label.
 var Zero Label
 
-// Xor returns l ⊕ m.
+// Xor returns l ⊕ m, a word at a time.
 func (l Label) Xor(m Label) Label {
 	var out Label
-	for i := range l {
-		out[i] = l[i] ^ m[i]
-	}
+	l.XorInto(&m, &out)
 	return out
 }
 
@@ -110,6 +109,19 @@ func ReadRandom(r io.Reader, dst *Label) error {
 	return nil
 }
 
+// ReadRandoms fills dst with uniformly random labels from r in one read
+// of len(dst)·Size bytes: from a byte stream, the labels ReadRandom
+// would draw one at a time, in order.
+func ReadRandoms(r io.Reader, dst []Label) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	if _, err := io.ReadFull(r, unsafe.Slice(&dst[0][0], len(dst)*Size)); err != nil {
+		return fmt.Errorf("label: drawing %d random labels: %w", len(dst), err)
+	}
+	return nil
+}
+
 // MustRandom draws a uniformly random label from crypto/rand and panics
 // on failure. It is intended for tests and examples.
 func MustRandom() Label {
@@ -170,7 +182,9 @@ type Pair struct {
 
 // NewPair derives the free-XOR-correlated pair from the FALSE label.
 func NewPair(false0 Label, d Delta) Pair {
-	return Pair{False: false0, True: d.Flip(false0)}
+	p := Pair{False: false0}
+	false0.XorInto(&d.l, &p.True)
+	return p
 }
 
 // RandomPair draws a fresh FALSE label from r and derives the pair.
