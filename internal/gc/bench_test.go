@@ -17,7 +17,7 @@ const benchRounds = 16
 // once garbled, as the server's lanes do. ns/AND is the whole round
 // (labels, XORs, ANDs, pairs) over its AND count.
 func BenchmarkGarbleRound(b *testing.B) {
-	for _, width := range []int{8, 16} {
+	for _, width := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
 			c := circuit.MustMAC(circuit.MACConfig{Width: width, AccWidth: 2 * width, Signed: true})
 			x := make([]int64, benchRounds)
@@ -58,7 +58,7 @@ func BenchmarkGarbleRound(b *testing.B) {
 // Evaluator running a garbled 16-round row of the signed MAC, the state
 // labels chained from round to round, as the client's row loop does.
 func BenchmarkEvalRound(b *testing.B) {
-	for _, width := range []int{8, 16} {
+	for _, width := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
 			c := circuit.MustMAC(circuit.MACConfig{Width: width, AccWidth: 2 * width, Signed: true})
 			g, err := NewGarbler(DefaultParams(), label.MustSystemDRBG())

@@ -59,7 +59,6 @@ func (ng *netlistGarbler) garble(t *testing.T, c *circuit.Circuit, x []bool, sta
 		}
 		out0, rows := ng.p.Scheme.GarbleAND(ng.p.Hash, ng.delta, w[g.A], w[g.B], tweak)
 		w[g.Out] = out0
-		m.TableBlock = append(m.TableBlock, byte(len(rows)))
 		for _, r := range rows {
 			m.TableBlock = append(m.TableBlock, r[:]...)
 		}
@@ -88,7 +87,7 @@ func netlistEval(t *testing.T, p Params, c *circuit.Circuit, m *Material, evalAc
 		stateActive = m.StateInActive
 	}
 	copy(w[circuit.FirstInput+c.NGarbler+c.NEvaluator:], stateActive)
-	stride := 1 + p.Scheme.TableSize()*label.Size
+	stride := p.Scheme.TableSize() * label.Size
 	tweak, off := m.TweakBase, 0
 	for _, g := range c.Gates {
 		if g.Op == circuit.XOR {
@@ -96,7 +95,7 @@ func netlistEval(t *testing.T, p Params, c *circuit.Circuit, m *Material, evalAc
 			continue
 		}
 		var rows []label.Label
-		for r := off + 1; r < off+stride; r += label.Size {
+		for r := off; r < off+stride; r += label.Size {
 			rows = append(rows, label.Label(m.TableBlock[r:r+label.Size]))
 		}
 		out, err := p.Scheme.EvalAND(p.Hash, w[g.A], w[g.B], rows, tweak)

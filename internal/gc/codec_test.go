@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -49,6 +50,86 @@ func TestMaterialCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(m, back) {
 			t.Fatalf("seq=%v: round trip mismatch", seq)
 		}
+	}
+}
+
+// TestMaterialCodecRoundTripsEveryScheme: the header's row count
+// carries the ablation schemes' tables too — GRR3's three rows and
+// four-row's four — and what comes back evaluates to the right sum.
+func TestMaterialCodecRoundTripsEveryScheme(t *testing.T) {
+	c := circuit.MustMAC(circuit.MACConfig{Width: 4, AccWidth: 8})
+	for _, s := range allSchemes() {
+		p := params(s)
+		g, err := NewGarbler(p, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, err := g.Garble(c, GarbleOptions{GarblerInputs: circuit.Int64ToBits(5, 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := MarshalMaterial(&gb.Material)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := enc[headerSize-1]; int(rows) != s.TableSize() {
+			t.Fatalf("%s: header says %d rows, want %d", s.Name(), rows, s.TableSize())
+		}
+		back, err := UnmarshalMaterial(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if !reflect.DeepEqual(&gb.Material, back) {
+			t.Fatalf("%s: round trip mismatch", s.Name())
+		}
+		res, err := Evaluate(p, c, back, pickActive(gb.EvalPairs, circuit.Int64ToBits(6, 4)), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		if got := circuit.BitsToUint64(res.Outputs); got != 30 {
+			t.Fatalf("%s: decoded %d, want 30", s.Name(), got)
+		}
+	}
+}
+
+// TestFrameMatchesAppendMaterial: a round's frame, encoded around the
+// table block where it was garbled, is the headroom and then
+// AppendMaterial's bytes — for a fresh round and for pooled rounds,
+// round 0 (state labels) and later ones, refilled after a release.
+func TestFrameMatchesAppendMaterial(t *testing.T) {
+	c := circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16, Signed: true})
+	p := DefaultParams()
+	pool, err := NewRoundPool(p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := NewRequest(p, c, 3, [16]byte{51})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, gb *Garbled) {
+		want, err := AppendMaterial(make([]byte, FrameHeadroom), &gb.Material)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables := &gb.Material.TableBlock[0]
+		if got := gb.Frame(); !bytes.Equal(got[FrameHeadroom:], want[FrameHeadroom:]) || &got[FrameHeadroom+headerSize] != tables {
+			t.Fatalf("%s: frame differs from AppendMaterial's bytes, or copied the tables", name)
+		}
+	}
+	for i, lane := range []*Lane{req.Lane(), req.PooledLane(pool), req.PooledLane(pool)} {
+		if err := lane.GarbleRow(i, []int64{3, -4, 5}, func(r int, gb *Garbled) error {
+			check(fmt.Sprintf("lane %d round %d", i, r), gb)
+			if i > 0 {
+				pool.Put(gb) // the next lane refills it
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := pool.Outstanding(); n != 0 {
+		t.Fatalf("%d rounds outstanding after every round was put back", n)
 	}
 }
 
@@ -105,8 +186,9 @@ func TestMaterialCodecRejectsBadVersion(t *testing.T) {
 
 // hostileHeaders returns, for each of the four count fields of a valid
 // encoding, that encoding with the count replaced by 2^32−1, by 1<<24,
-// and by one more than the frame holds — plus the bare 13-byte header
-// (version, tweak, table count) that needs no valid frame around it.
+// and by one more than the frame holds; the encoding with 255 rows a
+// table; and the bare 14-byte header (version, tweak, table count, rows)
+// that needs no valid frame around it.
 func hostileHeaders(t testing.TB) map[string][]byte {
 	c := circuit.MustMAC(circuit.MACConfig{Width: 4, AccWidth: 8})
 	g, err := NewGarbler(DefaultParams(), rand.Reader)
@@ -123,7 +205,8 @@ func hostileHeaders(t testing.TB) map[string][]byte {
 		t.Fatal(err)
 	}
 	tablesAt := 1 + 8
-	garblerAt := tablesAt + 4 + len(m.TableBlock)
+	rows := len(m.TableBlock) / (m.NumTables * label.Size)
+	garblerAt := tablesAt + 5 + len(m.TableBlock)
 	permAt := garblerAt + 4 + len(m.GarblerActive)*label.Size + 2*label.Size
 	stateAt := permAt + 4 + (len(m.OutputPerm)+7)/8
 	fields := []struct {
@@ -131,15 +214,17 @@ func hostileHeaders(t testing.TB) map[string][]byte {
 		at   int
 		fits uint32 // the largest count the bytes after the field could hold
 	}{
-		{"tables", tablesAt, uint32(len(enc) - tablesAt - 4)},
+		{"tables", tablesAt, uint32((len(enc) - tablesAt - 5) / (rows * label.Size))},
 		{"garbler labels", garblerAt, uint32((len(enc) - garblerAt - 4) / label.Size)},
 		{"output perm bits", permAt, uint32((len(enc) - permAt - 4) * 8)},
 		{"state labels", stateAt, uint32((len(enc) - stateAt - 4) / label.Size)},
 	}
 	out := map[string][]byte{
-		"bare header/2^32-1": append(append([]byte{codecVersion}, make([]byte, 8)...), 0xff, 0xff, 0xff, 0xff),
-		"bare header/1<<24":  append(append([]byte{codecVersion}, make([]byte, 8)...), 0, 0, 0, 1),
+		"bare header/2^32-1": append(append([]byte{codecVersion}, make([]byte, 8)...), 0xff, 0xff, 0xff, 0xff, 2),
+		"bare header/1<<24":  append(append([]byte{codecVersion}, make([]byte, 8)...), 0, 0, 0, 1, 2),
+		"rows/255":           append([]byte(nil), enc...),
 	}
+	out["rows/255"][tablesAt+4] = 255
 	for _, f := range fields {
 		for _, v := range []struct {
 			name  string
@@ -183,7 +268,7 @@ func TestUnmarshalMaterialAliasesFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.TableBlock) == 0 || &m.TableBlock[0] != &enc[1+8+4] {
+	if len(m.TableBlock) == 0 || &m.TableBlock[0] != &enc[headerSize] {
 		t.Fatal("table block does not alias the table region of the frame")
 	}
 	if cap(m.TableBlock) != len(m.TableBlock) {
@@ -231,7 +316,7 @@ func TestMaterialCodecPreservesEvaluationResult(t *testing.T) {
 
 func FuzzUnmarshalMaterial(f *testing.F) {
 	m := &Material{
-		TableBlock:    append([]byte{2}, make([]byte, 2*label.Size)...),
+		TableBlock:    make([]byte, 2*label.Size),
 		NumTables:     1,
 		GarblerActive: []label.Label{label.MustRandom()},
 		OutputPerm:    []bool{true, false, true},

@@ -113,12 +113,11 @@ func (e *Evaluator) Eval(m *Material, evalActive, stateActive []label.Label) (*E
 	copy(w[circuit.FirstInput+prog.NGarbler:], evalActive)
 	copy(w[circuit.FirstInput+prog.NGarbler+prog.NEvaluator:], stateActive)
 
-	// The block is outside input: its length is checked here, whoever
-	// built it, and every row count before the walk reads its table —
-	// by the kernel walk as it goes, or by the pass below.
+	// The block is outside input: its length, all there is to check of
+	// it, is checked here, whoever built it.
 	blk := m.TableBlock
 	rows := e.params.Scheme.TableSize()
-	stride := 1 + rows*label.Size
+	stride := rows * label.Size
 	if len(blk) != prog.NAND*stride {
 		return nil, fmt.Errorf("gc: table block of %d bytes, want %d tables of %d rows (%d bytes)", len(blk), prog.NAND, rows, prog.NAND*stride)
 	}
@@ -128,18 +127,13 @@ func (e *Evaluator) Eval(m *Material, evalActive, stateActive []label.Label) (*E
 			return nil, fmt.Errorf("gc: %w", err)
 		}
 	} else {
-		for off := 0; off < len(blk); off += stride {
-			if int(blk[off]) != rows {
-				return nil, fmt.Errorf("gc: table %d has %d rows, want %d", off/stride, blk[off], rows)
-			}
-		}
 		tweaksPerGate := e.params.Scheme.TweaksPerGate()
 		for _, in := range prog.Instrs {
 			if in.Op() == circuit.XOR {
 				w[in.A].XorInto(&w[in.B], &w[in.Out])
 				continue
 			}
-			table := blk[int(in.Index())*stride+1:][:rows*label.Size]
+			table := blk[int(in.Index())*stride:][:stride]
 			e.rows = e.rows[:0]
 			for r := 0; r < len(table); r += label.Size {
 				e.rows = append(e.rows, label.Label(table[r:r+label.Size]))

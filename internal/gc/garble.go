@@ -61,9 +61,9 @@ func (p Params) halfGatesAES() *gchash.AES {
 type Material struct {
 	// TableBlock holds the garbled tables of every AND gate, in gate
 	// order, in the wire layout of codec.go, which is also their
-	// in-memory layout: per table a row-count byte, then rows × 16 B.
-	// Garble writes rows into it in place and Eval reads them where
-	// they lie.
+	// in-memory layout: rows × 16 B per table, the scheme's TableSize
+	// rows each. Garble writes rows into it in place and Eval reads
+	// them where they lie.
 	TableBlock []byte
 	// NumTables is the number of tables in TableBlock.
 	NumTables int
@@ -88,9 +88,7 @@ type Material struct {
 // CiphertextBytes is the total garbled-table volume in bytes — the
 // traffic the accelerator must push over PCIe and the host over the
 // network.
-func (m *Material) CiphertextBytes() int {
-	return len(m.TableBlock) - m.NumTables // everything but the row-count bytes
-}
+func (m *Material) CiphertextBytes() int { return len(m.TableBlock) }
 
 // Garbled is the garbler-side result of garbling one circuit (or one
 // round of a sequential circuit). It retains the garbler's secrets:
@@ -117,6 +115,8 @@ type Garbled struct {
 	// NextTweak is one past the last tweak this execution hashed; the
 	// garbler's next execution starts there.
 	NextTweak uint64
+	// frame is the buffer Material.TableBlock is a window of (size).
+	frame []byte
 }
 
 // Garbler garbles circuits under a fixed global Δ drawn at
@@ -218,18 +218,38 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// FrameHeadroom is how many bytes a round's frame keeps before the
+// material encoding, for the transport's frame tag (Garbled.Frame).
+const FrameHeadroom = 1
+
 // size re-slices every slice of gb but StateInActive to prog's lengths,
-// for tables of stride bytes, allocating only where a capacity falls
-// short.
-func (gb *Garbled) size(prog *circuit.Program, stride int) {
+// for tables of rows rows, allocating only where a capacity falls
+// short. The table block is a window of gb's frame buffer, behind the
+// headroom and the header; a new buffer has room for the trailer of a
+// round carrying stateIn state labels.
+func (gb *Garbled) size(prog *circuit.Program, rows, stateIn int) {
 	m := &gb.Material
-	m.TableBlock = resize(m.TableBlock, prog.NAND*stride)
+	at, n := FrameHeadroom+headerSize, prog.NAND*rows*label.Size
+	if cap(gb.frame) < at+n {
+		gb.frame = make([]byte, at+n, at+n+trailerSize(prog.NGarbler, len(prog.Outputs), stateIn))
+	}
+	m.TableBlock = gb.frame[at : at+n : at+n]
 	m.GarblerActive = resize(m.GarblerActive, prog.NGarbler)
 	m.OutputPerm = resize(m.OutputPerm, len(prog.Outputs))
 	gb.EvalPairs = resize(gb.EvalPairs, prog.NEvaluator)
 	gb.GarblerPairs = resize(gb.GarblerPairs, prog.NGarbler)
 	gb.OutputPairs = resize(gb.OutputPairs, len(prog.Outputs))
 	gb.StateOut0 = resize(gb.StateOut0, prog.NState)
+}
+
+// Frame encodes the round's material around its table block, where it
+// was garbled — the header before it, the trailer behind — and returns
+// FrameHeadroom bytes for the caller's tag, then AppendMaterial's
+// bytes, no table copied. It is valid until the round is refilled.
+func (gb *Garbled) Frame() []byte {
+	m := &gb.Material
+	f := appendHeader(gb.frame[:FrameHeadroom], m)
+	return appendTrailer(f[:len(f)+len(m.TableBlock)], m)
 }
 
 // garble is Garble into res: it rewrites every field of res and
@@ -282,9 +302,9 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 		copy(w[stateBase:span], opts.State0)
 	}
 
-	stride := 1 + rows*label.Size
+	stride := rows * label.Size
 	tweak := max(opts.TweakBase, g.next)
-	res.size(prog, stride)
+	res.size(prog, rows, prog.NState-len(opts.State0)) // round 0 carries the state labels
 	m := &res.Material
 	m.NumTables = prog.NAND
 	m.TweakBase = tweak
@@ -331,10 +351,8 @@ func (g *Garbler) garble(res *Garbled, c *circuit.Circuit, opts GarbleOptions) e
 				return fmt.Errorf("gc: %s produced a %d-row table, TableSize says %d", scheme.Name(), len(t), rows)
 			}
 			w[in.Out] = out0
-			table := blk[int(in.Index())*stride:]
-			table[0] = byte(rows)
 			for r := range t {
-				copy(table[1+r*label.Size:], t[r][:])
+				copy(blk[int(in.Index())*stride+r*label.Size:], t[r][:])
 			}
 		}
 	}

@@ -31,25 +31,19 @@ func TestDefaultParamsSharesOneHasher(t *testing.T) {
 	}
 }
 
-// tableRows returns the rows of table k as slices into m.TableBlock, by
-// walking the block's wire layout.
+// tableRows returns the rows of table k as slices into m.TableBlock,
+// whose tables all have the same number of rows.
 func tableRows(t *testing.T, m *Material, k int) [][]byte {
 	t.Helper()
-	off := 0
-	for i := 0; ; i++ {
-		if off >= len(m.TableBlock) {
-			t.Fatalf("table %d not in a block of %d tables", k, i)
-		}
-		n := int(m.TableBlock[off])
-		if i == k {
-			rows := make([][]byte, n)
-			for r := range rows {
-				rows[r] = m.TableBlock[off+1+r*label.Size : off+1+(r+1)*label.Size]
-			}
-			return rows
-		}
-		off += 1 + n*label.Size
+	if k >= m.NumTables || len(m.TableBlock)%(m.NumTables*label.Size) != 0 {
+		t.Fatalf("table %d not in a %d-byte block of %d tables", k, len(m.TableBlock), m.NumTables)
 	}
+	stride := len(m.TableBlock) / m.NumTables
+	rows := make([][]byte, stride/label.Size)
+	for r := range rows {
+		rows[r] = m.TableBlock[k*stride+r*label.Size : k*stride+(r+1)*label.Size]
+	}
+	return rows
 }
 
 // runGarbled garbles c and evaluates it, returning decoded outputs.
@@ -300,7 +294,7 @@ func TestEvaluateInputValidation(t *testing.T) {
 	// Every way a table block can disagree with the circuit, whether or
 	// not the declared count goes along with it.
 	block := gb.Material.TableBlock
-	threeRows := append([]byte{3}, make([]byte, 3*label.Size)...)
+	threeRows := make([]byte, 3*label.Size)
 	for name, tamper := range map[string]func(m *Material){
 		"missing tables":             func(m *Material) { m.TableBlock, m.NumTables = nil, 0 },
 		"missing tables, count kept": func(m *Material) { m.TableBlock = nil },
@@ -308,7 +302,7 @@ func TestEvaluateInputValidation(t *testing.T) {
 		"surplus table, count kept":  func(m *Material) { m.TableBlock = append(append([]byte{}, block...), block...) },
 		"truncated table":            func(m *Material) { m.TableBlock = block[:len(block)-1] },
 		"wrong row count":            func(m *Material) { m.TableBlock = threeRows },
-		"row count overruns block":   func(m *Material) { m.TableBlock = append([]byte{200}, block[1:]...) },
+		"one row short":              func(m *Material) { m.TableBlock = block[:label.Size] },
 		"trailing byte after tables": func(m *Material) { m.TableBlock = append(append([]byte{}, block...), 0) },
 		"missing garbler label":      func(m *Material) { m.GarblerActive = nil },
 		"surplus output permute bit": func(m *Material) { m.OutputPerm = append([]bool{true}, m.OutputPerm...) },

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"maxelerator/internal/circuit"
 	"maxelerator/internal/gchash"
@@ -148,6 +149,7 @@ func (l *Lane) garbleRound(j int, xi int64, state0 []label.Label) (*Garbled, err
 	l.col.Seek(columnDomain, uint64(j)*uint64(l.req.ckt.NEvaluator))
 	gb := l.rounds.get()
 	if err := l.g.garble(gb, l.req.ckt, GarbleOptions{GarblerInputs: l.bits, State0: state0, EvalLabels: &l.col}); err != nil {
+		l.rounds.Put(gb)
 		return nil, err
 	}
 	return gb, nil
@@ -162,6 +164,7 @@ func (l *Lane) garbleRound(j int, xi int64, state0 []label.Label) (*Garbled, err
 // its last use, or at once when its owner calls Release.
 type RoundPool struct {
 	free recycle.List[*Garbled]
+	out  atomic.Int64 // rounds taken and not yet put back
 	// newRound makes a round sized for the circuit; a field, not a
 	// method value, so a Reserve allocates only the rounds it adds.
 	newRound func() *Garbled
@@ -176,10 +179,9 @@ func NewRoundPool(params Params, c *circuit.Circuit) (*RoundPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	stride := 1 + params.Scheme.TableSize()*label.Size
 	return &RoundPool{newRound: func() *Garbled {
 		gb := new(Garbled)
-		gb.size(prog, stride)
+		gb.size(prog, params.Scheme.TableSize(), prog.NState)           // room for any round's trailer
 		gb.Material.StateInActive = make([]label.Label, 0, prog.NState) // room for a round 0
 		return gb
 	}}, nil
@@ -191,6 +193,7 @@ func (p *RoundPool) get() *Garbled {
 	if p == nil {
 		return new(Garbled)
 	}
+	p.out.Add(1)
 	if gb, ok := p.free.Get(); ok {
 		return gb
 	}
@@ -206,14 +209,19 @@ func (p *RoundPool) Reserve(n int) { p.free.Reserve(n, p.newRound) }
 // garble; the pool stays usable.
 func (p *RoundPool) Release() { p.free.Release() }
 
+// Outstanding reports how many rounds lanes have taken from p and
+// nobody has put back; a pool whose holders are all done reports zero.
+func (p *RoundPool) Outstanding() int64 { return p.out.Load() }
+
 // Put releases gb, a round a lane of this pool garbled, for a later
 // round to refill. The caller must hold no reference into gb
-// afterwards: its tables, labels and pairs are overwritten by the next
-// round garbled into it. Put on a nil pool drops gb.
+// afterwards: its frame, tables, labels and pairs are overwritten by
+// the next round garbled into it. Put on a nil pool drops gb.
 func (p *RoundPool) Put(gb *Garbled) {
 	if p == nil {
 		return
 	}
+	p.out.Add(-1)
 	if recycle.Poison {
 		poisonRound(gb)
 	}
@@ -225,7 +233,7 @@ func (p *RoundPool) Put(gb *Garbled) {
 // outlives the release reads garbage it cannot mistake for a round.
 func poisonRound(gb *Garbled) {
 	m := &gb.Material
-	recycle.Scribble(m.TableBlock[:cap(m.TableBlock)])
+	recycle.Scribble(gb.frame[:cap(gb.frame)])
 	for _, ls := range [][]label.Label{m.GarblerActive, m.StateInActive, m.ConstActive[:], gb.StateOut0} {
 		ls = ls[:cap(ls)]
 		for i := range ls {

@@ -21,13 +21,13 @@ import (
 // Hasher interface, the reference the walks are tested against.
 
 // TableStride is the extent of one half-gate table in a table block:
-// the row-count byte (2), then T_G and T_E.
-const TableStride = 1 + 2*label.Size
+// T_G, then T_E. No table carries its row count: the scheme fixes it.
+const TableStride = 2 * label.Size
 
 // GarbleProgram garbles one round of p under Δ in a single walk. On
 // entry slots[:p.InputSpan()] hold the FALSE labels of the constants,
 // inputs and state; the walk runs every instruction over slots, AND k
-// writing its table (row count, T_G, T_E) to tables[k·TableStride:] and
+// writing its table (T_G, T_E) to tables[k·TableStride:] and
 // hashing under tweak+2k and tweak+2k+1 (modulo 2⁶⁴); afterwards
 // p.Outputs and p.StateOuts name the slots holding the results' FALSE
 // labels. s is scratch for the portable walk, whose cipher makes it
@@ -46,22 +46,14 @@ func (h *AES) GarbleProgram(s *ANDBlocks, p *circuit.Program, slots []label.Labe
 // EvalProgram evaluates one round of p in a single walk: slots hold the
 // active input labels on entry and the active results after, each AND
 // reading T_G and T_E from its table in tables. The block is outside
-// input, so each table's row-count byte is checked as the walk reads
-// the table: one that is not 2 stops the walk with an error, the slots
-// left part-walked. The scratch, the tweaks and the other refusals are
-// GarbleProgram's.
+// input, and its length is all there is to check. The scratch, the
+// tweaks and the refusals are GarbleProgram's.
 func (h *AES) EvalProgram(s *ANDBlocks, p *circuit.Program, slots []label.Label, tables []byte, tweak uint64) error {
 	if err := checkWalk(p, slots, tables); err != nil {
 		return err
 	}
-	if h.evalProgram(s, p.Instrs, slots, tables, tweak) {
-		return nil
-	}
-	k := 0 // the walk stopped on a table, so there is one
-	for k < p.NAND-1 && tables[k*TableStride] == 2 {
-		k++
-	}
-	return fmt.Errorf("gchash: table %d has %d rows, want 2", k, tables[k*TableStride])
+	h.evalProgram(s, p.Instrs, slots, tables, tweak)
+	return nil
 }
 
 // checkWalk holds a walk's arguments to the bounds the kernels index by
@@ -95,22 +87,16 @@ func (h *AES) garbleProgramGo(s *ANDBlocks, instrs []circuit.Instr, w []label.La
 }
 
 // evalProgramGo is the portable EvalProgram, one instruction at a
-// time. It stops at, and returns false on, the first table it reads
-// whose row count is not 2.
-func (h *AES) evalProgramGo(s *ANDBlocks, instrs []circuit.Instr, w []label.Label, tables []byte, tweak uint64) bool {
+// time.
+func (h *AES) evalProgramGo(s *ANDBlocks, instrs []circuit.Instr, w []label.Label, tables []byte, tweak uint64) {
 	for _, in := range instrs {
 		if in.Op() == circuit.XOR {
 			w[in.A].XorInto(&w[in.B], &w[in.Out])
 			continue
 		}
 		k := int(in.Index())
-		table := (*[TableStride]byte)(tables[k*TableStride:])
-		if table[0] != 2 {
-			return false
-		}
-		h.evalANDGo(s, &w[in.A], &w[in.B], &w[in.Out], table, tweak+2*uint64(k))
+		h.evalANDGo(s, &w[in.A], &w[in.B], &w[in.Out], (*[TableStride]byte)(tables[k*TableStride:]), tweak+2*uint64(k))
 	}
-	return true
 }
 
 // garbleANDGo garbles one AND with FALSE input labels a0, b0 under Δ
@@ -124,9 +110,8 @@ func (h *AES) garbleANDGo(s *ANDBlocks, delta, a0, b0, out *label.Label, table *
 	ha0, ha1, hb0, hb1 := &s.H[0], &s.H[1], &s.H[2], &s.H[3]
 	pa, pb := a0.LSB(), b0.LSB()
 
-	table[0] = 2
-	tg := (*label.Label)(table[1 : 1+label.Size])
-	te := (*label.Label)(table[1+label.Size:])
+	tg := (*label.Label)(table[:label.Size])
+	te := (*label.Label)(table[label.Size:])
 	ha0.XorInto(ha1, tg)
 	if pb {
 		tg.XorInto(delta, tg)
@@ -150,10 +135,10 @@ func (h *AES) evalANDGo(s *ANDBlocks, a, b, out *label.Label, table *[TableStrid
 	h.hashANDGo(s, 2, tweak)
 	wg, we := s.H[0], s.H[1]
 	if a.LSB() {
-		wg.XorInto((*label.Label)(table[1:1+label.Size]), &wg)
+		wg.XorInto((*label.Label)(table[:label.Size]), &wg)
 	}
 	if b.LSB() {
-		we.XorInto((*label.Label)(table[1+label.Size:]), &we)
+		we.XorInto((*label.Label)(table[label.Size:]), &we)
 		we.XorInto(a, &we)
 	}
 	wg.XorInto(&we, out)

@@ -360,48 +360,3 @@ func TestProgramWalkRefusesBadPrograms(t *testing.T) {
 		t.Fatalf("the valid program was refused: %v", err)
 	}
 }
-
-// TestEvalProgramRefusesBadRowCounts: a table whose row-count byte is
-// not 2 — the first, one in the middle, the last — stops both
-// evaluation walks, and EvalProgram names the first such table.
-func TestEvalProgramRefusesBadRowCounts(t *testing.T) {
-	c := circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16, Signed: true})
-	p, err := c.Program()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := MustAES()
-	var s ANDBlocks
-	rng := mrand.New(mrand.NewSource(50))
-	delta := randomDelta(rng)
-	slots := make([]label.Label, p.NSlots)
-	for i := range slots {
-		slots[i] = randomLabel(rng)
-	}
-	input := slices.Clone(slots[:p.InputSpan()])
-	tables := make([]byte, p.NAND*TableStride)
-	if err := h.GarbleProgram(&s, p, slots, tables, &delta, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, p.NAND / 2, p.NAND - 1} {
-		for _, rows := range []byte{0, 3, 200} {
-			bad := slices.Clone(tables)
-			bad[k*TableStride] = rows
-			w := make([]label.Label, p.NSlots)
-			copy(w, input)
-			err := h.EvalProgram(&s, p, w, bad, 0)
-			if want := fmt.Sprintf("gchash: table %d has %d rows, want 2", k, rows); err == nil || err.Error() != want {
-				t.Errorf("table %d with %d rows: got %v, want %q", k, rows, err, want)
-			}
-			copy(w, input)
-			if h.evalProgramGo(&s, p.Instrs, w, bad, 0) {
-				t.Errorf("table %d with %d rows: the portable walk ran through", k, rows)
-			}
-		}
-	}
-	w := make([]label.Label, p.NSlots)
-	copy(w, input)
-	if err := h.EvalProgram(&s, p, w, tables, 0); err != nil {
-		t.Fatalf("the garbled tables were refused: %v", err)
-	}
-}

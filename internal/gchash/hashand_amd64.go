@@ -42,11 +42,10 @@ func hashAND2(rk *[11][16]byte, s *ANDBlocks, tweak uint64)
 func garbleProgram(rk *[11][16]byte, delta *label.Label, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
 
 // evalProgram is EvalProgram's kernel: a single AND 2 AES states in
-// flight, a bundle 4. It stops at, and returns false on, the first
-// table it reads whose row count is not 2.
+// flight, a bundle 4.
 //
 //go:noescape
-func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool
+func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
 
 // ctrBlocks fills dst, whole blocks, with AES(hi ‖ lo+n) under the
 // expanded schedule rk for n = 0, 1, …, lo wrapping without a carry.
@@ -96,9 +95,10 @@ func (h *AES) garbleProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.
 	garbleProgram(&roundKeys, delta, instrs, slots, tables, tweak)
 }
 
-func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool {
+func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) {
 	if !useKernel {
-		return h.evalProgramGo(s, instrs, slots, tables, tweak)
+		h.evalProgramGo(s, instrs, slots, tables, tweak)
+		return
 	}
-	return evalProgram(&roundKeys, instrs, slots, tables, tweak)
+	evalProgram(&roundKeys, instrs, slots, tables, tweak)
 }

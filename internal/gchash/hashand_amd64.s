@@ -194,7 +194,7 @@ TEXT ·hashAND2(SB), NOSPLIT, $0-24
 #define TABLE(r, tb, reg) \
 	MOVL   (r+INSTR_TAG)(DI), reg; \
 	ANDL   $TAG_INDEX, reg; \
-	IMUL3Q $33, reg, reg; \
+	SHLQ   $5, reg; \
 	ADDQ   tb, reg
 
 // TWEAKS leaves the AND at r(DI)'s tweaks, tw + 2·index and one more,
@@ -267,13 +267,12 @@ TEXT ·hashAND2(SB), NOSPLIT, $0-24
 	MOVOU 0(SI), X13; \
 	PXOR  X13, s3
 
-// GSTORE stores the table (row count 2, T_G, T_E) and out⁰ of the AND
-// at r(DI). Clobbers SI.
+// GSTORE stores the table (T_G, T_E) and out⁰ of the AND at r(DI).
+// Clobbers SI.
 #define GSTORE(r, tb, out, tg, te) \
 	TABLE(r, tb, SI); \
-	MOVB  $2, 0(SI); \
-	MOVOU tg, 1(SI); \
-	MOVOU te, 17(SI); \
+	MOVOU tg, 0(SI); \
+	MOVOU te, 16(SI); \
 	SLOT(r+INSTR_OUT, SI); \
 	MOVOU out, 0(SI)
 
@@ -338,19 +337,16 @@ gdone:
 	MASK(mb)
 
 // ECOMBINE turns the two encrypted states of the AND at r(DI) into its
-// output label, in sa; it jumps to ebad, before reading a row, when the
-// table's row count is not 2. Clobbers X9, X10, X11, SI.
+// output label, in sa. Clobbers X9, X10, X11, SI.
 #define ECOMBINE(r, tb, sa, sb, ka, kb, ma, mb) \
 	PXOR  ka, sa; \
 	PXOR  kb, sb; \
 	TABLE(r, tb, SI); \
-	CMPB  0(SI), $2; \
-	JNE   ebad; \
-	MOVOU 1(SI), X9; \
+	MOVOU 0(SI), X9; \
 	BCAST(ma, X10); \
 	PAND  X10, X9; \
 	PXOR  X9, sa; \
-	MOVOU 17(SI), X9; \
+	MOVOU 16(SI), X9; \
 	SLOT(r+INSTR_A, SI); \
 	MOVOU 0(SI), X11; \
 	PXOR  X11, X9; \
@@ -365,8 +361,8 @@ gdone:
 	SLOT(r+INSTR_OUT, SI); \
 	MOVOU out, 0(SI)
 
-// func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool
-TEXT ·evalProgram(SB), NOSPLIT, $0-89
+// func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
+TEXT ·evalProgram(SB), NOSPLIT, $0-88
 	MOVQ rk+0(FP), DX
 	MOVQ instrs_base+8(FP), DI
 	MOVQ instrs_len+16(FP), R15
@@ -407,11 +403,6 @@ epair:
 	JMP  enext
 
 edone:
-	MOVB $1, ret+88(FP)
-	RET
-
-ebad:
-	MOVB $0, ret+88(FP)
 	RET
 
 // CTR leaves counter block hi ‖ lo+n in x: X15 holds hi, byte-swapped,

@@ -16,8 +16,8 @@ func (h *AES) garbleProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.
 	h.garbleProgramGo(s, instrs, slots, tables, delta, tweak)
 }
 
-func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) bool {
-	return h.evalProgramGo(s, instrs, slots, tables, tweak)
+func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) {
+	h.evalProgramGo(s, instrs, slots, tables, tweak)
 }
 
 func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {

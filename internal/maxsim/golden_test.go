@@ -2,6 +2,7 @@ package maxsim
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -35,10 +36,32 @@ import (
 // label n of round j's evaluator inputs is AES_k(2⁶⁴−2 ‖ j·8 + n) in
 // both rows, so row 1's EvalPairs equal row 0's, and a row's own stream
 // no longer draws those 8 labels a round, which moves every later label
-// of the row. Frame lengths and layout are unchanged again.
-const goldenTranscriptDigest = "af7876bff887b109a1fb41598b2aa945b0e13b941225630c6bc31340513effa9"
+// of the row. Frame lengths and layout are unchanged again. Then when
+// the material codec went to version 2 (protocol v9): every table's
+// row-count byte is stripped, the header carrying it once.
+// TestGoldenTranscriptDigest puts the bytes back and gets
+// goldenTranscriptDigestV8, the digest this constant had before.
+const goldenTranscriptDigest = "7716aacdae2dde595e146bb4288f1580c1ba3603f9e6185dca152630cb6a2737"
 
-func transcriptDigest(t *testing.T, runs []*DotProductRun) string {
+// goldenTranscriptDigestV8 is goldenTranscriptDigest under codec
+// version 1, where each table had its own row-count byte.
+const goldenTranscriptDigestV8 = "af7876bff887b109a1fb41598b2aa945b0e13b941225630c6bc31340513effa9"
+
+// materialV8 is enc, a version-2 material encoding, in the version-1
+// layout: every table behind its own row-count byte, the header's.
+func materialV8(enc []byte) []byte {
+	count, rows := int(binary.LittleEndian.Uint32(enc[9:])), int(enc[13])
+	out := append([]byte{1}, enc[1:13]...)
+	for k := range count {
+		out = append(out, byte(rows))
+		out = append(out, enc[14+k*rows*label.Size:][:rows*label.Size]...)
+	}
+	return append(out, enc[14+count*rows*label.Size:]...)
+}
+
+// transcriptDigest hashes the runs' material frames, each as v1 lays it
+// out when v8 is set, and their OT sender pairs.
+func transcriptDigest(t *testing.T, runs []*DotProductRun, v8 bool) string {
 	t.Helper()
 	h := sha256.New()
 	for _, run := range runs {
@@ -46,6 +69,9 @@ func transcriptDigest(t *testing.T, runs []*DotProductRun) string {
 			frame, err := gc.MarshalMaterial(&gb.Material)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if v8 {
+				frame = materialV8(frame)
 			}
 			h.Write(frame)
 			for _, p := range gb.EvalPairs {
@@ -84,7 +110,10 @@ func TestGoldenTranscriptDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := transcriptDigest(t, runs); got != goldenTranscriptDigest {
+	if got := transcriptDigest(t, runs, false); got != goldenTranscriptDigest {
 		t.Fatalf("transcript digest %s, want the parent commit's %s", got, goldenTranscriptDigest)
+	}
+	if got := transcriptDigest(t, runs, true); got != goldenTranscriptDigestV8 {
+		t.Fatalf("with its row-count bytes put back the transcript digest is %s, not the codec v1 pin %s", got, goldenTranscriptDigestV8)
 	}
 }

@@ -79,7 +79,7 @@ type ClientSession struct {
 	// evals are the row evaluators, one per goroutine of a request
 	// (evals[0] is the reader's), grown to the widest request and
 	// reused by the next.
-	evals []*gc.Evaluator
+	evals []*rowEvaluator
 	// ubuf and umsgs are the u-writer's batch: up to otBatch u frames
 	// back to back, and the frames cut from it for one SendMsgs. Only
 	// a per-round request's writer touches them, and it is gone before
@@ -129,7 +129,7 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 	if err := tc.SendMsg(appendHelloAck(nil, ProtoVersion)); err != nil {
 		return nil, err
 	}
-	ckt, err := circuit.MAC(circuit.MACConfig{Width: h.Width, AccWidth: h.AccWidth, Signed: h.Signed})
+	ckt, err := loweredMAC(circuit.MACConfig{Width: h.Width, AccWidth: h.AccWidth, Signed: h.Signed})
 	if err != nil {
 		return nil, fmt.Errorf("protocol: rebuilding MAC netlist: %w", err)
 	}
@@ -139,7 +139,53 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 		return nil, err
 	}
 	tc.enterPhase(phaseRequestOpen)
+	// Every frame from here on is recycled once read, so a round's
+	// frame is evaluated where the read-ahead put it (wire.LendFrames).
+	wire.LendFrames(tc)
 	return &ClientSession{tc: tc, h: h, macCkt: ckt, receiver: receiver}, nil
+}
+
+// macMemoSize is how many lowered MAC shapes a process keeps for its
+// Dials.
+const macMemoSize = 4
+
+// macMemo holds the lowered MACs of the last macMemoSize shapes the
+// process's Dials used. A circuit is read-only once Program has run, so
+// every session of a shape shares one, and a client that dials again
+// and again — a retry loop, a fresh connection per request — builds and
+// lowers it once. A hello names any of ≈ 2 000 servable shapes, so the
+// memo evicts the oldest rather than keeping one entry a shape: a
+// hostile server cannot grow it.
+var macMemo struct {
+	sync.Mutex
+	cfgs [macMemoSize]circuit.MACConfig
+	ckts [macMemoSize]*circuit.Circuit
+	next int // the entry the next new shape replaces
+}
+
+// loweredMAC returns cfg's MAC with its program lowered, from the memo
+// when the shape is in it.
+func loweredMAC(cfg circuit.MACConfig) (*circuit.Circuit, error) {
+	macMemo.Lock()
+	for i, c := range macMemo.ckts {
+		if c != nil && macMemo.cfgs[i] == cfg {
+			macMemo.Unlock()
+			return c, nil
+		}
+	}
+	macMemo.Unlock()
+	c, err := circuit.MAC(cfg) // outside the lock: ≈ 70 µs at b=8
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.Program(); err != nil {
+		return nil, err
+	}
+	macMemo.Lock()
+	macMemo.cfgs[macMemo.next], macMemo.ckts[macMemo.next] = cfg, c
+	macMemo.next = (macMemo.next + 1) % macMemoSize
+	macMemo.Unlock()
+	return c, nil
 }
 
 // Do runs one request with the client vector y and returns the decoded
@@ -270,14 +316,12 @@ func (cs *ClientSession) evalMatVec(hdr reqHeader, bitsPerRound [][]bool) ([]int
 	}
 
 	nw := min(runtime.GOMAXPROCS(0), hdr.Rows)
-	if len(cs.evals) < nw {
-		for len(cs.evals) < nw {
-			ev, err := gc.NewEvaluator(gc.DefaultParams(), cs.macCkt) // the process's one fixed-key hasher
-			if err != nil {
-				return nil, err
-			}
-			cs.evals = append(cs.evals, ev)
+	for len(cs.evals) < nw {
+		ev, err := gc.NewEvaluator(gc.DefaultParams(), cs.macCkt) // the process's one fixed-key hasher
+		if err != nil {
+			return nil, err
 		}
+		cs.evals = append(cs.evals, &rowEvaluator{ev: ev})
 	}
 	outs := make([]int64, hdr.Rows)
 	hp := cs.startHelpers(hdr, nw, outs)
@@ -322,15 +366,16 @@ func (cs *ClientSession) readRows(hdr reqHeader, shared []label.Label, reqs *otR
 			if err := hp.failure(); err != nil {
 				return err
 			}
-			m, frame, err := recvMaterial(cs.tc)
+			frame, err := recvRound(cs.tc)
 			if err != nil {
 				return fmt.Errorf("protocol: row %d round %d material: %w", row, round, err)
 			}
-			in := chainRound{m: m, frame: frame}
+			in := chainRound{frame: frame}
 			off := round * cs.h.Width
 			if row > 0 || hdr.OT == OTBatched {
 				in.active = shared[off : off+cs.h.Width]
 			} else if in.active, err = reqs.next(cs.receiver); err != nil {
+				wire.Recycle(frame)
 				return fmt.Errorf("protocol: row %d round %d OT: %w", row, round, err)
 			} else if shared != nil {
 				copy(shared[off:], in.active)
@@ -441,24 +486,37 @@ func (rq *otRequests) next(er *ot.ExtensionReceiver) ([]label.Label, error) {
 	return ot.FinishLabels(er, p)
 }
 
-// chainRound is one round of a row's MAC chain: its material, the frame
-// the material aliases, and its active evaluator labels, all owned by
-// whoever holds the round.
+// chainRound is one round of a row's MAC chain: its material frame,
+// unparsed, and its active evaluator labels, both owned by whoever
+// holds the round.
 type chainRound struct {
-	m      *gc.Material
 	frame  []byte
 	active []label.Label
 }
 
-// eval evaluates the round on ev, chaining the state labels of prev,
-// the row's previous round (ignored at round 0), and then recycles the
-// round's frame: the result is ev's and copies nothing out of it.
-func (in chainRound) eval(ev *gc.Evaluator, prev *gc.EvalResult, row, round int) (*gc.EvalResult, error) {
+// rowEvaluator is one goroutine's evaluator and the material view it
+// parses each of its rounds' frames into, so that receiving, parsing
+// and evaluating a round allocates nothing.
+type rowEvaluator struct {
+	ev   *gc.Evaluator
+	view gc.Material
+}
+
+// eval parses the round's frame into re's view, where it lies, and
+// evaluates it, chaining the state labels of prev, the row's previous
+// round (ignored at round 0); then it recycles the frame: the result is
+// re.ev's and copies nothing out of it.
+func (in chainRound) eval(re *rowEvaluator, prev *gc.EvalResult, row, round int) (*gc.EvalResult, error) {
 	var state []label.Label
 	if round > 0 {
 		state = prev.StateActive
 	}
-	res, err := ev.Eval(in.m, in.active, state)
+	var res *gc.EvalResult
+	err := re.view.Parse(in.frame[1:])
+	if err == nil {
+		res, err = re.ev.Eval(&re.view, in.active, state)
+	}
+	re.view.TableBlock = nil // the frame goes back; the view keeps no alias of it
 	wire.Recycle(in.frame)
 	if err != nil {
 		return nil, fmt.Errorf("protocol: row %d round %d evaluate: %w", row, round, err)
@@ -508,7 +566,8 @@ func (cs *ClientSession) startHelpers(hdr reqHeader, nw int, outs []int64) *rowH
 					if res, err = in.eval(cs.evals[h], res, row, round); err != nil {
 						first := err // only a failed round moves an error to the heap
 						hp.err.CompareAndSwap(nil, &first)
-						for range q { // keep the reader unblocked until it sees the error
+						for in := range q { // keep the reader unblocked until it sees the error
+							wire.Recycle(in.frame)
 						}
 						return
 					}

@@ -155,7 +155,7 @@ func TestHelperRowFailure(t *testing.T) {
 					t.Fatal("server still serving 10 s after the client finished")
 				}
 				b.Close()
-				if got := srv.arena.Outstanding(); got != 0 {
+				if got := srv.ArenaOutstanding(); got != 0 {
 					t.Errorf("arena buffers outstanding: %d", got)
 				}
 				checkGoroutines(t, before)

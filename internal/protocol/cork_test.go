@@ -29,14 +29,18 @@ import (
 // pool hit, and the client's, which a hit does not change. They were
 // re-pinned once, for protocol v8: IKNP row hash is fixed-key TCCR. The
 // server's OT answer frames move, and the hello and its ack carry
-// version 8.
+// version 8. They were re-pinned a second time for protocol v9: every
+// table's row-count byte is stripped from the material frames, the
+// header carries it once, and the hello and its ack carry version 9;
+// TestV9TranscriptIsV8Stripped and these runs' v8 digests show that
+// nothing else moved.
 var corkDigests = map[string]string{
-	"per-round/server":     "96cbde6efba2b7cae81cc149d160981fbf31c9df568cc02623fa5f781bfc8653",
-	"per-round/server/hit": "7cabfcbaa9731bbfae7ae96acb6c3f142b53da52f00e2a69e349386962d2b73a",
-	"per-round/client":     "b54cda8278c100ac9328e6a7ea4cdaf0b3a4910b2a7bab894eb8a675b0ff175c",
-	"batched/server":       "7ae7cbddc7e003e6a628032adf7fcbf192eca15a6a937b25544227ba1112c470",
-	"batched/server/hit":   "abfc43b55f0153e2127805efcd17d87a30f957cfc971cf2633355fdb5f43d73e",
-	"batched/client":       "ad9eb130310e6c24803010ce285c1c221428e60b4f2c1e4a5133d492df547d73",
+	"per-round/server":     "eb034d840e200217e55b4c8709e4d2242156db5051443f89707e593bf2c0fb6f",
+	"per-round/server/hit": "84992db5a3dbf7fc92069d6b4d33904e359f3c0668d8555da0df6bbecdec77b3",
+	"per-round/client":     "182572afe40612055fd23879591d06b0c9f568fd0806646a6232c9177601dd4a",
+	"batched/server":       "0eb4213cd4fb8cefdf6e2710c729e5d9465fccbf7ca9eeac6f3fb52e4a5d3927",
+	"batched/server/hit":   "c85364f025a208cc3310f7918cd43360bb4f1f747ac895f9c7a5269ec660b0fd",
+	"batched/client":       "5b3da4c0308c896d3d495a224512a48c667e8ffb52dcde995599c0fa687fc23d",
 }
 
 // corkFixture is a 4×24 request: 24 row-0 rounds are three u batches
@@ -137,11 +141,14 @@ func TestCorkNeverSpansBlockingCall(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					srvConn, cliConn := tr.conns(t)
-					srvD, cliD := corkRun(t, srvConn, cliConn, A, y, want, mode, lanes, c.run)
+					srvW, cliW := corkRun(t, srvConn, cliConn, A, y, want, mode, lanes, c.run)
+					srvD, cliD := hex.EncodeToString(srvW.digest.Sum(nil)), hex.EncodeToString(cliW.digest.Sum(nil))
 					key := mode.String() + "/server"
 					if lanes == 0 {
 						key += "/hit"
 					}
+					checkV8(t, key, srvW.v8)
+					checkV8(t, mode.String()+"/client", cliW.v8)
 					if srvD != corkDigests[key] {
 						t.Errorf("server transcript digest %s, want %s", srvD, corkDigests[key])
 					}
@@ -158,10 +165,10 @@ func TestCorkNeverSpansBlockingCall(t *testing.T) {
 // (server DRBG {11}; lanes 0 takes it from a pool entry built from
 // engine seeds {33}) to a client run over cli (client DRBG {22}) that
 // evaluates y, checks the result and the server's arena, and returns
-// the digests of the frames each end sent. A run that has not finished
+// the write counters that hashed the frames each end sent. A run that has not finished
 // in 20 s closes both conns and fails.
 func corkRun(t *testing.T, srv, cli wire.Conn, A [][]int64, y, want []int64, mode OTMode, lanes int,
-	run func(*Client, wire.Conn, []int64) ([]int64, error)) (srvDigest, cliDigest string) {
+	run func(*Client, wire.Conn, []int64) ([]int64, error)) (srvW, cliW *writeCounter) {
 	t.Helper()
 	cfg := maxsim.Config{Width: 8, AccWidth: 24, Signed: true}
 	drbg, err := label.NewDRBG([16]byte{11})
@@ -199,7 +206,7 @@ func corkRun(t *testing.T, srv, cli wire.Conn, A [][]int64, y, want []int64, mod
 		t.Fatal(err)
 	}
 
-	srvW, cliW := newWriteCounter(srv), newWriteCounter(cli)
+	srvW, cliW = newWriteCounter(srv), newWriteCounter(cli)
 	srvDone := make(chan error, 1)
 	go func() {
 		defer srv.Close()
@@ -235,10 +242,10 @@ func corkRun(t *testing.T, srv, cli wire.Conn, A [][]int64, y, want []int64, mod
 			t.Fatalf("pool hits = %d, want 1", hits)
 		}
 	}
-	if n := server.arena.Outstanding(); n != 0 {
+	if n := server.ArenaOutstanding(); n != 0 {
 		t.Fatalf("arena buffers outstanding: %d", n)
 	}
-	return hex.EncodeToString(srvW.digest.Sum(nil)), hex.EncodeToString(cliW.digest.Sum(nil))
+	return srvW, cliW
 }
 
 // TestCorkFlushesBeforeLaneWait: the cork leaves as soon as the session

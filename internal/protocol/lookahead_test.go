@@ -54,7 +54,7 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 		var res *gc.EvalResult
 		for round, v := range y {
 			in := chainRound{}
-			if in.m, in.frame, err = recvMaterial(cs.tc); err != nil {
+			if in.frame, err = recvRound(cs.tc); err != nil {
 				return nil, err
 			}
 			if row == 0 {
@@ -63,7 +63,7 @@ func lockstepRun(c *Client, conn wire.Conn, y []int64) ([]int64, error) {
 				}
 			}
 			in.active = active[round]
-			if res, err = in.eval(ev, res, row, round); err != nil {
+			if res, err = in.eval(&rowEvaluator{ev: ev}, res, row, round); err != nil {
 				return nil, err
 			}
 		}
@@ -371,7 +371,7 @@ func TestPerRoundLookaheadWriterExits(t *testing.T) {
 			case <-time.After(10 * time.Second):
 				t.Fatal("server still serving 10 s after the client failed")
 			}
-			if got := srv.arena.Outstanding(); got != 0 {
+			if got := srv.ArenaOutstanding(); got != 0 {
 				t.Errorf("arena buffers outstanding: %d", got)
 			}
 			checkGoroutines(t, before)

@@ -47,8 +47,10 @@ var errLaneStopped = errors.New("protocol: garble lane stopped")
 // min(pipeDepth·Cols, laneRounds) rounds, and the caller reads row r's
 // rounds from queue r mod lanes.
 // Lanes garble into rounds from the server's RoundPool, and a dequeued
-// round is consume's, to release before it returns; the pool reserves
-// what the request can hold at once. A lane charges wm with each
+// round is consume's, to release once it is done with it (the session's
+// cork holds it until its frame is written); the pool reserves what
+// the request can hold at once. Rounds still queued when the call
+// returns early go back to the pool. A lane charges wm with each
 // round's table bytes once the round is queued; framing it credits
 // them back. When the next round's queue has nothing ready,
 // idle runs before the caller waits on it. A lane's panic becomes its
@@ -60,11 +62,12 @@ func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A []
 	depth := min(pipeDepth*cols, laneRounds)
 	// Each lane holds its queue and the round it garbles, and consume
 	// the round it frames.
-	sess.srv.rounds.Reserve(min(n*cols, lanes*(depth+1)+1))
+	rowStats := sim.Account(cols)
+	pool := sess.srv.rounds
+	pool.Reserve(min(n*cols, lanes*(depth+1)+1))
 	ss.reg.Gauge("garble_workers", "row-garbling lanes of the last request").Set(int64(lanes))
 	rowSeconds := ss.reg.Histogram("garble_row_seconds", "wall time to garble one matrix row, back-pressure included", nil)
 	rowsTotal := ss.reg.Counter("garble_rows_total", "matrix rows garbled")
-	rowStats := sim.Account(cols)
 
 	// Lane h's queue, error and time blocked on its queue; errs[h] is
 	// set before queues[h] closes.
@@ -76,6 +79,11 @@ func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A []
 	defer func() {
 		close(stop)
 		wg.Wait()
+		for _, q := range queues {
+			for gb := range q {
+				pool.Put(gb)
+			}
+		}
 		var wait time.Duration
 		for _, w := range waits {
 			wait += w
@@ -88,12 +96,17 @@ func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A []
 		send := func(gb *gc.Garbled) error {
 			size := int64(gb.Material.CiphertextBytes())
 			t0 := time.Now()
+			var err error
 			select {
 			case q <- gb:
 			case <-stop:
-				return errLaneStopped
+				err = errLaneStopped
 			case <-ctx.Done():
-				return ctx.Err()
+				err = ctx.Err()
+			}
+			if err != nil {
+				pool.Put(gb)
+				return err
 			}
 			waits[h] += time.Since(t0)
 			wm.add(size)
@@ -108,7 +121,7 @@ func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A []
 				close(q)
 				wg.Done()
 			}()
-			lane := req.PooledLane(sess.srv.rounds)
+			lane := req.PooledLane(pool)
 			for i := h; i < n && errs[h] == nil; i += lanes {
 				t0 := time.Now()
 				errs[h] = streamRow(ss, lane, i, A[i], send)

@@ -62,12 +62,14 @@ import (
 // (batched) serves the whole request, and a v6 peer would wait for OT
 // exchanges that never come; version 8 hashes the IKNP extension's rows
 // with the fixed-key TCCR hash of gchash.HashRows instead of SHA-256,
-// so a v7 peer would unmask every OT answer into garbage labels. Any
-// other generation is
+// so a v7 peer would unmask every OT answer into garbage labels;
+// version 9 sends material in codec version 2, whose tables carry no
+// row-count byte (the header carries it once a frame), so a v8 peer
+// would refuse every material frame. Any other generation is
 // detected in the handshake — by its version field, or, for the gob
 // generations, by the first byte of its first frame — and rejected with
 // ErrVersionMismatch before a single OT byte moves.
-const ProtoVersion = 8
+const ProtoVersion = 9
 
 // ErrVersionMismatch is returned (wrapped, naming the local version and
 // what is known of the peer's) when the two endpoints speak different
@@ -160,28 +162,28 @@ func SendBusy(conn wire.Conn, retryAfter time.Duration) error {
 	return conn.SendMsg(appendBusy(nil, retryAfter))
 }
 
-// recvMaterial reads the next round-stream frame. At a round boundary
+// recvRound reads the next round-stream frame. At a round boundary
 // the garbler sends either garbled material or a terminal error frame —
 // the mechanism that lets a recovered server-side panic fail one
 // request explicitly instead of leaving the evaluator blocked until its
-// deadline. The returned Material aliases the received frame, also
-// returned: RecvMsg hands the receiver its own buffer, so no table is
-// copied, and the caller recycles the frame once the round is evaluated
-// (chainRound.eval).
-func recvMaterial(conn wire.Conn) (*gc.Material, []byte, error) {
+// deadline. A material frame is returned whole and unparsed: the
+// evaluator that takes the round parses it where it lies into its own
+// view and recycles it once the round is evaluated (chainRound.eval).
+func recvRound(conn wire.Conn) ([]byte, error) {
 	msg, err := conn.RecvMsg()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	switch tagOf(msg) {
 	case tagMaterial:
-		m, err := gc.UnmarshalMaterial(msg[1:])
-		return m, msg, err
+		return msg, nil
 	case tagError:
-		return nil, nil, fmt.Errorf("%w: %s", ErrInternal, msg[1:])
+		err = fmt.Errorf("%w: %s", ErrInternal, msg[1:])
 	default:
-		return nil, nil, fmt.Errorf("protocol: unknown round frame tag %#02x in a %d-byte frame", tagOf(msg), len(msg))
+		err = fmt.Errorf("protocol: unknown round frame tag %#02x in a %d-byte frame", tagOf(msg), len(msg))
 	}
+	wire.Recycle(msg)
+	return nil, err
 }
 
 // sendErrFrame is the garbler's best-effort abort notification on the
@@ -213,13 +215,11 @@ type Server struct {
 	// matvec requests first try a pre-garbled pool entry and only fall
 	// back to inline garbling on a miss.
 	pre *precompute.Engine
-	// arena pools the frame-assembly buffers of the streaming serve
-	// path, shared by every session (sync.Pool underneath).
-	arena *wire.Arena
 	// rounds recycles the rounds every session's lanes garble inline,
-	// of sim's circuit: the session goroutine releases a round once it
-	// is framed and transferred (stream.go), and a lane refills it in
-	// place. The pool lets go of its rounds when the last open session
+	// of sim's circuit. A round's frame is the buffer its tables were
+	// garbled into: the session's cork releases the round once the
+	// write that carries the frame returns (stream.go), and a lane
+	// refills it in place. The pool lets go of its rounds when the last open session
 	// finishes, so a server with no session holds none.
 	rounds   *gc.RoundPool
 	sessions atomic.Int64 // sessions begun and not yet finished
@@ -265,7 +265,7 @@ func NewServer(cfg maxsim.Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Server{sim: sim, arena: wire.NewArena(), rounds: rounds}, nil
+	return &Server{sim: sim, rounds: rounds}, nil
 }
 
 // checkWidths is the one bound on a served MAC shape, 1 ≤ width and
@@ -345,12 +345,14 @@ func (s *Server) WithTimeouts(t Timeouts) *Server {
 	return s
 }
 
-// ArenaOutstanding reports how many frame-assembly buffers the
-// server's wire arena currently has checked out. Every serve path —
-// success, fault, or mid-session disconnect — must return its buffers,
-// so a server with no session in flight reports zero; harnesses (cmd/
-// maxchaos) assert this after a drain as the arena-leak check.
-func (s *Server) ArenaOutstanding() int64 { return s.arena.Outstanding() }
+// ArenaOutstanding reports how many frame buffers the server's
+// sessions currently hold: the rounds taken from the server's
+// RoundPool, each the buffer its frame goes out in, and not yet put
+// back. Every serve path — success, fault, or mid-session disconnect —
+// must return its rounds, so a server with no session in flight
+// reports zero; harnesses (cmd/maxchaos) assert this after a drain as
+// the arena-leak check.
+func (s *Server) ArenaOutstanding() int64 { return s.rounds.Outstanding() }
 
 // Stats of the last served computation.
 type Stats = maxsim.Stats

@@ -1,20 +1,22 @@
 package protocol
 
 // Streaming serve path. Production and transfer overlap: the garble
-// lanes (parallel.go) queue each round as soon as it is garbled, and
-// the session goroutine frames its material with one bulk copy
-// (gc.AppendMaterial appends the round's table block, already in wire
-// layout, to a wire.Arena buffer) and runs the OT, which only row 0's
-// rounds carry (in batched mode, one OT before round 0's frame, over
-// pairs the request key fixes). Round 0's frame therefore leaves while
-// the rest of the row is still being garbled, the way MAXelerator's
-// PCIe link drains each table while the FSM garbles the next. A
-// precompute hit frames the entry's rounds in a plain loop. Frames are
-// corked and leave in one write whenever the session goroutine would
-// otherwise wait, or once the cork is full. The bytes on the wire are byte-identical to the
-// buffered path at any lane count or queue depth — only the timing and
-// the buffering change, which is what the bytes_buffered_peak gauge
-// exists to prove.
+// lanes (parallel.go) queue each round as soon as it is garbled, into
+// the buffer its frame goes out in — the tables at a fixed offset
+// behind room for the tag and the material header — and the session
+// goroutine frames it in place (gc.Garbled.Frame writes the header and
+// appends the trailer; no table is copied) and runs the OT, which only
+// row 0's rounds carry (in batched mode, one OT before round 0's frame,
+// over pairs the request key fixes). Round 0's frame therefore leaves
+// while the rest of the row is still being garbled, the way
+// MAXelerator's PCIe link drains each table while the FSM garbles the
+// next. A precompute hit frames the entry's rounds in a plain loop.
+// Frames are corked and leave in one write whenever the session
+// goroutine would otherwise wait, or once the cork is full; the cork
+// holds each round until the write that carries its frame returns. The
+// bytes on the wire are byte-identical to the buffered path at any lane
+// count or queue depth — only the timing and the buffering change,
+// which is what the bytes_buffered_peak gauge exists to prove.
 
 import (
 	"context"
@@ -22,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"maxelerator/internal/gc"
+	"maxelerator/internal/label"
 	"maxelerator/internal/maxsim"
 	"maxelerator/internal/ot"
 	"maxelerator/internal/wire"
@@ -52,16 +55,20 @@ const (
 )
 
 // cork is a session's outgoing frames waiting for one SendMsgs, and the
-// arena buffers they live in, freed once the write returns. It lives on
-// the session, so its slices are allocated once a session and reused by
-// every request.
+// rounds whose buffers they lie in, released once the write returns. It
+// lives on the session, so its slices are allocated once a session and
+// reused by every request.
 type cork struct {
-	msgs  [][]byte
-	bufs  []*wire.Buf
+	msgs    [][]byte
+	answers []byte // the corked OT answers, back to back
+	rounds  []*gc.Garbled
+	// pool takes the held rounds back; nil on a precompute hit, whose
+	// entry's rounds are dropped.
+	pool  *gc.RoundPool
 	bytes int
 }
 
-// add corks msg, which lives in a buffer already held or about to be.
+// add corks msg, which lives in a round already held or about to be.
 func (c *cork) add(msg []byte) {
 	if c.msgs == nil {
 		c.msgs = make([][]byte, 0, corkFrames)
@@ -70,19 +77,32 @@ func (c *cork) add(msg []byte) {
 	c.bytes += len(msg)
 }
 
-// hold makes the cork free b after the write that carries its frames.
-func (c *cork) hold(b *wire.Buf) {
-	if c.bufs == nil {
-		c.bufs = make([]*wire.Buf, 0, corkFrames)
+// answer appends the answer to the OT of a round with sender pairs
+// pairs to the cork's own buffer and returns it, for the cork to carry.
+func (c *cork) answer(sender *ot.ExtensionSender, pairs []label.Pair) ([]byte, error) {
+	start := len(c.answers)
+	answers, err := ot.AppendAnswer(sender, c.answers, pairs)
+	if err != nil {
+		return nil, err
 	}
-	c.bufs = append(c.bufs, b)
+	c.answers = answers // earlier corked answers keep the array they lie in
+	return answers[start:], nil
+}
+
+// hold makes the cork release gb after the write that carries its
+// frames.
+func (c *cork) hold(gb *gc.Garbled) {
+	if c.rounds == nil {
+		c.rounds = make([]*gc.Garbled, 0, corkFrames)
+	}
+	c.rounds = append(c.rounds, gb)
 }
 
 // full reports whether the cork has reached a cap.
 func (c *cork) full() bool { return len(c.msgs) >= corkFrames || c.bytes >= corkBytes }
 
 // flush writes the corked frames in one SendMsgs, one writev on a
-// stream conn, and frees their buffers whether or not it succeeds.
+// stream conn, and releases their rounds whether or not it succeeds.
 func (c *cork) flush(conn wire.Conn) error {
 	if len(c.msgs) == 0 {
 		return nil
@@ -92,14 +112,14 @@ func (c *cork) flush(conn wire.Conn) error {
 	return err
 }
 
-// drop frees the held buffers and empties the cork without sending.
+// drop releases the held rounds and empties the cork without sending.
 func (c *cork) drop() {
-	for _, b := range c.bufs {
-		b.Free()
+	for _, gb := range c.rounds {
+		c.pool.Put(gb)
 	}
-	clear(c.msgs) // pin no buffer until the next request
-	clear(c.bufs)
-	c.msgs, c.bufs, c.bytes = c.msgs[:0], c.bufs[:0], 0
+	clear(c.msgs) // pin no round until the next request
+	clear(c.rounds)
+	c.msgs, c.answers, c.rounds, c.bytes = c.msgs[:0], c.answers[:0], c.rounds[:0], 0
 }
 
 // rowStreamer frames one request's rounds on the session goroutine
@@ -115,97 +135,76 @@ type rowStreamer struct {
 	ot   OTMode
 	cork *cork
 	wm   byteWatermark
-	// rounds takes back each inline round once it is framed and its OT
-	// is done; nil on a precompute hit, whose entry's rounds are dropped.
+	// rounds takes back each inline round once the write carrying its
+	// frame returns; nil on a precompute hit, whose entry's rounds are
+	// dropped.
 	rounds *gc.RoundPool
 
-	cols     int  // rounds per row
-	n        int  // rounds consumed so far
-	reserved bool // the arena holds the cork's buffers for this request
+	cols int // rounds per row
+	n    int // rounds consumed so far
 }
 
 func newRowStreamer(sess *ServerSession, mode OTMode) *rowStreamer {
 	return &rowStreamer{sess: sess, ot: mode, cork: &sess.cork}
 }
 
-// frameMaterial assembles one round's garbled material behind the
-// material tag in a pooled arena buffer: the round's table block is
-// copied in whole, nothing is allocated. Every buffer has room for the
-// round's OT answer behind the material, whether or not the round runs
-// one, so that the arena's buffers all fit every round.
-func (st *rowStreamer) frameMaterial(gb *gc.Garbled) (*wire.Buf, error) {
-	m := &gb.Material
-	size, err := gc.MaterialSize(m)
-	if err != nil {
-		return nil, err
-	}
-	size += 1 + 32*len(gb.EvalPairs)
-	if !st.reserved { // the request's first frame: as many buffers as the cork may hold
-		st.sess.srv.arena.Reserve(min(corkFrames, corkBytes/size+2), size)
-		st.reserved = true
-	}
-	buf := st.sess.srv.arena.Get(size)
-	buf.B = append(buf.B, tagMaterial)
-	if buf.B, err = gc.AppendMaterial(buf.B, m); err != nil {
-		buf.Free()
-		return nil, err
-	}
-	return buf, nil
-}
-
-// corkMaterial corks one round's material frame.
-func (st *rowStreamer) corkMaterial(gb *gc.Garbled) error {
-	buf, err := st.frameMaterial(gb)
-	if err != nil {
-		return err
-	}
-	st.cork.hold(buf)
-	st.cork.add(buf.B)
-	return nil
+// materialFrame frames one round's material where it was garbled: the
+// material tag in the round's headroom, the header before its tables,
+// the trailer behind them. Nothing is copied or allocated: every
+// pooled round's buffer has room for the trailer.
+func materialFrame(gb *gc.Garbled) []byte {
+	f := gb.Frame()[gc.FrameHeadroom-1:]
+	f[0] = tagMaterial
+	return f
 }
 
 // corkPerRound corks a per-round row-0 round: its material, then the
-// answer to its OT, appended to the same arena buffer. The client sends
-// u up to otLookahead rounds early, and a u matrix already read ahead
-// is answered at once. Otherwise the cork, material included, is
-// flushed before the read of u blocks, so a client that sends u only
-// once the material has arrived is still served. The bytes on the wire
-// are the same either way, and the cork ends on a round boundary
-// whether this returns an error or not.
+// answer to its OT. The client sends u up to otLookahead rounds early,
+// and a u matrix already read ahead is answered at once. Otherwise the
+// cork, material included, is flushed before the read of u blocks, so
+// a client that sends u only once the material has arrived is still
+// served. The bytes on the wire are the same either way, and the cork
+// ends on a round boundary whether this returns an error or not; it
+// holds the round only on success.
 func (st *rowStreamer) corkPerRound(gb *gc.Garbled) error {
-	buf, err := st.frameMaterial(gb)
+	frame := materialFrame(gb)
+	if !wire.FrameBuffered(st.sess.tc) {
+		st.cork.add(frame)
+		if err := st.flush(); err != nil {
+			return err
+		}
+		frame = nil
+	}
+	answer, err := st.cork.answer(st.sess.sender, gb.EvalPairs)
 	if err != nil {
 		return err
 	}
-	mat := len(buf.B)
-	ahead := wire.FrameBuffered(st.sess.tc)
-	if !ahead {
-		st.cork.add(buf.B)
-		err = st.flush()
+	if frame != nil {
+		st.cork.add(frame)
 	}
-	if err == nil {
-		buf.B, err = ot.AppendAnswer(st.sess.sender, buf.B, gb.EvalPairs)
-	}
-	if err != nil {
-		buf.Free()
-		return err
-	}
-	if ahead {
-		st.cork.add(buf.B[:mat])
-	}
-	st.cork.hold(buf)
-	st.cork.add(buf.B[mat:])
+	st.cork.add(answer)
+	st.cork.hold(gb)
 	return nil
 }
 
-// consume frames one round into the cork, then releases it. Per-round
-// mode streams a row-0 round's material and runs its OT at once.
-// Batched mode runs the request's one OT over sess.pairs, filled by
-// run, before the first round's frame: its OT must precede any
-// material, and reads u, so the cork is flushed first. Every other
-// round only streams its material. The watermark drops by a round's
-// bytes once it is framed.
+// consume frames one round into the cork, which releases it once the
+// frame is written. Per-round mode streams a row-0 round's material and
+// runs its OT at once. Batched mode runs the request's one OT over
+// sess.pairs, filled by run, before the first round's frame: its OT
+// must precede any material, and reads u, so the cork is flushed first.
+// Every other round only streams its material. The watermark drops by
+// a round's bytes once it is taken to be framed.
 func (st *rowStreamer) consume(gb *gc.Garbled) error {
+	st.wm.add(-int64(gb.Material.CiphertextBytes()))
+	if err := st.frame(gb); err != nil {
+		st.rounds.Put(gb)
+		return err
+	}
+	return st.flushIfFull()
+}
+
+// frame corks gb's frames, and holds gb only on success.
+func (st *rowStreamer) frame(gb *gc.Garbled) error {
 	if st.n == 0 && st.ot == OTBatched {
 		if err := st.flush(); err != nil {
 			return err
@@ -216,24 +215,12 @@ func (st *rowStreamer) consume(gb *gc.Garbled) error {
 	}
 	row0 := st.n < st.cols
 	st.n++
-	var err error
 	if row0 && st.ot == OTPerRound {
-		err = st.corkPerRound(gb)
-	} else {
-		err = st.corkMaterial(gb)
+		return st.corkPerRound(gb)
 	}
-	if err != nil {
-		return err
-	}
-	st.release(gb)
-	return st.flushIfFull()
-}
-
-// release credits a framed round's bytes to the watermark and hands the
-// round back.
-func (st *rowStreamer) release(gb *gc.Garbled) {
-	st.wm.add(-int64(gb.Material.CiphertextBytes()))
-	st.rounds.Put(gb)
+	st.cork.add(materialFrame(gb))
+	st.cork.hold(gb)
+	return nil
 }
 
 // flush writes out the cork.
@@ -273,11 +260,13 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 			st.sess.pairs = req.AppendEvalPairs(st.sess.pairs)
 		}
 		st.rounds = st.sess.srv.rounds
+		st.cork.pool = st.rounds
 		if err := st.sess.garbleRows(ctx, req, A, workers, &st.wm, st.consume, st.flush); err != nil {
 			return err
 		}
 		return st.flush()
 	}
+	st.cork.pool = nil
 	if batched {
 		for _, gb := range pre[0].Rounds {
 			st.sess.pairs = append(st.sess.pairs, gb.EvalPairs...)

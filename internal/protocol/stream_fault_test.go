@@ -105,7 +105,7 @@ func TestPipelineStallMidChunk(t *testing.T) {
 			if elapsed > maxWait {
 				t.Fatalf("server took %v against a stalled peer (ceiling %v)", elapsed, maxWait)
 			}
-			if got := srv.arena.Outstanding(); got != 0 {
+			if got := srv.ArenaOutstanding(); got != 0 {
 				t.Errorf("arena buffers outstanding after timeout: %d", got)
 			}
 			if got := o.Metrics().Gauge("sessions_active", "").Value(); got != 0 {
@@ -185,7 +185,7 @@ func TestPipelineCutBetweenHeaderAndPayload(t *testing.T) {
 			if elapsed > 10*time.Second {
 				t.Fatalf("server took %v against a cut stream", elapsed)
 			}
-			if got := srv.arena.Outstanding(); got != 0 {
+			if got := srv.ArenaOutstanding(); got != 0 {
 				t.Errorf("arena buffers outstanding after cut: %d", got)
 			}
 		})
@@ -244,7 +244,7 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 	// Wait until the arena proves a buffer is held by the blocked
 	// write — the precise state the cancellation must clean up.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.arena.Outstanding() == 0 {
+	for srv.ArenaOutstanding() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never blocked holding an arena buffer")
 		}
@@ -260,7 +260,7 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancellation did not interrupt the blocked frame write")
 	}
-	if got := srv.arena.Outstanding(); got != 0 {
+	if got := srv.ArenaOutstanding(); got != 0 {
 		t.Errorf("arena buffers outstanding after cancellation: %d", got)
 	}
 	if got := o.Metrics().Gauge("sessions_active", "").Value(); got != 0 {

@@ -207,8 +207,12 @@ func chainFixture() ([][]int64, []int64) {
 // time for protocol v8: IKNP row hash is fixed-key TCCR. The OT answer
 // frames are the labels masked by gchash.HashRows instead of SHA-256,
 // and the hello carries version 8; every material frame and every
-// frame length is unchanged.
-const chainTranscriptDigest = "638afa2d9067d2b1dd1e6164aa3d488144304421fff3c094252a2e6bcd91b22c"
+// frame length is unchanged. It was re-pinned a sixth time for
+// protocol v9: every table's row-count byte is stripped from the
+// material frames (the header carries it once), the codec version is
+// 2 and the hello carries version 9. TestV9TranscriptIsV8Stripped puts
+// the bytes back and gets the v8 transcript, byte for byte.
+const chainTranscriptDigest = "44745eaaccf7b40b0f52a6c72f7d94f8f3d92ab12c2f2cd11f98fb8bb72ee060"
 
 func framesDigest(frames [][]byte) string {
 	h := sha256.New()
@@ -518,10 +522,10 @@ func batchedRun(c *Client, conn wire.Conn, y []int64, otDone chan<- struct{}) ([
 		var res *gc.EvalResult
 		for round := range y {
 			in := chainRound{active: shared[round*cs.h.Width : (round+1)*cs.h.Width]}
-			if in.m, in.frame, err = recvMaterial(cs.tc); err != nil {
+			if in.frame, err = recvRound(cs.tc); err != nil {
 				return nil, err
 			}
-			if res, err = in.eval(ev, res, row, round); err != nil {
+			if res, err = in.eval(&rowEvaluator{ev: ev}, res, row, round); err != nil {
 				return nil, err
 			}
 		}
@@ -602,8 +606,11 @@ func TestBatchedOTBeforeRowZero(t *testing.T) {
 // per-round OT frames in each 2×3 request, and the batched 3×2 OT
 // covers 2·8 labels instead of 6·8), and every label moves. It was
 // re-pinned a second time for protocol v8: IKNP row hash is fixed-key
-// TCCR. Only the OT answer frames and the hello's version move.
-const recycledRoundsDigest = "2c73f7f0d2743f981caa973629373ef00d5dc654fd6bbe0f9f9c573c771d716b"
+// TCCR. Only the OT answer frames and the hello's version move. It was
+// re-pinned a third time for protocol v9: the material frames lose
+// every table's row-count byte (TestV9TranscriptIsV8Stripped shows
+// that nothing else moved), and the hello carries version 9.
+const recycledRoundsDigest = "d43d84f89fb9d3cff374830277460bf5a3c978f5cef8563a666ff518813d478f"
 
 // TestRecycledRoundsTranscriptDigest serves three requests on one
 // seeded two-lane session — per-round 2×3, batched 3×2, per-round 2×3 —
@@ -613,6 +620,15 @@ const recycledRoundsDigest = "2c73f7f0d2743f981caa973629373ef00d5dc654fd6bbe0f9f
 // byte stream must equal the one the fresh-allocating path sent, and
 // every result must be right.
 func TestRecycledRoundsTranscriptDigest(t *testing.T) {
+	if d := framesDigest(recycledRoundsFrames(t)); d != recycledRoundsDigest {
+		t.Fatalf("transcript digest %s, want %s", d, recycledRoundsDigest)
+	}
+}
+
+// recycledRoundsFrames serves TestRecycledRoundsTranscriptDigest's
+// session, checks every result, and returns the server's frames.
+func recycledRoundsFrames(t *testing.T) [][]byte {
+	t.Helper()
 	drbg, err := label.NewDRBG([16]byte{41})
 	if err != nil {
 		t.Fatal(err)
@@ -689,7 +705,5 @@ func TestRecycledRoundsTranscriptDigest(t *testing.T) {
 	if srvErr != nil {
 		t.Fatal(srvErr)
 	}
-	if d := framesDigest(rec.frames()); d != recycledRoundsDigest {
-		t.Fatalf("transcript digest %s, want %s", d, recycledRoundsDigest)
-	}
+	return rec.frames()
 }

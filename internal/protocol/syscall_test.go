@@ -55,10 +55,11 @@ type writeCounter struct {
 	open                bool
 	uWrites             int
 	digest              hash.Hash
+	v8                  hash.Hash // the frames as v8 sent them (strip_test.go)
 }
 
 func newWriteCounter(c wire.Conn) *writeCounter {
-	return &writeCounter{Conn: c, digest: sha256.New()}
+	return &writeCounter{Conn: c, digest: sha256.New(), v8: sha256.New()}
 }
 
 func (c *writeCounter) SendMsg(m []byte) error { return c.SendMsgs([][]byte{m}) }
@@ -72,6 +73,10 @@ func (c *writeCounter) SendMsgs(ms [][]byte) error {
 		binary.BigEndian.PutUint32(n[:], uint32(len(m)))
 		c.digest.Write(n[:])
 		c.digest.Write(m)
+		v8 := asV8(m)
+		binary.BigEndian.PutUint32(n[:], uint32(len(v8)))
+		c.v8.Write(n[:])
+		c.v8.Write(v8)
 		c.sent++
 		us = us && len(m) == ot.Kappa
 		c.open = c.open || len(m) == 1 && m[0] == tagReqOpen
@@ -173,13 +178,13 @@ func requestsFirstRun(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{
 	var res *gc.EvalResult
 	for round := range y {
 		in := chainRound{}
-		if in.m, in.frame, err = recvMaterial(cs.tc); err != nil {
+		if in.frame, err = recvRound(cs.tc); err != nil {
 			return nil, err
 		}
 		if in.active, err = ot.FinishLabels(cs.receiver, pending[round]); err != nil {
 			return nil, err
 		}
-		if res, err = in.eval(ev, res, 0, round); err != nil {
+		if res, err = in.eval(&rowEvaluator{ev: ev}, res, 0, round); err != nil {
 			return nil, err
 		}
 	}
@@ -194,8 +199,11 @@ func requestsFirstRun(c *Client, conn wire.Conn, y []int64, setUp <-chan struct{
 // fixture served from a pool entry built from engine seeds {33},
 // recorded before either end corked its writes. It was re-pinned once,
 // for protocol v8: IKNP row hash is fixed-key TCCR. Only the OT answer
-// frames and the hello's version move.
-const chainHitDigest = "f80479dd5ca5e9451f445690eccbd2fb55286199bb3e2416c30458eb1e94c2d9"
+// frames and the hello's version move. It was re-pinned a second time
+// for protocol v9: the material frames lose every table's row-count
+// byte and the hello carries version 9; the test's v8 digest
+// (strip_test.go) shows that nothing else moved.
+const chainHitDigest = "5d659b25062e9a12701fcbcd0cc191233a1586477a124da3e37a2b19b4b40e10"
 
 // TestPerRoundSyscalls runs the 1×64 b=8 chain fixture over loopback
 // TCP with a read and write count under both ends, garbled inline and
@@ -330,6 +338,9 @@ func TestPerRoundSyscalls(t *testing.T) {
 			if d := hex.EncodeToString(srvConn.digest.Sum(nil)); d != digest {
 				t.Fatalf("server transcript digest %s, want %s", d, digest)
 			}
+			if tc.hit {
+				checkV8(t, "chain/hit", srvConn.v8)
+			}
 			if hits, _ := eng.PoolStats(); tc.hit && hits != 1 {
 				t.Fatalf("pool hits = %d, want 1", hits)
 			}
@@ -435,7 +446,7 @@ func TestPerRoundStallMidBatch(t *testing.T) {
 		t.Fatalf("%d round writes carried %d frames before the stall; want each to carry a whole round or more, and the stall before the last round",
 			writes, frames)
 	}
-	if n := srv.arena.Outstanding(); n != 0 {
+	if n := srv.ArenaOutstanding(); n != 0 {
 		t.Errorf("arena buffers outstanding after the timeout: %d", n)
 	}
 	if n := o.Metrics().Gauge("sessions_active", "").Value(); n != 0 {

@@ -83,17 +83,22 @@ func parseFrames(data []byte, limit int) (frames [][]byte, cuts []int, err error
 }
 
 // checkRecv reads data through one stream conn under limit, chunked by
-// mode, and holds it to parseFrames: the same frames, then the same
-// stop. Every other frame is recycled and the rest held, which must not
-// change. Under the set-up cap no Read asks for more than the largest
-// frame it admits, and a prefix over the cap is refused with nothing
-// read past the window it arrived in.
-func checkRecv(t *testing.T, data []byte, limit int, mode byte, seed int64) {
+// mode, lending frames in place when lend is set, and holds it to
+// parseFrames: the same frames, then the same stop. Every other frame
+// is recycled and the rest held, which must not change — a lent frame
+// shares its read-ahead buffer with the frames read after it. Under the
+// set-up cap no Read asks for more than the largest frame it admits,
+// and a prefix over the cap is refused with nothing read past the
+// window it arrived in.
+func checkRecv(t *testing.T, data []byte, limit int, mode byte, seed int64, lend bool) {
 	t.Helper()
 	want, cuts, wantErr := parseFrames(data, limit)
 	r := newChunkReader(data, mode, seed, cuts)
 	c := NewStreamConn(r)
 	LimitRecv(c, limit)
+	if lend {
+		LendFrames(c)
+	}
 	held := make([][]byte, len(want))
 	for i, w := range want {
 		got, err := c.RecvMsg()
@@ -111,9 +116,14 @@ func checkRecv(t *testing.T, data []byte, limit int, mode byte, seed int64) {
 	}
 	for i := 1; i < len(want); i += 2 {
 		if !bytes.Equal(held[i], want[i]) {
-			t.Fatalf("mode %d: held frame %d changed", mode, i)
+			t.Fatalf("mode %d lend %t: held frame %d changed", mode, lend, i)
 		}
 	}
+	defer func() {
+		for _, h := range held {
+			Recycle(h) // a lent frame must come back, or its buffer stays on loan
+		}
+	}()
 	_, err := c.RecvMsg()
 	switch wantErr {
 	case io.EOF:
@@ -160,7 +170,8 @@ func FuzzStreamConnRecv(f *testing.F) {
 			limit = SetupFrameLimit
 		}
 		for mode := byte(0); mode < 3; mode++ {
-			checkRecv(t, data, limit, mode, seed)
+			checkRecv(t, data, limit, mode, seed, false)
+			checkRecv(t, data, limit, mode, seed, true)
 		}
 	})
 }
@@ -168,7 +179,8 @@ func FuzzStreamConnRecv(f *testing.F) {
 // FuzzStreamConnRoundTrip checks that any sequence of messages
 // round-trips exactly through the framing, sent one SendMsg at a time
 // or in one SendMsgs (the same bytes), and read back in every chunk
-// shape while the receiver recycles every other message. The sequence
+// shape, copied out and lent in place, while the receiver recycles
+// every other message. The sequence
 // carries an empty frame and one larger than the read-ahead window, and
 // the stream then ends on a frame boundary, or cut inside a frame.
 func FuzzStreamConnRoundTrip(f *testing.F) {
@@ -192,10 +204,11 @@ func FuzzStreamConnRoundTrip(f *testing.F) {
 		}
 		stream := one.Bytes()
 		for mode := byte(0); mode < 3; mode++ {
-			checkRecv(t, stream, MaxMessageSize, mode, seed)
+			checkRecv(t, stream, MaxMessageSize, mode, seed, false)
+			checkRecv(t, stream, MaxMessageSize, mode, seed, true)
 		}
 		if n := int(cut % uint32(len(stream))); n > 0 {
-			checkRecv(t, stream[:n], MaxMessageSize, byte(cut), seed)
+			checkRecv(t, stream[:n], MaxMessageSize, byte(cut), seed, cut%2 == 0)
 		}
 	})
 }

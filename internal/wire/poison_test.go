@@ -2,7 +2,11 @@
 
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+	"unsafe"
+)
 
 // TestPoisonFillsRecycledBodies: in a poison build a recycled body is
 // 0xA5 to its capacity, so a frame read after its release is garbage.
@@ -16,5 +20,47 @@ func TestPoisonFillsRecycledBodies(t *testing.T) {
 		if v != 0xA5 {
 			t.Fatalf("byte %d of a recycled body is %#x, want 0xa5", i, v)
 		}
+	}
+}
+
+// TestPoisonLentFrames: frames lent from one read-ahead buffer are
+// released one at a time. In a poison build a recycled frame is 0xA5 at
+// once, while the frames sharing its buffer stay intact until they are
+// recycled in turn, and the buffer goes back to its size class only
+// then.
+func TestPoisonLentFrames(t *testing.T) {
+	var stream []byte
+	for i := range 3 {
+		stream = append(stream, 0, 0, 0, 8)
+		stream = append(stream, bytes.Repeat([]byte{byte(i + 1)}, 8)...)
+	}
+	c := NewStreamConn(bytes.NewBuffer(stream))
+	LendFrames(c)
+	var frames [][]byte
+	for range 3 {
+		f, err := c.RecvMsg()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	at := func(f []byte) uintptr { return uintptr(unsafe.Pointer(&f[0])) }
+	if at(frames[1])-at(frames[0]) != 12 || at(frames[2])-at(frames[1]) != 12 {
+		t.Fatal("the frames were not lent from one read-ahead buffer")
+	}
+	intact := func(i int) bool { return bytes.Equal(frames[i], bytes.Repeat([]byte{byte(i + 1)}, 8)) }
+	for i := range frames {
+		Recycle(frames[i])
+		if !bytes.Equal(frames[i], bytes.Repeat([]byte{0xA5}, 8)) {
+			t.Fatalf("frame %d reads %x after its release, want a5s", i, frames[i])
+		}
+		for j := i + 1; j < len(frames); j++ {
+			if !intact(j) {
+				t.Fatalf("releasing frame %d poisoned frame %d, still lent", i, j)
+			}
+		}
+	}
+	if b := body(readAhead); at(b[4:]) != at(frames[0]) {
+		t.Fatal("the read-ahead buffer did not go back to its size class once every frame was released")
 	}
 }

@@ -123,6 +123,12 @@ type streamConn struct {
 	// rlimit is the largest frame RecvMsg accepts; zero means
 	// MaxMessageSize. See LimitRecv.
 	rlimit atomic.Int64
+
+	// Lending, guarded by rmu: once lends is set (LendFrames), a frame
+	// that fits the read-ahead window is returned in place, and rloan
+	// is rbuf's loan once a frame has been lent from it (lend.go).
+	lends bool
+	rloan *loan
 }
 
 // readAhead bounds one read of the transport: a frame whose header and
@@ -176,9 +182,9 @@ func (c *streamConn) SendMsgs(msgs [][]byte) error {
 
 // RecvMsg returns the next frame. A frame that fits in the read-ahead
 // window is copied out of the read-ahead buffer, filled by as few reads
-// as the transport allows; a larger one has its header and whatever
-// was read ahead of its body copied, and the rest of the body read
-// straight into it. A length prefix over the receive cap is refused
+// as the transport allows, or lent where it lies once LendFrames has
+// been called; a larger one has its header and whatever was read ahead
+// of its body copied, and the rest of the body read straight into it. A length prefix over the receive cap is refused
 // before any body is drawn.
 func (c *streamConn) RecvMsg() ([]byte, error) {
 	c.rmu.Lock()
@@ -205,6 +211,12 @@ func (c *streamConn) RecvMsg() ([]byte, error) {
 		}
 	}
 	c.roff += frameHeaderSize
+	if c.lends && n > 0 && frameHeaderSize+n <= window {
+		msg := c.rbuf[c.roff : c.roff+n : c.roff+n]
+		c.roff += n
+		c.lend(msg)
+		return msg, nil
+	}
 	msg := body(n)
 	k := copy(msg, c.rbuf[c.roff:])
 	c.roff += k
@@ -231,10 +243,12 @@ func (c *streamConn) fill(need, window int) error {
 		return nil
 	}
 	switch {
-	case cap(c.rbuf) < window: // the first read, or the cap was lifted
+	// The first read, the cap lifted, or no room left in a buffer that
+	// frames are lent from: the unread bytes move to a new buffer.
+	case cap(c.rbuf) < window || c.roff+window > cap(c.rbuf) && c.rloan != nil:
 		b := body(window)[:have]
 		copy(b, c.rbuf[c.roff:])
-		Recycle(c.rbuf)
+		c.letGo()
 		c.rbuf, c.roff = b, 0
 	case c.roff+window > cap(c.rbuf):
 		c.rbuf = c.rbuf[:copy(c.rbuf, c.rbuf[c.roff:])]
@@ -256,7 +270,7 @@ func (c *streamConn) fill(need, window int) error {
 // drained hands the read-ahead buffer back once nothing in it is unread.
 func (c *streamConn) drained() {
 	if c.roff == len(c.rbuf) {
-		Recycle(c.rbuf)
+		c.letGo()
 		c.rbuf, c.roff = nil, 0
 	}
 }
@@ -627,6 +641,21 @@ func FrameBuffered(c Conn) bool {
 func LimitRecv(c Conn, n int) {
 	if sc := streamUnder(c); sc != nil {
 		sc.rlimit.Store(int64(n))
+	}
+}
+
+// LendFrames makes the stream connection underneath c return every
+// frame that fits its read-ahead window where it lies in the read-ahead
+// buffer, instead of a copy, from its next RecvMsg on. The receiver
+// must then hand every frame back with Recycle once done with it: a
+// read-ahead buffer goes back to the body classes only once the conn
+// has read past it and every frame lent from it is recycled. In-memory
+// pipes already hand over their own copies and ignore it.
+func LendFrames(c Conn) {
+	if sc := streamUnder(c); sc != nil {
+		sc.rmu.Lock()
+		sc.lends = true
+		sc.rmu.Unlock()
 	}
 }
 
