@@ -62,12 +62,12 @@ func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A []
 	depth := min(pipeDepth*cols, laneRounds)
 	// Each lane holds its queue and the round it garbles, and consume
 	// the round it frames.
-	rowStats := sim.Account(cols)
 	pool := sess.srv.rounds
 	pool.Reserve(min(n*cols, lanes*(depth+1)+1))
 	ss.reg.Gauge("garble_workers", "row-garbling lanes of the last request").Set(int64(lanes))
 	rowSeconds := ss.reg.Histogram("garble_row_seconds", "wall time to garble one matrix row, back-pressure included", nil)
 	rowsTotal := ss.reg.Counter("garble_rows_total", "matrix rows garbled")
+	rowStats := sim.Account(cols)
 
 	// Lane h's queue, error and time blocked on its queue; errs[h] is
 	// set before queues[h] closes.

@@ -135,10 +135,6 @@ type rowStreamer struct {
 	ot   OTMode
 	cork *cork
 	wm   byteWatermark
-	// rounds takes back each inline round once the write carrying its
-	// frame returns; nil on a precompute hit, whose entry's rounds are
-	// dropped.
-	rounds *gc.RoundPool
 
 	cols int // rounds per row
 	n    int // rounds consumed so far
@@ -197,7 +193,7 @@ func (st *rowStreamer) corkPerRound(gb *gc.Garbled) error {
 func (st *rowStreamer) consume(gb *gc.Garbled) error {
 	st.wm.add(-int64(gb.Material.CiphertextBytes()))
 	if err := st.frame(gb); err != nil {
-		st.rounds.Put(gb)
+		st.cork.pool.Put(gb)
 		return err
 	}
 	return st.flushIfFull()
@@ -259,8 +255,7 @@ func (st *rowStreamer) run(ctx context.Context, A [][]int64, workers int, pre []
 		if batched {
 			st.sess.pairs = req.AppendEvalPairs(st.sess.pairs)
 		}
-		st.rounds = st.sess.srv.rounds
-		st.cork.pool = st.rounds
+		st.cork.pool = st.sess.srv.rounds
 		if err := st.sess.garbleRows(ctx, req, A, workers, &st.wm, st.consume, st.flush); err != nil {
 			return err
 		}
