@@ -184,8 +184,9 @@ func (c *streamConn) SendMsgs(msgs [][]byte) error {
 // window is copied out of the read-ahead buffer, filled by as few reads
 // as the transport allows, or lent where it lies once LendFrames has
 // been called; a larger one has its header and whatever was read ahead
-// of its body copied, and the rest of the body read straight into it. A length prefix over the receive cap is refused
-// before any body is drawn.
+// of its body copied, and the rest of the body read straight into it.
+// A length prefix over the receive cap is refused before any body is
+// drawn.
 func (c *streamConn) RecvMsg() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
