@@ -187,8 +187,9 @@ func TestMaterialCodecRejectsBadVersion(t *testing.T) {
 // hostileHeaders returns, for each of the four count fields of a valid
 // encoding, that encoding with the count replaced by 2^32−1, by 1<<24,
 // and by one more than the frame holds; the encoding with 255 rows a
-// table; and the bare 14-byte header (version, tweak, table count, rows)
-// that needs no valid frame around it.
+// table; the bare 14-byte header (version, tweak, table count, rows)
+// that needs no valid frame around it; and the encoding with no tables
+// that says 2^32−1 tables of 0 rows, or 0 tables of 2 rows.
 func hostileHeaders(t testing.TB) map[string][]byte {
 	c := circuit.MustMAC(circuit.MACConfig{Width: 4, AccWidth: 8})
 	g, err := NewGarbler(DefaultParams(), rand.Reader)
@@ -225,6 +226,16 @@ func hostileHeaders(t testing.TB) map[string][]byte {
 		"rows/255":           append([]byte(nil), enc...),
 	}
 	out["rows/255"][tablesAt+4] = 255
+	bare := *m
+	bare.NumTables, bare.TableBlock = 0, nil
+	none, err := MarshalMaterial(&bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["rows/0"] = append([]byte(nil), none...)
+	binary.LittleEndian.PutUint32(out["rows/0"][tablesAt:], 1<<32-1)
+	out["no tables/rows"] = append([]byte(nil), none...)
+	out["no tables/rows"][tablesAt+4] = 2
 	for _, f := range fields {
 		for _, v := range []struct {
 			name  string

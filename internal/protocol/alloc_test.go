@@ -141,7 +141,7 @@ var raceDetector bool
 // Every cell was re-measured (eight runs, objects then KiB) when the
 // client stopped allocating a gc.Material, its garbler labels and its
 // permute bits per received frame (each slot parses into one reused
-// view, in place in the read-ahead buffer the frame was lent from),
+// view, in place in the frame's recycled body),
 // a Dial stopped rebuilding the MAC of a shape the process had
 // lowered, and the server began garbling into the buffer each frame
 // goes out in, so its cork holds rounds instead of arena copies.

@@ -139,9 +139,6 @@ func (c *Client) Dial(conn wire.Conn) (*ClientSession, error) {
 		return nil, err
 	}
 	tc.enterPhase(phaseRequestOpen)
-	// Every frame from here on is recycled once read, so a round's
-	// frame is evaluated where the read-ahead put it (wire.LendFrames).
-	wire.LendFrames(tc)
 	return &ClientSession{tc: tc, h: h, macCkt: ckt, receiver: receiver}, nil
 }
 

@@ -28,9 +28,9 @@ func (r *loopReader) Read(p []byte) (int, error) {
 func (*loopReader) Write(p []byte) (int, error) { return len(p), nil }
 
 // warmRound is one client slot's work on a stream of round-0 material
-// frames of the signed b-bit MAC: the conn the frames arrive on, lent
-// in place as the client's are, the slot's evaluator and view, and the
-// round's active evaluator labels.
+// frames of the signed b-bit MAC: the stream conn the frames arrive
+// on, the slot's evaluator and view, and the round's active evaluator
+// labels.
 type warmRound struct {
 	conn   wire.Conn
 	re     *rowEvaluator
@@ -40,7 +40,7 @@ type warmRound struct {
 }
 
 // newWarmRound frames one round 0 of x·y on the MAC of width b, as the
-// serve path frames it, and repeats it on a lending stream conn.
+// serve path frames it, and repeats it on a stream conn.
 func newWarmRound(t testing.TB, b int) *warmRound {
 	c, err := loweredMAC(circuit.MACConfig{Width: b, AccWidth: 2 * b, Signed: true})
 	if err != nil {
@@ -79,7 +79,6 @@ func newWarmRound(t testing.TB, b int) *warmRound {
 	}
 	w.re = &rowEvaluator{ev: ev}
 	w.conn = wire.NewStreamConn(&loopReader{b: framed})
-	wire.LendFrames(w.conn)
 	return w
 }
 
@@ -100,9 +99,9 @@ func (w *warmRound) round(t testing.TB) {
 }
 
 // TestClientRoundAllocatesNothing: once warm, a client slot receives a
-// round's frame (lent in place from the read-ahead buffer), parses it
-// into its view, evaluates it and recycles it without a heap object —
-// at b=8, where frames share a read-ahead buffer, and at b=16.
+// round's frame into a recycled body, parses it into its view in place,
+// evaluates it and recycles it without a heap object — at b=8 and at
+// b=16.
 func TestClientRoundAllocatesNothing(t *testing.T) {
 	for _, b := range []int{8, 16} {
 		w := newWarmRound(t, b)
@@ -113,13 +112,13 @@ func TestClientRoundAllocatesNothing(t *testing.T) {
 }
 
 // BenchmarkRecvEvalRound prices a client slot's whole round — receive
-// from the read-ahead, parse in place, evaluate, recycle — per AND, at
-// b=8 and b=16.
+// into a recycled body, parse in place, evaluate, recycle — per AND,
+// at b=8 and b=16.
 func BenchmarkRecvEvalRound(b *testing.B) {
 	for _, width := range []int{8, 16} {
 		b.Run(fmt.Sprintf("b=%d", width), func(b *testing.B) {
 			w := newWarmRound(b, width)
-			for range 64 { // read-ahead buffers, loans and the view grown
+			for range 64 { // bodies and the view grown
 				w.round(b)
 			}
 			b.ReportAllocs()

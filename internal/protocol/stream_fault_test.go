@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,12 +195,34 @@ func TestPipelineCutBetweenHeaderAndPayload(t *testing.T) {
 	t.Cleanup(func() { checkGoroutines(t, before) })
 }
 
+// materialSent is a server conn that reports, by closing entered, the
+// first send carrying a material frame, as the send begins; the frames
+// still go out in one SendMsgs.
+type materialSent struct {
+	wire.Conn
+	once    sync.Once
+	entered chan struct{}
+}
+
+func (c *materialSent) SendMsg(m []byte) error { return c.SendMsgs([][]byte{m}) }
+
+func (c *materialSent) SendMsgs(ms [][]byte) error {
+	for _, m := range ms {
+		if tagOf(m) == tagMaterial {
+			c.once.Do(func() { close(c.entered) })
+		}
+	}
+	return c.Conn.SendMsgs(ms)
+}
+
+func (c *materialSent) Unwrap() wire.Conn { return c.Conn }
+
 // TestPipelineCancelWhileArenaHoldsBuffers: over a synchronous pipe a
 // non-reading peer leaves the server blocked inside a vectored frame
-// write — an arena buffer checked out, rounds queued on the lanes.
-// Cancelling the context (no timeouts configured) must interrupt the
-// blocked write, return the buffer to the arena, and unwind the lanes
-// and gauges.
+// write — the rounds it carries held by the cork, more queued on the
+// lanes. Cancelling the context (no timeouts configured) must interrupt
+// the blocked write, return every round to the pool, and unwind the
+// lanes and gauges.
 func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	o := obs.New(4)
@@ -213,7 +236,7 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	p1, p2 := net.Pipe()
-	sconn := wire.NewStreamConn(p1)
+	sconn := &materialSent{Conn: wire.NewStreamConn(p1), entered: make(chan struct{})}
 	cconn := wire.NewStreamConn(p2)
 	defer p1.Close()
 	defer p2.Close()
@@ -234,21 +257,23 @@ func TestPipelineCancelWhileArenaHoldsBuffers(t *testing.T) {
 
 	// The client completes setup and opens the request, then goes
 	// silent without reading: the server's first material frame blocks
-	// mid-write with its arena buffer checked out.
+	// mid-write with the rounds it carries held by the cork.
 	cs, err := cli.Dial(cconn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	openRequestByHand(t, cs)
 
-	// Wait until the arena proves a buffer is held by the blocked
-	// write — the precise state the cancellation must clean up.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.ArenaOutstanding() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("server never blocked holding an arena buffer")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait until the server is writing its first material frame, which
+	// the silent peer never reads: the write blocks holding the rounds
+	// it carries — the precise state the cancellation must clean up.
+	select {
+	case <-sconn.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never began writing a material frame")
+	}
+	if srv.ArenaOutstanding() == 0 {
+		t.Fatal("the blocked material write holds no round")
 	}
 	cancel()
 

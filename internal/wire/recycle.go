@@ -38,9 +38,7 @@ func body(n int) []byte {
 }
 
 // Recycle hands back msg, a message a RecvMsg returned that the caller
-// owns and no longer reads, so that a later RecvMsg reuses its buffer —
-// for a frame lent in place (LendFrames), once every frame sharing its
-// read-ahead buffer is back.
+// owns and no longer reads, so that a later RecvMsg reuses its buffer.
 // Nothing may touch msg, or anything aliasing it, afterwards. A
 // zero-capacity msg is ignored.
 func Recycle(msg []byte) {
@@ -50,7 +48,5 @@ func Recycle(msg []byte) {
 	if recycle.Poison {
 		recycle.Scribble(msg[:cap(msg)])
 	}
-	if !repay(msg) {
-		bodies[min(bits.Len(uint(cap(msg)))-1, maxClass)].Put(msg[:0])
-	}
+	bodies[min(bits.Len(uint(cap(msg)))-1, maxClass)].Put(msg[:0])
 }

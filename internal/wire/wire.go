@@ -123,19 +123,19 @@ type streamConn struct {
 	// rlimit is the largest frame RecvMsg accepts; zero means
 	// MaxMessageSize. See LimitRecv.
 	rlimit atomic.Int64
-
-	// Lending, guarded by rmu: once lends is set (LendFrames), a frame
-	// that fits the read-ahead window is returned in place, and rloan
-	// is rbuf's loan once a frame has been lent from it (lend.go).
-	lends bool
-	rloan *loan
 }
 
-// readAhead bounds one read of the transport: a frame whose header and
-// body fit in it is served from the read-ahead buffer, together with
-// whatever that read brought in behind it; a larger body is read
-// straight into its own buffer.
+// readAhead bounds one read of the transport: a small frame whose
+// header and body fit in it is served from the read-ahead buffer,
+// together with whatever that read brought in behind it.
 const readAhead = 64 << 10
+
+// directRead is the smallest body read straight into its own buffer:
+// whatever of it the read-ahead already holds is copied, and the rest
+// goes into the body with no second copy. A garbled round's frame at
+// b ≥ 16 is larger; control frames and per-round OT messages are
+// smaller and come out of the read-ahead.
+const directRead = 4 << 10
 
 // NewStreamConn wraps a byte stream (e.g. a *net.TCPConn) as a Conn.
 // Closing the Conn closes the underlying stream when it implements
@@ -180,13 +180,12 @@ func (c *streamConn) SendMsgs(msgs [][]byte) error {
 	return nil
 }
 
-// RecvMsg returns the next frame. A frame that fits in the read-ahead
-// window is copied out of the read-ahead buffer, filled by as few reads
-// as the transport allows, or lent where it lies once LendFrames has
-// been called; a larger one has its header and whatever was read ahead
-// of its body copied, and the rest of the body read straight into it.
-// A length prefix over the receive cap is refused before any body is
-// drawn.
+// RecvMsg returns the next frame. A frame under directRead that fits
+// in the read-ahead window is copied out of the read-ahead buffer,
+// filled by as few reads as the transport allows; a larger one has
+// whatever was read ahead of its body copied, and the rest of the body
+// read straight into it. A length prefix over the receive cap is
+// refused before any body is drawn.
 func (c *streamConn) RecvMsg() ([]byte, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -206,22 +205,16 @@ func (c *streamConn) RecvMsg() ([]byte, error) {
 		c.roff += frameHeaderSize
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	if frameHeaderSize+n <= window {
+	if frameHeaderSize+n <= window && n < directRead {
 		if err := c.fill(frameHeaderSize+n, window); err != nil {
 			return nil, fmt.Errorf("wire: reading frame body: %w", err)
 		}
 	}
 	c.roff += frameHeaderSize
-	if c.lends && n > 0 && frameHeaderSize+n <= window {
-		msg := c.rbuf[c.roff : c.roff+n : c.roff+n]
-		c.roff += n
-		c.lend(msg)
-		return msg, nil
-	}
 	msg := body(n)
 	k := copy(msg, c.rbuf[c.roff:])
 	c.roff += k
-	if k < n { // past the window: the rest of the body goes straight into msg
+	if k < n { // the rest of the body goes straight into msg
 		c.drained()
 		if _, err := io.ReadFull(c.rw, msg[k:]); err != nil {
 			Recycle(msg)
@@ -244,12 +237,10 @@ func (c *streamConn) fill(need, window int) error {
 		return nil
 	}
 	switch {
-	// The first read, the cap lifted, or no room left in a buffer that
-	// frames are lent from: the unread bytes move to a new buffer.
-	case cap(c.rbuf) < window || c.roff+window > cap(c.rbuf) && c.rloan != nil:
+	case cap(c.rbuf) < window: // the first read, or the cap was lifted
 		b := body(window)[:have]
 		copy(b, c.rbuf[c.roff:])
-		c.letGo()
+		Recycle(c.rbuf)
 		c.rbuf, c.roff = b, 0
 	case c.roff+window > cap(c.rbuf):
 		c.rbuf = c.rbuf[:copy(c.rbuf, c.rbuf[c.roff:])]
@@ -271,7 +262,7 @@ func (c *streamConn) fill(need, window int) error {
 // drained hands the read-ahead buffer back once nothing in it is unread.
 func (c *streamConn) drained() {
 	if c.roff == len(c.rbuf) {
-		c.letGo()
+		Recycle(c.rbuf)
 		c.rbuf, c.roff = nil, 0
 	}
 }
@@ -642,21 +633,6 @@ func FrameBuffered(c Conn) bool {
 func LimitRecv(c Conn, n int) {
 	if sc := streamUnder(c); sc != nil {
 		sc.rlimit.Store(int64(n))
-	}
-}
-
-// LendFrames makes the stream connection underneath c return every
-// frame that fits its read-ahead window where it lies in the read-ahead
-// buffer, instead of a copy, from its next RecvMsg on. The receiver
-// must then hand every frame back with Recycle once done with it: a
-// read-ahead buffer goes back to the body classes only once the conn
-// has read past it and every frame lent from it is recycled. In-memory
-// pipes already hand over their own copies and ignore it.
-func LendFrames(c Conn) {
-	if sc := streamUnder(c); sc != nil {
-		sc.rmu.Lock()
-		sc.lends = true
-		sc.rmu.Unlock()
 	}
 }
 
