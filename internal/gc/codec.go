@@ -175,16 +175,12 @@ func (m *Material) Parse(data []byte) error {
 		return fmt.Errorf("gc: unsupported material version %d", hdr[0])
 	}
 	m.TweakBase = binary.LittleEndian.Uint64(hdr[1:])
-	// The table region is sized by one multiply, checked against what
-	// remains before it sizes anything, and aliased. Its row count is
-	// zero exactly when it holds no table, as the encoder writes it.
+	// One multiply sizes the table region, checked (0 rows exactly when
+	// 0 tables) against what remains before it sizes anything; aliased.
 	count, rows := binary.LittleEndian.Uint32(hdr[9:]), hdr[13]
-	if (count == 0) != (rows == 0) {
-		return fmt.Errorf("gc: %d tables of %d rows", count, rows)
-	}
 	size := uint64(count) * uint64(rows) * label.Size
-	if size > uint64(len(data)-d.off) {
-		return fmt.Errorf("gc: %d tables of %d rows need %d bytes, %d remain", count, rows, size, len(data)-d.off)
+	if (count == 0) != (rows == 0) || size > uint64(len(data)-d.off) {
+		return fmt.Errorf("gc: %d tables of %d rows (%d bytes) in %d remaining", count, rows, size, len(data)-d.off)
 	}
 	m.NumTables = int(count)
 	m.TableBlock, _ = d.bytes(int(size))
