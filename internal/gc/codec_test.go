@@ -95,7 +95,8 @@ func TestMaterialCodecRoundTripsEveryScheme(t *testing.T) {
 // TestFrameMatchesAppendMaterial: a round's frame, encoded around the
 // table block where it was garbled, is the headroom and then
 // AppendMaterial's bytes — for a fresh round and for pooled rounds,
-// round 0 (state labels) and later ones, refilled after a release.
+// round 0 (state labels) and later ones, refilled after a release — and
+// a later round's frame is the pool's FrameSize long.
 func TestFrameMatchesAppendMaterial(t *testing.T) {
 	c := circuit.MustMAC(circuit.MACConfig{Width: 8, AccWidth: 16, Signed: true})
 	p := DefaultParams()
@@ -120,6 +121,9 @@ func TestFrameMatchesAppendMaterial(t *testing.T) {
 	for i, lane := range []*Lane{req.Lane(), req.PooledLane(pool), req.PooledLane(pool)} {
 		if err := lane.GarbleRow(i, []int64{3, -4, 5}, func(r int, gb *Garbled) error {
 			check(fmt.Sprintf("lane %d round %d", i, r), gb)
+			if n := len(gb.Frame()); r > 0 && n != pool.FrameSize() {
+				t.Fatalf("lane %d round %d: frame of %d bytes, pool's FrameSize %d", i, r, n, pool.FrameSize())
+			}
 			if i > 0 {
 				pool.Put(gb) // the next lane refills it
 			}

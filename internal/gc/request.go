@@ -161,13 +161,14 @@ func (l *Lane) garbleRound(j int, xi int64, state0 []label.Label) (*Garbled, err
 // in place without allocating. Its free rounds are a recycle.List:
 // shared by every lane and trimmed by the garbage collector, so a pool
 // nobody draws from lets go of its rounds two collection periods after
-// its last use, or at once when its owner calls Release.
+// its last use.
 type RoundPool struct {
 	free recycle.List[*Garbled]
 	out  atomic.Int64 // rounds taken and not yet put back
 	// newRound makes a round sized for the circuit; a field, not a
 	// method value, so a Reserve allocates only the rounds it adds.
-	newRound func() *Garbled
+	newRound  func() *Garbled
+	frameSize int
 }
 
 // NewRoundPool returns an empty pool of rounds of c garbled under params.
@@ -179,13 +180,21 @@ func NewRoundPool(params Params, c *circuit.Circuit) (*RoundPool, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RoundPool{newRound: func() *Garbled {
-		gb := new(Garbled)
-		gb.size(prog, params.Scheme.TableSize(), prog.NState)           // room for any round's trailer
-		gb.Material.StateInActive = make([]label.Label, 0, prog.NState) // room for a round 0
-		return gb
-	}}, nil
+	rows := params.Scheme.TableSize()
+	return &RoundPool{
+		newRound: func() *Garbled {
+			gb := new(Garbled)
+			gb.size(prog, rows, prog.NState)                                // room for any round's trailer
+			gb.Material.StateInActive = make([]label.Label, 0, prog.NState) // room for a round 0
+			return gb
+		},
+		frameSize: FrameHeadroom + headerSize + prog.NAND*rows*label.Size + trailerSize(prog.NGarbler, len(prog.Outputs), 0),
+	}, nil
 }
+
+// FrameSize is the length of the frame of a round after the first,
+// which carries no state labels: Frame's bytes, headroom included.
+func (p *RoundPool) FrameSize() int { return p.frameSize }
 
 // get takes a free round, or makes one when none is free; a nil pool
 // makes each round empty, for garble to allocate.
@@ -204,10 +213,6 @@ func (p *RoundPool) get() *Garbled {
 // rounds between two Reserves allocate none, and keeps them through the
 // collector's trims for as long as each run reserves them.
 func (p *RoundPool) Reserve(n int) { p.free.Reserve(n, p.newRound) }
-
-// Release lets go of every free round, for an owner with nothing left to
-// garble; the pool stays usable.
-func (p *RoundPool) Release() { p.free.Release() }
 
 // Outstanding reports how many rounds lanes have taken from p and
 // nobody has put back; a pool whose holders are all done reports zero.

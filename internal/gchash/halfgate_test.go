@@ -103,7 +103,9 @@ func bundleCases(rng *mrand.Rand, nSlots, nTables int) []bundleCase {
 // the bundle's second output overwrites an input of the first. The
 // evaluated output is also the AND of the chosen values. Under purego,
 // or on a CPU without AES-NI, both sides are the portable path.
-func TestBundleKernelsMatchGeneric(t *testing.T) {
+func TestBundleKernelsMatchGeneric(t *testing.T) { forEachWalk(t, testBundleKernelsMatchGeneric) }
+
+func testBundleKernelsMatchGeneric(t *testing.T) {
 	const nSlots, nTables = 6, 4
 	h := MustAES()
 	rng := mrand.New(mrand.NewSource(48))
@@ -161,7 +163,9 @@ func TestBundleKernelsMatchGeneric(t *testing.T) {
 // TestBundleKernelsAllocateNothing: a program of a bundle and a single
 // AND, garbled and evaluated over scratch already on the heap, costs no
 // heap object.
-func TestBundleKernelsAllocateNothing(t *testing.T) {
+func TestBundleKernelsAllocateNothing(t *testing.T) { forEachWalk(t, testBundleKernelsAllocateNothing) }
+
+func testBundleKernelsAllocateNothing(t *testing.T) {
 	h := MustAES()
 	s, delta := new(ANDBlocks), new(label.Label)
 	w, tables := make([]label.Label, 6), make([]byte, 3*TableStride)
@@ -225,7 +229,9 @@ func unbundled(p *circuit.Program) *circuit.Program {
 // netlists', each walked as lowered (bundled) and with its bundles split
 // (unbundled), under random and top-of-range tweaks. The evaluated
 // outputs and state decode to the netlist's plaintext values.
-func TestProgramWalkMatchesPortable(t *testing.T) {
+func TestProgramWalkMatchesPortable(t *testing.T) { forEachWalk(t, testProgramWalkMatchesPortable) }
+
+func testProgramWalkMatchesPortable(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(49))
 	var circuits []*circuit.Circuit
 	for _, width := range []int{8, 16, 32} {
@@ -312,6 +318,10 @@ func randomBits(rng *mrand.Rand, n int) []bool {
 // with an error by both walks — never a fault — and no slot or table
 // byte is written.
 func TestProgramWalkRefusesBadPrograms(t *testing.T) {
+	forEachWalk(t, testProgramWalkRefusesBadPrograms)
+}
+
+func testProgramWalkRefusesBadPrograms(t *testing.T) {
 	valid := func() *circuit.Program {
 		return &circuit.Program{NSlots: 4, NAND: 2, Instrs: []circuit.Instr{
 			{A: 0, B: 1, Out: 2, Tag: circuit.ANDTag | circuit.PairTag},

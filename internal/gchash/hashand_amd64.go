@@ -13,7 +13,16 @@ import (
 // hashand_amd64.s. A CPU without AES-NI takes the portable loops.
 var useKernel = hasAESNI()
 
+// bestWalk is the program walk this host runs fastest: the VAES walk of
+// vwalk_amd64.s, else the SSE walk, else the portable one.
+var bestWalk = pickWalk(useKernel, vaesWalkUsable(cpuidBits()))
+
 func hasAESNI() bool
+
+// cpuidBits returns the raw bits vaesWalkUsable decides on: CPUID leaf
+// 7's EBX and ECX (zero when the CPU has no leaf 7) and XCR0's low word
+// (zero when the OS has not enabled XGETBV).
+func cpuidBits() (ebx7, ecx7, xcr0 uint32)
 
 // The walks read circuit.Instr as it lies: A, B, Out and Tag at bytes
 // 0, 4, 8 and 12 of a 16-byte record, an AND marked by the tag's sign
@@ -46,6 +55,18 @@ func garbleProgram(rk *[11][16]byte, delta *label.Label, instrs []circuit.Instr,
 //
 //go:noescape
 func evalProgram(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
+
+// garbleProgramVAES is garbleProgram on zmm registers: a bundle's, or a
+// single AND's, four FALSE and four TRUE keys in two registers.
+//
+//go:noescape
+func garbleProgramVAES(rk *[11][16]byte, delta *label.Label, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
+
+// evalProgramVAES is evalProgram on zmm registers: a bundle's four keys
+// in one register.
+//
+//go:noescape
+func evalProgramVAES(rk *[11][16]byte, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64)
 
 // ctrBlocks fills dst, whole blocks, with AES(hi ‖ lo+n) under the
 // expanded schedule rk for n = 0, 1, …, lo wrapping without a carry.
@@ -88,17 +109,23 @@ func (h *AES) hashInto(x *label.Label, tweak uint64, dst *label.Label) {
 }
 
 func (h *AES) garbleProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, delta *label.Label, tweak uint64) {
-	if !useKernel {
+	switch walk {
+	case walkVAES:
+		garbleProgramVAES(&roundKeys, delta, instrs, slots, tables, tweak)
+	case walkSSE:
+		garbleProgram(&roundKeys, delta, instrs, slots, tables, tweak)
+	default:
 		h.garbleProgramGo(s, instrs, slots, tables, delta, tweak)
-		return
 	}
-	garbleProgram(&roundKeys, delta, instrs, slots, tables, tweak)
 }
 
 func (h *AES) evalProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, tweak uint64) {
-	if !useKernel {
+	switch walk {
+	case walkVAES:
+		evalProgramVAES(&roundKeys, instrs, slots, tables, tweak)
+	case walkSSE:
+		evalProgram(&roundKeys, instrs, slots, tables, tweak)
+	default:
 		h.evalProgramGo(s, instrs, slots, tables, tweak)
-		return
 	}
-	evalProgram(&roundKeys, instrs, slots, tables, tweak)
 }

@@ -2,6 +2,7 @@
 
 #include "textflag.h"
 #include "go_asm.h"
+#include "walk_amd64.h"
 
 // The AES-NI kernels: the half-gate hash of two labels (hashAND2,
 // HashInto's kernel), a round's whole lowered program in one walk
@@ -174,28 +175,8 @@ TEXT ·hashAND2(SB), NOSPLIT, $0-24
 // entry holds the program to Program.Check and the arrays to its
 // sizes.
 
-// The circuit.Instr record: slots A, B, Out and the tag, little-endian
-// uint32s, 16 bytes. hashand_amd64.go pins the layout at compile time.
-#define INSTR_A 0
-#define INSTR_B 4
-#define INSTR_OUT 8
-#define INSTR_TAG 12
-#define TAG_PAIR 30
-#define TAG_INDEX 0x3fffffff
-
-// SLOT leaves in reg the address of the slot the uint32 at f(DI) names.
-#define SLOT(f, reg) \
-	MOVL f(DI), reg; \
-	SHLQ $4, reg; \
-	ADDQ R14, reg
-
-// TABLE leaves in reg the address of the table of the AND at r(DI),
-// tb being the table block's base.
-#define TABLE(r, tb, reg) \
-	MOVL   (r+INSTR_TAG)(DI), reg; \
-	ANDL   $TAG_INDEX, reg; \
-	SHLQ   $5, reg; \
-	ADDQ   tb, reg
+// walk_amd64.h has the instruction record's layout and the SLOT and
+// TABLE address macros, which the VAES walk shares.
 
 // TWEAKS leaves the AND at r(DI)'s tweaks, tw + 2·index and one more,
 // in R8 and R9.

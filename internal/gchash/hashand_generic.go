@@ -12,6 +12,9 @@ import (
 // the portable loops through crypto/aes.
 const useKernel = false
 
+// bestWalk is the portable walk: there is no other here.
+const bestWalk = walkPortable
+
 func (h *AES) garbleProgram(s *ANDBlocks, instrs []circuit.Instr, slots []label.Label, tables []byte, delta *label.Label, tweak uint64) {
 	h.garbleProgramGo(s, instrs, slots, tables, delta, tweak)
 }

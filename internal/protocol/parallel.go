@@ -60,10 +60,13 @@ func (sess *ServerSession) garbleRows(ctx context.Context, req *gc.Request, A []
 	n, cols, ss, sim := len(A), len(A[0]), sess.ss, sess.srv.sim
 	lanes := max(1, min(workers, n))
 	depth := min(pipeDepth*cols, laneRounds)
-	// Each lane holds its queue and the round it garbles, and consume
-	// the round it frames.
+	// Each lane holds its queue and the round it garbles, consume the
+	// round it frames, and the cork the rounds whose write has not
+	// returned: up to a cap's worth of frames, the one that reaches it
+	// included.
 	pool := sess.srv.rounds
-	pool.Reserve(min(n*cols, lanes*(depth+1)+1))
+	corked := min(corkFrames, corkBytes/pool.FrameSize()) + 1
+	pool.Reserve(min(n*cols, lanes*(depth+1)+1+corked))
 	ss.reg.Gauge("garble_workers", "row-garbling lanes of the last request").Set(int64(lanes))
 	rowSeconds := ss.reg.Histogram("garble_row_seconds", "wall time to garble one matrix row, back-pressure included", nil)
 	rowsTotal := ss.reg.Counter("garble_rows_total", "matrix rows garbled")

@@ -219,10 +219,11 @@ type Server struct {
 	// of sim's circuit. A round's frame is the buffer its tables were
 	// garbled into: the session's cork releases the round once the
 	// write that carries the frame returns (stream.go), and a lane
-	// refills it in place. The pool lets go of its rounds when the last open session
-	// finishes, so a server with no session holds none.
-	rounds   *gc.RoundPool
-	sessions atomic.Int64 // sessions begun and not yet finished
+	// refills it in place. The collector's clock trims the pool: an
+	// idle server lets go of its rounds two collections after its last
+	// request, and a server whose sessions come and go keeps the rounds
+	// they reserve.
+	rounds *gc.RoundPool
 	// started flips when the first session begins; the With* option
 	// setters consult it to enforce configure-before-serve (mutating a
 	// server already shared with session goroutines is a data race).
@@ -430,21 +431,16 @@ func (s *Server) beginSession(conn wire.Conn, tr *obs.SessionTrace) *session {
 	reg.Counter("sessions_total", "protocol sessions accepted", obs.L("kind", "mux")).Inc()
 	active := reg.Gauge("sessions_active", "protocol sessions currently in flight")
 	active.Add(1)
-	s.sessions.Add(1)
 	return &session{srv: s, tr: tr, reg: reg, active: active, start: time.Now()}
 }
 
-// finish closes the session once; later calls are no-ops. The
-// server's last open session releases its round pool.
+// finish closes the session once; later calls are no-ops.
 func (ss *session) finish(err error) {
 	if ss.once {
 		return
 	}
 	ss.once = true
 	ss.active.Add(-1)
-	if ss.srv.sessions.Add(-1) == 0 {
-		ss.srv.rounds.Release()
-	}
 	ss.tr.Finish(err)
 	ss.reg.Histogram("session_seconds", "end-to-end session duration", nil,
 		obs.L("kind", "mux")).Observe(time.Since(ss.start).Seconds())

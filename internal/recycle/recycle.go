@@ -65,15 +65,6 @@ func (l *List[T]) Reserve(n int, newItem func() T) {
 	l.unlockAndList()
 }
 
-// Release drops every item, for an owner that knows it has no more use
-// for them, without waiting for the trims; l stays usable.
-func (l *List[T]) Release() {
-	l.mu.Lock()
-	clear(l.items)
-	l.items, l.low, l.idle = nil, 0, 0
-	l.mu.Unlock()
-}
-
 // unlockAndList unlocks l.mu, which the caller holds, and puts l on the
 // trim registry unless it is there.
 func (l *List[T]) unlockAndList() {

@@ -77,21 +77,6 @@ func TestReserveCountsAsReached(t *testing.T) {
 	}
 }
 
-// TestReleaseDropsEverything: Release empties a List at once, reached or
-// not, and leaves it usable.
-func TestReleaseDropsEverything(t *testing.T) {
-	var l List[int]
-	l.Reserve(3, func() int { return 7 })
-	l.Release()
-	if n := l.len(); n != 0 {
-		t.Fatalf("%d items held after Release, want 0", n)
-	}
-	l.Put(1)
-	if got, ok := l.Get(); !ok || got != 1 {
-		t.Fatalf("Get after Release = %d, %v; want 1, true", got, ok)
-	}
-}
-
 // TestCollectionsTrimIdleLists: the collector's clock drives the trims,
 // so a List nobody touches lets go of everything.
 func TestCollectionsTrimIdleLists(t *testing.T) {
