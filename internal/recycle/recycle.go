@@ -7,6 +7,7 @@ package recycle
 import (
 	"runtime"
 	"sync"
+	"weak"
 )
 
 // List is a LIFO of free items. One mutex guards it and no item is
@@ -19,8 +20,10 @@ import (
 // sync.Pool it keeps what the workload still reaches: two collections
 // back to back, with nothing taken between them, drop only what the
 // period before them did not reach either. An idle List is empty once
-// two whole collection periods have passed without use. The zero List
-// is ready to use; a List must not be copied after first use.
+// two whole collection periods have passed without use, and a List
+// nobody references any more is collected, items and all, like any
+// other object. The zero List is ready to use; a List must not be
+// copied after first use.
 type List[T any] struct {
 	mu    sync.Mutex
 	items []T
@@ -72,8 +75,12 @@ func (l *List[T]) unlockAndList() {
 	l.listed = true
 	l.mu.Unlock()
 	if list {
+		wl := weak.Make(l)
 		registry.mu.Lock()
-		registry.lists = append(registry.lists, l)
+		registry.lists = append(registry.lists, func() bool {
+			l := wl.Value()
+			return l == nil || l.trim()
+		})
 		registry.mu.Unlock()
 	}
 }
@@ -103,23 +110,25 @@ func Scribble(b []byte) {
 	}
 }
 
-// trimmer is a List of any item type.
-type trimmer interface{ trim() (empty bool) }
-
-// registry holds every non-empty List, for trimAll.
+// registry holds a trim of every non-empty List, for trimAll: the
+// List's trim, reporting whether it is now empty, or true once the List
+// is gone. It holds each List weakly, so a List its owner drops — a
+// server's round pool, say — is collected with the items it holds
+// instead of waiting out two collection periods.
 var registry struct {
 	mu    sync.Mutex
-	lists []trimmer
+	lists []func() (done bool)
 }
 
-// trimAll trims every List on the registry and takes the empty ones off.
+// trimAll trims every List on the registry and takes the empty and the
+// collected ones off.
 func trimAll() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	kept := registry.lists[:0]
-	for _, t := range registry.lists {
-		if !t.trim() {
-			kept = append(kept, t)
+	for _, trim := range registry.lists {
+		if !trim() {
+			kept = append(kept, trim)
 		}
 	}
 	clear(registry.lists[len(kept):])

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+	"weak"
 )
 
 func (l *List[T]) len() int {
@@ -74,6 +75,20 @@ func TestReserveCountsAsReached(t *testing.T) {
 	}
 	if n := l.len(); n != 3 || made != 3 {
 		t.Fatalf("%d items held, %d made; want 3 and 3", n, made)
+	}
+}
+
+// TestDroppedListIsCollected: the trim registry holds a List weakly, so
+// a List its owner drops, items and all, is collected at the next
+// collection rather than kept until its trims have emptied it.
+func TestDroppedListIsCollected(t *testing.T) {
+	l := new(List[*[1 << 10]byte])
+	l.Reserve(4, func() *[1 << 10]byte { return new([1 << 10]byte) })
+	wl := weak.Make(l)
+	l = nil
+	runtime.GC()
+	if wl.Value() != nil {
+		t.Fatal("a dropped List outlived a collection")
 	}
 }
 
