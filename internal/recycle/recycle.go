@@ -32,6 +32,9 @@ type List[T any] struct {
 	// bottom, were not reached in the period before it either.
 	low, idle int
 	listed    bool // on the trim registry
+	// handle is how the registry reaches l, made when l is first
+	// listed.
+	handle *trimHandle
 }
 
 // Get takes the most recently put item; ok is false when the List is
@@ -73,14 +76,14 @@ func (l *List[T]) Reserve(n int, newItem func() T) {
 func (l *List[T]) unlockAndList() {
 	list := !l.listed
 	l.listed = true
+	if l.handle == nil {
+		l.handle = &trimHandle{trim: l.trim}
+	}
+	h := l.handle
 	l.mu.Unlock()
 	if list {
-		wl := weak.Make(l)
 		registry.mu.Lock()
-		registry.lists = append(registry.lists, func() bool {
-			l := wl.Value()
-			return l == nil || l.trim()
-		})
+		registry.handles = append(registry.handles, weak.Make(h))
 		registry.mu.Unlock()
 	}
 }
@@ -110,14 +113,17 @@ func Scribble(b []byte) {
 	}
 }
 
-// registry holds a trim of every non-empty List, for trimAll: the
-// List's trim, reporting whether it is now empty, or true once the List
-// is gone. It holds each List weakly, so a List its owner drops — a
-// server's round pool, say — is collected with the items it holds
-// instead of waiting out two collection periods.
+// trimHandle is a List's trim, on the heap: the List holds its handle
+// and the handle its List, and the registry holds the handle weakly, so
+// a List its owner drops — a server's round pool, say — is collected
+// with the items it holds at the next collection instead of waiting out
+// its trims.
+type trimHandle struct{ trim func() (empty bool) }
+
+// registry holds the handle of every non-empty List, for trimAll.
 var registry struct {
-	mu    sync.Mutex
-	lists []func() (done bool)
+	mu      sync.Mutex
+	handles []weak.Pointer[trimHandle]
 }
 
 // trimAll trims every List on the registry and takes the empty and the
@@ -125,14 +131,14 @@ var registry struct {
 func trimAll() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
-	kept := registry.lists[:0]
-	for _, trim := range registry.lists {
-		if !trim() {
-			kept = append(kept, trim)
+	kept := registry.handles[:0]
+	for _, wh := range registry.handles {
+		if h := wh.Value(); h != nil && !h.trim() {
+			kept = append(kept, wh)
 		}
 	}
-	clear(registry.lists[len(kept):])
-	registry.lists = kept
+	clear(registry.handles[len(kept):])
+	registry.handles = kept
 }
 
 // sentinel is the collection clock: each garbage collection finds the
