@@ -161,14 +161,14 @@ func (l *Lane) garbleRound(j int, xi int64, state0 []label.Label) (*Garbled, err
 // in place without allocating. Its free rounds are a recycle.List:
 // shared by every lane and trimmed by the garbage collector, so a pool
 // nobody draws from lets go of its rounds two collection periods after
-// its last use.
+// its last use, and a pool nobody references is collected with them.
 type RoundPool struct {
 	free recycle.List[*Garbled]
 	out  atomic.Int64 // rounds taken and not yet put back
 	// newRound makes a round sized for the circuit; a field, not a
 	// method value, so a Reserve allocates only the rounds it adds.
 	newRound  func() *Garbled
-	frameSize int
+	frameSize int // FrameSize
 }
 
 // NewRoundPool returns an empty pool of rounds of c garbled under params.
