@@ -154,16 +154,13 @@ func startFleet(cfg *chaosConfig, logf func(string, ...any)) (*chaosFleet, error
 		gwBackends = append(gwBackends, gateway.Backend{Addr: b.cfg.Listen, HealthURL: "http://" + b.cfg.MetricsAddr})
 	}
 	gw, err := gateway.New(gateway.Config{
-		Backends:        gwBackends,
-		PeekTimeout:     100 * time.Millisecond,
-		ProbeInterval:   cfg.probeInterval,
-		EjectAfter:      cfg.ejectAfter,
-		BreakerCooldown: cfg.breakerCooldown,
-		RetryBudget:     cfg.retryBudget,
-		RetryBudgetMin:  cfg.retryBudgetMin,
-		MaxFailovers:    2,
-		Obs:             f.o,
-		Logf:            logf,
+		Backends:      gwBackends,
+		PeekTimeout:   100 * time.Millisecond,
+		ProbeInterval: cfg.probeInterval,
+		EjectAfter:    cfg.ejectAfter,
+		MaxFailovers:  2,
+		Obs:           f.o,
+		Logf:          logf,
 	})
 	if err != nil {
 		f.teardownBackends()

@@ -5,25 +5,25 @@
 // chaos — killing and restarting a backend every -kill-every, muting a
 // second one's new sessions (StallFirstRead) and making a third one's
 // link lossy (Flaky) — then asserts the fleet-wide invariants the
-// resilience layer promises:
+// gateway promises:
 //
 //   - single-serve: no client session is ever completed by more than
 //     one backend, whatever the failover interleaving;
 //   - correctness: every session that succeeds returns the right MAC
 //     result, even across flaky links;
 //   - bounded errors: the client-visible error rate stays under
-//     -max-error-rate, and failover dial load obeys the retry budget
-//     (withdrawals ≤ ratio·deposits + burst) — outages shed fast
-//     instead of amplifying into retry storms;
+//     -max-error-rate;
 //   - clean drain: after load stops, gw_sessions_active, gw_draining
 //     and every gw_backend_sessions gauge read zero;
 //   - no leaks: goroutine count returns to its pre-run baseline and
 //     every backend's wire arena reports zero outstanding buffers.
 //
 // The run's measurements and verdict are printed as a JSON report on
-// stdout; the process exits 1 if any invariant broke (2 on setup
-// failure). CI runs a bounded smoke configuration and archives the
-// report.
+// stdout: the client's error rate and p50/p99 latency, how often each
+// defense acted (breaker opens and readmits, latency ejections), the
+// chaos it injected and the invariant checks. The process exits 1 if
+// any invariant broke (2 on setup failure). CI runs a bounded smoke
+// configuration and archives the report.
 //
 // Usage:
 //
@@ -48,22 +48,19 @@ import (
 
 // chaosConfig gathers every knob of one chaos run.
 type chaosConfig struct {
-	backends        int
-	duration        time.Duration
-	killEvery       time.Duration
-	downFor         time.Duration
-	stallFor        time.Duration
-	flakyP          float64
-	flakyFor        time.Duration
-	loadInterval    time.Duration
-	maxInflight     int
-	maxErrorRate    float64
-	probeInterval   time.Duration
-	ejectAfter      int
-	breakerCooldown time.Duration
-	retryBudget     float64
-	retryBudgetMin  float64
-	verbose         bool
+	backends      int
+	duration      time.Duration
+	killEvery     time.Duration
+	downFor       time.Duration
+	stallFor      time.Duration
+	flakyP        float64
+	flakyFor      time.Duration
+	loadInterval  time.Duration
+	maxInflight   int
+	maxErrorRate  float64
+	probeInterval time.Duration
+	ejectAfter    int
+	verbose       bool
 }
 
 func defaultConfig() chaosConfig {
@@ -86,14 +83,11 @@ func defaultConfig() chaosConfig {
 		// with the protocol test suite competing for the cores): 1–5
 		// failures of 31 sessions, error rate 0.03–0.16, median 0.10.
 		// The bound is twice the observed maximum, rounded up: 10 of 31.
-		loadInterval:    500 * time.Millisecond,
-		maxInflight:     3,
-		maxErrorRate:    0.35,
-		probeInterval:   250 * time.Millisecond,
-		ejectAfter:      2,
-		breakerCooldown: time.Second,
-		retryBudget:     0.2,
-		retryBudgetMin:  10,
+		loadInterval:  500 * time.Millisecond,
+		maxInflight:   3,
+		maxErrorRate:  0.35,
+		probeInterval: 250 * time.Millisecond,
+		ejectAfter:    2,
 	}
 }
 
@@ -111,9 +105,6 @@ func main() {
 	flag.Float64Var(&cfg.maxErrorRate, "max-error-rate", cfg.maxErrorRate, "maximum tolerated client-visible error fraction")
 	flag.DurationVar(&cfg.probeInterval, "probe-interval", cfg.probeInterval, "gateway health poll period")
 	flag.IntVar(&cfg.ejectAfter, "eject-after", cfg.ejectAfter, "consecutive failures before a backend's breaker opens")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", cfg.breakerCooldown, "base breaker cooldown before a readmission trial")
-	flag.Float64Var(&cfg.retryBudget, "retry-budget", cfg.retryBudget, "gateway failover budget ratio")
-	flag.Float64Var(&cfg.retryBudgetMin, "retry-budget-min", cfg.retryBudgetMin, "gateway failover burst allowance")
 	flag.BoolVar(&cfg.verbose, "v", false, "log chaos events and gateway decisions to stderr")
 	flag.Parse()
 
@@ -207,6 +198,8 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 		Shed:                 int64(stats.Shed),
 		Failed:               int64(stats.Failed),
 		Miscomputed:          int64(stats.Miscomputed),
+		P50Ms:                stats.Latency.P50Ms,
+		P99Ms:                stats.Latency.P99Ms,
 		Kills:                counters.kills.Load(),
 		Restarts:             counters.restarts.Load(),
 		RestartFailures:      counters.restartFails.Load(),
@@ -218,15 +211,17 @@ func runChaos(cfg chaosConfig) (*Report, error) {
 		GaugeBackendSessions: map[string]int64{},
 		ArenaOutstanding:     map[string]int64{},
 	}
-	rep.BudgetDeposits, rep.BudgetWithdrawals, rep.BudgetDenials = fleet.gw.RetryBudgetStats()
-
 	// Gauges are read after the drain but before teardown: this is the
 	// state a dashboard would see on a quiesced, still-serving gateway.
 	reg := fleet.o.Metrics()
 	rep.GaugeSessionsActive = reg.Gauge("gw_sessions_active", "").Value()
 	rep.GaugeDraining = reg.Gauge("gw_draining", "").Value()
 	for _, b := range fleet.backends {
-		rep.GaugeBackendSessions[b.cfg.Listen] = reg.Gauge("gw_backend_sessions", "", obs.L("backend", b.cfg.Listen)).Value()
+		be := obs.L("backend", b.cfg.Listen)
+		rep.GaugeBackendSessions[b.cfg.Listen] = reg.Gauge("gw_backend_sessions", "", be).Value()
+		rep.BreakerOpens += reg.Counter("gw_membership_changes_total", "", be, obs.L("change", "eject")).Value()
+		rep.BreakerReadmits += reg.Counter("gw_membership_changes_total", "", be, obs.L("change", "readmit")).Value()
+		rep.LatencyEjections += reg.Counter(obs.MetricEjections, "", be, obs.L("reason", "latency")).Value()
 	}
 
 	fleet.close()

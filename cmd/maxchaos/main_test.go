@@ -12,8 +12,7 @@ import (
 // mute-peer and lossy-link windows on the survivors. The run must
 // complete with every fleet-wide invariant intact: zero double-served
 // sessions, a correct result on every success, client-visible errors
-// bounded, failover load within the retry budget, all gateway gauges
-// zero after the drain, and no goroutine or arena leaks. Bounded well
+// bounded, all gateway gauges zero after the drain, and no goroutine or arena leaks. Bounded well
 // under 60s so CI can run it as a smoke job.
 func TestChaosAcceptance(t *testing.T) {
 	cfg := defaultConfig()
@@ -49,15 +48,13 @@ func TestReportEvaluate(t *testing.T) {
 	cfg := defaultConfig()
 	base := func() *Report {
 		return &Report{
-			Sessions:          40,
-			Succeeded:         38,
-			Failed:            2,
-			ServedTotal:       38,
-			BudgetDeposits:    40,
-			BudgetWithdrawals: 5,
-			Drained:           true,
-			GoroutinesBefore:  10,
-			GoroutinesAfter:   12,
+			Sessions:         40,
+			Succeeded:        38,
+			Failed:           2,
+			ServedTotal:      38,
+			Drained:          true,
+			GoroutinesBefore: 10,
+			GoroutinesAfter:  12,
 			GaugeBackendSessions: map[string]int64{
 				"127.0.0.1:1": 0,
 			},
@@ -79,7 +76,6 @@ func TestReportEvaluate(t *testing.T) {
 	}{
 		{"double serve", func(r *Report) { r.ServedTotal = r.Succeeded + 1 }},
 		{"miscompute", func(r *Report) { r.Miscomputed = 1 }},
-		{"budget overdrawn", func(r *Report) { r.BudgetWithdrawals = 1000 }},
 		{"error rate", func(r *Report) { r.Failed = 39; r.Succeeded = 1; r.ServedTotal = 1 }},
 		{"no drain", func(r *Report) { r.Drained = false }},
 		{"active gauge", func(r *Report) { r.GaugeSessionsActive = 3 }},
@@ -97,25 +93,5 @@ func TestReportEvaluate(t *testing.T) {
 		if r.Pass {
 			t.Errorf("%s: report passed, want a violation", tc.name)
 		}
-	}
-}
-
-// TestEffectiveBudgetDefaults keeps the report's bound arithmetic in
-// lockstep with resilience.BudgetConfig's defaulting rules.
-func TestEffectiveBudgetDefaults(t *testing.T) {
-	if got := effectiveBurst(-1); got != 0 {
-		t.Fatalf("effectiveBurst(-1) = %v, want 0 (negative disables)", got)
-	}
-	if got := effectiveBurst(0); got != 10 {
-		t.Fatalf("effectiveBurst(0) = %v, want the default 10", got)
-	}
-	if got := effectiveBurst(25); got != 25 {
-		t.Fatalf("effectiveBurst(25) = %v, want 25", got)
-	}
-	if got := effectiveRatio(0); got != 0.2 {
-		t.Fatalf("effectiveRatio(0) = %v, want the default 0.2", got)
-	}
-	if got := effectiveRatio(0.5); got != 0.5 {
-		t.Fatalf("effectiveRatio(0.5) = %v, want 0.5", got)
 	}
 }

@@ -21,6 +21,10 @@ type Report struct {
 	Failed      int64   `json:"failed"`
 	Miscomputed int64   `json:"miscomputed"`
 	ErrorRate   float64 `json:"error_rate"`
+	// P50Ms and P99Ms are the client latency of successful sessions,
+	// arrival to result (load.Percentiles).
+	P50Ms float64 `json:"p50_ms"`
+	P99Ms float64 `json:"p99_ms"`
 
 	ServedTotal     int64            `json:"served_total"`
 	ServedByBackend map[string]int64 `json:"served_by_backend"`
@@ -31,10 +35,13 @@ type Report struct {
 	Stalls          int64 `json:"stalls"`
 	FlakyWindows    int64 `json:"flaky_windows"`
 
-	BudgetDeposits    uint64  `json:"budget_deposits"`
-	BudgetWithdrawals uint64  `json:"budget_withdrawals"`
-	BudgetDenials     uint64  `json:"budget_denials"`
-	BudgetBound       float64 `json:"budget_bound"`
+	// BreakerOpens and BreakerReadmits sum gw_membership_changes_total
+	// over the fleet (change="eject" and "readmit"); LatencyEjections
+	// sums gw_ejections_total{reason="latency"}. They say how often each
+	// defense acted.
+	BreakerOpens     uint64 `json:"breaker_opens"`
+	BreakerReadmits  uint64 `json:"breaker_readmits"`
+	LatencyEjections uint64 `json:"latency_ejections"`
 
 	Drained              bool             `json:"drained"`
 	GaugeSessionsActive  int64            `json:"gauge_sessions_active"`
@@ -54,28 +61,8 @@ type Report struct {
 // finalizer) come and go a few at a time.
 const goroutineSlack = 5
 
-// effectiveBurst mirrors resilience.BudgetConfig's MinTokens defaults
-// so the report checks the bound the budget actually enforced.
-func effectiveBurst(min float64) float64 {
-	if min < 0 {
-		return 0
-	}
-	if min == 0 {
-		return 10
-	}
-	return min
-}
-
-// effectiveRatio mirrors resilience.BudgetConfig's Ratio default.
-func effectiveRatio(ratio float64) float64 {
-	if ratio <= 0 {
-		return 0.2
-	}
-	return ratio
-}
-
 // evaluate applies the fleet-wide invariants and fills Violations,
-// ErrorRate, BudgetBound and Pass.
+// ErrorRate and Pass.
 func (r *Report) evaluate(cfg *chaosConfig) {
 	add := func(format string, args ...any) {
 		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
@@ -95,15 +82,6 @@ func (r *Report) evaluate(cfg *chaosConfig) {
 	if r.ServedTotal > r.Succeeded {
 		add("single-serve violated: backends completed %d sessions, clients saw only %d successes",
 			r.ServedTotal, r.Succeeded)
-	}
-	// Retry budget: over any run, withdrawals ≤ ratio·deposits + burst.
-	// This is the anti-retry-storm bound — the extra dial load the
-	// fleet absorbs is a fixed fraction of offered load plus a constant.
-	r.BudgetBound = effectiveRatio(cfg.retryBudget)*float64(r.BudgetDeposits) + effectiveBurst(cfg.retryBudgetMin)
-	if float64(r.BudgetWithdrawals) > r.BudgetBound+1e-6 {
-		add("retry budget overdrawn: %d withdrawals > bound %.1f (%.2f·%d deposits + %.0f burst)",
-			r.BudgetWithdrawals, r.BudgetBound, effectiveRatio(cfg.retryBudget),
-			r.BudgetDeposits, effectiveBurst(cfg.retryBudgetMin))
 	}
 	if r.Sessions > 0 {
 		r.ErrorRate = float64(r.Shed+r.Failed) / float64(r.Sessions)

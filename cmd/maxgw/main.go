@@ -17,18 +17,11 @@
 //
 // Membership is breaker-driven: -eject-after consecutive failures
 // (probe verdicts and routing-time handshake results feed the same
-// per-backend circuit breaker) trip the breaker open and the backend
-// stops being routed to. Readmission is hysteretic — after
-// -breaker-cooldown (doubling on every re-trip) a single successful
-// probe readmits, and never sooner, so a flapping backend cannot
-// oscillate in and out of the fleet. A backend whose handshake-latency
-// EWMA exceeds -outlier-k times the fleet median is demoted to
-// last-resort candidate for -outlier-cooldown (slow-but-alive
-// detection). Failover attempts beyond each session's first candidate
-// draw from a token-bucket retry budget (-retry-budget of arriving
-// sessions plus a -retry-budget-min burst); an exhausted budget sheds
-// the session with BUSY immediately, turning fleet-wide outages into
-// fast rejections instead of retry storms.
+// per-backend circuit breaker) open the breaker and the backend stops
+// being routed to; the next successful probe or handshake readmits it.
+// A backend whose handshake-latency EWMA exceeds -outlier-k times the
+// fleet median is demoted to last-resort candidate for
+// -outlier-cooldown (slow-but-alive detection).
 //
 // Routing is one rule: among routable backends, those advertising the
 // session's shape first, then the least loaded (fewest sessions in
@@ -47,13 +40,12 @@
 //
 // With -metrics-addr the gateway exposes its own observability
 // surface: /metrics (gw_sessions_total{backend}, gw_failovers_total
-// {reason}, fleet membership gauges, gw_breaker_state{backend},
-// gw_ejections_total{reason}, gw_retry_budget_tokens_milli,
+// {reason}, fleet membership gauges, gw_membership_changes_total
+// {backend,change}, gw_ejections_total{reason},
 // gw_hint_misses_total{shape}), /healthz (ok with every backend
 // routable, degraded with some, overloaded with none — answers 503)
-// and /fleetz (per-backend JSON: health, breaker state, in-flight
-// sessions, handshake-latency EWMA, advertised shapes) for maxtop's
-// fleet panel.
+// and /fleetz (per-backend JSON: health, in-flight sessions,
+// handshake-latency EWMA, advertised shapes) for maxtop's fleet panel.
 package main
 
 import (
@@ -83,11 +75,8 @@ type gwConfig struct {
 	peekTimeout     time.Duration
 	probeInterval   time.Duration
 	ejectAfter      int
-	breakerCooldown time.Duration
 	outlierK        float64
 	outlierCooldown time.Duration
-	retryBudget     float64
-	retryBudgetMin  float64
 	maxFailovers    int
 	drainTimeout    time.Duration
 }
@@ -99,12 +88,9 @@ func main() {
 	flag.StringVar(&gc.metricsAddr, "metrics-addr", "", "HTTP address for /metrics, /healthz and /fleetz (empty disables)")
 	flag.DurationVar(&gc.peekTimeout, "peek-timeout", 75*time.Millisecond, "wait for a client's shape-hint preface before routing unhinted")
 	flag.DurationVar(&gc.probeInterval, "probe-interval", 2*time.Second, "backend health poll period")
-	flag.IntVar(&gc.ejectAfter, "eject-after", 3, "consecutive probe or handshake failures before a backend's breaker opens")
-	flag.DurationVar(&gc.breakerCooldown, "breaker-cooldown", 5*time.Second, "base wait before an open breaker's half-open readmission trial (doubles per re-trip)")
+	flag.IntVar(&gc.ejectAfter, "eject-after", 3, "consecutive probe or handshake failures before a backend's breaker opens (one success closes it)")
 	flag.Float64Var(&gc.outlierK, "outlier-k", 3, "demote a backend whose handshake-latency EWMA exceeds this multiple of the fleet median")
 	flag.DurationVar(&gc.outlierCooldown, "outlier-cooldown", 10*time.Second, "how long a latency-outlier demotion lasts")
-	flag.Float64Var(&gc.retryBudget, "retry-budget", 0.2, "sustained fraction of sessions allowed a failover attempt")
-	flag.Float64Var(&gc.retryBudgetMin, "retry-budget-min", 10, "failover burst allowance before the ratio governs (negative disables)")
 	flag.IntVar(&gc.maxFailovers, "max-failovers", 2, "extra backends tried after the first candidate fails pre-handshake")
 	flag.DurationVar(&gc.drainTimeout, "drain-timeout", 10*time.Second, "how long shutdown waits for relayed sessions before closing them")
 	flag.Parse()
@@ -153,7 +139,6 @@ func run(gc gwConfig) error {
 	}{
 		{"max-failovers", gc.maxFailovers > 0, gc.maxFailovers},
 		{"eject-after", gc.ejectAfter > 0, gc.ejectAfter},
-		{"retry-budget", gc.retryBudget > 0, gc.retryBudget},
 		{"probe-interval", gc.probeInterval > 0, gc.probeInterval},
 		{"peek-timeout", gc.peekTimeout > 0, gc.peekTimeout},
 	} {
@@ -167,11 +152,8 @@ func run(gc gwConfig) error {
 		PeekTimeout:     gc.peekTimeout,
 		ProbeInterval:   gc.probeInterval,
 		EjectAfter:      gc.ejectAfter,
-		BreakerCooldown: gc.breakerCooldown,
 		OutlierK:        gc.outlierK,
 		OutlierCooldown: gc.outlierCooldown,
-		RetryBudget:     gc.retryBudget,
-		RetryBudgetMin:  gc.retryBudgetMin,
 		MaxFailovers:    gc.maxFailovers,
 		Obs:             o,
 		Logf:            log.Printf,

@@ -109,7 +109,7 @@ func testGatewayConfig(spec string) gwConfig {
 	return gwConfig{
 		listen: "127.0.0.1:0", backends: spec,
 		peekTimeout: 100 * time.Millisecond, probeInterval: 150 * time.Millisecond,
-		ejectAfter: 2, maxFailovers: 2, retryBudget: 0.2, retryBudgetMin: 10,
+		ejectAfter: 2, maxFailovers: 2,
 	}
 }
 
@@ -333,10 +333,11 @@ func TestE2EFailoverOnBusyAndKilledBackend(t *testing.T) {
 }
 
 // TestE2EBreakerOpensOnDeadBackend: a backend that dies entirely
-// (protocol listener and health surface both gone) trips its breaker
+// (protocol listener and health surface both gone) opens its breaker
 // within ejectAfter probe ticks, and the breaker's position surfaces
-// on both /fleetz (breaker: "open", healthy: false) and /metrics
-// (gw_breaker_state 1) — while the surviving backend keeps serving.
+// on both /fleetz (healthy: false) and /metrics (gw_backend_up 0, one
+// eject on gw_membership_changes_total) — while the surviving backend
+// keeps serving.
 func TestE2EBreakerOpensOnDeadBackend(t *testing.T) {
 	b0, b1 := startBackend(t, nil), startBackend(t, nil)
 	gwAddr, maddr, done := startGateway(t, 150*time.Millisecond, b0, b1)
@@ -345,7 +346,7 @@ func TestE2EBreakerOpensOnDeadBackend(t *testing.T) {
 	dead := b0.Addr()
 	b0.Close()
 	fleetz(t, maddr, dead, "with an open breaker", func(st gateway.BackendStatus) bool {
-		return st.Breaker == "open" && !st.Healthy
+		return !st.Healthy
 	})
 
 	resp, err := http.Get("http://" + maddr + "/metrics")
@@ -357,9 +358,13 @@ func TestE2EBreakerOpensOnDeadBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `gw_breaker_state{backend="` + dead + `"} 1`
-	if !strings.Contains(string(body), want) {
-		t.Fatalf("/metrics missing %q", want)
+	for _, want := range []string{
+		`gw_backend_up{backend="` + dead + `"} 0`,
+		`gw_membership_changes_total{backend="` + dead + `",change="eject"} 1`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("/metrics missing %q", want)
+		}
 	}
 
 	if err := runSession(t, gwAddr, &e2eHint); err != nil {
@@ -389,7 +394,7 @@ func TestE2EUnhintedClientServed(t *testing.T) {
 
 // TestRunRejectsNonPositiveFlags: gateway.Config reads a zero as "use
 // the default", so maxgw refuses a non-positive value for the flags
-// whose zero would otherwise silently become 2 / 3 / 0.2 / 2s / 75ms —
+// whose zero would otherwise silently become 2 / 3 / 2s / 75ms —
 // naming the flag and the value, before anything listens.
 func TestRunRejectsNonPositiveFlags(t *testing.T) {
 	for _, tc := range []struct {
@@ -399,7 +404,6 @@ func TestRunRejectsNonPositiveFlags(t *testing.T) {
 	}{
 		{"max-failovers", func(gc *gwConfig) { gc.maxFailovers = 0 }, "-max-failovers must be positive, have 0"},
 		{"eject-after", func(gc *gwConfig) { gc.ejectAfter = -1 }, "-eject-after must be positive, have -1"},
-		{"retry-budget", func(gc *gwConfig) { gc.retryBudget = 0 }, "-retry-budget must be positive, have 0"},
 		{"probe-interval", func(gc *gwConfig) { gc.probeInterval = 0 }, "-probe-interval must be positive, have 0s"},
 		{"peek-timeout", func(gc *gwConfig) { gc.peekTimeout = 0 }, "-peek-timeout must be positive, have 0s"},
 	} {

@@ -15,10 +15,10 @@
 // consecutive scrapes, so the first frame of a watch shows totals only.
 //
 // Pointed at a maxgw metrics address instead of a maxd one, maxtop
-// renders the fleet panel: routable backends, session routing, failover
-// and retry-budget counts from the gw_* metric families, plus a
-// per-backend table (health, breaker state, in-flight sessions,
-// handshake latency, advertised shapes) scraped from the gateway's
+// renders the fleet panel: routable backends, session routing and
+// failover counts from the gw_* metric families, plus a per-backend
+// table (health, in-flight sessions, handshake latency, advertised
+// shapes) scraped from the gateway's
 // /fleetz endpoint and closed by an aggregated fleet row — summed
 // counters with a load-weighted latency figure.
 package main
@@ -196,14 +196,6 @@ func renderFleet(w io.Writer, cur *snapshot, fleet []gateway.BackendStatus) {
 	if len(parts) > 0 {
 		line += " (" + strings.Join(parts, ", ") + ")"
 	}
-	// Resilience figures only render when the gateway exports them, so
-	// older gateways keep their unchanged panel.
-	if milli, ok := cur.get("gw_retry_budget_tokens_milli"); ok {
-		line += fmt.Sprintf("   budget %.1f tokens", milli/1000)
-		if denied := cur.val("gw_retry_budget_exhausted_total"); denied > 0 {
-			line += fmt.Sprintf(" (%.0f denied)", denied)
-		}
-	}
 	fmt.Fprintln(w, line)
 
 	hinted := cur.val("gw_peeks_total", "result", "hint")
@@ -222,7 +214,7 @@ func renderFleet(w io.Writer, cur *snapshot, fleet []gateway.BackendStatus) {
 	for _, e := range cur.sumBy("gw_sessions_total", "backend") {
 		sessionsBy[e.Label] = e.Value
 	}
-	t := report.NewTable("\nper-backend", "backend", "status", "breaker", "active", "sessions", "latency", "warm shapes")
+	t := report.NewTable("\nper-backend", "backend", "status", "active", "sessions", "latency", "warm shapes")
 	var sumActive int64
 	var sumSessions float64
 	var weightedLat, latWeight float64
@@ -233,10 +225,6 @@ func renderFleet(w io.Writer, cur *snapshot, fleet []gateway.BackendStatus) {
 			healthyN++
 		} else {
 			status += " (ejected)"
-		}
-		breaker := b.Breaker
-		if breaker == "" {
-			breaker = "—"
 		}
 		lat := "—"
 		if b.LatencyEWMAMs > 0 {
@@ -261,7 +249,7 @@ func renderFleet(w io.Writer, cur *snapshot, fleet []gateway.BackendStatus) {
 		if shapes == "" {
 			shapes = "—"
 		}
-		t.AddRow(b.Addr, status, breaker, fmt.Sprintf("%d", b.Active),
+		t.AddRow(b.Addr, status, fmt.Sprintf("%d", b.Active),
 			fmt.Sprintf("%.0f", sessionsBy[b.Addr]), lat, shapes)
 		sumActive += b.Active
 		sumSessions += sessionsBy[b.Addr]
@@ -270,7 +258,7 @@ func renderFleet(w io.Writer, cur *snapshot, fleet []gateway.BackendStatus) {
 	if latWeight > 0 {
 		fleetLat = fmt.Sprintf("%.1fms", weightedLat/latWeight)
 	}
-	t.AddRow("ALL", fmt.Sprintf("%d/%d up", healthyN, len(fleet)), "",
+	t.AddRow("ALL", fmt.Sprintf("%d/%d up", healthyN, len(fleet)),
 		fmt.Sprintf("%d", sumActive), fmt.Sprintf("%.0f", sumSessions), fleetLat, "")
 	fmt.Fprint(w, t.String())
 }

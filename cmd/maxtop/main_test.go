@@ -238,35 +238,28 @@ func TestRenderFleetPanel(t *testing.T) {
 	}
 }
 
-// gwResilienceRegistry extends the gateway registry with the
-// resilience families a post-breaker maxgw exports.
+// gwResilienceRegistry extends the gateway registry with the hint-miss
+// family a maxgw exports once a hint matched no advertiser.
 func gwResilienceRegistry() *obs.Registry {
 	r := gwRegistry()
-	r.Gauge("gw_retry_budget_tokens_milli", "").Set(8500)
-	r.Counter("gw_retry_budget_exhausted_total", "").Add(2)
 	r.Counter("gw_hint_misses_total", "", obs.L("shape", "9x9/b8s/matvec/per-round")).Add(4)
-	r.Gauge("gw_breaker_state", "", obs.L("backend", "10.0.0.3:7700")).Set(1)
 	return r
 }
 
-// TestRenderFleetPanelAggregates: the resilience columns and the
+// TestRenderFleetPanelAggregates: the ejection markers and the
 // summed fleet row. The aggregate latency is load-weighted: backend .1
 // carries 3 of the 4 in-flight sessions at 10ms, backend .2 one at
 // 50ms → (3·10+1·50)/4 = 20ms, not the 30ms plain mean.
 func TestRenderFleetPanelAggregates(t *testing.T) {
 	fleet := []gateway.BackendStatus{
-		{Addr: "10.0.0.1:7700", Healthy: true, Status: "ok", Breaker: "closed",
-			Active: 3, LatencyEWMAMs: 10},
-		{Addr: "10.0.0.2:7700", Healthy: true, Status: "ok", Breaker: "closed",
-			Active: 1, LatencyEWMAMs: 50, Ejected: true},
-		{Addr: "10.0.0.3:7700", Healthy: false, Status: "unreachable", Breaker: "open"},
+		{Addr: "10.0.0.1:7700", Healthy: true, Status: "ok", Active: 3, LatencyEWMAMs: 10},
+		{Addr: "10.0.0.2:7700", Healthy: true, Status: "ok", Active: 1, LatencyEWMAMs: 50, Ejected: true},
+		{Addr: "10.0.0.3:7700", Healthy: false, Status: "unreachable"},
 	}
 	out := renderOf(gwResilienceRegistry(), fleet)
 	for _, want := range []string{
-		"budget 8.5 tokens (2 denied)",
 		"hint misses 4",
-		"breaker",
-		"open",
+		"unreachable (ejected)",
 		"50.0ms (slow)",
 	} {
 		if !strings.Contains(out, want) {
@@ -291,13 +284,13 @@ func TestRenderFleetPanelAggregates(t *testing.T) {
 	}
 }
 
-// TestRenderFleetPanelOldGateway: a pre-resilience gateway (no budget
-// or breaker families, no breaker fields on /fleetz) renders dashes,
-// not zeros, and no budget figure.
+// TestRenderFleetPanelOldGateway: a gateway without the hint-miss
+// family and without latency fields on /fleetz renders dashes, not
+// zeros, and no hint-miss figure.
 func TestRenderFleetPanelOldGateway(t *testing.T) {
 	out := renderOf(gwRegistry(), []gateway.BackendStatus{{Addr: "10.0.0.1:7700", Healthy: true, Status: "ok"}})
-	if strings.Contains(out, "budget") {
-		t.Fatalf("budget figure rendered without the metric:\n%s", out)
+	if !strings.Contains(out, "—") {
+		t.Fatalf("missing latency rendered as something other than a dash:\n%s", out)
 	}
 	if strings.Contains(out, "hint misses") {
 		t.Fatalf("hint misses rendered without the metric:\n%s", out)

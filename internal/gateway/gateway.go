@@ -56,15 +56,10 @@ type Config struct {
 	// ProbeInterval is the health-poll period. Default 2s.
 	ProbeInterval time.Duration
 	// EjectAfter is how many consecutive failures — probe verdicts and
-	// routing-time handshake results feed the same counter — trip a
-	// backend's circuit breaker open, which takes it out of routing.
-	// Default 3.
+	// routing-time handshake results feed the same counter — open a
+	// backend's circuit breaker, which takes it out of routing until
+	// one probe or handshake succeeds. Default 3.
 	EjectAfter int
-	// BreakerCooldown is the base open-state dwell before the breaker's
-	// half-open readmission trial; it doubles on every re-trip before a
-	// full recovery (hysteresis against flapping), capped at
-	// 8×BreakerCooldown. Default 5s.
-	BreakerCooldown time.Duration
 	// OutlierK is the latency-ejection cutoff: a backend whose
 	// handshake-latency EWMA exceeds K times the fleet median is
 	// demoted to last-resort candidate. Default 3.
@@ -75,23 +70,15 @@ type Config struct {
 	// OutlierCooldown is how long a latency ejection lasts; on expiry
 	// the backend re-enters on probation. Default 10s.
 	OutlierCooldown time.Duration
-	// RetryBudget is the sustained failover allowance as a fraction of
-	// arriving sessions: beyond the burst, at most this fraction of
-	// sessions may fail over to another backend before the gateway
-	// sheds with BUSY instead. Default 0.2.
-	RetryBudget float64
-	// RetryBudgetMin is the burst allowance a cold gateway starts with
-	// (failover attempts permitted before the ratio governs). Default
-	// 10; negative means no burst.
-	RetryBudgetMin float64
 	// RetryAfter is the backoff hint sent with the gateway's own BUSY
 	// rejection when every candidate failed. Default 200ms.
 	RetryAfter time.Duration
-	// Logf receives rate-limited operational log lines (breaker
-	// transitions, hint misses). Nil silences them.
+	// Logf receives operational log lines (breaker changes, latency
+	// ejections, rate-limited hint misses). Nil silences them.
 	Logf func(format string, args ...any)
-	// Now is the clock behind the breakers, the latency ejector and
-	// handshake timing; tests inject a fake. Default time.Now.
+	// Now is the clock behind the latency ejector, handshake timing and
+	// the hint-miss log's rate limit; tests inject a fake. Default
+	// time.Now.
 	Now func() time.Time
 	// Obs receives the gateway's metrics and health; nil disables
 	// observability (the repo-wide nil-Obs contract).
@@ -102,12 +89,6 @@ type Config struct {
 	// Probe asks a backend for health and advertised shapes. Nil uses
 	// the HTTP prober against Backend.HealthURL.
 	Probe ProbeFunc
-
-	// onTransition, when set by tests, observes every breaker
-	// transition (in delivery order, under the breaker's lock) so the
-	// flapping tests can assert monotonicity without reaching into the
-	// breakers.
-	onTransition func(addr string, tr resilience.Transition)
 }
 
 const (
@@ -160,7 +141,6 @@ type Gateway struct {
 	states  []*backendState // config order; membership is breaker.Routable()
 	reg     *obs.Registry
 	ejector *resilience.Ejector
-	budget  *resilience.Budget
 
 	hintMu       sync.Mutex
 	lastHintMiss time.Time
@@ -196,10 +176,6 @@ func New(cfg Config) (*Gateway, error) {
 			Cooldown:   cfg.OutlierCooldown,
 			Now:        cfg.Now,
 		}),
-		budget: resilience.NewBudget(resilience.BudgetConfig{
-			Ratio:     cfg.RetryBudget,
-			MinTokens: cfg.RetryBudgetMin,
-		}),
 	}
 	seen := make(map[string]bool, len(cfg.Backends))
 	for _, b := range cfg.Backends {
@@ -210,21 +186,11 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: duplicate backend %q", b.Addr)
 		}
 		seen[b.Addr] = true
-		st := &backendState{Backend: b, status: obs.HealthOK}
-		st.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: cfg.EjectAfter,
-			Cooldown:  cfg.BreakerCooldown,
-			Now:       cfg.Now,
-			OnTransition: func(tr resilience.Transition) {
-				g.onBreakerTransition(st, tr)
-			},
-		})
-		g.states = append(g.states, st)
-		g.reg.BreakerState(b.Addr).Set(obs.BreakerStateClosed)
+		g.states = append(g.states, &backendState{Backend: b, status: obs.HealthOK,
+			breaker: resilience.NewBreaker(cfg.EjectAfter)})
 	}
 	cfg.Obs.SetHealth(g.healthVerdict)
 	g.publishMembership()
-	g.publishBudget()
 	return g, nil
 }
 
@@ -332,8 +298,6 @@ func (g *Gateway) handle(conn net.Conn) {
 	}
 	g.reg.Counter("gw_peeks_total", "routing-peek outcomes", obs.L("result", result)).Inc()
 
-	g.budget.Deposit()
-	g.publishBudget()
 	candidates := g.route(hint, hinted)
 	if len(candidates) == 0 {
 		g.shed(conn, nil)
@@ -344,24 +308,12 @@ func (g *Gateway) handle(conn net.Conn) {
 		attempts = len(candidates)
 	}
 	var lastBusy *protocol.BusyError
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			// Every attempt beyond the session's first candidate is a
-			// failover and must be paid for: an empty budget means the
-			// fleet is failing broadly, and the cheapest thing this
-			// session can do is shed fast rather than add dials.
-			if !g.budget.Withdraw() {
-				g.reg.Counter(obs.MetricRetryBudgetExhausted, obs.HelpRetryBudgetExhausted).Inc()
-				break
-			}
-			g.publishBudget()
-		}
-		b := candidates[i]
+	for _, b := range candidates[:attempts] {
 		start := g.cfg.Now()
 		backendConn, first, busy, err := g.connect(b, pending)
 		switch {
 		case err != nil:
-			b.breaker.Observe(false)
+			g.observe(b, false)
 			reason := "dial"
 			if wire.IsTimeout(err) {
 				reason = "timeout"
@@ -373,13 +325,13 @@ func (g *Gateway) handle(conn net.Conn) {
 			// BUSY is an orderly rejection from a live backend: it feeds
 			// the breaker as a success (the backend answered promptly)
 			// and the ejector not at all (no session was served).
-			b.breaker.Observe(true)
+			g.observe(b, true)
 			lastBusy = busy
 			g.reg.Counter("gw_failovers_total", "pre-handshake backend failovers",
 				obs.L("reason", "busy")).Inc()
 			continue
 		}
-		b.breaker.Observe(true)
+		g.observe(b, true)
 		g.ejector.Observe(b.Addr, g.cfg.Now().Sub(start))
 		g.relay(conn, backendConn, b, first)
 		return
@@ -440,10 +392,11 @@ func recvFirstFrame(conn net.Conn) ([]byte, error) {
 // advertising the hint's key first (their pool is pre-garbled for it);
 // then fewest sessions in flight; then fewest sessions committed so far,
 // so an idle fleet rotates through every advertiser's pool instead of
-// parking on one backend; then address. Breaker-open backends whose
-// cooldown has expired are appended dead last — they are offered only
-// so a handshake can serve as the half-open trial (the readmission path
-// for backends with no health prober).
+// parking on one backend; then address.
+// Breaker-open backends are appended dead last, in config order: they
+// are dialed only when every routable candidate failed, and a handshake
+// that succeeds closes the breaker (the readmission path for backends
+// with no health prober).
 func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 	type candidate struct {
 		b                *backendState
@@ -456,20 +409,19 @@ func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 	}
 	advertised := false
 	ordered := make([]candidate, 0, len(g.states))
-	var trial []*backendState
+	var open []*backendState
 	for _, b := range g.states {
-		switch {
-		case b.breaker.Routable():
-			c := candidate{b: b, ejected: g.ejector.Ejected(b.Addr),
-				active: b.active.Load(), sessions: b.sessions.Load()}
-			if hinted {
-				c.cold = !b.advertises(key)
-				advertised = advertised || !c.cold
-			}
-			ordered = append(ordered, c)
-		case b.breaker.TrialReady():
-			trial = append(trial, b)
+		if !b.breaker.Routable() {
+			open = append(open, b)
+			continue
 		}
+		c := candidate{b: b, ejected: g.ejector.Ejected(b.Addr),
+			active: b.active.Load(), sessions: b.sessions.Load()}
+		if hinted {
+			c.cold = !b.advertises(key)
+			advertised = advertised || !c.cold
+		}
+		ordered = append(ordered, c)
 	}
 	if hinted && !advertised && len(ordered) > 0 {
 		g.noteHintMiss(key)
@@ -488,11 +440,33 @@ func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 		}
 		return ci.b.Addr < cj.b.Addr
 	})
-	out := make([]*backendState, 0, len(ordered)+len(trial))
+	out := make([]*backendState, 0, len(ordered)+len(open))
 	for _, c := range ordered {
 		out = append(out, c.b)
 	}
-	return append(out, trial...)
+	return append(out, open...)
+}
+
+// noteHintMiss counts a hinted session whose shape no routable backend
+// advertises and emits a rate-limited log line — one per
+// hintMissLogEvery fleet-wide, because a shape nobody advertises tends
+// to arrive in bursts and each miss says the same thing: the session
+// is routed by load alone, to a backend with no pool for it.
+func (g *Gateway) noteHintMiss(key string) {
+	g.reg.Counter(obs.MetricHintMisses, obs.HelpHintMisses, obs.L("shape", key)).Inc()
+	if g.cfg.Logf == nil {
+		return
+	}
+	now := g.cfg.Now()
+	g.hintMu.Lock()
+	due := now.Sub(g.lastHintMiss) >= hintMissLogEvery
+	if due {
+		g.lastHintMiss = now
+	}
+	g.hintMu.Unlock()
+	if due {
+		g.cfg.Logf("gateway: shape hint %q matches no advertised backend pool; routing by load (cold pool)", key)
+	}
 }
 
 // connect dials one backend, forwards the client's pending preface
@@ -581,7 +555,6 @@ type BackendStatus struct {
 	Addr     string   `json:"addr"`
 	Healthy  bool     `json:"healthy"`
 	Status   string   `json:"status"`
-	Breaker  string   `json:"breaker"`
 	Active   int64    `json:"active_sessions"`
 	Sessions int64    `json:"sessions_total"`
 	Shapes   []string `json:"advertised_shapes,omitempty"`
@@ -601,8 +574,7 @@ func (g *Gateway) Snapshot() []BackendStatus {
 		ewma, _ := g.ejector.EWMA(b.Addr)
 		st := BackendStatus{
 			Addr: b.Addr, Healthy: b.breaker.Routable(),
-			Breaker: b.breaker.State().String(),
-			Active:  b.active.Load(), Sessions: b.sessions.Load(),
+			Active: b.active.Load(), Sessions: b.sessions.Load(),
 			LatencyEWMAMs: float64(ewma) / float64(time.Millisecond),
 			Ejected:       g.ejector.Ejected(b.Addr),
 		}

@@ -492,38 +492,11 @@ func TestAllBusySheds(t *testing.T) {
 	}
 }
 
-// testClock is an injectable clock for breaker-cooldown tests.
-type testClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newTestClock() *testClock { return &testClock{now: time.Unix(1_700_000_000, 0)} }
-
-func (c *testClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *testClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-// TestProbeEjectsAndReadmits drives the breaker-driven membership
-// machine: consecutive failed probes trip the breaker and take a
-// backend out of routing (sessions reroute); a healthy probe readmits
-// it only after the breaker's cooldown — a lucky probe mid-cooldown
-// must not flap the membership.
+// TestProbeEjectsAndReadmits drives the breaker-driven membership:
+// consecutive failed probes open the breaker and take a backend out of
+// routing (sessions reroute); the next healthy probe readmits it.
 func TestProbeEjectsAndReadmits(t *testing.T) {
-	clock := newTestClock()
-	const cooldown = 5 * time.Second
-	f := newFleet(t, 3, func(cfg *Config) {
-		cfg.Now = clock.Now
-		cfg.BreakerCooldown = cooldown
-	})
+	f := newFleet(t, 3, nil)
 	first := f.routeOrder(true)[0]
 	primary := f.backends[first]
 	routable := f.state(first).breaker.Routable
@@ -553,21 +526,17 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 		t.Fatalf("ejected backend served %d sessions", got)
 	}
 
-	// Hysteresis: healthy probes inside the cooldown are ignored.
 	primary.mu.Lock()
 	primary.status = obs.HealthOK
 	primary.mu.Unlock()
 	f.gw.ProbeNow()
-	if routable() {
-		t.Fatal("healthy probe mid-cooldown readmitted the backend")
-	}
-
-	// Past the cooldown the next healthy probe is the half-open trial
-	// and readmits.
-	clock.Advance(cooldown + time.Second)
-	f.gw.ProbeNow()
 	if !routable() {
-		t.Fatal("healthy probe after the cooldown did not readmit the backend")
+		t.Fatal("a healthy probe did not readmit the backend")
+	}
+	readmits := f.obs.Metrics().Counter("gw_membership_changes_total", "",
+		obs.L("backend", first), obs.L("change", "readmit")).Value()
+	if readmits != 1 {
+		t.Fatalf("gw_membership_changes_total{change=readmit} = %d, want 1", readmits)
 	}
 	if got := f.gw.healthVerdict(); got != obs.HealthOK {
 		t.Fatalf("gateway health = %q with a full fleet", got)
@@ -604,9 +573,8 @@ func TestAdvertisedShapePreferred(t *testing.T) {
 // TestRouteOrder is the routing rule, row by row: among routable
 // backends, latency-ejected last, then (hinted only) advertisers of the
 // hint's key first, then fewest in flight, then fewest committed, then
-// address; breaker-open backends appear only as a trailing trial.
+// address; breaker-open backends trail, in config order.
 func TestRouteOrder(t *testing.T) {
-	const cooldown = 5 * time.Second
 	key := testHint.Key()
 	load := func(f *fleet, name string, active, sessions int64) {
 		f.state(name).active.Store(active)
@@ -624,13 +592,13 @@ func TestRouteOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		hinted bool
-		setup  func(f *fleet, clock *testClock)
+		setup  func(f *fleet)
 		want   []string
 		misses uint64
 	}{
 		// Least loaded; advertisement plays no part without a hint.
 		{name: "unhinted",
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				f.advertise(key, "backend-0")
 				load(f, "backend-0", 5, 0)
 				load(f, "backend-1", 1, 0)
@@ -638,7 +606,7 @@ func TestRouteOrder(t *testing.T) {
 			},
 			want: []string{"backend-1", "backend-2", "backend-0"}},
 		{name: "hinted-all-advertise", hinted: true,
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				f.advertise(key)
 				load(f, "backend-0", 2, 0)
 				load(f, "backend-1", 0, 9)
@@ -647,7 +615,7 @@ func TestRouteOrder(t *testing.T) {
 			want: []string{"backend-1", "backend-2", "backend-0"}},
 		// Equal in-flight: fewest committed, then address.
 		{name: "hinted-idle-tie", hinted: true,
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				f.advertise(key)
 				load(f, "backend-0", 0, 2)
 				load(f, "backend-1", 0, 1)
@@ -656,13 +624,13 @@ func TestRouteOrder(t *testing.T) {
 			want: []string{"backend-1", "backend-2", "backend-0"}},
 		// The advertiser beats idle non-advertisers.
 		{name: "hinted-one-advertises", hinted: true,
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				f.advertise(key, "backend-2")
 				load(f, "backend-2", 4, 7)
 			},
 			want: []string{"backend-2", "backend-0", "backend-1"}},
 		{name: "hinted-nobody-advertises", hinted: true,
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				load(f, "backend-0", 1, 0)
 				load(f, "backend-1", 0, 3)
 				load(f, "backend-2", 0, 1)
@@ -670,7 +638,7 @@ func TestRouteOrder(t *testing.T) {
 			want: []string{"backend-2", "backend-1", "backend-0"}, misses: 1},
 		// Last, not removed.
 		{name: "advertiser-latency-ejected", hinted: true,
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				f.advertise(key, "backend-0")
 				for i := 0; i < 3; i++ {
 					f.gw.ejector.Observe("backend-0", 500*time.Millisecond)
@@ -680,31 +648,21 @@ func TestRouteOrder(t *testing.T) {
 				f.gw.ProbeNow() // runs the sweep
 			},
 			want: []string{"backend-1", "backend-2", "backend-0"}},
-		// Mid-cooldown: absent.
+		// Behind every routable backend, its advertisement ignored: a
+		// handshake with it is the readmission path of last resort.
 		{name: "advertiser-breaker-open", hinted: true,
-			setup: func(f *fleet, _ *testClock) {
+			setup: func(f *fleet) {
 				f.advertise(key, "backend-0")
 				openBreaker(f)
-			},
-			want: []string{"backend-1", "backend-2"}, misses: 1},
-		// Past the cooldown: the trailing trial.
-		{name: "advertiser-breaker-open-trial-ready", hinted: true,
-			setup: func(f *fleet, clock *testClock) {
-				f.advertise(key, "backend-0")
-				openBreaker(f)
-				clock.Advance(cooldown + time.Second)
 			},
 			want: []string{"backend-1", "backend-2", "backend-0"}, misses: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			clock := newTestClock()
 			f := newFleet(t, 3, func(cfg *Config) {
-				cfg.Now = clock.Now
-				cfg.BreakerCooldown = cooldown
 				cfg.OutlierK = 2
 				cfg.OutlierMinSamples = 3
 			})
-			tc.setup(f, clock)
+			tc.setup(f)
 			if got := f.routeOrder(tc.hinted); fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("route order %v, want %v", got, tc.want)
 			}

@@ -130,13 +130,11 @@ func (g *Gateway) probeLoop() {
 //
 //   - ok and degraded verdicts count as successes (a degraded daemon
 //     is queueing, not rejecting — still better than shedding the
-//     session here);
+//     session here); one success brings back a backend the breaker
+//     took out;
 //   - overloaded verdicts and unreachable backends count as failures;
-//     EjectAfter consecutive failures trip the breaker open and the
-//     backend stops being routed to. Readmission is the breaker's
-//     half-open trial: after the cooldown (doubling on every re-trip)
-//     the next successful probe readmits — never sooner, however
-//     healthy the probes look mid-cooldown.
+//     EjectAfter consecutive failures open the breaker and the
+//     backend stops being routed to.
 //
 // The pass also sweeps the latency ejector, so outlier demotions are
 // re-evaluated on probe cadence.
@@ -160,7 +158,7 @@ func (g *Gateway) ProbeNow() {
 			b.shapes = toSet(shapes)
 		}
 		b.mu.Unlock()
-		b.breaker.Observe(!failed)
+		g.observe(b, !failed)
 	}
 	for _, addr := range g.ejector.Sweep() {
 		g.reg.Counter(obs.MetricEjections, obs.HelpEjections,
@@ -168,6 +166,34 @@ func (g *Gateway) ProbeNow() {
 		g.logf("gateway: latency outlier %s demoted to last-resort (EWMA beyond k×median)", addr)
 	}
 	g.publishMembership()
+}
+
+// observe feeds one probe verdict or handshake result into b's breaker
+// and, when that opened or closed it, counts the membership change and
+// logs it. The breaker decides a change under its lock, so two
+// observers racing on one backend cannot count it twice.
+func (g *Gateway) observe(b *backendState, ok bool) {
+	if !b.breaker.Observe(ok) {
+		return
+	}
+	change, verb := "readmit", "closed"
+	if !ok {
+		change, verb = "eject", "opened"
+	}
+	g.reg.Counter("gw_membership_changes_total", "backend fleet ejections and readmissions",
+		obs.L("backend", b.Addr), obs.L("change", change)).Inc()
+	if !ok {
+		g.reg.Counter(obs.MetricEjections, obs.HelpEjections,
+			obs.L("backend", b.Addr), obs.L("reason", "breaker")).Inc()
+	}
+	g.logf("gateway: breaker %s for %s", verb, b.Addr)
+}
+
+// logf forwards to the configured logger, if any.
+func (g *Gateway) logf(format string, args ...any) {
+	if g.cfg.Logf != nil {
+		g.cfg.Logf(format, args...)
+	}
 }
 
 func toSet(ss []string) map[string]struct{} {

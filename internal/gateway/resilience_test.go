@@ -2,36 +2,25 @@ package gateway
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"maxelerator/internal/obs"
 	"maxelerator/internal/protocol"
-	"maxelerator/internal/resilience"
 )
 
 // TestProberFlappingMonotoneTransitions is the flapping-backend drill:
-// several goroutines hammer ProbeNow while the primary's verdict and
-// the clock race each other through 40 flap cycles. Whatever the
-// interleaving, every breaker must move strictly monotonically (Seq
-// +1, next.From == prev.To) along legal edges only, and the fleet must
-// never see a double-readmit: readmissions counted on the membership
-// counter must equal the breaker's closed-arrivals exactly. Run under
-// -race and -shuffle=on in CI.
+// several goroutines hammer ProbeNow while the primary's verdict flips
+// through 40 flap cycles, each held until the breaker has followed it.
+// Whatever the interleaving, every flap must be counted exactly once —
+// 20 ejects and 20 readmits on gw_membership_changes_total, so no
+// double eject or double readmit — gw_ejections_total{reason=breaker}
+// must agree, the steady backends must not move, and gw_backend_up
+// must agree with the breaker. Run under -race and -shuffle=on in CI.
 func TestProberFlappingMonotoneTransitions(t *testing.T) {
-	clock := newTestClock()
-	var mu sync.Mutex
-	trs := make(map[string][]resilience.Transition)
-	f := newFleet(t, 3, func(cfg *Config) {
-		cfg.Now = clock.Now
-		cfg.BreakerCooldown = time.Second
-		cfg.onTransition = func(addr string, tr resilience.Transition) {
-			mu.Lock()
-			trs[addr] = append(trs[addr], tr)
-			mu.Unlock()
-		}
-	})
+	f := newFleet(t, 3, nil)
 	order := f.routeOrder(true)
 	primary := f.backends[order[0]]
 
@@ -51,100 +40,152 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 			}
 		}()
 	}
-	for cycle := 0; cycle < 40; cycle++ {
+	breaker := f.state(order[0]).breaker
+	const cycles = 40
+	for cycle := 0; cycle < cycles; cycle++ {
+		up := cycle%2 == 1
 		status := obs.HealthOverloaded
-		if cycle%2 == 1 {
+		if up {
 			status = obs.HealthOK
 		}
 		primary.mu.Lock()
 		primary.status = status
 		primary.mu.Unlock()
-		clock.Advance(300 * time.Millisecond)
+		deadline := time.Now().Add(5 * time.Second)
+		for breaker.Routable() != up {
+			if time.Now().After(deadline) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("cycle %d: breaker did not follow the %s verdict in 5s", cycle, status)
+			}
+			runtime.Gosched()
+		}
 	}
 	close(stop)
 	wg.Wait()
+	f.gw.ProbeNow() // settle the gauges on the last verdict
 
-	legal := map[resilience.State]map[resilience.State]bool{
-		resilience.StateClosed:   {resilience.StateOpen: true},
-		resilience.StateOpen:     {resilience.StateHalfOpen: true},
-		resilience.StateHalfOpen: {resilience.StateClosed: true, resilience.StateOpen: true},
+	reg := f.obs.Metrics()
+	changes := func(addr, change string) uint64 {
+		return reg.Counter("gw_membership_changes_total", "", obs.L("backend", addr), obs.L("change", change)).Value()
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	readmits := 0
-	for addr, ts := range trs {
-		for i, tr := range ts {
-			if !legal[tr.From][tr.To] {
-				t.Fatalf("%s transition %d: illegal edge %s→%s", addr, i, tr.From, tr.To)
-			}
-			if i > 0 {
-				prev := ts[i-1]
-				if tr.Seq != prev.Seq+1 {
-					t.Fatalf("%s transition %d: Seq %d after %d, want strictly +1", addr, i, tr.Seq, prev.Seq)
-				}
-				if tr.From != prev.To {
-					t.Fatalf("%s transition %d: From %s, but previous landed on %s", addr, i, tr.From, prev.To)
-				}
-			}
-			if tr.To == resilience.StateClosed {
-				readmits++
-			}
-		}
+	ejects, readmits := changes(order[0], "eject"), changes(order[0], "readmit")
+	if ejects != cycles/2 || readmits != cycles/2 {
+		t.Fatalf("%d ejects and %d readmits over %d flap cycles, want %d each", ejects, readmits, cycles, cycles/2)
+	}
+	if got := reg.Counter(obs.MetricEjections, "", obs.L("backend", order[0]), obs.L("reason", "breaker")).Value(); got != ejects {
+		t.Fatalf("%s{reason=breaker} = %d, membership ejects = %d", obs.MetricEjections, got, ejects)
 	}
 	for _, addr := range order[1:] {
-		if n := len(trs[addr]); n != 0 {
-			t.Fatalf("steady backend %s recorded %d transitions, want 0", addr, n)
+		if n := changes(addr, "eject") + changes(addr, "readmit"); n != 0 {
+			t.Fatalf("steady backend %s recorded %d membership changes, want 0", addr, n)
 		}
 	}
-	counted := f.obs.Metrics().Counter("gw_membership_changes_total", "",
-		obs.L("backend", order[0]), obs.L("change", "readmit")).Value()
-	if counted != uint64(readmits) {
-		t.Fatalf("membership counter shows %d readmits, breaker transitioned closed %d times (double-readmit?)",
-			counted, readmits)
-	}
-	// The one derived copy of membership left is a gauge; a probe pass
-	// on the now-still clock must leave it agreeing with the breaker. It
-	// may still move the breaker (half-open → closed), whose hook takes
-	// mu: holding mu across it deadlocked the test now and then.
-	mu.Unlock()
-	f.gw.ProbeNow()
-	mu.Lock()
-	up := f.obs.Metrics().Gauge("gw_backend_up", "", obs.L("backend", order[0])).Value()
-	if (up == 1) != f.state(order[0]).breaker.Routable() {
+	up := reg.Gauge("gw_backend_up", "", obs.L("backend", order[0])).Value()
+	if (up == 1) != breaker.Routable() {
 		t.Fatalf("gw_backend_up = %d diverged from breaker state", up)
 	}
 }
 
-// TestRetryBudgetShedsWhenExhausted: with no burst allowance and a
-// dead fleet, a session pays for zero failovers — it dials exactly one
-// candidate, the budget denies the second, and the session sheds with
-// BUSY. This is the anti-retry-storm property at n=1.
-func TestRetryBudgetShedsWhenExhausted(t *testing.T) {
-	f := newFleet(t, 3, func(cfg *Config) {
-		cfg.RetryBudgetMin = -1 // no burst
-		cfg.RetryBudget = 0.1
-	})
+// TestFlappingBackendLosesNoSession: a backend that goes down and comes
+// back every cycle is readmitted by the next good probe, and no session
+// is lost to it — a session that meets it down fails over before the
+// client has seen a byte. This is why the breaker needs no cooldown
+// (DESIGN §14).
+func TestFlappingBackendLosesNoSession(t *testing.T) {
+	f := newFleet(t, 3, nil)
+	flapper := f.backends[f.routeOrder(true)[0]]
+	setDown := func(down bool) {
+		flapper.mu.Lock()
+		flapper.down = down
+		flapper.mu.Unlock()
+	}
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		setDown(true)
+		// The first session of a cycle meets the flapper down unless
+		// the probe already took it out; either way it is served.
+		for j := 0; j < 2; j++ {
+			out, err := runSession(t, f, &testHint)
+			if err != nil {
+				t.Fatalf("cycle %d, session %d with the flapper down: %v", i, j, err)
+			}
+			wantResult(t, out)
+		}
+		setDown(false)
+		f.gw.ProbeNow()
+		if !f.state(flapper.name).breaker.Routable() {
+			t.Fatalf("cycle %d: a good probe did not readmit the flapper", i)
+		}
+		out, err := runSession(t, f, &testHint)
+		if err != nil {
+			t.Fatalf("cycle %d, session with the flapper back: %v", i, err)
+		}
+		wantResult(t, out)
+	}
+	f.drain()
+	if got := f.totalServed(); got != 3*cycles {
+		t.Fatalf("fleet served %d sessions, want %d", got, 3*cycles)
+	}
+	if flapper.servedCount() == 0 {
+		t.Fatal("the readmitted flapper never served: readmission gave it no work")
+	}
+}
+
+// TestFleetOutageShedsAfterMaxFailovers: with every backend down, each
+// session dials at most MaxFailovers+1 candidates — open breakers
+// included, they trail the order — and is shed with BUSY, so a dead
+// fleet's dial load is bounded per session without a retry budget
+// (DESIGN §14).
+func TestFleetOutageShedsAfterMaxFailovers(t *testing.T) {
+	f := newFleet(t, 4, func(cfg *Config) { cfg.MaxFailovers = 2 })
 	for _, fb := range f.backends {
 		fb.mu.Lock()
 		fb.down = true
 		fb.mu.Unlock()
 	}
-	_, err := runSession(t, f, &testHint)
-	var be *protocol.BusyError
-	if !errors.As(err, &be) {
-		t.Fatalf("expected BusyError from the budget shed, got %v", err)
-	}
 	reg := f.obs.Metrics()
-	if got := reg.Counter(obs.MetricRetryBudgetExhausted, "").Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1", obs.MetricRetryBudgetExhausted, got)
+	dials := func() uint64 {
+		return reg.Counter("gw_failovers_total", "", obs.L("reason", "dial")).Value()
 	}
-	if got := reg.Counter("gw_failovers_total", "", obs.L("reason", "dial")).Value(); got != 1 {
-		t.Fatalf("dialed %d candidates, want exactly 1 (budget must stop the march)", got)
+	const sessions = 4 // EjectAfter is 2: the last two meet every breaker open
+	for i := 0; i < sessions; i++ {
+		before := dials()
+		_, err := runSession(t, f, &testHint)
+		var be *protocol.BusyError
+		if !errors.As(err, &be) {
+			t.Fatalf("session %d: want a BUSY shed from a dead fleet, got %v", i, err)
+		}
+		if got := dials() - before; got != 3 {
+			t.Fatalf("session %d dialed %d candidates, want MaxFailovers+1 = 3", i, got)
+		}
 	}
-	dep, wd, den := f.gw.RetryBudgetStats()
-	if dep != 1 || wd != 0 || den != 1 {
-		t.Fatalf("budget stats = %d/%d/%d, want 1 deposit, 0 withdrawals, 1 denial", dep, wd, den)
+	if got := reg.Counter("gw_shed_total", "").Value(); got != sessions {
+		t.Fatalf("gw_shed_total = %d, want %d", got, sessions)
 	}
+	if n := f.gw.routable(); n != 0 {
+		t.Fatalf("%d backends still routable after the fleet died", n)
+	}
+}
+
+// testClock is an injectable clock for latency-ejection tests.
+type testClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func newTestClock() *testClock { return &testClock{now: time.Unix(1_700_000_000, 0)} }
+
+func (c *testClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *testClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
 }
 
 // TestLatencyOutlierDemoted: a backend whose handshake EWMA sits far
@@ -182,7 +223,7 @@ func TestLatencyOutlierDemoted(t *testing.T) {
 	var found bool
 	for _, st := range f.gw.Snapshot() {
 		if st.Addr == order[0] {
-			found = st.Ejected && st.LatencyEWMAMs > 100 && st.Breaker == "closed"
+			found = st.Ejected && st.LatencyEWMAMs > 100 && st.Healthy
 		}
 	}
 	if !found {
@@ -196,23 +237,18 @@ func TestLatencyOutlierDemoted(t *testing.T) {
 }
 
 // TestBreakerTrialReadmitsByTraffic covers the readmission path for a
-// fleet whose probes are absent or stale: after every breaker trips
-// (dead fleet), a revived backend is offered as a last-resort trial
-// once its cooldown expires, and the successful handshake itself
-// readmits it — no probe required.
+// fleet whose probes are absent or stale: after every breaker opens
+// (dead fleet), the open backends still trail the route order, so once
+// the fleet revives, a session's successful handshake readmits the
+// backend it landed on — no probe required.
 func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
-	clock := newTestClock()
-	const cooldown = 2 * time.Second
-	f := newFleet(t, 3, func(cfg *Config) {
-		cfg.Now = clock.Now
-		cfg.BreakerCooldown = cooldown
-	})
+	f := newFleet(t, 3, nil)
 	for _, fb := range f.backends {
 		fb.mu.Lock()
 		fb.down = true
 		fb.mu.Unlock()
 	}
-	// Two shed sessions are enough to trip every breaker (EjectAfter=2,
+	// Two shed sessions are enough to open every breaker (EjectAfter=2,
 	// each session dials all three candidates).
 	for i := 0; i < 2; i++ {
 		if _, err := runSession(t, f, &testHint); err == nil {
@@ -222,33 +258,22 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 	if n := f.gw.routable(); n != 0 {
 		t.Fatalf("%d backends still routable after the fleet died", n)
 	}
-	// Mid-cooldown the fleet is unroutable: sessions shed immediately.
-	if _, err := runSession(t, f, &testHint); err == nil {
-		t.Fatal("session succeeded with every breaker open")
-	}
 
 	for _, fb := range f.backends {
 		fb.mu.Lock()
 		fb.down = false
 		fb.mu.Unlock()
 	}
-	clock.Advance(cooldown + time.Second)
 	out, err := runSession(t, f, &testHint)
 	if err != nil {
-		t.Fatalf("trial session failed against a revived fleet: %v", err)
+		t.Fatalf("session failed against a revived fleet: %v", err)
 	}
 	wantResult(t, out)
 	f.drain()
 	if got := f.totalServed(); got != 1 {
 		t.Fatalf("fleet served %d sessions, want 1", got)
 	}
-	readmitted := 0
-	for _, b := range f.gw.states {
-		if b.breaker.Routable() {
-			readmitted++
-		}
-	}
-	if readmitted != 1 {
-		t.Fatalf("%d backends readmitted by one trial session, want exactly 1", readmitted)
+	if n := f.gw.routable(); n != 1 {
+		t.Fatalf("%d backends readmitted by one session, want exactly 1", n)
 	}
 }

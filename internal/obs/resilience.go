@@ -2,23 +2,13 @@ package obs
 
 // Fleet-resilience metric canon. Three binaries speak these names —
 // the gateway produces them, maxtop renders them, and maxchaos
-// asserts invariants over them — so the names, label keys and help
-// strings live here once instead of drifting apart in three string
-// literals.
+// reports over them — so the names, label keys and help strings live
+// here once instead of drifting apart in three string literals.
 const (
-	// MetricBreakerState is a per-backend gauge of the circuit
-	// breaker's position, encoded via BreakerStateValue.
-	MetricBreakerState = "gw_breaker_state"
 	// MetricEjections counts temporary backend removals by cause:
-	// reason="breaker" (consecutive failures tripped the circuit) or
+	// reason="breaker" (consecutive failures opened the breaker) or
 	// reason="latency" (EWMA outlier ejection).
 	MetricEjections = "gw_ejections_total"
-	// MetricRetryBudgetTokens is the retry budget's current level in
-	// millitokens (tokens × 1000 — the registry's gauges are integers).
-	MetricRetryBudgetTokens = "gw_retry_budget_tokens_milli"
-	// MetricRetryBudgetExhausted counts sessions shed because the
-	// retry budget denied a failover attempt.
-	MetricRetryBudgetExhausted = "gw_retry_budget_exhausted_total"
 	// MetricHintMisses counts hinted sessions whose shape matched no
 	// advertised backend pool, by shape key.
 	MetricHintMisses = "gw_hint_misses_total"
@@ -27,39 +17,6 @@ const (
 // Help strings for the resilience families, exported so every
 // producer registers identical metadata.
 const (
-	HelpBreakerState         = "per-backend circuit breaker state (0 closed, 1 open, 2 half-open)"
-	HelpEjections            = "temporary backend ejections by reason (breaker | latency)"
-	HelpRetryBudgetTokens    = "retry budget level in millitokens"
-	HelpRetryBudgetExhausted = "sessions shed because the retry budget denied a failover"
-	HelpHintMisses           = "hinted sessions whose shape matched no advertised backend"
+	HelpEjections  = "temporary backend ejections by reason (breaker | latency)"
+	HelpHintMisses = "hinted sessions whose shape matched no advertised backend"
 )
-
-// Breaker state gauge encoding. The values are part of the scrape
-// contract (dashboards alert on state == 1), so they are fixed here
-// rather than inherited from any in-process enum.
-const (
-	BreakerStateClosed   int64 = 0
-	BreakerStateOpen     int64 = 1
-	BreakerStateHalfOpen int64 = 2
-)
-
-// BreakerStateValue maps a breaker state's string form (the
-// resilience package's State.String, also used on /fleetz) to its
-// gauge encoding. Unknown strings map to open — the conservative
-// reading for a dashboard.
-func BreakerStateValue(state string) int64 {
-	switch state {
-	case "closed":
-		return BreakerStateClosed
-	case "half-open":
-		return BreakerStateHalfOpen
-	default:
-		return BreakerStateOpen
-	}
-}
-
-// BreakerState returns the per-backend breaker gauge with the
-// canonical name and help text.
-func (r *Registry) BreakerState(backend string) *Gauge {
-	return r.Gauge(MetricBreakerState, HelpBreakerState, L("backend", backend))
-}

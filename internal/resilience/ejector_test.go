@@ -1,9 +1,30 @@
 package resilience
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
+
+// fakeClock is a manually-advanced clock for the ejector tests.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
 
 func feed(e *Ejector, id string, d time.Duration, n int) {
 	for i := 0; i < n; i++ {
