@@ -656,6 +656,16 @@ func TestRouteOrder(t *testing.T) {
 				openBreaker(f)
 			},
 			want: []string{"backend-1", "backend-2", "backend-0"}, misses: 1},
+		// No cooldown to wait out: the trial is offered at once, and an
+		// idle open backend still trails loaded routable ones.
+		{name: "advertiser-breaker-open-trial-ready", hinted: true,
+			setup: func(f *fleet) {
+				f.advertise(key, "backend-0")
+				openBreaker(f)
+				load(f, "backend-1", 3, 0)
+				load(f, "backend-2", 1, 0)
+			},
+			want: []string{"backend-2", "backend-1", "backend-0"}, misses: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFleet(t, 3, func(cfg *Config) {
