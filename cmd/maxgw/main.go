@@ -19,6 +19,10 @@
 // (probe verdicts and routing-time handshake results feed the same
 // per-backend circuit breaker) open the breaker and the backend stops
 // being routed to; the next successful probe or handshake readmits it.
+// A backend that is out is offered to one session, as its last
+// candidate, once a -probe-interval has passed without a failure, so a
+// backend without a health URL is readmitted by traffic and a dead
+// fleet is shed without being dialed.
 // A backend whose handshake-latency EWMA exceeds -outlier-k times the
 // fleet median is demoted to last-resort candidate for
 // -outlier-cooldown (slow-but-alive detection).

@@ -53,7 +53,9 @@ type Config struct {
 	// MaxFailovers caps how many additional backends a session tries
 	// after its first candidate fails pre-handshake. Default 2.
 	MaxFailovers int
-	// ProbeInterval is the health-poll period. Default 2s.
+	// ProbeInterval is the health-poll period, and how long a backend
+	// out of the fleet must go without a failure before route offers it
+	// to one session as a trial. Default 2s.
 	ProbeInterval time.Duration
 	// EjectAfter is how many consecutive failures — probe verdicts and
 	// routing-time handshake results feed the same counter — open a
@@ -393,10 +395,12 @@ func recvFirstFrame(conn net.Conn) ([]byte, error) {
 // then fewest sessions in flight; then fewest sessions committed so far,
 // so an idle fleet rotates through every advertiser's pool instead of
 // parking on one backend; then address.
-// Breaker-open backends are appended dead last, in config order: they
-// are dialed only when every routable candidate failed, and a handshake
-// that succeeds closes the breaker (the readmission path for backends
-// with no health prober).
+// A backend whose breaker is open is out of the order, except that once
+// a ProbeInterval has passed since its last failure or trial it is
+// appended dead last for one session (see takeTrial): dialed only when
+// every routable candidate failed, a handshake that succeeds closes the
+// breaker — the readmission path for backends with no health prober —
+// and a fleet-wide outage sheds sessions without dialing the dead.
 func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 	type candidate struct {
 		b                *backendState
@@ -409,10 +413,13 @@ func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 	}
 	advertised := false
 	ordered := make([]candidate, 0, len(g.states))
-	var open []*backendState
+	var trial []*backendState
+	now := g.cfg.Now()
 	for _, b := range g.states {
 		if !b.breaker.Routable() {
-			open = append(open, b)
+			if b.takeTrial(now, g.cfg.ProbeInterval) {
+				trial = append(trial, b)
+			}
 			continue
 		}
 		c := candidate{b: b, ejected: g.ejector.Ejected(b.Addr),
@@ -440,11 +447,11 @@ func (g *Gateway) route(hint protocol.ShapeHint, hinted bool) []*backendState {
 		}
 		return ci.b.Addr < cj.b.Addr
 	})
-	out := make([]*backendState, 0, len(ordered)+len(open))
+	out := make([]*backendState, 0, len(ordered)+len(trial))
 	for _, c := range ordered {
 		out = append(out, c.b)
 	}
-	return append(out, open...)
+	return append(out, trial...)
 }
 
 // noteHintMiss counts a hinted session whose shape no routable backend

@@ -573,7 +573,8 @@ func TestAdvertisedShapePreferred(t *testing.T) {
 // TestRouteOrder is the routing rule, row by row: among routable
 // backends, latency-ejected last, then (hinted only) advertisers of the
 // hint's key first, then fewest in flight, then fewest committed, then
-// address; breaker-open backends trail, in config order.
+// address; a breaker-open backend trails only as a trial, once a probe
+// interval has passed since its last failure.
 func TestRouteOrder(t *testing.T) {
 	key := testHint.Key()
 	load := func(f *fleet, name string, active, sessions int64) {
@@ -590,11 +591,12 @@ func TestRouteOrder(t *testing.T) {
 		f.gw.ProbeNow()
 	}
 	for _, tc := range []struct {
-		name   string
-		hinted bool
-		setup  func(f *fleet)
-		want   []string
-		misses uint64
+		name    string
+		hinted  bool
+		setup   func(f *fleet)
+		advance time.Duration // of the clock, after setup
+		want    []string
+		misses  uint64
 	}{
 		// Least loaded; advertisement plays no part without a hint.
 		{name: "unhinted",
@@ -648,16 +650,16 @@ func TestRouteOrder(t *testing.T) {
 				f.gw.ProbeNow() // runs the sweep
 			},
 			want: []string{"backend-1", "backend-2", "backend-0"}},
-		// Behind every routable backend, its advertisement ignored: a
-		// handshake with it is the readmission path of last resort.
+		// Within a probe interval of its last failure: absent.
 		{name: "advertiser-breaker-open", hinted: true,
 			setup: func(f *fleet) {
 				f.advertise(key, "backend-0")
 				openBreaker(f)
 			},
-			want: []string{"backend-1", "backend-2", "backend-0"}, misses: 1},
-		// No cooldown to wait out: the trial is offered at once, and an
-		// idle open backend still trails loaded routable ones.
+			want: []string{"backend-1", "backend-2"}, misses: 1},
+		// A probe interval later: the trailing trial, its advertisement
+		// ignored and behind loaded routable backends — a handshake with
+		// it is the readmission path of last resort.
 		{name: "advertiser-breaker-open-trial-ready", hinted: true,
 			setup: func(f *fleet) {
 				f.advertise(key, "backend-0")
@@ -665,14 +667,19 @@ func TestRouteOrder(t *testing.T) {
 				load(f, "backend-1", 3, 0)
 				load(f, "backend-2", 1, 0)
 			},
-			want: []string{"backend-2", "backend-1", "backend-0"}, misses: 1},
+			advance: 2 * time.Second,
+			want:    []string{"backend-2", "backend-1", "backend-0"}, misses: 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			clock := newTestClock()
 			f := newFleet(t, 3, func(cfg *Config) {
+				cfg.Now = clock.Now
+				cfg.ProbeInterval = 2 * time.Second
 				cfg.OutlierK = 2
 				cfg.OutlierMinSamples = 3
 			})
 			tc.setup(f)
+			clock.Advance(tc.advance)
 			if got := f.routeOrder(tc.hinted); fmt.Sprint(got) != fmt.Sprint(tc.want) {
 				t.Fatalf("route order %v, want %v", got, tc.want)
 			}

@@ -42,6 +42,21 @@ type backendState struct {
 
 	active   atomic.Int64 // sessions currently relayed to this backend
 	sessions atomic.Int64 // sessions ever committed to this backend
+	// lastTry is when the backend last failed a probe or handshake, or
+	// was last offered to a session while out of the fleet (Unix
+	// nanoseconds).
+	lastTry atomic.Int64
+}
+
+// takeTrial reports whether b, out of the fleet, is offered to one
+// session as a trailing candidate: once an interval has passed since
+// its last failure or trial. A failing probe restarts the interval, so
+// a backend whose probes keep failing is seldom offered; one with no
+// prober is offered once an interval. The compare-and-swap hands each
+// trial to a single session.
+func (b *backendState) takeTrial(now time.Time, interval time.Duration) bool {
+	last := b.lastTry.Load()
+	return now.UnixNano()-last >= int64(interval) && b.lastTry.CompareAndSwap(last, now.UnixNano())
 }
 
 // advertises reports whether the backend's daemon announced a warm
@@ -169,10 +184,14 @@ func (g *Gateway) ProbeNow() {
 }
 
 // observe feeds one probe verdict or handshake result into b's breaker
-// and, when that opened or closed it, counts the membership change and
-// logs it. The breaker decides a change under its lock, so two
-// observers racing on one backend cannot count it twice.
+// (a failure also restarts b's trial interval, see takeTrial) and, when
+// that opened or closed it, counts the membership change and logs it.
+// The breaker decides a change under its lock, so two observers racing
+// on one backend cannot count it twice.
 func (g *Gateway) observe(b *backendState, ok bool) {
+	if !ok {
+		b.lastTry.Store(g.cfg.Now().UnixNano())
+	}
 	if !b.breaker.Observe(ok) {
 		return
 	}
@@ -182,10 +201,6 @@ func (g *Gateway) observe(b *backendState, ok bool) {
 	}
 	g.reg.Counter("gw_membership_changes_total", "backend fleet ejections and readmissions",
 		obs.L("backend", b.Addr), obs.L("change", change)).Inc()
-	if !ok {
-		g.reg.Counter(obs.MetricEjections, obs.HelpEjections,
-			obs.L("backend", b.Addr), obs.L("reason", "breaker")).Inc()
-	}
 	g.logf("gateway: breaker %s for %s", verb, b.Addr)
 }
 

